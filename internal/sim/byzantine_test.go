@@ -7,17 +7,28 @@ import (
 	"repro/internal/ids"
 )
 
-// TestSimByzantineGreen runs each actively-Byzantine behavior at its
-// worst placement with f=1 and requires the honest cluster to stay both
-// live (every client finishes) and safe (no divergence, clean checker).
-func TestSimByzantineGreen(t *testing.T) {
-	cases := []struct {
-		name  string
-		proto cluster.Protocol
-		mode  ids.Mode
-		byz   map[ids.ReplicaID]cluster.Behavior
-		tweak func(*Config)
-	}{
+// byzantineCase is one actively-Byzantine scenario: a behavior at its
+// worst placement with f=1.
+type byzantineCase struct {
+	name  string
+	proto cluster.Protocol
+	mode  ids.Mode
+	byz   map[ids.ReplicaID]cluster.Behavior
+	tweak func(*Config)
+}
+
+// config builds the case's run (shared with the golden fingerprints).
+func (tc byzantineCase) config() Config {
+	cfg := baseConfig(11, tc.proto, tc.mode)
+	cfg.Byzantine = tc.byz
+	if tc.tweak != nil {
+		tc.tweak(&cfg)
+	}
+	return cfg
+}
+
+func byzantineCases() []byzantineCase {
+	return []byzantineCase{
 		{
 			// The untrusted Peacock primary (replica S+0 = 2) equivocates:
 			// two validly-signed proposals for the same slot. Honest
@@ -77,15 +88,16 @@ func TestSimByzantineGreen(t *testing.T) {
 			},
 		},
 	}
-	for _, tc := range cases {
+}
+
+// TestSimByzantineGreen runs each Byzantine case and requires the honest
+// cluster to stay both live (every client finishes) and safe (no
+// divergence, clean checker).
+func TestSimByzantineGreen(t *testing.T) {
+	for _, tc := range byzantineCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := baseConfig(11, tc.proto, tc.mode)
-			cfg.Byzantine = tc.byz
-			if tc.tweak != nil {
-				tc.tweak(&cfg)
-			}
-			res := mustRun(t, cfg)
+			res := mustRun(t, tc.config())
 			if res.Incomplete > 0 {
 				t.Fatalf("liveness lost under %v: %d clients unfinished (end %v)",
 					tc.byz, res.Incomplete, res.End)

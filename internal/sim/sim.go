@@ -175,6 +175,11 @@ type Result struct {
 	End time.Duration
 	// Events counts scheduler events processed (diagnostics).
 	Events uint64
+	// Views and Stable are each honest replica's final view and stable
+	// checkpoint. They are deliberately outside Fingerprint: tests use
+	// them to prove a run reached the recovery machinery at all.
+	Views  map[ids.ReplicaID]ids.View
+	Stable map[ids.ReplicaID]uint64
 }
 
 // Fingerprint digests the client histories and commit traces into one
@@ -239,6 +244,8 @@ type node interface {
 	Recover()
 	Stop()
 	LastExecuted() uint64
+	View() ids.View
+	StableCheckpoint() uint64
 }
 
 // Sim is one deterministic execution in flight.
@@ -458,6 +465,15 @@ func (s *Sim) run() *Result {
 		Incomplete: s.liveClients,
 		End:        s.vclock.Now().Sub(clock.Epoch),
 		Events:     s.processed,
+		Views:      make(map[ids.ReplicaID]ids.View),
+		Stable:     make(map[ids.ReplicaID]uint64),
+	}
+	for i, nd := range s.nodes {
+		// Engine-confined accessors: safe now that every node stopped.
+		if id := ids.ReplicaID(i); s.cfg.Byzantine[id] == cluster.BehaviorNone {
+			res.Views[id] = nd.View()
+			res.Stable[id] = nd.StableCheckpoint()
+		}
 	}
 	for _, c := range s.clients {
 		res.Ops = append(res.Ops, c.history...)

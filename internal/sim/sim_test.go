@@ -38,6 +38,19 @@ func baseConfig(seed int64, proto cluster.Protocol, mode ids.Mode) Config {
 	return cfg
 }
 
+// shapes are the five protocol shapes every sim test family covers.
+var shapes = []struct {
+	name  string
+	proto cluster.Protocol
+	mode  ids.Mode
+}{
+	{"lion", cluster.SeeMoRe, ids.Lion},
+	{"dog", cluster.SeeMoRe, ids.Dog},
+	{"peacock", cluster.SeeMoRe, ids.Peacock},
+	{"paxos", cluster.Paxos, 0},
+	{"pbft", cluster.PBFT, 0},
+}
+
 func mustRun(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	res, err := Run(cfg)
@@ -50,18 +63,7 @@ func mustRun(t *testing.T, cfg Config) *Result {
 // TestSimSmoke runs one small deterministic execution per protocol and
 // requires a clean checker verdict with every client finishing.
 func TestSimSmoke(t *testing.T) {
-	cases := []struct {
-		name  string
-		proto cluster.Protocol
-		mode  ids.Mode
-	}{
-		{"lion", cluster.SeeMoRe, ids.Lion},
-		{"dog", cluster.SeeMoRe, ids.Dog},
-		{"peacock", cluster.SeeMoRe, ids.Peacock},
-		{"paxos", cluster.Paxos, 0},
-		{"pbft", cluster.PBFT, 0},
-	}
-	for _, tc := range cases {
+	for _, tc := range shapes {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			res := mustRun(t, baseConfig(7, tc.proto, tc.mode))
@@ -80,18 +82,7 @@ func TestSimSmoke(t *testing.T) {
 // requires byte-identical fingerprints — identical client histories and
 // identical commit traces.
 func TestSimDeterminism(t *testing.T) {
-	cases := []struct {
-		name  string
-		proto cluster.Protocol
-		mode  ids.Mode
-	}{
-		{"lion", cluster.SeeMoRe, ids.Lion},
-		{"dog", cluster.SeeMoRe, ids.Dog},
-		{"peacock", cluster.SeeMoRe, ids.Peacock},
-		{"paxos", cluster.Paxos, 0},
-		{"pbft", cluster.PBFT, 0},
-	}
-	for _, tc := range cases {
+	for _, tc := range shapes {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig(42, tc.proto, tc.mode)
