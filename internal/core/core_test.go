@@ -113,10 +113,7 @@ func (h *harness) mustGet(c *client.Client, key, want string) {
 	}
 }
 
-// waitConverged polls until every listed replica has executed at least n
-// requests, then returns. Uses probe-free polling via LastExecuted; the
-// engine is still running, so this is technically racy reads — instead
-// we wait on execution counts published through probes.
+// waitFor polls cond until it holds or the timeout fails the test.
 func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.After(timeout)
@@ -129,12 +126,18 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	}
 }
 
-// verifyConvergence stops the cluster and asserts every non-crashed
-// replica holds an identical state machine.
+// verifyConvergence waits for every non-skipped replica to reach the
+// same execution cursor, stops the cluster and asserts they hold an
+// identical state machine. The wait is on the event, not a sleep: the
+// last commits land on passive replicas an INFORM round (or a state
+// transfer) after the client got its reply, and a loaded host stretches
+// that arbitrarily. A replica that never catches up is a liveness defect
+// of the catch-up path, which the timeout reports as such.
 func (h *harness) verifyConvergence(skip map[ids.ReplicaID]bool) {
 	h.t.Helper()
-	// Give in-flight commits a moment to land everywhere.
-	time.Sleep(150 * time.Millisecond)
+	waitFor(h.t, "every live replica to reach the same LastExecuted", 10*time.Second, func() bool {
+		return sameCursor(h.replicas, skip)
+	})
 	h.stop()
 	var refID ids.ReplicaID = -1
 	var ref []byte
@@ -153,6 +156,24 @@ func (h *harness) verifyConvergence(skip map[ids.ReplicaID]bool) {
 			h.t.Fatalf("replica %d state diverges from replica %d", id, refID)
 		}
 	}
+}
+
+// sameCursor reports whether every non-skipped replica currently reports
+// the same LastExecuted (an atomic, safe to read while engines run).
+func sameCursor(replicas []*Replica, skip map[ids.ReplicaID]bool) bool {
+	var ref uint64
+	first := true
+	for _, r := range replicas {
+		if skip[r.ID()] {
+			continue
+		}
+		if n := r.LastExecuted(); first {
+			ref, first = n, false
+		} else if n != ref {
+			return false
+		}
+	}
+	return true
 }
 
 func baseMembership() ids.Membership { return ids.MustMembership(2, 4, 1, 1) }

@@ -95,9 +95,19 @@ func (h *harness) mustPut(c *client.Client, key, value string) {
 	}
 }
 
+// verifyConvergence waits (on the event, not a sleep) for every
+// non-skipped replica to reach the same execution cursor, then stops the
+// cluster and compares states. A replica that never catches up is a
+// liveness defect of the catch-up path; the timeout reports it as such.
 func (h *harness) verifyConvergence(skip map[ids.ReplicaID]bool) {
 	h.t.Helper()
-	time.Sleep(150 * time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for !h.sameCursor(skip) {
+		if time.Now().After(deadline) {
+			h.t.Fatal("timed out waiting for every live replica to reach the same LastExecuted")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	h.stop()
 	var ref []byte
 	for i, kv := range h.kvs {
@@ -113,6 +123,24 @@ func (h *harness) verifyConvergence(skip map[ids.ReplicaID]bool) {
 			h.t.Fatalf("replica %d diverges", h.replicas[i].ID())
 		}
 	}
+}
+
+// sameCursor reports whether every non-skipped replica currently reports
+// the same LastExecuted (an atomic, safe to read while engines run).
+func (h *harness) sameCursor(skip map[ids.ReplicaID]bool) bool {
+	var ref uint64
+	first := true
+	for _, r := range h.replicas {
+		if skip[r.ID()] {
+			continue
+		}
+		if n := r.LastExecuted(); first {
+			ref, first = n, false
+		} else if n != ref {
+			return false
+		}
+	}
+	return true
 }
 
 func TestNewReplicaValidation(t *testing.T) {
