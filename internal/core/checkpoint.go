@@ -37,7 +37,7 @@ func (r *Replica) maybeCheckpoint() {
 			return
 		}
 		r.eng.SignRecord(cp)
-		r.eng.Multicast(r.mb.All(), wireFromSigned(cp))
+		r.eng.Multicast(r.mb.All(), cp.Wire())
 		r.stabilizeOrPend(n, d, []message.Signed{*cp})
 	case ids.Peacock:
 		// Every proxy checkpoints; stability needs a 2m+1 certificate.
@@ -45,7 +45,7 @@ func (r *Replica) maybeCheckpoint() {
 			return
 		}
 		r.eng.SignRecord(cp)
-		r.eng.Multicast(r.mb.All(), wireFromSigned(cp))
+		r.eng.Multicast(r.mb.All(), cp.Wire())
 		if count := r.log.AddCheckpointCert(*cp); count >= r.mb.AgreementQuorum(ids.Peacock) {
 			r.stabilizeOrPend(n, d, r.log.CheckpointCerts(n, d))
 		}
@@ -54,7 +54,7 @@ func (r *Replica) maybeCheckpoint() {
 
 // onCheckpoint processes a CHECKPOINT message from a peer.
 func (r *Replica) onCheckpoint(m *message.Message) {
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}

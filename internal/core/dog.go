@@ -34,7 +34,7 @@ func (r *Replica) dogOnPrepare(m *message.Message) {
 	if m.From != r.mb.Primary(ids.Dog, r.view) || m.From == r.eng.ID() {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) || !r.validProposalPayload(m) {
 		return
 	}
@@ -62,7 +62,7 @@ func (r *Replica) dogOnPrepare(m *message.Message) {
 	r.eng.SignRecord(acc)
 	r.jr.Vote(acc)
 	entry.AddVote(message.KindAccept, r.view, r.eng.ID(), m.Digest)
-	r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), wireFromSigned(acc))
+	r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), acc.Wire())
 	r.dogMaybeCommit(entry)
 }
 
@@ -77,7 +77,7 @@ func (r *Replica) dogOnAccept(m *message.Message) {
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) || m.From == r.eng.ID() {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}
@@ -120,7 +120,7 @@ func (r *Replica) dogCommit(entry *mlog.Entry) {
 		Digest: d,
 	}
 	r.eng.SignRecord(commit)
-	r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), wireFromSigned(commit))
+	r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), commit.Wire())
 
 	inform := &message.Signed{
 		Kind:   message.KindInform,
@@ -129,7 +129,7 @@ func (r *Replica) dogCommit(entry *mlog.Entry) {
 		Digest: d,
 	}
 	r.eng.SignRecord(inform)
-	r.eng.Multicast(r.nonParticipants(r.view), wireFromSigned(inform))
+	r.eng.Multicast(r.nonParticipants(r.view), inform.Wire())
 
 	r.executeReady() // proxies reply inside the execution hook
 }
@@ -144,7 +144,7 @@ func (r *Replica) dogOnCommit(m *message.Message) {
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) || m.From == r.eng.ID() {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}
@@ -172,7 +172,7 @@ func (r *Replica) dogOnInform(m *message.Message) {
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}

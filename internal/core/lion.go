@@ -6,39 +6,6 @@ import (
 	"repro/internal/mlog"
 )
 
-// signedFromWire reconstructs the Signed evidence record carried by an
-// agreement wire message. Agreement messages (PREPARE, PRE-PREPARE,
-// ACCEPT, COMMIT, INFORM, CHECKPOINT) are signed over the Signed tuple
-// (Kind, From, View, Seq, Digest) so the very same signature serves both
-// the wire and later view-change evidence, mirroring the paper's
-// "signed ... as a proof of receiving the message" usage.
-func signedFromWire(m *message.Message) *message.Signed {
-	return &message.Signed{
-		Kind:    m.Kind,
-		From:    m.From,
-		View:    m.View,
-		Seq:     m.Seq,
-		Digest:  m.Digest,
-		Request: m.Request,
-		Batch:   m.Batch,
-		Sig:     m.Sig,
-	}
-}
-
-// wireFromSigned builds the wire message for a Signed record.
-func wireFromSigned(s *message.Signed) *message.Message {
-	return &message.Message{
-		Kind:    s.Kind,
-		From:    s.From,
-		View:    s.View,
-		Seq:     s.Seq,
-		Digest:  s.Digest,
-		Request: s.Request,
-		Batch:   s.Batch,
-		Sig:     s.Sig,
-	}
-}
-
 // validProposalPayload checks that an attached payload — one request or
 // a whole batch — matches the proposal digest and that every member
 // carries a valid client signature. The member signatures are
@@ -122,7 +89,7 @@ func (r *Replica) lionOnPrepare(m *message.Message) {
 	if m.From != primary || m.From == r.eng.ID() {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) || !r.validProposalPayload(m) {
 		return
 	}
@@ -198,7 +165,7 @@ func (r *Replica) lionCommit(entry *mlog.Entry) {
 	entry.SetCommitCert(commit)
 	r.jr.Commit(entry.Seq(), r.view, prop.Digest, commit)
 
-	r.eng.Multicast(r.mb.All(), wireFromSigned(commit))
+	r.eng.Multicast(r.mb.All(), commit.Wire())
 	r.executeReady() // the Lion primary replies inside the execution hook
 }
 
@@ -212,7 +179,7 @@ func (r *Replica) lionOnCommit(m *message.Message) {
 	if m.From != r.mb.Primary(ids.Lion, r.view) || m.From == r.eng.ID() {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}

@@ -24,7 +24,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	if m.From != r.mb.Primary(ids.Peacock, r.view) || m.From == r.eng.ID() {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) || !r.validProposalPayload(m) {
 		return
 	}
@@ -58,7 +58,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	// The primary's pre-prepare counts as its prepare vote (standard
 	// PBFT accounting).
 	entry.AddVote(message.KindPrepare, r.view, m.From, m.Digest)
-	r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), wireFromSigned(prep))
+	r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), prep.Wire())
 	r.peacockMaybePrepared(entry)
 }
 
@@ -71,7 +71,7 @@ func (r *Replica) peacockOnPrepareVote(m *message.Message) {
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) || m.From == r.eng.ID() {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}
@@ -109,7 +109,7 @@ func (r *Replica) peacockMaybePrepared(entry *mlog.Entry) {
 	r.eng.SignRecord(com)
 	r.jr.Vote(com)
 	entry.AddVoteCert(com)
-	r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), wireFromSigned(com))
+	r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), com.Wire())
 	r.peacockMaybeCommitted(entry)
 }
 
@@ -121,7 +121,7 @@ func (r *Replica) peacockOnCommitVote(m *message.Message) {
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) || m.From == r.eng.ID() {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}
@@ -162,7 +162,7 @@ func (r *Replica) peacockMaybeCommitted(entry *mlog.Entry) {
 		Digest: d,
 	}
 	r.eng.SignRecord(inform)
-	r.eng.Multicast(r.nonParticipants(r.view), wireFromSigned(inform))
+	r.eng.Multicast(r.nonParticipants(r.view), inform.Wire())
 
 	r.executeReady() // proxies reply inside the execution hook
 }
@@ -177,7 +177,7 @@ func (r *Replica) peacockOnInform(m *message.Message) {
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) {
 		return
 	}
-	s := signedFromWire(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}

@@ -665,7 +665,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 			if r.mode != ids.Lion {
 				inf := &message.Signed{Kind: message.KindInform, View: r.view, Seq: s.Seq, Digest: s.Digest}
 				r.eng.SignRecord(inf)
-				r.eng.Multicast(r.nonParticipants(r.view), wireFromSigned(inf))
+				r.eng.Multicast(r.nonParticipants(r.view), inf.Wire())
 			}
 			continue
 		}
@@ -686,14 +686,14 @@ func (r *Replica) applyNewView(m *message.Message) {
 			r.eng.SignRecord(acc)
 			r.jr.Vote(acc)
 			entry.AddVote(message.KindAccept, r.view, r.eng.ID(), s.Digest)
-			r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), wireFromSigned(acc))
+			r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), acc.Wire())
 			r.dogMaybeCommit(entry)
 		case ids.Peacock:
 			prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: s.Seq, Digest: s.Digest}
 			r.eng.SignRecord(prep)
 			r.jr.Vote(prep)
 			entry.AddVoteCert(prep)
-			r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), wireFromSigned(prep))
+			r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), prep.Wire())
 			r.peacockMaybePrepared(entry)
 		}
 	}

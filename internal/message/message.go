@@ -258,6 +258,27 @@ func (s *Signed) SetRequests(reqs []*Request) { s.Request, s.Batch = splitPayloa
 // ClearRequests strips the payload (lean commits, vote certificates).
 func (s *Signed) ClearRequests() { s.Request, s.Batch = nil, nil }
 
+// Wire builds the wire message for a Signed record.
+func (s *Signed) Wire() *Message {
+	return &Message{
+		Kind: s.Kind, From: s.From, View: s.View, Seq: s.Seq,
+		Digest: s.Digest, Request: s.Request, Batch: s.Batch, Sig: s.Sig,
+	}
+}
+
+// Record reconstructs the Signed evidence record carried by an agreement
+// wire message. Agreement messages (PREPARE, PRE-PREPARE, ACCEPT, COMMIT,
+// INFORM, CHECKPOINT) are signed over the Signed tuple (Kind, From, View,
+// Seq, Digest) so the very same signature serves both the wire and later
+// view-change evidence, mirroring the paper's "signed ... as a proof of
+// receiving the message" usage.
+func (m *Message) Record() *Signed {
+	return &Signed{
+		Kind: m.Kind, From: m.From, View: m.View, Seq: m.Seq,
+		Digest: m.Digest, Request: m.Request, Batch: m.Batch, Sig: m.Sig,
+	}
+}
+
 // SignedBytes returns the bytes the signature covers: the tuple
 // (Kind, From, View, Seq, Digest) — the request µ travels outside the
 // signature, bound by Digest, exactly as in the paper's 〈〈PREPARE,v,n,d〉σp, µ〉.

@@ -450,21 +450,7 @@ func (r *Replica) proposeBatch(reqs []*message.Request) {
 		r.inFlight[inFlightKey{client: req.Client, ts: req.Timestamp}] = seq
 	}
 	entry.AddVote(message.KindAccept, r.view, r.eng.ID(), prop.Digest)
-	r.eng.Multicast(r.all(), signedWire(prop))
-}
-
-func signedWire(s *message.Signed) *message.Message {
-	return &message.Message{
-		Kind: s.Kind, From: s.From, View: s.View, Seq: s.Seq,
-		Digest: s.Digest, Request: s.Request, Batch: s.Batch, Sig: s.Sig,
-	}
-}
-
-func wireSigned(m *message.Message) *message.Signed {
-	return &message.Signed{
-		Kind: m.Kind, From: m.From, View: m.View, Seq: m.Seq,
-		Digest: m.Digest, Request: m.Request, Batch: m.Batch, Sig: m.Sig,
-	}
+	r.eng.Multicast(r.all(), prop.Wire())
 }
 
 // validPayload checks the attached payload (lone request or batch)
@@ -483,7 +469,7 @@ func (r *Replica) onPrepare(m *message.Message) {
 	if m.From != r.Leader(r.view) || m.From == r.eng.ID() {
 		return
 	}
-	s := wireSigned(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) || !validPayload(m) {
 		return
 	}
@@ -533,7 +519,7 @@ func (r *Replica) onAccept(m *message.Message) {
 		r.eng.SignRecord(commit)
 		entry.SetCommitCert(commit)
 		r.jr.Commit(entry.Seq(), r.view, prop.Digest, commit)
-		r.eng.Multicast(r.all(), signedWire(commit))
+		r.eng.Multicast(r.all(), commit.Wire())
 		r.executeReady()
 	}
 }
@@ -546,7 +532,7 @@ func (r *Replica) onCommit(m *message.Message) {
 	if m.From != r.Leader(r.view) || m.From == r.eng.ID() {
 		return
 	}
-	s := wireSigned(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) || !validPayload(m) {
 		return
 	}

@@ -27,12 +27,12 @@ func (r *Replica) maybeCheckpoint() {
 	}
 	cp := &message.Signed{Kind: message.KindCheckpoint, Seq: n, Digest: replica.DigestOf(snap)}
 	r.eng.SignRecord(cp)
-	r.eng.Multicast(r.all(), signedWire(cp))
+	r.eng.Multicast(r.all(), cp.Wire())
 	r.stabilizeOrPend(n, cp.Digest, []message.Signed{*cp})
 }
 
 func (r *Replica) onCheckpoint(m *message.Message) {
-	s := wireSigned(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}

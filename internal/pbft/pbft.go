@@ -490,21 +490,7 @@ func (r *Replica) proposeBatch(reqs []*message.Request) {
 	}
 	// The primary's pre-prepare stands in for its prepare vote.
 	entry.AddVote(message.KindPrepare, r.view, r.eng.ID(), pp.Digest)
-	r.eng.Multicast(r.all(), signedWire(pp))
-}
-
-func signedWire(s *message.Signed) *message.Message {
-	return &message.Message{
-		Kind: s.Kind, From: s.From, View: s.View, Seq: s.Seq,
-		Digest: s.Digest, Request: s.Request, Batch: s.Batch, Sig: s.Sig,
-	}
-}
-
-func wireSigned(m *message.Message) *message.Signed {
-	return &message.Signed{
-		Kind: m.Kind, From: m.From, View: m.View, Seq: m.Seq,
-		Digest: m.Digest, Request: m.Request, Batch: m.Batch, Sig: m.Sig,
-	}
+	r.eng.Multicast(r.all(), pp.Wire())
 }
 
 // validPayload checks the attached payload (lone request or batch)
@@ -525,7 +511,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	if m.From != r.Primary(r.view) || m.From == r.eng.ID() {
 		return
 	}
-	s := wireSigned(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) || !r.validPayload(m) {
 		return
 	}
@@ -544,7 +530,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	r.jr.Vote(prep)
 	entry.AddVoteCert(prep)
 	entry.AddVote(message.KindPrepare, r.view, m.From, m.Digest)
-	r.eng.Multicast(r.all(), signedWire(prep))
+	r.eng.Multicast(r.all(), prep.Wire())
 	r.maybePrepared(entry)
 }
 
@@ -555,7 +541,7 @@ func (r *Replica) onPrepare(m *message.Message) {
 	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
 		return
 	}
-	s := wireSigned(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}
@@ -585,7 +571,7 @@ func (r *Replica) maybePrepared(entry *mlog.Entry) {
 	r.eng.SignRecord(com)
 	r.jr.Vote(com)
 	entry.AddVoteCert(com)
-	r.eng.Multicast(r.all(), signedWire(com))
+	r.eng.Multicast(r.all(), com.Wire())
 	r.maybeCommitted(entry)
 }
 
@@ -596,7 +582,7 @@ func (r *Replica) onCommit(m *message.Message) {
 	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
 		return
 	}
-	s := wireSigned(m)
+	s := m.Record()
 	if !r.eng.VerifyRecord(s) {
 		return
 	}

@@ -32,14 +32,14 @@ func (r *Replica) maybeCheckpoint() {
 	}
 	cp := &message.Signed{Kind: message.KindCheckpoint, Seq: n, Digest: replica.DigestOf(snap)}
 	r.eng.SignRecord(cp)
-	r.eng.Multicast(r.all(), signedWire(cp))
+	r.eng.Multicast(r.all(), cp.Wire())
 	if count := r.log.AddCheckpointCert(*cp); count >= r.Quorum() {
 		r.stabilizeOrPend(n, cp.Digest, r.log.CheckpointCerts(n, cp.Digest))
 	}
 }
 
 func (r *Replica) onCheckpoint(m *message.Message) {
-	s := wireSigned(m)
+	s := m.Record()
 	if int(m.From) < 0 || int(m.From) >= r.n || !r.eng.VerifyRecord(s) {
 		return
 	}
@@ -497,7 +497,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 			r.eng.SignRecord(prep)
 			r.jr.Vote(prep)
 			entry.AddVoteCert(prep)
-			r.eng.Multicast(r.all(), signedWire(prep))
+			r.eng.Multicast(r.all(), prep.Wire())
 		}
 		r.maybePrepared(entry)
 	}
