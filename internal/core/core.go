@@ -17,13 +17,6 @@ import (
 	"repro/internal/transport"
 )
 
-type status int
-
-const (
-	statusNormal status = iota
-	statusViewChange
-)
-
 // Options assembles one SeeMoRe replica.
 type Options struct {
 	// ID is this replica's identity in [0, N).
@@ -73,9 +66,8 @@ type Replica struct {
 	timing config.Timing
 	clk    clock.Clock
 
-	mode   ids.Mode
-	view   ids.View
-	status status
+	mode ids.Mode
+	view ids.View
 
 	log  *mlog.Log
 	exec *replica.Executor
@@ -96,12 +88,15 @@ type Replica struct {
 	// legacy unbounded admission, see config.Pipelining).
 	pipe config.Pipelining
 
-	// vc holds view-change progress.
-	vc viewChangeState
+	// rec is the shared recovery substrate: checkpoints, state transfer
+	// and the view-change vote table (see replica.Recovery). A view
+	// change is in progress exactly while rec.InViewChange().
+	rec *replica.Recovery
 
-	// pendingStable holds checkpoint certificates that arrived before
-	// local execution reached them: seq → evidence.
-	pendingStable map[uint64]*stableEvidence
+	// targetMode is the mode of the view rec is trying to enter;
+	// pendingModes records MODE-CHANGE announcements: view → new mode.
+	targetMode   ids.Mode
+	pendingModes map[ids.View]ids.Mode
 
 	// activeView is the latest view this replica saw activated (a
 	// NEW-VIEW processed, or view 0). Dog view changes report it.
@@ -113,13 +108,6 @@ type Replica struct {
 	// never learn the view moved on. nvResent throttles per peer.
 	lastNewView *message.Message
 	nvResent    map[ids.ReplicaID]time.Time
-
-	// stateRequested throttles state-transfer requests. stallExec and
-	// stallSince detect an executor that stopped advancing with stable
-	// checkpoint evidence ahead of it (see maybeRequestState).
-	stateRequested time.Time
-	stallExec      uint64
-	stallSince     time.Time
 
 	// queue buffers client requests that arrive while a view change is
 	// in progress on the primary.
@@ -165,11 +153,6 @@ type Probe struct {
 	OnCheckpointStable func(seq uint64)
 }
 
-type stableEvidence struct {
-	digest crypto.Digest
-	proof  []message.Signed
-}
-
 type inFlightKey struct {
 	client ids.ClientID
 	ts     uint64
@@ -195,25 +178,24 @@ func NewReplica(opts Options) (*Replica, error) {
 	}
 	clk := clock.OrReal(opts.Clock)
 	r := &Replica{
-		mb:            mb,
-		timing:        opts.Cluster.Timing,
-		clk:           clk,
-		batcher:       replica.NewBatcher(opts.Cluster.Batching, clk),
-		pipe:          opts.Cluster.Pipelining,
-		leanCommits:   opts.LeanCommits,
-		leaseSlack:    opts.LeaseSlackForTesting,
-		mode:          opts.Cluster.InitialMode,
-		log:           mlog.New(opts.Cluster.Timing.HighWaterMarkLag),
-		exec:          replica.NewExecutor(opts.StateMachine, opts.Cluster.Timing.CheckpointPeriod),
-		nextSeq:       1,
-		pending:       replica.NewPending(),
-		pendingStable: make(map[uint64]*stableEvidence),
-		inFlight:      make(map[inFlightKey]uint64),
-		leases:        opts.Cluster.Leases,
-		lease:         leaseState{propose: make(map[uint64]time.Time)},
-		nvResent:      make(map[ids.ReplicaID]time.Time),
+		mb:           mb,
+		timing:       opts.Cluster.Timing,
+		clk:          clk,
+		batcher:      replica.NewBatcher(opts.Cluster.Batching, clk),
+		pipe:         opts.Cluster.Pipelining,
+		leanCommits:  opts.LeanCommits,
+		leaseSlack:   opts.LeaseSlackForTesting,
+		mode:         opts.Cluster.InitialMode,
+		log:          mlog.New(opts.Cluster.Timing.HighWaterMarkLag),
+		exec:         replica.NewExecutor(opts.StateMachine, opts.Cluster.Timing.CheckpointPeriod),
+		nextSeq:      1,
+		pending:      replica.NewPending(),
+		pendingModes: make(map[ids.View]ids.Mode),
+		inFlight:     make(map[inFlightKey]uint64),
+		leases:       opts.Cluster.Leases,
+		lease:        leaseState{propose: make(map[uint64]time.Time)},
+		nvResent:     make(map[ids.ReplicaID]time.Time),
 	}
-	r.vc.reset()
 	r.jr = replica.NewJournal(opts.Storage)
 	r.eng = replica.NewEngine(replica.Config{
 		ID:       opts.ID,
@@ -225,11 +207,27 @@ func NewReplica(opts Options) (*Replica, error) {
 		TickInterval: r.batcher.TickInterval(opts.TickInterval),
 		Clock:        clk,
 	})
+	r.rec = replica.NewRecovery(replica.RecoveryConfig{
+		Engine: r.eng, Log: r.log, Exec: r.exec, Journal: r.jr, Pending: r.pending,
+		Trust: trust{r}, N: mb.N(), ViewChange: r.timing.ViewChange,
+		JoinQuorum: mb.M() + 1, Mode: r.mode,
+		SubPeriodStall: true,
+	})
 	if opts.Storage != nil {
 		// Crash-restart recovery: replay the journal into the message
 		// log and executor before the engine starts processing.
-		if err := r.recoverFromStorage(); err != nil {
-			return nil, err
+		rs, err := r.rec.Boot()
+		if err != nil {
+			return nil, fmt.Errorf("core: recovery: %w", err)
+		}
+		if rs.HasView {
+			if !rs.Mode.Valid() || mb.SupportsMode(rs.Mode) != nil {
+				return nil, fmt.Errorf("core: recovered invalid mode %d", int(rs.Mode))
+			}
+			r.view, r.mode, r.activeView = rs.View, rs.Mode, rs.View
+		}
+		if rs.MaxSeq >= r.nextSeq {
+			r.nextSeq = rs.MaxSeq + 1
 		}
 	}
 	return r, nil
@@ -345,7 +343,7 @@ func (r *Replica) HandleMessage(m *message.Message) {
 	case message.KindInform:
 		r.onInform(m)
 	case message.KindCheckpoint:
-		r.onCheckpoint(m)
+		r.rec.OnCheckpoint(m)
 	case message.KindViewChange:
 		r.onViewChange(m)
 	case message.KindNewView:
@@ -353,9 +351,11 @@ func (r *Replica) HandleMessage(m *message.Message) {
 	case message.KindModeChange:
 		r.onModeChange(m)
 	case message.KindStateRequest:
-		r.onStateRequest(m)
+		r.rec.OnStateRequest(m)
 	case message.KindStateReply:
-		r.onStateReply(m)
+		if r.rec.OnStateReply(m) {
+			r.executeReady()
+		}
 	case message.KindRead:
 		r.onRead(m)
 	}
@@ -367,21 +367,17 @@ func (r *Replica) HandleTick(now time.Time) {
 	// client traffic cannot strand buffered requests. The pipelined
 	// pump applies the same deadline, additionally bounded by window
 	// room.
-	if r.status == statusNormal {
+	if !r.rec.InViewChange() {
 		if r.pipe.Enabled() {
 			r.pump(now)
 		} else if r.batcher.Due(now) {
 			r.proposeBatch(r.batcher.Take())
 		}
 	}
-	// A replica that knows it is behind (parked checkpoint evidence it
-	// cannot reach) retries its state-transfer request on the tick;
-	// maybeRequestState throttles to one request per τ. Without the
-	// retry a single lost STATE-REPLY — or a throttled request during a
-	// traffic lull — would strand a recovering replica until the next
-	// checkpoint happens to arrive.
-	if r.status == statusNormal {
-		r.maybeRequestState()
+	// A replica that knows it is behind retries its state-transfer
+	// request on the tick (throttled inside).
+	if !r.rec.InViewChange() {
+		r.rec.CatchUp()
 	}
 	// A parked leased read whose lease lapsed mid-wait must not starve:
 	// re-route it through consensus on the tick (no-op when nothing is
@@ -391,39 +387,22 @@ func (r *Replica) HandleTick(now time.Time) {
 	// primary and start a view change (Section 5.1, View Changes). The
 	// timers are per slot, so a stalled slot n is suspected on schedule
 	// even while newer slots keep committing around it.
-	if r.status == statusNormal {
+	if !r.rec.InViewChange() {
 		if _, ok := r.pending.Expired(now, r.timing.ViewChange); ok {
 			r.startViewChange(r.view+1, r.mode)
 		}
 	}
-	// A view change that stalls either escalates or backs off. If m+1
-	// replicas demand a newer view, at least one correct peer shares the
-	// suspicion and the collector may also be faulty: escalate to the
-	// next view. A lone suspicion that nobody joined (a local timing
-	// hiccup while the cluster is healthy) instead falls back to normal
-	// operation in the current view — escalating forever would wedge
-	// this replica while its peers make progress without it.
-	if r.status == statusViewChange && !r.vc.deadline.IsZero() && now.After(r.vc.deadline) {
-		joined := 0
-		for v, votes := range r.vc.votes {
-			if v > r.view && len(votes) > joined {
-				joined = len(votes)
-			}
-		}
-		if joined >= r.mb.M()+1 {
-			r.startViewChange(r.vc.target+1, r.vc.targetMode)
-		} else {
-			r.status = statusNormal
-			r.vc.deadline = time.Time{}
-			r.vc.target = 0
-			r.resetPending()
-			// Requests buffered while the abandoned suspicion ran must
-			// not stay stranded: re-propose them (primary) or drop them
-			// for the client's retransmission to recover (backup). The
-			// resulting proposals also tell peers in a newer view that
-			// this replica fell behind, triggering a NEW-VIEW resend.
-			r.drainQueue()
-		}
+	// A view change that stalls either escalates or backs off (see
+	// replica.Recovery.Overdue).
+	if next, backOff := r.rec.Overdue(now); next != 0 {
+		r.startViewChange(next, r.targetMode)
+	} else if backOff {
+		// Requests buffered while the abandoned suspicion ran must not
+		// stay stranded: re-propose them (primary) or drop them for the
+		// client's retransmission to recover (backup). The resulting
+		// proposals also tell peers in a newer view that this replica
+		// fell behind, triggering a NEW-VIEW resend.
+		r.drainQueue()
 	}
 }
 
@@ -456,8 +435,7 @@ func (r *Replica) executeReady() {
 		// Progress clears the relayed-request sentinel: the cluster is
 		// alive, so the relayed request will get through or be retried.
 		r.clearPending(relaySentinel)
-		r.maybeCheckpoint()
-		r.drainPendingStable()
+		r.rec.Executed(r.emitsCheckpoint())
 		r.drainParkedReads()
 	}
 	// Commits (including out-of-order ones that could not execute yet)
@@ -526,7 +504,7 @@ func (r *Replica) onRequest(req *message.Request) {
 	if !r.exec.Fresh(req) {
 		return // older than the client's last executed request
 	}
-	if r.status != statusNormal {
+	if r.rec.InViewChange() {
 		if r.trustedSelf() {
 			r.queue = append(r.queue, req)
 		}
@@ -577,7 +555,7 @@ func (r *Replica) admitRequest(req *message.Request) {
 // (see replica.Pump). It is a no-op unless this replica is a pipelined
 // primary in normal operation.
 func (r *Replica) pump(now time.Time) {
-	if !r.pipe.Enabled() || r.status != statusNormal || !r.isPrimary() {
+	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isPrimary() {
 		return
 	}
 	replica.Pump(r.pipe.Depth, r.pending, r.batcher, now, r.proposeBatch)
@@ -588,7 +566,7 @@ func (r *Replica) pump(now time.Time) {
 // the window forward. Pipelined primaries only — the legacy path keeps
 // relying on client retransmission, unchanged.
 func (r *Replica) drainBlocked() {
-	if !r.pipe.Enabled() || r.status != statusNormal || !r.isPrimary() ||
+	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isPrimary() ||
 		len(r.queue) == 0 || !r.log.InWindow(r.nextSeq) {
 		return
 	}

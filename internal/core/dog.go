@@ -28,7 +28,7 @@ func (r *Replica) nonParticipants(v ids.View) []ids.ReplicaID {
 // broadcast to all, Algorithm 2 line 9); proxies additionally start the
 // signed accept round (lines 10–12).
 func (r *Replica) dogOnPrepare(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	if m.From != r.mb.Primary(ids.Dog, r.view) || m.From == r.eng.ID() {
@@ -71,7 +71,7 @@ func (r *Replica) dogOnPrepare(m *message.Message) {
 // prepare; the vote is recorded either way and the quorum re-checked
 // when the prepare lands.
 func (r *Replica) dogOnAccept(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view || !r.isProxy() {
+	if r.rec.InViewChange() || m.View != r.view || !r.isProxy() {
 		return
 	}
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) || m.From == r.eng.ID() {
@@ -138,7 +138,7 @@ func (r *Replica) dogCommit(entry *mlog.Entry) {
 // m+1 matching COMMITs from other proxies (at least one correct proxy
 // vouches).
 func (r *Replica) dogOnCommit(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view || !r.isProxy() {
+	if r.rec.InViewChange() || m.View != r.view || !r.isProxy() {
 		return
 	}
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) || m.From == r.eng.ID() {
@@ -166,7 +166,7 @@ func (r *Replica) dogOnCommit(m *message.Message) {
 // distinct proxies that agree with the prepare received from the trusted
 // primary (Algorithm 2 commentary).
 func (r *Replica) dogOnInform(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view || r.isProxy() {
+	if r.rec.InViewChange() || m.View != r.view || r.isProxy() {
 		return
 	}
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) {

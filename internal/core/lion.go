@@ -82,7 +82,7 @@ func (r *Replica) onInform(m *message.Message) {
 // primary, logs it and answers with an unsigned ACCEPT (Algorithm 1,
 // lines 9–11).
 func (r *Replica) lionOnPrepare(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	primary := r.mb.Primary(ids.Lion, r.view)
@@ -121,7 +121,7 @@ func (r *Replica) lionOnPrepare(m *message.Message) {
 // lionOnAccept: the primary collects accepts; at 2m+c+1 (with itself)
 // the request commits (Algorithm 1, lines 12–15).
 func (r *Replica) lionOnAccept(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view || !r.isPrimary() {
+	if r.rec.InViewChange() || m.View != r.view || !r.isPrimary() {
 		return
 	}
 	if !r.mb.Contains(m.From) || m.From == r.eng.ID() {
@@ -173,7 +173,7 @@ func (r *Replica) lionCommit(entry *mlog.Entry) {
 // prior PREPARE the commit is actionable because it carries µ and the
 // primary is trusted (Section 5.1).
 func (r *Replica) lionOnCommit(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	if m.From != r.mb.Primary(ids.Lion, r.view) || m.From == r.eng.ID() {

@@ -18,7 +18,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	if r.mode != ids.Peacock {
 		return
 	}
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	if m.From != r.mb.Primary(ids.Peacock, r.view) || m.From == r.eng.ID() {
@@ -65,7 +65,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 // peacockOnPrepareVote handles proxy PREPARE votes (KindPrepare while in
 // Peacock mode).
 func (r *Replica) peacockOnPrepareVote(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view || !r.isProxy() {
+	if r.rec.InViewChange() || m.View != r.view || !r.isProxy() {
 		return
 	}
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) || m.From == r.eng.ID() {
@@ -115,7 +115,7 @@ func (r *Replica) peacockMaybePrepared(entry *mlog.Entry) {
 
 // peacockOnCommitVote handles proxy COMMIT votes.
 func (r *Replica) peacockOnCommitVote(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view || !r.isProxy() {
+	if r.rec.InViewChange() || m.View != r.view || !r.isProxy() {
 		return
 	}
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) || m.From == r.eng.ID() {
@@ -171,7 +171,7 @@ func (r *Replica) peacockMaybeCommitted(entry *mlog.Entry) {
 // distinct proxies (Section 5.3) provided they hold the matching
 // pre-prepare (broadcast to all) for the request body.
 func (r *Replica) peacockOnInform(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view || r.isProxy() {
+	if r.rec.InViewChange() || m.View != r.view || r.isProxy() {
 		return
 	}
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) {

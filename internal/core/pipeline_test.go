@@ -241,11 +241,11 @@ func TestPerSlotTimerNotMaskedByProgress(t *testing.T) {
 	r.clearPending(7)
 
 	r.HandleTick(now)
-	if r.status != statusViewChange {
+	if !r.rec.InViewChange() {
 		t.Fatal("stalled slot 5 did not trigger suspicion despite neighbors committing")
 	}
-	if r.vc.target != 1 {
-		t.Fatalf("view-change target = %d, want 1", r.vc.target)
+	if r.rec.Target() != 1 {
+		t.Fatalf("view-change target = %d, want 1", r.rec.Target())
 	}
 }
 

@@ -92,7 +92,7 @@ func (r *Replica) leaseRenew(seq uint64) {
 // harness sets it to deliberately serve past expiry and prove the
 // linearizability checker catches the resulting stale reads.
 func (r *Replica) leaseValid(now time.Time) bool {
-	return r.leaseEnabled() && r.status == statusNormal && r.isPrimary() &&
+	return r.leaseEnabled() && !r.rec.InViewChange() && r.isPrimary() &&
 		now.Before(r.lease.expiry.Add(r.leaseSlack))
 }
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sort"
-	"time"
 
 	"repro/internal/crypto"
 	"repro/internal/ids"
@@ -22,31 +20,10 @@ import (
 // neither the embedded view-change messages PBFT carries nor multi-round
 // agreement, which is exactly the saving the paper claims.
 
-type viewChangeState struct {
-	// target is the view this replica is currently trying to enter (only
-	// meaningful in statusViewChange).
-	target     ids.View
-	targetMode ids.Mode
-	// deadline bounds the wait for a NEW-VIEW before moving to target+1.
-	deadline time.Time
-	// votes stores received VIEW-CHANGE messages per candidate view.
-	votes map[ids.View]map[ids.ReplicaID]*message.Message
-	// pendingModes records MODE-CHANGE announcements: view → new mode.
-	pendingModes map[ids.View]ids.Mode
-}
-
-func (v *viewChangeState) reset() {
-	v.votes = make(map[ids.View]map[ids.ReplicaID]*message.Message)
-	v.pendingModes = make(map[ids.View]ids.Mode)
-	v.target = 0
-	v.targetMode = 0
-	v.deadline = time.Time{}
-}
-
 // modeFor returns the mode that view v' will run in: a pending
 // MODE-CHANGE wins, otherwise the current mode continues.
 func (r *Replica) modeFor(v ids.View) ids.Mode {
-	if m, ok := r.vc.pendingModes[v]; ok {
+	if m, ok := r.pendingModes[v]; ok {
 		return m
 	}
 	return r.mode
@@ -58,15 +35,12 @@ func (r *Replica) startViewChange(target ids.View, targetMode ids.Mode) {
 	if target <= r.view {
 		return
 	}
-	r.status = statusViewChange
-	r.vc.target = target
-	r.vc.targetMode = targetMode
-	r.vc.deadline = r.clk.Now().Add(2 * r.timing.ViewChange)
-	r.resetPending()
+	r.targetMode = targetMode
 	r.leaseInvalidate()
 
 	vcm := r.buildViewChange(target, targetMode)
-	r.recordViewChange(vcm)
+	r.rec.Suspect(target, vcm)
+	r.voteRecorded(vcm)
 	r.eng.Multicast(r.mb.All(), vcm)
 }
 
@@ -111,49 +85,20 @@ func (r *Replica) preparedCertificates() []message.Signed {
 	return out
 }
 
-// onViewChange validates and stores a peer's VIEW-CHANGE, joins the view
-// change once m+1 distinct replicas demand one (so a slow replica cannot
-// be left behind by a view change it never noticed), and triggers
-// NEW-VIEW assembly when this replica is the collector.
+// onViewChange files a peer's VIEW-CHANGE once replica.Recovery has
+// validated it.
 func (r *Replica) onViewChange(m *message.Message) {
-	if m.View <= r.view {
-		return
+	if r.rec.OnViewChange(m) {
+		r.voteRecorded(m)
 	}
-	if !r.mb.Contains(m.From) || m.From == r.eng.ID() {
-		return
-	}
-	if !r.eng.Verify(m) {
-		return
-	}
-	if !r.verifyCheckpointProof(m.Seq, m.StateDigest, m.CheckpointProof) {
-		return
-	}
-	r.recordViewChange(m)
 }
 
-func (r *Replica) recordViewChange(m *message.Message) {
-	views := r.vc.votes[m.View]
-	if views == nil {
-		views = make(map[ids.ReplicaID]*message.Message)
-		r.vc.votes[m.View] = views
-	}
-	if _, dup := views[m.From]; !dup {
-		views[m.From] = m
-	}
-
-	// Join rule: m+1 distinct replicas demanding some newer view means
-	// at least one correct replica suspects the primary; join the
-	// smallest such view. The scan is a pure min-aggregation so the
-	// joined view — a scheduling decision — cannot depend on map
-	// iteration order (simdet).
-	if r.status == statusNormal {
-		var join ids.View
-		for v, votes := range r.vc.votes {
-			if v > r.view && len(votes) >= r.mb.M()+1 && (join == 0 || v < join) {
-				join = v
-			}
-		}
-		if join != 0 {
+// voteRecorded reacts to a newly filed VIEW-CHANGE (a peer's or this
+// replica's own): join the view change once m+1 distinct replicas demand
+// one, and trigger NEW-VIEW assembly when this replica is the collector.
+func (r *Replica) voteRecorded(m *message.Message) {
+	if !r.rec.InViewChange() {
+		if join := r.rec.Join(); join != 0 {
 			r.startViewChange(join, r.modeFor(join))
 		}
 	}
@@ -176,55 +121,39 @@ func (r *Replica) recordViewChange(m *message.Message) {
 //     (Section 5.2's rule for surviving consecutive crashed primaries).
 //   - Peacock: 2m+1 messages from proxies of the last active view.
 func (r *Replica) viewChangeQuorumVotes(target ids.View) []*message.Message {
-	votes := r.vc.votes[target]
+	votes := r.rec.Votes(target) // sender-ordered
 	switch r.mode {
 	case ids.Lion:
-		var out []*message.Message
-		for from, m := range votes {
-			if from != r.eng.ID() {
-				out = append(out, m)
+		others := 0
+		for _, m := range votes {
+			if m.From != r.eng.ID() {
+				others++
 			}
 		}
-		if len(out) >= r.mb.ViewChangeQuorum(ids.Lion) {
-			if own, ok := votes[r.eng.ID()]; ok {
-				out = append(out, own)
-			}
-			sortVotes(out)
-			return out
+		if others >= r.mb.ViewChangeQuorum(ids.Lion) {
+			return votes
 		}
 		return nil
 	case ids.Dog, ids.Peacock:
-		var active ids.View
+		active := r.activeView
 		for _, m := range votes {
 			if m.ActiveView > active {
 				active = m.ActiveView
 			}
 		}
-		if r.activeView > active {
-			active = r.activeView
-		}
 		var out []*message.Message
-		for from, m := range votes {
-			if r.mb.IsProxy(r.mode, active, from) {
+		for _, m := range votes {
+			if r.mb.IsProxy(r.mode, active, m.From) {
 				out = append(out, m)
 			}
 		}
 		if len(out) >= r.mb.ViewChangeQuorum(r.mode) {
-			sortVotes(out)
 			return out
 		}
 		return nil
 	default:
 		return nil
 	}
-}
-
-// sortVotes orders a view-change quorum by sender. Harvesting the
-// quorum is order-sensitive (a prepare vote only attaches to an
-// already-seen proposal), so map-iteration order here would leak into
-// the NEW-VIEW's bytes and break reproducible simulation runs.
-func sortVotes(out []*message.Message) {
-	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
 }
 
 // tryAssembleNewView builds and multicasts the NEW-VIEW once the quorum
@@ -558,7 +487,7 @@ func (r *Replica) onNewView(m *message.Message) {
 	if !r.eng.Verify(m) {
 		return
 	}
-	if !r.verifyCheckpointProof(m.Seq, m.StateDigest, m.CheckpointProof) {
+	if !r.rec.VerifyProof(m.Seq, m.StateDigest, m.CheckpointProof) {
 		return
 	}
 	// Every re-issued entry must be signed by the collector for this
@@ -592,30 +521,17 @@ func (r *Replica) applyNewView(m *message.Message) {
 	r.lastNewView = m
 	r.view = m.View
 	r.mode = m.Mode
-	r.status = statusNormal
 	r.activeView = m.View
-	// Journal the view entry before any message of the new view goes
-	// out, so a recovered replica rejoins the view it last acted in.
-	r.jr.View(m.View, m.Mode)
+	r.rec.EnterView(m.View, m.Mode)
 	r.inFlight = make(map[inFlightKey]uint64) // re-issued slots re-register below
-	r.resetPending()
-	r.vc.deadline = time.Time{}
-	r.vc.target = 0
-	for v := range r.vc.votes {
+	for v := range r.pendingModes {
 		if v <= m.View {
-			delete(r.vc.votes, v)
-		}
-	}
-	for v := range r.vc.pendingModes {
-		if v <= m.View {
-			delete(r.vc.pendingModes, v)
+			delete(r.pendingModes, v)
 		}
 	}
 
 	// Adopt the quorum's checkpoint if it is ahead of ours.
-	if m.Seq > r.log.Low() {
-		r.stabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
-	}
+	r.rec.StabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
 
 	maxSeq := m.Seq
 	primary := r.mb.Primary(r.mode, r.view)
@@ -746,7 +662,7 @@ func (r *Replica) onModeChange(m *message.Message) {
 		mc := &message.Message{Kind: message.KindModeChange, View: target, Mode: m.Mode}
 		r.eng.Sign(mc)
 		r.eng.Multicast(r.mb.All(), mc)
-		r.vc.pendingModes[target] = m.Mode
+		r.pendingModes[target] = m.Mode
 		r.startViewChange(target, m.Mode)
 		return
 	}
@@ -760,6 +676,6 @@ func (r *Replica) onModeChange(m *message.Message) {
 	if !r.eng.Verify(m) {
 		return
 	}
-	r.vc.pendingModes[m.View] = m.Mode
+	r.pendingModes[m.View] = m.Mode
 	r.startViewChange(m.View, m.Mode)
 }

@@ -29,13 +29,6 @@ import (
 	"repro/internal/transport"
 )
 
-type status int
-
-const (
-	statusNormal status = iota
-	statusViewChange
-)
-
 const relaySentinel = replica.RelaySentinel
 
 // Options assembles one Paxos replica.
@@ -76,8 +69,7 @@ type Replica struct {
 	timing config.Timing
 	clk    clock.Clock
 
-	view   ids.View
-	status status
+	view ids.View
 
 	log  *mlog.Log
 	exec *replica.Executor
@@ -93,12 +85,10 @@ type Replica struct {
 	pending *replica.Pending
 	pipe    config.Pipelining
 
-	vcVotes    map[ids.View]map[ids.ReplicaID]*message.Message
-	vcTarget   ids.View
-	vcDeadline time.Time
-
-	pendingStable  map[uint64]pendingCheckpoint
-	stateRequested time.Time
+	// rec is the shared recovery substrate: checkpoints, state transfer
+	// and the view-change vote table (see replica.Recovery). A view
+	// change is in progress exactly while rec.InViewChange().
+	rec *replica.Recovery
 
 	queue []*message.Request
 
@@ -115,11 +105,6 @@ type Replica struct {
 type inFlightKey struct {
 	client ids.ClientID
 	ts     uint64
-}
-
-type pendingCheckpoint struct {
-	digest crypto.Digest
-	proof  []message.Signed
 }
 
 // Probe mirrors core.Probe for the benchmark harness.
@@ -147,18 +132,16 @@ func NewReplica(opts Options) (*Replica, error) {
 	}
 	clk := clock.OrReal(opts.Clock)
 	r := &Replica{
-		n:             opts.N,
-		timing:        opts.Timing,
-		clk:           clk,
-		batcher:       replica.NewBatcher(opts.Batching, clk),
-		pipe:          opts.Pipelining,
-		log:           mlog.New(opts.Timing.HighWaterMarkLag),
-		exec:          replica.NewExecutor(opts.StateMachine, opts.Timing.CheckpointPeriod),
-		nextSeq:       1,
-		pending:       replica.NewPending(),
-		vcVotes:       make(map[ids.View]map[ids.ReplicaID]*message.Message),
-		pendingStable: make(map[uint64]pendingCheckpoint),
-		inFlight:      make(map[inFlightKey]uint64),
+		n:        opts.N,
+		timing:   opts.Timing,
+		clk:      clk,
+		batcher:  replica.NewBatcher(opts.Batching, clk),
+		pipe:     opts.Pipelining,
+		log:      mlog.New(opts.Timing.HighWaterMarkLag),
+		exec:     replica.NewExecutor(opts.StateMachine, opts.Timing.CheckpointPeriod),
+		nextSeq:  1,
+		pending:  replica.NewPending(),
+		inFlight: make(map[inFlightKey]uint64),
 	}
 	r.jr = replica.NewJournal(opts.Storage)
 	r.eng = replica.NewEngine(replica.Config{
@@ -168,9 +151,21 @@ func NewReplica(opts Options) (*Replica, error) {
 		TickInterval: r.batcher.TickInterval(opts.TickInterval),
 		Clock:        clk,
 	})
+	r.rec = replica.NewRecovery(replica.RecoveryConfig{
+		Engine: r.eng, Log: r.log, Exec: r.exec, Journal: r.jr, Pending: r.pending,
+		Trust: trust{r}, N: r.n, ViewChange: r.timing.ViewChange, JoinQuorum: 1,
+		UncheckedProofs: true,
+	})
 	if opts.Storage != nil {
-		if err := r.recoverFromStorage(); err != nil {
-			return nil, err
+		rs, err := r.rec.Boot()
+		if err != nil {
+			return nil, fmt.Errorf("paxos: recovery: %w", err)
+		}
+		if rs.HasView {
+			r.view = rs.View
+		}
+		if rs.MaxSeq >= r.nextSeq {
+			r.nextSeq = rs.MaxSeq + 1
 		}
 	}
 	return r, nil
@@ -254,21 +249,23 @@ func (r *Replica) HandleMessage(m *message.Message) {
 	case message.KindCommit:
 		r.onCommit(m)
 	case message.KindCheckpoint:
-		r.onCheckpoint(m)
+		r.rec.OnCheckpoint(m)
 	case message.KindViewChange:
 		r.onViewChange(m)
 	case message.KindNewView:
 		r.onNewView(m)
 	case message.KindStateRequest:
-		r.onStateRequest(m)
+		r.rec.OnStateRequest(m)
 	case message.KindStateReply:
-		r.onStateReply(m)
+		if r.rec.OnStateReply(m) {
+			r.executeReady()
+		}
 	}
 }
 
 // HandleTick implements replica.Handler.
 func (r *Replica) HandleTick(now time.Time) {
-	if r.status == statusNormal {
+	if !r.rec.InViewChange() {
 		if r.pipe.Enabled() {
 			r.pump(now)
 		} else if r.batcher.Due(now) {
@@ -276,19 +273,21 @@ func (r *Replica) HandleTick(now time.Time) {
 		}
 	}
 	// A lagging replica retries its state-transfer request on the tick
-	// (throttled to one per τ inside maybeRequestState).
-	if r.status == statusNormal {
-		r.maybeRequestState()
+	// (throttled inside).
+	if !r.rec.InViewChange() {
+		r.rec.CatchUp()
 	}
 	// Per-slot timers: a stalled slot is suspected after τ even while
 	// newer slots keep committing around it.
-	if r.status == statusNormal {
+	if !r.rec.InViewChange() {
 		if _, ok := r.pending.Expired(now, r.timing.ViewChange); ok {
 			r.startViewChange(r.view + 1)
 		}
 	}
-	if r.status == statusViewChange && !r.vcDeadline.IsZero() && now.After(r.vcDeadline) {
-		r.startViewChange(r.vcTarget + 1)
+	// A stalled leader change escalates: with a join quorum of 1 this
+	// replica's own vote keeps it going, so it never backs off.
+	if next, _ := r.rec.Overdue(now); next != 0 {
+		r.startViewChange(next)
 	}
 }
 
@@ -312,8 +311,7 @@ func (r *Replica) executeReady() {
 	})
 	if executed > 0 {
 		r.clearPending(relaySentinel)
-		r.maybeCheckpoint()
-		r.drainPendingStable()
+		r.rec.Executed(r.isLeader())
 	}
 	// Commits free pipeline window room: refill it from the backlog.
 	r.drainBlocked()
@@ -345,7 +343,7 @@ func (r *Replica) onRequest(req *message.Request) {
 	if !r.exec.Fresh(req) {
 		return
 	}
-	if r.status != statusNormal {
+	if r.rec.InViewChange() {
 		r.queue = append(r.queue, req)
 		return
 	}
@@ -388,7 +386,7 @@ func (r *Replica) admitRequest(req *message.Request) {
 // (see replica.Pump). No-op unless this replica is a pipelined leader
 // in normal operation.
 func (r *Replica) pump(now time.Time) {
-	if !r.pipe.Enabled() || r.status != statusNormal || !r.isLeader() {
+	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isLeader() {
 		return
 	}
 	replica.Pump(r.pipe.Depth, r.pending, r.batcher, now, r.proposeBatch)
@@ -398,7 +396,7 @@ func (r *Replica) pump(now time.Time) {
 // window was full, once a stable checkpoint moved the window forward
 // (pipelined leaders only; the legacy path relies on retransmission).
 func (r *Replica) drainBlocked() {
-	if !r.pipe.Enabled() || r.status != statusNormal || !r.isLeader() ||
+	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isLeader() ||
 		len(r.queue) == 0 || !r.log.InWindow(r.nextSeq) {
 		return
 	}
@@ -463,7 +461,7 @@ func validPayload(m *message.Message) bool {
 
 // onPrepare: a backup logs the leader's proposal and acknowledges.
 func (r *Replica) onPrepare(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	if m.From != r.Leader(r.view) || m.From == r.eng.ID() {
@@ -493,7 +491,7 @@ func (r *Replica) onPrepare(m *message.Message) {
 
 // onAccept: the leader counts acknowledgements and commits at majority.
 func (r *Replica) onAccept(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view || !r.isLeader() {
+	if r.rec.InViewChange() || m.View != r.view || !r.isLeader() {
 		return
 	}
 	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
@@ -526,7 +524,7 @@ func (r *Replica) onAccept(m *message.Message) {
 
 // onCommit: backups learn the decision.
 func (r *Replica) onCommit(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	if m.From != r.Leader(r.view) || m.From == r.eng.ID() {

@@ -1,159 +1,66 @@
 package paxos
 
 import (
-	"sort"
-	"time"
-
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
-	"repro/internal/replica"
 )
 
-// Checkpointing, state transfer and leader change for the Paxos
-// baseline. Everything here is a crash-only simplification of the
-// machinery in internal/core: all replicas are trusted, so a single
-// leader-signed checkpoint is stable and view-change evidence needs no
-// Byzantine filtering.
+// The Paxos baseline's side of recovery. Checkpointing, state transfer
+// and the view-change vote table are replica.Recovery's; this file
+// supplies the crash-only trust rule and the leader change, where all
+// replicas are trusted and view-change evidence needs no Byzantine
+// filtering.
 
-func (r *Replica) maybeCheckpoint() {
-	n := r.exec.LastExecuted()
-	if !r.exec.AtCheckpoint(n) || n <= r.log.Low() || !r.isLeader() {
-		return
-	}
-	snap, ok := r.exec.SnapshotAt(n)
-	if !ok {
-		return
-	}
-	cp := &message.Signed{Kind: message.KindCheckpoint, Seq: n, Digest: replica.DigestOf(snap)}
-	r.eng.SignRecord(cp)
-	r.eng.Multicast(r.all(), cp.Wire())
-	r.stabilizeOrPend(n, cp.Digest, []message.Signed{*cp})
+// trust answers replica.Recovery's questions for a crash-only cluster:
+// every replica is trusted, so one member's signature makes a
+// checkpoint stable and proves it, the leader serves state, and the
+// STATE-REPLY sender's own signature vouches for the commit markers it
+// sends.
+type trust struct{ r *Replica }
+
+func (t trust) MaySignCheckpoint(ids.ReplicaID) bool { return true }
+
+func (t trust) StableQuorum() int { return 1 }
+
+func (t trust) ProofSuffices(signers []ids.ReplicaID) bool { return len(signers) >= 1 }
+
+func (t trust) StateServers() []ids.ReplicaID {
+	return []ids.ReplicaID{t.r.Leader(t.r.view)}
 }
 
-func (r *Replica) onCheckpoint(m *message.Message) {
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
-		return
-	}
-	r.stabilizeOrPend(m.Seq, m.Digest, []message.Signed{*s})
+func (t trust) SuffixCommits() []message.Signed { return t.r.log.CommittedAbove() }
+
+func (t trust) ValidProposal(s *message.Signed) bool {
+	reqs := s.Requests()
+	return s.Kind == message.KindPrepare && len(reqs) > 0 &&
+		message.BatchDigest(reqs) == s.Digest &&
+		s.From == t.r.Leader(s.View) && t.r.eng.VerifyRecord(s)
 }
 
-func (r *Replica) stabilizeOrPend(seq uint64, d crypto.Digest, proof []message.Signed) {
-	if seq <= r.log.Low() {
+// AdoptCommit: the sender is a trusted (crash-only) peer whose signature
+// covers the whole reply, so its word on which slots decided is sound —
+// the Paxos learner rule.
+func (t trust) AdoptCommit(s *message.Signed) {
+	if s.Kind != message.KindCommit {
 		return
 	}
-	if snap, ok := r.exec.SnapshotAt(seq); ok {
-		if replica.DigestOf(snap) == d {
-			r.log.MarkStable(seq, d, proof, snap)
-			r.jr.Stable(r.view, 0, seq, d, proof, snap)
-			r.exec.DropSnapshotsBelow(seq)
-			for n := range r.pendingStable {
-				if n <= seq {
-					delete(r.pendingStable, n)
-				}
-			}
-			if r.nextSeq <= seq {
-				r.nextSeq = seq + 1
-			}
-		}
+	entry := t.r.log.Entry(s.Seq)
+	if entry == nil || entry.Committed() {
 		return
 	}
-	if r.exec.LastExecuted() < seq {
-		r.pendingStable[seq] = pendingCheckpoint{digest: d, proof: proof}
-		r.maybeRequestState()
+	if prop := entry.Proposal(); prop == nil || prop.Digest != s.Digest {
+		return // marker without the matching proposal: unusable
 	}
+	entry.MarkCommitted()
+	t.r.jr.Commit(s.Seq, s.View, s.Digest, nil)
+	t.r.clearPending(s.Seq)
 }
 
-// drainPendingStable retries parked checkpoint evidence after execution
-// progressed, in ascending sequence order so the send schedule does not
-// depend on map-iteration order (determinism under simulation).
-func (r *Replica) drainPendingStable() {
-	var ready []uint64
-	for seq := range r.pendingStable {
-		if seq <= r.exec.LastExecuted() {
-			ready = append(ready, seq)
-		}
+func (t trust) Stabilized(seq uint64) {
+	if t.r.nextSeq <= seq {
+		t.r.nextSeq = seq + 1
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-	for _, seq := range ready {
-		ev := r.pendingStable[seq]
-		delete(r.pendingStable, seq)
-		r.stabilizeOrPend(seq, ev.digest, ev.proof)
-	}
-}
-
-func (r *Replica) maybeRequestState() {
-	behind := uint64(0)
-	last := r.exec.LastExecuted()
-	for seq := range r.pendingStable {
-		if seq > last && seq-last > behind {
-			behind = seq - last
-		}
-	}
-	if behind < r.exec.Period() {
-		return
-	}
-	now := r.clk.Now()
-	if now.Sub(r.stateRequested) < r.timing.ViewChange {
-		return
-	}
-	r.stateRequested = now
-	req := &message.Message{Kind: message.KindStateRequest, Seq: r.exec.LastExecuted()}
-	r.eng.Sign(req)
-	r.eng.Send(r.Leader(r.view), req)
-}
-
-func (r *Replica) onStateRequest(m *message.Message) {
-	if !r.eng.Verify(m) {
-		return
-	}
-	low := r.log.Low()
-	rep := &message.Message{
-		Kind:     message.KindStateReply,
-		Prepares: replica.CapSuffix(r.log.ProposalsAbove()),
-		// Crash-only trust: this replica's signature on the reply
-		// vouches for which transferred slots already decided.
-		Commits: replica.CapSuffix(r.log.CommittedAbove()),
-	}
-	if low > m.Seq {
-		rep.Seq = low
-		rep.StateDigest = r.log.StableDigest()
-		rep.CheckpointProof = r.log.StableProof()
-		rep.Result = r.log.StableSnapshot()
-	} else if len(rep.Prepares) == 0 && len(rep.Commits) == 0 {
-		return // requester is at or ahead of everything we hold
-	}
-	// A requester already at our checkpoint still gets the live log
-	// suffix, just not the redundant full-state snapshot.
-	r.eng.Sign(rep)
-	r.eng.Send(m.From, rep)
-}
-
-func (r *Replica) onStateReply(m *message.Message) {
-	if !r.eng.Verify(m) {
-		return
-	}
-	if m.Seq > r.exec.LastExecuted() && replica.DigestOf(m.Result) == m.StateDigest {
-		if err := r.exec.JumpTo(m.Seq, m.Result); err != nil {
-			return
-		}
-		r.log.MarkStable(m.Seq, m.StateDigest, m.CheckpointProof, m.Result)
-		r.jr.Stable(r.view, 0, m.Seq, m.StateDigest, m.CheckpointProof, m.Result)
-		r.exec.DropSnapshotsBelow(m.Seq)
-		for n := range r.pendingStable {
-			if n <= m.Seq {
-				delete(r.pendingStable, n)
-			}
-		}
-		if r.nextSeq <= m.Seq {
-			r.nextSeq = m.Seq + 1
-		}
-		r.resetPending()
-	}
-	// The suffix helps even when the snapshot was stale.
-	r.installLogSuffix(m)
-	r.executeReady()
 }
 
 // startViewChange abandons the current view and solicits a leader
@@ -162,11 +69,6 @@ func (r *Replica) startViewChange(target ids.View) {
 	if target <= r.view {
 		return
 	}
-	r.status = statusViewChange
-	r.vcTarget = target
-	r.vcDeadline = r.clk.Now().Add(2 * r.timing.ViewChange)
-	r.resetPending()
-
 	vcm := &message.Message{
 		Kind:            message.KindViewChange,
 		View:            target,
@@ -177,67 +79,42 @@ func (r *Replica) startViewChange(target ids.View) {
 		Commits:         r.log.CommitCertsAbove(),
 	}
 	r.eng.Sign(vcm)
-	r.recordViewChange(vcm)
+	r.rec.Suspect(target, vcm)
+	r.voteRecorded(vcm)
 	r.eng.Multicast(r.all(), vcm)
 }
 
 func (r *Replica) onViewChange(m *message.Message) {
-	if m.View <= r.view {
-		return
+	if r.rec.OnViewChange(m) {
+		r.voteRecorded(m)
 	}
-	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
-		return
-	}
-	if !r.eng.Verify(m) {
-		return
-	}
-	r.recordViewChange(m)
 }
 
-func (r *Replica) recordViewChange(m *message.Message) {
-	votes := r.vcVotes[m.View]
-	if votes == nil {
-		votes = make(map[ids.ReplicaID]*message.Message)
-		r.vcVotes[m.View] = votes
-	}
-	if _, dup := votes[m.From]; !dup {
-		votes[m.From] = m
-	}
-	// Crash-only world: a single peer demanding a newer view is
-	// believable; join so the cluster converges quickly.
-	if r.status == statusNormal && m.From != r.eng.ID() {
-		r.startViewChange(m.View)
+// voteRecorded reacts to a newly filed VIEW-CHANGE. Crash-only world: a
+// single peer demanding a newer view is believable (the join quorum is
+// 1); join so the cluster converges quickly.
+func (r *Replica) voteRecorded(m *message.Message) {
+	if !r.rec.InViewChange() {
+		if join := r.rec.Join(); join != 0 {
+			r.startViewChange(join)
+		}
 	}
 	if r.Leader(m.View) == r.eng.ID() {
 		r.tryAssembleNewView(m.View)
 	}
 }
 
-// votesInReplicaOrder flattens a vote map into sender-id order, so
-// everything harvested from the votes — checkpoint proof, slot picks,
-// the NEW-VIEW wire content — is independent of map iteration order
-// (the simdet determinism contract).
-func votesInReplicaOrder(votes map[ids.ReplicaID]*message.Message) []*message.Message {
-	froms := make([]int, 0, len(votes))
-	for from := range votes {
-		froms = append(froms, int(from))
-	}
-	sort.Ints(froms)
-	out := make([]*message.Message, 0, len(froms))
-	for _, id := range froms {
-		out = append(out, votes[ids.ReplicaID(id)])
-	}
-	return out
-}
-
 func (r *Replica) tryAssembleNewView(target ids.View) {
 	if target <= r.view {
 		return
 	}
-	votes := r.vcVotes[target]
+	// Sender-ordered votes: the checkpoint tie-break (two votes at the
+	// same stable Seq can carry different proofs) and the slot picks
+	// below must not depend on map iteration order.
+	ordered := r.rec.Votes(target)
 	others := 0
-	for from := range votes {
-		if from != r.eng.ID() {
+	for _, m := range ordered {
+		if m.From != r.eng.ID() {
 			others++
 		}
 	}
@@ -245,11 +122,6 @@ func (r *Replica) tryAssembleNewView(target ids.View) {
 	if others < r.Quorum()-1 {
 		return
 	}
-
-	// Replica-ordered votes: the checkpoint tie-break (two votes at the
-	// same stable Seq can carry different proofs) and the slot picks
-	// below must not depend on map iteration order.
-	ordered := votesInReplicaOrder(votes)
 
 	l := r.log.Low()
 	lDigest := r.log.StableDigest()
@@ -375,20 +247,9 @@ func (r *Replica) onNewView(m *message.Message) {
 
 func (r *Replica) applyNewView(m *message.Message) {
 	r.view = m.View
-	r.status = statusNormal
-	r.jr.View(m.View, 0)
+	r.rec.EnterView(m.View, 0)
 	r.inFlight = make(map[inFlightKey]uint64)
-	r.resetPending()
-	r.vcDeadline = time.Time{}
-	r.vcTarget = 0
-	for v := range r.vcVotes {
-		if v <= m.View {
-			delete(r.vcVotes, v)
-		}
-	}
-	if m.Seq > r.log.Low() {
-		r.stabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
-	}
+	r.rec.StabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
 
 	maxSeq := m.Seq
 	leader := r.Leader(r.view)

@@ -29,13 +29,6 @@ import (
 	"repro/internal/transport"
 )
 
-type status int
-
-const (
-	statusNormal status = iota
-	statusViewChange
-)
-
 const relaySentinel = replica.RelaySentinel
 
 // Options assembles one PBFT replica.
@@ -82,8 +75,7 @@ type Replica struct {
 	timing config.Timing
 	clk    clock.Clock
 
-	view   ids.View
-	status status
+	view ids.View
 
 	log  *mlog.Log
 	exec *replica.Executor
@@ -99,12 +91,10 @@ type Replica struct {
 	pending *replica.Pending
 	pipe    config.Pipelining
 
-	vcVotes    map[ids.View]map[ids.ReplicaID]*message.Message
-	vcTarget   ids.View
-	vcDeadline time.Time
-
-	pendingStable  map[uint64]pendingCheckpoint
-	stateRequested time.Time
+	// rec is the shared recovery substrate: checkpoints, state transfer
+	// and the view-change vote table (see replica.Recovery). A view
+	// change is in progress exactly while rec.InViewChange().
+	rec *replica.Recovery
 
 	// queue parks requests a pipelined primary could not propose while
 	// the log window was full (legacy operation drops them instead and
@@ -125,11 +115,6 @@ type Replica struct {
 type inFlightKey struct {
 	client ids.ClientID
 	ts     uint64
-}
-
-type pendingCheckpoint struct {
-	digest crypto.Digest
-	proof  []message.Signed
 }
 
 // Probe mirrors core.Probe.
@@ -162,20 +147,18 @@ func NewReplica(opts Options) (*Replica, error) {
 	}
 	clk := clock.OrReal(opts.Clock)
 	r := &Replica{
-		n:             opts.N,
-		byz:           opts.Byz,
-		crash:         opts.Crash,
-		timing:        opts.Timing,
-		clk:           clk,
-		batcher:       replica.NewBatcher(opts.Batching, clk),
-		pipe:          opts.Pipelining,
-		log:           mlog.New(opts.Timing.HighWaterMarkLag),
-		exec:          replica.NewExecutor(opts.StateMachine, opts.Timing.CheckpointPeriod),
-		nextSeq:       1,
-		pending:       replica.NewPending(),
-		vcVotes:       make(map[ids.View]map[ids.ReplicaID]*message.Message),
-		pendingStable: make(map[uint64]pendingCheckpoint),
-		inFlight:      make(map[inFlightKey]uint64),
+		n:        opts.N,
+		byz:      opts.Byz,
+		crash:    opts.Crash,
+		timing:   opts.Timing,
+		clk:      clk,
+		batcher:  replica.NewBatcher(opts.Batching, clk),
+		pipe:     opts.Pipelining,
+		log:      mlog.New(opts.Timing.HighWaterMarkLag),
+		exec:     replica.NewExecutor(opts.StateMachine, opts.Timing.CheckpointPeriod),
+		nextSeq:  1,
+		pending:  replica.NewPending(),
+		inFlight: make(map[inFlightKey]uint64),
 	}
 	r.jr = replica.NewJournal(opts.Storage)
 	r.eng = replica.NewEngine(replica.Config{
@@ -185,9 +168,20 @@ func NewReplica(opts Options) (*Replica, error) {
 		TickInterval: r.batcher.TickInterval(opts.TickInterval),
 		Clock:        clk,
 	})
+	r.rec = replica.NewRecovery(replica.RecoveryConfig{
+		Engine: r.eng, Log: r.log, Exec: r.exec, Journal: r.jr, Pending: r.pending,
+		Trust: trust{r}, N: r.n, ViewChange: r.timing.ViewChange, JoinQuorum: r.WeakQuorum(),
+	})
 	if opts.Storage != nil {
-		if err := r.recoverFromStorage(); err != nil {
-			return nil, err
+		rs, err := r.rec.Boot()
+		if err != nil {
+			return nil, fmt.Errorf("pbft: recovery: %w", err)
+		}
+		if rs.HasView {
+			r.view = rs.View
+		}
+		if rs.MaxSeq >= r.nextSeq {
+			r.nextSeq = rs.MaxSeq + 1
 		}
 	}
 	return r, nil
@@ -275,21 +269,23 @@ func (r *Replica) HandleMessage(m *message.Message) {
 	case message.KindCommit:
 		r.onCommit(m)
 	case message.KindCheckpoint:
-		r.onCheckpoint(m)
+		r.rec.OnCheckpoint(m)
 	case message.KindViewChange:
 		r.onViewChange(m)
 	case message.KindNewView:
 		r.onNewView(m)
 	case message.KindStateRequest:
-		r.onStateRequest(m)
+		r.rec.OnStateRequest(m)
 	case message.KindStateReply:
-		r.onStateReply(m)
+		if r.rec.OnStateReply(m) {
+			r.executeReady()
+		}
 	}
 }
 
 // HandleTick implements replica.Handler.
 func (r *Replica) HandleTick(now time.Time) {
-	if r.status == statusNormal {
+	if !r.rec.InViewChange() {
 		if r.pipe.Enabled() {
 			r.pump(now)
 		} else if r.batcher.Due(now) {
@@ -297,32 +293,21 @@ func (r *Replica) HandleTick(now time.Time) {
 		}
 	}
 	// A lagging replica retries its state-transfer request on the tick
-	// (throttled to one per τ inside maybeRequestState).
-	if r.status == statusNormal {
-		r.maybeRequestState()
+	// (throttled inside).
+	if !r.rec.InViewChange() {
+		r.rec.CatchUp()
 	}
 	// Per-slot timers: a stalled slot is suspected after τ even while
 	// newer slots keep committing around it.
-	if r.status == statusNormal {
+	if !r.rec.InViewChange() {
 		if _, ok := r.pending.Expired(now, r.timing.ViewChange); ok {
 			r.startViewChange(r.view + 1)
 		}
 	}
-	if r.status == statusViewChange && !r.vcDeadline.IsZero() && now.After(r.vcDeadline) {
-		joined := 0
-		for v, votes := range r.vcVotes {
-			if v > r.view && len(votes) > joined {
-				joined = len(votes)
-			}
-		}
-		if joined >= r.WeakQuorum() {
-			r.startViewChange(r.vcTarget + 1)
-		} else {
-			r.status = statusNormal
-			r.vcDeadline = time.Time{}
-			r.vcTarget = 0
-			r.resetPending()
-		}
+	// A view change that stalls either escalates or backs off (see
+	// replica.Recovery.Overdue).
+	if next, _ := r.rec.Overdue(now); next != 0 {
+		r.startViewChange(next)
 	}
 }
 
@@ -347,8 +332,7 @@ func (r *Replica) executeReady() {
 	})
 	if executed > 0 {
 		r.clearPending(relaySentinel)
-		r.maybeCheckpoint()
-		r.drainPendingStable()
+		r.rec.Executed(true) // every PBFT replica checkpoints
 	}
 	// Commits free pipeline window room: refill it from the backlog.
 	r.drainBlocked()
@@ -380,7 +364,7 @@ func (r *Replica) onRequest(req *message.Request) {
 	if !r.exec.Fresh(req) {
 		return
 	}
-	if r.status != statusNormal {
+	if r.rec.InViewChange() {
 		return // the client will retransmit after the view change
 	}
 	if r.isPrimary() {
@@ -422,7 +406,7 @@ func (r *Replica) admitRequest(req *message.Request) {
 // (see replica.Pump). No-op unless this replica is a pipelined primary
 // in normal operation.
 func (r *Replica) pump(now time.Time) {
-	if !r.pipe.Enabled() || r.status != statusNormal || !r.isPrimary() {
+	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isPrimary() {
 		return
 	}
 	replica.Pump(r.pipe.Depth, r.pending, r.batcher, now, r.proposeBatch)
@@ -432,7 +416,7 @@ func (r *Replica) pump(now time.Time) {
 // window was full, once a stable checkpoint moved the window forward
 // (pipelined primaries only; the legacy path relies on retransmission).
 func (r *Replica) drainBlocked() {
-	if !r.pipe.Enabled() || r.status != statusNormal || !r.isPrimary() ||
+	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isPrimary() ||
 		len(r.queue) == 0 || !r.log.InWindow(r.nextSeq) {
 		return
 	}
@@ -505,7 +489,7 @@ func (r *Replica) validPayload(m *message.Message) bool {
 }
 
 func (r *Replica) onPrePrepare(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	if m.From != r.Primary(r.view) || m.From == r.eng.ID() {
@@ -535,7 +519,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 }
 
 func (r *Replica) onPrepare(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
@@ -576,7 +560,7 @@ func (r *Replica) maybePrepared(entry *mlog.Entry) {
 }
 
 func (r *Replica) onCommit(m *message.Message) {
-	if r.status != statusNormal || m.View != r.view {
+	if r.rec.InViewChange() || m.View != r.view {
 		return
 	}
 	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {

@@ -2,17 +2,16 @@ package pbft
 
 import (
 	"bytes"
-	"sort"
-	"time"
 
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
-	"repro/internal/replica"
 )
 
-// PBFT checkpoints, state transfer, and the view change. One deliberate
-// simplification relative to Castro & Liskov: NEW-VIEW messages do not
+// The PBFT baseline's side of recovery. Checkpointing, state transfer
+// and the view-change vote table are replica.Recovery's; this file
+// supplies the all-Byzantine trust rule and the view change. One
+// deliberate simplification relative to Castro & Liskov: NEW-VIEW messages do not
 // embed the full view-change messages; instead each re-issued slot is
 // selected from prepared certificates carried in the VIEW-CHANGE
 // messages, and every backup independently enforces that a NEW-VIEW
@@ -21,170 +20,45 @@ import (
 // same message flow and recovery timing as full PBFT; DESIGN.md records
 // the simplification.
 
-func (r *Replica) maybeCheckpoint() {
-	n := r.exec.LastExecuted()
-	if !r.exec.AtCheckpoint(n) || n <= r.log.Low() {
-		return
-	}
-	snap, ok := r.exec.SnapshotAt(n)
-	if !ok {
-		return
-	}
-	cp := &message.Signed{Kind: message.KindCheckpoint, Seq: n, Digest: replica.DigestOf(snap)}
-	r.eng.SignRecord(cp)
-	r.eng.Multicast(r.all(), cp.Wire())
-	if count := r.log.AddCheckpointCert(*cp); count >= r.Quorum() {
-		r.stabilizeOrPend(n, cp.Digest, r.log.CheckpointCerts(n, cp.Digest))
-	}
+// trust answers replica.Recovery's questions for an all-Byzantine
+// cluster: every member's CHECKPOINT counts, an agreement quorum of them
+// is stable, Byz+1 prove it (a weak certificate: at least one correct
+// signer), everyone is asked for state, and no single replica's word
+// proves a commit — commit status is re-established through the normal
+// vote flow (or the next checkpoint transfer), never taken on the reply
+// sender's word.
+type trust struct{ r *Replica }
+
+func (t trust) MaySignCheckpoint(ids.ReplicaID) bool { return true }
+
+func (t trust) StableQuorum() int { return t.r.Quorum() }
+
+func (t trust) ProofSuffices(signers []ids.ReplicaID) bool {
+	return len(signers) >= t.r.WeakQuorum()
 }
 
-func (r *Replica) onCheckpoint(m *message.Message) {
-	s := m.Record()
-	if int(m.From) < 0 || int(m.From) >= r.n || !r.eng.VerifyRecord(s) {
-		return
-	}
-	if count := r.log.AddCheckpointCert(*s); count >= r.Quorum() {
-		r.stabilizeOrPend(m.Seq, m.Digest, r.log.CheckpointCerts(m.Seq, m.Digest))
-	}
+func (t trust) StateServers() []ids.ReplicaID { return t.r.all() }
+
+func (t trust) SuffixCommits() []message.Signed { return nil }
+
+func (t trust) ValidProposal(s *message.Signed) bool { return t.r.validProposal(s) }
+
+// validProposal: only the pre-prepare signature of its view's primary
+// makes a proposal record adoptable (state-transfer suffix) or usable as
+// view-change evidence.
+func (r *Replica) validProposal(s *message.Signed) bool {
+	reqs := s.Requests()
+	return s.Kind == message.KindPrePrepare && len(reqs) > 0 &&
+		message.BatchDigest(reqs) == s.Digest &&
+		s.From == r.Primary(s.View) && r.eng.VerifyRecord(s)
 }
 
-func (r *Replica) stabilizeOrPend(seq uint64, d crypto.Digest, proof []message.Signed) {
-	if seq <= r.log.Low() {
-		return
-	}
-	if snap, ok := r.exec.SnapshotAt(seq); ok {
-		if replica.DigestOf(snap) == d {
-			r.log.MarkStable(seq, d, proof, snap)
-			r.jr.Stable(r.view, 0, seq, d, proof, snap)
-			r.exec.DropSnapshotsBelow(seq)
-			for n := range r.pendingStable {
-				if n <= seq {
-					delete(r.pendingStable, n)
-				}
-			}
-			if r.nextSeq <= seq {
-				r.nextSeq = seq + 1
-			}
-		}
-		return
-	}
-	if r.exec.LastExecuted() < seq {
-		r.pendingStable[seq] = pendingCheckpoint{digest: d, proof: proof}
-		r.maybeRequestState()
-	}
-}
+func (t trust) AdoptCommit(*message.Signed) {}
 
-// drainPendingStable retries parked checkpoint evidence after execution
-// progressed, in ascending sequence order so the send schedule does not
-// depend on map-iteration order (determinism under simulation).
-func (r *Replica) drainPendingStable() {
-	var ready []uint64
-	for seq := range r.pendingStable {
-		if seq <= r.exec.LastExecuted() {
-			ready = append(ready, seq)
-		}
+func (t trust) Stabilized(seq uint64) {
+	if t.r.nextSeq <= seq {
+		t.r.nextSeq = seq + 1
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-	for _, seq := range ready {
-		ev := r.pendingStable[seq]
-		delete(r.pendingStable, seq)
-		r.stabilizeOrPend(seq, ev.digest, ev.proof)
-	}
-}
-
-func (r *Replica) maybeRequestState() {
-	behind := uint64(0)
-	last := r.exec.LastExecuted()
-	for seq := range r.pendingStable {
-		if seq > last && seq-last > behind {
-			behind = seq - last
-		}
-	}
-	if behind < r.exec.Period() {
-		return
-	}
-	now := r.clk.Now()
-	if now.Sub(r.stateRequested) < r.timing.ViewChange {
-		return
-	}
-	r.stateRequested = now
-	req := &message.Message{Kind: message.KindStateRequest, Seq: r.exec.LastExecuted()}
-	r.eng.Sign(req)
-	r.eng.Multicast(r.all(), req)
-}
-
-func (r *Replica) onStateRequest(m *message.Message) {
-	if !r.eng.Verify(m) {
-		return
-	}
-	low := r.log.Low()
-	rep := &message.Message{
-		Kind:     message.KindStateReply,
-		Prepares: replica.CapSuffix(r.log.ProposalsAbove()),
-	}
-	if low > m.Seq {
-		rep.Seq = low
-		rep.StateDigest = r.log.StableDigest()
-		rep.CheckpointProof = r.log.StableProof()
-		rep.Result = r.log.StableSnapshot()
-	} else if len(rep.Prepares) == 0 {
-		return // requester is at or ahead of everything we hold
-	}
-	// A requester already at our checkpoint still gets the live log
-	// suffix, just not the redundant full-state snapshot.
-	r.eng.Sign(rep)
-	r.eng.Send(m.From, rep)
-}
-
-func (r *Replica) onStateReply(m *message.Message) {
-	if !r.eng.Verify(m) {
-		return
-	}
-	if m.Seq > r.exec.LastExecuted() &&
-		r.verifyCheckpointProof(m.Seq, m.StateDigest, m.CheckpointProof) &&
-		replica.DigestOf(m.Result) == m.StateDigest {
-		if err := r.exec.JumpTo(m.Seq, m.Result); err != nil {
-			return
-		}
-		r.log.MarkStable(m.Seq, m.StateDigest, m.CheckpointProof, m.Result)
-		r.jr.Stable(r.view, 0, m.Seq, m.StateDigest, m.CheckpointProof, m.Result)
-		r.exec.DropSnapshotsBelow(m.Seq)
-		for n := range r.pendingStable {
-			if n <= m.Seq {
-				delete(r.pendingStable, n)
-			}
-		}
-		if r.nextSeq <= m.Seq {
-			r.nextSeq = m.Seq + 1
-		}
-		r.resetPending()
-	}
-	// The suffix helps even when the snapshot was stale.
-	r.installLogSuffix(m)
-	r.executeReady()
-}
-
-// verifyCheckpointProof accepts Byz+1 distinct well-signed matching
-// CHECKPOINTs (a weak certificate: at least one correct signer).
-func (r *Replica) verifyCheckpointProof(seq uint64, d crypto.Digest, proof []message.Signed) bool {
-	if seq == 0 {
-		return true
-	}
-	seen := make(map[ids.ReplicaID]bool, len(proof))
-	for i := range proof {
-		s := proof[i]
-		if s.Kind != message.KindCheckpoint || s.Seq != seq || s.Digest != d {
-			return false
-		}
-		if seen[s.From] || int(s.From) < 0 || int(s.From) >= r.n {
-			return false
-		}
-		seen[s.From] = true
-		if !r.eng.VerifyRecord(&s) {
-			return false
-		}
-	}
-	return len(seen) >= r.WeakQuorum()
 }
 
 // ---------------------------------------------------------------------------
@@ -194,11 +68,6 @@ func (r *Replica) startViewChange(target ids.View) {
 	if target <= r.view {
 		return
 	}
-	r.status = statusViewChange
-	r.vcTarget = target
-	r.vcDeadline = r.clk.Now().Add(2 * r.timing.ViewChange)
-	r.resetPending()
-
 	vcm := &message.Message{
 		Kind:            message.KindViewChange,
 		View:            target,
@@ -209,7 +78,8 @@ func (r *Replica) startViewChange(target ids.View) {
 		Commits:         r.preparedCertificates(),
 	}
 	r.eng.Sign(vcm)
-	r.recordViewChange(vcm)
+	r.rec.Suspect(target, vcm)
+	r.voteRecorded(vcm)
 	r.eng.Multicast(r.all(), vcm)
 }
 
@@ -227,41 +97,17 @@ func (r *Replica) preparedCertificates() []message.Signed {
 }
 
 func (r *Replica) onViewChange(m *message.Message) {
-	if m.View <= r.view {
-		return
+	if r.rec.OnViewChange(m) {
+		r.voteRecorded(m)
 	}
-	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
-		return
-	}
-	if !r.eng.Verify(m) {
-		return
-	}
-	if !r.verifyCheckpointProof(m.Seq, m.StateDigest, m.CheckpointProof) {
-		return
-	}
-	r.recordViewChange(m)
 }
 
-func (r *Replica) recordViewChange(m *message.Message) {
-	votes := r.vcVotes[m.View]
-	if votes == nil {
-		votes = make(map[ids.ReplicaID]*message.Message)
-		r.vcVotes[m.View] = votes
-	}
-	if _, dup := votes[m.From]; !dup {
-		votes[m.From] = m
-	}
-	// Join once Byz+1 distinct replicas demand a newer view. The scan
-	// is a pure min-aggregation so the joined view — a scheduling
-	// decision — cannot depend on map iteration order (simdet).
-	if r.status == statusNormal {
-		var join ids.View
-		for v, vs := range r.vcVotes {
-			if v > r.view && len(vs) >= r.WeakQuorum() && (join == 0 || v < join) {
-				join = v
-			}
-		}
-		if join != 0 {
+// voteRecorded reacts to a newly filed VIEW-CHANGE: join once Byz+1
+// distinct replicas demand a newer view, and assemble the NEW-VIEW when
+// this replica is the view's primary.
+func (r *Replica) voteRecorded(m *message.Message) {
+	if !r.rec.InViewChange() {
+		if join := r.rec.Join(); join != 0 {
 			r.startViewChange(join)
 		}
 	}
@@ -270,37 +116,18 @@ func (r *Replica) recordViewChange(m *message.Message) {
 	}
 }
 
-// votesInReplicaOrder flattens a vote map into sender-id order, so
-// everything harvested from the votes — checkpoint proof, slot
-// candidates, the NEW-VIEW wire content — is independent of map
-// iteration order (the simdet determinism contract).
-func votesInReplicaOrder(votes map[ids.ReplicaID]*message.Message) []*message.Message {
-	froms := make([]int, 0, len(votes))
-	for from := range votes {
-		froms = append(froms, int(from))
-	}
-	sort.Ints(froms)
-	out := make([]*message.Message, 0, len(froms))
-	for _, id := range froms {
-		out = append(out, votes[ids.ReplicaID(id)])
-	}
-	return out
-}
-
 func (r *Replica) tryAssembleNewView(target ids.View) {
 	if target <= r.view {
 		return
 	}
-	votes := r.vcVotes[target]
-	if len(votes) < r.Quorum() {
-		return
-	}
-
-	// Replica-ordered votes: the checkpoint tie-break (two votes at the
+	// Sender-ordered votes: the checkpoint tie-break (two votes at the
 	// same stable Seq can carry different proofs) and the candidate
 	// harvest below feed the NEW-VIEW wire content, which must not
 	// depend on map iteration order.
-	ordered := votesInReplicaOrder(votes)
+	ordered := r.rec.Votes(target)
+	if len(ordered) < r.Quorum() {
+		return
+	}
 
 	l := r.log.Low()
 	lDigest := r.log.StableDigest()
@@ -333,19 +160,14 @@ func (r *Replica) tryAssembleNewView(target ids.View) {
 	harvest := func(prepares, commits []message.Signed) {
 		for i := range prepares {
 			s := prepares[i]
-			reqs := s.Requests()
 			if s.Seq <= l || s.Seq > l+r.timing.HighWaterMarkLag ||
-				s.Kind != message.KindPrePrepare || len(reqs) == 0 ||
-				message.BatchDigest(reqs) != s.Digest {
-				continue
-			}
-			if s.From != r.Primary(s.View) || !r.eng.VerifyRecord(&s) {
+				!r.validProposal(&s) {
 				continue
 			}
 			c := getCand(s.Seq, s.Digest)
 			if s.View >= c.view {
 				c.view = s.View
-				c.requests = reqs
+				c.requests = s.Requests()
 			}
 		}
 		for i := range commits {
@@ -435,7 +257,7 @@ func (r *Replica) onNewView(m *message.Message) {
 	if !r.eng.Verify(m) {
 		return
 	}
-	if !r.verifyCheckpointProof(m.Seq, m.StateDigest, m.CheckpointProof) {
+	if !r.rec.VerifyProof(m.Seq, m.StateDigest, m.CheckpointProof) {
 		return
 	}
 	for i := range m.Prepares {
@@ -461,20 +283,9 @@ func (r *Replica) onNewView(m *message.Message) {
 
 func (r *Replica) applyNewView(m *message.Message) {
 	r.view = m.View
-	r.status = statusNormal
-	r.jr.View(m.View, 0)
+	r.rec.EnterView(m.View, 0)
 	r.inFlight = make(map[inFlightKey]uint64)
-	r.resetPending()
-	r.vcDeadline = time.Time{}
-	r.vcTarget = 0
-	for v := range r.vcVotes {
-		if v <= m.View {
-			delete(r.vcVotes, v)
-		}
-	}
-	if m.Seq > r.log.Low() {
-		r.stabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
-	}
+	r.rec.StabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
 
 	maxSeq := m.Seq
 	for i := range m.Prepares {
