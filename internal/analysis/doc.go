@@ -14,9 +14,10 @@
 //     and never retained past the Endpoint.Send no-retain boundary
 //     (PR 9's contract).
 //   - simdet: in the deterministic packages (internal/sim, internal/core,
-//     internal/pbft, internal/paxos) no global math/rand state, no map
-//     iteration whose visit order can escape without a sort, and no
-//     naked go statements (the sim drives engines single-threaded).
+//     internal/pbft, internal/paxos, internal/replica) no global
+//     math/rand state, no map iteration whose visit order can escape
+//     without a sort, and no naked go statements (the sim drives engines
+//     single-threaded).
 //   - errsticky: no dropped error results from internal/storage calls —
 //     the sticky-error durability contract means a dropped Append/Sync/
 //     Close error is a silent durability hole (PR 3's contract).

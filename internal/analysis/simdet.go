@@ -7,7 +7,8 @@ import (
 )
 
 // Simdet enforces the deterministic-simulation rules from PR 7 in the
-// packages the sim drives (internal/sim and the consensus engines):
+// packages the sim drives (internal/sim, the consensus engines, and the
+// internal/replica runtime that holds their shared recovery tables):
 // same seed must mean byte-identical traces, so nothing in those
 // packages may observe a source of nondeterminism.
 //
@@ -31,9 +32,11 @@ var Simdet = &Analyzer{
 	Run: runSimdet,
 }
 
-// simdetScope lists the packages the deterministic simulation steps
-// directly. Fixture packages match by their bare path.
-var simdetScope = []string{"internal/sim", "internal/core", "internal/pbft", "internal/paxos"}
+// simdetScope lists the packages the deterministic simulation steps:
+// the harness, the engines, and internal/replica, whose Recovery owns
+// the vote table and parked-checkpoint map the engines' map-order bugs
+// lived in. Fixture packages match by their bare path.
+var simdetScope = []string{"internal/sim", "internal/core", "internal/pbft", "internal/paxos", "internal/replica"}
 
 func simdetScoped(path string) bool {
 	for _, s := range simdetScope {

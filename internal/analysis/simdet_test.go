@@ -11,6 +11,12 @@ func TestSimdet(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Simdet, "sim")
 }
 
+// TestSimdetReplicaScope pins the scope over internal/replica, where the
+// engines' shared recovery tables live.
+func TestSimdetReplicaScope(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.Simdet, "replica")
+}
+
 // TestSimdetScope proves the determinism rules do not leak outside the
 // sim-driven packages: the same patterns are silent in an out-of-scope
 // package.

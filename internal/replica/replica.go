@@ -86,6 +86,7 @@ func (e *Engine) Start(h Handler) {
 	e.mu.Lock()
 	e.started = true
 	e.mu.Unlock()
+	//lint:allow simdet the event loop is the one goroutine of a running replica; the sim never calls Start, it steps the handler through StepEnvelope/StepTick on its own thread
 	go e.loop(h)
 }
 
