@@ -211,7 +211,6 @@ func NewReplica(opts Options) (*Replica, error) {
 		Engine: r.eng, Log: r.log, Exec: r.exec, Journal: r.jr, Pending: r.pending,
 		Trust: trust{r}, N: mb.N(), ViewChange: r.timing.ViewChange,
 		JoinQuorum: mb.M() + 1, Mode: r.mode,
-		SubPeriodStall: true,
 	})
 	if opts.Storage != nil {
 		// Crash-restart recovery: replay the journal into the message

@@ -67,11 +67,9 @@ type RecoveryConfig struct {
 	// Mode tags journaled view and stable records until a view entry
 	// says otherwise (engines without modes leave it zero).
 	Mode ids.Mode
-	// SubPeriodStall and UncheckedProofs preserve, for the commit that
-	// only moves code, two places the engines' copies had drifted: only
-	// core detected a sub-period stall, and Paxos never looked at
-	// checkpoint certificates. The next commits delete them.
-	SubPeriodStall  bool
+	// UncheckedProofs preserves, for the commit that only moved code, a
+	// place the engines' copies had drifted: Paxos never looked at
+	// checkpoint certificates. The next commit deletes it.
 	UncheckedProofs bool
 }
 
@@ -94,7 +92,6 @@ type Recovery struct {
 	all        []ids.ReplicaID
 	tau        time.Duration
 	joinQuorum int
-	stall      bool
 	unchecked  bool
 
 	// view and mode are the last view entry (Boot, EnterView): the head
@@ -136,10 +133,10 @@ func NewRecovery(cfg RecoveryConfig) *Recovery {
 		eng: cfg.Engine, log: cfg.Log, exec: cfg.Exec, jr: cfg.Journal,
 		pending: cfg.Pending, trust: cfg.Trust,
 		all: all, tau: cfg.ViewChange, joinQuorum: cfg.JoinQuorum,
-		stall: cfg.SubPeriodStall, unchecked: cfg.UncheckedProofs,
-		mode:   cfg.Mode,
-		parked: make(map[uint64]stableEvidence),
-		votes:  make(map[ids.View]map[ids.ReplicaID]*message.Message),
+		unchecked: cfg.UncheckedProofs,
+		mode:      cfg.Mode,
+		parked:    make(map[uint64]stableEvidence),
+		votes:     make(map[ids.View]map[ids.ReplicaID]*message.Message),
 	}
 }
 
@@ -331,9 +328,6 @@ func (rc *Recovery) CatchUp() {
 	}
 	now := rc.eng.Clock().Now()
 	if behindBy < rc.exec.Period() {
-		if !rc.stall {
-			return
-		}
 		// A sub-period gap normally closes by itself as in-flight commits
 		// execute. But an executor that sits still a whole view-change
 		// period with stable evidence ahead of it is wedged on a hole —
