@@ -306,8 +306,12 @@ func (r *Replica) HandleTick(now time.Time) {
 	}
 	// A view change that stalls either escalates or backs off (see
 	// replica.Recovery.Overdue).
-	if next, _ := r.rec.Overdue(now); next != 0 {
+	if next, backOff := r.rec.Overdue(now); next != 0 {
 		r.startViewChange(next)
+	} else if backOff {
+		// Work buffered while the abandoned suspicion ran must not stay
+		// stranded.
+		r.drainQueue()
 	}
 }
 

@@ -315,25 +315,31 @@ func (r *Replica) applyNewView(m *message.Message) {
 	if r.nextSeq <= maxSeq {
 		r.nextSeq = maxSeq + 1
 	}
-	// Work buffered before the view change — an unflushed batch plus any
-	// window-parked queue: the new primary re-admits what is still
-	// fresh; everyone else drops it (clients retransmit).
-	backlog := append(r.batcher.Take(), r.queue...)
-	r.queue = nil
-	if len(backlog) > 0 && r.isPrimary() {
-		for _, req := range backlog {
-			if r.exec.Fresh(req) {
-				r.admitRequest(req)
-			}
-		}
-		if r.pipe.Enabled() {
-			r.pump(r.clk.Now())
-		} else {
-			r.proposeBatch(r.batcher.Take())
-		}
-	}
+	r.drainQueue()
 	r.executeReady()
 	if p := r.loadProbe(); p.OnViewChange != nil {
 		p.OnViewChange(r.view)
+	}
+}
+
+// drainQueue disposes of work buffered before a view change (or an
+// abandoned suspicion) — an unflushed batch plus any window-parked
+// queue: the primary re-admits what is still fresh; everyone else drops
+// it (clients retransmit).
+func (r *Replica) drainQueue() {
+	backlog := append(r.batcher.Take(), r.queue...)
+	r.queue = nil
+	if len(backlog) == 0 || !r.isPrimary() {
+		return
+	}
+	for _, req := range backlog {
+		if r.exec.Fresh(req) {
+			r.admitRequest(req)
+		}
+	}
+	if r.pipe.Enabled() {
+		r.pump(r.clk.Now())
+	} else {
+		r.proposeBatch(r.batcher.Take())
 	}
 }
