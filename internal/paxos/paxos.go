@@ -154,7 +154,6 @@ func NewReplica(opts Options) (*Replica, error) {
 	r.rec = replica.NewRecovery(replica.RecoveryConfig{
 		Engine: r.eng, Log: r.log, Exec: r.exec, Journal: r.jr, Pending: r.pending,
 		Trust: trust{r}, N: r.n, ViewChange: r.timing.ViewChange, JoinQuorum: 1,
-		UncheckedProofs: true,
 	})
 	if opts.Storage != nil {
 		rs, err := r.rec.Boot()

@@ -229,7 +229,7 @@ func (r *Replica) onNewView(m *message.Message) {
 	if m.From != r.Leader(m.View) {
 		return
 	}
-	if !r.eng.Verify(m) {
+	if !r.eng.Verify(m) || !r.rec.VerifyProof(m.Seq, m.StateDigest, m.CheckpointProof) {
 		return
 	}
 	for _, set := range [][]message.Signed{m.Prepares, m.Commits} {

@@ -67,10 +67,6 @@ type RecoveryConfig struct {
 	// Mode tags journaled view and stable records until a view entry
 	// says otherwise (engines without modes leave it zero).
 	Mode ids.Mode
-	// UncheckedProofs preserves, for the commit that only moved code, a
-	// place the engines' copies had drifted: Paxos never looked at
-	// checkpoint certificates. The next commit deletes it.
-	UncheckedProofs bool
 }
 
 // Recovery is the recovery substrate shared by every engine, beside
@@ -92,7 +88,6 @@ type Recovery struct {
 	all        []ids.ReplicaID
 	tau        time.Duration
 	joinQuorum int
-	unchecked  bool
 
 	// view and mode are the last view entry (Boot, EnterView): the head
 	// of every journaled stable record and the floor of the vote scans.
@@ -133,10 +128,9 @@ func NewRecovery(cfg RecoveryConfig) *Recovery {
 		eng: cfg.Engine, log: cfg.Log, exec: cfg.Exec, jr: cfg.Journal,
 		pending: cfg.Pending, trust: cfg.Trust,
 		all: all, tau: cfg.ViewChange, joinQuorum: cfg.JoinQuorum,
-		unchecked: cfg.UncheckedProofs,
-		mode:      cfg.Mode,
-		parked:    make(map[uint64]stableEvidence),
-		votes:     make(map[ids.View]map[ids.ReplicaID]*message.Message),
+		mode:   cfg.Mode,
+		parked: make(map[uint64]stableEvidence),
+		votes:  make(map[ids.View]map[ids.ReplicaID]*message.Message),
 	}
 }
 
@@ -282,7 +276,7 @@ func (rc *Recovery) drainPendingStable() {
 // well-signed CHECKPOINT for that exact state from a distinct member,
 // and the signer set must satisfy the engine's sufficiency rule.
 func (rc *Recovery) VerifyProof(seq uint64, d crypto.Digest, proof []message.Signed) bool {
-	if seq == 0 || rc.unchecked {
+	if seq == 0 {
 		return true // genesis
 	}
 	signers := make([]ids.ReplicaID, 0, len(proof))
