@@ -136,7 +136,11 @@ func (r *Replica) lionOnAccept(m *message.Message) {
 		return
 	}
 	entry.AddVote(message.KindAccept, r.view, m.From, m.Digest)
-	if !entry.Committed() &&
+	// One COMMIT per slot and view — keyed on the certificate, not on the
+	// committed flag: a primary that learned the commit in an earlier
+	// view (as a passive node, from INFORMs) holds no certificate its
+	// backups could execute on, and must still issue this view's.
+	if cert := entry.CommitCert(); (cert == nil || cert.View != r.view) &&
 		entry.VoteCount(message.KindAccept, r.view, m.Digest) >= r.mb.AgreementQuorum(ids.Lion) {
 		r.lionCommit(entry)
 	}

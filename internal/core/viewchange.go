@@ -573,19 +573,23 @@ func (r *Replica) applyNewView(m *message.Message) {
 		if !amParticipant {
 			continue
 		}
-		if entry.Committed() {
+		if !entry.Committed() {
+			r.markPending(s.Seq)
+		} else if r.mode != ids.Lion {
 			// This proxy already committed the slot in a previous view,
-			// so it will not run the agreement again — but passive nodes
-			// gate execution on INFORMs of the *current* view, so
-			// re-advertise the commit (Dog and Peacock only).
-			if r.mode != ids.Lion {
-				inf := &message.Signed{Kind: message.KindInform, View: r.view, Seq: s.Seq, Digest: s.Digest}
-				r.eng.SignRecord(inf)
-				r.eng.Multicast(r.nonParticipants(r.view), inf.Wire())
-			}
-			continue
+			// but passive nodes gate execution on INFORMs of the *current*
+			// view, so re-advertise the commit (Dog and Peacock only).
+			inf := &message.Signed{Kind: message.KindInform, View: r.view, Seq: s.Seq, Digest: s.Digest}
+			r.eng.SignRecord(inf)
+			r.eng.Multicast(r.nonParticipants(r.view), inf.Wire())
 		}
-		r.markPending(s.Seq)
+		// Vote in the new view even on a slot already committed here. A
+		// participant that had not committed it — a passive node of the
+		// old mode the change promoted, a proxy the old quorum formed
+		// without — needs these votes for its own quorum; left without
+		// them it wedges on the slot until the next checkpoint transfer
+		// and, with m peers in the same spot, forces view change after
+		// view change meanwhile.
 		switch r.mode {
 		case ids.Lion:
 			if r.eng.ID() == primary {

@@ -298,10 +298,13 @@ func (r *Replica) applyNewView(m *message.Message) {
 			continue
 		}
 		r.jr.Proposal(&s)
-		if entry.Committed() {
-			continue
+		// Vote even on a slot already committed here (only its liveness
+		// timer is moot): a replica the old quorum formed without needs
+		// these votes for its own, or it wedges on the slot until the
+		// next checkpoint transfer.
+		if !entry.Committed() {
+			r.markPending(s.Seq)
 		}
-		r.markPending(s.Seq)
 		entry.AddVote(message.KindPrepare, r.view, m.From, s.Digest)
 		if r.eng.ID() != m.From {
 			prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: s.Seq, Digest: s.Digest}

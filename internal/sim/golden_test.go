@@ -24,7 +24,7 @@ const goldenFile = "testdata/fingerprints.golden"
 // stabilizes checkpoints, completes a view change and installs a state
 // transfer (TestSimGoldenFingerprints enforces all three).
 var recoverySeeds = map[string]int64{
-	"lion": 4, "dog": 24, "peacock": 4, "paxos": 4, "pbft": 4,
+	"lion": 4, "dog": 24, "peacock": 4, "paxos": 4, "pbft": 6,
 }
 
 // recoveryConfig is the recovery-heavy shape. The base seeds finish
