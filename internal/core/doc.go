@@ -9,9 +9,11 @@
 //   - Peacock: untrusted primary, PBFT among 3m+1 proxies, three phases,
 //     with a trusted transferer driving view changes.
 //
-// The package also implements checkpointing with garbage collection,
-// state transfer for lagging replicas, per-mode view changes, and the
-// dynamic mode-switching protocol of Section 5.4.
+// The package also implements the per-mode view changes and the
+// dynamic mode-switching protocol of Section 5.4. Checkpointing with
+// garbage collection, state transfer for lagging replicas and the
+// view-change vote table are replica.Recovery's; this package supplies
+// only each mode's trust rule for them (recovery.go).
 //
 // # Throughput path
 //

@@ -244,8 +244,8 @@ func TestPerSlotTimerNotMaskedByProgress(t *testing.T) {
 	if !r.rec.InViewChange() {
 		t.Fatal("stalled slot 5 did not trigger suspicion despite neighbors committing")
 	}
-	if r.rec.Target() != 1 {
-		t.Fatalf("view-change target = %d, want 1", r.rec.Target())
+	if votes := r.rec.Votes(1); len(votes) != 1 || votes[0].From != r.ID() {
+		t.Fatalf("votes for view 1 = %v, want this replica's own VIEW-CHANGE", votes)
 	}
 }
 

@@ -385,8 +385,8 @@ func TestRecoveryVoteTable(t *testing.T) {
 	own := vote(0, 3)
 	g.pend.Mark(9, g.clk.Now())
 	g.rec.Suspect(3, own)
-	if !g.rec.InViewChange() || g.rec.Target() != 3 || g.pend.Len() != 0 {
-		t.Fatalf("after Suspect: inVC %v target %d timers %d", g.rec.InViewChange(), g.rec.Target(), g.pend.Len())
+	if !g.rec.InViewChange() || g.pend.Len() != 0 {
+		t.Fatalf("after Suspect: inVC %v timers %d", g.rec.InViewChange(), g.pend.Len())
 	}
 	votes := g.rec.Votes(3)
 	if len(votes) != 3 || votes[0] != own || votes[1].From != 2 || votes[2] != first {

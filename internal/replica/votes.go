@@ -16,10 +16,6 @@ import (
 // InViewChange reports whether a view change is in progress.
 func (rc *Recovery) InViewChange() bool { return rc.target != 0 }
 
-// Target returns the view this replica is trying to enter (0 in normal
-// operation).
-func (rc *Recovery) Target() ids.View { return rc.target }
-
 // Suspect abandons normal operation for a view change toward target: it
 // arms the NEW-VIEW deadline, drops the per-slot liveness timers (the
 // suspicion they fed is now under way) and files this replica's own
