@@ -97,10 +97,8 @@ func (r *Replica) onViewChange(m *message.Message) {
 // replica's own): join the view change once m+1 distinct replicas demand
 // one, and trigger NEW-VIEW assembly when this replica is the collector.
 func (r *Replica) voteRecorded(m *message.Message) {
-	if !r.rec.InViewChange() {
-		if join := r.rec.Join(); join != 0 {
-			r.startViewChange(join, r.modeFor(join))
-		}
+	if join := r.rec.Join(); join != 0 {
+		r.startViewChange(join, r.modeFor(join))
 	}
 
 	// Collector: assemble a NEW-VIEW if this replica drives the change

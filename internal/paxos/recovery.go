@@ -94,10 +94,8 @@ func (r *Replica) onViewChange(m *message.Message) {
 // single peer demanding a newer view is believable (the join quorum is
 // 1); join so the cluster converges quickly.
 func (r *Replica) voteRecorded(m *message.Message) {
-	if !r.rec.InViewChange() {
-		if join := r.rec.Join(); join != 0 {
-			r.startViewChange(join)
-		}
+	if join := r.rec.Join(); join != 0 {
+		r.startViewChange(join)
 	}
 	if r.Leader(m.View) == r.eng.ID() {
 		r.tryAssembleNewView(m.View)

@@ -106,10 +106,8 @@ func (r *Replica) onViewChange(m *message.Message) {
 // distinct replicas demand a newer view, and assemble the NEW-VIEW when
 // this replica is the view's primary.
 func (r *Replica) voteRecorded(m *message.Message) {
-	if !r.rec.InViewChange() {
-		if join := r.rec.Join(); join != 0 {
-			r.startViewChange(join)
-		}
+	if join := r.rec.Join(); join != 0 {
+		r.startViewChange(join)
 	}
 	if r.Primary(m.View) == r.eng.ID() {
 		r.tryAssembleNewView(m.View)

@@ -57,11 +57,15 @@ func (rc *Recovery) record(m *message.Message) {
 // Join returns the view a replica in normal operation should join: the
 // smallest newer view that JoinQuorum distinct replicas demand — enough
 // that a correct one shares the suspicion, so a slow replica cannot be
-// left behind by a view change it never noticed — or 0. The scan is a
-// pure min-aggregation, so the joined view — a scheduling decision —
-// cannot depend on map iteration order (simdet).
+// left behind by a view change it never noticed — or 0, as it is for a
+// replica already changing views. The scan is a pure min-aggregation, so
+// the joined view — a scheduling decision — cannot depend on map
+// iteration order (simdet).
 func (rc *Recovery) Join() ids.View {
 	var join ids.View
+	if rc.target != 0 {
+		return 0
+	}
 	for v, votes := range rc.votes {
 		if v > rc.view && len(votes) >= rc.joinQuorum && (join == 0 || v < join) {
 			join = v
