@@ -21,11 +21,12 @@ var (
 // lease-safety shape, and the resharding shape (family 6, which is
 // cluster-driven and dispatched directly by TestSimSeed) — so a seed
 // sweep exercises every engine, the fast-read machinery, and live
-// migration under seeded faults.
+// migration under seeded faults. The Lion and PBFT families alternate
+// rounds under the batched shape (see alternateBatched).
 func seedConfig(seed int64) Config {
 	switch seed % 7 {
 	case 0:
-		return baseConfig(seed, cluster.SeeMoRe, ids.Lion)
+		return alternateBatched(seed, baseConfig(seed, cluster.SeeMoRe, ids.Lion))
 	case 1:
 		return baseConfig(seed, cluster.SeeMoRe, ids.Dog)
 	case 2:
@@ -33,10 +34,21 @@ func seedConfig(seed int64) Config {
 	case 3:
 		return baseConfig(seed, cluster.Paxos, 0)
 	case 4:
-		return baseConfig(seed, cluster.PBFT, 0)
+		return alternateBatched(seed, baseConfig(seed, cluster.PBFT, 0))
 	default:
 		return leaseScenario(seed)
 	}
+}
+
+// alternateBatched puts the batched shape on every other round of a
+// family past the pinned smoke set (seeds 0–13, whose golden
+// fingerprints are unbatched), so the wide sweep also checks full
+// batches against a closing proposal window.
+func alternateBatched(seed int64, cfg Config) Config {
+	if seed >= 14 && (seed/7)%2 == 1 {
+		return batched(cfg)
+	}
+	return cfg
 }
 
 // TestSimSeed is the seed explorer. The default -sim.seeds=14 is the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/config"
 	"repro/internal/ids"
 )
 
@@ -56,6 +57,23 @@ func recoveryConfig(seed int64, proto cluster.Protocol, mode ids.Mode) Config {
 	return cfg
 }
 
+// batchedSeeds is recoverySeeds for the batched, pipelined recovery
+// runs: the same three requirements, met under the batched shape.
+var batchedSeeds = map[string]int64{
+	"lion": 4, "dog": 24, "peacock": 3, "paxos": 4, "pbft": 4,
+}
+
+// batched puts the lion_batched benchmark workload's knobs on a run:
+// eight requests per slot and four slots in flight. 48 closed-loop
+// clients are more than the 4 × 8 requests an open window holds, so
+// batches fill and the window closes in every shape.
+func batched(cfg Config) Config {
+	cfg.Batching = config.Batching{BatchSize: 8}
+	cfg.Pipelining = config.Pipelining{Depth: 4}
+	cfg.Clients = 48
+	return cfg
+}
+
 type goldenCase struct {
 	name string
 	cfg  Config
@@ -83,6 +101,16 @@ func goldenCases() []goldenCase {
 		out = append(out, goldenCase{
 			name:     "recovery/" + sh.name,
 			cfg:      recoveryConfig(recoverySeeds[sh.name], sh.proto, sh.mode),
+			recovery: true,
+		})
+	}
+	for _, sh := range shapes {
+		out = append(out, goldenCase{name: "batched/" + sh.name, cfg: batched(baseConfig(42, sh.proto, sh.mode))})
+	}
+	for _, sh := range shapes {
+		out = append(out, goldenCase{
+			name:     "batched-recovery/" + sh.name,
+			cfg:      batched(recoveryConfig(batchedSeeds[sh.name], sh.proto, sh.mode)),
 			recovery: true,
 		})
 	}
