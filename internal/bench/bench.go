@@ -187,7 +187,7 @@ func measureLoop(clients int, opts Options,
 func MeasurePoint(spec cluster.Spec, w Workload, clients int, opts Options) (Point, error) {
 	opts.defaults()
 	spec.Timing = opts.Timing
-	if !spec.Pipelining.Enabled() {
+	if spec.Pipelining.Depth == 0 {
 		spec.Pipelining = opts.Pipeline
 	}
 	if spec.Client == (config.Client{}) {

@@ -36,7 +36,7 @@ func ReadMixLeases(t config.Timing) config.Leases {
 func MeasureReadMixPoint(spec cluster.Spec, clients, readPct int, cons client.Consistency, opts Options) (Point, error) {
 	opts.defaults()
 	spec.Timing = opts.Timing
-	if !spec.Pipelining.Enabled() {
+	if spec.Pipelining.Depth == 0 {
 		spec.Pipelining = opts.Pipeline
 	}
 	if spec.Client == (config.Client{}) {

@@ -49,7 +49,7 @@ func ShardKey(cid int64, i int) string { return fmt.Sprintf("c%d-k%d", cid, i) }
 func MeasureShardPoint(spec cluster.Spec, clients int, opts Options) (Point, error) {
 	opts.defaults()
 	spec.Timing = opts.Timing
-	if !spec.Pipelining.Enabled() {
+	if spec.Pipelining.Depth == 0 {
 		spec.Pipelining = opts.Pipeline
 	}
 	if spec.Client == (config.Client{}) {

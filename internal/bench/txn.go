@@ -34,7 +34,7 @@ const txnSpan = 2
 func MeasureTxnPoint(spec cluster.Spec, clients int, opts Options) (Point, error) {
 	opts.defaults()
 	spec.Timing = opts.Timing
-	if !spec.Pipelining.Enabled() {
+	if spec.Pipelining.Depth == 0 {
 		spec.Pipelining = opts.Pipeline
 	}
 	if spec.Client == (config.Client{}) {

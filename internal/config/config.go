@@ -167,12 +167,11 @@ func (t Timing) Validate() error {
 // Batching governs how a primary packs client requests into consensus
 // slots. Amortizing one agreement round (and its signing/MAC work) over
 // many requests is the standard BFT throughput lever; the zero value
-// means one request per slot, which is byte-and-behavior identical to
-// the pre-batching protocol.
+// means one request per slot, in the single-request frame format.
 type Batching struct {
 	// BatchSize is the maximum number of requests per slot. Values ≤ 1
-	// disable batching: every request is proposed immediately in the
-	// legacy single-request format.
+	// mean one: every request is proposed as soon as the proposal window
+	// allows, in the single-request frame format.
 	BatchSize int
 	// BatchTimeout bounds how long a partial batch may wait for more
 	// requests before the primary flushes it anyway. Ignored when
@@ -213,25 +212,28 @@ func (b Batching) Normalized() Batching {
 }
 
 // Pipelining governs how many consensus slots a primary may keep in
-// flight at once. With the zero value the primary behaves exactly as
-// before this knob existed: every admitted request (or full batch) is
-// proposed immediately and nothing bounds the number of uncommitted
-// slots except the log window — wire frames are byte-identical to the
-// pre-pipelining protocol.
-//
-// With Depth = K ≥ 1 the primary runs a windowed pipeline: it assigns
-// and proposes up to K sequence numbers concurrently, overlapping their
-// agreement round trips, and queues further requests until a window
-// slot commits. Commits may arrive out of order; the executor still
-// applies slots strictly in sequence order. Depth = 1 degenerates to
-// stop-and-wait (one slot at a time), which is the useful baseline the
-// ablation compares against.
+// flight at once. With Depth = K the primary assigns and proposes up to
+// K sequence numbers concurrently, overlapping their agreement round
+// trips, and holds further requests back until a window slot commits.
+// Commits may arrive out of order; the executor still applies slots
+// strictly in sequence order. Depth = 1 degenerates to stop-and-wait
+// (one slot at a time), the baseline the ablation compares against.
+// The knob adds no wire surface: frames are the same at every depth.
 type Pipelining struct {
 	// Depth is the maximum number of proposed-but-uncommitted slots the
-	// primary may hold. 0 disables the windowed pipeline (legacy
-	// unbounded admission); K ≥ 1 bounds the in-flight window to K.
+	// primary may hold. 0 means DefaultPipelineDepth.
 	Depth int
 }
+
+// DefaultPipelineDepth is the window a zero Depth gets. Its floor was
+// set by the callers that leave Depth at 0, not by taste: at one request
+// per slot a closed-loop population of n clients keeps at most n slots
+// in flight, and the largest such population driven in-tree is
+// seemore-bench's documented `-clients …,128` sweep (its default sweep
+// tops out at 64, the sim at 4, the repo benchmark at 2). At 128 none
+// of them ever waits on the window, so they run as they did when a zero
+// Depth meant no bound at all; what is gone is the unbounded case.
+const DefaultPipelineDepth = 128
 
 // MaxPipelineDepth caps the pipeline window: deeper windows than this
 // exceed any sensible log window and signal a misconfiguration.
@@ -248,8 +250,14 @@ func (p Pipelining) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the windowed pipeline is on.
-func (p Pipelining) Enabled() bool { return p.Depth >= 1 }
+// Normalized returns the pipelining knob with its default applied: an
+// unset Depth becomes DefaultPipelineDepth.
+func (p Pipelining) Normalized() Pipelining {
+	if p.Depth == 0 {
+		p.Depth = DefaultPipelineDepth
+	}
+	return p
+}
 
 // Leases configures leader leases for the trusted modes (Lion and
 // Dog). A primary whose latest quorum-acknowledged slot committed at
@@ -464,7 +472,7 @@ type Cluster struct {
 	// value runs one request per slot.
 	Batching Batching
 	// Pipelining bounds the primary's in-flight proposal window; the
-	// zero value keeps the legacy one-proposal-per-admission behavior.
+	// zero value is a window of DefaultPipelineDepth slots.
 	Pipelining Pipelining
 	// Durability configures the write-ahead log and snapshot store; the
 	// zero value keeps the legacy fully-in-memory replica.
@@ -476,8 +484,8 @@ type Cluster struct {
 
 // NewCluster validates the pieces together: the membership must support
 // the initial mode and the timing must be sane. Batching and Pipelining
-// start at their zero values (unbatched, unpipelined); set the fields
-// before building replicas to turn them on.
+// start at their zero values (one request per slot, the default
+// window); set the fields before building replicas to change them.
 func NewCluster(mb ids.Membership, mode ids.Mode, timing Timing) (Cluster, error) {
 	if !mode.Valid() {
 		return Cluster{}, fmt.Errorf("config: invalid initial mode %d", int(mode))

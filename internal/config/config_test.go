@@ -222,11 +222,11 @@ func TestPipeliningValidate(t *testing.T) {
 			t.Errorf("Depth %d: Validate() = %v, want ok=%v", tc.depth, err, tc.ok)
 		}
 	}
-	if (Pipelining{}).Enabled() {
-		t.Error("zero-value Pipelining reports enabled")
+	if got := (Pipelining{}).Normalized().Depth; got != DefaultPipelineDepth {
+		t.Errorf("zero-value Pipelining normalizes to depth %d, want %d", got, DefaultPipelineDepth)
 	}
-	if !(Pipelining{Depth: 1}).Enabled() {
-		t.Error("Depth 1 reports disabled")
+	if got := (Pipelining{Depth: 1}).Normalized().Depth; got != 1 {
+		t.Errorf("Depth 1 normalizes to %d", got)
 	}
 }
 

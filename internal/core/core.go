@@ -84,9 +84,10 @@ type Replica struct {
 	// occupancy is the pipeline window.
 	pending *replica.Pending
 
-	// pipe bounds the primary's in-flight proposal window (zero value:
-	// legacy unbounded admission, see config.Pipelining).
-	pipe config.Pipelining
+	// in is the primary's request intake: dedupe, batching, the proposal
+	// window, and what is held back while the window is closed or a view
+	// change runs (see replica.Intake). It calls proposeBatch.
+	in *replica.Intake
 
 	// rec is the shared recovery substrate: checkpoints, state transfer
 	// and the view-change vote table (see replica.Recovery). A view
@@ -108,20 +109,6 @@ type Replica struct {
 	// never learn the view moved on. nvResent throttles per peer.
 	lastNewView *message.Message
 	nvResent    map[ids.ReplicaID]time.Time
-
-	// queue buffers client requests that arrive while a view change is
-	// in progress on the primary.
-	queue []*message.Request
-
-	// batcher accumulates requests at the primary until the batch fills
-	// or BatchTimeout expires (see replica.Batcher).
-	batcher *replica.Batcher
-
-	// inFlight dedups requests the primary has proposed but not yet seen
-	// executed, keyed by (client, timestamp). Without it a client's
-	// retransmission broadcast — relayed to the primary by every backup —
-	// would occupy one slot per relay.
-	inFlight map[inFlightKey]uint64
 
 	// leanCommits strips µ from Lion commits (see Options.LeanCommits).
 	leanCommits bool
@@ -153,11 +140,6 @@ type Probe struct {
 	OnCheckpointStable func(seq uint64)
 }
 
-type inFlightKey struct {
-	client ids.ClientID
-	ts     uint64
-}
-
 // NewReplica builds a SeeMoRe replica. Call Start to begin processing.
 func NewReplica(opts Options) (*Replica, error) {
 	mb := opts.Cluster.Membership
@@ -181,22 +163,24 @@ func NewReplica(opts Options) (*Replica, error) {
 		mb:           mb,
 		timing:       opts.Cluster.Timing,
 		clk:          clk,
-		batcher:      replica.NewBatcher(opts.Cluster.Batching, clk),
-		pipe:         opts.Cluster.Pipelining,
 		leanCommits:  opts.LeanCommits,
 		leaseSlack:   opts.LeaseSlackForTesting,
 		mode:         opts.Cluster.InitialMode,
 		log:          mlog.New(opts.Cluster.Timing.HighWaterMarkLag),
 		exec:         replica.NewExecutor(opts.StateMachine, opts.Cluster.Timing.CheckpointPeriod),
 		nextSeq:      1,
-		pending:      replica.NewPending(),
+		pending:      replica.NewPending(clk),
 		pendingModes: make(map[ids.View]ids.Mode),
-		inFlight:     make(map[inFlightKey]uint64),
 		leases:       opts.Cluster.Leases,
 		lease:        leaseState{propose: make(map[uint64]time.Time)},
 		nvResent:     make(map[ids.ReplicaID]time.Time),
 	}
 	r.jr = replica.NewJournal(opts.Storage)
+	r.in = replica.NewIntake(replica.IntakeConfig{
+		Batching: opts.Cluster.Batching, Pipelining: opts.Cluster.Pipelining,
+		Clock: clk, Pending: r.pending, Exec: r.exec,
+		Open: r.mayPropose, Propose: r.proposeBatch,
+	})
 	r.eng = replica.NewEngine(replica.Config{
 		ID:       opts.ID,
 		Suite:    opts.Suite,
@@ -204,7 +188,7 @@ func NewReplica(opts Options) (*Replica, error) {
 		// Timeout flushes run on ticks, so the tick must not exceed
 		// BatchTimeout or the flush deadline silently degrades to the
 		// tick interval.
-		TickInterval: r.batcher.TickInterval(opts.TickInterval),
+		TickInterval: r.in.TickInterval(opts.TickInterval),
 		Clock:        clk,
 	})
 	r.rec = replica.NewRecovery(replica.RecoveryConfig{
@@ -363,16 +347,8 @@ func (r *Replica) HandleMessage(m *message.Message) {
 // HandleTick implements replica.Handler: timeout processing.
 func (r *Replica) HandleTick(now time.Time) {
 	// A partial batch older than BatchTimeout is flushed so a lull in
-	// client traffic cannot strand buffered requests. The pipelined
-	// pump applies the same deadline, additionally bounded by window
-	// room.
-	if !r.rec.InViewChange() {
-		if r.pipe.Enabled() {
-			r.pump(now)
-		} else if r.batcher.Due(now) {
-			r.proposeBatch(r.batcher.Take())
-		}
-	}
+	// client traffic cannot strand buffered requests.
+	r.in.Pump()
 	// A replica that knows it is behind retries its state-transfer
 	// request on the tick (throttled inside).
 	if !r.rec.InViewChange() {
@@ -401,22 +377,9 @@ func (r *Replica) HandleTick(now time.Time) {
 		// client's retransmission to recover (backup). The resulting
 		// proposals also tell peers in a newer view that this replica
 		// fell behind, triggering a NEW-VIEW resend.
-		r.drainQueue()
+		r.in.Resume(r.isPrimary())
 	}
 }
-
-// markPending starts the per-slot liveness timer for a slot with an
-// accepted proposal.
-func (r *Replica) markPending(seq uint64) { r.pending.Mark(seq, r.clk.Now()) }
-
-// clearPending stops the timer for a committed slot. Other slots keep
-// their own timers — per-slot arming supersedes the old single restart-
-// on-commit timer, under which a fast slot n+1 committing masked a
-// stalled slot n indefinitely.
-func (r *Replica) clearPending(seq uint64) { r.pending.Clear(seq) }
-
-// resetPending drops all liveness timers (used on view entry).
-func (r *Replica) resetPending() { r.pending.Reset() }
 
 // executeReady drains committed slots into the state machine and emits
 // replies according to the current mode's reply policy.
@@ -424,7 +387,7 @@ func (r *Replica) executeReady() {
 	mode := r.mode
 	view := r.view
 	executed := r.exec.ExecuteReady(r.log, func(seq uint64, req *message.Request, result []byte) {
-		delete(r.inFlight, inFlightKey{client: req.Client, ts: req.Timestamp})
+		r.in.Executed(req)
 		r.replyToClient(mode, view, req, result)
 		if p := r.loadProbe(); p.OnExecute != nil {
 			p.OnExecute(seq, req, result)
@@ -433,19 +396,14 @@ func (r *Replica) executeReady() {
 	if executed > 0 {
 		// Progress clears the relayed-request sentinel: the cluster is
 		// alive, so the relayed request will get through or be retried.
-		r.clearPending(relaySentinel)
+		r.pending.Clear(replica.RelaySentinel)
 		r.rec.Executed(r.emitsCheckpoint())
 		r.drainParkedReads()
 	}
 	// Commits (including out-of-order ones that could not execute yet)
 	// free pipeline window room: refill it from the backlog.
-	r.drainBlocked()
-	r.pump(r.clk.Now())
+	r.in.Pump()
 }
-
-// relaySentinel is the pseudo-slot used to arm the suspicion timer when
-// a backup relays a client request to the primary.
-const relaySentinel = replica.RelaySentinel
 
 // replyToClient sends a REPLY if this replica's role replies in the
 // given mode: the primary in Lion; the proxies in Dog and Peacock
@@ -505,12 +463,12 @@ func (r *Replica) onRequest(req *message.Request) {
 	}
 	if r.rec.InViewChange() {
 		if r.trustedSelf() {
-			r.queue = append(r.queue, req)
+			r.in.Park(req)
 		}
 		return
 	}
 	if r.isPrimary() {
-		r.admitRequest(req)
+		r.in.Admit(req)
 		return
 	}
 	// Not the primary: relay and arm the suspicion timer keyed on a
@@ -518,89 +476,23 @@ func (r *Replica) onRequest(req *message.Request) {
 	fwd := &message.Message{Kind: message.KindRequest, Request: req}
 	r.eng.Sign(fwd)
 	r.eng.Send(r.mb.Primary(r.mode, r.view), fwd)
-	r.markPending(relaySentinel)
+	r.pending.Mark(replica.RelaySentinel)
 }
 
-// admitRequest is the primary's intake. Pipelined configurations buffer
-// the request and let pump decide how much of the backlog fits the
-// proposal window. Otherwise, unbatched configurations propose
-// immediately (the legacy single-request slot) and batched ones
-// accumulate until BatchSize requests are buffered or BatchTimeout
-// expires (HandleTick flushes stragglers).
-func (r *Replica) admitRequest(req *message.Request) {
-	if r.pipe.Enabled() {
-		key := inFlightKey{client: req.Client, ts: req.Timestamp}
-		if _, dup := r.inFlight[key]; dup {
-			return // already ordered; the commit is in flight
-		}
-		r.batcher.Add(req)
-		r.pump(r.clk.Now())
-		return
-	}
-	if !r.batcher.Enabled() {
-		r.proposeBatch([]*message.Request{req})
-		return
-	}
-	key := inFlightKey{client: req.Client, ts: req.Timestamp}
-	if _, dup := r.inFlight[key]; dup {
-		return // already ordered; the commit is in flight
-	}
-	if r.batcher.Add(req) {
-		r.proposeBatch(r.batcher.Take())
-	}
-}
-
-// pump proposes buffered batches while the pipeline window has room
-// (see replica.Pump). It is a no-op unless this replica is a pipelined
-// primary in normal operation.
-func (r *Replica) pump(now time.Time) {
-	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isPrimary() {
-		return
-	}
-	replica.Pump(r.pipe.Depth, r.pending, r.batcher, now, r.proposeBatch)
-}
-
-// drainBlocked re-admits requests that proposeBatch parked in the queue
-// because the log window was full, once a stable checkpoint has moved
-// the window forward. Pipelined primaries only — the legacy path keeps
-// relying on client retransmission, unchanged.
-func (r *Replica) drainBlocked() {
-	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isPrimary() ||
-		len(r.queue) == 0 || !r.log.InWindow(r.nextSeq) {
-		return
-	}
-	q := r.queue
-	r.queue = nil
-	for _, req := range q {
-		if r.exec.Fresh(req) {
-			r.admitRequest(req)
-		}
-	}
+// mayPropose answers replica.Intake: this replica is the primary of its
+// view in normal operation and the next sequence number fits the log
+// window. While the window is full the primary waits for a checkpoint
+// to stabilize.
+func (r *Replica) mayPropose() bool {
+	return !r.rec.InViewChange() && r.isPrimary() && r.log.InWindow(r.nextSeq)
 }
 
 // proposeBatch assigns the next sequence number to a request set and
 // starts the mode-specific agreement (the primary's half of Algorithms 1
-// and 2, or PBFT pre-prepare in Peacock). A single-request set produces
-// a slot byte-identical to the pre-batching protocol.
-func (r *Replica) proposeBatch(reqs []*message.Request) {
-	// Drop requests that got ordered while the batch was buffering.
-	kept := make([]*message.Request, 0, len(reqs))
-	for _, req := range reqs {
-		key := inFlightKey{client: req.Client, ts: req.Timestamp}
-		if _, dup := r.inFlight[key]; dup {
-			continue // already ordered; the commit is in flight
-		}
-		kept = append(kept, req)
-	}
-	if len(kept) == 0 {
-		return
-	}
-	if !r.log.InWindow(r.nextSeq) {
-		// The window is full: the primary must wait for a checkpoint to
-		// stabilize. Buffer the requests.
-		r.queue = append(r.queue, kept...)
-		return
-	}
+// and 2, or PBFT pre-prepare in Peacock). A single-request set goes out
+// in the single-request frame format. replica.Intake calls it, only
+// while mayPropose holds, and is told whether the slot went out.
+func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	seq := r.nextSeq
 	r.nextSeq++
 	r.leaseRecordPropose(seq)
@@ -613,19 +505,19 @@ func (r *Replica) proposeBatch(reqs []*message.Request) {
 		Kind:   kind,
 		View:   r.view,
 		Seq:    seq,
-		Digest: message.BatchDigest(kept),
+		Digest: message.BatchDigest(reqs),
 	}
-	prop.SetRequests(kept)
+	prop.SetRequests(reqs)
 	r.eng.SignRecord(prop)
 
 	entry := r.log.Entry(seq)
 	if entry == nil {
-		return // cannot happen: InWindow checked above
+		return false // cannot happen: mayPropose checked the window
 	}
 	if err := entry.SetProposal(prop); err != nil {
-		return
+		return false
 	}
-	r.markPending(seq)
+	r.pending.Mark(seq)
 	// Journal before multicasting: a primary must never propose a slot
 	// its recovered self would not remember assigning.
 	r.jr.Proposal(prop)
@@ -637,11 +529,8 @@ func (r *Replica) proposeBatch(reqs []*message.Request) {
 		Digest: prop.Digest,
 		Sig:    prop.Sig,
 	}
-	wire.SetRequests(kept)
+	wire.SetRequests(reqs)
 	wire.From = r.eng.ID()
-	for _, req := range kept {
-		r.inFlight[inFlightKey{client: req.Client, ts: req.Timestamp}] = seq
-	}
 	// The primary's proposal is broadcast to every replica in all three
 	// modes (Lion: Algorithm 1; Dog: Algorithm 2; Peacock: the paper's
 	// first modification to PBFT).
@@ -659,31 +548,5 @@ func (r *Replica) proposeBatch(reqs []*message.Request) {
 		// its prepare vote.
 		entry.AddVote(message.KindPrepare, r.view, r.eng.ID(), prop.Digest)
 	}
-}
-
-// drainQueue re-proposes requests buffered during a view change; the new
-// primary calls it after entering the view. An unflushed batch from the
-// previous view joins the queue first so no admitted request is lost.
-func (r *Replica) drainQueue() {
-	if b := r.batcher.Take(); len(b) > 0 {
-		r.queue = append(b, r.queue...)
-	}
-	if !r.isPrimary() {
-		r.queue = nil
-		return
-	}
-	q := r.queue
-	r.queue = nil
-	for _, req := range q {
-		if r.exec.Fresh(req) {
-			r.admitRequest(req)
-		}
-	}
-	if r.pipe.Enabled() {
-		// The re-admitted backlog refills the whole in-flight window;
-		// the rest stays buffered and follows as slots commit.
-		r.pump(r.clk.Now())
-		return
-	}
-	r.proposeBatch(r.batcher.Take())
+	return true
 }

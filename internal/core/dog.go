@@ -51,7 +51,7 @@ func (r *Replica) dogOnPrepare(m *message.Message) {
 		// INFORMs *matching this prepare* (Algorithm 2 commentary).
 		return
 	}
-	r.markPending(m.Seq)
+	r.pending.Mark(m.Seq)
 
 	acc := &message.Signed{
 		Kind:   message.KindAccept,
@@ -109,7 +109,7 @@ func (r *Replica) dogMaybeCommit(entry *mlog.Entry) {
 // proxies, INFORM to everyone else, execute, reply.
 func (r *Replica) dogCommit(entry *mlog.Entry) {
 	entry.MarkCommitted()
-	r.clearPending(entry.Seq())
+	r.pending.Clear(entry.Seq())
 	d := entry.Proposal().Digest
 	r.jr.Commit(entry.Seq(), r.view, d, nil)
 
@@ -188,8 +188,8 @@ func (r *Replica) dogOnInform(m *message.Message) {
 	if entry.VoteCount(message.KindInform, r.view, m.Digest) >= r.mb.InformQuorum(true) {
 		entry.MarkCommitted()
 		r.jr.Commit(m.Seq, r.view, m.Digest, nil)
-		r.clearPending(m.Seq) // the Dog primary armed the timer when proposing
-		r.leaseRenew(m.Seq)   // ... and this is where it learns the quorum held
-		r.executeReady()      // passive nodes execute but never reply
+		r.pending.Clear(m.Seq) // the Dog primary armed the timer when proposing
+		r.leaseRenew(m.Seq)    // ... and this is where it learns the quorum held
+		r.executeReady()       // passive nodes execute but never reply
 	}
 }

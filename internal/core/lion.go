@@ -100,7 +100,7 @@ func (r *Replica) lionOnPrepare(m *message.Message) {
 	if err := entry.SetProposal(s); err != nil {
 		return // a trusted primary never equivocates; stale duplicates land here
 	}
-	r.markPending(m.Seq)
+	r.pending.Mark(m.Seq)
 	r.jr.Proposal(s)
 
 	// ACCEPT goes only to the trusted primary and is never reused as
@@ -151,7 +151,7 @@ func (r *Replica) lionOnAccept(m *message.Message) {
 // executes, and replies to the client.
 func (r *Replica) lionCommit(entry *mlog.Entry) {
 	entry.MarkCommitted()
-	r.clearPending(entry.Seq())
+	r.pending.Clear(entry.Seq())
 	r.leaseRenew(entry.Seq())
 
 	prop := entry.Proposal()
@@ -217,6 +217,6 @@ func (r *Replica) lionOnCommit(m *message.Message) {
 	entry.SetCommitCert(s)
 	entry.MarkCommitted()
 	r.jr.Commit(m.Seq, m.View, m.Digest, s)
-	r.clearPending(m.Seq)
+	r.pending.Clear(m.Seq)
 	r.executeReady()
 }

@@ -43,7 +43,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	if !r.isProxy() {
 		return // passive nodes keep µ for later execution on informs
 	}
-	r.markPending(m.Seq)
+	r.pending.Mark(m.Seq)
 
 	// Prepare vote to the other proxies.
 	prep := &message.Signed{
@@ -152,7 +152,7 @@ func (r *Replica) peacockMaybeCommitted(entry *mlog.Entry) {
 	}
 	entry.MarkCommitted()
 	r.jr.Commit(entry.Seq(), r.view, d, nil)
-	r.clearPending(entry.Seq())
+	r.pending.Clear(entry.Seq())
 
 	// Second Peacock modification: INFORM the passive nodes.
 	inform := &message.Signed{
@@ -193,7 +193,7 @@ func (r *Replica) peacockOnInform(m *message.Message) {
 	if entry.VoteCount(message.KindInform, r.view, m.Digest) >= r.mb.InformQuorum(false) {
 		entry.MarkCommitted()
 		r.jr.Commit(m.Seq, r.view, m.Digest, nil)
-		r.clearPending(m.Seq)
+		r.pending.Clear(m.Seq)
 		r.executeReady()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/crypto"
 	"repro/internal/ids"
@@ -219,28 +220,32 @@ func TestPerSlotTimerNotMaskedByProgress(t *testing.T) {
 	}
 	net := transport.NewSimNetwork(transport.LAN(2, 99))
 	defer net.Close()
+	clk := clock.NewVirtual()
 	r, err := NewReplica(Options{
 		ID:           1, // a backup: suspects the primary
 		Cluster:      cl,
 		Suite:        crypto.NewEd25519Suite(99, 6, 4),
 		Network:      net,
 		StateMachine: statemachine.NewKVStore(),
+		Clock:        clk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Engine deliberately not started: drive the handler directly.
-	now := time.Now()
 	tau := cl.Timing.ViewChange
 
 	// Slot 5 stalls; slots 6 and 7 commit quickly afterwards.
-	r.pending.Mark(5, now.Add(-2*tau))
-	r.pending.Mark(6, now.Add(-tau/4))
-	r.pending.Mark(7, now.Add(-tau/8))
-	r.clearPending(6)
-	r.clearPending(7)
+	r.pending.Mark(5)
+	clk.Advance(2*tau - tau/4)
+	r.pending.Mark(6)
+	clk.Advance(tau / 8)
+	r.pending.Mark(7)
+	clk.Advance(tau / 8)
+	r.pending.Clear(6)
+	r.pending.Clear(7)
 
-	r.HandleTick(now)
+	r.HandleTick(clk.Now())
 	if !r.rec.InViewChange() {
 		t.Fatal("stalled slot 5 did not trigger suspicion despite neighbors committing")
 	}
@@ -249,11 +254,11 @@ func TestPerSlotTimerNotMaskedByProgress(t *testing.T) {
 	}
 }
 
-// TestPipelineDisabledKeepsLegacyPath: with the zero-value knob the
-// replica must behave exactly as before the pipeline existed — requests
-// propose immediately on admission, nothing queues in the batcher, and
-// the pump never runs.
-func TestPipelineDisabledKeepsLegacyPath(t *testing.T) {
+// TestPipelineZeroValueProposesOnAdmission: under the zero-value knob
+// (the default window, one request per slot) back-to-back requests are
+// proposed as they are admitted, one slot each; nothing waits in the
+// intake.
+func TestPipelineZeroValueProposesOnAdmission(t *testing.T) {
 	cl, err := config.NewCluster(baseMembership(), ids.Lion, fastTiming())
 	if err != nil {
 		t.Fatal(err)
@@ -270,13 +275,13 @@ func TestPipelineDisabledKeepsLegacyPath(t *testing.T) {
 	}
 	// Engine not started; call the intake directly as the primary.
 	for i := uint64(1); i <= 3; i++ {
-		r.admitRequest(makeRequest(t, suite, 0, i))
+		r.in.Admit(makeRequest(t, suite, 0, i))
 	}
-	if r.batcher.Len() != 0 {
-		t.Fatalf("legacy path buffered %d requests in the batcher", r.batcher.Len())
+	if r.in.Buffered() != 0 {
+		t.Fatalf("%d requests still buffered in the intake", r.in.Buffered())
 	}
 	if got := r.pending.InFlight(); got != 3 {
-		t.Fatalf("legacy path has %d slots in flight, want 3 (one per admitted request)", got)
+		t.Fatalf("%d slots in flight, want 3 (one per admitted request)", got)
 	}
 	if r.nextSeq != 4 {
 		t.Fatalf("nextSeq = %d, want 4", r.nextSeq)

@@ -99,15 +99,15 @@ func (r *Replica) leaseValid(now time.Time) bool {
 // leaseInvalidate drops the lease and every propose record (view or
 // mode transition: whatever happens next, slots proposed under the old
 // view must not extend a lease in the new one). Parked reads are
-// re-queued for consensus ordering; the queue drains on view entry, and
-// clients retry reads the transition loses.
+// handed to the intake for consensus ordering on view entry; clients
+// retry reads the transition loses.
 func (r *Replica) leaseInvalidate() {
 	r.lease.expiry = time.Time{}
 	if len(r.lease.propose) > 0 {
 		r.lease.propose = make(map[uint64]time.Time)
 	}
 	for _, p := range r.parked {
-		r.queue = append(r.queue, p.req)
+		r.in.Park(p.req)
 	}
 	r.parked = nil
 }

@@ -107,7 +107,7 @@ func (t trust) AdoptCommit(s *message.Signed) {
 	entry.SetCommitCert(s)
 	entry.MarkCommitted()
 	r.jr.Commit(s.Seq, s.View, s.Digest, s)
-	r.clearPending(s.Seq)
+	r.pending.Clear(s.Seq)
 }
 
 func (t trust) Stabilized(seq uint64) {

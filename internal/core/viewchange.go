@@ -521,7 +521,6 @@ func (r *Replica) applyNewView(m *message.Message) {
 	r.mode = m.Mode
 	r.activeView = m.View
 	r.rec.EnterView(m.View, m.Mode)
-	r.inFlight = make(map[inFlightKey]uint64) // re-issued slots re-register below
 	for v := range r.pendingModes {
 		if v <= m.View {
 			delete(r.pendingModes, v)
@@ -572,7 +571,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 			continue
 		}
 		if !entry.Committed() {
-			r.markPending(s.Seq)
+			r.pending.Mark(s.Seq)
 		} else if r.mode != ids.Lion {
 			// This proxy already committed the slot in a previous view,
 			// but passive nodes gate execution on INFORMs of the *current*
@@ -619,7 +618,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 	if r.nextSeq <= maxSeq {
 		r.nextSeq = maxSeq + 1
 	}
-	r.drainQueue()
+	r.in.EnterView(r.isPrimary())
 	r.executeReady()
 	if p := r.loadProbe(); p.OnViewChange != nil {
 		p.OnViewChange(r.view, r.mode)

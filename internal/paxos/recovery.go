@@ -54,7 +54,7 @@ func (t trust) AdoptCommit(s *message.Signed) {
 	}
 	entry.MarkCommitted()
 	t.r.jr.Commit(s.Seq, s.View, s.Digest, nil)
-	t.r.clearPending(s.Seq)
+	t.r.pending.Clear(s.Seq)
 }
 
 func (t trust) Stabilized(seq uint64) {
@@ -246,7 +246,6 @@ func (r *Replica) onNewView(m *message.Message) {
 func (r *Replica) applyNewView(m *message.Message) {
 	r.view = m.View
 	r.rec.EnterView(m.View, 0)
-	r.inFlight = make(map[inFlightKey]uint64)
 	r.rec.StabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
 
 	maxSeq := m.Seq
@@ -275,7 +274,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 			continue
 		}
 		r.jr.Proposal(&s)
-		r.markPending(s.Seq)
+		r.pending.Mark(s.Seq)
 		if r.eng.ID() == leader {
 			entry.AddVote(message.KindAccept, r.view, r.eng.ID(), s.Digest)
 		} else {
@@ -289,7 +288,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 	if r.nextSeq <= maxSeq {
 		r.nextSeq = maxSeq + 1
 	}
-	r.drainQueue()
+	r.in.EnterView(r.isLeader())
 	r.executeReady()
 	if p := r.loadProbe(); p.OnViewChange != nil {
 		p.OnViewChange(r.view)

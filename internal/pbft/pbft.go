@@ -29,8 +29,6 @@ import (
 	"repro/internal/transport"
 )
 
-const relaySentinel = replica.RelaySentinel
-
 // Options assembles one PBFT replica.
 type Options struct {
 	// ID is this replica's identity in [0, N).
@@ -53,7 +51,7 @@ type Options struct {
 	// one request per slot).
 	Batching config.Batching
 	// Pipelining bounds the primary's in-flight proposal window (zero
-	// value: legacy unbounded admission, see config.Pipelining).
+	// value: config.DefaultPipelineDepth slots).
 	Pipelining config.Pipelining
 	// TickInterval overrides the engine tick (default 5ms).
 	TickInterval time.Duration
@@ -73,7 +71,6 @@ type Replica struct {
 	byz    int
 	crash  int
 	timing config.Timing
-	clk    clock.Clock
 
 	view ids.View
 
@@ -89,32 +86,17 @@ type Replica struct {
 	// pending tracks proposed-but-uncommitted slots, one liveness timer
 	// per slot; at the primary its occupancy is the pipeline window.
 	pending *replica.Pending
-	pipe    config.Pipelining
+
+	// in is the primary's request intake (see replica.Intake); it calls
+	// proposeBatch.
+	in *replica.Intake
 
 	// rec is the shared recovery substrate: checkpoints, state transfer
 	// and the view-change vote table (see replica.Recovery). A view
 	// change is in progress exactly while rec.InViewChange().
 	rec *replica.Recovery
 
-	// queue parks requests a pipelined primary could not propose while
-	// the log window was full (legacy operation drops them instead and
-	// relies on client retransmission).
-	queue []*message.Request
-
-	// inFlight dedups proposed-but-unexecuted requests at the primary
-	// (client retransmission broadcasts are relayed by every backup).
-	inFlight map[inFlightKey]uint64
-
-	// batcher accumulates requests at the primary until the batch fills
-	// or BatchTimeout expires (see replica.Batcher).
-	batcher *replica.Batcher
-
 	probe atomic.Pointer[Probe]
-}
-
-type inFlightKey struct {
-	client ids.ClientID
-	ts     uint64
 }
 
 // Probe mirrors core.Probe.
@@ -147,25 +129,26 @@ func NewReplica(opts Options) (*Replica, error) {
 	}
 	clk := clock.OrReal(opts.Clock)
 	r := &Replica{
-		n:        opts.N,
-		byz:      opts.Byz,
-		crash:    opts.Crash,
-		timing:   opts.Timing,
-		clk:      clk,
-		batcher:  replica.NewBatcher(opts.Batching, clk),
-		pipe:     opts.Pipelining,
-		log:      mlog.New(opts.Timing.HighWaterMarkLag),
-		exec:     replica.NewExecutor(opts.StateMachine, opts.Timing.CheckpointPeriod),
-		nextSeq:  1,
-		pending:  replica.NewPending(),
-		inFlight: make(map[inFlightKey]uint64),
+		n:       opts.N,
+		byz:     opts.Byz,
+		crash:   opts.Crash,
+		timing:  opts.Timing,
+		log:     mlog.New(opts.Timing.HighWaterMarkLag),
+		exec:    replica.NewExecutor(opts.StateMachine, opts.Timing.CheckpointPeriod),
+		nextSeq: 1,
+		pending: replica.NewPending(clk),
 	}
 	r.jr = replica.NewJournal(opts.Storage)
+	r.in = replica.NewIntake(replica.IntakeConfig{
+		Batching: opts.Batching, Pipelining: opts.Pipelining,
+		Clock: clk, Pending: r.pending, Exec: r.exec,
+		Open: r.mayPropose, Propose: r.proposeBatch,
+	})
 	r.eng = replica.NewEngine(replica.Config{
 		ID:           opts.ID,
 		Suite:        opts.Suite,
 		Endpoint:     opts.Network.Endpoint(transport.ReplicaAddr(opts.ID)),
-		TickInterval: r.batcher.TickInterval(opts.TickInterval),
+		TickInterval: r.in.TickInterval(opts.TickInterval),
 		Clock:        clk,
 	})
 	r.rec = replica.NewRecovery(replica.RecoveryConfig{
@@ -285,13 +268,8 @@ func (r *Replica) HandleMessage(m *message.Message) {
 
 // HandleTick implements replica.Handler.
 func (r *Replica) HandleTick(now time.Time) {
-	if !r.rec.InViewChange() {
-		if r.pipe.Enabled() {
-			r.pump(now)
-		} else if r.batcher.Due(now) {
-			r.proposeBatch(r.batcher.Take())
-		}
-	}
+	// Flush deadlines run on the tick.
+	r.in.Pump()
 	// A lagging replica retries its state-transfer request on the tick
 	// (throttled inside).
 	if !r.rec.InViewChange() {
@@ -311,20 +289,14 @@ func (r *Replica) HandleTick(now time.Time) {
 	} else if backOff {
 		// Work buffered while the abandoned suspicion ran must not stay
 		// stranded.
-		r.drainQueue()
+		r.in.Resume(r.isPrimary())
 	}
 }
-
-func (r *Replica) markPending(seq uint64) { r.pending.Mark(seq, r.clk.Now()) }
-
-func (r *Replica) clearPending(seq uint64) { r.pending.Clear(seq) }
-
-func (r *Replica) resetPending() { r.pending.Reset() }
 
 func (r *Replica) executeReady() {
 	view := r.view
 	executed := r.exec.ExecuteReady(r.log, func(seq uint64, req *message.Request, result []byte) {
-		delete(r.inFlight, inFlightKey{client: req.Client, ts: req.Timestamp})
+		r.in.Executed(req)
 		// Every PBFT replica replies; the client waits for Byz+1
 		// matching answers.
 		if req.Client >= 0 {
@@ -335,12 +307,11 @@ func (r *Replica) executeReady() {
 		}
 	})
 	if executed > 0 {
-		r.clearPending(relaySentinel)
+		r.pending.Clear(replica.RelaySentinel)
 		r.rec.Executed(true) // every PBFT replica checkpoints
 	}
 	// Commits free pipeline window room: refill it from the backlog.
-	r.drainBlocked()
-	r.pump(r.clk.Now())
+	r.in.Pump()
 }
 
 func (r *Replica) sendReply(view ids.View, req *message.Request, result []byte) {
@@ -372,113 +343,50 @@ func (r *Replica) onRequest(req *message.Request) {
 		return // the client will retransmit after the view change
 	}
 	if r.isPrimary() {
-		r.admitRequest(req)
+		r.in.Admit(req)
 		return
 	}
 	fwd := &message.Message{Kind: message.KindRequest, Request: req}
 	r.eng.Sign(fwd)
 	r.eng.Send(r.Primary(r.view), fwd)
-	r.markPending(relaySentinel)
+	r.pending.Mark(replica.RelaySentinel)
 }
 
-// admitRequest buffers or proposes a request depending on the
-// pipelining and batching knobs (see core's admitRequest; same policy).
-func (r *Replica) admitRequest(req *message.Request) {
-	if r.pipe.Enabled() {
-		key := inFlightKey{client: req.Client, ts: req.Timestamp}
-		if _, dup := r.inFlight[key]; dup {
-			return
-		}
-		r.batcher.Add(req)
-		r.pump(r.clk.Now())
-		return
-	}
-	if !r.batcher.Enabled() {
-		r.proposeBatch([]*message.Request{req})
-		return
-	}
-	key := inFlightKey{client: req.Client, ts: req.Timestamp}
-	if _, dup := r.inFlight[key]; dup {
-		return
-	}
-	if r.batcher.Add(req) {
-		r.proposeBatch(r.batcher.Take())
-	}
+// mayPropose answers replica.Intake: this replica is the primary of its
+// view in normal operation and the next sequence number fits the log
+// window.
+func (r *Replica) mayPropose() bool {
+	return !r.rec.InViewChange() && r.isPrimary() && r.log.InWindow(r.nextSeq)
 }
 
-// pump proposes buffered batches while the pipeline window has room
-// (see replica.Pump). No-op unless this replica is a pipelined primary
-// in normal operation.
-func (r *Replica) pump(now time.Time) {
-	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isPrimary() {
-		return
-	}
-	replica.Pump(r.pipe.Depth, r.pending, r.batcher, now, r.proposeBatch)
-}
-
-// drainBlocked re-admits requests parked in the queue because the log
-// window was full, once a stable checkpoint moved the window forward
-// (pipelined primaries only; the legacy path relies on retransmission).
-func (r *Replica) drainBlocked() {
-	if !r.pipe.Enabled() || r.rec.InViewChange() || !r.isPrimary() ||
-		len(r.queue) == 0 || !r.log.InWindow(r.nextSeq) {
-		return
-	}
-	q := r.queue
-	r.queue = nil
-	for _, req := range q {
-		if r.exec.Fresh(req) {
-			r.admitRequest(req)
-		}
-	}
-}
-
-func (r *Replica) proposeBatch(reqs []*message.Request) {
-	kept := make([]*message.Request, 0, len(reqs))
-	for _, req := range reqs {
-		if _, dup := r.inFlight[inFlightKey{client: req.Client, ts: req.Timestamp}]; !dup {
-			kept = append(kept, req)
-		}
-	}
-	if len(kept) == 0 {
-		return
-	}
-	if !r.log.InWindow(r.nextSeq) {
-		// Window full: a pipelined primary parks the requests until a
-		// checkpoint stabilizes (drainBlocked); legacy operation keeps
-		// relying on client retransmission.
-		if r.pipe.Enabled() {
-			r.queue = append(r.queue, kept...)
-		}
-		return
-	}
+// proposeBatch orders one slot; replica.Intake calls it, only while
+// mayPropose holds, and is told whether the slot went out.
+func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	seq := r.nextSeq
 	r.nextSeq++
 	pp := &message.Signed{
 		Kind:   message.KindPrePrepare,
 		View:   r.view,
 		Seq:    seq,
-		Digest: message.BatchDigest(kept),
+		Digest: message.BatchDigest(reqs),
 	}
-	pp.SetRequests(kept)
+	pp.SetRequests(reqs)
 	r.eng.SignRecord(pp)
 	entry := r.log.Entry(seq)
 	if entry == nil {
-		return
+		return false
 	}
 	if err := entry.SetProposal(pp); err != nil {
-		return
+		return false
 	}
-	r.markPending(seq)
+	r.pending.Mark(seq)
 	// Journal before multicasting: a recovered primary must remember
 	// every slot it assigned.
 	r.jr.Proposal(pp)
-	for _, req := range kept {
-		r.inFlight[inFlightKey{client: req.Client, ts: req.Timestamp}] = seq
-	}
 	// The primary's pre-prepare stands in for its prepare vote.
 	entry.AddVote(message.KindPrepare, r.view, r.eng.ID(), pp.Digest)
 	r.eng.Multicast(r.all(), pp.Wire())
+	return true
 }
 
 // validPayload checks the attached payload (lone request or batch)
@@ -510,7 +418,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	if err := entry.SetProposal(s); err != nil {
 		return // equivocation or stale duplicate
 	}
-	r.markPending(m.Seq)
+	r.pending.Mark(m.Seq)
 	r.jr.Proposal(s)
 
 	prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: m.Seq, Digest: m.Digest}
@@ -598,6 +506,6 @@ func (r *Replica) maybeCommitted(entry *mlog.Entry) {
 	}
 	entry.MarkCommitted()
 	r.jr.Commit(entry.Seq(), r.view, d, nil)
-	r.clearPending(entry.Seq())
+	r.pending.Clear(entry.Seq())
 	r.executeReady()
 }

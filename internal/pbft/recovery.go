@@ -282,7 +282,6 @@ func (r *Replica) onNewView(m *message.Message) {
 func (r *Replica) applyNewView(m *message.Message) {
 	r.view = m.View
 	r.rec.EnterView(m.View, 0)
-	r.inFlight = make(map[inFlightKey]uint64)
 	r.rec.StabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
 
 	maxSeq := m.Seq
@@ -301,7 +300,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 		// these votes for its own, or it wedges on the slot until the
 		// next checkpoint transfer.
 		if !entry.Committed() {
-			r.markPending(s.Seq)
+			r.pending.Mark(s.Seq)
 		}
 		entry.AddVote(message.KindPrepare, r.view, m.From, s.Digest)
 		if r.eng.ID() != m.From {
@@ -316,31 +315,9 @@ func (r *Replica) applyNewView(m *message.Message) {
 	if r.nextSeq <= maxSeq {
 		r.nextSeq = maxSeq + 1
 	}
-	r.drainQueue()
+	r.in.EnterView(r.isPrimary())
 	r.executeReady()
 	if p := r.loadProbe(); p.OnViewChange != nil {
 		p.OnViewChange(r.view)
-	}
-}
-
-// drainQueue disposes of work buffered before a view change (or an
-// abandoned suspicion) — an unflushed batch plus any window-parked
-// queue: the primary re-admits what is still fresh; everyone else drops
-// it (clients retransmit).
-func (r *Replica) drainQueue() {
-	backlog := append(r.batcher.Take(), r.queue...)
-	r.queue = nil
-	if len(backlog) == 0 || !r.isPrimary() {
-		return
-	}
-	for _, req := range backlog {
-		if r.exec.Fresh(req) {
-			r.admitRequest(req)
-		}
-	}
-	if r.pipe.Enabled() {
-		r.pump(r.clk.Now())
-	} else {
-		r.proposeBatch(r.batcher.Take())
 	}
 }

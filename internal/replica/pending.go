@@ -1,6 +1,10 @@
 package replica
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/clock"
+)
 
 // RelaySentinel is the pseudo-slot protocols use to arm the suspicion
 // timer when a backup relays a client request to the primary: it tracks
@@ -18,19 +22,21 @@ const RelaySentinel = ^uint64(0)
 // armed, and a slot that alone exceeds τ triggers suspicion regardless
 // of progress elsewhere. Engine-goroutine confined; no locking.
 type Pending struct {
+	clk   clock.Clock
 	slots map[uint64]time.Time
 }
 
-// NewPending builds an empty tracker.
-func NewPending() *Pending {
-	return &Pending{slots: make(map[uint64]time.Time)}
+// NewPending builds an empty tracker whose timers run on clk (nil uses
+// the real clock).
+func NewPending(clk clock.Clock) *Pending {
+	return &Pending{clk: clock.OrReal(clk), slots: make(map[uint64]time.Time)}
 }
 
-// Mark arms the timer for seq at now. Re-marking an armed slot keeps the
+// Mark arms the timer for seq. Re-marking an armed slot keeps the
 // original arming time (retransmissions must not push the deadline out).
-func (p *Pending) Mark(seq uint64, now time.Time) {
+func (p *Pending) Mark(seq uint64) {
 	if _, ok := p.slots[seq]; !ok {
-		p.slots[seq] = now
+		p.slots[seq] = p.clk.Now()
 	}
 }
 
@@ -61,7 +67,7 @@ func (p *Pending) Expired(now time.Time, timeout time.Duration) (uint64, bool) {
 
 // InFlight counts the real slots currently pending, excluding the relay
 // sentinel: at a primary this is exactly the occupancy of its proposal
-// window, which the pipeline compares against config.Pipelining.Depth.
+// window, which Intake compares against config.Pipelining.Depth.
 func (p *Pending) InFlight() int {
 	n := len(p.slots)
 	if _, ok := p.slots[RelaySentinel]; ok {

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/config"
+	"repro/internal/clock"
 	"repro/internal/ids"
 	"repro/internal/message"
 	"repro/internal/mlog"
@@ -16,19 +16,22 @@ func req(client ids.ClientID, ts uint64) *message.Request {
 }
 
 func TestPendingPerSlotTimers(t *testing.T) {
-	p := NewPending()
-	now := time.Now()
+	clk := clock.NewVirtual()
+	p := NewPending(clk)
 	tau := 100 * time.Millisecond
 
-	p.Mark(1, now.Add(-2*tau)) // stalled
-	p.Mark(2, now)             // fresh
-	p.Mark(RelaySentinel, now.Add(-3*tau))
+	p.Mark(RelaySentinel)
+	clk.Advance(tau)
+	p.Mark(1) // stalled
+	clk.Advance(2 * tau)
+	p.Mark(2) // fresh
+	now := clk.Now()
 
 	if got := p.InFlight(); got != 2 {
 		t.Fatalf("InFlight = %d, want 2 (sentinel excluded)", got)
 	}
 	// Re-marking must not refresh the original arming time.
-	p.Mark(1, now)
+	p.Mark(1)
 	seq, ok := p.Expired(now, tau)
 	if !ok {
 		t.Fatal("stalled slot not reported expired")
@@ -51,80 +54,10 @@ func TestPendingPerSlotTimers(t *testing.T) {
 	if _, ok = p.Expired(now, tau); ok {
 		t.Fatal("expired after all slots cleared")
 	}
-	p.Mark(3, now)
+	p.Mark(3)
 	p.Reset()
 	if p.Len() != 0 || p.InFlight() != 0 {
 		t.Fatal("Reset left armed timers behind")
-	}
-}
-
-func TestBatcherTakeUpTo(t *testing.T) {
-	b := NewBatcher(config.Batching{BatchSize: 4}, nil)
-	for ts := uint64(1); ts <= 6; ts++ {
-		b.Add(req(0, ts))
-	}
-	if b.Len() != 6 {
-		t.Fatalf("buffered %d, want 6 (backlog may exceed BatchSize)", b.Len())
-	}
-	first := b.TakeUpTo(b.Target())
-	if len(first) != 4 || first[0].Timestamp != 1 || first[3].Timestamp != 4 {
-		t.Fatalf("TakeUpTo returned %d requests starting at ts %d, want the 4 oldest", len(first), first[0].Timestamp)
-	}
-	// The remaining requests still dedup, while the taken ones have
-	// released their dedup keys and may be buffered again.
-	b.Add(req(0, 5))
-	if b.Len() != 2 {
-		t.Fatalf("duplicate of a still-buffered request re-added: Len = %d, want 2", b.Len())
-	}
-	b.Add(req(0, 1))
-	if b.Len() != 3 {
-		t.Fatalf("re-adding a taken request: Len = %d, want 3", b.Len())
-	}
-	rest := b.TakeUpTo(10)
-	if len(rest) != 3 || b.Len() != 0 {
-		t.Fatalf("drain returned %d, left %d", len(rest), b.Len())
-	}
-}
-
-func TestPumpRespectsWindowAndDeadline(t *testing.T) {
-	b := NewBatcher(config.Batching{BatchSize: 2, BatchTimeout: 50 * time.Millisecond}, nil)
-	p := NewPending()
-	now := time.Now()
-	var proposed [][]*message.Request
-	propose := func(reqs []*message.Request) {
-		proposed = append(proposed, reqs)
-		p.Mark(uint64(len(proposed)), now)
-	}
-
-	for ts := uint64(1); ts <= 7; ts++ {
-		b.Add(req(0, ts))
-	}
-	// Depth 2: only two full batches may be proposed; the rest waits.
-	Pump(2, p, b, now, propose)
-	if len(proposed) != 2 || b.Len() != 3 {
-		t.Fatalf("proposed %d slots, %d buffered; want 2 and 3", len(proposed), b.Len())
-	}
-	// A commit frees one window slot: exactly one more batch goes out,
-	// and the lone leftover request is held back (partial, not due).
-	p.Clear(1)
-	Pump(2, p, b, now, propose)
-	if len(proposed) != 3 || b.Len() != 1 {
-		t.Fatalf("after commit: proposed %d, buffered %d; want 3 and 1", len(proposed), b.Len())
-	}
-	// Past the flush deadline the partial batch is proposed too — once
-	// the window has room.
-	later := now.Add(time.Second)
-	Pump(2, p, b, later, propose)
-	if len(proposed) != 3 {
-		t.Fatal("partial batch proposed with a full window")
-	}
-	p.Clear(2)
-	Pump(2, p, b, later, propose)
-	if len(proposed) != 4 || b.Len() != 0 {
-		t.Fatalf("due partial batch not flushed: proposed %d, buffered %d", len(proposed), b.Len())
-	}
-	if len(proposed[3]) != 1 {
-		t.Fatalf("flushed partial batch has %d requests, want 1", len(proposed[3]))
 	}
 }
 

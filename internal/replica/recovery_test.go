@@ -95,9 +95,9 @@ func newRig(t *testing.T) *rig {
 		ep:    &captureEndpoint{},
 		log:   mlog.New(64),
 		exec:  NewExecutor(statemachine.NewCounter(), 4),
-		pend:  NewPending(),
 		trust: &fakeTrust{stableQuorum: 1, proofQuorum: 1, servers: []ids.ReplicaID{1}},
 	}
+	g.pend = NewPending(g.clk)
 	eng := NewEngine(Config{ID: 0, Suite: g.suite, Endpoint: g.ep, Clock: g.clk})
 	g.rec = NewRecovery(RecoveryConfig{
 		Engine: eng, Log: g.log, Exec: g.exec, Journal: NewJournal(nil), Pending: g.pend,
@@ -311,7 +311,7 @@ func TestRecoveryStateReplyNeedsAValidProof(t *testing.T) {
 	if g.rec.OnStateReply(reply(g, g.checkpoint(1, 8, d))); g.exec.LastExecuted() != 0 {
 		t.Fatal("installed on a proof the engine's sufficiency rule rejects")
 	}
-	g.pend.Mark(3, g.clk.Now())
+	g.pend.Mark(3)
 	if !g.rec.OnStateReply(reply(g, g.checkpoint(1, 8, d), g.checkpoint(2, 8, d))) {
 		t.Fatal("well-signed reply not processed")
 	}
@@ -383,7 +383,7 @@ func TestRecoveryVoteTable(t *testing.T) {
 	// A sender's first vote stands, and votes come back in sender order.
 	g.rec.OnViewChange(vote(3, 3))
 	own := vote(0, 3)
-	g.pend.Mark(9, g.clk.Now())
+	g.pend.Mark(9)
 	g.rec.Suspect(3, own)
 	if !g.rec.InViewChange() || g.pend.Len() != 0 {
 		t.Fatalf("after Suspect: inVC %v timers %d", g.rec.InViewChange(), g.pend.Len())
@@ -419,7 +419,7 @@ func TestRecoveryLoneSuspicionBacksOff(t *testing.T) {
 	g := newRig(t)
 	own := g.signMsg(0, &message.Message{Kind: message.KindViewChange, View: 1})
 	g.rec.Suspect(1, own)
-	g.pend.Mark(2, g.clk.Now())
+	g.pend.Mark(2)
 	next, backOff := g.rec.Overdue(g.clk.Advance(2*rigTau + time.Millisecond))
 	if next != 0 || !backOff {
 		t.Fatalf("Overdue = (%d, %v), want back-off", next, backOff)
