@@ -253,6 +253,10 @@ func (r *Replica) HandleMessage(m *message.Message) {
 		r.onCommit(m)
 	case message.KindCheckpoint:
 		r.rec.OnCheckpoint(m)
+		// A checkpoint that stabilizes on a peer's message opens the log
+		// window with no execution to follow it: let what the intake held
+		// back through now, not on the client's retransmission.
+		r.in.Pump()
 	case message.KindViewChange:
 		r.onViewChange(m)
 	case message.KindNewView:
