@@ -5,7 +5,7 @@ GO      ?= go
 PKGS    ?= ./...
 COVER   ?= coverage.out
 
-.PHONY: all build test race race-client bench bench-json bench-hotpath profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet lint lint-fix cover clean help
+.PHONY: all build test race race-client bench bench-json bench-hotpath bench-smoke profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet lint lint-fix cover clean help
 
 SIM_SEEDS ?= 200
 
@@ -40,6 +40,9 @@ bench-json: ## machine-readable sweeps → BENCH_pipeline/shard/txn/readmix/resh
 
 bench-hotpath: ## hot-path microbenchmarks (pooled codec / batch verify / WAL group commit) → BENCH_hotpath.json
 	$(GO) run ./cmd/seemore-bench -exp hotpath -json BENCH_hotpath.json
+
+bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it)
+	cd benchmark && $(GO) vet ./... && $(GO) test ./... && $(GO) run repro/cmd/seemore-vet ./...
 
 profile: ## CPU+heap profile one pipeline sweep → cpu.pprof / mem.pprof (inspect with `go tool pprof`)
 	$(GO) run ./cmd/seemore-bench -exp ablation-pipeline \

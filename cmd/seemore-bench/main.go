@@ -36,7 +36,7 @@ func main() {
 		warmup   = flag.Duration("warmup", 150*time.Millisecond, "warmup before each measurement")
 		clients  = flag.String("clients", "1,2,4,8,16,32,64", "comma-separated closed-loop client counts")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		pipeline = flag.Int("pipeline", 0, "pipeline depth applied to every experiment cluster (0: off)")
+		pipeline = flag.Int("pipeline", 0, "pipeline depth applied to every experiment cluster (0: default window)")
 		shards   = flag.String("shards", "1,2,4", "comma-separated shard counts for ablation-shard")
 		shardCl  = flag.Int("shard-clients", 48, "closed-loop clients per ablation-shard point (fixed across shard counts)")
 		reqs     = flag.Int("table1-requests", 100, "requests per protocol for Table 1 message counting")

@@ -47,7 +47,7 @@ func main() {
 		suite    = flag.String("suite", "ed25519", "signature suite: ed25519, hmac, none")
 		batch    = flag.Int("batch", 1, "max requests per consensus slot (1 disables batching)")
 		batchTmo = flag.Duration("batch-timeout", config.DefaultBatchTimeout, "partial-batch flush deadline")
-		pipeline = flag.Int("pipeline", 0, "max consensus slots the primary keeps in flight (0 disables pipelining)")
+		pipeline = flag.Int("pipeline", 0, "max consensus slots the primary keeps in flight (0: default window)")
 		lease    = flag.Duration("lease", 0, "leader lease duration for local leased reads (0 disables; trusted modes only)")
 		leaseSkw = flag.Duration("lease-skew", 0, "assumed clock-skew bound backing the lease safety margin")
 		dataDir  = flag.String("data-dir", "", "durable storage directory (WAL + snapshots); empty runs fully in memory")

@@ -74,8 +74,8 @@ type Spec struct {
 	// every protocol; the zero value runs one request per slot.
 	Batching config.Batching
 	// Pipelining bounds the primary/leader's in-flight proposal window
-	// in every protocol; the zero value keeps the legacy unbounded
-	// admission (see config.Pipelining).
+	// in every protocol; the zero value is a window of
+	// config.DefaultPipelineDepth slots.
 	Pipelining config.Pipelining
 	// Net configures the simulated network; zero value uses
 	// transport.LAN.

@@ -225,14 +225,14 @@ type Pipelining struct {
 	Depth int
 }
 
-// DefaultPipelineDepth is the window a zero Depth gets. Its floor was
-// set by the callers that leave Depth at 0, not by taste: at one request
-// per slot a closed-loop population of n clients keeps at most n slots
-// in flight, and the largest such population driven in-tree is
-// seemore-bench's documented `-clients …,128` sweep (its default sweep
-// tops out at 64, the sim at 4, the repo benchmark at 2). At 128 none
-// of them ever waits on the window, so they run as they did when a zero
-// Depth meant no bound at all; what is gone is the unbounded case.
+// DefaultPipelineDepth is the window a zero Depth gets. Its floor comes
+// from the callers that leave Depth at 0: at one request per slot a
+// closed-loop population of n clients keeps at most n slots in flight,
+// and the largest such population driven in-tree is seemore-bench's
+// documented `-clients 1,4,16,64,128` sweep (its default sweep tops out
+// at 64, the sim at 4, the repo benchmark at 2). At 128 none of them
+// ever waits on the window; a deployment that wants a tighter bound
+// sets Depth.
 const DefaultPipelineDepth = 128
 
 // MaxPipelineDepth caps the pipeline window: deeper windows than this

@@ -29,9 +29,9 @@
 // amortizing one agreement round over the batch. Pipelining lets the
 // primary keep several consensus slots in flight at once instead of
 // waiting for slot n to commit before proposing n+1, overlapping the
-// network round trips of independent slots. Both knobs default to off
-// (zero values), in which case the wire traffic is byte-identical to
-// the unbatched, one-slot-at-a-time protocol; see the Batching and
-// Pipelining types for the exact semantics and Cluster for how they are
-// plumbed into a deployment.
+// network round trips of independent slots. At their zero values a
+// slot carries one request, in the single-request frame, and the window
+// is DefaultPipelineDepth slots; either way there is one proposal path
+// (replica.Intake). See the Batching and Pipelining types for the exact
+// semantics and Cluster for how they are plumbed into a deployment.
 package config

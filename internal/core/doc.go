@@ -17,9 +17,15 @@
 //
 // # Throughput path
 //
-// Two knobs stack on the paper's per-request agreement rounds, both off
-// by default (their zero values keep the wire traffic byte-identical to
-// the plain protocol):
+// What a primary does with a request before it has a sequence number —
+// dedupe, batching, the proposal window, holding requests back while
+// the log window is closed or a view change runs — is replica.Intake's;
+// this package tells it who proposes now (mayPropose), parks a request
+// that arrives mid-view-change only at trusted replicas, and orders a
+// slot from sequence assignment on (proposeBatch). Two knobs shape the
+// intake, stacked on the paper's per-request agreement rounds (at their
+// zero values: one request per slot, in the single-request frame, under
+// a window of config.DefaultPipelineDepth slots):
 //
 //   - Batching (config.Batching): the primary packs up to BatchSize
 //     client requests into one consensus slot, amortizing one agreement

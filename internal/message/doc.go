@@ -16,10 +16,9 @@
 // the pre-batching protocol, and BatchDigest of a one-element set is
 // exactly D(µ)), while two or more requests ride in Batch under a
 // domain-separated set digest. Pipelining adds no wire surface at all —
-// a pipelined primary merely has PREPAREs/PRE-PREPAREs for several
-// sequence numbers outstanding at once, each of them an ordinary frame
-// — so a cluster mixing pipelined and unpipelined nodes interoperates,
-// and PipelineDepth = 0 leaves every frame byte-identical.
+// a primary merely has PREPAREs/PRE-PREPAREs for several sequence
+// numbers outstanding at once, each of them an ordinary frame — so
+// nodes configured with different window depths interoperate.
 //
 // # Signed evidence
 //

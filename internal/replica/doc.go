@@ -10,20 +10,33 @@
 // timers, crash emulation, durability and recovery — lives here exactly
 // once.
 //
-// # Throughput machinery
+// # Intake
 //
-// Three protocol-agnostic pieces back the primaries' throughput path:
+// In every mode of the paper, and in the Paxos and PBFT baselines, a
+// proposer does one thing with a client request: drop it if it is
+// already being ordered, give it the next sequence number inside the
+// log window, and hold it back while the window is closed. Intake is
+// that path, once. It dedupes against the (client, timestamp) of every
+// request buffered or in an unexecuted slot, packs requests into
+// BatchSize slots with a flush deadline for partial ones, proposes while
+// fewer than config.Pipelining.Depth slots are uncommitted (Pending is
+// the occupancy count, and gives each slot its own liveness timer, so a
+// stalled slot cannot hide behind a fast neighbor committing), and keeps
+// everything else in arrival order.
 //
-//   - Batcher buffers client requests until a batch fills or its flush
-//     deadline passes, so one agreement round is amortized over many
-//     requests.
-//   - Pending tracks proposed-but-uncommitted slots with one liveness
-//     timer each (a stalled slot cannot hide behind a fast neighbor
-//     committing) and doubles as the pipeline's window-occupancy count.
-//   - Pump combines the two into the pipelined proposal loop: while the
-//     window has room under config.Pipelining.Depth, carve slot-sized
-//     payloads off the batcher and propose them, overlapping the
-//     agreement round trips of independent sequence numbers.
+// The engine calls Admit for a request it receives as the proposer in
+// normal operation, Park — or nothing: that is its policy — for one that
+// arrives during a view change, Pump whenever room may have appeared (a
+// slot committed, a CHECKPOINT stabilized, a tick passed a flush
+// deadline), Executed for every request it applies, EnterView after
+// applying a NEW-VIEW and Resume when a lone suspicion backs off. Both
+// re-admit what was held if the replica now proposes and drop it
+// otherwise; EnterView first forgets the old view's open slots, which
+// the NEW-VIEW re-issued. The engine answers two things: Open — it is
+// the proposer of its view, no view change is in progress and the next
+// sequence number fits the log window — and Propose, the protocol's own
+// half from sequence assignment on (sign, journal, multicast, the
+// proposer's vote, Pending.Mark). Engines never read Intake's tables.
 //
 // Commits then arrive out of order; Executor.ExecuteReady walks the
 // message log strictly in sequence order, treating it as the reorder
