@@ -238,7 +238,7 @@ func (r *Replica) HandleMessage(m *message.Message) {
 		r.rec.OnCheckpoint(m)
 		// A checkpoint that stabilizes on a peer's message opens the log
 		// window with no execution to follow it: let what the intake held
-		// back through now, not on the client's retransmission.
+		// back through now rather than on the next tick.
 		r.in.Pump()
 	case message.KindViewChange:
 		r.onViewChange(m)

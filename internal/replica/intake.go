@@ -120,8 +120,8 @@ func (in *Intake) Park(req *message.Request) { in.parked = append(in.parked, req
 // slot committed, a checkpoint stabilized) and on every tick (flush
 // deadlines). Every iteration shrinks the buffer, so it terminates.
 func (in *Intake) Pump() {
-	now := in.clk.Now()
 	for len(in.buf) > 0 && in.pend.InFlight() < in.depth && in.open() {
+		now := in.clk.Now()
 		if len(in.buf) < in.size && now.Sub(in.since) < in.timeout {
 			return // partial batch, deadline not reached: keep filling
 		}
