@@ -5,7 +5,7 @@
 // a timeout, and accepts a result only once the protocol-specific reply
 // quorum is reached:
 //
-//   - SeeMoRe Lion: one reply signed by a trusted (private-cloud)
+//   - SeeMoRe Lion: one reply from a trusted (private-cloud)
 //     replica; after a retransmission, one trusted reply or m+1 matching
 //     public replies.
 //   - SeeMoRe Dog/Peacock: 2m+1 matching replies from distinct public
@@ -220,7 +220,8 @@ func (c *Client) InvokeCancel(op []byte, cancel <-chan struct{}) ([]byte, error)
 }
 
 // validReply checks envelope provenance, decodes, and verifies the
-// replica's signature and the echoed timestamp.
+// echoed timestamp and the replica's tag for this client (a REPLY is
+// read by its client alone, so it is tagged, not signed).
 func (c *Client) validReply(env transport.Envelope, ts uint64) *message.Message {
 	if env.From.IsClient() {
 		return nil
@@ -232,7 +233,7 @@ func (c *Client) validReply(env transport.Envelope, ts uint64) *message.Message 
 	if m.From != env.From.Replica() || m.Client != c.id || m.Timestamp != ts {
 		return nil
 	}
-	if !c.suite.Verify(crypto.ReplicaPrincipal(int(m.From)), m.SignedBytes(), m.Sig) {
+	if !c.suite.VerifyTag(crypto.ReplicaPrincipal(int(m.From)), crypto.ClientPrincipal(int64(c.id)), m.SignedBytes(), m.Sig) {
 		return nil
 	}
 	if m.Epoch > c.seenEpoch {

@@ -42,7 +42,8 @@ func startFake(net transport.Network, suite crypto.Suite, id ids.ReplicaID,
 				continue
 			}
 			rep.From = f.id
-			rep.Sig = f.suite.Sign(crypto.ReplicaPrincipal(int(f.id)), rep.SignedBytes())
+			tag := f.suite.Tag(crypto.ReplicaPrincipal(int(f.id)), crypto.ClientPrincipal(int64(rep.Client)), rep.SignedBytes())
+			rep.Sig = tag[:]
 			f.ep.Send(env.From, message.Marshal(rep))
 		}
 		close(f.done)

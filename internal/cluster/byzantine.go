@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sync/atomic"
+
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
@@ -19,12 +21,12 @@ const (
 	// BehaviorSilent drops every outgoing message: an unresponsive
 	// traitor, indistinguishable from a crash to its peers.
 	BehaviorSilent
-	// BehaviorCorrupt re-signs every agreement vote with a corrupted
-	// digest: validly signed, protocol-consistent lies that honest
+	// BehaviorCorrupt re-authenticates every agreement vote with a
+	// corrupted digest: authentic, protocol-consistent lies that honest
 	// quorum intersection must outvote.
 	BehaviorCorrupt
 	// BehaviorEquivocate sends the true vote to half its peers and a
-	// corrupted-but-validly-signed vote to the other half: the classic
+	// corrupted-but-authentic vote to the other half: the classic
 	// split-vote attack.
 	BehaviorEquivocate
 	// BehaviorEquivocatePrimary is the equivocating-leader attack: when
@@ -46,6 +48,15 @@ const (
 	// only the snapshot-digest-vs-checkpoint-certificate check can save
 	// the receiver from installing a forged state.
 	BehaviorCorruptState
+	// BehaviorImpersonate is the attack an unauthenticated link handshake
+	// allows (TCPNode's hello is an unchecked claim): beside every
+	// agreement vote it sends, this node opens a link under each other
+	// replica's name and sends the same vote as that replica — private
+	// ones included — authenticated with the only keys it holds, its
+	// own. A forged ACCEPT or COMMIT quorum would commit a slot no quorum
+	// voted for; receivers must reject every copy on its tag (or
+	// signature), which this node cannot produce for a pair it is not in.
+	BehaviorImpersonate
 )
 
 // String implements fmt.Stringer.
@@ -65,6 +76,8 @@ func (b Behavior) String() string {
 		return "replay-stale"
 	case BehaviorCorruptState:
 		return "corrupt-state"
+	case BehaviorImpersonate:
+		return "impersonate"
 	default:
 		return "unknown"
 	}
@@ -82,35 +95,35 @@ func isAgreementKind(k message.Kind) bool {
 	}
 }
 
-// byzNetwork wraps a transport.Network and hands out mutating endpoints
-// for the replicas listed in behaviors.
-type byzNetwork struct {
+// Adversary wraps a transport.Network and hands out mutating endpoints
+// for the replicas listed in behaviors; every other address gets the
+// inner network's endpoint untouched.
+type Adversary struct {
 	inner     transport.Network
 	suite     crypto.Suite
+	replicas  int
 	behaviors map[ids.ReplicaID]Behavior
+	attacks   atomic.Uint64
 }
 
-// InjectByzantine installs a Byzantine behaviour on a replica. It must
-// be called before New builds the node — which is why Spec carries the
-// behaviours — so this helper is exposed for tests that build custom
-// networks.
-func wrapByzantine(inner transport.Network, suite crypto.Suite, behaviors map[ids.ReplicaID]Behavior) transport.Network {
-	if len(behaviors) == 0 {
-		return inner
-	}
-	return &byzNetwork{inner: inner, suite: suite, behaviors: behaviors}
+// WrapByzantine installs the configured misbehaviours over a transport
+// carrying replicas 0..replicas-1 — the wrapper New applies internally,
+// exported for harnesses (internal/sim) that build their own networks
+// and nodes but want the identical adversary. Each misbehaving endpoint
+// authenticates through a view of suite restricted to its own replica:
+// an attack may misuse the keys a real node would hold, never borrow
+// another's.
+func WrapByzantine(inner transport.Network, suite crypto.Suite, replicas int, behaviors map[ids.ReplicaID]Behavior) *Adversary {
+	return &Adversary{inner: inner, suite: suite, replicas: replicas, behaviors: behaviors}
 }
 
-// WrapByzantine installs the configured misbehaviours over an arbitrary
-// transport — the same wrapper New applies internally, exported for
-// harnesses (internal/sim) that build their own networks and nodes but
-// want the identical adversary.
-func WrapByzantine(inner transport.Network, suite crypto.Suite, behaviors map[ids.ReplicaID]Behavior) transport.Network {
-	return wrapByzantine(inner, suite, behaviors)
-}
+// Attacks counts the frames the adversary altered, forged or replayed —
+// what an honest node would not have sent. Tests assert it is non-zero
+// so a Byzantine case cannot pass by never attacking.
+func (n *Adversary) Attacks() uint64 { return n.attacks.Load() }
 
 // Endpoint implements transport.Network.
-func (n *byzNetwork) Endpoint(a transport.Addr) transport.Endpoint {
+func (n *Adversary) Endpoint(a transport.Addr) transport.Endpoint {
 	ep := n.inner.Endpoint(a)
 	if a.IsClient() {
 		return ep
@@ -119,16 +132,20 @@ func (n *byzNetwork) Endpoint(a transport.Addr) transport.Endpoint {
 	if !ok || b == BehaviorNone {
 		return ep
 	}
-	return &byzEndpoint{Endpoint: ep, behavior: b, suite: n.suite, self: a.Replica()}
+	return &byzEndpoint{
+		Endpoint: ep, net: n, behavior: b, self: a.Replica(),
+		suite: crypto.Restrict(n.suite, crypto.ReplicaPrincipal(int(a.Replica()))),
+	}
 }
 
 // Close implements transport.Network.
-func (n *byzNetwork) Close() { n.inner.Close() }
+func (n *Adversary) Close() { n.inner.Close() }
 
 type byzEndpoint struct {
 	transport.Endpoint
+	net      *Adversary
 	behavior Behavior
-	suite    crypto.Suite
+	suite    crypto.Suite // restricted to self
 	self     ids.ReplicaID
 	sends    uint64
 
@@ -149,51 +166,94 @@ func (e *byzEndpoint) Send(to transport.Addr, frame []byte) {
 	case BehaviorSilent:
 		return
 	case BehaviorCorrupt:
-		if mutated, ok := e.corrupt(frame); ok {
-			e.Endpoint.Send(to, mutated)
-			return
-		}
-		e.Endpoint.Send(to, frame)
+		e.sendRewritten(to, frame, e.corrupt)
 	case BehaviorEquivocate:
 		// Alternate truthful and corrupted frames across sends so every
 		// peer population sees a mix — the strongest generic split the
 		// harness can produce without protocol knowledge.
 		if e.sends%2 == 0 {
-			if mutated, ok := e.corrupt(frame); ok {
-				e.Endpoint.Send(to, mutated)
-				return
-			}
+			e.sendRewritten(to, frame, e.corrupt)
+			return
 		}
 		e.Endpoint.Send(to, frame)
 	case BehaviorEquivocatePrimary:
 		// Split the peer set by destination parity so each half sees a
 		// self-consistent stream of (conflicting) proposals.
 		if !to.IsClient() && to.Replica()%2 == 1 {
-			if forged, ok := e.forgeProposal(frame); ok {
-				e.Endpoint.Send(to, forged)
-				return
-			}
+			e.sendRewritten(to, frame, e.forgeProposal)
+			return
 		}
 		e.Endpoint.Send(to, frame)
 	case BehaviorReplayStale:
 		e.replayStale(to, frame)
 		e.Endpoint.Send(to, frame)
 	case BehaviorCorruptState:
-		if mutated, ok := e.corruptState(frame); ok {
-			e.Endpoint.Send(to, mutated)
-			return
-		}
+		e.sendRewritten(to, frame, e.corruptState)
+	case BehaviorImpersonate:
 		e.Endpoint.Send(to, frame)
+		e.impersonate(to, frame)
 	default:
 		e.Endpoint.Send(to, frame)
+	}
+}
+
+// sendRewritten sends what rewrite makes of the frame, or the frame
+// itself when rewrite has no use for it.
+func (e *byzEndpoint) sendRewritten(to transport.Addr, frame []byte, rewrite func(transport.Addr, []byte) ([]byte, bool)) {
+	if lie, ok := rewrite(to, frame); ok {
+		e.net.attacks.Add(1)
+		frame = lie
+	}
+	e.Endpoint.Send(to, frame)
+}
+
+// signedByMe reports whether the agreement message this node is sending
+// carries its signature (else it carries an authenticator).
+func (e *byzEndpoint) signedByMe(m *message.Message) bool {
+	return e.suite.Verify(crypto.ReplicaPrincipal(int(e.self)), m.Record().SignedBytes(), m.Sig)
+}
+
+// reauth authenticates a rewritten agreement message bound for to the
+// way its honest original was: under this node's signature if that
+// carried one, else under this node's tag for to. Either is all a real
+// traitor could produce, whatever sender the message now claims.
+func (e *byzEndpoint) reauth(m *message.Message, to transport.Addr, signed bool) {
+	self, body := crypto.ReplicaPrincipal(int(e.self)), m.Record().SignedBytes()
+	if signed {
+		m.Sig = e.suite.Sign(self, body)
+		return
+	}
+	m.Sig = message.SetTag(nil, to.Replica(), e.suite.Tag(self, crypto.ReplicaPrincipal(int(to.Replica())), body))
+}
+
+// impersonate re-sends an agreement vote this node originated once per
+// other replica, claiming to be that replica, over a link opened under
+// its name.
+func (e *byzEndpoint) impersonate(to transport.Addr, frame []byte) {
+	m, err := message.Unmarshal(frame)
+	if err != nil || to.IsClient() || m.From != e.self || !isAgreementKind(m.Kind) {
+		return
+	}
+	signed := e.signedByMe(m)
+	for v := ids.ReplicaID(0); int(v) < e.net.replicas; v++ {
+		if v == e.self || v == to.Replica() {
+			continue
+		}
+		m.From = v
+		e.reauth(m, to, signed)
+		e.net.attacks.Add(1)
+		e.net.inner.Endpoint(transport.ReplicaAddr(v)).Send(to, message.Marshal(m))
 	}
 }
 
 // forgeProposal rewrites a proposal this node originated into a
 // conflicting proposal for the same slot: same kind, view and sequence
 // number, but a µ∅ no-op payload, the matching recomputed digest and a
-// fresh valid signature. Non-proposal frames pass through untouched.
-func (e *byzEndpoint) forgeProposal(frame []byte) ([]byte, bool) {
+// fresh valid signature — over the Record tuple, like every agreement
+// message's: signed over anything else the forgery dies at
+// authentication and the attack shrinks to a primary silent toward half
+// its peers. Non-proposal frames pass through untouched.
+func (e *byzEndpoint) forgeProposal(to transport.Addr, frame []byte) ([]byte, bool) {
 	m, err := message.Unmarshal(frame)
 	if err != nil || m.From != e.self {
 		return nil, false
@@ -214,7 +274,7 @@ func (e *byzEndpoint) forgeProposal(frame []byte) ([]byte, bool) {
 	m.Request = noop
 	m.Batch = nil
 	m.Digest = noop.Digest()
-	m.Sig = e.suite.Sign(crypto.ReplicaPrincipal(int(e.self)), m.SignedBytes())
+	e.reauth(m, to, true)
 	return message.Marshal(m), true
 }
 
@@ -233,6 +293,7 @@ func (e *byzEndpoint) replayStale(to transport.Addr, frame []byte) {
 		// View moved: everything recorded below is now stale — replay it
 		// before adopting the new view as the recording target.
 		for _, old := range e.staleVotes {
+			e.net.attacks.Add(1)
 			e.Endpoint.Send(to, old)
 		}
 		e.staleView = m.View
@@ -252,7 +313,7 @@ func (e *byzEndpoint) replayStale(to transport.Addr, frame []byte) {
 // intact: the signature verifies, so only the receiver's
 // snapshot-digest-vs-certificate check stands between it and installing
 // forged state.
-func (e *byzEndpoint) corruptState(frame []byte) ([]byte, bool) {
+func (e *byzEndpoint) corruptState(_ transport.Addr, frame []byte) ([]byte, bool) {
 	m, err := message.Unmarshal(frame)
 	if err != nil || m.Kind != message.KindStateReply || m.From != e.self || len(m.Result) == 0 {
 		return nil, false
@@ -262,17 +323,18 @@ func (e *byzEndpoint) corruptState(frame []byte) ([]byte, bool) {
 	return message.Marshal(m), true
 }
 
-// corrupt rewrites an agreement message with a flipped digest and a
-// fresh, valid signature under the traitor's own key. Messages it cannot
-// meaningfully corrupt (client requests, view management) pass through.
-func (e *byzEndpoint) corrupt(frame []byte) ([]byte, bool) {
+// corrupt rewrites an agreement message with a flipped digest,
+// authenticated afresh under the traitor's own keys, so the receiver
+// takes the lie for this node's word. Messages it cannot meaningfully
+// corrupt (client requests, view management) pass through.
+func (e *byzEndpoint) corrupt(to transport.Addr, frame []byte) ([]byte, bool) {
 	m, err := message.Unmarshal(frame)
-	if err != nil || !isAgreementKind(m.Kind) || m.From != e.self {
+	if err != nil || to.IsClient() || !isAgreementKind(m.Kind) || m.From != e.self {
 		return nil, false
 	}
+	signed := e.signedByMe(m)
 	m.Digest[0] ^= 0xFF
 	m.Request = nil // a corrupted digest cannot keep a matching body
-	s := &message.Signed{Kind: m.Kind, From: m.From, View: m.View, Seq: m.Seq, Digest: m.Digest}
-	m.Sig = e.suite.Sign(crypto.ReplicaPrincipal(int(e.self)), s.SignedBytes())
+	e.reauth(m, to, signed)
 	return message.Marshal(m), true
 }

@@ -186,9 +186,9 @@ type Cluster struct {
 	// seeded with; nil unless Spec.Elastic.
 	Placement *placement.Map
 
-	groupNets []transport.Network // per-group namespaced (and Byzantine-wrapped) views of Net
-	groupMB   []ids.Membership    // per-group membership (SeeMoRe; diverges after resize)
-	groupN    []int               // per-group replica count (diverges after resize)
+	groupNets []*Adversary     // per-group namespaced (and Byzantine-wrapped) views of Net
+	groupMB   []ids.Membership // per-group membership (SeeMoRe; diverges after resize)
+	groupN    []int            // per-group replica count (diverges after resize)
 	timing    config.Timing
 	stopped   bool
 }
@@ -316,7 +316,7 @@ func New(spec Spec) (*Cluster, error) {
 	}
 	c.Groups = make([][]Node, groups)
 	c.GroupSMs = make([][]statemachine.StateMachine, groups)
-	c.groupNets = make([]transport.Network, groups)
+	c.groupNets = make([]*Adversary, groups)
 	c.groupMB = make([]ids.Membership, groups)
 	c.groupN = make([]int, groups)
 	for g := 0; g < groups; g++ {
@@ -325,7 +325,7 @@ func New(spec Spec) (*Cluster, error) {
 		// Each group gets its own namespaced view of the one shared
 		// network (identity for group 0); Byzantine behaviors install at
 		// the same group-local IDs everywhere.
-		c.groupNets[g] = wrapByzantine(transport.Grouped(c.Net, ids.GroupID(g)), suite, spec.Byzantine)
+		c.groupNets[g] = WrapByzantine(transport.Grouped(c.Net, ids.GroupID(g)), suite, n, spec.Byzantine)
 		c.Groups[g] = make([]Node, n)
 		c.GroupSMs[g] = make([]statemachine.StateMachine, n)
 		for i := 0; i < n; i++ {
@@ -662,6 +662,16 @@ func (c *Cluster) Stop() {
 		}
 	}
 	c.Net.Close()
+}
+
+// ByzantineAttacks counts the frames the Spec.Byzantine replicas of
+// every group altered, forged or replayed (see Adversary.Attacks).
+func (c *Cluster) ByzantineAttacks() uint64 {
+	var n uint64
+	for _, adv := range c.groupNets {
+		n += adv.Attacks()
+	}
+	return n
 }
 
 // CrashNode fail-stops a group-0 replica.

@@ -235,6 +235,11 @@ func TestByzantineCorruptVotesOutvoted(t *testing.T) {
 			// The corrupt node's own state may diverge (it refuses its own
 			// lies but drops out of quorums); everyone else must agree.
 			verifyConvergence(t, c, map[ids.ReplicaID]bool{byzID: true})
+			// Outvoted, not idle: the traitor did lie, and its lies pass
+			// authentication (TestByzantineLiesAuthenticate).
+			if c.ByzantineAttacks() == 0 {
+				t.Error("the traitor never corrupted a vote")
+			}
 		})
 	}
 }
@@ -251,6 +256,9 @@ func TestByzantineEquivocationSafe(t *testing.T) {
 	defer c.Stop()
 	runWorkload(t, c, 10)
 	verifyConvergence(t, c, map[ids.ReplicaID]bool{byzID: true})
+	if c.ByzantineAttacks() == 0 {
+		t.Error("the traitor never corrupted a vote")
+	}
 }
 
 func TestCrashAndRecover(t *testing.T) {
@@ -309,7 +317,7 @@ func TestBehaviorString(t *testing.T) {
 	for b, want := range map[Behavior]string{
 		BehaviorNone: "honest", BehaviorSilent: "silent",
 		BehaviorCorrupt: "corrupt", BehaviorEquivocate: "equivocate",
-		Behavior(42): "unknown",
+		BehaviorImpersonate: "impersonate", Behavior(42): "unknown",
 	} {
 		if b.String() != want {
 			t.Errorf("%d = %q, want %q", int(b), b.String(), want)
@@ -342,6 +350,9 @@ func TestByzantineEquivocatingPeacockPrimary(t *testing.T) {
 	defer c.Stop()
 	runWorkload(t, c, 8)
 	verifyConvergence(t, c, map[ids.ReplicaID]bool{2: true})
+	if c.ByzantineAttacks() == 0 {
+		t.Error("the traitor never corrupted a proposal or vote")
+	}
 }
 
 func TestLossyDuplicatingJitteryNetwork(t *testing.T) {

@@ -1,0 +1,45 @@
+package core
+
+import (
+	"repro/internal/message"
+	"repro/internal/replica"
+)
+
+const (
+	signed = replica.AuthSigned
+	tagged = replica.AuthTagged
+	none   = replica.AuthNone
+)
+
+// authTable says how every message kind is authenticated in each mode
+// (every kind off the wire is a valid one — Message.Validate — and
+// TestEveryKindClassified keeps a row for each).
+// The rule behind it: a message keeps its signature exactly when some
+// replica may later have to show it to a third party — as view-change
+// evidence, inside a certificate, or by re-sending it on another's
+// behalf; a message that only its receiver ever reads carries pairwise
+// tags instead. ARCHITECTURE.md repeats the table with the reason for
+// each row.
+var authTable = [...][3]replica.Auth{
+	//                        {Lion, Dog, Peacock}
+	message.KindRequest:      {none, none, none},
+	message.KindPrePrepare:   {none, none, signed},
+	message.KindPrepare:      {signed, signed, signed},
+	message.KindAccept:       {tagged, tagged, none},
+	message.KindCommit:       {signed, tagged, tagged},
+	message.KindInform:       {none, tagged, tagged},
+	message.KindReply:        {tagged, tagged, tagged},
+	message.KindCheckpoint:   {signed, signed, signed},
+	message.KindViewChange:   {signed, signed, signed},
+	message.KindNewView:      {signed, signed, signed},
+	message.KindModeChange:   {signed, signed, signed},
+	message.KindStateRequest: {signed, signed, signed},
+	message.KindStateReply:   {signed, signed, signed},
+	message.KindRead:         {none, none, none},
+}
+
+// authentic checks an agreement message, given as its Record, the way
+// authTable says its kind is authenticated in the current mode.
+func (r *Replica) authentic(s *message.Signed) bool {
+	return r.eng.Authentic(s, authTable[s.Kind][r.mode])
+}

@@ -443,8 +443,7 @@ func (r *Replica) sendReply(mode ids.Mode, view ids.View, req *message.Request, 
 		Watermark: r.exec.LastExecuted(),
 		Epoch:     r.exec.PlacementEpoch(),
 	}
-	r.eng.Sign(rep)
-	r.eng.SendClient(req.Client, rep)
+	r.eng.SendClientTagged(req.Client, rep)
 }
 
 // onRequest handles a client REQUEST: primaries order it; backups that
@@ -477,8 +476,9 @@ func (r *Replica) onRequest(req *message.Request) {
 	}
 	// Not the primary: relay and arm the suspicion timer keyed on a
 	// pseudo-slot so a silent primary cannot stall this client forever.
-	fwd := &message.Message{Kind: message.KindRequest, Request: req}
-	r.eng.Sign(fwd)
+	// The wrapper carries nothing of this replica's: the primary checks
+	// the client's signature inside, as on a request sent to it directly.
+	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req}
 	r.eng.Send(r.mb.Primary(r.mode, r.view), fwd)
 	r.pending.Mark(replica.RelaySentinel)
 }

@@ -21,7 +21,7 @@ type harness struct {
 	t        *testing.T
 	mb       ids.Membership
 	cluster  config.Cluster
-	suite    *crypto.Ed25519Suite
+	suite    crypto.Suite
 	net      *transport.SimNetwork
 	replicas []*Replica
 	kvs      []*statemachine.KVStore

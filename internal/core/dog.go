@@ -1,16 +1,19 @@
 package core
 
 import (
+	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
 	"repro/internal/mlog"
 )
 
 // The Dog mode (Algorithm 2): a trusted primary assigns sequence numbers
-// and broadcasts PREPAREs; 3m+1 public-cloud proxies run a single signed
+// and broadcasts PREPAREs; 3m+1 public-cloud proxies run a single
 // ACCEPT round (quorum 2m+1), then COMMIT among themselves and INFORM the
-// passive nodes. Private-cloud backups do no agreement work at all,
-// which is the mode's point: offloading the private cloud.
+// passive nodes — all three consumed by their receivers and never shown
+// to anyone else, hence tagged, not signed (auth.go). Private-cloud
+// backups do no agreement work at all, which is the mode's point:
+// offloading the private cloud.
 
 // nonParticipants returns every replica outside the proxy set of view v:
 // all private nodes plus non-proxy public nodes — the INFORM audience.
@@ -26,7 +29,7 @@ func (r *Replica) nonParticipants(v ids.View) []ids.ReplicaID {
 
 // dogOnPrepare: any replica logs the trusted primary's PREPARE (it is
 // broadcast to all, Algorithm 2 line 9); proxies additionally start the
-// signed accept round (lines 10–12).
+// accept round (lines 10–12).
 func (r *Replica) dogOnPrepare(m *message.Message) {
 	if r.rec.InViewChange() || m.View != r.view {
 		return
@@ -35,7 +38,7 @@ func (r *Replica) dogOnPrepare(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.eng.VerifyRecord(s) || !r.validProposalPayload(m) {
+	if !r.authentic(s) || !r.validProposalPayload(m) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)
@@ -52,24 +55,33 @@ func (r *Replica) dogOnPrepare(m *message.Message) {
 		return
 	}
 	r.pending.Mark(m.Seq)
+	r.dogAccept(entry, m.Digest)
+}
 
-	acc := &message.Signed{
-		Kind:   message.KindAccept,
-		View:   r.view,
-		Seq:    m.Seq,
-		Digest: m.Digest,
-	}
-	r.eng.SignRecord(acc)
+// dogAccept journals, files and multicasts this proxy's ACCEPT for the
+// slot's proposal in the current view.
+func (r *Replica) dogAccept(entry *mlog.Entry, d crypto.Digest) {
+	acc := &message.Signed{Kind: message.KindAccept, From: r.eng.ID(), View: r.view, Seq: entry.Seq(), Digest: d}
 	r.jr.Vote(acc)
-	entry.AddVote(message.KindAccept, r.view, r.eng.ID(), m.Digest)
-	r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), acc.Wire())
+	entry.AddVote(message.KindAccept, r.view, r.eng.ID(), d)
+	r.eng.MulticastTagged(r.mb.Proxies(ids.Dog, r.view), acc)
 	r.dogMaybeCommit(entry)
 }
 
-// dogOnAccept: proxies collect signed accepts from other proxies
-// (Algorithm 2 line 13). Accepts may arrive before the primary's
-// prepare; the vote is recorded either way and the quorum re-checked
-// when the prepare lands.
+// openSlot returns the slot a vote on seq could still change — nil once
+// the slot has committed (or lies outside the window), so such a vote is
+// dropped before it costs an authentication.
+func (r *Replica) openSlot(seq uint64) *mlog.Entry {
+	if entry := r.log.Entry(seq); entry != nil && !entry.Committed() {
+		return entry
+	}
+	return nil
+}
+
+// dogOnAccept: proxies collect accepts from other proxies (Algorithm 2
+// line 13). Accepts may arrive before the primary's prepare; the vote
+// is recorded either way and the quorum re-checked when the prepare
+// lands.
 func (r *Replica) dogOnAccept(m *message.Message) {
 	if r.rec.InViewChange() || m.View != r.view || !r.isProxy() {
 		return
@@ -77,12 +89,8 @@ func (r *Replica) dogOnAccept(m *message.Message) {
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) || m.From == r.eng.ID() {
 		return
 	}
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
-		return
-	}
-	entry := r.log.Entry(m.Seq)
-	if entry == nil {
+	entry := r.openSlot(m.Seq)
+	if entry == nil || !r.authentic(m.Record()) {
 		return
 	}
 	entry.AddVote(message.KindAccept, r.view, m.From, m.Digest)
@@ -113,25 +121,20 @@ func (r *Replica) dogCommit(entry *mlog.Entry) {
 	d := entry.Proposal().Digest
 	r.jr.Commit(entry.Seq(), r.view, d, nil)
 
-	commit := &message.Signed{
-		Kind:   message.KindCommit,
-		View:   r.view,
-		Seq:    entry.Seq(),
-		Digest: d,
-	}
-	r.eng.SignRecord(commit)
-	r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), commit.Wire())
-
-	inform := &message.Signed{
-		Kind:   message.KindInform,
-		View:   r.view,
-		Seq:    entry.Seq(),
-		Digest: d,
-	}
-	r.eng.SignRecord(inform)
-	r.eng.Multicast(r.nonParticipants(r.view), inform.Wire())
+	r.eng.MulticastTagged(r.mb.Proxies(ids.Dog, r.view), &message.Signed{
+		Kind: message.KindCommit, View: r.view, Seq: entry.Seq(), Digest: d,
+	})
+	r.inform(entry.Seq(), d)
 
 	r.executeReady() // proxies reply inside the execution hook
+}
+
+// inform tells the passive nodes of the current view that this proxy
+// committed the slot (Dog and Peacock).
+func (r *Replica) inform(seq uint64, d crypto.Digest) {
+	r.eng.MulticastTagged(r.nonParticipants(r.view), &message.Signed{
+		Kind: message.KindInform, View: r.view, Seq: seq, Digest: d,
+	})
 }
 
 // dogOnCommit: a proxy that missed the accept quorum still commits after
@@ -144,12 +147,8 @@ func (r *Replica) dogOnCommit(m *message.Message) {
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) || m.From == r.eng.ID() {
 		return
 	}
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
-		return
-	}
-	entry := r.log.Entry(m.Seq)
-	if entry == nil || entry.Committed() {
+	entry := r.openSlot(m.Seq)
+	if entry == nil || !r.authentic(m.Record()) {
 		return
 	}
 	entry.AddVote(message.KindCommit, r.view, m.From, m.Digest)
@@ -172,12 +171,8 @@ func (r *Replica) dogOnInform(m *message.Message) {
 	if !r.mb.IsProxy(ids.Dog, r.view, m.From) {
 		return
 	}
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
-		return
-	}
-	entry := r.log.Entry(m.Seq)
-	if entry == nil || entry.Committed() {
+	entry := r.openSlot(m.Seq)
+	if entry == nil || !r.authentic(m.Record()) {
 		return
 	}
 	entry.AddVote(message.KindInform, r.view, m.From, m.Digest)

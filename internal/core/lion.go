@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
 	"repro/internal/mlog"
@@ -79,8 +80,7 @@ func (r *Replica) onInform(m *message.Message) {
 }
 
 // lionOnPrepare: backup receives 〈〈PREPARE,v,n,d〉σp, µ〉 from the trusted
-// primary, logs it and answers with an unsigned ACCEPT (Algorithm 1,
-// lines 9–11).
+// primary, logs it and answers with an ACCEPT (Algorithm 1, lines 9–11).
 func (r *Replica) lionOnPrepare(m *message.Message) {
 	if r.rec.InViewChange() || m.View != r.view {
 		return
@@ -90,7 +90,7 @@ func (r *Replica) lionOnPrepare(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.eng.VerifyRecord(s) || !r.validProposalPayload(m) {
+	if !r.authentic(s) || !r.validProposalPayload(m) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)
@@ -102,20 +102,19 @@ func (r *Replica) lionOnPrepare(m *message.Message) {
 	}
 	r.pending.Mark(m.Seq)
 	r.jr.Proposal(s)
+	r.lionAccept(primary, m.Seq, m.Digest)
+}
 
-	// ACCEPT goes only to the trusted primary and is never reused as
-	// evidence, so it is unsigned (Section 5.1: "there is no need to
-	// sign these messages") — and being unsigned and unreusable, it
-	// needs no journal entry either: a recovered backup re-accepting
-	// the same trusted proposal is harmless.
-	acc := &message.Message{
-		Kind:   message.KindAccept,
-		From:   r.eng.ID(),
-		View:   r.view,
-		Seq:    m.Seq,
-		Digest: m.Digest,
-	}
-	r.eng.Send(primary, acc)
+// lionAccept sends this backup's ACCEPT. It goes only to the trusted
+// primary and is never reused as evidence, so it is not signed
+// (Section 5.1: "there is no need to sign these messages"), only tagged
+// for the primary — and being unreusable, it needs no journal entry
+// either: a recovered backup re-accepting the same trusted proposal is
+// harmless.
+func (r *Replica) lionAccept(primary ids.ReplicaID, seq uint64, d crypto.Digest) {
+	r.eng.MulticastTagged([]ids.ReplicaID{primary}, &message.Signed{
+		Kind: message.KindAccept, View: r.view, Seq: seq, Digest: d,
+	})
 }
 
 // lionOnAccept: the primary collects accepts; at 2m+c+1 (with itself)
@@ -135,13 +134,19 @@ func (r *Replica) lionOnAccept(m *message.Message) {
 	if prop.View != r.view || prop.Digest != m.Digest {
 		return
 	}
-	entry.AddVote(message.KindAccept, r.view, m.From, m.Digest)
 	// One COMMIT per slot and view — keyed on the certificate, not on the
 	// committed flag: a primary that learned the commit in an earlier
 	// view (as a passive node, from INFORMs) holds no certificate its
-	// backups could execute on, and must still issue this view's.
-	if cert := entry.CommitCert(); (cert == nil || cert.View != r.view) &&
-		entry.VoteCount(message.KindAccept, r.view, m.Digest) >= r.mb.AgreementQuorum(ids.Lion) {
+	// backups could execute on, and must still issue this view's. Once
+	// it has, a further ACCEPT changes nothing and is not worth checking.
+	if cert := entry.CommitCert(); cert != nil && cert.View == r.view {
+		return
+	}
+	if !r.authentic(m.Record()) {
+		return
+	}
+	entry.AddVote(message.KindAccept, r.view, m.From, m.Digest)
+	if entry.VoteCount(message.KindAccept, r.view, m.Digest) >= r.mb.AgreementQuorum(ids.Lion) {
 		r.lionCommit(entry)
 	}
 }
@@ -184,7 +189,7 @@ func (r *Replica) lionOnCommit(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
+	if !r.authentic(s) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
 	"repro/internal/mlog"
@@ -25,7 +26,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.eng.VerifyRecord(s) || !r.validProposalPayload(m) {
+	if !r.authentic(s) || !r.validProposalPayload(m) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)
@@ -44,20 +45,21 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 		return // passive nodes keep µ for later execution on informs
 	}
 	r.pending.Mark(m.Seq)
-
-	// Prepare vote to the other proxies.
-	prep := &message.Signed{
-		Kind:   message.KindPrepare,
-		View:   r.view,
-		Seq:    m.Seq,
-		Digest: m.Digest,
-	}
-	r.eng.SignRecord(prep)
-	r.jr.Vote(prep)
-	entry.AddVoteCert(prep)
 	// The primary's pre-prepare counts as its prepare vote (standard
 	// PBFT accounting).
 	entry.AddVote(message.KindPrepare, r.view, m.From, m.Digest)
+	r.peacockPrepare(entry, m.Digest)
+}
+
+// peacockPrepare journals, files and multicasts this proxy's PREPARE
+// vote for the slot's proposal in the current view. The vote is signed:
+// 2m of them beside the pre-prepare are the prepared certificate a view
+// change presents (see viewchange.go).
+func (r *Replica) peacockPrepare(entry *mlog.Entry, d crypto.Digest) {
+	prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: entry.Seq(), Digest: d}
+	r.eng.SignRecord(prep)
+	r.jr.Vote(prep)
+	entry.AddVoteCert(prep)
 	r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), prep.Wire())
 	r.peacockMaybePrepared(entry)
 }
@@ -71,12 +73,19 @@ func (r *Replica) peacockOnPrepareVote(m *message.Message) {
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) || m.From == r.eng.ID() {
 		return
 	}
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
-		return
-	}
 	entry := r.log.Entry(m.Seq)
 	if entry == nil {
+		return
+	}
+	// Once this proxy has sent its COMMIT vote the slot is prepared here
+	// for good — it already holds the certificate, pre-prepare plus 2m
+	// signed PREPAREs — so a further vote is not worth verifying.
+	if prop := entry.Proposal(); prop != nil && prop.View == r.view &&
+		r.hasOwnVote(entry, message.KindCommit, r.view, prop.Digest) {
+		return
+	}
+	s := m.Record()
+	if !r.authentic(s) {
 		return
 	}
 	// Keep the full signed vote: 2m of these form the prepared
@@ -100,16 +109,10 @@ func (r *Replica) peacockMaybePrepared(entry *mlog.Entry) {
 	if r.hasOwnVote(entry, message.KindCommit, r.view, d) {
 		return // commit vote already sent
 	}
-	com := &message.Signed{
-		Kind:   message.KindCommit,
-		View:   r.view,
-		Seq:    entry.Seq(),
-		Digest: d,
-	}
-	r.eng.SignRecord(com)
+	com := &message.Signed{Kind: message.KindCommit, From: r.eng.ID(), View: r.view, Seq: entry.Seq(), Digest: d}
 	r.jr.Vote(com)
-	entry.AddVoteCert(com)
-	r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), com.Wire())
+	entry.AddVote(message.KindCommit, r.view, r.eng.ID(), d)
+	r.eng.MulticastTagged(r.mb.Proxies(ids.Peacock, r.view), com)
 	r.peacockMaybeCommitted(entry)
 }
 
@@ -121,15 +124,11 @@ func (r *Replica) peacockOnCommitVote(m *message.Message) {
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) || m.From == r.eng.ID() {
 		return
 	}
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
+	entry := r.openSlot(m.Seq)
+	if entry == nil || !r.authentic(m.Record()) {
 		return
 	}
-	entry := r.log.Entry(m.Seq)
-	if entry == nil {
-		return
-	}
-	entry.AddVoteCert(s)
+	entry.AddVote(message.KindCommit, r.view, m.From, m.Digest)
 	r.peacockMaybePrepared(entry) // commit votes can close the prepare gap first
 	r.peacockMaybeCommitted(entry)
 }
@@ -155,14 +154,7 @@ func (r *Replica) peacockMaybeCommitted(entry *mlog.Entry) {
 	r.pending.Clear(entry.Seq())
 
 	// Second Peacock modification: INFORM the passive nodes.
-	inform := &message.Signed{
-		Kind:   message.KindInform,
-		View:   r.view,
-		Seq:    entry.Seq(),
-		Digest: d,
-	}
-	r.eng.SignRecord(inform)
-	r.eng.Multicast(r.nonParticipants(r.view), inform.Wire())
+	r.inform(entry.Seq(), d)
 
 	r.executeReady() // proxies reply inside the execution hook
 }
@@ -177,12 +169,8 @@ func (r *Replica) peacockOnInform(m *message.Message) {
 	if !r.mb.IsProxy(ids.Peacock, r.view, m.From) {
 		return
 	}
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
-		return
-	}
-	entry := r.log.Entry(m.Seq)
-	if entry == nil || entry.Committed() {
+	entry := r.openSlot(m.Seq)
+	if entry == nil || !r.authentic(m.Record()) {
 		return
 	}
 	entry.AddVote(message.KindInform, r.view, m.From, m.Digest)

@@ -174,8 +174,7 @@ func (r *Replica) serveRead(req *message.Request, c message.Consistency) {
 		Watermark:   r.exec.LastExecuted(),
 		Epoch:       r.exec.PlacementEpoch(),
 	}
-	r.eng.Sign(rep)
-	r.eng.SendClient(req.Client, rep)
+	r.eng.SendClientTagged(req.Client, rep)
 }
 
 // drainParkedReads serves leased reads whose watermark the executor has

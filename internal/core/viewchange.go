@@ -576,9 +576,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 			// This proxy already committed the slot in a previous view,
 			// but passive nodes gate execution on INFORMs of the *current*
 			// view, so re-advertise the commit (Dog and Peacock only).
-			inf := &message.Signed{Kind: message.KindInform, View: r.view, Seq: s.Seq, Digest: s.Digest}
-			r.eng.SignRecord(inf)
-			r.eng.Multicast(r.nonParticipants(r.view), inf.Wire())
+			r.inform(s.Seq, s.Digest)
 		}
 		// Vote in the new view even on a slot already committed here. A
 		// participant that had not committed it — a passive node of the
@@ -592,26 +590,12 @@ func (r *Replica) applyNewView(m *message.Message) {
 			if r.eng.ID() == primary {
 				entry.AddVote(message.KindAccept, r.view, r.eng.ID(), s.Digest)
 			} else {
-				acc := &message.Message{
-					Kind: message.KindAccept, From: r.eng.ID(),
-					View: r.view, Seq: s.Seq, Digest: s.Digest,
-				}
-				r.eng.Send(primary, acc)
+				r.lionAccept(primary, s.Seq, s.Digest)
 			}
 		case ids.Dog:
-			acc := &message.Signed{Kind: message.KindAccept, View: r.view, Seq: s.Seq, Digest: s.Digest}
-			r.eng.SignRecord(acc)
-			r.jr.Vote(acc)
-			entry.AddVote(message.KindAccept, r.view, r.eng.ID(), s.Digest)
-			r.eng.Multicast(r.mb.Proxies(ids.Dog, r.view), acc.Wire())
-			r.dogMaybeCommit(entry)
+			r.dogAccept(entry, s.Digest)
 		case ids.Peacock:
-			prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: s.Seq, Digest: s.Digest}
-			r.eng.SignRecord(prep)
-			r.jr.Vote(prep)
-			entry.AddVoteCert(prep)
-			r.eng.Multicast(r.mb.Proxies(ids.Peacock, r.view), prep.Wire())
-			r.peacockMaybePrepared(entry)
+			r.peacockPrepare(entry, s.Digest)
 		}
 	}
 

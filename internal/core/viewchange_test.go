@@ -17,7 +17,7 @@ import (
 // learns it (from INFORMs): marked committed, no commit certificate.
 // It returns the replica and the NEW-VIEW into view 1 (primary 1) that
 // re-issues the slot as an open entry.
-func committedWithoutCert(t *testing.T, net transport.Network, id ids.ReplicaID) (*Replica, *message.Message) {
+func committedWithoutCert(t *testing.T, net transport.Network, id ids.ReplicaID) (*Replica, *message.Message, crypto.Suite) {
 	t.Helper()
 	cl, err := config.NewCluster(baseMembership(), ids.Lion, fastTiming())
 	if err != nil {
@@ -45,7 +45,7 @@ func committedWithoutCert(t *testing.T, net transport.Network, id ids.ReplicaID)
 			Kind: message.KindPrepare, From: 1, View: 1, Seq: 1, Digest: req.Digest(), Request: req,
 		}},
 	}
-	return r, nv
+	return r, nv, suite
 }
 
 // nextOfKind waits for a frame of the given kind on an endpoint.
@@ -72,7 +72,7 @@ func TestNewViewBackupAcceptsSlotItAlreadyCommitted(t *testing.T) {
 	net := transport.NewSimNetwork(transport.LAN(2, 97))
 	defer net.Close()
 	primary := net.Endpoint(transport.ReplicaAddr(1))
-	r, nv := committedWithoutCert(t, net, 2)
+	r, nv, _ := committedWithoutCert(t, net, 2)
 
 	r.applyNewView(nv)
 	acc := nextOfKind(t, primary, message.KindAccept)
@@ -91,13 +91,16 @@ func TestNewViewPrimaryCommitsSlotItAlreadyCommitted(t *testing.T) {
 	net := transport.NewSimNetwork(transport.LAN(2, 97))
 	defer net.Close()
 	backup := net.Endpoint(transport.ReplicaAddr(3))
-	r, nv := committedWithoutCert(t, net, 1)
+	r, nv, suite := committedWithoutCert(t, net, 1)
+	accept := func(from ids.ReplicaID) *message.Message {
+		return taggedVote(suite, from, 1, message.Signed{
+			Kind: message.KindAccept, From: from, View: 1, Seq: 1, Digest: nv.Prepares[0].Digest,
+		})
+	}
 
 	r.applyNewView(nv)
 	for _, from := range []ids.ReplicaID{2, 3, 4} {
-		r.lionOnAccept(&message.Message{
-			Kind: message.KindAccept, From: from, View: 1, Seq: 1, Digest: nv.Prepares[0].Digest,
-		})
+		r.lionOnAccept(accept(from))
 	}
 	com := nextOfKind(t, backup, message.KindCommit)
 	if com.From != 1 || com.View != 1 || com.Seq != 1 {
@@ -105,9 +108,7 @@ func TestNewViewPrimaryCommitsSlotItAlreadyCommitted(t *testing.T) {
 	}
 	// One COMMIT per slot and view: a late accept does not repeat it.
 	cert := r.log.Peek(1).CommitCert()
-	r.lionOnAccept(&message.Message{
-		Kind: message.KindAccept, From: 5, View: 1, Seq: 1, Digest: nv.Prepares[0].Digest,
-	})
+	r.lionOnAccept(accept(5))
 	if got := r.log.Peek(1).CommitCert(); got != cert {
 		t.Fatal("a late ACCEPT re-issued the COMMIT")
 	}

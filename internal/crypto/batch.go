@@ -227,5 +227,5 @@ func (s *Ed25519Suite) fallbackChunk(items []BatchItem, base int) (bool, int) {
 // batchVerify implements batchCapable for restricted views: verification
 // is unrestricted, so it simply delegates to the full suite.
 func (r *restricted) batchVerify(items []BatchItem) (bool, int) {
-	return r.inner.batchVerify(items)
+	return BatchVerify(r.inner, items)
 }

@@ -135,7 +135,7 @@ func TestBatchVerifyEmptyAndSmall(t *testing.T) {
 // still gets the true batch path (verification is unrestricted).
 func TestBatchVerifyRestrictedSuite(t *testing.T) {
 	s := NewEd25519Suite(7, 4, 0)
-	r := s.Restrict(ReplicaPrincipal(0))
+	r := Restrict(s, ReplicaPrincipal(0))
 	rng := rand.New(rand.NewSource(3))
 	items := makeBatch(s, 4, 16, rng)
 	if ok, bad := BatchVerify(r, items); !ok || bad != -1 {

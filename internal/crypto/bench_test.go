@@ -77,3 +77,45 @@ func BenchmarkBatchVerify(b *testing.B) {
 		})
 	}
 }
+
+// The tag benchmarks pin the hot-path property the protocols rely on: a
+// tag or its check allocates nothing, for a vote record and for the
+// largest authenticated message (a REPLY's 259 signed bytes).
+func benchTagMsgs() map[string][]byte {
+	return map[string][]byte{"vote=57B": make([]byte, 57), "reply=259B": make([]byte, 259)}
+}
+
+var tagSink [TagSize]byte
+
+func BenchmarkTag(b *testing.B) {
+	s := NewEd25519Suite(7, 4, 1)
+	for name, msg := range benchTagMsgs() {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tagSink = s.Tag(ReplicaPrincipal(0), ReplicaPrincipal(1), msg)
+			}
+			if n := testing.AllocsPerRun(100, func() { s.Tag(ReplicaPrincipal(0), ReplicaPrincipal(1), msg) }); n != 0 {
+				b.Fatalf("Tag allocates %v times per call, want 0", n)
+			}
+		})
+	}
+}
+
+func BenchmarkVerifyTag(b *testing.B) {
+	s := NewEd25519Suite(7, 4, 1)
+	for name, msg := range benchTagMsgs() {
+		b.Run(name, func(b *testing.B) {
+			tag := s.Tag(ReplicaPrincipal(0), ClientPrincipal(0), msg)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !s.VerifyTag(ReplicaPrincipal(0), ClientPrincipal(0), msg, tag[:]) {
+					b.Fatal("verify failed")
+				}
+			}
+			if n := testing.AllocsPerRun(100, func() { s.VerifyTag(ReplicaPrincipal(0), ClientPrincipal(0), msg, tag[:]) }); n != 0 {
+				b.Fatalf("VerifyTag allocates %v times per call, want 0", n)
+			}
+		})
+	}
+}

@@ -29,4 +29,8 @@
 // (Kind, From, View, Seq, Digest) — payloads are bound by digest — so
 // one signature serves both the wire message and the later evidence
 // record, and independent records can be verified concurrently.
+//
+// Kinds that are never evidence — consumed by their receiver, exported
+// by no view change — carry pairwise tags in the same Sig field instead
+// (authenticator.go); which kinds those are is each engine's auth table.
 package message

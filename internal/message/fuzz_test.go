@@ -27,6 +27,10 @@ func fuzzSeeds() [][]byte {
 			Kind: KindViewChange, From: 2, View: 3, Seq: 128, ActiveView: 2,
 			CheckpointProof: []Signed{prep}, Prepares: []Signed{prep}, Commits: []Signed{prep}, Sig: []byte("x"),
 		},
+		// Authenticators: whole slots, a short one, one with a ragged tail.
+		{Kind: KindCommit, From: 3, View: 1, Seq: 5, Digest: req.Digest(), Sig: make([]byte, 6*crypto.TagSize)},
+		{Kind: KindAccept, From: 3, View: 1, Seq: 5, Digest: req.Digest(), Sig: make([]byte, crypto.TagSize-1)},
+		{Kind: KindInform, From: 3, View: 1, Seq: 5, Digest: req.Digest(), Sig: make([]byte, 2*crypto.TagSize+7)},
 		{Kind: KindStateRequest, From: 1, Seq: 40, Sig: []byte("x")},
 		{Kind: KindStateReply, From: 2, Seq: 128, Result: []byte("snapshot"), CheckpointProof: []Signed{prep}, Prepares: []Signed{prep}, Sig: []byte("x")},
 	}
@@ -65,6 +69,13 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !m.Equal(m2) {
 			t.Fatalf("decoded messages differ across round-trip")
+		}
+		// Sig may be an authenticator of any length a hostile peer likes:
+		// looking up a slot yields a whole tag or nothing, never a panic.
+		for _, id := range []ids.ReplicaID{-1, 0, 1, 5, 1 << 40} {
+			if tag := TagOf(m.Sig, id); tag != nil && len(tag) != crypto.TagSize {
+				t.Fatalf("TagOf(%d bytes, %d) returned %d bytes", len(m.Sig), id, len(tag))
+			}
 		}
 		// The pooled path must agree byte-for-byte with Marshal and its
 		// EncodedSize must be exact.

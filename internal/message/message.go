@@ -22,16 +22,17 @@ const (
 	// KindPrepare is 〈PREPARE, v, n, d〉σp (Lion/Dog: primary → all, with
 	// µ attached; PBFT/Peacock: replica → replicas, digest only).
 	KindPrepare
-	// KindAccept is 〈ACCEPT, v, n, d, r〉 (Lion: backup → primary,
-	// unsigned; Dog: proxy → proxies, signed).
+	// KindAccept is 〈ACCEPT, v, n, d, r〉 (Lion: backup → primary; Dog:
+	// proxy → proxies), tagged for its receivers.
 	KindAccept
-	// KindCommit is 〈COMMIT, v, n, d〉 (Lion: primary → all with µ;
-	// Dog/Peacock/PBFT: participant → participants).
+	// KindCommit is 〈COMMIT, v, n, d〉 (Lion: primary → all with µ, signed
+	// — the commit certificate; Dog/Peacock/PBFT: participant →
+	// participants, a tagged vote).
 	KindCommit
-	// KindInform is 〈INFORM, v, n, d, r〉σr from proxies to passive nodes
-	// (Dog and Peacock).
+	// KindInform is 〈INFORM, v, n, d, r〉 from proxies to passive nodes
+	// (Dog and Peacock), tagged for its receivers.
 	KindInform
-	// KindReply is 〈REPLY, π, v, ts, u〉σr back to the client.
+	// KindReply is 〈REPLY, π, v, ts, u〉 back to the client, tagged for it.
 	KindReply
 	// KindCheckpoint is 〈CHECKPOINT, n, d〉σr.
 	KindCheckpoint
@@ -268,10 +269,12 @@ func (s *Signed) Wire() *Message {
 
 // Record reconstructs the Signed evidence record carried by an agreement
 // wire message. Agreement messages (PREPARE, PRE-PREPARE, ACCEPT, COMMIT,
-// INFORM, CHECKPOINT) are signed over the Signed tuple (Kind, From, View,
-// Seq, Digest) so the very same signature serves both the wire and later
-// view-change evidence, mirroring the paper's "signed ... as a proof of
-// receiving the message" usage.
+// INFORM, CHECKPOINT) are authenticated over the Signed tuple (Kind,
+// From, View, Seq, Digest): where the kind is signed, the very same
+// signature serves both the wire and later view-change evidence,
+// mirroring the paper's "signed ... as a proof of receiving the message"
+// usage; where it is tagged, Sig holds the authenticator instead (see
+// SetTag).
 func (m *Message) Record() *Signed {
 	return &Signed{
 		Kind: m.Kind, From: m.From, View: m.View, Seq: m.Seq,
@@ -348,8 +351,10 @@ type Message struct {
 	Prepares []Signed
 	// Commits is C (VIEW-CHANGE) or C′ (NEW-VIEW).
 	Commits []Signed
-	// Sig is the sender's signature over SignedBytes, where the kind
-	// requires one.
+	// Sig authenticates the message as its kind requires: the sender's
+	// signature (over SignedBytes, or over the Record tuple for agreement
+	// kinds), or — for kinds only their receiver reads — its pairwise
+	// tags (see SetTag). Empty where the kind carries neither.
 	Sig []byte
 }
 

@@ -369,3 +369,29 @@ func TestMessageStringer(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+func TestAuthenticatorSlots(t *testing.T) {
+	var a, b [crypto.TagSize]byte
+	for i := range a {
+		a[i], b[i] = 0xaa, 0xbb
+	}
+	auth := SetTag(nil, 4, a)
+	auth = SetTag(auth, 1, b) // out of order, inside what is already covered
+	if len(auth) != 5*crypto.TagSize {
+		t.Fatalf("authenticator is %d bytes, want five slots", len(auth))
+	}
+	if !bytes.Equal(TagOf(auth, 4), a[:]) || !bytes.Equal(TagOf(auth, 1), b[:]) {
+		t.Fatal("a stored tag did not come back from its slot")
+	}
+	if !bytes.Equal(TagOf(auth, 0), make([]byte, crypto.TagSize)) {
+		t.Fatal("a slot nobody filled is not zero")
+	}
+	for _, id := range []ids.ReplicaID{-1, 5, 1 << 50} {
+		if TagOf(auth, id) != nil {
+			t.Errorf("slot %d of a five-slot authenticator is not nil", id)
+		}
+	}
+	if TagOf(auth[:5*crypto.TagSize-1], 4) != nil {
+		t.Error("a truncated last slot was returned")
+	}
+}

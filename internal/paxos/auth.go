@@ -1,0 +1,45 @@
+package paxos
+
+import (
+	"repro/internal/message"
+	"repro/internal/replica"
+)
+
+const (
+	signed = replica.AuthSigned
+	tagged = replica.AuthTagged
+	none   = replica.AuthNone
+)
+
+// authTable says how every message kind is authenticated. Replicas are
+// crash-only here, but the rule is the one the Byzantine engines use, so
+// the baselines pay for the same thing: a message keeps its signature
+// exactly when a replica may later have to show it to a third party —
+// the leader's PREPARE and COMMIT travel on as view-change evidence and
+// in the state-transfer suffix, CHECKPOINTs are the stability proof, and
+// the view-change and state-transfer messages are checked by replicas
+// that did not see what they report. An ACCEPT and a REPLY are read by
+// their one receiver and exported by nothing, so they carry a pairwise
+// tag. The kinds this engine never sends are dropped on receipt.
+var authTable = [...]replica.Auth{
+	message.KindRequest:      none, // the client's signature inside vouches for it
+	message.KindPrePrepare:   none, // never sent
+	message.KindPrepare:      signed,
+	message.KindAccept:       tagged,
+	message.KindCommit:       signed,
+	message.KindInform:       none, // never sent
+	message.KindReply:        tagged,
+	message.KindCheckpoint:   signed,
+	message.KindViewChange:   signed,
+	message.KindNewView:      signed,
+	message.KindModeChange:   none, // never sent
+	message.KindStateRequest: signed,
+	message.KindStateReply:   signed,
+	message.KindRead:         none, // never sent
+}
+
+// authentic checks an agreement message, given as its Record, the way
+// authTable says its kind is authenticated.
+func (r *Replica) authentic(s *message.Signed) bool {
+	return r.eng.Authentic(s, authTable[s.Kind])
+}

@@ -306,8 +306,7 @@ func (r *Replica) sendReply(view ids.View, req *message.Request, result []byte) 
 		Result:    result,
 		Epoch:     r.exec.PlacementEpoch(),
 	}
-	r.eng.Sign(rep)
-	r.eng.SendClient(req.Client, rep)
+	r.eng.SendClientTagged(req.Client, rep)
 }
 
 func (r *Replica) onRequest(req *message.Request) {
@@ -329,8 +328,9 @@ func (r *Replica) onRequest(req *message.Request) {
 		r.in.Admit(req)
 		return
 	}
-	fwd := &message.Message{Kind: message.KindRequest, Request: req}
-	r.eng.Sign(fwd)
+	// The relay wrapper carries nothing of this replica's: the leader
+	// checks the client's signature inside.
+	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req}
 	r.eng.Send(r.Leader(r.view), fwd)
 	r.pending.Mark(replica.RelaySentinel)
 }
@@ -388,7 +388,7 @@ func (r *Replica) onPrepare(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.eng.VerifyRecord(s) || !validPayload(m) {
+	if !r.authentic(s) || !validPayload(m) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)
@@ -402,11 +402,16 @@ func (r *Replica) onPrepare(m *message.Message) {
 	// Journal the accepted proposal before acknowledging it: Paxos
 	// safety rests on acceptors remembering what they accepted.
 	r.jr.Proposal(s)
-	ack := &message.Message{
-		Kind: message.KindAccept, From: r.eng.ID(),
-		View: r.view, Seq: m.Seq, Digest: m.Digest,
-	}
-	r.eng.Send(m.From, ack)
+	r.accept(m.From, m.Seq, m.Digest)
+}
+
+// accept acknowledges a logged proposal to the leader. Only the leader
+// reads an ACCEPT and nothing reuses it as evidence, so it is tagged for
+// the leader, not signed.
+func (r *Replica) accept(leader ids.ReplicaID, seq uint64, d crypto.Digest) {
+	r.eng.MulticastTagged([]ids.ReplicaID{leader}, &message.Signed{
+		Kind: message.KindAccept, View: r.view, Seq: seq, Digest: d,
+	})
 }
 
 // onAccept: the leader counts acknowledgements and commits at majority.
@@ -425,9 +430,12 @@ func (r *Replica) onAccept(m *message.Message) {
 	if prop.View != r.view || prop.Digest != m.Digest {
 		return
 	}
+	// An ACCEPT on a committed slot changes nothing: drop it unchecked.
+	if entry.Committed() || !r.authentic(m.Record()) {
+		return
+	}
 	entry.AddVote(message.KindAccept, r.view, m.From, m.Digest)
-	if !entry.Committed() &&
-		entry.VoteCount(message.KindAccept, r.view, m.Digest) >= r.Quorum() {
+	if entry.VoteCount(message.KindAccept, r.view, m.Digest) >= r.Quorum() {
 		entry.MarkCommitted()
 		r.pending.Clear(entry.Seq())
 		commit := &message.Signed{
@@ -451,7 +459,7 @@ func (r *Replica) onCommit(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.eng.VerifyRecord(s) || !validPayload(m) {
+	if !r.authentic(s) || !validPayload(m) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)

@@ -278,11 +278,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 		if r.eng.ID() == leader {
 			entry.AddVote(message.KindAccept, r.view, r.eng.ID(), s.Digest)
 		} else {
-			ack := &message.Message{
-				Kind: message.KindAccept, From: r.eng.ID(),
-				View: r.view, Seq: s.Seq, Digest: s.Digest,
-			}
-			r.eng.Send(leader, ack)
+			r.accept(leader, s.Seq, s.Digest)
 		}
 	}
 	if r.nextSeq <= maxSeq {

@@ -328,8 +328,7 @@ func (r *Replica) sendReply(view ids.View, req *message.Request, result []byte) 
 		Result:    result,
 		Epoch:     r.exec.PlacementEpoch(),
 	}
-	r.eng.Sign(rep)
-	r.eng.SendClient(req.Client, rep)
+	r.eng.SendClientTagged(req.Client, rep)
 }
 
 func (r *Replica) onRequest(req *message.Request) {
@@ -350,8 +349,9 @@ func (r *Replica) onRequest(req *message.Request) {
 		r.in.Admit(req)
 		return
 	}
-	fwd := &message.Message{Kind: message.KindRequest, Request: req}
-	r.eng.Sign(fwd)
+	// The relay wrapper carries nothing of this replica's: the primary
+	// checks the client's signature inside.
+	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req}
 	r.eng.Send(r.Primary(r.view), fwd)
 	r.pending.Mark(replica.RelaySentinel)
 }
@@ -412,7 +412,7 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.eng.VerifyRecord(s) || !r.validPayload(m) {
+	if !r.authentic(s) || !r.validPayload(m) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)
@@ -424,14 +424,32 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	}
 	r.pending.Mark(m.Seq)
 	r.jr.Proposal(s)
+	entry.AddVote(message.KindPrepare, r.view, m.From, m.Digest)
+	r.prepare(entry, m.Digest)
+	r.maybePrepared(entry)
+}
 
-	prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: m.Seq, Digest: m.Digest}
+// prepare journals, files and multicasts this replica's PREPARE vote for
+// the slot's proposal in the current view. The vote is signed: Quorum-1
+// of them beside the pre-prepare are the prepared certificate a view
+// change presents (see recovery.go).
+func (r *Replica) prepare(entry *mlog.Entry, d crypto.Digest) {
+	prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: entry.Seq(), Digest: d}
 	r.eng.SignRecord(prep)
 	r.jr.Vote(prep)
 	entry.AddVoteCert(prep)
-	entry.AddVote(message.KindPrepare, r.view, m.From, m.Digest)
 	r.eng.Multicast(r.all(), prep.Wire())
-	r.maybePrepared(entry)
+}
+
+// hasOwnVote reports whether this replica already voted (kind) for d on
+// the entry in the current view.
+func (r *Replica) hasOwnVote(entry *mlog.Entry, kind message.Kind, d crypto.Digest) bool {
+	for _, v := range entry.Voters(kind, r.view, d) {
+		if v == r.eng.ID() {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *Replica) onPrepare(m *message.Message) {
@@ -441,12 +459,20 @@ func (r *Replica) onPrepare(m *message.Message) {
 	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
 		return
 	}
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
-		return
-	}
 	entry := r.log.Entry(m.Seq)
 	if entry == nil {
+		return
+	}
+	// Once this replica has sent its COMMIT vote the slot is prepared
+	// here for good — it already holds the certificate, pre-prepare plus
+	// Quorum-1 signed PREPAREs — so a further vote is not worth
+	// verifying.
+	if prop := entry.Proposal(); prop != nil && prop.View == r.view &&
+		r.hasOwnVote(entry, message.KindCommit, prop.Digest) {
+		return
+	}
+	s := m.Record()
+	if !r.authentic(s) {
 		return
 	}
 	entry.AddVoteCert(s)
@@ -462,16 +488,15 @@ func (r *Replica) maybePrepared(entry *mlog.Entry) {
 	if entry.VoteCount(message.KindPrepare, r.view, d) < r.Quorum() {
 		return
 	}
-	for _, v := range entry.Voters(message.KindCommit, r.view, d) {
-		if v == r.eng.ID() {
-			return // commit vote already sent
-		}
+	if r.hasOwnVote(entry, message.KindCommit, d) {
+		return // commit vote already sent
 	}
-	com := &message.Signed{Kind: message.KindCommit, View: r.view, Seq: entry.Seq(), Digest: d}
-	r.eng.SignRecord(com)
+	// The COMMIT vote is read by its receivers and exported by no view
+	// change, so it is tagged, not signed (auth.go).
+	com := &message.Signed{Kind: message.KindCommit, From: r.eng.ID(), View: r.view, Seq: entry.Seq(), Digest: d}
 	r.jr.Vote(com)
-	entry.AddVoteCert(com)
-	r.eng.Multicast(r.all(), com.Wire())
+	entry.AddVote(message.KindCommit, r.view, r.eng.ID(), d)
+	r.eng.MulticastTagged(r.all(), com)
 	r.maybeCommitted(entry)
 }
 
@@ -482,15 +507,12 @@ func (r *Replica) onCommit(m *message.Message) {
 	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
 		return
 	}
-	s := m.Record()
-	if !r.eng.VerifyRecord(s) {
-		return
-	}
+	// A vote on a committed slot changes nothing: drop it unchecked.
 	entry := r.log.Entry(m.Seq)
-	if entry == nil {
+	if entry == nil || entry.Committed() || !r.authentic(m.Record()) {
 		return
 	}
-	entry.AddVoteCert(s)
+	entry.AddVote(message.KindCommit, r.view, m.From, m.Digest)
 	r.maybePrepared(entry)
 	r.maybeCommitted(entry)
 }

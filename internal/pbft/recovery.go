@@ -304,11 +304,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 		}
 		entry.AddVote(message.KindPrepare, r.view, m.From, s.Digest)
 		if r.eng.ID() != m.From {
-			prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: s.Seq, Digest: s.Digest}
-			r.eng.SignRecord(prep)
-			r.jr.Vote(prep)
-			entry.AddVoteCert(prep)
-			r.eng.Multicast(r.all(), prep.Wire())
+			r.prepare(entry, s.Digest)
 		}
 		r.maybePrepared(entry)
 	}

@@ -1,7 +1,7 @@
 // Package replica provides the runtime shared by every protocol in this
 // repository: the event loop that turns a transport endpoint into a
-// single-threaded message handler, signing/verification helpers bound
-// to a replica identity, and the ordered executor that applies
+// single-threaded message handler, signing, tagging and verification
+// helpers bound to a replica identity, and the ordered executor that applies
 // committed requests to the state machine with exactly-once client
 // semantics.
 //

@@ -79,7 +79,9 @@ func (j *Journal) Proposal(s *message.Signed) {
 	f.Release()
 }
 
-// Vote journals a signed vote this replica is about to send.
+// Vote journals a vote this replica is about to send: with its
+// signature if the vote is sent signed, bare if it is sent tagged — a
+// tag is addressed to one peer and nothing replay would check.
 func (j *Journal) Vote(s *message.Signed) {
 	if !j.Enabled() {
 		return

@@ -129,10 +129,12 @@ func (e *Engine) processEnvelope(h Handler, env transport.Envelope) {
 	if err := m.Validate(); err != nil {
 		return
 	}
-	// The link layer authenticates the sender (Section 3.1):
-	// reject frames whose claimed protocol sender does not match
-	// the link-level sender. Client requests arrive from client
-	// addresses with From = -1.
+	// Reject frames whose claimed protocol sender does not match the
+	// link-level sender. This is a consistency filter, not
+	// authentication — a TCP peer names itself in an unchecked hello —
+	// so every replica message is still authenticated against From by
+	// its handler, with a signature or a tag (see Auth). Client requests
+	// arrive from client addresses with From = -1.
 	if env.From.IsClient() {
 		if m.Kind != message.KindRequest && m.Kind != message.KindRead {
 			return
@@ -198,6 +200,24 @@ func (e *Engine) isCrashed() bool {
 	return e.crashed
 }
 
+// Auth says how a message kind is authenticated. Each engine keeps one
+// table from (mode, kind) to Auth; the zero value marks a kind the table
+// forgot.
+type Auth uint8
+
+const (
+	// AuthSigned kinds carry a signature: they can be shown to a third
+	// party later, as view-change evidence or inside a certificate.
+	AuthSigned Auth = iota + 1
+	// AuthTagged kinds carry pairwise tags (message.SetTag): their
+	// receiver consumes them and nothing ever forwards them as proof.
+	AuthTagged
+	// AuthNone kinds carry nothing from the sending replica: either the
+	// mode never sends the kind (it is dropped on receipt) or the content
+	// vouches for itself (a relayed client request).
+	AuthNone
+)
+
 // Sign stamps m with this replica's identity and signature.
 func (e *Engine) Sign(m *message.Message) {
 	m.From = e.id
@@ -218,6 +238,21 @@ func (e *Engine) Verify(m *message.Message) bool {
 // VerifyRecord checks a Signed evidence record.
 func (e *Engine) VerifyRecord(s *message.Signed) bool {
 	return e.suite.Verify(crypto.ReplicaPrincipal(int(s.From)), s.SignedBytes(), s.Sig)
+}
+
+// Authentic checks an agreement message, given as its Record, the way
+// the calling engine's table says its kind is authenticated: a signature
+// by s.From, or s.From's tag for this replica in the authenticator.
+func (e *Engine) Authentic(s *message.Signed, how Auth) bool {
+	switch how {
+	case AuthSigned:
+		return e.VerifyRecord(s)
+	case AuthTagged:
+		return e.suite.VerifyTag(crypto.ReplicaPrincipal(int(s.From)), crypto.ReplicaPrincipal(int(e.id)),
+			s.SignedBytes(), message.TagOf(s.Sig, e.id))
+	default:
+		return false
+	}
 }
 
 // VerifyRequest checks a client's signature on µ. No-op requests (the
@@ -288,6 +323,39 @@ func (e *Engine) SendClient(c ids.ClientID, m *message.Message) {
 	f := message.Encode(m)
 	e.ep.Send(transport.ClientAddr(c), f.Bytes())
 	f.Release()
+}
+
+// SendClientTagged stamps m with this replica's identity and its tag for
+// the client, and transmits it: a REPLY is read by that client alone.
+func (e *Engine) SendClientTagged(c ids.ClientID, m *message.Message) {
+	m.From = e.id
+	tag := e.suite.Tag(crypto.ReplicaPrincipal(int(e.id)), crypto.ClientPrincipal(int64(c)), m.SignedBytes())
+	m.Sig = tag[:]
+	e.SendClient(c, m)
+}
+
+// MulticastTagged stamps the vote s with this replica's identity and
+// multicasts it under an authenticator: one tag per destination, in one
+// frame (see message.SetTag). s itself is left without a Sig — a tagged
+// vote is no evidence, so there is nothing to keep.
+func (e *Engine) MulticastTagged(to []ids.ReplicaID, s *message.Signed) {
+	if e.isCrashed() {
+		return
+	}
+	s.From = e.id
+	m := s.Wire()
+	self, body := crypto.ReplicaPrincipal(int(e.id)), s.SignedBytes()
+	last := e.id
+	for _, r := range to {
+		last = max(last, r)
+	}
+	m.Sig = make([]byte, 0, (int(last)+1)*crypto.TagSize) // every slot SetTag will grow into
+	for _, r := range to {
+		if r != e.id {
+			m.Sig = message.SetTag(m.Sig, r, e.suite.Tag(self, crypto.ReplicaPrincipal(int(r)), body))
+		}
+	}
+	e.Multicast(to, m)
 }
 
 // Multicast transmits m to every listed replica except the sender

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -89,8 +90,9 @@ func TestEngineRejectsSpoofedSender(t *testing.T) {
 	e0, _ := newTestEngine(t, net, 0, suite)
 	_, h1 := newTestEngine(t, net, 1, suite)
 
-	// Replica 0 claims to be replica 2 in the protocol header; the link
-	// layer (pairwise-authenticated channels) must reject the frame.
+	// Replica 0 claims to be replica 2 in the protocol header over its
+	// own link; the engine drops the inconsistent frame before any
+	// handler pays to authenticate it.
 	m := &message.Message{Kind: message.KindAccept, From: 2, View: 1, Seq: 2}
 	e0.Send(1, m)
 	// And a client address can only carry REQUESTs.
@@ -196,6 +198,56 @@ func TestEngineSignVerify(t *testing.T) {
 	noop := &message.Request{Client: -1}
 	if !e0.VerifyRequest(noop) {
 		t.Fatal("no-op request must verify")
+	}
+}
+
+// TestTaggedMulticast: one frame carries every destination's tag; each
+// destination finds its own slot authentic, nobody else's, and the same
+// frame is no signature.
+func TestTaggedMulticast(t *testing.T) {
+	suite := crypto.NewEd25519Suite(9, 4, 1)
+	net := transport.NewSimNetwork(transport.SimConfig{Seed: 9, PrivateSize: 4})
+	defer net.Close()
+	engine := func(id ids.ReplicaID) *Engine {
+		return NewEngine(Config{ID: id, Suite: crypto.Restrict(suite, crypto.ReplicaPrincipal(int(id))),
+			Endpoint: net.Endpoint(transport.ReplicaAddr(id))})
+	}
+	e0, e1, e2, e3 := engine(0), engine(1), engine(2), engine(3)
+	in1, in2 := net.Endpoint(transport.ReplicaAddr(1)).Inbox(), net.Endpoint(transport.ReplicaAddr(2)).Inbox()
+
+	vote := &message.Signed{Kind: message.KindCommit, View: 1, Seq: 2, Digest: crypto.Sum([]byte("d"))}
+	e0.MulticastTagged([]ids.ReplicaID{0, 1, 2}, vote)
+	if vote.From != 0 || vote.Sig != nil {
+		t.Fatalf("the vote record must be stamped and stay bare: From %d, %d-byte Sig", vote.From, len(vote.Sig))
+	}
+	f1, f2 := (<-in1).Frame, (<-in2).Frame
+	if !bytes.Equal(f1, f2) {
+		t.Fatal("a tagged multicast must be one frame for every destination")
+	}
+	m, err := message.Unmarshal(f1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.Record()
+	if !e1.Authentic(s, AuthTagged) || !e2.Authentic(s, AuthTagged) {
+		t.Fatal("a destination refused its own slot")
+	}
+	if e3.Authentic(s, AuthTagged) {
+		t.Fatal("a replica the vote was not addressed to found it authentic")
+	}
+	if e1.Authentic(s, AuthSigned) || e1.Authentic(s, AuthNone) || e1.Authentic(s, 0) {
+		t.Fatal("an authenticator passed as a signature, or an unauthenticated kind as authentic")
+	}
+	s.Digest = crypto.Sum([]byte("other"))
+	if e1.Authentic(s, AuthTagged) {
+		t.Fatal("a tampered vote verified")
+	}
+
+	// A REPLY carries the one tag of its one reader.
+	rep := &message.Message{Kind: message.KindReply, Client: 0, Timestamp: 7, Result: []byte("r")}
+	e1.SendClientTagged(0, rep)
+	if rep.From != 1 || !suite.VerifyTag(crypto.ReplicaPrincipal(1), crypto.ClientPrincipal(0), rep.SignedBytes(), rep.Sig) {
+		t.Fatal("the client cannot verify its reply")
 	}
 }
 

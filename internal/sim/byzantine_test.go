@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/crypto"
 	"repro/internal/ids"
 )
 
@@ -14,17 +17,62 @@ type byzantineCase struct {
 	proto cluster.Protocol
 	mode  ids.Mode
 	byz   map[ids.ReplicaID]cluster.Behavior
-	tweak func(*Config)
+	// recovery runs the case on the recovery-heavy shape (the shape's
+	// pinned recoveryConfig seed): the attacks that feed on view changes
+	// and state transfers never fire on the base shape, which finishes
+	// before its first fault.
+	recovery string
+	// bites proves the run was not vacuous: the adversary acted, and its
+	// frames got as far — accepted as authentic, or refused at
+	// authentication — as the case says they must.
+	bites func(*Result) error
 }
 
 // config builds the case's run (shared with the golden fingerprints).
 func (tc byzantineCase) config() Config {
 	cfg := baseConfig(11, tc.proto, tc.mode)
-	cfg.Byzantine = tc.byz
-	if tc.tweak != nil {
-		tc.tweak(&cfg)
+	if tc.recovery != "" {
+		cfg = recoveryConfig(recoverySeeds[tc.recovery], tc.proto, tc.mode)
 	}
+	cfg.Byzantine = tc.byz
 	return cfg
+}
+
+// attacked requires the adversary to have sent something an honest node
+// would not have.
+func attacked(res *Result) error {
+	if res.Attacks == 0 {
+		return errors.New("the adversary never altered, forged or replayed a frame")
+	}
+	return nil
+}
+
+// signaturesAccepted requires that no honest check ever refused a
+// signature claiming to be id's: its lies were authentic, so whatever
+// stopped them was the protocol, not the signature check.
+func signaturesAccepted(res *Result, id ids.ReplicaID) error {
+	if n := res.Auth.By(crypto.ReplicaPrincipal(int(id))).BadVerifies; n != 0 {
+		return fmt.Errorf("%d signatures claiming replica %d were refused: its lies died at authentication", n, id)
+	}
+	return nil
+}
+
+// tagsRefused requires that honest replicas refused tags claiming to be
+// from victim: the forgeries reached the tag check and failed it.
+func tagsRefused(res *Result, victim ids.ReplicaID) error {
+	if res.Auth.By(crypto.ReplicaPrincipal(int(victim))).BadTagVerifies == 0 {
+		return fmt.Errorf("no tag claiming replica %d was ever refused: the forgeries never reached a tag check", victim)
+	}
+	return nil
+}
+
+func viewChanged(res *Result) error {
+	for _, v := range res.Views {
+		if v > 0 {
+			return nil
+		}
+	}
+	return errors.New("every honest replica ended in view 0")
 }
 
 func byzantineCases() []byzantineCase {
@@ -37,54 +85,89 @@ func byzantineCases() []byzantineCase {
 			name:  "equivocate-primary/peacock",
 			proto: cluster.SeeMoRe, mode: ids.Peacock,
 			byz: map[ids.ReplicaID]cluster.Behavior{2: cluster.BehaviorEquivocatePrimary},
+			bites: func(res *Result) error {
+				return errors.Join(attacked(res), signaturesAccepted(res, 2), viewChanged(res))
+			},
 		},
 		{
 			// The PBFT view-0 primary equivocates.
 			name:  "equivocate-primary/pbft",
 			proto: cluster.PBFT,
 			byz:   map[ids.ReplicaID]cluster.Behavior{0: cluster.BehaviorEquivocatePrimary},
+			bites: func(res *Result) error {
+				return errors.Join(attacked(res), signaturesAccepted(res, 0), viewChanged(res))
+			},
 		},
 		{
 			// A public replica replays its dead-view votes after every
-			// view change; the crash faults in the base config force view
-			// changes for it to exploit.
+			// view change the run's faults force. The replays are the
+			// originals bit for bit, so only the view check stops them.
 			name:  "replay-stale/lion",
-			proto: cluster.SeeMoRe, mode: ids.Lion,
-			byz: map[ids.ReplicaID]cluster.Behavior{3: cluster.BehaviorReplayStale},
-			tweak: func(c *Config) {
-				c.Faults.Crashes = 2
-			},
+			proto: cluster.SeeMoRe, mode: ids.Lion, recovery: "lion",
+			byz:   map[ids.ReplicaID]cluster.Behavior{3: cluster.BehaviorReplayStale},
+			bites: attacked,
 		},
 		{
 			name:  "replay-stale/pbft",
-			proto: cluster.PBFT,
+			proto: cluster.PBFT, recovery: "pbft",
 			byz:   map[ids.ReplicaID]cluster.Behavior{1: cluster.BehaviorReplayStale},
-			tweak: func(c *Config) {
-				c.Faults.Crashes = 2
-			},
+			bites: attacked,
 		},
 		{
-			// A public replica serves corrupted STATE-REPLY payloads; a
-			// lagging replica recovering from a partition must reject
-			// them on the checkpoint-certificate digest and take the
-			// state from an honest peer instead.
+			// A public replica would serve corrupted STATE-REPLY payloads —
+			// but in Lion a lagging replica asks only the trusted primary
+			// for state, so the traitor is never in a position to: the run
+			// must install a state transfer without it having sent one.
 			name:  "corrupt-state/lion",
-			proto: cluster.SeeMoRe, mode: ids.Lion,
+			proto: cluster.SeeMoRe, mode: ids.Lion, recovery: "lion",
 			byz: map[ids.ReplicaID]cluster.Behavior{2: cluster.BehaviorCorruptState},
-			tweak: func(c *Config) {
-				c.Timing.CheckpointPeriod = 8
-				c.OpsPerClient = 25
-				c.Faults.Partitions = 2
+			bites: func(res *Result) error {
+				if !installedTransfer(res) {
+					return errors.New("no state transfer was installed")
+				}
+				if res.Attacks != 0 {
+					return fmt.Errorf("a public replica served %d STATE-REPLYs in Lion", res.Attacks)
+				}
+				return nil
 			},
 		},
 		{
+			// In PBFT every replica is asked. The corrupted reply is
+			// validly signed; a lagging replica must reject it on the
+			// checkpoint-certificate digest and take the state from an
+			// honest peer instead.
 			name:  "corrupt-state/pbft",
-			proto: cluster.PBFT,
-			byz:   map[ids.ReplicaID]cluster.Behavior{2: cluster.BehaviorCorruptState},
-			tweak: func(c *Config) {
-				c.Timing.CheckpointPeriod = 8
-				c.OpsPerClient = 25
-				c.Faults.Partitions = 2
+			proto: cluster.PBFT, recovery: "pbft",
+			byz: map[ids.ReplicaID]cluster.Behavior{2: cluster.BehaviorCorruptState},
+			bites: func(res *Result) error {
+				if !installedTransfer(res) {
+					return errors.New("no state transfer was installed")
+				}
+				return errors.Join(attacked(res), signaturesAccepted(res, 2))
+			},
+		},
+		{
+			// A public replica impersonates every other replica — the
+			// private backup included — beside each ACCEPT it sends the
+			// Lion primary: a forged accept quorum. It holds no pair key
+			// with the primary but its own, so every copy must die at the
+			// primary's tag check.
+			name:  "impersonate/lion",
+			proto: cluster.SeeMoRe, mode: ids.Lion,
+			byz: map[ids.ReplicaID]cluster.Behavior{3: cluster.BehaviorImpersonate},
+			bites: func(res *Result) error {
+				return errors.Join(attacked(res), tagsRefused(res, 1), tagsRefused(res, 2))
+			},
+		},
+		{
+			// A Peacock proxy forges its fellow proxies' COMMIT votes (and
+			// INFORMs) with tags for pairs it is not in, and their PREPARE
+			// votes with its own signature.
+			name:  "impersonate/peacock",
+			proto: cluster.SeeMoRe, mode: ids.Peacock,
+			byz: map[ids.ReplicaID]cluster.Behavior{3: cluster.BehaviorImpersonate},
+			bites: func(res *Result) error {
+				return errors.Join(attacked(res), tagsRefused(res, 2), tagsRefused(res, 4), tagsRefused(res, 5))
 			},
 		},
 	}
@@ -92,7 +175,7 @@ func byzantineCases() []byzantineCase {
 
 // TestSimByzantineGreen runs each Byzantine case and requires the honest
 // cluster to stay both live (every client finishes) and safe (no
-// divergence, clean checker).
+// divergence, clean checker) under an attack that demonstrably ran.
 func TestSimByzantineGreen(t *testing.T) {
 	for _, tc := range byzantineCases() {
 		tc := tc
@@ -104,6 +187,9 @@ func TestSimByzantineGreen(t *testing.T) {
 			}
 			for _, v := range Check(res) {
 				t.Errorf("safety lost under %v: %s", tc.byz, v)
+			}
+			if err := tc.bites(res); err != nil {
+				t.Errorf("vacuous under %v: %v", tc.byz, err)
 			}
 		})
 	}

@@ -283,7 +283,7 @@ func (c *simClient) onEnvelope(env transport.Envelope) {
 }
 
 // validReply mirrors client.Client.validReply: provenance, decode,
-// signature, echoed timestamp.
+// echoed timestamp, the replica's tag for this client.
 func (c *simClient) validReply(env transport.Envelope) *message.Message {
 	if env.From.IsClient() {
 		return nil
@@ -295,7 +295,7 @@ func (c *simClient) validReply(env transport.Envelope) *message.Message {
 	if m.From != env.From.Replica() || m.Client != c.id || m.Timestamp != c.ts {
 		return nil
 	}
-	if !c.s.suite.Verify(crypto.ReplicaPrincipal(int(m.From)), m.SignedBytes(), m.Sig) {
+	if !c.s.suite.VerifyTag(crypto.ReplicaPrincipal(int(m.From)), crypto.ClientPrincipal(int64(c.id)), m.SignedBytes(), m.Sig) {
 		return nil
 	}
 	return m

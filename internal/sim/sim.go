@@ -180,6 +180,14 @@ type Result struct {
 	// them to prove a run reached the recovery machinery at all.
 	Views  map[ids.ReplicaID]ids.View
 	Stable map[ids.ReplicaID]uint64
+	// Attacks counts the frames Byzantine replicas altered, forged or
+	// replayed, and Auth is the ledger of every signature and tag the
+	// replica engines and clients produced and checked, per claimed
+	// author. Outside Fingerprint for the same reason: tests use them to
+	// prove an attack ran, and whether it was accepted as authentic or
+	// stopped at authentication.
+	Attacks uint64
+	Auth    *crypto.Counting
 }
 
 // Fingerprint digests the client histories and commit traces into one
@@ -254,7 +262,8 @@ type Sim struct {
 	netCfg transport.SimConfig
 	n      int
 	mb     ids.Membership // SeeMoRe only
-	suite  crypto.Suite
+	suite  *crypto.Counting
+	byz    *cluster.Adversary
 
 	vclock  *clock.Virtual
 	nodeClk []clock.Clock
@@ -319,9 +328,12 @@ func build(cfg Config) (*Sim, error) {
 		s.netCfg = *cfg.Net
 		s.netCfg.PrivateSize = privateSize
 	}
-	s.suite = crypto.NewHMACSuite(cfg.Seed, n, int64(cfg.Clients)+1)
-
-	net := cluster.WrapByzantine(simNet{s: s}, s.suite, cfg.Byzantine)
+	keys := crypto.NewHMACSuite(cfg.Seed, n, int64(cfg.Clients)+1)
+	s.suite = crypto.Count(keys)
+	// The adversary authenticates outside the ledger, which therefore
+	// counts exactly what replica engines and clients signed and checked.
+	s.byz = cluster.WrapByzantine(simNet{s: s}, keys, n, cfg.Byzantine)
+	net := s.byz
 	s.nodeClk = make([]clock.Clock, n)
 	s.nodes = make([]node, n)
 	for i := 0; i < n; i++ {
@@ -467,6 +479,8 @@ func (s *Sim) run() *Result {
 		Events:     s.processed,
 		Views:      make(map[ids.ReplicaID]ids.View),
 		Stable:     make(map[ids.ReplicaID]uint64),
+		Attacks:    s.byz.Attacks(),
+		Auth:       s.suite,
 	}
 	for i, nd := range s.nodes {
 		// Engine-confined accessors: safe now that every node stopped.
