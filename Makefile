@@ -41,9 +41,9 @@ bench-json: ## machine-readable sweeps → BENCH_pipeline/shard/txn/readmix/resh
 bench-hotpath: ## hot-path microbenchmarks (pooled codec / batch verify / WAL group commit) → BENCH_hotpath.json
 	$(GO) run ./cmd/seemore-bench -exp hotpath -json BENCH_hotpath.json
 
-bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it), and run the crypto microbenchmarks once so their allocs/op pins cannot rot
+bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it), and run the crypto and seal microbenchmarks once so their allocs/op pins cannot rot
 	cd benchmark && $(GO) vet ./... && $(GO) test ./... && $(GO) run repro/cmd/seemore-vet ./...
-	$(GO) test ./internal/crypto -run '^$$' -bench 'Tag|Sign|Verify$$' -benchtime=1x
+	$(GO) test ./internal/crypto ./internal/message -run '^$$' -bench 'Tag|Sign|Verify$$|Seal$$' -benchtime=1x
 
 profile: ## CPU+heap profile one pipeline sweep → cpu.pprof / mem.pprof (inspect with `go tool pprof`)
 	$(GO) run ./cmd/seemore-bench -exp ablation-pipeline \

@@ -526,19 +526,10 @@ func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	// its recovered self would not remember assigning.
 	r.jr.Proposal(prop)
 
-	wire := &message.Message{
-		Kind:   kind,
-		View:   r.view,
-		Seq:    seq,
-		Digest: prop.Digest,
-		Sig:    prop.Sig,
-	}
-	wire.SetRequests(reqs)
-	wire.From = r.eng.ID()
 	// The primary's proposal is broadcast to every replica in all three
 	// modes (Lion: Algorithm 1; Dog: Algorithm 2; Peacock: the paper's
 	// first modification to PBFT).
-	r.eng.Multicast(r.mb.All(), wire)
+	r.multicastSigned(r.mb.All(), prop)
 
 	switch r.mode {
 	case ids.Lion:

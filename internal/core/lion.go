@@ -8,15 +8,18 @@ import (
 )
 
 // validProposalPayload checks that an attached payload — one request or
-// a whole batch — matches the proposal digest and that every member
-// carries a valid client signature. The member signatures are
-// independent, so large batches verify on a worker pool.
+// a whole batch — matches the proposal digest, and, when the proposer
+// is a public node (Peacock), that every member carries a valid client
+// signature. A trusted proposer's word needs no such check: it verified
+// each client at admission and does not lie, which is the rule onNewView
+// and validEvidenceProposal already apply to what a trusted node signed.
+// The caller has authenticated m.From.
 func (r *Replica) validProposalPayload(m *message.Message) bool {
 	reqs := m.Requests()
 	if len(reqs) == 0 || message.BatchDigest(reqs) != m.Digest {
 		return false
 	}
-	return r.eng.VerifyRequests(reqs)
+	return r.mb.IsTrusted(m.From) || r.eng.VerifyRequests(reqs)
 }
 
 // hasOwnVote reports whether this replica already voted (kind) on the
@@ -174,7 +177,7 @@ func (r *Replica) lionCommit(entry *mlog.Entry) {
 	entry.SetCommitCert(commit)
 	r.jr.Commit(entry.Seq(), r.view, prop.Digest, commit)
 
-	r.eng.Multicast(r.mb.All(), commit.Wire())
+	r.multicastSigned(r.mb.All(), commit)
 	r.executeReady() // the Lion primary replies inside the execution hook
 }
 

@@ -4,11 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
-	"repro/internal/statemachine"
 	"repro/internal/transport"
 )
 
@@ -19,18 +17,8 @@ import (
 // re-issues the slot as an open entry.
 func committedWithoutCert(t *testing.T, net transport.Network, id ids.ReplicaID) (*Replica, *message.Message, crypto.Suite) {
 	t.Helper()
-	cl, err := config.NewCluster(baseMembership(), ids.Lion, fastTiming())
-	if err != nil {
-		t.Fatal(err)
-	}
 	suite := crypto.NewEd25519Suite(97, 6, 4)
-	r, err := NewReplica(Options{
-		ID: id, Cluster: cl, Suite: suite, Network: net,
-		StateMachine: statemachine.NewKVStore(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := loneReplica(t, ids.Lion, id, suite, net, nil)
 	req := makeRequest(t, suite, 0, 1)
 	entry := r.log.Entry(1)
 	if err := entry.SetProposal(&message.Signed{

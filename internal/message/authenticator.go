@@ -32,3 +32,48 @@ func TagOf(auth []byte, id ids.ReplicaID) []byte {
 	}
 	return auth[int(id)*crypto.TagSize:][:crypto.TagSize]
 }
+
+// Seals. A proposal whose only sender is a trusted (crash-only) node is
+// signed for export and tagged for receipt: Sig carries the sender's
+// signature — what a receiver logs, journals and later shows a third
+// party, bare — followed by an authenticator over the signed tuple and
+// that signature (Signed.SealedBytes), which is all the first-hand
+// receiver checks. Layout: one length byte, the signature (as long as
+// the suite made it: 64, 32 or 0 bytes), then whole tag slots.
+
+// Seal returns sig in sealed form — behind its length byte and in front
+// of a zeroed authenticator of slots slots — and that authenticator,
+// aliasing sealed, for the caller to fill in place with SetTag.
+func Seal(sig []byte, slots int) (sealed, auth []byte) {
+	if len(sig) > 0xff {
+		panic("message: signature too long to seal")
+	}
+	sealed = make([]byte, 1+len(sig)+slots*crypto.TagSize)
+	sealed[0] = byte(len(sig))
+	copy(sealed[1:], sig)
+	return sealed, sealed[1+len(sig):]
+}
+
+// OpenSeal splits a sealed Sig into the signature and the authenticator
+// behind it, both aliasing sealed. Sig arrives off the wire, so any
+// length and content are possible: ok is false unless the length byte
+// fits and whole tag slots follow — a bare signature or a bare
+// authenticator is no seal, except by an accident its tag check ends.
+func OpenSeal(sealed []byte) (sig, auth []byte, ok bool) {
+	if len(sealed) == 0 {
+		return nil, nil, false
+	}
+	end := 1 + int(sealed[0])
+	if len(sealed) < end || (len(sealed)-end)%crypto.TagSize != 0 {
+		return nil, nil, false
+	}
+	return sealed[1:end:end], sealed[end:], true
+}
+
+// SealedBytes returns what a seal's tags cover: the signed tuple
+// followed by sig, the signature over it. Binding the signature into
+// the tag is what lets the receiver keep it unverified — the sealer
+// vouches for these exact bytes.
+func (s *Signed) SealedBytes(sig []byte) []byte {
+	return append(s.appendSignedBytes(make([]byte, 0, signedBytesSize+len(sig))), sig...)
+}

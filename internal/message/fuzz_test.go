@@ -12,6 +12,10 @@ import (
 // from the interesting corners of the wire format: every payload shape
 // (none, lone request, batch) and every variable-size evidence set.
 func fuzzSeeds() [][]byte {
+	seal := func(sigLen, slots int) []byte {
+		sealed, _ := Seal(make([]byte, sigLen), slots)
+		return sealed
+	}
 	req := &Request{Op: []byte("op-bytes"), Timestamp: 7, Client: 3, Sig: []byte("sig")}
 	batch := []*Request{req, {Op: []byte("second"), Timestamp: 8, Client: 4, Sig: []byte("s2")}}
 	prep := Signed{Kind: KindPrepare, From: 1, View: 2, Seq: 9, Digest: crypto.Sum([]byte("d")), Sig: []byte("ps")}
@@ -31,6 +35,14 @@ func fuzzSeeds() [][]byte {
 		{Kind: KindCommit, From: 3, View: 1, Seq: 5, Digest: req.Digest(), Sig: make([]byte, 6*crypto.TagSize)},
 		{Kind: KindAccept, From: 3, View: 1, Seq: 5, Digest: req.Digest(), Sig: make([]byte, crypto.TagSize-1)},
 		{Kind: KindInform, From: 3, View: 1, Seq: 5, Digest: req.Digest(), Sig: make([]byte, 2*crypto.TagSize+7)},
+		// Seals: whole, with a ragged authenticator, cut inside the
+		// signature, a length byte past the end, and no signature at all
+		// (NoopSuite) in front of the authenticator.
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Request: req, Sig: seal(64, 6)},
+		{Kind: KindCommit, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Request: req, Sig: seal(32, 6)[:1+32+5*crypto.TagSize+9]},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 6, Digest: BatchDigest(batch), Batch: batch, Sig: seal(64, 6)[:40]},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 7, Digest: req.Digest(), Request: req, Sig: append([]byte{0xff}, make([]byte, 64)...)},
+		{Kind: KindCommit, From: 0, View: 1, Seq: 7, Digest: req.Digest(), Request: req, Sig: seal(0, 6)},
 		{Kind: KindStateRequest, From: 1, Seq: 40, Sig: []byte("x")},
 		{Kind: KindStateReply, From: 2, Seq: 128, Result: []byte("snapshot"), CheckpointProof: []Signed{prep}, Prepares: []Signed{prep}, Sig: []byte("x")},
 	}
@@ -76,6 +88,16 @@ func FuzzDecode(f *testing.F) {
 			if tag := TagOf(m.Sig, id); tag != nil && len(tag) != crypto.TagSize {
 				t.Fatalf("TagOf(%d bytes, %d) returned %d bytes", len(m.Sig), id, len(tag))
 			}
+		}
+		// Likewise a seal: Sig opens into a signature and whole slots that
+		// together are exactly Sig less its length byte, or not at all.
+		if sig, auth, ok := OpenSeal(m.Sig); ok {
+			if 1+len(sig)+len(auth) != len(m.Sig) || len(auth)%crypto.TagSize != 0 || int(m.Sig[0]) != len(sig) {
+				t.Fatalf("OpenSeal(%d bytes) = %d-byte signature, %d-byte authenticator", len(m.Sig), len(sig), len(auth))
+			}
+			m.Record().SealedBytes(sig)
+		} else if sig != nil || auth != nil {
+			t.Fatalf("OpenSeal refused %d bytes yet returned parts of them", len(m.Sig))
 		}
 		// The pooled path must agree byte-for-byte with Marshal and its
 		// EncodedSize must be exact.

@@ -286,7 +286,14 @@ func (m *Message) Record() *Signed {
 // (Kind, From, View, Seq, Digest) — the request µ travels outside the
 // signature, bound by Digest, exactly as in the paper's 〈〈PREPARE,v,n,d〉σp, µ〉.
 func (s *Signed) SignedBytes() []byte {
-	e := encoder{buf: make([]byte, 0, 1+8+8+8+crypto.DigestSize)}
+	return s.appendSignedBytes(make([]byte, 0, signedBytesSize))
+}
+
+// signedBytesSize is the length of the signed tuple.
+const signedBytesSize = 1 + 8 + 8 + 8 + crypto.DigestSize
+
+func (s *Signed) appendSignedBytes(buf []byte) []byte {
+	e := encoder{buf: buf}
 	e.u8(uint8(s.Kind))
 	e.i64(int64(s.From))
 	e.u64(uint64(s.View))

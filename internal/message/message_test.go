@@ -395,3 +395,98 @@ func TestAuthenticatorSlots(t *testing.T) {
 		t.Error("a truncated last slot was returned")
 	}
 }
+
+// TestSealRoundTrip: a seal opens to exactly the signature and the
+// authenticator that went in, whatever length of signature the suite
+// makes — 64 bytes, 32, or none — and the tags filled into the opened
+// authenticator are the sealed Sig's own bytes. Anything that is not a
+// length byte, that many signature bytes and whole slots is refused.
+func TestSealRoundTrip(t *testing.T) {
+	s := &Signed{Kind: KindPrepare, From: 0, View: 3, Seq: 9, Digest: crypto.Sum([]byte("d"))}
+	self, peer := crypto.ReplicaPrincipal(0), crypto.ReplicaPrincipal(2)
+	for _, suite := range []crypto.Suite{
+		crypto.NewEd25519Suite(5, 3, 0), crypto.NewHMACSuite(5, 3, 0), crypto.NoopSuite{},
+	} {
+		sig := suite.Sign(self, s.SignedBytes())
+		body := s.SealedBytes(sig)
+		if !bytes.Equal(body, append(s.SignedBytes(), sig...)) {
+			t.Fatalf("%s: SealedBytes is not the tuple followed by the signature", suite.Name())
+		}
+		sealed, auth := Seal(sig, 3)
+		SetTag(auth, 2, suite.Tag(self, peer, body))
+		gotSig, gotAuth, ok := OpenSeal(sealed)
+		if !ok || !bytes.Equal(gotSig, sig) || len(gotAuth) != 3*crypto.TagSize {
+			t.Fatalf("%s: a fresh seal opens to (%d-byte signature, %d-byte authenticator, %v)",
+				suite.Name(), len(gotSig), len(gotAuth), ok)
+		}
+		if !suite.VerifyTag(self, peer, body, TagOf(gotAuth, 2)) {
+			t.Fatalf("%s: the tag stored through Seal's authenticator is not in the sealed Sig", suite.Name())
+		}
+		if cap(gotSig) != len(gotSig) {
+			t.Fatalf("%s: appending to the opened signature would write into the authenticator behind it", suite.Name())
+		}
+		for what, bad := range map[string][]byte{
+			"nothing":                         nil,
+			"a seal one byte short":           sealed[:len(sealed)-1],
+			"a seal cut inside the signature": sealed[:len(sig)],
+			"a length byte past the end":      append([]byte{0xff}, sealed[1:]...),
+		} {
+			if _, _, ok := OpenSeal(bad); ok {
+				t.Fatalf("%s: OpenSeal accepted %s (%d of %d bytes)", suite.Name(), what, len(bad), len(sealed))
+			}
+		}
+	}
+	if _, _, ok := OpenSeal(make([]byte, 64)); ok {
+		t.Fatal("a bare 64-byte signature opened as a seal")
+	}
+}
+
+// The seal benchmarks pin what the sealed hot path relies on: sealing a
+// proposal for five peers allocates the sealed Sig and nothing else, and
+// a receiver opening it and checking its slot allocates nothing — given
+// the MAC input (SealedBytes), which every tag check builds once.
+func benchSeal() (suite *crypto.Ed25519Suite, sig, body []byte) {
+	suite = crypto.NewEd25519Suite(7, 6, 0)
+	s := &Signed{Kind: KindPrepare, From: 0, View: 1, Seq: 2, Digest: crypto.Sum([]byte("d"))}
+	sig = suite.Sign(crypto.ReplicaPrincipal(0), s.SignedBytes())
+	return suite, sig, s.SealedBytes(sig)
+}
+
+var sealSink []byte
+
+func BenchmarkSeal(b *testing.B) {
+	suite, sig, body := benchSeal()
+	seal := func() {
+		sealed, auth := Seal(sig, 6)
+		sealSink = sealed
+		for to := ids.ReplicaID(1); to < 6; to++ {
+			SetTag(auth, to, suite.Tag(crypto.ReplicaPrincipal(0), crypto.ReplicaPrincipal(int(to)), body))
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		seal()
+	}
+	if n := testing.AllocsPerRun(100, seal); n != 1 {
+		b.Fatalf("sealing for five peers allocates %v times, want 1 (the sealed Sig)", n)
+	}
+}
+
+func BenchmarkOpenSeal(b *testing.B) {
+	suite, sig, body := benchSeal()
+	sealed, auth := Seal(sig, 6)
+	SetTag(auth, 3, suite.Tag(crypto.ReplicaPrincipal(0), crypto.ReplicaPrincipal(3), body))
+	open := func() bool {
+		_, auth, ok := OpenSeal(sealed)
+		return ok && suite.VerifyTag(crypto.ReplicaPrincipal(0), crypto.ReplicaPrincipal(3), body, TagOf(auth, 3))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !open() {
+			b.Fatal("the receiver refused its own slot")
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { open() }); n != 0 {
+		b.Fatalf("opening a seal and checking a slot allocates %v times, want 0", n)
+	}
+}

@@ -367,13 +367,14 @@ func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	// every slot it assigned.
 	r.jr.Proposal(prop)
 	entry.AddVote(message.KindAccept, r.view, r.eng.ID(), prop.Digest)
-	r.eng.Multicast(r.all(), prop.Wire())
+	r.eng.MulticastSealed(r.all(), prop)
 	return true
 }
 
 // validPayload checks the attached payload (lone request or batch)
 // against the proposal digest. Crash-only trust: no client signature
-// re-verification on the replica path (the leader verified on intake).
+// re-verification on the replica path (the leader verified on intake) —
+// the rule a Lion or Dog backup applies to its trusted primary.
 func validPayload(m *message.Message) bool {
 	reqs := m.Requests()
 	return len(reqs) > 0 && message.BatchDigest(reqs) == m.Digest
@@ -445,7 +446,7 @@ func (r *Replica) onAccept(m *message.Message) {
 		r.eng.SignRecord(commit)
 		entry.SetCommitCert(commit)
 		r.jr.Commit(entry.Seq(), r.view, prop.Digest, commit)
-		r.eng.Multicast(r.all(), commit.Wire())
+		r.eng.MulticastSealed(r.all(), commit)
 		r.executeReady()
 	}
 }

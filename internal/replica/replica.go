@@ -212,6 +212,14 @@ const (
 	// AuthTagged kinds carry pairwise tags (message.SetTag): their
 	// receiver consumes them and nothing ever forwards them as proof.
 	AuthTagged
+	// AuthSealed kinds are signed for export and tagged for receipt
+	// (message.Seal): the receiver checks its tag over the tuple and the
+	// signature, and keeps the signature — unverified — for the third
+	// party it may one day show the message to, who verifies it then.
+	// Only for kinds whose one sender is a trusted (crash-only) node: the
+	// tag proves the sender sealed these bytes, and only the sender's
+	// honesty makes what it sealed a signature.
+	AuthSealed
 	// AuthNone kinds carry nothing from the sending replica: either the
 	// mode never sends the kind (it is dropped on receipt) or the content
 	// vouches for itself (a relayed client request).
@@ -242,14 +250,24 @@ func (e *Engine) VerifyRecord(s *message.Signed) bool {
 
 // Authentic checks an agreement message, given as its Record, the way
 // the calling engine's table says its kind is authenticated: a signature
-// by s.From, or s.From's tag for this replica in the authenticator.
+// by s.From, s.From's tag for this replica in the authenticator, or —
+// sealed — that tag over the tuple and the signature in front of it. An
+// authentic sealed record leaves with the signature alone in Sig, the
+// form it is logged, journaled and exported in.
 func (e *Engine) Authentic(s *message.Signed, how Auth) bool {
+	from, self := crypto.ReplicaPrincipal(int(s.From)), crypto.ReplicaPrincipal(int(e.id))
 	switch how {
 	case AuthSigned:
 		return e.VerifyRecord(s)
 	case AuthTagged:
-		return e.suite.VerifyTag(crypto.ReplicaPrincipal(int(s.From)), crypto.ReplicaPrincipal(int(e.id)),
-			s.SignedBytes(), message.TagOf(s.Sig, e.id))
+		return e.suite.VerifyTag(from, self, s.SignedBytes(), message.TagOf(s.Sig, e.id))
+	case AuthSealed:
+		sig, auth, ok := message.OpenSeal(s.Sig)
+		if !ok || !e.suite.VerifyTag(from, self, s.SealedBytes(sig), message.TagOf(auth, e.id)) {
+			return false
+		}
+		s.Sig = sig
+		return true
 	default:
 		return false
 	}
@@ -267,10 +285,11 @@ func (e *Engine) VerifyRequest(r *message.Request) bool {
 // VerifyRequests checks every client signature in a slot payload with
 // one batched verification pass (see crypto.BatchVerify): all
 // signatures in the batch share a single multi-scalar equation instead
-// of one full verification each. With pipelining the primary keeps
-// several batched slots in flight, so this is the verification hot path
-// on every replica. No-op requests (Client < 0) carry no signature and
-// are excluded from the batch.
+// of one full verification each. It is what a replica owes a proposal
+// from a public node — the verification hot path of Peacock and PBFT; a
+// trusted proposer verified its clients one by one at admission
+// (VerifyRequest) and its receivers take its word. No-op requests
+// (Client < 0) carry no signature and are excluded from the batch.
 func (e *Engine) VerifyRequests(reqs []*message.Request) bool {
 	items := make([]crypto.BatchItem, 0, len(reqs))
 	for _, r := range reqs {
@@ -344,18 +363,47 @@ func (e *Engine) MulticastTagged(to []ids.ReplicaID, s *message.Signed) {
 	}
 	s.From = e.id
 	m := s.Wire()
-	self, body := crypto.ReplicaPrincipal(int(e.id)), s.SignedBytes()
-	last := e.id
-	for _, r := range to {
-		last = max(last, r)
+	m.Sig = make([]byte, e.slots(to)*crypto.TagSize)
+	e.fillTags(m.Sig, to, s.SignedBytes())
+	e.Multicast(to, m)
+}
+
+// MulticastSealed multicasts the record s, which this replica has
+// signed (SignRecord), under a seal: the signature, then one tag per
+// destination over the tuple and that signature, in one frame (see
+// message.Seal). s itself keeps the bare signature.
+func (e *Engine) MulticastSealed(to []ids.ReplicaID, s *message.Signed) {
+	if e.isCrashed() {
+		return
 	}
-	m.Sig = make([]byte, 0, (int(last)+1)*crypto.TagSize) // every slot SetTag will grow into
+	m := s.Wire()
+	sealed, auth := message.Seal(s.Sig, e.slots(to))
+	e.fillTags(auth, to, s.SealedBytes(s.Sig))
+	m.Sig = sealed
+	e.Multicast(to, m)
+}
+
+// slots is how many authenticator slots a multicast to the listed
+// replicas needs: one per replica ID up to the highest it fills.
+func (e *Engine) slots(to []ids.ReplicaID) int {
+	n := 0
 	for _, r := range to {
 		if r != e.id {
-			m.Sig = message.SetTag(m.Sig, r, e.suite.Tag(self, crypto.ReplicaPrincipal(int(r)), body))
+			n = max(n, int(r)+1)
 		}
 	}
-	e.Multicast(to, m)
+	return n
+}
+
+// fillTags stores this replica's tag over body for each listed replica
+// but itself in that replica's slot of auth, which already spans them.
+func (e *Engine) fillTags(auth []byte, to []ids.ReplicaID, body []byte) {
+	self := crypto.ReplicaPrincipal(int(e.id))
+	for _, r := range to {
+		if r != e.id {
+			message.SetTag(auth, r, e.suite.Tag(self, crypto.ReplicaPrincipal(int(r)), body))
+		}
+	}
 }
 
 // Multicast transmits m to every listed replica except the sender

@@ -229,6 +229,9 @@ func TestTaggedMulticast(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Record()
+	if len(s.Sig) != 3*crypto.TagSize {
+		t.Fatalf("the authenticator is %d bytes, want slots 0–2 and no more", len(s.Sig))
+	}
 	if !e1.Authentic(s, AuthTagged) || !e2.Authentic(s, AuthTagged) {
 		t.Fatal("a destination refused its own slot")
 	}
@@ -243,11 +246,97 @@ func TestTaggedMulticast(t *testing.T) {
 		t.Fatal("a tampered vote verified")
 	}
 
+	// The authenticator ends at the highest slot filled, wherever the
+	// sender's own ID lies: replica 3's vote for replica 1 is two slots.
+	e3.MulticastTagged([]ids.ReplicaID{1, 3}, &message.Signed{Kind: message.KindAccept, View: 1, Seq: 2})
+	if m, err := message.Unmarshal((<-in1).Frame); err != nil || len(m.Sig) != 2*crypto.TagSize {
+		t.Fatalf("replica 3's authenticator for replica 1: %d bytes (%v), want two slots", len(m.Sig), err)
+	}
+
 	// A REPLY carries the one tag of its one reader.
 	rep := &message.Message{Kind: message.KindReply, Client: 0, Timestamp: 7, Result: []byte("r")}
 	e1.SendClientTagged(0, rep)
 	if rep.From != 1 || !suite.VerifyTag(crypto.ReplicaPrincipal(1), crypto.ClientPrincipal(0), rep.SignedBytes(), rep.Sig) {
 		t.Fatal("the client cannot verify its reply")
+	}
+}
+
+// TestSealedMulticast: a sealed multicast is one frame carrying the
+// sender's signature and every destination's tag over it; a destination
+// accepts it on its slot and is left holding the bare signature, which
+// verifies for anyone; nobody else finds it authentic, and it passes for
+// neither a signature nor a plain authenticator. The round trip holds
+// for every length of signature a suite makes.
+func TestSealedMulticast(t *testing.T) {
+	for _, suite := range []crypto.Suite{
+		crypto.NewEd25519Suite(9, 4, 1), crypto.NewHMACSuite(9, 4, 1), crypto.NoopSuite{},
+	} {
+		t.Run(suite.Name(), func(t *testing.T) {
+			net := transport.NewSimNetwork(transport.SimConfig{Seed: 9, PrivateSize: 4})
+			defer net.Close()
+			engine := func(id ids.ReplicaID) *Engine {
+				own := suite
+				if suite.Name() != "none" {
+					own = crypto.Restrict(suite, crypto.ReplicaPrincipal(int(id)))
+				}
+				return NewEngine(Config{ID: id, Suite: own, Endpoint: net.Endpoint(transport.ReplicaAddr(id))})
+			}
+			e0, e1, e2, e3 := engine(0), engine(1), engine(2), engine(3)
+			in1, in2 := net.Endpoint(transport.ReplicaAddr(1)).Inbox(), net.Endpoint(transport.ReplicaAddr(2)).Inbox()
+
+			prop := &message.Signed{Kind: message.KindPrepare, View: 1, Seq: 2, Digest: crypto.Sum([]byte("d"))}
+			e0.SignRecord(prop)
+			bare := append([]byte(nil), prop.Sig...)
+			e0.MulticastSealed([]ids.ReplicaID{0, 1, 2}, prop)
+			if !bytes.Equal(prop.Sig, bare) {
+				t.Fatal("sealing changed the sender's own record")
+			}
+			f1, f2 := (<-in1).Frame, (<-in2).Frame
+			if !bytes.Equal(f1, f2) {
+				t.Fatal("a sealed multicast must be one frame for every destination")
+			}
+			record := func() *message.Signed {
+				m, err := message.Unmarshal(f1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.Record()
+			}
+			for _, e := range []*Engine{e1, e2} {
+				s := record()
+				if !e.Authentic(s, AuthSealed) {
+					t.Fatalf("replica %d refused its own slot", e.ID())
+				}
+				if !bytes.Equal(s.Sig, bare) || !e3.VerifyRecord(s) {
+					t.Fatalf("replica %d is not left holding the sender's bare signature", e.ID())
+				}
+			}
+			if suite.Name() == "none" {
+				return // NoopSuite accepts anything: nothing below can be refused
+			}
+			if e3.Authentic(record(), AuthSealed) {
+				t.Fatal("a replica the proposal was not addressed to found it authentic")
+			}
+			if e1.Authentic(record(), AuthSigned) || e1.Authentic(record(), AuthTagged) {
+				t.Fatal("a seal passed as a bare signature or a bare authenticator")
+			}
+			if s := record(); e1.Authentic(&message.Signed{Kind: s.Kind, From: s.From, View: s.View, Seq: s.Seq, Digest: s.Digest, Sig: bare}, AuthSealed) {
+				t.Fatal("a bare signature passed as a seal")
+			}
+			tampered := record()
+			tampered.Digest = crypto.Sum([]byte("other"))
+			if e1.Authentic(tampered, AuthSealed) {
+				t.Fatal("a tampered proposal verified")
+			}
+			// The tag binds the signature too: the right tuple under other
+			// signature bytes is not what the sender sealed.
+			swapped := record()
+			swapped.Sig = append([]byte(nil), swapped.Sig...)
+			swapped.Sig[1] ^= 0xff
+			if e1.Authentic(swapped, AuthSealed) {
+				t.Fatal("a seal verified around signature bytes the sender never sealed")
+			}
+		})
 	}
 }
 
