@@ -6,6 +6,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
+	"repro/internal/replica"
 	"repro/internal/transport"
 )
 
@@ -56,6 +57,11 @@ const (
 	// own. A forged ACCEPT or COMMIT quorum would commit a slot no quorum
 	// voted for; receivers must reject every copy on its tag (or
 	// signature), which this node cannot produce for a pair it is not in.
+	// Where it sends an ACCEPT there is a trusted proposer whose PREPARE
+	// and COMMIT are accepted on a seal alone, so it plays that part too:
+	// for each slot it accepts it sends every other replica, under every
+	// other name, a sealed PREPARE and COMMIT of its own making for the
+	// next.
 	BehaviorImpersonate
 )
 
@@ -153,6 +159,11 @@ type byzEndpoint struct {
 	// far, replayed once the view moves past them.
 	staleView  ids.View
 	staleVotes [][]byte
+
+	// usurped is the last (view, slot) the impersonator forged the
+	// proposer's sealed messages for: an ACCEPT multicast is several
+	// sends, one forgery.
+	usurped [2]uint64
 }
 
 // maxStaleVotes bounds the replay buffer; an adversary with bounded
@@ -207,52 +218,101 @@ func (e *byzEndpoint) sendRewritten(to transport.Addr, frame []byte, rewrite fun
 	e.Endpoint.Send(to, frame)
 }
 
-// signedByMe reports whether the agreement message this node is sending
-// carries its signature (else it carries an authenticator).
-func (e *byzEndpoint) signedByMe(m *message.Message) bool {
-	return e.suite.Verify(crypto.ReplicaPrincipal(int(e.self)), m.Record().SignedBytes(), m.Sig)
+// authOf reports how the agreement message this node is sending is
+// authenticated: under its signature, under a seal around that
+// signature, or — neither being there — under an authenticator.
+func (e *byzEndpoint) authOf(m *message.Message) replica.Auth {
+	self, body := crypto.ReplicaPrincipal(int(e.self)), m.Record().SignedBytes()
+	if e.suite.Verify(self, body, m.Sig) {
+		return replica.AuthSigned
+	}
+	if sig, _, ok := message.OpenSeal(m.Sig); ok && e.suite.Verify(self, body, sig) {
+		return replica.AuthSealed
+	}
+	return replica.AuthTagged
 }
 
 // reauth authenticates a rewritten agreement message bound for to the
-// way its honest original was: under this node's signature if that
-// carried one, else under this node's tag for to. Either is all a real
-// traitor could produce, whatever sender the message now claims.
-func (e *byzEndpoint) reauth(m *message.Message, to transport.Addr, signed bool) {
-	self, body := crypto.ReplicaPrincipal(int(e.self)), m.Record().SignedBytes()
-	if signed {
-		m.Sig = e.suite.Sign(self, body)
-		return
+// way its honest original was: under this node's signature, under that
+// signature sealed with its tag for to, or under the tag alone. Each is
+// all a real traitor could produce, whatever sender the message now
+// claims.
+func (e *byzEndpoint) reauth(m *message.Message, to transport.Addr, how replica.Auth) {
+	self, peer, s := crypto.ReplicaPrincipal(int(e.self)), crypto.ReplicaPrincipal(int(to.Replica())), m.Record()
+	switch how {
+	case replica.AuthSigned:
+		m.Sig = e.suite.Sign(self, s.SignedBytes())
+	case replica.AuthSealed:
+		sig := e.suite.Sign(self, s.SignedBytes())
+		sealed, auth := message.Seal(sig, int(to.Replica())+1)
+		message.SetTag(auth, to.Replica(), e.suite.Tag(self, peer, s.SealedBytes(sig)))
+		m.Sig = sealed
+	default:
+		m.Sig = message.SetTag(nil, to.Replica(), e.suite.Tag(self, peer, s.SignedBytes()))
 	}
-	m.Sig = message.SetTag(nil, to.Replica(), e.suite.Tag(self, crypto.ReplicaPrincipal(int(to.Replica())), body))
+}
+
+// sendAs sends m to to over a link opened under the name m claims.
+func (e *byzEndpoint) sendAs(to transport.Addr, m *message.Message) {
+	e.net.attacks.Add(1)
+	e.net.inner.Endpoint(transport.ReplicaAddr(m.From)).Send(to, message.Marshal(m))
 }
 
 // impersonate re-sends an agreement vote this node originated once per
 // other replica, claiming to be that replica, over a link opened under
-// its name.
+// its name. An ACCEPT also sets off usurp, once per slot.
 func (e *byzEndpoint) impersonate(to transport.Addr, frame []byte) {
 	m, err := message.Unmarshal(frame)
 	if err != nil || to.IsClient() || m.From != e.self || !isAgreementKind(m.Kind) {
 		return
 	}
-	signed := e.signedByMe(m)
+	if slot := [2]uint64{uint64(m.View), m.Seq}; m.Kind == message.KindAccept && slot != e.usurped {
+		e.usurped = slot
+		e.usurp(m.View, m.Seq+1)
+	}
+	how := e.authOf(m)
 	for v := ids.ReplicaID(0); int(v) < e.net.replicas; v++ {
 		if v == e.self || v == to.Replica() {
 			continue
 		}
 		m.From = v
-		e.reauth(m, to, signed)
-		e.net.attacks.Add(1)
-		e.net.inner.Endpoint(transport.ReplicaAddr(v)).Send(to, message.Marshal(m))
+		e.reauth(m, to, how)
+		e.sendAs(to, m)
+	}
+}
+
+// usurp plays the trusted proposer an ACCEPT answers: a PREPARE and a
+// COMMIT for the slot after the one accepted — which the primary has
+// yet to fill, so the forgery would be logged first and executed — sent
+// to every other replica under every other name, one of them the
+// primary's. The payload is a µ∅ no-op that matches its digest, so a
+// receiver has nothing to object to but the seal, which this node can
+// only make of its own signature and its own pair key.
+func (e *byzEndpoint) usurp(view ids.View, seq uint64) {
+	noop := &message.Request{Client: -1, Timestamp: seq}
+	d := noop.Digest()
+	for _, kind := range []message.Kind{message.KindPrepare, message.KindCommit} {
+		for v := ids.ReplicaID(0); int(v) < e.net.replicas; v++ {
+			for w := ids.ReplicaID(0); int(w) < e.net.replicas; w++ {
+				if v == e.self || w == e.self || v == w {
+					continue
+				}
+				m := &message.Message{Kind: kind, From: v, View: view, Seq: seq, Digest: d, Request: noop}
+				e.reauth(m, transport.ReplicaAddr(w), replica.AuthSealed)
+				e.sendAs(transport.ReplicaAddr(w), m)
+			}
+		}
 	}
 }
 
 // forgeProposal rewrites a proposal this node originated into a
 // conflicting proposal for the same slot: same kind, view and sequence
 // number, but a µ∅ no-op payload, the matching recomputed digest and a
-// fresh valid signature — over the Record tuple, like every agreement
-// message's: signed over anything else the forgery dies at
-// authentication and the attack shrinks to a primary silent toward half
-// its peers. Non-proposal frames pass through untouched.
+// fresh valid signature (sealed, if the original was) — over the Record
+// tuple, like every agreement message's: signed over anything else the
+// forgery dies at authentication and the attack shrinks to a primary
+// silent toward half its peers. Non-proposal frames pass through
+// untouched.
 func (e *byzEndpoint) forgeProposal(to transport.Addr, frame []byte) ([]byte, bool) {
 	m, err := message.Unmarshal(frame)
 	if err != nil || m.From != e.self {
@@ -270,11 +330,12 @@ func (e *byzEndpoint) forgeProposal(to transport.Addr, frame []byte) ([]byte, bo
 	// everywhere, so the forged proposal is structurally valid; stamping
 	// the slot's sequence number as the timestamp keeps distinct forged
 	// slots distinct.
+	how := e.authOf(m)
 	noop := &message.Request{Client: -1, Timestamp: m.Seq}
 	m.Request = noop
 	m.Batch = nil
 	m.Digest = noop.Digest()
-	e.reauth(m, to, true)
+	e.reauth(m, to, how)
 	return message.Marshal(m), true
 }
 
@@ -332,9 +393,9 @@ func (e *byzEndpoint) corrupt(to transport.Addr, frame []byte) ([]byte, bool) {
 	if err != nil || to.IsClient() || !isAgreementKind(m.Kind) || m.From != e.self {
 		return nil, false
 	}
-	signed := e.signedByMe(m)
+	how := e.authOf(m)
 	m.Digest[0] ^= 0xFF
 	m.Request = nil // a corrupted digest cannot keep a matching body
-	e.reauth(m, to, signed)
+	e.reauth(m, to, how)
 	return message.Marshal(m), true
 }

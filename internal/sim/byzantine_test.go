@@ -66,6 +66,21 @@ func tagsRefused(res *Result, victim ids.ReplicaID) error {
 	return nil
 }
 
+// sealsRefused requires that the sealed proposals forged in the trusted
+// primary's name died at the tag check and nowhere else: tags claiming
+// the primary were refused, and no replica verified a single signature
+// claiming it — not the forger's, which would show as refused, and not
+// the genuine ones on the honest proposals either. (The base shape ends
+// below its first CHECKPOINT, the one message of the primary's whose
+// signature is verified first-hand.)
+func sealsRefused(res *Result, primary ids.ReplicaID) error {
+	if n := res.Auth.By(crypto.ReplicaPrincipal(int(primary))); n.Verifies != 0 {
+		return fmt.Errorf("%d signatures claiming primary %d were verified on receipt (%d refused): a proposal got as far as a signature check",
+			n.Verifies, primary, n.BadVerifies)
+	}
+	return tagsRefused(res, primary)
+}
+
 func viewChanged(res *Result) error {
 	for _, v := range res.Views {
 		if v > 0 {
@@ -151,12 +166,26 @@ func byzantineCases() []byzantineCase {
 			// private backup included — beside each ACCEPT it sends the
 			// Lion primary: a forged accept quorum. It holds no pair key
 			// with the primary but its own, so every copy must die at the
-			// primary's tag check.
+			// primary's tag check. And it plays the primary to the
+			// backups, with a sealed PREPARE and COMMIT of a no-op for the
+			// slot: each must die at the backup's tag check, the only check
+			// there is on that path.
 			name:  "impersonate/lion",
 			proto: cluster.SeeMoRe, mode: ids.Lion,
 			byz: map[ids.ReplicaID]cluster.Behavior{3: cluster.BehaviorImpersonate},
 			bites: func(res *Result) error {
-				return errors.Join(attacked(res), tagsRefused(res, 1), tagsRefused(res, 2))
+				return errors.Join(attacked(res), tagsRefused(res, 1), tagsRefused(res, 2), sealsRefused(res, 0))
+			},
+		},
+		{
+			// A Dog proxy forges its fellow proxies' ACCEPTs, COMMITs and
+			// INFORMs, and the trusted primary's sealed PREPARE to every
+			// proxy and passive node.
+			name:  "impersonate/dog",
+			proto: cluster.SeeMoRe, mode: ids.Dog,
+			byz: map[ids.ReplicaID]cluster.Behavior{3: cluster.BehaviorImpersonate},
+			bites: func(res *Result) error {
+				return errors.Join(attacked(res), tagsRefused(res, 2), tagsRefused(res, 4), tagsRefused(res, 5), sealsRefused(res, 0))
 			},
 		},
 		{
