@@ -41,6 +41,9 @@
 // (replica.Pending), so a stalled slot is suspected after τ even while
 // its neighbors commit, and a view change re-proposes the whole
 // in-flight window via the NEW-VIEW's P′/C′ sets. Once round trips
-// overlap, signature checking dominates; batched payloads verify on a
-// worker pool (replica.Engine.VerifyRequests).
+// overlap, authentication dominates, and auth.go is where its price is
+// set: a Lion or Dog backup checks the trusted primary's seal and the
+// payload digest, nothing more, while a Peacock replica verifies the
+// public primary's signature and every batched client signature in one
+// pass (replica.Engine.VerifyRequests).
 package core

@@ -42,9 +42,10 @@
 // message log strictly in sequence order, treating it as the reorder
 // buffer, and stops at the first gap — commit n+2 before n+1 simply
 // waits. The Engine's batch verification helpers (VerifyRequests,
-// VerifyRecords) fan independent signature checks across a worker pool,
-// since signature arithmetic becomes the hot path once pipelining
-// overlaps the network round trips.
+// VerifyRecords) check independent signatures in one pass, fanned across
+// a worker pool: the client signatures in a public proposer's batch
+// (Peacock, PBFT), and the re-issued slots of a NEW-VIEW or a checkpoint
+// certificate. A trusted proposer's receivers check neither — see Auth.
 //
 // # Recovery machinery
 //
