@@ -275,6 +275,14 @@ func TestForgedTagsRejected(t *testing.T) {
 					t.Fatal("the honest COMMIT did not execute the slot under its certificate")
 				}
 			}
+			// Replaying the primary's own frame, seal and all, is the one
+			// thing anybody can do, as with a signed frame: it is a
+			// duplicate (re-accepted at most), and changes nothing.
+			executed := r.LastExecuted()
+			deliver(r, primary, honest)
+			if got := r.log.Peek(1).Proposal(); got.Digest != d || !bytes.Equal(got.Sig, genuine) || r.LastExecuted() != executed {
+				t.Fatal("a replay of the honest frame changed the slot")
+			}
 			if n := ledger.Totals().Verifies; n != 0 {
 				t.Fatalf("the honest frame cost %d signature verifications at receipt", n)
 			}
