@@ -138,8 +138,8 @@ const AblationPipelineCrossCloud = time.Millisecond
 // the next is proposed — so the sweep isolates how much throughput
 // comes from overlapping the agreement round trips of independent slots
 // versus from packing more requests into each slot. Ed25519 keeps the
-// signing cost realistic (it is what the parallel batch verification
-// amortizes).
+// signing cost realistic: every signature a replica checks costs one
+// full verification, which larger batches do not amortize.
 func AblationPipeline(mode ids.Mode, clientCounts []int, opts Options, seed int64) ([]Series, error) {
 	var out []Series
 	for _, depth := range PipelineDepths() {

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -18,12 +17,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Hot-path microbenchmarks: the three optimizations this layer leans on
-// (pooled zero-alloc encoding, Ed25519 batch verification, WAL group
-// commit) each ship with an in-tree baseline, and `seemore-bench -exp
-// hotpath` measures both sides so BENCH_hotpath.json records the actual
-// speedups on the machine that ran CI — not just the ones claimed in a
-// PR description.
+// Hot-path microbenchmarks: the two optimizations this layer leans on
+// (pooled zero-alloc encoding, WAL group commit) each ship with an
+// in-tree baseline, and `seemore-bench -exp hotpath` measures both sides
+// so BENCH_hotpath.json records the actual speedups on the machine that
+// ran CI — not just the ones claimed in a PR description.
 
 // HotpathResult is one measured microbenchmark.
 type HotpathResult struct {
@@ -49,7 +47,6 @@ type HotpathReport struct {
 	GeneratedAt string              `json:"generated_at"`
 	GoMaxProcs  int                 `json:"gomaxprocs"`
 	Codec       []HotpathComparison `json:"codec"`
-	Crypto      []HotpathComparison `json:"crypto"`
 	WAL         []HotpathComparison `json:"wal"`
 }
 
@@ -112,45 +109,6 @@ func hotpathCodec() []HotpathComparison {
 		})
 		out = append(out, compare("encode/"+name,
 			toResult("marshal", base), toResult("pooled-encode", opt)))
-	}
-	return out
-}
-
-// hotpathCrypto measures BatchVerify against the VerifyAll worker pool
-// on admission-sized signature batches. The acceptance bar is ≥1.5× at
-// n=64.
-func hotpathCrypto() []HotpathComparison {
-	suite := crypto.NewEd25519Suite(7, 4, 0)
-	rng := rand.New(rand.NewSource(99))
-	var out []HotpathComparison
-	for _, n := range []int{16, 64, 256} {
-		items := make([]crypto.BatchItem, n)
-		for i := range items {
-			p := crypto.ReplicaPrincipal(i % 4)
-			msg := make([]byte, 128)
-			rng.Read(msg)
-			items[i] = crypto.BatchItem{Signer: p, Msg: msg, Sig: suite.Sign(p, msg)}
-		}
-		base := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if !crypto.VerifyAll(len(items), func(j int) bool {
-					return suite.Verify(items[j].Signer, items[j].Msg, items[j].Sig)
-				}) {
-					b.Fatal("verify failed")
-				}
-			}
-		})
-		opt := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if ok, _ := crypto.BatchVerify(suite, items); !ok {
-					b.Fatal("verify failed")
-				}
-			}
-		})
-		out = append(out, compare(fmt.Sprintf("verify/n=%d", n),
-			toResult("verify-all", base), toResult("batch-verify", opt)))
 	}
 	return out
 }
@@ -228,7 +186,6 @@ func RunHotpath() (HotpathReport, error) {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Codec:       hotpathCodec(),
-		Crypto:      hotpathCrypto(),
 	}
 	wal, err := hotpathWAL()
 	if err != nil {
@@ -243,7 +200,7 @@ func PrintHotpath(w io.Writer, rep HotpathReport) {
 	fmt.Fprintf(w, "hot-path microbenchmarks (GOMAXPROCS=%d)\n", rep.GoMaxProcs)
 	fmt.Fprintf(w, "%-24s %-14s %12s %10s %10s %9s\n",
 		"comparison", "side", "ns/op", "B/op", "allocs/op", "speedup")
-	for _, group := range [][]HotpathComparison{rep.Codec, rep.Crypto, rep.WAL} {
+	for _, group := range [][]HotpathComparison{rep.Codec, rep.WAL} {
 		for _, c := range group {
 			for i, r := range []HotpathResult{c.Baseline, c.Optimized} {
 				speedup := ""

@@ -490,9 +490,9 @@ func (r *Replica) onNewView(m *message.Message) {
 	}
 	// Every re-issued entry must be signed by the collector for this
 	// view and carry its request payload (lone request or batch). The
-	// structural checks run inline; the signatures — one independent
-	// check per re-issued slot, the whole in-flight window of the old
-	// view — fan out across the verification worker pool.
+	// structural checks of a set run first; then its signatures — one
+	// per re-issued slot, the whole in-flight window of the old view —
+	// are checked in order, and the first bad one refuses the NEW-VIEW.
 	for _, set := range [][]message.Signed{m.Prepares, m.Commits} {
 		for i := range set {
 			s := set[i]

@@ -7,6 +7,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
+	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -99,5 +100,79 @@ func TestNewViewPrimaryCommitsSlotItAlreadyCommitted(t *testing.T) {
 	r.lionOnAccept(accept(5))
 	if got := r.log.Peek(1).CommitCert(); got != cert {
 		t.Fatal("a late ACCEPT re-issued the COMMIT")
+	}
+}
+
+// TestNewViewRefusesBadReissue: a NEW-VIEW from the trusted collector,
+// correctly signed as a whole, that re-issues one entry whose own
+// signature is bad is refused — the receiver neither enters the view nor
+// journals anything — wherever the bad entry sits. The honest NEW-VIEW
+// is then entered. This is the check every receiver runs once per view
+// change in Lion.
+func TestNewViewRefusesBadReissue(t *testing.T) {
+	suite := crypto.NewEd25519Suite(93, baseMembership().N(), 4)
+	own := func(id ids.ReplicaID) crypto.Suite { return crypto.Restrict(suite, crypto.ReplicaPrincipal(int(id))) }
+	// Backup 2 of view 0 accepts slots 1 and 2 (PREPARE and COMMIT) and
+	// slots 3 and 4 (PREPARE only) from primary 0, so the NEW-VIEW below
+	// re-issues two committed entries and two open ones.
+	const backup = 2
+	b := loneReplica(t, ids.Lion, backup, own(backup), &captureNet{}, nil)
+	for seq := uint64(1); seq <= 4; seq++ {
+		req := makeRequest(t, suite, ids.ClientID(seq%4), seq)
+		kinds := []message.Kind{message.KindPrepare}
+		if seq <= 2 {
+			kinds = append(kinds, message.KindCommit)
+		}
+		for _, kind := range kinds {
+			s := message.Signed{Kind: kind, From: 0, Seq: seq, Digest: req.Digest(), Request: req}
+			frame := sealedFrame(suite, 0, backup, s, suite.Sign(crypto.ReplicaPrincipal(0), s.SignedBytes()))
+			b.StepEnvelope(transport.Envelope{From: transport.ReplicaAddr(0), Frame: frame})
+		}
+	}
+	mb := baseMembership()
+	collectorID := mb.Transferer(ids.Lion, 1)
+	collector := loneReplica(t, ids.Lion, collectorID, own(collectorID), &captureNet{}, nil)
+	honest := collector.composeNewView(1, ids.Lion, []*message.Message{b.buildViewChange(1, ids.Lion)})
+	collector.eng.Sign(honest)
+	if len(honest.Commits) != 2 || len(honest.Prepares) != 2 {
+		t.Fatalf("NEW-VIEW re-issues %d committed and %d open entries, want 2 and 2", len(honest.Commits), len(honest.Prepares))
+	}
+	honestFrame := message.Marshal(honest)
+
+	const receiver = 3
+	store := storage.NewMem()
+	r := loneReplica(t, ids.Lion, receiver, own(receiver), &captureNet{}, store)
+	journaled := store.Len()
+	deliver := func(frame []byte) {
+		r.StepEnvelope(transport.Envelope{From: transport.ReplicaAddr(collectorID), Frame: frame})
+	}
+	for _, c := range []struct {
+		name string
+		set  func(m *message.Message) []message.Signed
+	}{
+		{"prepares", func(m *message.Message) []message.Signed { return m.Prepares }},
+		{"commits", func(m *message.Message) []message.Signed { return m.Commits }},
+	} {
+		for _, at := range []string{"first", "last"} {
+			forged := mustUnmarshal(t, append([]byte(nil), honestFrame...))
+			set := c.set(forged)
+			e := &set[0]
+			if at == "last" {
+				e = &set[len(set)-1]
+			}
+			e.Sig = append([]byte(nil), e.Sig...)
+			e.Sig[0] ^= 1
+			collector.eng.Sign(forged)
+			deliver(message.Marshal(forged))
+			if r.View() != 0 || store.Len() != journaled {
+				t.Fatalf("a bad signature on the %s entry of %s: view %d, %d records journaled, want view 0 and none",
+					at, c.name, r.View(), store.Len()-journaled)
+			}
+		}
+	}
+	deliver(honestFrame)
+	if r.View() != 1 || store.Len() == journaled {
+		t.Fatalf("the honest NEW-VIEW: view %d, %d records journaled, want view 1 and the re-issued entries",
+			r.View(), store.Len()-journaled)
 	}
 }

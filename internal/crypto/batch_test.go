@@ -46,7 +46,7 @@ func checkAgainstStdlib(t *testing.T, s *Ed25519Suite, items []BatchItem, ok boo
 func TestBatchVerifyAgreesWithStdlib(t *testing.T) {
 	s := NewEd25519Suite(7, 8, 4)
 	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 16, 33, 64, 129} {
+	for _, n := range []int{1, 2, 5, 16, 33} {
 		for trial := 0; trial < 4; trial++ {
 			items := makeBatch(s, 8, n, rng)
 			ok, bad := BatchVerify(s, items)
@@ -77,9 +77,9 @@ func TestBatchVerifyAgreesWithStdlib(t *testing.T) {
 	}
 }
 
-// TestBatchVerifyMalformedItems covers inputs the batch equation cannot
-// even parse: wrong-length signatures, unknown signers, non-canonical S,
-// and an R encoding that is not a curve point.
+// TestBatchVerifyMalformedItems covers items that are not signatures at
+// all: wrong-length signatures, unknown signers, non-canonical S, and an
+// R encoding that is not a curve point.
 func TestBatchVerifyMalformedItems(t *testing.T) {
 	s := NewEd25519Suite(7, 4, 0)
 	rng := rand.New(rand.NewSource(1))
@@ -112,16 +112,16 @@ func TestBatchVerifyMalformedItems(t *testing.T) {
 	}
 }
 
-// TestBatchVerifyEmptyAndSmall pins the edge cases around the batch
-// threshold: empty input, and sizes below minBatchVerify that take the
-// per-item path.
+// TestBatchVerifyEmptyAndSmall pins the edge cases: an empty batch
+// verifies with no bad index, and a batch of a few items names the one
+// that fails.
 func TestBatchVerifyEmptyAndSmall(t *testing.T) {
 	s := NewEd25519Suite(7, 4, 0)
 	if ok, bad := BatchVerify(s, nil); !ok || bad != -1 {
 		t.Fatalf("empty batch: got (%v, %d)", ok, bad)
 	}
 	rng := rand.New(rand.NewSource(2))
-	items := makeBatch(s, 4, minBatchVerify-1, rng)
+	items := makeBatch(s, 4, 3, rng)
 	if ok, bad := BatchVerify(s, items); !ok || bad != -1 {
 		t.Fatalf("small batch: got (%v, %d)", ok, bad)
 	}
@@ -132,7 +132,7 @@ func TestBatchVerifyEmptyAndSmall(t *testing.T) {
 }
 
 // TestBatchVerifyRestrictedSuite checks that a node-local restricted view
-// still gets the true batch path (verification is unrestricted).
+// verifies every signer's signatures (verification is unrestricted).
 func TestBatchVerifyRestrictedSuite(t *testing.T) {
 	s := NewEd25519Suite(7, 4, 0)
 	r := Restrict(s, ReplicaPrincipal(0))
@@ -147,8 +147,8 @@ func TestBatchVerifyRestrictedSuite(t *testing.T) {
 	}
 }
 
-// TestBatchVerifyOtherSuites checks the generic fallback for suites with
-// no batch equation (HMAC, noop).
+// TestBatchVerifyOtherSuites checks the same loop under the HMAC and
+// no-op suites.
 func TestBatchVerifyOtherSuites(t *testing.T) {
 	for _, s := range []Suite{NewHMACSuite(7, 4, 0), NoopSuite{}} {
 		t.Run(s.Name(), func(t *testing.T) {

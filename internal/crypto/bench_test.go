@@ -1,23 +1,6 @@
 package crypto
 
-import (
-	"fmt"
-	"math/rand"
-	"testing"
-)
-
-func benchBatch(b *testing.B, s Suite, n int) []BatchItem {
-	b.Helper()
-	rng := rand.New(rand.NewSource(99))
-	items := make([]BatchItem, n)
-	for i := range items {
-		p := ReplicaPrincipal(i % 4)
-		msg := make([]byte, 128)
-		rng.Read(msg)
-		items[i] = BatchItem{Signer: p, Msg: msg, Sig: s.Sign(p, msg)}
-	}
-	return items
-}
+import "testing"
 
 func BenchmarkSign(b *testing.B) {
 	s := NewEd25519Suite(7, 4, 0)
@@ -39,42 +22,6 @@ func BenchmarkVerify(b *testing.B) {
 		if !s.Verify(ReplicaPrincipal(0), msg, sig) {
 			b.Fatal("verify failed")
 		}
-	}
-}
-
-// BenchmarkVerifyAll is the pre-batching baseline: n independent stdlib
-// verifications spread over the worker pool.
-func BenchmarkVerifyAll(b *testing.B) {
-	s := NewEd25519Suite(7, 4, 0)
-	for _, n := range []int{16, 64, 256} {
-		items := benchBatch(b, s, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if !VerifyAll(len(items), func(j int) bool {
-					return s.Verify(items[j].Signer, items[j].Msg, items[j].Sig)
-				}) {
-					b.Fatal("verify failed")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBatchVerify is the batched path; compare per-n with
-// BenchmarkVerifyAll for the batching speedup.
-func BenchmarkBatchVerify(b *testing.B) {
-	s := NewEd25519Suite(7, 4, 0)
-	for _, n := range []int{16, 64, 256} {
-		items := benchBatch(b, s, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if ok, _ := BatchVerify(s, items); !ok {
-					b.Fatal("verify failed")
-				}
-			}
-		})
 	}
 }
 

@@ -13,9 +13,8 @@ type Counts struct {
 // claimed author (the signer of a signature, the from end of a tag).
 // Tests use it to pin a protocol's authentication budget per committed
 // request and to prove that an injected forgery reached — and failed —
-// the check meant to stop it. It is not for production paths: wrapping
-// hides the Ed25519 suite's batch verification, so every signature in a
-// batch is verified, and counted, on its own.
+// the check meant to stop it. Wrapping changes no verdict: every
+// signature, batched or not, is one Verify call and one count.
 type Counting struct {
 	inner Suite
 

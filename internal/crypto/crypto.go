@@ -21,8 +21,6 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/crypto/edwards25519"
 )
 
 // DigestSize is the size of a message digest in bytes (SHA-256).
@@ -172,10 +170,6 @@ type Ed25519Suite struct {
 	pairKeys
 	pub  map[Principal]ed25519.PublicKey
 	priv map[Principal]ed25519.PrivateKey
-	// pts caches each public key decompressed onto the curve, paid once
-	// at keyring construction so BatchVerify never re-derives A from its
-	// 32-byte encoding on the hot path.
-	pts map[Principal]*edwards25519.Point
 }
 
 // NewEd25519Suite builds a keyring holding key pairs for replica
@@ -188,7 +182,6 @@ func NewEd25519Suite(seed int64, replicas int, clients int64) *Ed25519Suite {
 		pairKeys: pairKeys{seed: seed, replicas: replicas, clients: clients},
 		pub:      make(map[Principal]ed25519.PublicKey, replicas+int(clients)),
 		priv:     make(map[Principal]ed25519.PrivateKey, replicas+int(clients)),
-		pts:      make(map[Principal]*edwards25519.Point, replicas+int(clients)),
 	}
 	for r := 0; r < replicas; r++ {
 		s.add(ReplicaPrincipal(r), seed)
@@ -206,11 +199,7 @@ func (s *Ed25519Suite) add(p Principal, seed int64) {
 	material[16] = 0xd5 // domain separation from any other seed derivation
 	priv := ed25519.NewKeyFromSeed(hashSeed(material[:]))
 	s.priv[p] = priv
-	pub := priv.Public().(ed25519.PublicKey)
-	s.pub[p] = pub
-	if pt, err := new(edwards25519.Point).SetBytes(pub); err == nil {
-		s.pts[p] = pt
-	}
+	s.pub[p] = priv.Public().(ed25519.PublicKey)
 }
 
 func hashSeed(b []byte) []byte {

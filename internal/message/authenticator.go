@@ -75,5 +75,5 @@ func OpenSeal(sealed []byte) (sig, auth []byte, ok bool) {
 // the tag is what lets the receiver keep it unverified — the sealer
 // vouches for these exact bytes.
 func (s *Signed) SealedBytes(sig []byte) []byte {
-	return append(s.appendSignedBytes(make([]byte, 0, signedBytesSize+len(sig))), sig...)
+	return append(s.AppendSignedBytes(make([]byte, 0, SignedBytesSize+len(sig))), sig...)
 }

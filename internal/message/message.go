@@ -286,13 +286,15 @@ func (m *Message) Record() *Signed {
 // (Kind, From, View, Seq, Digest) — the request µ travels outside the
 // signature, bound by Digest, exactly as in the paper's 〈〈PREPARE,v,n,d〉σp, µ〉.
 func (s *Signed) SignedBytes() []byte {
-	return s.appendSignedBytes(make([]byte, 0, signedBytesSize))
+	return s.AppendSignedBytes(make([]byte, 0, SignedBytesSize))
 }
 
-// signedBytesSize is the length of the signed tuple.
-const signedBytesSize = 1 + 8 + 8 + 8 + crypto.DigestSize
+// SignedBytesSize is the length of the signed tuple.
+const SignedBytesSize = 1 + 8 + 8 + 8 + crypto.DigestSize
 
-func (s *Signed) appendSignedBytes(buf []byte) []byte {
+// AppendSignedBytes appends the signed tuple to buf, so a caller
+// checking many records can lay their tuples out in one buffer.
+func (s *Signed) AppendSignedBytes(buf []byte) []byte {
 	e := encoder{buf: buf}
 	e.u8(uint8(s.Kind))
 	e.i64(int64(s.From))

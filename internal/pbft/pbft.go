@@ -394,8 +394,7 @@ func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 }
 
 // validPayload checks the attached payload (lone request or batch)
-// against the proposal digest and the client signatures; independent
-// member signatures verify on a worker pool.
+// against the proposal digest and the client signature of every member.
 func (r *Replica) validPayload(m *message.Message) bool {
 	reqs := m.Requests()
 	if len(reqs) == 0 || message.BatchDigest(reqs) != m.Digest {

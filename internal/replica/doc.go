@@ -41,10 +41,10 @@
 // Commits then arrive out of order; Executor.ExecuteReady walks the
 // message log strictly in sequence order, treating it as the reorder
 // buffer, and stops at the first gap — commit n+2 before n+1 simply
-// waits. The Engine's batch verification helpers (VerifyRequests,
-// VerifyRecords) check independent signatures in one pass, fanned across
-// a worker pool: the client signatures in a public proposer's batch
-// (Peacock, PBFT), and the re-issued slots of a NEW-VIEW or a checkpoint
+// waits. The Engine's set helpers (VerifyRequests, VerifyRecords) check
+// a set of independent signatures one by one, stopping at the first bad
+// one: the client signatures in a public proposer's batch (Peacock,
+// PBFT), and the re-issued slots of a NEW-VIEW or a checkpoint
 // certificate. A trusted proposer's receivers check neither — see Auth.
 //
 // # Recovery machinery

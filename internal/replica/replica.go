@@ -282,14 +282,12 @@ func (e *Engine) VerifyRequest(r *message.Request) bool {
 	return e.suite.Verify(crypto.ClientPrincipal(int64(r.Client)), r.SignedBytes(), r.Sig)
 }
 
-// VerifyRequests checks every client signature in a slot payload with
-// one batched verification pass (see crypto.BatchVerify): all
-// signatures in the batch share a single multi-scalar equation instead
-// of one full verification each. It is what a replica owes a proposal
-// from a public node — the verification hot path of Peacock and PBFT; a
-// trusted proposer verified its clients one by one at admission
-// (VerifyRequest) and its receivers take its word. No-op requests
-// (Client < 0) carry no signature and are excluded from the batch.
+// VerifyRequests checks every client signature in a slot payload, one
+// by one, stopping at the first bad one (see crypto.BatchVerify). It is
+// what a replica owes a proposal from a public node — the verification
+// hot path of Peacock and PBFT; a trusted proposer verified its clients
+// one by one at admission (VerifyRequest) and its receivers take its
+// word. No-op requests (Client < 0) carry no signature and are skipped.
 func (e *Engine) VerifyRequests(reqs []*message.Request) bool {
 	items := make([]crypto.BatchItem, 0, len(reqs))
 	for _, r := range reqs {
@@ -307,14 +305,18 @@ func (e *Engine) VerifyRequests(reqs []*message.Request) bool {
 }
 
 // VerifyRecords checks a set of Signed evidence records — independent
-// slots re-issued by a NEW-VIEW, or a checkpoint certificate — with the
-// same batched verification pass.
+// slots re-issued by a NEW-VIEW, or a checkpoint certificate — the same
+// way, stopping at the first bad one. The signed tuples share one
+// buffer, so the check allocates nothing per record.
 func (e *Engine) VerifyRecords(set []message.Signed) bool {
 	items := make([]crypto.BatchItem, len(set))
+	buf := make([]byte, 0, len(set)*message.SignedBytesSize)
 	for i := range set {
+		start := len(buf)
+		buf = set[i].AppendSignedBytes(buf)
 		items[i] = crypto.BatchItem{
 			Signer: crypto.ReplicaPrincipal(int(set[i].From)),
-			Msg:    set[i].SignedBytes(),
+			Msg:    buf[start:len(buf):len(buf)],
 			Sig:    set[i].Sig,
 		}
 	}
