@@ -38,7 +38,7 @@ bench-json: ## machine-readable sweeps → BENCH_pipeline/shard/txn/readmix/resh
 	$(GO) run ./cmd/seemore-bench -exp ablation-reshard \
 		-measure 300ms -warmup 80ms -shard-clients 24 -json BENCH_reshard.json
 
-bench-hotpath: ## hot-path microbenchmarks (pooled codec / WAL group commit) → BENCH_hotpath.json
+bench-hotpath: ## hot-path microbenchmarks (pooled codec) → BENCH_hotpath.json
 	$(GO) run ./cmd/seemore-bench -exp hotpath -json BENCH_hotpath.json
 
 bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it), and run the crypto, seal and record-set microbenchmarks once so their allocs/op pins cannot rot

@@ -117,3 +117,35 @@ func BranchesBothRelease(ep *message.Endpoint, m *message.Message, fast bool) {
 		f.Release()
 	}
 }
+
+// Outbox stands in for the replica engine's outbox, which owns held
+// frames until its journal is synced and then releases them.
+type Outbox struct{ held []*message.Frame }
+
+func (o *Outbox) stage(f *message.Frame) { o.held = append(o.held, f) }
+
+// Post is the outbox's staging site: the one documented ownership
+// transfer, which the allow covers, beside the usual send-then-release.
+func (o *Outbox) Post(ep *message.Endpoint, m *message.Message, hold bool) {
+	f := message.Encode(m)
+	if hold {
+		o.stage(f) //lint:allow releasecheck ownership passes to the outbox, which releases f once the journal is synced
+		return
+	}
+	_ = ep.Send(1, f.Bytes())
+	f.Release()
+}
+
+// PostUnannounced is the same transfer without the allow.
+func (o *Outbox) PostUnannounced(m *message.Message) {
+	f := message.Encode(m)
+	o.stage(f)
+	return // want `return without releasing pooled frame`
+}
+
+// StashFrame keeps the frame itself — not just its bytes — in
+// caller-owned structure anywhere but the outbox's staging site.
+func StashFrame(o *Outbox, m *message.Message) {
+	f := message.Encode(m)     // want `not released on the fall-through path`
+	o.held = append(o.held, f) // want `stored into non-local structure`
+}

@@ -12,16 +12,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/message"
-	"repro/internal/storage"
 )
 
-// Hot-path microbenchmarks: the two optimizations this layer leans on
-// (pooled zero-alloc encoding, WAL group commit) each ship with an
-// in-tree baseline, and `seemore-bench -exp hotpath` measures both sides
-// so BENCH_hotpath.json records the actual speedups on the machine that
-// ran CI — not just the ones claimed in a PR description.
+// Hot-path microbenchmarks: the optimization this layer leans on
+// (pooled zero-alloc encoding) ships with an in-tree baseline, and
+// `seemore-bench -exp hotpath` measures both sides so BENCH_hotpath.json
+// records the actual speedups on the machine that ran CI — not just the
+// ones claimed in a PR description.
 
 // HotpathResult is one measured microbenchmark.
 type HotpathResult struct {
@@ -47,7 +45,6 @@ type HotpathReport struct {
 	GeneratedAt string              `json:"generated_at"`
 	GoMaxProcs  int                 `json:"gomaxprocs"`
 	Codec       []HotpathComparison `json:"codec"`
-	WAL         []HotpathComparison `json:"wal"`
 }
 
 func toResult(name string, r testing.BenchmarkResult) HotpathResult {
@@ -113,86 +110,13 @@ func hotpathCodec() []HotpathComparison {
 	return out
 }
 
-// hotpathWAL measures Append at FsyncEvery:1 with 1 writer (one fsync
-// per append, the pre-group-commit behaviour) and 8 concurrent writers
-// (where coalescing earns its keep; acceptance bar ≥3×). Real fsyncs are
-// noisy, so each point is the best of three runs.
-func hotpathWAL() ([]HotpathComparison, error) {
-	run := func(writers int) (res testing.BenchmarkResult, err error) {
-		dir, err := os.MkdirTemp("", "hotpath-wal-")
-		if err != nil {
-			return testing.BenchmarkResult{}, err
-		}
-		defer os.RemoveAll(dir)
-		d, err := storage.Open(dir, storage.DiskOptions{FsyncEvery: 1})
-		if err != nil {
-			return testing.BenchmarkResult{}, err
-		}
-		// A sticky fsync error would have surfaced through Append and
-		// failed the benchmark already; a close failure here means the
-		// measured numbers came off a sick disk, so surface it too.
-		defer func() {
-			if cerr := d.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		payload := make([]byte, 256)
-		rec := storage.Record{
-			Kind: storage.KindProposal, Seq: 1, View: 3, Mode: 1,
-			Digest: crypto.Sum(payload), Payload: payload,
-		}
-		res = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetParallelism(writers) // workers = writers × GOMAXPROCS
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := d.Append(rec); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-		return res, nil
-	}
-	best := func(writers int) (testing.BenchmarkResult, error) {
-		var b testing.BenchmarkResult
-		for i := 0; i < 3; i++ {
-			r, err := run(writers)
-			if err != nil {
-				return b, err
-			}
-			if b.N == 0 || r.NsPerOp() < b.NsPerOp() {
-				b = r
-			}
-		}
-		return b, nil
-	}
-	serial, err := best(1)
-	if err != nil {
-		return nil, err
-	}
-	grouped, err := best(8)
-	if err != nil {
-		return nil, err
-	}
-	return []HotpathComparison{compare("wal-append/fsync-every-1",
-		toResult("writers=1", serial), toResult("writers=8", grouped))}, nil
-}
-
 // RunHotpath runs every hot-path microbenchmark and collects the report.
-func RunHotpath() (HotpathReport, error) {
-	rep := HotpathReport{
+func RunHotpath() HotpathReport {
+	return HotpathReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Codec:       hotpathCodec(),
 	}
-	wal, err := hotpathWAL()
-	if err != nil {
-		return rep, err
-	}
-	rep.WAL = wal
-	return rep, nil
 }
 
 // PrintHotpath renders the report as an aligned text table.
@@ -200,16 +124,14 @@ func PrintHotpath(w io.Writer, rep HotpathReport) {
 	fmt.Fprintf(w, "hot-path microbenchmarks (GOMAXPROCS=%d)\n", rep.GoMaxProcs)
 	fmt.Fprintf(w, "%-24s %-14s %12s %10s %10s %9s\n",
 		"comparison", "side", "ns/op", "B/op", "allocs/op", "speedup")
-	for _, group := range [][]HotpathComparison{rep.Codec, rep.WAL} {
-		for _, c := range group {
-			for i, r := range []HotpathResult{c.Baseline, c.Optimized} {
-				speedup := ""
-				if i == 1 {
-					speedup = fmt.Sprintf("%.2fx", c.Speedup)
-				}
-				fmt.Fprintf(w, "%-24s %-14s %12.1f %10d %10d %9s\n",
-					c.Name, r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, speedup)
+	for _, c := range rep.Codec {
+		for i, r := range []HotpathResult{c.Baseline, c.Optimized} {
+			speedup := ""
+			if i == 1 {
+				speedup = fmt.Sprintf("%.2fx", c.Speedup)
 			}
+			fmt.Fprintf(w, "%-24s %-14s %12.1f %10d %10d %9s\n",
+				c.Name, r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, speedup)
 		}
 	}
 }

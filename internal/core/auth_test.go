@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -515,57 +516,96 @@ var authBudget = map[ids.Mode]struct{ signs, minVerifies, maxVerifies uint64 }{
 	ids.Peacock: {5, 12, 16},
 }
 
+// budgetOps is how many sequential Puts a budget test runs: below the
+// checkpoint period, so CHECKPOINTs and snapshots are not per-request
+// cost.
+const budgetOps = 12
+
+// quietHarness is the S=2 P=4 cluster the budget tests measure, before
+// any replica is added: mode over suite, with no retransmission and no
+// suspicion, however loaded the host — either would add work that is
+// not the budget's.
+func quietHarness(t *testing.T, mode ids.Mode, suite crypto.Suite) *harness {
+	t.Helper()
+	mb := baseMembership()
+	timing := fastTiming()
+	timing.ViewChange, timing.ClientRetry = time.Minute, time.Minute
+	cl, err := config.NewCluster(mb, mode, timing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{
+		t: t, mb: mb, cluster: cl, suite: suite,
+		net: transport.NewSimNetwork(transport.LAN(mb.S(), 95)),
+	}
+	t.Cleanup(h.stop)
+	return h
+}
+
+// add builds replica id, unstarted, on net and journaling to st (nil:
+// no durability).
+func (h *harness) add(id ids.ReplicaID, net transport.Network, st storage.Store) {
+	h.t.Helper()
+	kv := statemachine.NewKVStore()
+	r, err := NewReplica(Options{
+		ID: id, Cluster: h.cluster, Suite: h.suite, Network: net,
+		StateMachine: kv, TickInterval: 2 * time.Millisecond, Storage: st,
+	})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.replicas = append(h.replicas, r)
+	h.kvs = append(h.kvs, kv)
+}
+
+// budgetCluster builds, without starting it, the quiet cluster with
+// each replica journaling to storeOf(id) (storeOf nil: no durability).
+func budgetCluster(t *testing.T, mode ids.Mode, suite crypto.Suite, storeOf func(ids.ReplicaID) storage.Store) *harness {
+	t.Helper()
+	h := quietHarness(t, mode, suite)
+	for _, id := range h.mb.All() {
+		var st storage.Store
+		if storeOf != nil {
+			st = storeOf(id)
+		}
+		h.add(id, h.net, st)
+	}
+	return h
+}
+
+// runBudget starts the cluster, runs budgetOps sequential Puts and waits
+// until every replica has executed every one of them.
+func (h *harness) runBudget() {
+	h.t.Helper()
+	for _, r := range h.replicas {
+		r.Start()
+	}
+	c := h.client(0)
+	for i := 0; i < budgetOps; i++ {
+		h.mustPut(c, fmt.Sprintf("k%d", i), "v")
+	}
+	waitFor(h.t, "every replica to execute every request", 10*time.Second, func() bool {
+		for _, r := range h.replicas {
+			if r.LastExecuted() != budgetOps {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // TestAuthBudgetPerOp pins the per-request authentication budget with a
 // counting suite, so a regression in signatures or verifications per
 // request fails here instead of waiting for a traced benchmark run.
 func TestAuthBudgetPerOp(t *testing.T) {
-	const ops = 12 // below the checkpoint period: CHECKPOINTs are not per-request cost
+	const ops = budgetOps
 	for _, mode := range []ids.Mode{ids.Lion, ids.Dog, ids.Peacock} {
 		t.Run(mode.String(), func(t *testing.T) {
-			mb := baseMembership()
-			timing := fastTiming()
-			// No retransmission and no suspicion, however loaded the host:
-			// either would add verifications that are not the budget's.
-			timing.ViewChange, timing.ClientRetry = time.Minute, time.Minute
-			cl, err := config.NewCluster(mb, mode, timing)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counted := crypto.Count(crypto.NewEd25519Suite(95, mb.N(), 1))
-			h := &harness{
-				t: t, mb: mb, cluster: cl, suite: counted,
-				net: transport.NewSimNetwork(transport.LAN(mb.S(), 95)),
-			}
-			for _, id := range mb.All() {
-				kv := statemachine.NewKVStore()
-				r, err := NewReplica(Options{
-					ID: id, Cluster: cl, Suite: counted, Network: h.net,
-					StateMachine: kv, TickInterval: 2 * time.Millisecond,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				h.replicas = append(h.replicas, r)
-				h.kvs = append(h.kvs, kv)
-				r.Start()
-			}
-			t.Cleanup(h.stop)
-
-			c := h.client(0)
-			for i := 0; i < ops; i++ {
-				h.mustPut(c, fmt.Sprintf("k%d", i), "v")
-			}
+			counted := crypto.Count(crypto.NewEd25519Suite(95, baseMembership().N(), 1))
 			// Once every replica has executed every request no signature is
 			// left to check: what may still be in flight is tagged, or a
 			// PREPARE vote for a slot its receiver has already prepared.
-			waitFor(t, "every replica to execute every request", 10*time.Second, func() bool {
-				for _, r := range h.replicas {
-					if r.LastExecuted() != ops {
-						return false
-					}
-				}
-				return true
-			})
+			budgetCluster(t, mode, counted, nil).runBudget()
 			got, want := counted.Totals(), authBudget[mode]
 			if got.Signs != want.signs*ops {
 				t.Errorf("%d signatures for %d requests, want %d per request", got.Signs, ops, want.signs)
@@ -579,6 +619,69 @@ func TestAuthBudgetPerOp(t *testing.T) {
 			}
 			t.Logf("%v per request: %.1f signatures, %.1f verifications, %.1f tags, %.1f tag checks", mode,
 				float64(got.Signs)/ops, float64(got.Verifies)/ops, float64(got.Tags)/ops, float64(got.TagVerifies)/ops)
+		})
+	}
+}
+
+// countingStore counts what a replica asks of its disk, into counters
+// every replica's store shares.
+type countingStore struct {
+	*storage.Mem
+	appends, syncs *atomic.Uint64
+}
+
+func (s countingStore) Append(rec storage.Record) error {
+	s.appends.Add(1)
+	return s.Mem.Append(rec)
+}
+
+func (s countingStore) Sync() error {
+	s.syncs.Add(1)
+	return s.Mem.Sync()
+}
+
+// syncBudget is what one committed request costs the cluster's disks at
+// batch 1 on S=2 P=4, every replica journaling: appends exactly, syncs
+// at most. A sync comes from the outbox, once per drain that sends after
+// appending (ARCHITECTURE.md, "Durability and recovery"); a record no
+// frame depends on — a Lion backup's or a passive node's commit — rides
+// the sync of the replica's next frame. So the ceiling is one sync per
+// such drain, and drains that share a sync only lower it:
+//   - Lion: the primary's proposal and its commit (2), one ACCEPT per
+//     backup (5);
+//   - Dog: the primary's proposal (1), each proxy's ACCEPT and its
+//     commit with INFORM and REPLY (4 × 2);
+//   - Peacock: the primary's PRE-PREPARE, each proxy's PREPARE (3),
+//     each proxy's COMMIT vote and its commit with INFORM and REPLY
+//     (4 × 2).
+var syncBudget = map[ids.Mode]struct{ appends, maxSyncs uint64 }{
+	ids.Lion:    {12, 7},
+	ids.Dog:     {16, 9},
+	ids.Peacock: {19, 12},
+}
+
+// TestSyncBudgetPerOp pins the per-request journal budget with a
+// counting store: the exact, disk-independent half of what the one
+// outbox saves.
+func TestSyncBudgetPerOp(t *testing.T) {
+	const ops = budgetOps
+	for _, mode := range []ids.Mode{ids.Lion, ids.Dog, ids.Peacock} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var appends, syncs atomic.Uint64
+			h := budgetCluster(t, mode, crypto.NewEd25519Suite(95, baseMembership().N(), 1), func(ids.ReplicaID) storage.Store {
+				return countingStore{Mem: storage.NewMem(), appends: &appends, syncs: &syncs}
+			})
+			boot := appends.Load() // each pristine replica stamps its boot view
+			h.runBudget()
+			gotAppends, gotSyncs := appends.Load()-boot, syncs.Load()
+			want := syncBudget[mode]
+			if gotAppends != want.appends*ops {
+				t.Errorf("%d journal appends for %d requests, want %d per request", gotAppends, ops, want.appends)
+			}
+			if gotSyncs > want.maxSyncs*ops {
+				t.Errorf("%d journal syncs for %d requests, want at most %d per request", gotSyncs, ops, want.maxSyncs)
+			}
+			t.Logf("%v per request: %.2f appends, %.2f syncs", mode, float64(gotAppends)/ops, float64(gotSyncs)/ops)
 		})
 	}
 }

@@ -190,9 +190,10 @@ func NewReplica(opts Options) (*Replica, error) {
 		// tick interval.
 		TickInterval: r.in.TickInterval(opts.TickInterval),
 		Clock:        clk,
+		Journal:      r.jr,
 	})
 	r.rec = replica.NewRecovery(replica.RecoveryConfig{
-		Engine: r.eng, Log: r.log, Exec: r.exec, Journal: r.jr, Pending: r.pending,
+		Engine: r.eng, Log: r.log, Exec: r.exec, Pending: r.pending,
 		Trust: trust{r}, N: mb.N(), ViewChange: r.timing.ViewChange,
 		JoinQuorum: mb.M() + 1, Mode: r.mode,
 	})

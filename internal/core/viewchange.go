@@ -617,8 +617,9 @@ func (r *Replica) applyNewView(m *message.Message) {
 // the primary of view v+1 when switching to Lion or Dog, the transferer
 // of view v+1 when switching to Peacock (exactly the paper's replica s).
 // The request is injected through the replica's own inbox so all
-// protocol state stays on the engine goroutine; it is a no-op if this
-// replica turns out not to be the driver.
+// protocol state stays on the engine goroutine, which makes it safe to
+// call from any goroutine; it is a no-op if this replica turns out not
+// to be the driver.
 func (r *Replica) RequestModeSwitch(newMode ids.Mode) {
 	directive := &message.Message{
 		Kind: message.KindModeChange,
@@ -626,7 +627,7 @@ func (r *Replica) RequestModeSwitch(newMode ids.Mode) {
 		View: 0, // sentinel: "next view", resolved on the engine goroutine
 		Mode: newMode,
 	}
-	r.eng.Send(r.eng.ID(), directive)
+	r.eng.Loopback(directive)
 }
 
 // onModeChange handles both the local directive (View 0 from self) and

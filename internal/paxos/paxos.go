@@ -137,9 +137,10 @@ func NewReplica(opts Options) (*Replica, error) {
 		Endpoint:     opts.Network.Endpoint(transport.ReplicaAddr(opts.ID)),
 		TickInterval: r.in.TickInterval(opts.TickInterval),
 		Clock:        clk,
+		Journal:      r.jr,
 	})
 	r.rec = replica.NewRecovery(replica.RecoveryConfig{
-		Engine: r.eng, Log: r.log, Exec: r.exec, Journal: r.jr, Pending: r.pending,
+		Engine: r.eng, Log: r.log, Exec: r.exec, Pending: r.pending,
 		Trust: trust{r}, N: r.n, ViewChange: r.timing.ViewChange, JoinQuorum: 1,
 	})
 	if opts.Storage != nil {

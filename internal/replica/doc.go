@@ -10,6 +10,18 @@
 // timers, crash emulation, durability and recovery — lives here exactly
 // once.
 //
+// # Journal and outbox
+//
+// Journal is the write side of durability: engines append a record
+// before sending anything that depends on it. Appends only write. The
+// Engine's outbox, the one place frames leave, makes them durable: the
+// engine handles its inbox in drains (the envelopes queued when it takes
+// the first, or one tick), holds the frames a drain sends while the
+// journal has unsynced records, and at the end of the drain calls
+// Journal.Sync once and sends them in order. So no frame leaves before
+// every record appended before it is durable. A store error breaks the
+// journal, and the engine fail-stops: it sends nothing until restart.
+//
 // # Intake
 //
 // In every mode of the paper, and in the Paxos and PBFT baselines, a

@@ -18,19 +18,23 @@ import (
 // through their hot paths without branching.
 //
 // The engines call the Journal only from their single engine goroutine,
-// matching the storage.Store contract. Records are appended BEFORE the
-// action they describe is externalized (a proposal is journaled before
-// it is multicast, a vote before it is sent), so a recovered replica
-// can never have told the network something its log does not remember.
+// matching the storage.Store contract. A record is appended before the
+// engine sends anything that depends on it (a proposal before it is
+// multicast, a vote before it is sent); appends only write, and the
+// Engine's outbox syncs the journal once before the first frame it
+// releases after them (Dirty, Sync). So no frame leaves before every
+// record appended before it is durable, and a recovered replica can
+// never have told the network something its log does not remember.
 //
-// A storage error mid-run cannot be handled by a consensus protocol in
-// any useful way (refusing to vote forever would just look like a
-// crash); the Journal logs the first error, marks itself broken, and
-// the replica continues as a volatile node until restarted — exactly
-// what it would have been with durability off.
+// A storage error breaks the journal for good (Broken): the replica can
+// no longer remember what it says, so from then on its engine sends
+// nothing until the process restarts — it looks crashed, never amnesiac
+// (ARCHITECTURE.md, "Durability and recovery").
 type Journal struct {
-	store  storage.Store
-	broken bool
+	store    storage.Store
+	dirty    bool // records appended since the last Sync
+	broken   bool
+	failures int
 }
 
 // NewJournal wraps a store; st may be nil (durability off).
@@ -38,6 +42,20 @@ func NewJournal(st storage.Store) *Journal { return &Journal{store: st} }
 
 // Enabled reports whether records are currently being written.
 func (j *Journal) Enabled() bool { return j != nil && j.store != nil && !j.broken }
+
+// Dirty reports whether records were appended since the last Sync.
+func (j *Journal) Dirty() bool { return j != nil && j.dirty }
+
+// Broken reports whether the store failed, fail-stopping the replica.
+func (j *Journal) Broken() bool { return j != nil && j.broken }
+
+// Failures counts the storage errors that broke the journal.
+func (j *Journal) Failures() int {
+	if j == nil {
+		return 0
+	}
+	return j.failures
+}
 
 // Store exposes the underlying store (nil when durability is off).
 func (j *Journal) Store() storage.Store {
@@ -47,18 +65,33 @@ func (j *Journal) Store() storage.Store {
 	return j.store
 }
 
+// Sync makes every record appended so far durable.
+func (j *Journal) Sync() {
+	if !j.Enabled() || !j.dirty {
+		return
+	}
+	if err := j.store.Sync(); err != nil {
+		j.fail(err)
+		return
+	}
+	j.dirty = false
+}
+
 func (j *Journal) append(rec storage.Record) {
 	if !j.Enabled() {
 		return
 	}
 	if err := j.store.Append(rec); err != nil {
 		j.fail(err)
+		return
 	}
+	j.dirty = true
 }
 
 func (j *Journal) fail(err error) {
 	j.broken = true
-	log.Printf("replica: durable storage failed, continuing volatile: %v", err)
+	j.failures++
+	log.Printf("replica: durable storage failed, fail-stopping until restart: %v", err)
 }
 
 // Proposal journals an accepted proposal, payload included.

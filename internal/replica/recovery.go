@@ -49,10 +49,10 @@ type Trust interface {
 
 // RecoveryConfig wires a Recovery to the engine-owned pieces it drives.
 type RecoveryConfig struct {
+	// Engine runs the replica; Recovery journals through its Journal.
 	Engine  *Engine
 	Log     *mlog.Log
 	Exec    *Executor
-	Journal *Journal
 	Pending *Pending
 	Trust   Trust
 	// N is the cluster size; replica identities are [0, N).
@@ -125,7 +125,7 @@ func NewRecovery(cfg RecoveryConfig) *Recovery {
 		all[i] = ids.ReplicaID(i)
 	}
 	return &Recovery{
-		eng: cfg.Engine, log: cfg.Log, exec: cfg.Exec, jr: cfg.Journal,
+		eng: cfg.Engine, log: cfg.Log, exec: cfg.Exec, jr: cfg.Engine.jr,
 		pending: cfg.Pending, trust: cfg.Trust,
 		all: all, tau: cfg.ViewChange, joinQuorum: cfg.JoinQuorum,
 		mode:   cfg.Mode,

@@ -100,7 +100,7 @@ func newRig(t *testing.T) *rig {
 	g.pend = NewPending(g.clk)
 	eng := NewEngine(Config{ID: 0, Suite: g.suite, Endpoint: g.ep, Clock: g.clk})
 	g.rec = NewRecovery(RecoveryConfig{
-		Engine: eng, Log: g.log, Exec: g.exec, Journal: NewJournal(nil), Pending: g.pend,
+		Engine: eng, Log: g.log, Exec: g.exec, Pending: g.pend,
 		Trust: g.trust, N: rigN, ViewChange: rigTau, JoinQuorum: 2,
 	})
 	return g

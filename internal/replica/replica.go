@@ -37,6 +37,10 @@ type Config struct {
 	// The deterministic simulation injects a virtual clock here so tick
 	// timestamps come from the simulated schedule.
 	Clock clock.Clock
+	// Journal is the replica's durable log (nil: durability off). The
+	// engine syncs it before releasing any frame built after a record was
+	// appended, and sends nothing once it has failed.
+	Journal *Journal
 }
 
 // Engine runs a Handler over an endpoint.
@@ -46,6 +50,8 @@ type Engine struct {
 	ep    transport.Endpoint
 	tick  time.Duration
 	clk   clock.Clock
+	jr    *Journal
+	out   outbox
 
 	mu      sync.Mutex
 	crashed bool
@@ -68,6 +74,8 @@ func NewEngine(cfg Config) *Engine {
 		ep:     cfg.Endpoint,
 		tick:   tick,
 		clk:    clock.OrReal(cfg.Clock),
+		jr:     cfg.Journal,
+		out:    outbox{ep: cfg.Endpoint, jr: cfg.Journal},
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -95,24 +103,46 @@ func (e *Engine) loop(h Handler) {
 	//lint:allow clockcheck the wall ticker only paces the event loop; protocol timestamps come from the injected clock.Clock
 	ticker := time.NewTicker(e.tick)
 	defer ticker.Stop()
+	inbox := e.ep.Inbox()
 	for {
 		select {
 		case <-e.stopCh:
 			return
-		case env, ok := <-e.ep.Inbox():
+		case env, ok := <-inbox:
 			if !ok {
 				return
 			}
-			e.processEnvelope(h, env)
+			e.drain(h, env, inbox)
 		case <-ticker.C:
 			// Ticks stamp the engine's clock, not the host ticker's
 			// delivery time, so an injected clock governs every timer.
-			if e.isCrashed() {
-				continue
-			}
-			h.HandleTick(e.clk.Now())
+			e.StepTick(h, e.clk.Now())
 		}
 	}
+}
+
+// drain processes env and the envelopes already queued behind it as one
+// unit of work: what they make the replica send leaves after one journal
+// sync (see outbox). The count is taken once, so a drain ends even while
+// peers keep sending.
+func (e *Engine) drain(h Handler, env transport.Envelope, inbox <-chan transport.Envelope) {
+	e.out.draining = true
+	e.processEnvelope(h, env)
+	for n := len(inbox); n > 0; n-- {
+		next, ok := <-inbox
+		if !ok {
+			break
+		}
+		e.processEnvelope(h, next)
+	}
+	e.endDrain()
+}
+
+// endDrain syncs the journal and releases the drain's held frames — or,
+// if the replica crashed meanwhile, drops them.
+func (e *Engine) endDrain() {
+	e.out.draining = false
+	e.out.flush(e.isCrashed())
 }
 
 // processEnvelope validates one inbound frame and dispatches it — the
@@ -147,21 +177,27 @@ func (e *Engine) processEnvelope(h Handler, env transport.Envelope) {
 
 // StepEnvelope feeds one inbound frame through the same validation
 // path as the goroutine loop, synchronously, on the caller's
-// goroutine. It is the deterministic simulation's delivery entry
-// point: the harness owns the one thread that ever steps a replica,
-// so the engine-confinement invariant the Handler contract promises
-// still holds. Never mix Step* with Start on the same engine.
+// goroutine, as a drain of its own. It is the deterministic
+// simulation's delivery entry point: the harness owns the one thread
+// that ever steps a replica, so the engine-confinement invariant the
+// Handler contract promises still holds. Never mix Step* with Start on
+// the same engine.
 func (e *Engine) StepEnvelope(h Handler, env transport.Envelope) {
+	e.out.draining = true
 	e.processEnvelope(h, env)
+	e.endDrain()
 }
 
 // StepTick fires one tick at the given (usually virtual) time,
-// synchronously. See StepEnvelope for the threading contract.
+// synchronously, as a drain of its own. See StepEnvelope for the
+// threading contract.
 func (e *Engine) StepTick(h Handler, now time.Time) {
 	if e.isCrashed() {
 		return
 	}
+	e.out.draining = true
 	h.HandleTick(now)
+	e.endDrain()
 }
 
 // Stop terminates the event loop and waits for it to exit. Stopping an
@@ -178,7 +214,8 @@ func (e *Engine) Stop() {
 }
 
 // Crash puts the replica in fail-stop mode: it stops processing and
-// sending until Recover. This models the paper's private-cloud crash
+// sending until Recover, and frames held in the current drain are
+// dropped. This models the paper's private-cloud crash
 // failures ("may fail by stopping, and may restart").
 func (e *Engine) Crash() {
 	e.mu.Lock()
@@ -199,6 +236,10 @@ func (e *Engine) isCrashed() bool {
 	defer e.mu.Unlock()
 	return e.crashed
 }
+
+// silent reports whether the replica must send nothing: it is crashed,
+// or its journal failed and it fail-stopped until restart.
+func (e *Engine) silent() bool { return e.isCrashed() || e.jr.Broken() }
 
 // Auth says how a message kind is authenticated. Each engine keeps one
 // table from (mode, kind) to Auth; the zero value marks a kind the table
@@ -327,25 +368,26 @@ func (e *Engine) VerifyRecords(set []message.Signed) bool {
 	return ok
 }
 
-// Send marshals and transmits m to a replica. A crashed replica sends
-// nothing. Encoding goes through a pooled frame — Endpoint.Send must not
-// retain frames, so the buffer is reusable the moment Send returns.
+// Send transmits m to a replica. A crashed or fail-stopped replica
+// sends nothing.
 func (e *Engine) Send(to ids.ReplicaID, m *message.Message) {
-	if e.isCrashed() {
-		return
-	}
-	f := message.Encode(m)
-	e.ep.Send(transport.ReplicaAddr(to), f.Bytes())
-	f.Release()
+	e.post(m, []transport.Addr{transport.ReplicaAddr(to)})
 }
 
 // SendClient transmits m to a client.
 func (e *Engine) SendClient(c ids.ClientID, m *message.Message) {
+	e.post(m, []transport.Addr{transport.ClientAddr(c)})
+}
+
+// Loopback hands m to this replica's own inbox. Unlike Send it may be
+// called from any goroutine: the frame never leaves the replica, so it
+// bypasses the outbox.
+func (e *Engine) Loopback(m *message.Message) {
 	if e.isCrashed() {
 		return
 	}
 	f := message.Encode(m)
-	e.ep.Send(transport.ClientAddr(c), f.Bytes())
+	e.ep.Send(transport.ReplicaAddr(e.id), f.Bytes())
 	f.Release()
 }
 
@@ -363,7 +405,7 @@ func (e *Engine) SendClientTagged(c ids.ClientID, m *message.Message) {
 // frame (see message.SetTag). s itself is left without a Sig — a tagged
 // vote is no evidence, so there is nothing to keep.
 func (e *Engine) MulticastTagged(to []ids.ReplicaID, s *message.Signed) {
-	if e.isCrashed() {
+	if e.silent() {
 		return
 	}
 	s.From = e.id
@@ -378,7 +420,7 @@ func (e *Engine) MulticastTagged(to []ids.ReplicaID, s *message.Signed) {
 // destination over the tuple and that signature, in one frame (see
 // message.Seal). s itself keeps the bare signature.
 func (e *Engine) MulticastSealed(to []ids.ReplicaID, s *message.Signed) {
-	if e.isCrashed() {
+	if e.silent() {
 		return
 	}
 	m := s.Wire()
@@ -415,15 +457,31 @@ func (e *Engine) fillTags(auth []byte, to []ids.ReplicaID, body []byte) {
 // itself (protocols account for their own vote locally). The message is
 // encoded once into a pooled frame shared by every destination.
 func (e *Engine) Multicast(to []ids.ReplicaID, m *message.Message) {
-	if e.isCrashed() {
+	var buf [16]transport.Addr
+	dests := buf[:0]
+	for _, r := range to {
+		if r != e.id {
+			dests = append(dests, transport.ReplicaAddr(r))
+		}
+	}
+	e.post(m, dests)
+}
+
+// post encodes m once into a pooled frame and sends it to each of to, in
+// order — at once, or through the outbox while the journal holds records
+// the frame may depend on. Endpoint.Send must not retain frames, so a
+// frame sent at once is reusable the moment the last Send returns.
+func (e *Engine) post(m *message.Message, to []transport.Addr) {
+	if len(to) == 0 || e.silent() {
 		return
 	}
 	f := message.Encode(m)
-	for _, r := range to {
-		if r == e.id {
-			continue
-		}
-		e.ep.Send(transport.ReplicaAddr(r), f.Bytes())
+	if e.out.holding() {
+		e.out.hold(f, to) //lint:allow releasecheck ownership passes to the outbox, which releases f after its last destination once the journal is synced
+		return
+	}
+	for _, a := range to {
+		e.ep.Send(a, f.Bytes())
 	}
 	f.Release()
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -22,11 +21,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DiskOptions tunes the file-backed store.
 type DiskOptions struct {
-	// FsyncEvery batches fsyncs: the file is synced after every N
-	// appends. 1 (and anything below) syncs every append — the safest
-	// setting and the default. Larger values trade a bounded window of
-	// recent appends (on power failure; not on process crash) for
-	// throughput.
+	// FsyncEvery batches fsyncs: Sync fsyncs only once at least N
+	// appends are unsynced. 1 (and anything below) makes every Sync
+	// cover every earlier append — the safest setting and the default.
+	// Larger values trade a bounded window of recent appends (on power
+	// failure; not on process crash) for throughput.
 	FsyncEvery int
 	// SegmentBytes rotates the active WAL segment once it exceeds this
 	// size (default 4 MiB).
@@ -46,38 +45,24 @@ func (o DiskOptions) normalized() DiskOptions {
 // Disk is the file-backed Store: a directory holding WAL segments
 // (wal-<n>.seg) and checkpoint snapshots (snap-<seq>.snap).
 //
-// Append and Sync are safe for concurrent use and group-commit: while one
-// caller's fsync is in flight, other appenders keep writing; when the
-// fsync returns, exactly one parked caller issues the next fsync covering
-// everything written in the meantime. Concurrent appenders therefore
-// share fsyncs instead of queueing one fsync per append, while every
-// Append that returns nil is still individually durable (FsyncEvery:1).
+// Append only writes; Sync makes every earlier append durable. One
+// engine goroutine drives a Disk, syncing once per batch of appends
+// before it lets anything they describe leave (see replica.Journal), so
+// the mutex only guards against a stray concurrent caller.
 type Disk struct {
 	dir  string
 	opts DiskOptions
 	lock *os.File // flock on LOCK, held for the store's lifetime
 
-	mu      sync.Mutex
-	flushed sync.Cond // signals syncing edges and synced advancing
-
-	cur     *os.File
-	curName string
-	curSize int64
-	curMax  uint64 // highest GC-relevant Seq in the active segment
-	nextSeg uint64
-	segMax  map[string]uint64 // closed segments → highest Seq
-
-	// Group-commit state. Positions are logical append counts, global and
-	// monotonic across segment rotations: appended counts records written
-	// to the log, synced the prefix made durable. Rotation syncs the
-	// outgoing segment in full before switching files, so at every segment
-	// boundary synced == appended and an fsync of the active file is
-	// always enough to cover every position up to the current appended.
-	appended uint64
-	synced   uint64
-	syncing  bool // an fsync is in flight (file must not be rotated away)
+	mu       sync.Mutex
+	cur      *os.File
+	curName  string
+	curSize  int64
+	curMax   uint64 // highest GC-relevant Seq in the active segment
+	nextSeg  uint64
+	segMax   map[string]uint64 // closed segments → highest Seq
+	unsynced int               // appends written since the last fsync
 	syncErr  error
-	unsynced int // appends since the last sync request (FsyncEvery > 1 countdown)
 	closed   bool
 }
 
@@ -109,7 +94,6 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 		lock:   lock,
 		segMax: make(map[string]uint64),
 	}
-	d.flushed.L = &d.mu
 	ok := false
 	defer func() {
 		if !ok {
@@ -287,24 +271,17 @@ func appendFrame(buf []byte, rec *Record) []byte {
 }
 
 // rotate closes the active segment and opens a fresh one. It requires
-// d.mu held; it waits out any in-flight fsync (the syncer holds the file)
-// and leaves the outgoing segment fully durable, so the group-commit
-// counters reset clean for the new file.
+// d.mu held and leaves the outgoing segment fully durable, so a later
+// fsync of the new file covers every append.
 func (d *Disk) rotate() error {
 	if d.cur != nil {
-		for d.syncing {
-			d.flushed.Wait()
+		if err := d.fsync(); err != nil {
+			return err
 		}
-		if err := d.cur.Sync(); err != nil {
-			return d.latchSyncErr(err)
-		}
-		d.synced = d.appended
-		d.flushed.Broadcast()
 		if err := d.cur.Close(); err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
 		d.segMax[d.curName] = d.curMax
-		d.unsynced = 0
 	}
 	name := segName(d.nextSeg)
 	d.nextSeg++
@@ -317,21 +294,25 @@ func (d *Disk) rotate() error {
 	return nil
 }
 
-// latchSyncErr records a failed fsync. After one, the page cache may have
-// dropped dirty pages the kernel could not write, so no later fsync can
-// retroactively make earlier appends durable — every subsequent append
-// and sync reports the failure rather than pretending to recover.
-func (d *Disk) latchSyncErr(err error) error {
-	if d.syncErr == nil {
-		d.syncErr = fmt.Errorf("storage: %w", err)
+// fsync makes every append so far durable. A failed fsync latches: the
+// page cache may have dropped dirty pages the kernel could not write, so
+// no later fsync can retroactively make earlier appends durable — every
+// subsequent append and sync reports the failure rather than pretending
+// to recover. Caller holds d.mu.
+func (d *Disk) fsync() error {
+	if d.syncErr != nil || d.unsynced == 0 {
+		return d.syncErr
 	}
-	d.flushed.Broadcast()
-	return d.syncErr
+	if err := d.cur.Sync(); err != nil {
+		d.syncErr = fmt.Errorf("storage: %w", err)
+		return d.syncErr
+	}
+	d.unsynced = 0
+	return nil
 }
 
-// Append implements Store. It is safe for concurrent use: callers that
-// need durability coalesce onto a shared fsync (see the Disk doc comment)
-// instead of syncing once each.
+// Append implements Store: it writes the record and leaves it to Sync
+// to make durable.
 func (d *Disk) Append(rec Record) error {
 	if !rec.Kind.Valid() {
 		return fmt.Errorf("storage: append of invalid record kind %d", uint8(rec.Kind))
@@ -339,99 +320,48 @@ func (d *Disk) Append(rec Record) error {
 	frame := appendFrame(nil, &rec)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pos, err := d.appendLocked(rec, frame)
-	if err != nil {
-		return err
-	}
-	d.unsynced++
-	if d.unsynced < d.opts.FsyncEvery {
-		// Inside the FsyncEvery window: this append's durability is
-		// deliberately deferred, matching the documented trade.
-		return nil
-	}
-	d.unsynced = 0
-	return d.syncToLocked(pos)
+	return d.appendLocked(rec, frame)
 }
 
-// appendLocked writes one pre-encoded record frame to the active segment
-// and returns its logical position. The frame is built by the caller
-// outside the lock so encoding and checksumming stay off the serial
-// section. Caller holds d.mu.
-func (d *Disk) appendLocked(rec Record, frame []byte) (uint64, error) {
+// appendLocked writes one pre-encoded record frame to the active
+// segment. The frame is built by the caller outside the lock. Caller
+// holds d.mu.
+func (d *Disk) appendLocked(rec Record, frame []byte) error {
 	if d.closed {
-		return 0, errors.New("storage: store closed")
+		return errors.New("storage: store closed")
 	}
 	if d.syncErr != nil {
-		return 0, d.syncErr
+		return d.syncErr
 	}
 	if d.curSize > d.opts.SegmentBytes {
 		if err := d.rotate(); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if _, err := d.cur.Write(frame); err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
+		return fmt.Errorf("storage: %w", err)
 	}
 	d.curSize += int64(len(frame))
 	if s := gcSeq(rec); s > d.curMax {
 		d.curMax = s
 	}
-	d.appended++
-	return d.appended, nil
+	d.unsynced++
+	return nil
 }
 
-// syncToLocked blocks until every append at or below pos is durable.
-// Caller holds d.mu; the lock is released while an fsync runs, so other
-// appenders keep writing into the batch the next fsync will cover.
-func (d *Disk) syncToLocked(pos uint64) error {
-	for {
-		if d.syncErr != nil {
-			return d.syncErr
-		}
-		if d.synced >= pos {
-			return nil
-		}
-		if d.syncing {
-			// Another caller's fsync is in flight; park. Whatever it
-			// covers, the loop re-checks on wake-up and the first parked
-			// caller still uncovered becomes the next syncer.
-			d.flushed.Wait()
-			continue
-		}
-		d.syncing = true
-		d.mu.Unlock()
-		// Commit window: step off the CPU once so appenders just released
-		// by the previous fsync (runnable, but not yet scheduled) can
-		// write their records into the batch this fsync is about to
-		// cover. Costs ~100ns when nobody else is runnable; multiplies
-		// the coalescing factor when the log is contended.
-		runtime.Gosched()
-		d.mu.Lock()
-		f, target := d.cur, d.appended
-		d.mu.Unlock()
-		err := f.Sync()
-		d.mu.Lock()
-		d.syncing = false
-		if err != nil {
-			return d.latchSyncErr(err)
-		}
-		if target > d.synced {
-			d.synced = target
-		}
-		d.flushed.Broadcast()
-	}
-}
-
-// Sync implements Store: it makes every append issued so far durable.
-// Safe for concurrent use with Append.
+// Sync implements Store: it fsyncs once at least FsyncEvery appends are
+// unsynced, which at the default of 1 makes every earlier append
+// durable.
 func (d *Disk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
-	d.unsynced = 0
-	return d.syncToLocked(d.appended)
+	if d.unsynced < d.opts.FsyncEvery {
+		return d.syncErr
+	}
+	return d.fsync()
 }
 
 // Replay implements Store.
@@ -474,16 +404,12 @@ func (d *Disk) Truncate(seq uint64, epoch []Record) error {
 	if err := d.rotate(); err != nil {
 		return err
 	}
-	var last uint64
 	for _, rec := range epoch {
-		pos, err := d.appendLocked(rec, appendFrame(nil, &rec))
-		if err != nil {
+		if err := d.appendLocked(rec, appendFrame(nil, &rec)); err != nil {
 			return err
 		}
-		last = pos
 	}
-	d.unsynced = 0
-	if err := d.syncToLocked(last); err != nil {
+	if err := d.fsync(); err != nil {
 		return err
 	}
 	for name, maxSeq := range d.segMax {
@@ -498,29 +424,14 @@ func (d *Disk) Truncate(seq uint64, epoch []Record) error {
 	return nil
 }
 
-// Close implements Store. It waits out any in-flight fsync and flushes
-// the tail, so parked appenders are released durable before the file
-// goes away.
+// Close implements Store: it syncs the tail and releases the directory.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
-	for d.syncing {
-		d.flushed.Wait()
-	}
-	var err error
-	if d.syncErr != nil {
-		err = d.syncErr
-	} else if d.synced < d.appended {
-		if serr := d.cur.Sync(); serr != nil {
-			err = d.latchSyncErr(serr)
-		} else {
-			d.synced = d.appended
-			d.flushed.Broadcast()
-		}
-	}
+	err := d.fsync()
 	if cerr := d.cur.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("storage: %w", cerr)
 	}

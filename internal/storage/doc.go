@@ -15,8 +15,11 @@
 // own votes, commit markers, stable-checkpoint markers, and view/mode
 // entries. Engines append a record BEFORE acting on the event it
 // describes (before multicasting a proposal, before voting, before
-// executing a committed slot), so a replica that crashes and replays
-// its log can never have externalized state it no longer remembers.
+// executing a committed slot). Append only writes; Sync makes every
+// earlier append durable, and the engine calls it once before the first
+// frame that could depend on those appends leaves (see replica's
+// outbox), so a replica that crashes and replays its log can never have
+// externalized state it no longer remembers.
 //
 // On disk the log is a directory of segments (wal-<n>.seg). Each record
 // is framed as
@@ -31,10 +34,11 @@
 // log, keeping disk usage bounded.
 //
 // The fsync policy is configurable (config.Durability.FsyncEvery): 1
-// syncs every append (no acknowledged write can be lost), N batches the
-// sync cost over N appends (bounded loss of the most recent appends on
-// a power failure; a plain process crash loses nothing either way
-// because the OS still holds the written pages).
+// makes every Sync cover every earlier append (nothing a replica said can
+// be lost), N skips a Sync until N appends are pending (bounded loss of
+// the most recent appends on a power failure; a plain process crash
+// loses nothing either way because the OS still holds the written
+// pages). A failed fsync latches: every later Append and Sync reports it.
 //
 // # Snapshot store
 //
@@ -47,7 +51,8 @@
 //
 // Two implementations exist: Disk (real deployments, cmd/seemore
 // -data-dir) and Mem (tests and the simulated cluster, where a shared
-// Mem store models a disk that survives the process). Engines accept
+// Mem store models a disk that survives the process; FailNth scripts a
+// failed Append or Sync). Engines accept
 // the Store interface, so the legacy fully-in-memory path is simply a
 // nil store.
 package storage

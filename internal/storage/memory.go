@@ -16,6 +16,44 @@ type Mem struct {
 	recs   []Record
 	snap   *Snapshot
 	closed bool
+
+	// The scripted fault (FailNth): failIn more calls of failOn until
+	// it fires; failed latches once it has.
+	failOn Fault
+	failIn int
+	failed error
+}
+
+// Fault names the Mem call a scripted fault hits.
+type Fault uint8
+
+const (
+	FaultAppend Fault = iota + 1 // Mem.Append
+	FaultSync                    // Mem.Sync
+)
+
+// ErrInjected is what a scripted fault returns.
+var ErrInjected = errors.New("storage: injected fault")
+
+// FailNth scripts a disk fault: the nth call of kind f from now on
+// (n ≥ 1) fails with ErrInjected, and so does every Append and Sync
+// after it — like a Disk whose fsync failed, the store cannot vouch for
+// what it was given any more.
+func (m *Mem) FailNth(f Fault, n int) {
+	m.mu.Lock()
+	m.failOn, m.failIn = f, n
+	m.mu.Unlock()
+}
+
+// fault counts one call of kind f toward the scripted fault and returns
+// the latched failure, if any. Caller holds m.mu.
+func (m *Mem) fault(f Fault) error {
+	if m.failed == nil && m.failOn == f {
+		if m.failIn--; m.failIn == 0 {
+			m.failed = ErrInjected
+		}
+	}
+	return m.failed
 }
 
 // NewMem returns an empty in-memory store.
@@ -37,13 +75,21 @@ func (m *Mem) Append(rec Record) error {
 	if m.closed {
 		return errors.New("storage: store closed")
 	}
+	if err := m.fault(FaultAppend); err != nil {
+		return err
+	}
 	rec.Payload = append([]byte(nil), rec.Payload...)
 	m.recs = append(m.recs, rec)
 	return nil
 }
 
-// Sync implements Store.
-func (m *Mem) Sync() error { return nil }
+// Sync implements Store. Appends are durable the moment they land, so
+// all it can do is fail as scripted.
+func (m *Mem) Sync() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.fault(FaultSync)
+}
 
 // Replay implements Store.
 func (m *Mem) Replay(fn func(rec Record) error) error {

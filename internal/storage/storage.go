@@ -127,12 +127,15 @@ type Snapshot struct {
 // through. Implementations must be safe for use from a single engine
 // goroutine; Close may race with nothing.
 type Store interface {
-	// Append writes one record to the log. Durability follows the
-	// implementation's fsync policy; Append returning nil means the
-	// record will survive a process crash (though possibly not a power
-	// failure, if syncs are batched).
+	// Append writes one record to the log. Append returning nil means
+	// the record will survive a process crash, and will be replayed
+	// after every record appended before it; it is durable against a
+	// power failure only once a later Sync returns nil.
 	Append(rec Record) error
-	// Sync forces all buffered appends to stable storage.
+	// Sync makes every earlier Append durable (subject to the
+	// implementation's fsync batching policy). An error is sticky: the
+	// store cannot vouch for those appends any more, and every later
+	// Append and Sync reports it too.
 	Sync() error
 	// Replay streams every surviving record in append order. It is
 	// called once, before the engine starts.

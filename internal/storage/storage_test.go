@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -326,6 +327,37 @@ func TestMemMirrorsDiskSemantics(t *testing.T) {
 	m.Reopen()
 	if err := m.Append(rec(KindCommit, 6, nil)); err != nil {
 		t.Fatalf("append after reopen: %v", err)
+	}
+}
+
+// TestMemFailNth checks the scripted fault: the nth Sync fails, the
+// calls before it do not, and the store stays failed afterwards.
+func TestMemFailNth(t *testing.T) {
+	m := NewMem()
+	m.FailNth(FaultSync, 2)
+	if err := m.Append(rec(KindProposal, 1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatalf("first Sync = %v, want nil", err)
+	}
+	if err := m.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("second Sync = %v, want ErrInjected", err)
+	}
+	if err := m.Append(rec(KindProposal, 2, nil)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Append after the fault = %v, want ErrInjected", err)
+	}
+	if m.Len() != 1 {
+		t.Fatalf("%d records kept, want only the one appended before the fault", m.Len())
+	}
+
+	m = NewMem()
+	m.FailNth(FaultAppend, 1)
+	if err := m.Append(rec(KindProposal, 1, nil)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("scripted Append = %v, want ErrInjected", err)
+	}
+	if err := m.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Sync after a failed Append = %v, want ErrInjected", err)
 	}
 }
 
