@@ -34,11 +34,6 @@ type heldFrame struct {
 	last bool
 }
 
-// holding reports whether a new frame must wait: the journal holds
-// unsynced records, or frames sent earlier are still waiting and order
-// per destination must hold.
-func (o *outbox) holding() bool { return len(o.held) > 0 || o.jr.Dirty() }
-
 // hold takes ownership of f, to be sent to each of to, in order, once
 // the journal is synced.
 func (o *outbox) hold(f *message.Frame, to []transport.Addr) {

@@ -469,14 +469,16 @@ func (e *Engine) Multicast(to []ids.ReplicaID, m *message.Message) {
 
 // post encodes m once into a pooled frame and sends it to each of to, in
 // order — at once, or through the outbox while the journal holds records
-// the frame may depend on. Endpoint.Send must not retain frames, so a
-// frame sent at once is reusable the moment the last Send returns.
+// the frame may depend on. Only the flush that sends held frames syncs
+// the journal, so a frame that finds it clean has nothing held to
+// overtake. Endpoint.Send must not retain frames, so a frame sent at
+// once is reusable the moment the last Send returns.
 func (e *Engine) post(m *message.Message, to []transport.Addr) {
 	if len(to) == 0 || e.silent() {
 		return
 	}
 	f := message.Encode(m)
-	if e.out.holding() {
+	if e.jr.Dirty() {
 		e.out.hold(f, to) //lint:allow releasecheck ownership passes to the outbox, which releases f after its last destination once the journal is synced
 		return
 	}
