@@ -51,7 +51,7 @@ func main() {
 		lease    = flag.Duration("lease", 0, "leader lease duration for local leased reads (0 disables; trusted modes only)")
 		leaseSkw = flag.Duration("lease-skew", 0, "assumed clock-skew bound backing the lease safety margin")
 		dataDir  = flag.String("data-dir", "", "durable storage directory (WAL + snapshots); empty runs fully in memory")
-		fsyncEv  = flag.Int("fsync-every", 1, "fsync the WAL every N appends (1: every append; >1 trades a bounded power-failure window for throughput)")
+		fsyncEv  = flag.Int("fsync-every", 1, "fsync the WAL only once N appends are pending (1: before anything appended is sent; >1 trades a bounded power-failure window for throughput)")
 		shards   = flag.Int("shards", 1, "total consensus groups in the sharded deployment this replica belongs to")
 		shardOf  = flag.Int("shard-of", 0, "which group this replica serves, in [0, shards)")
 	)

@@ -313,11 +313,12 @@ type Durability struct {
 	// Dir is the data directory (the -data-dir flag of cmd/seemore).
 	// Empty disables durability.
 	Dir string
-	// FsyncEvery batches WAL fsyncs: the log is synced to disk after
-	// every N appends. Values ≤ 1 sync every append (the default, and
-	// the only setting under which an acknowledged vote can never be
-	// forgotten across a power failure); larger values amortize the
-	// sync cost at a bounded durability loss.
+	// FsyncEvery batches WAL fsyncs: a replica syncs its log once before
+	// it sends anything it appended, and the sync reaches the disk only
+	// once N appends are pending. Values ≤ 1 fsync every such time (the
+	// default, and the only setting under which a sent vote can never be
+	// forgotten across a power failure); larger values amortize the sync
+	// cost at a bounded durability loss.
 	FsyncEvery int
 }
 

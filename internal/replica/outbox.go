@@ -12,8 +12,9 @@ import (
 // The engine works in drains: the envelopes already queued when it takes
 // the first one, or one tick (in the simulation, one StepEnvelope or
 // StepTick). While the journal holds unsynced records, frames are held
-// here; when the drain ends, one Journal.Sync covers every record the
-// drain appended and the held frames go out in the order they were sent.
+// here; when the drain ends, one Journal.Sync covers every record
+// appended so far and the held frames go out in the order they were
+// sent.
 // A frame built while the journal is clean goes out at once, so a replica
 // without storage never holds anything. A frame sent outside any drain
 // (the boot-time STATE-REQUEST) is synced and sent on the spot.

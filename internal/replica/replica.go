@@ -457,7 +457,7 @@ func (e *Engine) fillTags(auth []byte, to []ids.ReplicaID, body []byte) {
 // itself (protocols account for their own vote locally). The message is
 // encoded once into a pooled frame shared by every destination.
 func (e *Engine) Multicast(to []ids.ReplicaID, m *message.Message) {
-	var buf [16]transport.Addr
+	var buf [16]transport.Addr // a cluster this size lists its destinations without allocating
 	dests := buf[:0]
 	for _, r := range to {
 		if r != e.id {
