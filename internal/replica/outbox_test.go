@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
 	"repro/internal/storage"
@@ -100,10 +99,7 @@ func (d drainOf) HandleTick(time.Time)           { d() }
 
 func newOutboxEngine() (*Engine, *wire) {
 	w := &wire{}
-	e := NewEngine(Config{
-		ID: 0, Suite: crypto.NewHMACSuite(1, 4, 0), Endpoint: wireEnd{w}, Journal: NewJournal(w),
-	})
-	return e, w
+	return NewEngine(Config{ID: 0, Endpoint: wireEnd{w}, Journal: NewJournal(w)}), w
 }
 
 func probe(seq uint64) *message.Message {
