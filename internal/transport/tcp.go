@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -36,7 +37,9 @@ type TCPNode struct {
 	closed        bool
 
 	inbox chan Envelope
-	wg    sync.WaitGroup
+	// dropped counts received frames discarded on a full inbox.
+	dropped atomic.Uint64
+	wg      sync.WaitGroup
 }
 
 // NewTCPNode starts a node for cluster address addr, listening on
@@ -103,6 +106,10 @@ func (n *TCPNode) Addr() Addr { return n.addr }
 
 // Inbox implements Endpoint.
 func (n *TCPNode) Inbox() <-chan Envelope { return n.inbox }
+
+// Dropped returns how many received frames the node has discarded
+// because its inbox was full.
+func (n *TCPNode) Dropped() uint64 { return n.dropped.Load() }
 
 // Send implements Endpoint. Delivery is best-effort: dial or write
 // failures drop the frame and reset the cached connection, matching the
@@ -279,7 +286,9 @@ func (n *TCPNode) readLoop(c net.Conn, from Addr, needHello bool) {
 		select {
 		case n.inbox <- Envelope{From: from, Frame: frame}:
 		default:
-			// Inbox overflow: drop, like the simulated network.
+			// Inbox overflow: drop, like the simulated network, and count
+			// the drop.
+			n.dropped.Add(1)
 		}
 	}
 }

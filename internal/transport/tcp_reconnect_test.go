@@ -178,3 +178,35 @@ func TestTCPHalfOpenConnectionRecovers(t *testing.T) {
 		t.Fatalf("recovery delivery corrupt: %+v", env)
 	}
 }
+
+// TestTCPInboxOverflowCounted: a node whose inbox nobody drains keeps
+// what fits and counts every frame past that as dropped, exactly.
+func TestTCPInboxOverflowCounted(t *testing.T) {
+	a, err := NewTCPNode(ReplicaAddr(0), "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewTCPNode(ReplicaAddr(1), "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.AddPeer(ReplicaAddr(1), b.ListenAddr())
+
+	const over = 100
+	held := cap(b.inbox)
+	for i := 0; i < held+over; i++ {
+		a.Send(ReplicaAddr(1), []byte{byte(i)})
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(b.Inbox())+int(b.Dropped()) < held+over {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames held and %d dropped of %d sent", len(b.Inbox()), b.Dropped(), held+over)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if len(b.Inbox()) != held || b.Dropped() != over {
+		t.Fatalf("%d frames held and %d dropped, want %d and %d", len(b.Inbox()), b.Dropped(), held, over)
+	}
+}
