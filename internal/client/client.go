@@ -152,7 +152,10 @@ func (c *Client) InvokeCancel(op []byte, cancel <-chan struct{}) ([]byte, error)
 	c.ts++
 	req := &message.Request{Op: op, Timestamp: c.ts, Client: c.id}
 	req.Sig = c.suite.Sign(crypto.ClientPrincipal(int64(c.id)), req.SignedBytes())
-	wire := message.Marshal(&message.Message{Kind: message.KindRequest, From: -1, Request: req})
+	// One authenticator for every replica, so the retransmission to all
+	// reuses the wire: each receiver checks its own tag, not req.Sig.
+	wire := message.Marshal(&message.Message{Kind: message.KindRequest, From: -1, Request: req,
+		Sig: message.AuthenticateRequest(c.suite, req, c.policy.All())})
 
 	send := func(targets []ids.ReplicaID) {
 		for _, r := range targets {

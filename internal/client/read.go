@@ -152,6 +152,7 @@ func (c *Client) Read(op []byte, opts ReadOptions) ([]byte, error) {
 		From:        -1,
 		Request:     req,
 		Consistency: opts.Consistency,
+		Sig:         message.AuthenticateRequest(c.suite, req, c.policy.All()),
 	})
 	send := func(to []ids.ReplicaID) {
 		for _, r := range to {

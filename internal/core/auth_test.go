@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/config"
 	"repro/internal/crypto"
 	"repro/internal/ids"
@@ -169,8 +170,7 @@ func TestForgedTagsRejected(t *testing.T) {
 			// forger claims a private backup's and two public ones'.
 			name: "lion-accept", mode: ids.Lion, self: 0, kind: message.KindAccept,
 			prepare: func(r *Replica) {
-				deliver(r, transport.ClientAddr(0), message.Marshal(
-					&message.Message{Kind: message.KindRequest, From: -1, Request: req}))
+				deliver(r, transport.ClientAddr(0), message.Marshal(clientRequest(suite, mb, req)))
 			},
 			claimed: []ids.ReplicaID{1, 2, 3},
 		},
@@ -505,16 +505,72 @@ func TestSealedEvidenceExportsPeacock(t *testing.T) {
 	}
 }
 
-// authBudget is what one committed request may cost in signatures and
-// signature verifications, cluster-wide, client included, at batch 1 on
-// S=2 P=4 (ARCHITECTURE.md derives the numbers). Verifications are a
-// range only in Peacock, where a PREPARE vote that overtakes the
-// pre-prepare, or the vote before it, still has to be checked.
-var authBudget = map[ids.Mode]struct{ signs, minVerifies, maxVerifies uint64 }{
-	ids.Lion:    {3, 1, 1},
-	ids.Dog:     {2, 1, 1},
-	ids.Peacock: {5, 12, 16},
+// TestLaggardAdoptsCommitOverUncheckedSignature: a trusted Lion primary
+// admits its clients on their tags, so a slot the cluster committed may
+// hold a client signature nobody ever verified. A lagging backup that
+// learns the slot from a STATE-REPLY must adopt the primary's signed
+// COMMIT on that signature and the payload digest alone, or it refuses a
+// slot everyone else executed. Both of those checks stay.
+func TestLaggardAdoptsCommitOverUncheckedSignature(t *testing.T) {
+	const primary, laggard = 0, 1
+	mb := baseMembership()
+	suite := crypto.NewEd25519Suite(99, mb.N(), 1)
+	req := makeRequest(t, suite, 0, 1)
+	req.Sig[0] ^= 0xff
+	commit := func(edit func(*message.Signed)) message.Signed {
+		s := message.Signed{Kind: message.KindCommit, From: primary, Seq: 1,
+			Digest: message.BatchDigest([]*message.Request{req}), Request: req}
+		s.Sig = suite.Sign(crypto.ReplicaPrincipal(primary), s.SignedBytes())
+		edit(&s)
+		return s
+	}
+	for _, tc := range []struct {
+		name     string
+		commit   message.Signed
+		executed uint64
+	}{
+		{"the primary's COMMIT", commit(func(*message.Signed) {}), 1},
+		{"a COMMIT the primary did not sign", commit(func(s *message.Signed) { s.Sig[0] ^= 0xff }), 0},
+		{"a COMMIT over another payload", commit(func(s *message.Signed) { s.Request = makeRequest(t, suite, 0, 2) }), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if suite.Verify(crypto.ClientPrincipal(0), req.SignedBytes(), req.Sig) {
+				t.Fatal("the committed request's client signature verifies")
+			}
+			rep := &message.Message{Kind: message.KindStateReply, From: primary, Commits: []message.Signed{tc.commit}}
+			rep.Sig = suite.Sign(crypto.ReplicaPrincipal(primary), rep.SignedBytes())
+			r := loneReplica(t, ids.Lion, laggard, crypto.Restrict(suite, crypto.ReplicaPrincipal(laggard)), &captureNet{}, nil)
+			r.StepEnvelope(transport.Envelope{From: transport.ReplicaAddr(primary), Frame: message.Marshal(rep)})
+			if got := r.LastExecuted(); got != tc.executed {
+				t.Fatalf("the laggard executed through slot %d, want %d", got, tc.executed)
+			}
+		})
+	}
 }
+
+// authCost is what one request costs the cluster in signatures,
+// signature verifications, tags and tag checks, client included.
+type authCost struct{ signs, minVerifies, maxVerifies, tags, tagChecks uint64 }
+
+// authBudget is what one committed request costs at batch 1 on S=2 P=4
+// (ARCHITECTURE.md derives the numbers). Every receiver takes a client's
+// request on its tag; only a Peacock primary verifies the client's
+// signature, before admission. Verifications are a range only in
+// Peacock, where a PREPARE vote that overtakes the pre-prepare, or the
+// vote before it, still has to be checked. The six tags of the client's
+// authenticator are part of every row.
+var authBudget = map[ids.Mode]authCost{
+	ids.Lion:    {3, 0, 0, 22, 15},
+	ids.Dog:     {2, 0, 0, 47, 23},
+	ids.Peacock: {5, 12, 16, 35, 21},
+}
+
+// readBudget is what one read served without consensus costs — leased
+// at a Lion or Dog primary, or stale at a private node in any mode: the
+// client's signature and its six-tag authenticator, the server's check
+// of its tag, the REPLY's tag and the client's check of it. Nobody
+// verifies a signature.
+var readBudget = authCost{1, 0, 0, 7, 2}
 
 // budgetOps is how many sequential Puts a budget test runs: below the
 // checkpoint period, so CHECKPOINTs and snapshots are not per-request
@@ -595,30 +651,67 @@ func (h *harness) runBudget() {
 }
 
 // TestAuthBudgetPerOp pins the per-request authentication budget with a
-// counting suite, so a regression in signatures or verifications per
-// request fails here instead of waiting for a traced benchmark run.
+// counting suite, so a regression in signatures, verifications or tags
+// per request fails here instead of waiting for a traced benchmark run.
+// The read rows run after the Puts, on a lease the Puts armed, and count
+// only what the reads add.
 func TestAuthBudgetPerOp(t *testing.T) {
 	const ops = budgetOps
+	check := func(t *testing.T, what string, got crypto.Counts, want authCost) {
+		t.Helper()
+		if got.Signs != want.signs*ops {
+			t.Errorf("%d signatures for %d %s, want %d each", got.Signs, ops, what, want.signs)
+		}
+		if got.Verifies < want.minVerifies*ops || got.Verifies > want.maxVerifies*ops {
+			t.Errorf("%d signature verifications for %d %s, want %d–%d each",
+				got.Verifies, ops, what, want.minVerifies, want.maxVerifies)
+		}
+		if got.Tags != want.tags*ops || got.TagVerifies != want.tagChecks*ops {
+			t.Errorf("%d tags and %d tag checks for %d %s, want %d and %d each",
+				got.Tags, got.TagVerifies, ops, what, want.tags, want.tagChecks)
+		}
+		if got.BadVerifies+got.BadTagVerifies != 0 {
+			t.Errorf("honest run rejected %d signatures and %d tags", got.BadVerifies, got.BadTagVerifies)
+		}
+		t.Logf("per %s: %.1f signatures, %.1f verifications, %.1f tags, %.1f tag checks", what,
+			float64(got.Signs)/ops, float64(got.Verifies)/ops, float64(got.Tags)/ops, float64(got.TagVerifies)/ops)
+	}
 	for _, mode := range []ids.Mode{ids.Lion, ids.Dog, ids.Peacock} {
 		t.Run(mode.String(), func(t *testing.T) {
-			counted := crypto.Count(crypto.NewEd25519Suite(95, baseMembership().N(), 1))
+			// Client 0 writes, client 1 reads.
+			counted := crypto.Count(crypto.NewEd25519Suite(95, baseMembership().N(), 2))
+			h := quietHarness(t, mode, counted)
+			if mode != ids.Peacock {
+				h.cluster.Leases = config.Leases{Duration: 30 * time.Second}
+			}
+			for _, id := range h.mb.All() {
+				h.add(id, h.net, nil)
+			}
 			// Once every replica has executed every request no signature is
 			// left to check: what may still be in flight is tagged, or a
 			// PREPARE vote for a slot its receiver has already prepared.
-			budgetCluster(t, mode, counted, nil).runBudget()
-			got, want := counted.Totals(), authBudget[mode]
-			if got.Signs != want.signs*ops {
-				t.Errorf("%d signatures for %d requests, want %d per request", got.Signs, ops, want.signs)
+			h.runBudget()
+			check(t, "request", counted.Totals(), authBudget[mode])
+
+			reads := []client.ReadOptions{{Consistency: client.Stale}}
+			if mode != ids.Peacock {
+				reads = append(reads, client.ReadOptions{Consistency: client.Leased})
 			}
-			if got.Verifies < want.minVerifies*ops || got.Verifies > want.maxVerifies*ops {
-				t.Errorf("%d signature verifications for %d requests, want %d–%d per request",
-					got.Verifies, ops, want.minVerifies, want.maxVerifies)
+			c := h.client(1)
+			for _, opts := range reads {
+				before := counted.Totals()
+				for i := 0; i < ops; i++ {
+					if _, err := c.Read(statemachine.EncodeGet(fmt.Sprintf("k%d", i)), opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				after := counted.Totals()
+				check(t, opts.Consistency.String()+" read", crypto.Counts{
+					Signs: after.Signs - before.Signs, Verifies: after.Verifies - before.Verifies,
+					Tags: after.Tags - before.Tags, TagVerifies: after.TagVerifies - before.TagVerifies,
+					BadVerifies: after.BadVerifies - before.BadVerifies, BadTagVerifies: after.BadTagVerifies - before.BadTagVerifies,
+				}, readBudget)
 			}
-			if got.BadVerifies+got.BadTagVerifies != 0 {
-				t.Errorf("honest run rejected %d signatures and %d tags", got.BadVerifies, got.BadTagVerifies)
-			}
-			t.Logf("%v per request: %.1f signatures, %.1f verifications, %.1f tags, %.1f tag checks", mode,
-				float64(got.Signs)/ops, float64(got.Verifies)/ops, float64(got.Tags)/ops, float64(got.TagVerifies)/ops)
 		})
 	}
 }

@@ -315,7 +315,7 @@ func (r *Replica) HandleMessage(m *message.Message) {
 	}
 	switch m.Kind {
 	case message.KindRequest:
-		r.onRequest(m.Request)
+		r.onRequest(m.Request, m.Sig)
 	case message.KindPrepare:
 		r.onPrepare(m)
 	case message.KindPrePrepare:
@@ -447,14 +447,23 @@ func (r *Replica) sendReply(mode ids.Mode, view ids.View, req *message.Request, 
 	r.eng.SendClientTagged(req.Client, rep)
 }
 
-// onRequest handles a client REQUEST: primaries order it; backups that
-// already executed it re-send the cached reply; otherwise the request is
-// relayed to the primary and a liveness timer starts so a dead primary
-// is eventually suspected (Section 5.1's client-retransmission path).
-func (r *Replica) onRequest(req *message.Request) {
-	if req == nil || req.Client < 0 || !r.eng.VerifyRequest(req) {
+// onRequest handles a client REQUEST under the client's authenticator
+// auth. Its tag for this replica is all that is checked: the client's
+// signature inside µ travels on unverified (ARCHITECTURE.md,
+// "Authentication", the third case).
+func (r *Replica) onRequest(req *message.Request, auth []byte) {
+	if req == nil || !r.eng.AuthenticRequest(req, auth) {
 		return
 	}
+	r.orderRequest(req, auth)
+}
+
+// orderRequest acts on an authentic client request: primaries order it;
+// backups that already executed it re-send the cached reply; otherwise
+// the request is relayed to the primary and a liveness timer starts so a
+// dead primary is eventually suspected (Section 5.1's
+// client-retransmission path).
+func (r *Replica) orderRequest(req *message.Request, auth []byte) {
 	// Retransmission of an executed request: re-send the cached reply
 	// regardless of role (the client is asking everyone because it timed
 	// out).
@@ -472,14 +481,22 @@ func (r *Replica) onRequest(req *message.Request) {
 		return
 	}
 	if r.isPrimary() {
+		// A Peacock primary's proxies verify every client signature in
+		// its PRE-PREPARE, so one bad signature admitted on its tag alone
+		// would poison an honest primary's slot. A trusted primary's
+		// proposals are taken on its word: nobody checks the signature.
+		if r.mode == ids.Peacock && !r.eng.VerifyRequest(req) {
+			return
+		}
 		r.in.Admit(req)
 		return
 	}
 	// Not the primary: relay and arm the suspicion timer keyed on a
 	// pseudo-slot so a silent primary cannot stall this client forever.
-	// The wrapper carries nothing of this replica's: the primary checks
-	// the client's signature inside, as on a request sent to it directly.
-	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req}
+	// The wrapper carries nothing of this replica's, only the client's
+	// authenticator: the primary checks its own tag in it, as on a request
+	// sent to it directly.
+	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req, Sig: auth}
 	r.eng.Send(r.mb.Primary(r.mode, r.view), fwd)
 	r.pending.Mark(replica.RelaySentinel)
 }

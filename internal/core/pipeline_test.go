@@ -299,3 +299,10 @@ func makeRequest(t *testing.T, suite crypto.Suite, client ids.ClientID, ts uint6
 	req.Sig = suite.Sign(crypto.ClientPrincipal(int64(client)), req.SignedBytes())
 	return req
 }
+
+// clientRequest wraps req as its client sends it: a REQUEST under the
+// client's authenticator for every replica of mb.
+func clientRequest(suite crypto.Suite, mb ids.Membership, req *message.Request) *message.Message {
+	return &message.Message{Kind: message.KindRequest, From: -1, Request: req,
+		Sig: message.AuthenticateRequest(suite, req, mb.All())}
+}

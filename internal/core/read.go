@@ -49,6 +49,7 @@ type leaseState struct {
 // the write horizon observed at admission.
 type parkedRead struct {
 	req       *message.Request
+	auth      []byte // the client's authenticator, for the consensus fallback's relay
 	watermark uint64
 }
 
@@ -116,18 +117,19 @@ func (r *Replica) leaseInvalidate() {
 // executed prefix by any replica; leased reads are served locally by a
 // primary holding a valid lease, after the executor reaches every slot
 // proposed so far; everything else falls back to consensus ordering
-// (onRequest), whose own commit will re-arm an idle-expired lease.
+// (orderRequest), whose own commit will re-arm an idle-expired lease.
+// Like a REQUEST, a READ is checked on the client's tag alone.
 func (r *Replica) onRead(m *message.Message) {
-	req := m.Request
-	if req == nil || req.Client < 0 || !r.eng.VerifyRequest(req) {
+	req, auth := m.Request, m.Sig
+	if req == nil || !r.eng.AuthenticRequest(req, auth) {
 		return
 	}
 	switch m.Consistency {
 	case message.ConsistencyStale:
-		r.serveRead(req, message.ConsistencyStale)
+		r.serveRead(req, auth, message.ConsistencyStale)
 	case message.ConsistencyLeased:
 		if !r.leaseValid(r.clk.Now()) {
-			r.onRequest(req)
+			r.orderRequest(req, auth)
 			return
 		}
 		if r.leaseSlack > 0 {
@@ -136,7 +138,7 @@ func (r *Replica) onRead(m *message.Message) {
 			// true expiry and without the write fence below. The
 			// linearizability checker must catch the stale reads this
 			// produces.
-			r.serveRead(req, message.ConsistencyLeased)
+			r.serveRead(req, auth, message.ConsistencyLeased)
 			return
 		}
 		// The linearization fence: every write this primary admitted
@@ -145,22 +147,22 @@ func (r *Replica) onRead(m *message.Message) {
 		// the read after all of them.
 		watermark := r.nextSeq - 1
 		if r.exec.LastExecuted() >= watermark {
-			r.serveRead(req, message.ConsistencyLeased)
+			r.serveRead(req, auth, message.ConsistencyLeased)
 			return
 		}
-		r.parked = append(r.parked, parkedRead{req: req, watermark: watermark})
+		r.parked = append(r.parked, parkedRead{req: req, auth: auth, watermark: watermark})
 	default:
-		r.onRequest(req)
+		r.orderRequest(req, auth)
 	}
 }
 
 // serveRead answers a read from local committed state, bypassing
 // consensus. Falls back to ordering when the state machine cannot serve
 // local queries or the op is not read-only.
-func (r *Replica) serveRead(req *message.Request, c message.Consistency) {
+func (r *Replica) serveRead(req *message.Request, auth []byte, c message.Consistency) {
 	result, ok := r.exec.Query(req.Op)
 	if !ok {
-		r.onRequest(req)
+		r.orderRequest(req, auth)
 		return
 	}
 	rep := &message.Message{
@@ -193,9 +195,9 @@ func (r *Replica) drainParkedReads() {
 		case p.watermark > watermark:
 			keep = append(keep, p)
 		case r.leaseValid(now):
-			r.serveRead(p.req, message.ConsistencyLeased)
+			r.serveRead(p.req, p.auth, message.ConsistencyLeased)
 		default:
-			r.onRequest(p.req)
+			r.orderRequest(p.req, p.auth)
 		}
 	}
 	r.parked = keep

@@ -45,7 +45,7 @@ func TestStabilizationReleasesHeldRequests(t *testing.T) {
 				}
 
 				for ts := uint64(1); ts <= lag+1; ts++ {
-					r.HandleMessage(&message.Message{Kind: message.KindRequest, Request: makeRequest(t, suite, 0, ts)})
+					r.HandleMessage(clientRequest(suite, mb, makeRequest(t, suite, 0, ts)))
 				}
 				if r.nextSeq != lag+1 || r.in.Buffered() != 1 {
 					t.Fatalf("full window: nextSeq %d with %d held, want %d with 1", r.nextSeq, r.in.Buffered(), lag+1)

@@ -77,3 +77,34 @@ func OpenSeal(sealed []byte) (sig, auth []byte, ok bool) {
 func (s *Signed) SealedBytes(sig []byte) []byte {
 	return append(s.AppendSignedBytes(make([]byte, 0, SignedBytesSize+len(sig))), sig...)
 }
+
+// Client authenticators. A client's REQUEST or READ keeps the client's
+// signature inside µ (Request.Sig), for whoever is later shown µ
+// second-hand, and carries in the wrapper's Sig an authenticator: one
+// tag per replica, under the pair key the client shares with it, over
+// the signed bytes followed by that signature (TaggedBytes). The first-
+// hand receiver checks its own slot, not the signature.
+
+// TaggedBytes returns what a client authenticator's tags cover: µ's
+// signed bytes followed by Sig, the signature over them. As in a seal,
+// binding the signature into the tag lets the receiver keep it
+// unverified — the client vouches for these exact bytes.
+func (r *Request) TaggedBytes() []byte {
+	return append(r.appendSignedBytes(make([]byte, 0, sizeBytes(r.Op)+8+8+len(r.Sig))), r.Sig...)
+}
+
+// AuthenticateRequest returns req.Client's authenticator for req, with
+// a tag in the slot of every replica in to. suite must hold the pair
+// keys of req.Client and each of them.
+func AuthenticateRequest(suite crypto.Suite, req *Request, to []ids.ReplicaID) []byte {
+	slots := 0
+	for _, r := range to {
+		slots = max(slots, int(r)+1)
+	}
+	auth := make([]byte, slots*crypto.TagSize)
+	body := req.TaggedBytes()
+	for _, r := range to {
+		SetTag(auth, r, suite.Tag(crypto.ClientPrincipal(int64(req.Client)), crypto.ReplicaPrincipal(int(r)), body))
+	}
+	return auth
+}

@@ -141,7 +141,11 @@ type Request struct {
 
 // SignedBytes returns the bytes a client signature covers.
 func (r *Request) SignedBytes() []byte {
-	e := encoder{buf: make([]byte, 0, sizeBytes(r.Op)+8+8)}
+	return r.appendSignedBytes(make([]byte, 0, sizeBytes(r.Op)+8+8))
+}
+
+func (r *Request) appendSignedBytes(buf []byte) []byte {
+	e := encoder{buf: buf}
 	e.bytes(r.Op)
 	e.u64(r.Timestamp)
 	e.i64(int64(r.Client))

@@ -266,7 +266,8 @@ const (
 	AuthSealed
 	// AuthNone kinds carry nothing from the sending replica: either the
 	// mode never sends the kind (it is dropped on receipt) or the content
-	// vouches for itself (a relayed client request).
+	// vouches for itself (a client request, relayed or not, under the
+	// client's own authenticator or signature).
 	AuthNone
 )
 
@@ -317,6 +318,20 @@ func (e *Engine) Authentic(s *message.Signed, how Auth) bool {
 	}
 }
 
+// AuthenticRequest checks the client's tag for this replica in auth, the
+// authenticator a REQUEST or READ arrived under, over µ's signed bytes
+// and the signature inside (message.Request.TaggedBytes). It is all a
+// first-hand receiver checks of a client message; the signature travels
+// on unverified, for whoever is shown µ second-hand. A no-op request
+// (Client < 0) is no client's message and is never authentic.
+func (e *Engine) AuthenticRequest(r *message.Request, auth []byte) bool {
+	if r.Client < 0 {
+		return false
+	}
+	return e.suite.VerifyTag(crypto.ClientPrincipal(int64(r.Client)), crypto.ReplicaPrincipal(int(e.id)),
+		r.TaggedBytes(), message.TagOf(auth, e.id))
+}
+
 // VerifyRequest checks a client's signature on µ. No-op requests (the
 // µ∅ of view changes, Client < 0) carry no signature and always verify.
 func (e *Engine) VerifyRequest(r *message.Request) bool {
@@ -329,9 +344,9 @@ func (e *Engine) VerifyRequest(r *message.Request) bool {
 // VerifyRequests checks every client signature in a slot payload, one
 // by one, stopping at the first bad one (see crypto.BatchVerify). It is
 // what a replica owes a proposal from a public node — the verification
-// hot path of Peacock and PBFT; a trusted proposer verified its clients
-// one by one at admission (VerifyRequest) and its receivers take its
-// word. No-op requests (Client < 0) carry no signature and are skipped.
+// hot path of Peacock and PBFT; a trusted proposer's receivers take its
+// word for the clients it admitted on their tags (AuthenticRequest).
+// No-op requests (Client < 0) carry no signature and are skipped.
 func (e *Engine) VerifyRequests(reqs []*message.Request) bool {
 	items := make([]crypto.BatchItem, 0, len(reqs))
 	for _, r := range reqs {
