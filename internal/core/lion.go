@@ -11,9 +11,10 @@ import (
 // a whole batch — matches the proposal digest, and, when the proposer
 // is a public node and the receiver vouches for its proposal (a Peacock
 // proxy), that every member carries a valid client signature. A trusted
-// proposer's word needs no such check: it verified each client at
-// admission and does not lie, which is the rule onNewView and
-// validEvidenceProposal already apply to what a trusted node signed. A
+// proposer's word needs no such check: it admitted each client on its
+// tag and does not lie, so a bad signature inside is the client's own
+// doing — the rule onNewView and validEvidenceProposal already apply to
+// what a trusted node signed. A
 // Peacock non-proxy executes the payload only behind m+1 matching
 // INFORMs, so D(µ) = d is all it checks (ARCHITECTURE.md,
 // "Authentication").
@@ -216,8 +217,7 @@ func (r *Replica) lionOnCommit(m *message.Message) {
 		// request body is available for execution and view changes. Only
 		// this adoption path needs the payload checked — when the
 		// matching PREPARE is already logged, the digest equality above
-		// vouches for the (already verified) payload, so commits don't
-		// re-verify every batch member's client signature.
+		// vouches for the (already checked) payload.
 		if !r.validProposalPayload(m) {
 			return
 		}

@@ -58,6 +58,10 @@
 // one: the client signatures in a public proposer's batch (Peacock,
 // PBFT), and the re-issued slots of a NEW-VIEW or a checkpoint
 // certificate. A trusted proposer's receivers check neither — see Auth.
+// A client's own REQUEST or READ is checked by the tag its receiver
+// holds in the client's authenticator (AuthenticRequest); VerifyRequest,
+// the client's signature, is left to the engines that need it — a
+// Peacock primary before admission, and PBFT and Paxos on receipt.
 //
 // # Recovery machinery
 //

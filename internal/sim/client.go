@@ -202,7 +202,7 @@ func (c *simClient) startNextOp() {
 	req := c.nextRequest(op)
 	cur.wire = message.Marshal(&message.Message{
 		Kind: message.KindRead, From: -1, Request: req,
-		Consistency: op.Consistency, Sig: c.authenticate(req),
+		Consistency: op.Consistency, Sig: message.AuthenticateRequest(c.s.suite, req, c.policy.All()),
 	})
 	cur.replies = make(map[ids.ReplicaID]*message.Message)
 	cur.floor = c.readFloor
@@ -226,7 +226,10 @@ func (c *simClient) sendInvoke() {
 	op := cur.op
 	op.Served = message.ConsistencyLinearizable
 	req := c.nextRequest(op)
-	cur.wire = message.Marshal(&message.Message{Kind: message.KindRequest, From: -1, Request: req, Sig: c.authenticate(req)})
+	// One authenticator for every replica: the retransmission to all
+	// reuses the wire.
+	cur.wire = message.Marshal(&message.Message{Kind: message.KindRequest, From: -1, Request: req,
+		Sig: message.AuthenticateRequest(c.s.suite, req, c.policy.All())})
 	cur.replies = make(map[ids.ReplicaID]*message.Message)
 	cur.retried = false
 	cur.attempt = 0
@@ -244,13 +247,6 @@ func (c *simClient) nextRequest(op *Op) *message.Request {
 	req := &message.Request{Op: c.opBytes(op), Timestamp: c.ts, Client: c.id}
 	req.Sig = c.s.suite.Sign(crypto.ClientPrincipal(int64(c.id)), req.SignedBytes())
 	return req
-}
-
-// authenticate returns the client's authenticator for req, with a tag
-// for every replica the policy knows: the wire is reused for the
-// retransmission to all.
-func (c *simClient) authenticate(req *message.Request) []byte {
-	return message.AuthenticateRequest(c.s.suite, req, c.policy.All())
 }
 
 func (c *simClient) send(targets []ids.ReplicaID, wire []byte) {
