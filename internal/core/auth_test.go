@@ -614,11 +614,13 @@ func (h *harness) add(id ids.ReplicaID, net transport.Network, st storage.Store)
 	h.kvs = append(h.kvs, kv)
 }
 
-// budgetCluster builds, without starting it, the quiet cluster with
-// each replica journaling to storeOf(id) (storeOf nil: no durability).
-func budgetCluster(t *testing.T, mode ids.Mode, suite crypto.Suite, storeOf func(ids.ReplicaID) storage.Store) *harness {
+// budgetCluster builds, without starting it, the quiet cluster granting
+// leases, with each replica journaling to storeOf(id) (storeOf nil: no
+// durability).
+func budgetCluster(t *testing.T, mode ids.Mode, suite crypto.Suite, leases config.Leases, storeOf func(ids.ReplicaID) storage.Store) *harness {
 	t.Helper()
 	h := quietHarness(t, mode, suite)
+	h.cluster.Leases = leases
 	for _, id := range h.mb.All() {
 		var st storage.Store
 		if storeOf != nil {
@@ -654,7 +656,7 @@ func (h *harness) runBudget() {
 // counting suite, so a regression in signatures, verifications or tags
 // per request fails here instead of waiting for a traced benchmark run.
 // The read rows run after the Puts, on a lease the Puts armed, and count
-// only what the reads add.
+// only what the reads add; the lease adds nothing to a Put's cost.
 func TestAuthBudgetPerOp(t *testing.T) {
 	const ops = budgetOps
 	check := func(t *testing.T, what string, got crypto.Counts, want authCost) {
@@ -680,13 +682,11 @@ func TestAuthBudgetPerOp(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			// Client 0 writes, client 1 reads.
 			counted := crypto.Count(crypto.NewEd25519Suite(95, baseMembership().N(), 2))
-			h := quietHarness(t, mode, counted)
+			var leases config.Leases
 			if mode != ids.Peacock {
-				h.cluster.Leases = config.Leases{Duration: 30 * time.Second}
+				leases.Duration = 30 * time.Second
 			}
-			for _, id := range h.mb.All() {
-				h.add(id, h.net, nil)
-			}
+			h := budgetCluster(t, mode, counted, leases, nil)
 			// Once every replica has executed every request no signature is
 			// left to check: what may still be in flight is tagged, or a
 			// PREPARE vote for a slot its receiver has already prepared.
@@ -761,7 +761,7 @@ func TestSyncBudgetPerOp(t *testing.T) {
 	for _, mode := range []ids.Mode{ids.Lion, ids.Dog, ids.Peacock} {
 		t.Run(mode.String(), func(t *testing.T) {
 			var appends, syncs atomic.Uint64
-			h := budgetCluster(t, mode, crypto.NewEd25519Suite(95, baseMembership().N(), 1), func(ids.ReplicaID) storage.Store {
+			h := budgetCluster(t, mode, crypto.NewEd25519Suite(95, baseMembership().N(), 1), config.Leases{}, func(ids.ReplicaID) storage.Store {
 				return countingStore{Mem: storage.NewMem(), appends: &appends, syncs: &syncs}
 			})
 			boot := appends.Load() // each pristine replica stamps its boot view

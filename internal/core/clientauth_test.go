@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -41,8 +40,10 @@ func clientOutcome(self ids.ReplicaID, sent []*message.Message) string {
 // reads what it sent and what it checked. A forged authenticator gets no
 // reply, no relay and no admission, and costs no signature check; a good
 // tag over a bad signature is admitted by a trusted primary and refused
-// by a Peacock one; a backup relays under the client's authenticator,
-// and the relay reaches admission at the primary.
+// by a Peacock one. A backup relays only on the client's signature, and
+// the primary takes the relay on that signature alone, so a request a
+// backup relays reaches admission even when the client's tag for the
+// primary is bad.
 func TestClientAuthenticatedByTag(t *testing.T) {
 	mb := baseMembership()
 	suite := crypto.NewEd25519Suite(98, mb.N(), 2)
@@ -58,42 +59,49 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 	// authenticator it sends to replica self.
 	cases := []struct {
 		name   string
-		build  func(self ids.ReplicaID, req *message.Request) (*message.Request, []byte)
+		build  func(self, primary ids.ReplicaID, req *message.Request) (*message.Request, []byte)
 		forged bool
 		badSig bool
+		// badAtPrimary: forged only in the primary's slot.
+		badAtPrimary bool
 	}{
-		{name: "honest", build: func(_ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "honest", build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			return req, authenticate(req)
 		}},
-		{name: "another replica's tag in this one's slot", forged: true, build: func(self ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "another replica's tag in this one's slot", forged: true, build: func(self, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			auth := authenticate(req)
 			other := append([]byte(nil), message.TagOf(auth, (self+1)%ids.ReplicaID(mb.N()))...)
 			copy(message.TagOf(auth, self), other)
 			return req, auth
 		}},
-		{name: "another client's tags", forged: true, build: func(_ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "another client's tags", forged: true, build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			var auth []byte
 			for _, r := range all {
 				auth = message.SetTag(auth, r, suite.Tag(crypto.ClientPrincipal(1), crypto.ReplicaPrincipal(int(r)), req.TaggedBytes()))
 			}
 			return req, auth
 		}},
-		{name: "tags over another op", forged: true, build: func(_ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "tags over another op", forged: true, build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			return edited(req, func(r *message.Request) { r.Op = statemachine.EncodeGet("forged") })
 		}},
-		{name: "tags over another timestamp", forged: true, build: func(_ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "tags over another timestamp", forged: true, build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			return edited(req, func(r *message.Request) { r.Timestamp++ })
 		}},
-		{name: "tags over another signature of the client's", forged: true, build: func(_ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "tags over another signature of the client's", forged: true, build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			return edited(req, func(r *message.Request) { r.Sig = makeRequest(t, suite, 0, 2).Sig })
 		}},
-		{name: "an authenticator cut short of this replica's slot", forged: true, build: func(self ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "an authenticator cut short of this replica's slot", forged: true, build: func(self, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			return req, authenticate(req)[:(int(self)+1)*crypto.TagSize-1]
 		}},
-		{name: "no authenticator", forged: true, build: func(_ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "no authenticator", forged: true, build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			return req, nil
 		}},
-		{name: "good tags over a bad signature", badSig: true, build: func(_ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+		{name: "a bad tag in the primary's slot only", badAtPrimary: true, build: func(_, primary ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+			auth := authenticate(req)
+			message.TagOf(auth, primary)[0] ^= 0xff
+			return req, auth
+		}},
+		{name: "good tags over a bad signature", badSig: true, build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			req.Sig[0] ^= 0xff
 			return req, authenticate(req)
 		}},
@@ -147,20 +155,26 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/%d-%s/%s/%s", rc.mode, rc.self, role, k.name, tc.name), func(t *testing.T) {
 					req := &message.Request{Op: k.op, Timestamp: 1, Client: 0}
 					req.Sig = suite.Sign(crypto.ClientPrincipal(0), req.SignedBytes())
-					req, auth := tc.build(rc.self, req)
+					req, auth := tc.build(rc.self, primary, req)
 					frame := message.Marshal(&message.Message{
 						Kind: k.kind, From: -1, Request: req, Consistency: k.consistency, Sig: auth,
 					})
 					sent, got := step(t, rc.mode, rc.self, transport.ClientAddr(0), frame)
 
+					forged := tc.forged || tc.badAtPrimary && atPrimary
 					want, wantVerifies := "admit", uint64(0)
 					switch {
-					case tc.forged:
+					case forged:
 						want = "nothing"
 					case k.consistency == message.ConsistencyStale:
 						want = "reply"
 					case !atPrimary:
-						want = "relay"
+						// A backup relays only what every replica judges
+						// alike: the client's signature.
+						want, wantVerifies = "relay", 1
+						if tc.badSig {
+							want = "nothing"
+						}
 					default:
 						wantVerifies = admitVerifies
 						if tc.badSig && rc.mode == ids.Peacock {
@@ -173,34 +187,30 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 					if got.Verifies != wantVerifies {
 						t.Fatalf("%d signature checks, want %d", got.Verifies, wantVerifies)
 					}
-					if tc.forged && got.BadTagVerifies != 1 {
+					if forged && got.BadTagVerifies != 1 {
 						t.Fatalf("%d tag checks refused, want 1: the tag check must be what stops it", got.BadTagVerifies)
 					}
 					if want != "relay" {
 						return
 					}
 
-					// The relay carries the client's authenticator, which the
-					// primary checks as on a request sent to it directly.
+					// The relay carries nothing but µ, and the primary takes
+					// it on the client's signature, whatever its own tag.
 					var relay *message.Message
 					for _, m := range sent {
 						if m.Kind == message.KindRequest {
 							relay = m
 						}
 					}
-					if !bytes.Equal(relay.Sig, auth) {
-						t.Fatalf("the relay carries Sig %x, want the client's authenticator", relay.Sig)
+					if len(relay.Sig) != 0 {
+						t.Fatalf("the relay carries Sig %x, want none", relay.Sig)
 					}
 					sent, got = step(t, rc.mode, primary, transport.ReplicaAddr(rc.self), message.Marshal(relay))
-					want = "admit"
-					if tc.badSig && rc.mode == ids.Peacock {
-						want = "nothing"
+					if o := clientOutcome(primary, sent); o != "admit" {
+						t.Fatalf("the relay's outcome at primary %d is %s, want admit", primary, o)
 					}
-					if o := clientOutcome(primary, sent); o != want {
-						t.Fatalf("the relay's outcome at primary %d is %s, want %s", primary, o, want)
-					}
-					if got.Verifies != admitVerifies {
-						t.Fatalf("%d signature checks at primary %d, want %d", got.Verifies, primary, admitVerifies)
+					if got.Verifies != 1 || got.TagVerifies != 0 {
+						t.Fatalf("%d signature and %d tag checks at primary %d, want 1 and 0", got.Verifies, got.TagVerifies, primary)
 					}
 				})
 			}
@@ -247,5 +257,80 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 				t.Fatalf("%d signature checks, want 0", v)
 			}
 		})
+	}
+}
+
+// TestClientCannotFrameThePrimary: a client that sends every replica a
+// request whose tag is bad at the primary alone, or good tags over a bad
+// signature, cannot get an honest primary suspected. A backup arms the
+// suspicion timer only for what it relays, it relays only on the
+// client's signature, and the primary takes the relay on that same
+// signature. So the first request executes; the second is executed by a
+// trusted primary, which takes it on its tag, and dropped by every
+// replica of Peacock; and nobody leaves view 0.
+func TestClientCannotFrameThePrimary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// build returns client 1's request and the authenticator it
+		// sends with it to every replica.
+		build func(suite crypto.Suite, all []ids.ReplicaID, primary ids.ReplicaID) (*message.Request, []byte)
+		// executed is what each replica has executed by the end.
+		executed func(ids.Mode) uint64
+	}{
+		{
+			name: "bad tag at the primary",
+			build: func(suite crypto.Suite, all []ids.ReplicaID, primary ids.ReplicaID) (*message.Request, []byte) {
+				req := makeRequest(t, suite, 1, 1)
+				auth := message.AuthenticateRequest(suite, req, all)
+				message.TagOf(auth, primary)[0] ^= 0xff
+				return req, auth
+			},
+			executed: func(ids.Mode) uint64 { return 1 },
+		},
+		{
+			name: "good tags over a bad signature",
+			build: func(suite crypto.Suite, all []ids.ReplicaID, _ ids.ReplicaID) (*message.Request, []byte) {
+				req := makeRequest(t, suite, 1, 1)
+				req.Sig[0] ^= 0xff
+				return req, message.AuthenticateRequest(suite, req, all)
+			},
+			executed: func(m ids.Mode) uint64 {
+				if m == ids.Peacock {
+					return 0
+				}
+				return 1
+			},
+		},
+	} {
+		for _, mode := range []ids.Mode{ids.Lion, ids.Dog, ids.Peacock} {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				h := newHarness(t, baseMembership(), mode, 97)
+				req, auth := tc.build(h.suite, h.mb.All(), h.mb.Primary(mode, 0))
+				frame := message.Marshal(&message.Message{Kind: message.KindRequest, From: -1, Request: req, Sig: auth})
+				ep := h.net.Endpoint(transport.ClientAddr(1))
+				for _, r := range h.mb.All() {
+					ep.Send(transport.ReplicaAddr(r), frame)
+				}
+				want := tc.executed(mode)
+				waitFor(t, "every replica to execute what it should", 10*time.Second, func() bool {
+					for _, r := range h.replicas {
+						if r.LastExecuted() != want {
+							return false
+						}
+					}
+					return true
+				})
+				// Several suspicion periods: time for a backup's timer to
+				// fire, had it armed one that nothing clears.
+				time.Sleep(10 * h.cluster.Timing.ViewChange)
+				h.stop()
+				for _, r := range h.replicas {
+					if r.View() != 0 || r.LastExecuted() != want {
+						t.Errorf("replica %d is in view %d, executed through %d; want view 0, %d",
+							r.ID(), r.View(), r.LastExecuted(), want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -315,7 +315,7 @@ func (r *Replica) HandleMessage(m *message.Message) {
 	}
 	switch m.Kind {
 	case message.KindRequest:
-		r.onRequest(m.Request, m.Sig)
+		r.onRequest(m)
 	case message.KindPrepare:
 		r.onPrepare(m)
 	case message.KindPrePrepare:
@@ -447,23 +447,33 @@ func (r *Replica) sendReply(mode ids.Mode, view ids.View, req *message.Request, 
 	r.eng.SendClientTagged(req.Client, rep)
 }
 
-// onRequest handles a client REQUEST under the client's authenticator
-// auth. Its tag for this replica is all that is checked: the client's
-// signature inside µ travels on unverified (ARCHITECTURE.md,
-// "Authentication", the third case).
-func (r *Replica) onRequest(req *message.Request, auth []byte) {
-	if req == nil || !r.eng.AuthenticRequest(req, auth) {
+// onRequest handles a client REQUEST. One the client sent this replica
+// is checked on the client's tag for it alone: the client's signature
+// inside µ travels on unverified. One a backup relayed (From ≥ 0) is
+// checked on that signature, as the backup checked it before relaying
+// (ARCHITECTURE.md, "Authentication", the third case).
+func (r *Replica) onRequest(m *message.Message) {
+	req := m.Request
+	if req == nil || req.Client < 0 {
 		return
 	}
-	r.orderRequest(req, auth)
+	if m.From >= 0 {
+		if r.eng.VerifyRequest(req) {
+			r.orderRequest(req, true)
+		}
+		return
+	}
+	if r.eng.AuthenticRequest(req, m.Sig) {
+		r.orderRequest(req, false)
+	}
 }
 
-// orderRequest acts on an authentic client request: primaries order it;
-// backups that already executed it re-send the cached reply; otherwise
-// the request is relayed to the primary and a liveness timer starts so a
-// dead primary is eventually suspected (Section 5.1's
-// client-retransmission path).
-func (r *Replica) orderRequest(req *message.Request, auth []byte) {
+// orderRequest acts on an authentic client request, whose signature has
+// been verified when signed is set: primaries order it; backups that
+// already executed it re-send the cached reply; otherwise the request is
+// relayed to the primary and a liveness timer starts so a dead primary
+// is eventually suspected (Section 5.1's client-retransmission path).
+func (r *Replica) orderRequest(req *message.Request, signed bool) {
 	// Retransmission of an executed request: re-send the cached reply
 	// regardless of role (the client is asking everyone because it timed
 	// out).
@@ -485,7 +495,7 @@ func (r *Replica) orderRequest(req *message.Request, auth []byte) {
 		// its PRE-PREPARE, so one bad signature admitted on its tag alone
 		// would poison an honest primary's slot. A trusted primary's
 		// proposals are taken on its word: nobody checks the signature.
-		if r.mode == ids.Peacock && !r.eng.VerifyRequest(req) {
+		if r.mode == ids.Peacock && !signed && !r.eng.VerifyRequest(req) {
 			return
 		}
 		r.in.Admit(req)
@@ -493,10 +503,15 @@ func (r *Replica) orderRequest(req *message.Request, auth []byte) {
 	}
 	// Not the primary: relay and arm the suspicion timer keyed on a
 	// pseudo-slot so a silent primary cannot stall this client forever.
-	// The wrapper carries nothing of this replica's, only the client's
-	// authenticator: the primary checks its own tag in it, as on a request
-	// sent to it directly.
-	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req, Sig: auth}
+	// Only a request whose signature verifies is relayed, and the primary
+	// takes the relay on that signature: every replica judges a signature
+	// alike, so a client cannot have backups suspect an honest primary
+	// with tags good at them and bad at the primary, or good tags over a
+	// bad signature. The wrapper carries nothing of this replica's.
+	if !signed && !r.eng.VerifyRequest(req) {
+		return
+	}
+	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req}
 	r.eng.Send(r.mb.Primary(r.mode, r.view), fwd)
 	r.pending.Mark(replica.RelaySentinel)
 }

@@ -42,10 +42,11 @@
 // its neighbors commit, and a view change re-proposes the whole
 // in-flight window via the NEW-VIEW's P′/C′ sets. Once round trips
 // overlap, authentication dominates, and auth.go is where its price is
-// set: every replica takes a client's request on the client's tag, a
-// Lion or Dog backup checks the trusted primary's seal and the payload
-// digest, nothing more, while a Peacock primary verifies each client
-// signature before admission and a Peacock proxy verifies the public
-// primary's signature and every batched client signature in one pass
-// (replica.Engine.VerifyRequests).
+// set: every replica takes a client's request on the client's tag (a
+// relayed one on the client's signature, at the backup and at the
+// primary alike), a Lion or Dog backup checks the trusted primary's seal
+// and the payload digest, nothing more, while a Peacock primary verifies
+// each client signature before admission and a Peacock proxy verifies
+// the public primary's signature and every batched client signature in
+// one pass (replica.Engine.VerifyRequests).
 package core

@@ -49,7 +49,6 @@ type leaseState struct {
 // the write horizon observed at admission.
 type parkedRead struct {
 	req       *message.Request
-	auth      []byte // the client's authenticator, for the consensus fallback's relay
 	watermark uint64
 }
 
@@ -120,16 +119,16 @@ func (r *Replica) leaseInvalidate() {
 // (orderRequest), whose own commit will re-arm an idle-expired lease.
 // Like a REQUEST, a READ is checked on the client's tag alone.
 func (r *Replica) onRead(m *message.Message) {
-	req, auth := m.Request, m.Sig
-	if req == nil || !r.eng.AuthenticRequest(req, auth) {
+	req := m.Request
+	if req == nil || !r.eng.AuthenticRequest(req, m.Sig) {
 		return
 	}
 	switch m.Consistency {
 	case message.ConsistencyStale:
-		r.serveRead(req, auth, message.ConsistencyStale)
+		r.serveRead(req, message.ConsistencyStale)
 	case message.ConsistencyLeased:
 		if !r.leaseValid(r.clk.Now()) {
-			r.orderRequest(req, auth)
+			r.orderRequest(req, false)
 			return
 		}
 		if r.leaseSlack > 0 {
@@ -138,7 +137,7 @@ func (r *Replica) onRead(m *message.Message) {
 			// true expiry and without the write fence below. The
 			// linearizability checker must catch the stale reads this
 			// produces.
-			r.serveRead(req, auth, message.ConsistencyLeased)
+			r.serveRead(req, message.ConsistencyLeased)
 			return
 		}
 		// The linearization fence: every write this primary admitted
@@ -147,22 +146,22 @@ func (r *Replica) onRead(m *message.Message) {
 		// the read after all of them.
 		watermark := r.nextSeq - 1
 		if r.exec.LastExecuted() >= watermark {
-			r.serveRead(req, auth, message.ConsistencyLeased)
+			r.serveRead(req, message.ConsistencyLeased)
 			return
 		}
-		r.parked = append(r.parked, parkedRead{req: req, auth: auth, watermark: watermark})
+		r.parked = append(r.parked, parkedRead{req: req, watermark: watermark})
 	default:
-		r.orderRequest(req, auth)
+		r.orderRequest(req, false)
 	}
 }
 
 // serveRead answers a read from local committed state, bypassing
 // consensus. Falls back to ordering when the state machine cannot serve
 // local queries or the op is not read-only.
-func (r *Replica) serveRead(req *message.Request, auth []byte, c message.Consistency) {
+func (r *Replica) serveRead(req *message.Request, c message.Consistency) {
 	result, ok := r.exec.Query(req.Op)
 	if !ok {
-		r.orderRequest(req, auth)
+		r.orderRequest(req, false)
 		return
 	}
 	rep := &message.Message{
@@ -195,9 +194,9 @@ func (r *Replica) drainParkedReads() {
 		case p.watermark > watermark:
 			keep = append(keep, p)
 		case r.leaseValid(now):
-			r.serveRead(p.req, p.auth, message.ConsistencyLeased)
+			r.serveRead(p.req, message.ConsistencyLeased)
 		default:
-			r.orderRequest(p.req, p.auth)
+			r.orderRequest(p.req, false)
 		}
 	}
 	r.parked = keep

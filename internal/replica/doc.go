@@ -60,8 +60,9 @@
 // certificate. A trusted proposer's receivers check neither — see Auth.
 // A client's own REQUEST or READ is checked by the tag its receiver
 // holds in the client's authenticator (AuthenticRequest); VerifyRequest,
-// the client's signature, is left to the engines that need it — a
-// Peacock primary before admission, and PBFT and Paxos on receipt.
+// the client's signature, is left to where everyone must judge alike —
+// a Peacock primary before admission, a backup before it relays and the
+// primary receiving the relay — and to PBFT and Paxos on receipt.
 //
 // # Recovery machinery
 //
