@@ -224,9 +224,9 @@ func TestForgedTagsRejected(t *testing.T) {
 	// signature goes, because receipt rests on the tag first: the ledger
 	// shows no signature was verified before the honest frame. Only a
 	// Peacock proxy, which vouches for the PRE-PREPARE with its vote,
-	// then verifies what the seal vouched for: σ and the client's
-	// signature. A replay of the honest frame costs no verification at
-	// all.
+	// then verifies what the seal vouched for: σ, and the client's
+	// signature unless the primary forwarded the client's tag for it. A
+	// replay of the honest frame costs no verification at all.
 	for _, tc := range []struct {
 		name          string
 		mode          ids.Mode
@@ -238,15 +238,18 @@ func TestForgedTagsRejected(t *testing.T) {
 		verifies uint64
 		// extraPublic widens the public cloud past the 3m+1 proxies.
 		extraPublic int
+		// forwarded: the proposal forwards the client's authenticator.
+		forwarded bool
 	}{
-		{"lion-prepare", ids.Lion, 3, 0, message.KindPrepare, message.KindAccept, 0, 0},
-		{"lion-commit", ids.Lion, 1, 0, message.KindCommit, 0, 0, 0},
-		{"dog-prepare", ids.Dog, 2, 0, message.KindPrepare, message.KindAccept, 0, 0},
-		{"peacock-preprepare-passive", ids.Peacock, 0, 2, message.KindPrePrepare, 0, 0, 0},
-		{"peacock-preprepare-proxy", ids.Peacock, 3, 2, message.KindPrePrepare, message.KindPrepare, 2, 0},
+		{"lion-prepare", ids.Lion, 3, 0, message.KindPrepare, message.KindAccept, 0, 0, false},
+		{"lion-commit", ids.Lion, 1, 0, message.KindCommit, 0, 0, 0, false},
+		{"dog-prepare", ids.Dog, 2, 0, message.KindPrepare, message.KindAccept, 0, 0, false},
+		{"peacock-preprepare-passive", ids.Peacock, 0, 2, message.KindPrePrepare, 0, 0, 0, false},
+		{"peacock-preprepare-proxy", ids.Peacock, 3, 2, message.KindPrePrepare, message.KindPrepare, 2, 0, false},
+		{"peacock-preprepare-proxy-forwarded", ids.Peacock, 3, 2, message.KindPrePrepare, message.KindPrepare, 1, 0, true},
 		// Replica 6 is public but outside view 0's rotation: untrusted,
 		// it still neither votes on nor vouches for the PRE-PREPARE.
-		{"peacock-preprepare-public-nonproxy", ids.Peacock, 6, 2, message.KindPrePrepare, 0, 0, 1},
+		{"peacock-preprepare-public-nonproxy", ids.Peacock, 6, 2, message.KindPrePrepare, 0, 0, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			members := ids.MustMembership(mb.S(), mb.P()+tc.extraPublic, mb.C(), mb.M())
@@ -259,6 +262,11 @@ func TestForgedTagsRejected(t *testing.T) {
 			primary := transport.ReplicaAddr(tc.primary)
 
 			s := message.Signed{Kind: tc.kind, From: tc.primary, Seq: 1, Digest: d, Request: req}
+			if tc.forwarded {
+				fwd := *req
+				fwd.Auth = message.AuthenticateRequest(suite, req, members.All())
+				s.Request = &fwd
+			}
 			genuine := suite.Sign(crypto.ReplicaPrincipal(int(tc.primary)), s.SignedBytes())
 			honest := sealedFrame(suite, tc.primary, tc.self, s, genuine)
 			seal := mustUnmarshal(t, honest).Sig
@@ -555,14 +563,16 @@ type authCost struct{ signs, minVerifies, maxVerifies, tags, tagChecks uint64 }
 // authBudget is what one committed request costs at batch 1 on S=2 P=4
 // (ARCHITECTURE.md derives the numbers). Every receiver takes a client's
 // request on its tag; only a Peacock primary verifies the client's
-// signature, before admission. Verifications are a range only in
-// Peacock, where a PREPARE vote that overtakes the pre-prepare, or the
-// vote before it, still has to be checked. The six tags of the client's
-// authenticator are part of every row.
+// signature, before admission, and each of its proxies takes the
+// request on its tag in the authenticator the PRE-PREPARE forwards.
+// Verifications are a range only in Peacock, where a PREPARE vote that
+// overtakes the pre-prepare, or the vote before it, still has to be
+// checked. The six tags of the client's authenticator are part of every
+// row.
 var authBudget = map[ids.Mode]authCost{
 	ids.Lion:    {3, 0, 0, 22, 15},
 	ids.Dog:     {2, 0, 0, 47, 23},
-	ids.Peacock: {5, 12, 16, 35, 21},
+	ids.Peacock: {5, 9, 13, 35, 24},
 }
 
 // readBudget is what one read served without consensus costs — leased

@@ -267,7 +267,9 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 // client's signature, and the primary takes the relay on that same
 // signature. So the first request executes; the second is executed by a
 // trusted primary, which takes it on its tag, and dropped by every
-// replica of Peacock; and nobody leaves view 0.
+// replica of Peacock; and nobody leaves view 0. Nor can tags good at the
+// primary alone get its PRE-PREPARE refused: a Peacock proxy whose
+// forwarded tag is bad verifies the good signature instead.
 func TestClientCannotFrameThePrimary(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -283,6 +285,20 @@ func TestClientCannotFrameThePrimary(t *testing.T) {
 				req := makeRequest(t, suite, 1, 1)
 				auth := message.AuthenticateRequest(suite, req, all)
 				message.TagOf(auth, primary)[0] ^= 0xff
+				return req, auth
+			},
+			executed: func(ids.Mode) uint64 { return 1 },
+		},
+		{
+			name: "bad tags at every replica but the primary",
+			build: func(suite crypto.Suite, all []ids.ReplicaID, primary ids.ReplicaID) (*message.Request, []byte) {
+				req := makeRequest(t, suite, 1, 1)
+				auth := message.AuthenticateRequest(suite, req, all)
+				for _, r := range all {
+					if r != primary {
+						message.TagOf(auth, r)[0] ^= 0xff
+					}
+				}
 				return req, auth
 			},
 			executed: func(ids.Mode) uint64 { return 1 },

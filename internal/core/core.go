@@ -449,8 +449,10 @@ func (r *Replica) sendReply(mode ids.Mode, view ids.View, req *message.Request, 
 
 // onRequest handles a client REQUEST. One the client sent this replica
 // is checked on the client's tag for it alone: the client's signature
-// inside µ travels on unverified. One a backup relayed (From ≥ 0) is
-// checked on that signature, as the backup checked it before relaying
+// inside µ travels on unverified, and the request keeps the client's
+// authenticator, which a Peacock primary forwards to its proxies in the
+// PRE-PREPARE. One a backup relayed (From ≥ 0) is checked on that
+// signature, as the backup checked it before relaying
 // (ARCHITECTURE.md, "Authentication", the third case).
 func (r *Replica) onRequest(m *message.Message) {
 	req := m.Request
@@ -464,6 +466,7 @@ func (r *Replica) onRequest(m *message.Message) {
 		return
 	}
 	if r.eng.AuthenticRequest(req, m.Sig) {
+		req.Auth = m.Sig
 		r.orderRequest(req, false)
 	}
 }
@@ -491,10 +494,11 @@ func (r *Replica) orderRequest(req *message.Request, signed bool) {
 		return
 	}
 	if r.isPrimary() {
-		// A Peacock primary's proxies verify every client signature in
-		// its PRE-PREPARE, so one bad signature admitted on its tag alone
-		// would poison an honest primary's slot. A trusted primary's
-		// proposals are taken on its word: nobody checks the signature.
+		// A Peacock primary's proxies verify the client signature of
+		// every member whose forwarded tag is missing or bad at them, so
+		// one bad signature admitted on the primary's tag alone would
+		// poison an honest primary's slot. A trusted primary's proposals
+		// are taken on its word: nobody checks the signature.
 		if r.mode == ids.Peacock && !signed && !r.eng.VerifyRequest(req) {
 			return
 		}

@@ -47,6 +47,8 @@
 // primary alike), a Lion or Dog backup checks the trusted primary's seal
 // and the payload digest, nothing more, while a Peacock primary verifies
 // each client signature before admission and a Peacock proxy verifies
-// the public primary's signature and every batched client signature in
-// one pass (replica.Engine.VerifyRequests).
+// the public primary's signature and takes each batched request on its
+// tag in the client authenticator the PRE-PREPARE forwards, verifying a
+// client's signature only where that tag is missing or bad
+// (replica.Engine.AuthenticForwarded).
 package core

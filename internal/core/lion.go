@@ -10,21 +10,22 @@ import (
 // validProposalPayload checks that an attached payload — one request or
 // a whole batch — matches the proposal digest, and, when the proposer
 // is a public node and the receiver vouches for its proposal (a Peacock
-// proxy), that every member carries a valid client signature. A trusted
+// proxy), that every member is its client's own request: on this
+// proxy's tag in the client authenticator the primary forwarded, or on
+// the client's signature where that tag is missing or bad. A trusted
 // proposer's word needs no such check: it admitted each client on its
 // tag and does not lie, so a bad signature inside is the client's own
 // doing — the rule onNewView and validEvidenceProposal already apply to
-// what a trusted node signed. A
-// Peacock non-proxy executes the payload only behind m+1 matching
-// INFORMs, so D(µ) = d is all it checks (ARCHITECTURE.md,
-// "Authentication").
+// what a trusted node signed. A Peacock non-proxy executes the payload
+// only behind m+1 matching INFORMs, so D(µ) = d is all it checks
+// (ARCHITECTURE.md, "Authentication").
 // The caller has authenticated m.From.
 func (r *Replica) validProposalPayload(m *message.Message) bool {
 	reqs := m.Requests()
 	if len(reqs) == 0 || message.BatchDigest(reqs) != m.Digest {
 		return false
 	}
-	return r.mb.IsTrusted(m.From) || !r.isProxy() || r.eng.VerifyRequests(reqs)
+	return r.mb.IsTrusted(m.From) || !r.isProxy() || r.eng.AuthenticForwarded(reqs)
 }
 
 // hasOwnVote reports whether this replica already voted (kind) on the

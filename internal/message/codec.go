@@ -23,9 +23,13 @@ import (
 //	             frames are byte-identical to the pre-batching format
 //	signed       Kind + From + View + Seq + Digest + payload + Sig
 //	signedSet    u32 count + that many signed records
+//	auths        u32 count, equal to the payload's member count, + one
+//	             bytes per member: its Request.Auth
 //
 // A Message is a fixed field sequence in declaration order, preceded by a
-// one-byte format version so the wire can evolve.
+// one-byte format version so the wire can evolve. A PRE-PREPARE alone
+// appends auths, the client authenticators its primary forwards, behind
+// Sig; every other kind's frame, and every signed record, ends at Sig.
 
 const wireVersion = 1
 
@@ -94,6 +98,13 @@ func (e *encoder) signed(s *Signed) {
 	e.digest(s.Digest)
 	e.payload(s.Request, s.Batch)
 	e.bytes(s.Sig)
+}
+
+func (e *encoder) auths(reqs []*Request) {
+	e.u32(uint32(len(reqs)))
+	for _, r := range reqs {
+		e.bytes(r.Auth)
+	}
 }
 
 func (e *encoder) signedSet(set []Signed) {
@@ -275,6 +286,22 @@ func (d *decoder) signed() Signed {
 	return s
 }
 
+// auths decodes the client authenticators a PRE-PREPARE forwards into
+// its payload's members; there must be exactly one per member.
+func (d *decoder) auths(reqs []*Request) {
+	n := d.u32()
+	if d.err != nil {
+		return
+	}
+	if int(n) != len(reqs) {
+		d.fail(fmt.Errorf("message: %d client authenticators for %d requests", n, len(reqs)))
+		return
+	}
+	for _, r := range reqs {
+		r.Auth = d.bytes()
+	}
+}
+
 func (d *decoder) signedSet() []Signed {
 	n := int(d.u32())
 	if d.err != nil {
@@ -317,6 +344,9 @@ func (e *encoder) message(m *Message) {
 	e.signedSet(m.Prepares)
 	e.signedSet(m.Commits)
 	e.bytes(m.Sig)
+	if m.Kind == KindPrePrepare {
+		e.auths(m.Requests())
+	}
 }
 
 // Marshal encodes m into a fresh byte slice sized exactly by EncodedSize,
@@ -363,6 +393,9 @@ func Unmarshal(frame []byte) (*Message, error) {
 	m.Prepares = d.signedSet()
 	m.Commits = d.signedSet()
 	m.Sig = d.bytes()
+	if m.Kind == KindPrePrepare {
+		d.auths(m.Requests())
+	}
 	if d.err != nil {
 		return nil, d.err
 	}

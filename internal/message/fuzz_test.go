@@ -18,6 +18,10 @@ func fuzzSeeds() [][]byte {
 	}
 	req := &Request{Op: []byte("op-bytes"), Timestamp: 7, Client: 3, Sig: []byte("sig")}
 	batch := []*Request{req, {Op: []byte("second"), Timestamp: 8, Client: 4, Sig: []byte("s2")}}
+	forwarded := []*Request{
+		{Op: []byte("op-bytes"), Timestamp: 7, Client: 3, Sig: []byte("sig"), Auth: make([]byte, 6*crypto.TagSize)},
+		{Op: []byte("second"), Timestamp: 8, Client: 4, Sig: []byte("s2")},
+	}
 	prep := Signed{Kind: KindPrepare, From: 1, View: 2, Seq: 9, Digest: crypto.Sum([]byte("d")), Sig: []byte("ps")}
 	var seeds [][]byte
 	msgs := []*Message{
@@ -43,6 +47,9 @@ func fuzzSeeds() [][]byte {
 		{Kind: KindPrepare, From: 0, View: 1, Seq: 6, Digest: BatchDigest(batch), Batch: batch, Sig: seal(64, 6)[:40]},
 		{Kind: KindPrepare, From: 0, View: 1, Seq: 7, Digest: req.Digest(), Request: req, Sig: append([]byte{0xff}, make([]byte, 64)...)},
 		{Kind: KindCommit, From: 0, View: 1, Seq: 7, Digest: req.Digest(), Request: req, Sig: seal(0, 6)},
+		// A PRE-PREPARE forwarding its members' client authenticators,
+		// one of them empty.
+		{Kind: KindPrePrepare, From: 2, View: 1, Seq: 6, Digest: BatchDigest(forwarded), Batch: forwarded, Sig: seal(64, 6)},
 		{Kind: KindStateRequest, From: 1, Seq: 40, Sig: []byte("x")},
 		{Kind: KindStateReply, From: 2, Seq: 128, Result: []byte("snapshot"), CheckpointProof: []Signed{prep}, Prepares: []Signed{prep}, Sig: []byte("x")},
 	}

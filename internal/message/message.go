@@ -137,6 +137,12 @@ type Request struct {
 	Client ids.ClientID
 	// Sig is σς over the canonical encoding of (Op, Timestamp, Client).
 	Sig []byte
+	// Auth is the client's authenticator from the frame the client sent
+	// (AuthenticateRequest), which a Peacock primary keeps on the request
+	// it admits and forwards in its PRE-PREPARE. It is no part of µ: no
+	// signature, digest, Equal or record covers it, and only a
+	// PRE-PREPARE frame carries it, behind the wrapper's Sig.
+	Auth []byte
 }
 
 // SignedBytes returns the bytes a client signature covers.
@@ -525,12 +531,24 @@ func (m *Message) Equal(o *Message) bool {
 		string(m.Result) != string(o.Result) ||
 		string(m.Sig) != string(o.Sig) ||
 		!m.Request.Equal(o.Request) ||
-		!batchEqual(m.Batch, o.Batch) {
+		!batchEqual(m.Batch, o.Batch) ||
+		m.Kind == KindPrePrepare && !authsEqual(m.Requests(), o.Requests()) {
 		return false
 	}
 	return signedSetEqual(m.CheckpointProof, o.CheckpointProof) &&
 		signedSetEqual(m.Prepares, o.Prepares) &&
 		signedSetEqual(m.Commits, o.Commits)
+}
+
+// authsEqual compares the client authenticators two equal payloads
+// carry, which a PRE-PREPARE frame forwards.
+func authsEqual(a, b []*Request) bool {
+	for i := range a {
+		if string(a[i].Auth) != string(b[i].Auth) {
+			return false
+		}
+	}
+	return true
 }
 
 func signedSetEqual(a, b []Signed) bool {

@@ -128,5 +128,20 @@ func (m *Message) EncodedSize() int {
 		sizeSignedSet(m.CheckpointProof) +
 		sizeSignedSet(m.Prepares) +
 		sizeSignedSet(m.Commits) +
-		sizeBytes(m.Sig)
+		sizeBytes(m.Sig) +
+		sizeAuths(m)
+}
+
+// sizeAuths is the length of the client authenticators m forwards: a
+// PRE-PREPARE's, nothing for any other kind.
+func sizeAuths(m *Message) int {
+	if m.Kind != KindPrePrepare {
+		return 0
+	}
+	reqs := m.Requests()
+	n := 4
+	for _, r := range reqs {
+		n += sizeBytes(r.Auth)
+	}
+	return n
 }

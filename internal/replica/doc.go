@@ -55,9 +55,13 @@
 // buffer, and stops at the first gap — commit n+2 before n+1 simply
 // waits. The Engine's set helpers (VerifyRequests, VerifyRecords) check
 // a set of independent signatures one by one, stopping at the first bad
-// one: the client signatures in a public proposer's batch (Peacock,
-// PBFT), and the re-issued slots of a NEW-VIEW or a checkpoint
-// certificate. A trusted proposer's receivers check neither — see Auth.
+// one: the client signatures in a public proposer's batch (PBFT), and
+// the re-issued slots of a NEW-VIEW or a checkpoint certificate. A
+// Peacock proxy takes each batch member on its tag in the client
+// authenticator the PRE-PREPARE forwards, and verifies the signatures
+// of only the members whose tag is missing or bad (AuthenticForwarded).
+// A trusted
+// proposer's receivers check neither — see Auth.
 // A client's own REQUEST or READ is checked by the tag its receiver
 // holds in the client's authenticator (AuthenticRequest); VerifyRequest,
 // the client's signature, is left to where everyone must judge alike —

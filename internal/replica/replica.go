@@ -343,9 +343,10 @@ func (e *Engine) VerifyRequest(r *message.Request) bool {
 
 // VerifyRequests checks every client signature in a slot payload, one
 // by one, stopping at the first bad one (see crypto.BatchVerify). It is
-// what a replica owes a proposal from a public node — the verification
-// hot path of Peacock and PBFT; a trusted proposer's receivers take its
-// word for the clients it admitted on their tags (AuthenticRequest).
+// what a PBFT replica owes a proposal from a public node, and what a
+// Peacock proxy owes the members it holds no good forwarded tag for
+// (AuthenticForwarded); a trusted proposer's receivers take its word for
+// the clients it admitted on their tags (AuthenticRequest).
 // No-op requests (Client < 0) carry no signature and are skipped.
 func (e *Engine) VerifyRequests(reqs []*message.Request) bool {
 	items := make([]crypto.BatchItem, 0, len(reqs))
@@ -361,6 +362,22 @@ func (e *Engine) VerifyRequests(reqs []*message.Request) bool {
 	}
 	ok, _ := crypto.BatchVerify(e.suite, items)
 	return ok
+}
+
+// AuthenticForwarded checks a public proposer's payload for a voter
+// that vouches for it: each member on this replica's tag in the client
+// authenticator the proposer forwarded (Request.Auth), and, through
+// VerifyRequests, the client's signature of each member whose tag is
+// missing or bad. A relayed member comes with no authenticator, and a
+// no-op with nothing to check.
+func (e *Engine) AuthenticForwarded(reqs []*message.Request) bool {
+	var untagged []*message.Request
+	for _, r := range reqs {
+		if len(r.Auth) == 0 || !e.AuthenticRequest(r, r.Auth) {
+			untagged = append(untagged, r)
+		}
+	}
+	return e.VerifyRequests(untagged)
 }
 
 // VerifyRecords checks a set of Signed evidence records — independent
