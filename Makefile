@@ -41,9 +41,9 @@ bench-json: ## machine-readable sweeps → BENCH_pipeline/shard/txn/readmix/resh
 bench-hotpath: ## hot-path microbenchmarks (pooled codec) → BENCH_hotpath.json
 	$(GO) run ./cmd/seemore-bench -exp hotpath -json BENCH_hotpath.json
 
-bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it), and run the crypto, seal and record-set microbenchmarks once so their allocs/op pins cannot rot
+bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it), and run the crypto, seal, record-set and frame-read microbenchmarks once so their allocs/op pins cannot rot
 	cd benchmark && $(GO) vet ./... && $(GO) test ./... && $(GO) run repro/cmd/seemore-vet ./...
-	$(GO) test ./internal/crypto ./internal/message ./internal/replica -run '^$$' -bench 'Tag|Sign|Verify$$|Seal$$|VerifyRecords' -benchtime=1x
+	$(GO) test ./internal/crypto ./internal/message ./internal/replica ./internal/transport -run '^$$' -bench 'Tag|Sign|Verify$$|Seal$$|VerifyRecords|ReadFrame' -benchtime=1x
 
 PAIRS ?= 10
 

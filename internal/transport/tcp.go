@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,8 +262,11 @@ func (n *TCPNode) readLoop(c net.Conn, from Addr, needHello bool) {
 		n.mu.Unlock()
 		c.Close()
 	}()
+	// One buffered reader per connection: a frame that fits its buffer,
+	// header and body, arrives in one read syscall.
+	br := bufio.NewReaderSize(c, readBufSize)
 	if needHello {
-		hello, err := readFrame(c)
+		hello, err := readFrame(br)
 		if err != nil || len(hello) != 8 {
 			return
 		}
@@ -273,7 +278,7 @@ func (n *TCPNode) readLoop(c net.Conn, from Addr, needHello bool) {
 		n.mu.Unlock()
 	}
 	for {
-		frame, err := readFrame(c)
+		frame, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -312,18 +317,44 @@ func writeFrame(w io.Writer, frame []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readBufSize is each connection's read buffer: every protocol frame
+// but a large state transfer or batch fits it.
+const readBufSize = 32 << 10
+
+// readFrame reads one length-prefixed frame. A frame that fits r's
+// buffer is allocated once, exactly; a larger one grows as its bytes
+// arrive, so a length header alone — even an unauthenticated hello's —
+// cannot make the node allocate maxFrameSize.
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := int(binary.BigEndian.Uint32(hdr))
+	r.Discard(4)
 	if size > maxFrameSize {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
-	frame := make([]byte, size)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err
+	if size <= r.Size() {
+		frame := make([]byte, size)
+		if _, err := io.ReadFull(r, frame); err != nil {
+			return nil, err
+		}
+		return frame, nil
+	}
+	frame := make([]byte, 0, r.Size())
+	for len(frame) < size {
+		if len(frame) == cap(frame) {
+			frame = slices.Grow(frame, min(len(frame), size-len(frame)))
+		}
+		n, err := r.Read(frame[len(frame):min(cap(frame), size)])
+		frame = frame[:len(frame)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	return frame, nil
 }
