@@ -304,8 +304,7 @@ func TestForgedTagsRejected(t *testing.T) {
 			}
 
 			deliver(r, primary, honest)
-			prop := r.log.Peek(1).Proposal()
-			if prop == nil || !bytes.Equal(prop.Sig, genuine) {
+			if e := r.log.Peek(1); e == nil || e.Proposal() == nil || !bytes.Equal(e.Proposal().Sig, genuine) {
 				t.Fatal("the honest frame did not log the proposal under the bare signature")
 			}
 			if n := ledger.Totals().Verifies; n != tc.verifies {
