@@ -138,9 +138,8 @@ func sizeAuths(m *Message) int {
 	if m.Kind != KindPrePrepare {
 		return 0
 	}
-	reqs := m.Requests()
 	n := 4
-	for _, r := range reqs {
+	for _, r := range m.Requests() {
 		n += sizeBytes(r.Auth)
 	}
 	return n

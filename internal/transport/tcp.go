@@ -344,17 +344,12 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	}
 	frame := make([]byte, 0, r.Size())
 	for len(frame) < size {
-		if len(frame) == cap(frame) {
-			frame = slices.Grow(frame, min(len(frame), size-len(frame)))
-		}
-		n, err := r.Read(frame[len(frame):min(cap(frame), size)])
-		frame = frame[:len(frame)+n]
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
+		frame = slices.Grow(frame, min(len(frame), size-len(frame)))
+		end := min(cap(frame), size)
+		if _, err := io.ReadFull(r, frame[len(frame):end]); err != nil {
 			return nil, err
 		}
+		frame = frame[:end]
 	}
 	return frame, nil
 }
