@@ -118,20 +118,10 @@ func TestProxyTakesForwardedClientTag(t *testing.T) {
 		ep := h.net.Endpoint(transport.ReplicaAddr(primary))
 		propose := func(seq uint64, req *message.Request) {
 			s := message.Signed{Kind: message.KindPrePrepare, From: primary, Seq: seq, Digest: req.Digest(), Request: req}
-			s.Sig = suite.Sign(crypto.ReplicaPrincipal(primary), s.SignedBytes())
-			m := s.Wire()
-			sealed, auth := message.Seal(s.Sig, mb.N())
-			for _, to := range mb.All() {
-				if to == primary {
-					continue
-				}
-				message.SetTag(auth, to, suite.Tag(crypto.ReplicaPrincipal(primary), crypto.ReplicaPrincipal(int(to)), s.SealedBytes(s.Sig)))
-			}
-			m.Sig = sealed
-			frame := message.Marshal(m)
+			sig := suite.Sign(crypto.ReplicaPrincipal(primary), s.SignedBytes())
 			for _, to := range mb.All() {
 				if to != primary {
-					ep.Send(transport.ReplicaAddr(to), frame)
+					ep.Send(transport.ReplicaAddr(to), sealedFrame(suite, primary, to, s, sig))
 				}
 			}
 		}
