@@ -14,7 +14,7 @@
 //     and never retained past the Endpoint.Send no-retain boundary
 //     (PR 9's contract).
 //   - simdet: in the deterministic packages (internal/sim, internal/core,
-//     internal/pbft, internal/paxos, internal/replica) no global
+//     internal/pbft, internal/replica) no global
 //     math/rand state, no map iteration whose visit order can escape
 //     without a sort, and no naked go statements (the sim drives engines
 //     single-threaded).

@@ -36,7 +36,7 @@ var Simdet = &Analyzer{
 // the harness, the engines, and internal/replica, whose Recovery owns
 // the vote table and parked-checkpoint map the engines' map-order bugs
 // lived in. Fixture packages match by their bare path.
-var simdetScope = []string{"internal/sim", "internal/core", "internal/pbft", "internal/paxos", "internal/replica"}
+var simdetScope = []string{"internal/sim", "internal/core", "internal/pbft", "internal/replica"}
 
 func simdetScoped(path string) bool {
 	for _, s := range simdetScope {

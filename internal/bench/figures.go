@@ -13,7 +13,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/ids"
-	"repro/internal/paxos"
 	"repro/internal/pbft"
 	"repro/internal/statemachine"
 )
@@ -419,7 +418,6 @@ func PrintTable1(w io.Writer, rows []TableRow, c, m int) {
 // types even though it drives them through cluster.Node.
 var (
 	_ = (*core.Replica)(nil)
-	_ = (*paxos.Replica)(nil)
 	_ = (*pbft.Replica)(nil)
 	_ = statemachine.NewEcho
 )

@@ -10,7 +10,8 @@
 //     public replies.
 //   - SeeMoRe Dog/Peacock: 2m+1 matching replies from distinct public
 //     replicas; m+1 after a retransmission.
-//   - Paxos: one reply (all replicas are trusted).
+//   - CFT (Lion with no public cloud): one reply, as in Lion; every
+//     replica is trusted.
 //   - PBFT: f+1 matching replies.
 //   - S-UpRight: m+1 matching replies.
 package client
@@ -367,46 +368,40 @@ func (p *SeeMoRePolicy) View() ids.View { return p.view }
 // ---------------------------------------------------------------------------
 // Generic quorum policy (baselines)
 
-// GenericPolicy serves the baseline protocols: a fixed replica set, a
-// view-indexed primary, and flat matching-reply quorums.
+// GenericPolicy serves the BFT baselines: a fixed replica set, the
+// primary v mod n, and one flat matching-reply quorum.
 type GenericPolicy struct {
 	replicas []ids.ReplicaID
-	primary  func(view ids.View) ids.ReplicaID
 	quorum   int
-	retryQ   int
 	view     ids.View
 }
 
-// NewGenericPolicy builds a baseline reply policy. quorum and retryQ are
-// the matching-reply counts required before and after retransmission.
-func NewGenericPolicy(n int, primary func(view ids.View) ids.ReplicaID, quorum, retryQ int) *GenericPolicy {
+// NewGenericPolicy builds a BFT-baseline reply policy over n replicas.
+// quorum is the matching-reply count required, before and after
+// retransmission alike.
+func NewGenericPolicy(n, quorum int) *GenericPolicy {
 	rs := make([]ids.ReplicaID, n)
 	for i := range rs {
 		rs[i] = ids.ReplicaID(i)
 	}
-	return &GenericPolicy{replicas: rs, primary: primary, quorum: quorum, retryQ: retryQ}
+	return &GenericPolicy{replicas: rs, quorum: quorum}
 }
 
 // Primary implements Policy.
 func (p *GenericPolicy) Primary() []ids.ReplicaID {
-	return []ids.ReplicaID{p.primary(p.view)}
+	return []ids.ReplicaID{ids.ReplicaID(int(p.view % ids.View(len(p.replicas))))}
 }
 
 // All implements Policy.
 func (p *GenericPolicy) All() []ids.ReplicaID { return p.replicas }
 
 // Done implements Policy.
-func (p *GenericPolicy) Done(replies map[ids.ReplicaID]*message.Message, retried bool) ([]byte, bool) {
-	need := p.quorum
-	if retried {
-		need = p.retryQ
-	}
-	return matching(replies, need, func(ids.ReplicaID) bool { return true })
+func (p *GenericPolicy) Done(replies map[ids.ReplicaID]*message.Message, _ bool) ([]byte, bool) {
+	return matching(replies, p.quorum, func(ids.ReplicaID) bool { return true })
 }
 
-// Observe implements Policy: follow the highest view echoed by a
-// majority-credible reply set (for crash-only baselines any reply will
-// do; Byzantine baselines call Done first, which already established a
+// Observe implements Policy: follow the highest view echoed by the
+// reply set (the client calls Done first, which already established a
 // quorum).
 func (p *GenericPolicy) Observe(replies map[ids.ReplicaID]*message.Message) {
 	for _, m := range replies {

@@ -225,9 +225,7 @@ func TestSeeMoRePolicyDone(t *testing.T) {
 }
 
 func TestGenericPolicy(t *testing.T) {
-	p := NewGenericPolicy(4, func(v ids.View) ids.ReplicaID {
-		return ids.ReplicaID(int(v % 4))
-	}, 2, 1)
+	p := NewGenericPolicy(4, 2)
 	if got := p.Primary(); got[0] != 0 {
 		t.Fatalf("primary = %v", got)
 	}
@@ -240,9 +238,6 @@ func TestGenericPolicy(t *testing.T) {
 	replies := map[ids.ReplicaID]*message.Message{1: mk(1, "x", 2)}
 	if _, ok := p.Done(replies, false); ok {
 		t.Fatal("1 reply accepted with quorum 2")
-	}
-	if res, ok := p.Done(replies, true); !ok || string(res) != "x" {
-		t.Fatal("retry quorum 1 not accepted")
 	}
 	replies[2] = mk(2, "x", 2)
 	if _, ok := p.Done(replies, false); !ok {

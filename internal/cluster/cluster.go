@@ -1,10 +1,11 @@
 // Package cluster assembles complete protocol deployments — SeeMoRe in
-// any mode, Paxos, PBFT, or S-UpRight — over one simulated network, with
-// uniform crash and Byzantine fault injection. The integration tests,
-// the examples and the benchmark harness all build clusters through this
-// package so every protocol runs on an identical substrate, mirroring
-// how the paper runs every competitor over BFT-SMaRt's communication
-// layer on the same EC2 instances.
+// any mode, the CFT baseline (SeeMoRe's Lion with no public cloud), PBFT,
+// or S-UpRight — over one simulated network, with uniform crash and
+// Byzantine fault injection. The integration tests, the examples and the
+// benchmark harness all build clusters through this package so every
+// protocol runs on an identical substrate, mirroring how the paper runs
+// every competitor over BFT-SMaRt's communication layer on the same EC2
+// instances.
 package cluster
 
 import (
@@ -17,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ids"
-	"repro/internal/paxos"
 	"repro/internal/pbft"
 	"repro/internal/placement"
 	"repro/internal/shard"
@@ -32,7 +32,8 @@ type Protocol int
 const (
 	// SeeMoRe runs the paper's protocol (mode from Spec.Mode).
 	SeeMoRe Protocol = iota
-	// Paxos is the CFT baseline on 2f+1 nodes.
+	// Paxos is the CFT baseline on 2f+1 nodes: SeeMoRe's Lion mode with
+	// no public cloud (S = 2f+1, P = 0, c = f, m = 0), which is Paxos.
 	Paxos
 	// PBFT is the BFT baseline on 3f+1 nodes.
 	PBFT
@@ -61,9 +62,10 @@ func (p Protocol) String() string {
 type Spec struct {
 	// Protocol selects the engine.
 	Protocol Protocol
-	// Mode is SeeMoRe's initial mode (ignored by baselines).
+	// Mode is SeeMoRe's initial mode (ignored by the other protocols;
+	// the CFT baseline always runs Lion).
 	Mode ids.Mode
-	// Crash (c) and Byz (m) are the failure bounds. For Paxos and PBFT
+	// Crash (c) and Byz (m) are the failure bounds. For CFT and PBFT
 	// the single bound f = Crash + Byz, matching how the paper sizes CFT
 	// and BFT to tolerate the same total number of failures.
 	Crash, Byz int
@@ -124,7 +126,8 @@ type Spec struct {
 	Client config.Client
 	// Leases enables leader leases on SeeMoRe's trusted-primary modes so
 	// the primary serves Leased reads locally (see config.Leases). The
-	// zero value disables leases; baselines ignore the field.
+	// zero value disables leases; the BFT baselines ignore the field, and
+	// the CFT baseline, being Lion, honours it.
 	Leases config.Leases
 	// Elastic provisions the deployment for live resharding: every group
 	// is seeded with the epoch-1 bootstrap placement map, group 0
@@ -161,7 +164,7 @@ type Node interface {
 // Cluster is a running deployment of one or more consensus groups.
 type Cluster struct {
 	Spec       Spec
-	Membership ids.Membership // SeeMoRe only; zero value otherwise
+	Membership ids.Membership // SeeMoRe and CFT; zero value otherwise
 	N          int            // replicas per group
 	Net        *transport.SimNetwork
 	SuiteImpl  crypto.Suite
@@ -187,7 +190,7 @@ type Cluster struct {
 	Placement *placement.Map
 
 	groupNets []*Adversary     // per-group namespaced (and Byzantine-wrapped) views of Net
-	groupMB   []ids.Membership // per-group membership (SeeMoRe; diverges after resize)
+	groupMB   []ids.Membership // per-group membership (SeeMoRe and CFT; diverges after resize)
 	groupN    []int            // per-group replica count (diverges after resize)
 	timing    config.Timing
 	stopped   bool
@@ -218,6 +221,31 @@ func (s *Spec) sizes() (n int, err error) {
 	default:
 		return 0, fmt.Errorf("cluster: unknown protocol %d", int(s.Protocol))
 	}
+}
+
+// Membership is the spec's SeeMoRe membership: the paper's two clouds
+// for SeeMoRe, the private cloud alone for the CFT baseline, and the
+// zero value for the BFT baselines. The simulation harness shares it so
+// both build identically shaped deployments.
+func (s *Spec) Membership() (ids.Membership, error) {
+	switch s.Protocol {
+	case SeeMoRe:
+		return ids.NewMembership(2*s.Crash, 3*s.Byz+1+s.ExtraPublic, s.Crash, s.Byz)
+	case Paxos:
+		f := s.Crash + s.Byz
+		return ids.NewMembership(2*f+1, 0, f, 0)
+	default:
+		return ids.Membership{}, nil
+	}
+}
+
+// EngineMode is the mode a SeeMoRe engine starts in: Spec.Mode, pinned
+// to Lion for the CFT baseline.
+func (s *Spec) EngineMode() ids.Mode {
+	if s.Protocol == Paxos {
+		return ids.Lion
+	}
+	return s.Mode
 }
 
 // New builds and starts a cluster.
@@ -267,12 +295,11 @@ func New(spec Spec) (*Cluster, error) {
 	}
 
 	privateSize := n // baselines: everything is "one cloud"
-	var mb ids.Membership
-	if spec.Protocol == SeeMoRe {
-		mb, err = ids.NewMembership(2*spec.Crash, 3*spec.Byz+1+spec.ExtraPublic, spec.Crash, spec.Byz)
-		if err != nil {
-			return nil, err
-		}
+	mb, err := spec.Membership()
+	if err != nil {
+		return nil, err
+	}
+	if mb.N() > 0 {
 		privateSize = mb.S()
 	}
 	netCfg := transport.LAN(privateSize, spec.Seed)
@@ -393,8 +420,8 @@ func (c *Cluster) buildNode(g ids.GroupID, id ids.ReplicaID) (Node, error) {
 		return nil, err
 	}
 	switch c.Spec.Protocol {
-	case SeeMoRe:
-		cl, err := config.NewCluster(c.groupMB[g], c.Spec.Mode, c.timing)
+	case SeeMoRe, Paxos:
+		cl, err := config.NewCluster(c.groupMB[g], c.Spec.EngineMode(), c.timing)
 		if err != nil {
 			return nil, err
 		}
@@ -406,13 +433,6 @@ func (c *Cluster) buildNode(g ids.GroupID, id ids.ReplicaID) (Node, error) {
 			ID: id, Cluster: cl, Suite: c.SuiteImpl, Network: c.groupNets[g],
 			StateMachine: sm, TickInterval: c.Spec.TickInterval,
 			LeanCommits: c.Spec.LeanCommits, Storage: st,
-		})
-	case Paxos:
-		return paxos.NewReplica(paxos.Options{
-			ID: id, N: c.groupN[g], Suite: c.SuiteImpl, Network: c.groupNets[g],
-			StateMachine: sm, Timing: c.timing, Batching: c.Spec.Batching,
-			Pipelining: c.Spec.Pipelining, TickInterval: c.Spec.TickInterval,
-			Storage: st,
 		})
 	case PBFT:
 		f := c.Spec.Crash + c.Spec.Byz
@@ -567,25 +587,12 @@ func (c *Cluster) RestartNodeIn(g ids.GroupID, id ids.ReplicaID) error {
 // mode and view — and groups can diverge in size after a resize).
 func (c *Cluster) newPolicyIn(g ids.GroupID) client.Policy {
 	switch c.Spec.Protocol {
-	case SeeMoRe:
-		return client.NewSeeMoRePolicy(c.groupMB[g], c.Spec.Mode)
-	case Paxos:
-		n := c.groupN[g]
-		return client.NewGenericPolicy(n, func(v ids.View) ids.ReplicaID {
-			return ids.ReplicaID(int(v % ids.View(n)))
-		}, 1, 1)
+	case SeeMoRe, Paxos:
+		return client.NewSeeMoRePolicy(c.groupMB[g], c.Spec.EngineMode())
 	case PBFT:
-		n := c.groupN[g]
-		q := c.Spec.Crash + c.Spec.Byz + 1
-		return client.NewGenericPolicy(n, func(v ids.View) ids.ReplicaID {
-			return ids.ReplicaID(int(v % ids.View(n)))
-		}, q, q)
+		return client.NewGenericPolicy(c.groupN[g], c.Spec.Crash+c.Spec.Byz+1)
 	case UpRight:
-		n := c.groupN[g]
-		q := c.Spec.Byz + 1
-		return client.NewGenericPolicy(n, func(v ids.View) ids.ReplicaID {
-			return ids.ReplicaID(int(v % ids.View(n)))
-		}, q, q)
+		return client.NewGenericPolicy(c.groupN[g], c.Spec.Byz+1)
 	default:
 		return nil
 	}
@@ -644,7 +651,8 @@ func (c *Cluster) NewInvoker(id ids.ClientID) (client.Invoker, error) {
 	return c.NewRouter(id)
 }
 
-// SeeMoReNode returns the typed SeeMoRe replica (panics for baselines);
+// SeeMoReNode returns the typed SeeMoRe replica, a CFT one included
+// (panics for the BFT baselines);
 // the mode-switch example and the bench harness use it.
 func (c *Cluster) SeeMoReNode(id ids.ReplicaID) *core.Replica {
 	return c.Nodes[id].(*core.Replica)

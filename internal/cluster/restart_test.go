@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/message"
-	"repro/internal/paxos"
 	"repro/internal/pbft"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
@@ -26,8 +25,6 @@ func trackExec(n Node) *atomic.Uint64 {
 	switch r := n.(type) {
 	case *core.Replica:
 		r.SetProbe(core.Probe{OnExecute: func(seq uint64, _ *message.Request, _ []byte) { hi.Store(seq) }})
-	case *paxos.Replica:
-		r.SetProbe(paxos.Probe{OnExecute: func(seq uint64, _ *message.Request, _ []byte) { hi.Store(seq) }})
 	case *pbft.Replica:
 		r.SetProbe(pbft.Probe{OnExecute: func(seq uint64, _ *message.Request, _ []byte) { hi.Store(seq) }})
 	default:

@@ -14,7 +14,8 @@ import (
 // degenerate regimes Section 4 walks through.
 var (
 	// ErrNoRentalNeeded means S ≥ 2c+1: the private cloud can run a crash
-	// fault-tolerant protocol (Paxos) by itself.
+	// fault-tolerant protocol (Paxos, which is Lion with no public cloud)
+	// by itself.
 	ErrNoRentalNeeded = errors.New("config: private cloud is self-sufficient (S ≥ 2c+1); run a CFT protocol")
 	// ErrPrivateCloudUseless means S = 0 or S = c: the private cloud
 	// contributes nothing and the enterprise should run pure BFT in the

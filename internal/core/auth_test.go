@@ -567,32 +567,53 @@ type authCost struct{ signs, minVerifies, maxVerifies, tags, tagChecks uint64 }
 // Verifications are a range only in Peacock, where a PREPARE vote that
 // overtakes the pre-prepare, or the vote before it, still has to be
 // checked. The six tags of the client's authenticator are part of every
-// row.
-var authBudget = map[ids.Mode]authCost{
-	ids.Lion:    {3, 0, 0, 22, 15},
-	ids.Dog:     {2, 0, 0, 47, 23},
-	ids.Peacock: {5, 9, 13, 35, 24},
+// row but the CFT one, which is Lion on S=3 P=0: the three-tag
+// authenticator, the leader's two seals on PREPARE and COMMIT, one
+// ACCEPT per follower and the REPLY; the leader checks only the one
+// ACCEPT its f+1 quorum needs.
+var authBudget = map[string]authCost{
+	"Lion":    {3, 0, 0, 22, 15},
+	"Dog":     {2, 0, 0, 47, 23},
+	"Peacock": {5, 9, 13, 35, 24},
+	"CFT":     {3, 0, 0, 10, 7},
 }
 
-// readBudget is what one read served without consensus costs — leased
-// at a Lion or Dog primary, or stale at a private node in any mode: the
-// client's signature and its six-tag authenticator, the server's check
-// of its tag, the REPLY's tag and the client's check of it. Nobody
-// verifies a signature.
-var readBudget = authCost{1, 0, 0, 7, 2}
+// readBudget is what one read served without consensus costs on n
+// replicas — leased at a Lion or Dog primary, or stale at a private node
+// in any mode: the client's signature and its n-tag authenticator, the
+// server's check of its tag, the REPLY's tag and the client's check of
+// it. Nobody verifies a signature.
+func readBudget(n int) authCost { return authCost{1, 0, 0, uint64(n) + 1, 2} }
+
+// budgetShape is one row of the budget tests: a mode on a membership.
+type budgetShape struct {
+	name string
+	mb   ids.Membership
+	mode ids.Mode
+}
+
+// budgetShapes are the three modes on S=2 P=4, and the CFT baseline:
+// Lion with no public cloud, on S=3 P=0.
+func budgetShapes() []budgetShape {
+	return []budgetShape{
+		{"Lion", baseMembership(), ids.Lion},
+		{"Dog", baseMembership(), ids.Dog},
+		{"Peacock", baseMembership(), ids.Peacock},
+		{"CFT", ids.MustMembership(3, 0, 1, 0), ids.Lion},
+	}
+}
 
 // budgetOps is how many sequential Puts a budget test runs: below the
 // checkpoint period, so CHECKPOINTs and snapshots are not per-request
 // cost.
 const budgetOps = 12
 
-// quietHarness is the S=2 P=4 cluster the budget tests measure, before
-// any replica is added: mode over suite, with no retransmission and no
-// suspicion, however loaded the host — either would add work that is
+// quietHarness is the cluster the budget tests measure, before any
+// replica is added: mode on mb over suite, with no retransmission and
+// no suspicion, however loaded the host — either would add work that is
 // not the budget's.
-func quietHarness(t *testing.T, mode ids.Mode, suite crypto.Suite) *harness {
+func quietHarness(t *testing.T, mb ids.Membership, mode ids.Mode, suite crypto.Suite) *harness {
 	t.Helper()
-	mb := baseMembership()
 	timing := fastTiming()
 	timing.ViewChange, timing.ClientRetry = time.Minute, time.Minute
 	cl, err := config.NewCluster(mb, mode, timing)
@@ -623,12 +644,12 @@ func (h *harness) add(id ids.ReplicaID, net transport.Network, st storage.Store)
 	h.kvs = append(h.kvs, kv)
 }
 
-// budgetCluster builds, without starting it, the quiet cluster granting
-// leases, with each replica journaling to storeOf(id) (storeOf nil: no
-// durability).
-func budgetCluster(t *testing.T, mode ids.Mode, suite crypto.Suite, leases config.Leases, storeOf func(ids.ReplicaID) storage.Store) *harness {
+// budgetCluster builds, without starting it, the quiet cluster of shape
+// sh granting leases, with each replica journaling to storeOf(id)
+// (storeOf nil: no durability).
+func budgetCluster(t *testing.T, sh budgetShape, suite crypto.Suite, leases config.Leases, storeOf func(ids.ReplicaID) storage.Store) *harness {
 	t.Helper()
-	h := quietHarness(t, mode, suite)
+	h := quietHarness(t, sh.mb, sh.mode, suite)
 	h.cluster.Leases = leases
 	for _, id := range h.mb.All() {
 		var st storage.Store
@@ -687,23 +708,25 @@ func TestAuthBudgetPerOp(t *testing.T) {
 		t.Logf("per %s: %.1f signatures, %.1f verifications, %.1f tags, %.1f tag checks", what,
 			float64(got.Signs)/ops, float64(got.Verifies)/ops, float64(got.Tags)/ops, float64(got.TagVerifies)/ops)
 	}
-	for _, mode := range []ids.Mode{ids.Lion, ids.Dog, ids.Peacock} {
-		t.Run(mode.String(), func(t *testing.T) {
-			// Client 0 writes, client 1 reads.
-			counted := crypto.Count(crypto.NewEd25519Suite(95, baseMembership().N(), 2))
+	for _, sh := range budgetShapes() {
+		t.Run(sh.name, func(t *testing.T) {
+			// Client 0 writes, client 1 reads. The CFT line runs without
+			// leases, as it does everywhere else.
+			counted := crypto.Count(crypto.NewEd25519Suite(95, sh.mb.N(), 2))
+			leased := sh.mode != ids.Peacock && sh.mb.P() > 0
 			var leases config.Leases
-			if mode != ids.Peacock {
+			if leased {
 				leases.Duration = 30 * time.Second
 			}
-			h := budgetCluster(t, mode, counted, leases, nil)
+			h := budgetCluster(t, sh, counted, leases, nil)
 			// Once every replica has executed every request no signature is
 			// left to check: what may still be in flight is tagged, or a
 			// PREPARE vote for a slot its receiver has already prepared.
 			h.runBudget()
-			check(t, "request", counted.Totals(), authBudget[mode])
+			check(t, "request", counted.Totals(), authBudget[sh.name])
 
 			reads := []client.ReadOptions{{Consistency: client.Stale}}
-			if mode != ids.Peacock {
+			if leased {
 				reads = append(reads, client.ReadOptions{Consistency: client.Leased})
 			}
 			c := h.client(1)
@@ -719,7 +742,7 @@ func TestAuthBudgetPerOp(t *testing.T) {
 					Signs: after.Signs - before.Signs, Verifies: after.Verifies - before.Verifies,
 					Tags: after.Tags - before.Tags, TagVerifies: after.TagVerifies - before.TagVerifies,
 					BadVerifies: after.BadVerifies - before.BadVerifies, BadTagVerifies: after.BadTagVerifies - before.BadTagVerifies,
-				}, readBudget)
+				}, readBudget(sh.mb.N()))
 			}
 		})
 	}
@@ -756,10 +779,13 @@ func (s countingStore) Sync() error {
 //   - Peacock: the primary's PRE-PREPARE, each proxy's PREPARE (3),
 //     each proxy's COMMIT vote and its commit with INFORM and REPLY
 //     (4 × 2).
-var syncBudget = map[ids.Mode]struct{ appends, maxSyncs uint64 }{
-	ids.Lion:    {12, 7},
-	ids.Dog:     {16, 9},
-	ids.Peacock: {19, 12},
+//   - CFT (Lion on S=3 P=0): the leader's proposal and its commit (2),
+//     one ACCEPT per follower (2).
+var syncBudget = map[string]struct{ appends, maxSyncs uint64 }{
+	"Lion":    {12, 7},
+	"Dog":     {16, 9},
+	"Peacock": {19, 12},
+	"CFT":     {6, 4},
 }
 
 // TestSyncBudgetPerOp pins the per-request journal budget with a
@@ -767,23 +793,23 @@ var syncBudget = map[ids.Mode]struct{ appends, maxSyncs uint64 }{
 // outbox saves.
 func TestSyncBudgetPerOp(t *testing.T) {
 	const ops = budgetOps
-	for _, mode := range []ids.Mode{ids.Lion, ids.Dog, ids.Peacock} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, sh := range budgetShapes() {
+		t.Run(sh.name, func(t *testing.T) {
 			var appends, syncs atomic.Uint64
-			h := budgetCluster(t, mode, crypto.NewEd25519Suite(95, baseMembership().N(), 1), config.Leases{}, func(ids.ReplicaID) storage.Store {
+			h := budgetCluster(t, sh, crypto.NewEd25519Suite(95, sh.mb.N(), 1), config.Leases{}, func(ids.ReplicaID) storage.Store {
 				return countingStore{Mem: storage.NewMem(), appends: &appends, syncs: &syncs}
 			})
 			boot := appends.Load() // each pristine replica stamps its boot view
 			h.runBudget()
 			gotAppends, gotSyncs := appends.Load()-boot, syncs.Load()
-			want := syncBudget[mode]
+			want := syncBudget[sh.name]
 			if gotAppends != want.appends*ops {
 				t.Errorf("%d journal appends for %d requests, want %d per request", gotAppends, ops, want.appends)
 			}
 			if gotSyncs > want.maxSyncs*ops {
 				t.Errorf("%d journal syncs for %d requests, want at most %d per request", gotSyncs, ops, want.maxSyncs)
 			}
-			t.Logf("%v per request: %.2f appends, %.2f syncs", mode, float64(gotAppends)/ops, float64(gotSyncs)/ops)
+			t.Logf("%v per request: %.2f appends, %.2f syncs", sh.name, float64(gotAppends)/ops, float64(gotSyncs)/ops)
 		})
 	}
 }

@@ -224,7 +224,7 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 	for _, mode := range []ids.Mode{ids.Lion, ids.Dog} {
 		t.Run(mode.String()+"/bad-signature-executed", func(t *testing.T) {
 			counted := crypto.Count(suite)
-			h := quietHarness(t, mode, counted)
+			h := quietHarness(t, baseMembership(), mode, counted)
 			for _, id := range all {
 				h.add(id, h.net, nil)
 			}

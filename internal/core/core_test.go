@@ -178,6 +178,10 @@ func sameCursor(replicas []*Replica, skip map[ids.ReplicaID]bool) bool {
 
 func baseMembership() ids.Membership { return ids.MustMembership(2, 4, 1, 1) }
 
+// cftMembership is the CFT baseline's shape at f = 2: Lion with no
+// public cloud, on 2f+1 private nodes.
+func cftMembership() ids.Membership { return ids.MustMembership(5, 0, 2, 0) }
+
 func TestLionHappyPath(t *testing.T) {
 	h := newHarness(t, baseMembership(), ids.Lion, 1)
 	c := h.client(0)
@@ -240,38 +244,66 @@ func TestLionMultipleClients(t *testing.T) {
 }
 
 func TestLionBackupCrashTolerated(t *testing.T) {
-	h := newHarness(t, baseMembership(), ids.Lion, 5)
-	// Crash the one tolerated private backup (replica 1) and one public
-	// node (replica 5) — c=1 crash + m=1 "Byzantine" acting as silent.
-	h.replicas[1].Crash()
-	h.replicas[5].Crash()
-	c := h.client(0)
-	for i := 0; i < 10; i++ {
-		h.mustPut(c, fmt.Sprintf("k%d", i), "v")
+	for _, tc := range []struct {
+		name    string
+		mb      ids.Membership
+		crashed []ids.ReplicaID
+	}{
+		// The one tolerated private backup (replica 1) and one public node
+		// (replica 5) — c=1 crash + m=1 "Byzantine" acting as silent.
+		{"base", baseMembership(), []ids.ReplicaID{1, 5}},
+		// f of the CFT line's 2f+1 nodes: its f+1 quorum still forms.
+		{"CFT", cftMembership(), []ids.ReplicaID{3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, tc.mb, ids.Lion, 5)
+			skip := make(map[ids.ReplicaID]bool)
+			for _, id := range tc.crashed {
+				h.replicas[id].Crash()
+				skip[id] = true
+			}
+			c := h.client(0)
+			for i := 0; i < 10; i++ {
+				h.mustPut(c, fmt.Sprintf("k%d", i), "v")
+			}
+			h.verifyConvergence(skip)
+		})
 	}
-	h.verifyConvergence(map[ids.ReplicaID]bool{1: true, 5: true})
 }
 
 func TestLionPrimaryCrashViewChange(t *testing.T) {
-	h := newHarness(t, baseMembership(), ids.Lion, 6)
-	c := h.client(0)
-	h.mustPut(c, "before", "crash")
+	for _, tc := range []struct {
+		name string
+		mb   ids.Membership
+	}{
+		{"base", baseMembership()},
+		// The CFT leader's crash: at m = 0 each follower joins on one
+		// demand, as in Paxos.
+		{"CFT", cftMembership()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, tc.mb, ids.Lion, 6)
+			c := h.client(0)
+			h.mustPut(c, "before", "crash")
 
-	h.replicas[0].Crash() // primary of view 0
-	// The next request times out at the dead primary, the client
-	// broadcasts, backups suspect, and the view change elects replica 1.
-	h.mustPut(c, "after", "viewchange")
-	h.mustGet(c, "before", "crash")
-	h.mustGet(c, "after", "viewchange")
+			h.replicas[0].Crash() // primary of view 0
+			// The next request times out at the dead primary, the client
+			// broadcasts, backups suspect, and the view change elects
+			// replica 1.
+			h.mustPut(c, "after", "viewchange")
+			h.mustGet(c, "before", "crash")
+			h.mustGet(c, "after", "viewchange")
 
-	h.verifyConvergence(map[ids.ReplicaID]bool{0: true})
-	for _, r := range h.replicas[1:] {
-		if r.View() == 0 {
-			t.Errorf("replica %d still in view 0 after primary crash", r.ID())
-		}
-		if r.Mode() != ids.Lion {
-			t.Errorf("replica %d left Lion mode", r.ID())
-		}
+			h.verifyConvergence(map[ids.ReplicaID]bool{0: true})
+			for _, r := range h.replicas[1:] {
+				if r.View() == 0 {
+					t.Errorf("replica %d still in view 0 after primary crash", r.ID())
+				}
+				if r.Mode() != ids.Lion {
+					t.Errorf("replica %d left Lion mode", r.ID())
+				}
+			}
+		})
 	}
 }
 
@@ -425,6 +457,38 @@ func TestModeSwitchPeacockBackToLion(t *testing.T) {
 	for _, r := range h.replicas {
 		if r.Mode() != ids.Lion {
 			t.Errorf("replica %d in mode %s, want Lion", r.ID(), r.Mode())
+		}
+	}
+}
+
+// TestCFTClusterStaysInLion: with no public cloud (S=3 P=0, the CFT
+// baseline) Dog and Peacock have no proxies, and Membership.Primary,
+// IsProxy and Proxies would divide by P = 0 in them. Only the
+// SupportsMode guards keep such a cluster out of those modes, so a
+// switch requested at every replica must change nothing: the cluster
+// keeps committing in Lion, view 0.
+func TestCFTClusterStaysInLion(t *testing.T) {
+	mb := ids.MustMembership(3, 0, 1, 0)
+	for _, md := range []ids.Mode{ids.Dog, ids.Peacock} {
+		if err := mb.SupportsMode(md); err == nil {
+			t.Fatalf("S=3 P=0 supports %s", md)
+		}
+	}
+	h := newHarness(t, mb, ids.Lion, 16)
+	c := h.client(0)
+	h.mustPut(c, "before", "1")
+	for _, md := range []ids.Mode{ids.Dog, ids.Peacock} {
+		for _, r := range h.replicas {
+			r.RequestModeSwitch(md)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		h.mustPut(c, fmt.Sprintf("after-%d", i), "2")
+	}
+	h.verifyConvergence(nil)
+	for _, r := range h.replicas {
+		if r.Mode() != ids.Lion || r.View() != 0 {
+			t.Errorf("replica %d in %s view %d, want Lion view 0", r.ID(), r.Mode(), r.View())
 		}
 	}
 }

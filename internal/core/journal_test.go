@@ -60,7 +60,7 @@ func TestLionBackupFailStopsOnSyncError(t *testing.T) {
 		k      = 4
 		puts   = 3 * k
 	)
-	h := quietHarness(t, ids.Lion, crypto.NewEd25519Suite(96, baseMembership().N(), 1))
+	h := quietHarness(t, baseMembership(), ids.Lion, crypto.NewEd25519Suite(96, baseMembership().N(), 1))
 	if h.mb.Primary(ids.Lion, 0) == victim {
 		t.Fatal("the victim must be a backup")
 	}

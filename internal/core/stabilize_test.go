@@ -18,14 +18,19 @@ import (
 // checkpoint that moves the window stabilizes — with no tick and no
 // client retransmission. In Lion the trusted primary's own checkpoint is
 // stable as it executes; in Peacock stability arrives afterwards, with
-// the 2m+1st proxy's CHECKPOINT message. The engine is not started: the
-// handler is driven by hand and nothing else runs.
+// the 2m+1st proxy's CHECKPOINT message. The CFT row is Lion with no
+// public cloud (S=3 P=0), where every replica is trusted. The engine is
+// not started: the handler is driven by hand and nothing else runs.
 func TestStabilizationReleasesHeldRequests(t *testing.T) {
 	const lag = 4 // the whole log window, and one checkpoint period
-	for _, mode := range []ids.Mode{ids.Lion, ids.Peacock} {
+	for _, sh := range []budgetShape{
+		{"Lion", baseMembership(), ids.Lion},
+		{"Peacock", baseMembership(), ids.Peacock},
+		{"CFT", ids.MustMembership(3, 0, 1, 0), ids.Lion},
+	} {
+		mb, mode := sh.mb, sh.mode
 		for _, depth := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%v/depth%d", mode, depth), func(t *testing.T) {
-				mb := baseMembership()
+			t.Run(fmt.Sprintf("%s/depth%d", sh.name, depth), func(t *testing.T) {
 				tm := fastTiming()
 				tm.CheckpointPeriod, tm.HighWaterMarkLag = lag, lag
 				cl, err := config.NewCluster(mb, mode, tm)

@@ -23,6 +23,8 @@ func TestNewMembershipValidation(t *testing.T) {
 		{"all private may crash", 1, 5, 1, 1, true},
 		{"public smaller than m", 3, 1, 0, 2, true},
 		{"pure crash cluster S=3 c=1 m=0", 3, 0, 1, 0, false},
+		{"CFT f=2 S=5 c=2 m=0", 5, 0, 2, 0, false},
+		{"CFT without a majority S=2 c=1 m=0", 2, 0, 1, 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package message defines every message exchanged by SeeMoRe and the
-// baseline protocols (Paxos, PBFT, S-UpRight), together with a
-// deterministic binary codec. Determinism matters because signatures
-// are computed over encoded bytes: the same logical message must always
-// produce the same bytes on every node.
+// baseline protocols (PBFT, S-UpRight; the CFT baseline is Lion),
+// together with a deterministic binary codec. Determinism matters
+// because signatures are computed over encoded bytes: the same logical
+// message must always produce the same bytes on every node.
 //
 // One Message struct covers all protocols; unused fields stay at their
 // zero values and the per-kind validator rejects malformed

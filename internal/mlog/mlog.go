@@ -388,33 +388,6 @@ func (l *Log) ProposalsAbove() []message.Signed {
 	return out
 }
 
-// CommittedAbove synthesizes unsigned COMMIT markers for every
-// committed slot above the stable checkpoint, in sequence order. State
-// transfer between mutually trusted replicas (the Paxos baseline) sends
-// these alongside the log-suffix proposals so a restarted peer learns
-// which transferred slots already decided; modes whose commit evidence
-// must be verifiable use CommitCertsAbove instead.
-func (l *Log) CommittedAbove() []message.Signed {
-	var seqs []uint64
-	for n, e := range l.entries {
-		if e.committed && e.proposal != nil {
-			seqs = append(seqs, n)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	out := make([]message.Signed, 0, len(seqs))
-	for _, n := range seqs {
-		e := l.entries[n]
-		out = append(out, message.Signed{
-			Kind:   message.KindCommit,
-			View:   e.proposal.View,
-			Seq:    n,
-			Digest: e.proposal.Digest,
-		})
-	}
-	return out
-}
-
 // CommitCertsAbove collects primary-signed COMMIT evidence above the
 // stable checkpoint, in sequence order: the C set of a Lion VIEW-CHANGE.
 func (l *Log) CommitCertsAbove() []message.Signed {

@@ -77,10 +77,7 @@ func (h *harness) stop() {
 }
 
 func (h *harness) client(id ids.ClientID) *client.Client {
-	q := h.byz + 1
-	policy := client.NewGenericPolicy(h.n, func(v ids.View) ids.ReplicaID {
-		return ids.ReplicaID(int(v % ids.View(h.n)))
-	}, q, q)
+	policy := client.NewGenericPolicy(h.n, h.byz+1)
 	return client.New(id, h.suite, h.net, policy, h.timing)
 }
 

@@ -5,7 +5,7 @@
 // committed requests to the state machine with exactly-once client
 // semantics.
 //
-// Protocol packages (core, paxos, pbft, upright) implement the Handler
+// Protocol packages (core, pbft, upright) implement the Handler
 // interface; everything else — inbox draining, frame decoding, tick
 // timers, crash emulation, durability and recovery — lives here exactly
 // once.
@@ -24,7 +24,7 @@
 //
 // # Intake
 //
-// In every mode of the paper, and in the Paxos and PBFT baselines, a
+// In every mode of the paper, and in the PBFT baseline, a
 // proposer does one thing with a client request: drop it if it is
 // already being ordered, give it the next sequence number inside the
 // log window, and hold it back while the window is closed. Intake is
@@ -66,7 +66,7 @@
 // holds in the client's authenticator (AuthenticRequest); VerifyRequest,
 // the client's signature, is left to where everyone must judge alike —
 // a Peacock primary before admission, a backup before it relays and the
-// primary receiving the relay — and to PBFT and Paxos on receipt.
+// primary receiving the relay — and to PBFT on receipt.
 //
 // # Recovery machinery
 //

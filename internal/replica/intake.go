@@ -31,7 +31,7 @@ type IntakeConfig struct {
 
 // Intake is what a proposer does with client requests before they have
 // a sequence number, the same in every mode of the paper and in the
-// Paxos and PBFT baselines: drop a request that is already being
+// PBFT baseline: drop a request that is already being
 // ordered, pack requests into slot-sized batches, propose while fewer
 // than Depth slots are uncommitted and the engine says the log window
 // is open, and hold the rest back in arrival order. It sits beside

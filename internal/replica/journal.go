@@ -12,10 +12,10 @@ import (
 )
 
 // Journal is the write side of the durability subsystem, shared by
-// every consensus engine (SeeMoRe's three modes, PBFT/S-UpRight,
-// Paxos). It is nil-safe: a Journal over a nil store (durability off)
-// turns every call into a no-op, so engines sprinkle journal calls
-// through their hot paths without branching.
+// every consensus engine (SeeMoRe's three modes, PBFT/S-UpRight). It
+// is nil-safe: a Journal over a nil store (durability off) turns every
+// call into a no-op, so engines sprinkle journal calls through their
+// hot paths without branching.
 //
 // The engines call the Journal only from their single engine goroutine,
 // matching the storage.Store contract. A record is appended before the
@@ -132,7 +132,7 @@ func (j *Journal) Vote(s *message.Signed) {
 
 // Commit journals that a slot committed; cert (optional) is the commit
 // certificate kept by modes that have one (Lion's primary-signed
-// COMMIT, Paxos's leader COMMIT).
+// COMMIT).
 func (j *Journal) Commit(seq uint64, view ids.View, d crypto.Digest, cert *message.Signed) {
 	if !j.Enabled() {
 		return

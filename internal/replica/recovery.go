@@ -13,14 +13,14 @@ import (
 // Trust is the set of decisions on which the engines' recovery paths
 // differ. Checkpointing, state transfer and the view-change vote table
 // have one shape in every protocol here (Sections 5.1–5.3 of the paper,
-// and the Paxos/PBFT/S-UpRight comparison lines as its crash-only and
-// all-Byzantine corners); what changes is whose word is believed. An
-// engine answers these questions from its membership, mode and view and
-// never touches Recovery's tables.
+// and the PBFT/S-UpRight comparison lines as its all-Byzantine corner);
+// what changes is whose word is believed. An engine answers these
+// questions from its membership, mode and view and never touches
+// Recovery's tables.
 type Trust interface {
 	// MaySignCheckpoint reports whether from's CHECKPOINT counts toward
 	// stability (the trusted nodes in Lion and Dog, the public ones in
-	// Peacock, every member in PBFT and Paxos).
+	// Peacock, every member in PBFT).
 	MaySignCheckpoint(from ids.ReplicaID) bool
 	// StableQuorum is how many matching admissible CHECKPOINTs make a
 	// checkpoint stable: 1 where the signer cannot lie, an agreement
@@ -169,7 +169,7 @@ func (rc *Recovery) Boot() (RecoveredState, error) {
 // Executed is the engines' hook after execution advanced: emit a
 // CHECKPOINT if it crossed a boundary and this replica's role produces
 // checkpoints right now (emit — the trusted primary in Lion and Dog, the
-// proxies in Peacock, the Paxos leader, every PBFT replica), then retry
+// proxies in Peacock, every PBFT replica), then retry
 // parked evidence the executor has caught up with.
 func (rc *Recovery) Executed(emit bool) {
 	if emit {

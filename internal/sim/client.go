@@ -82,7 +82,7 @@ type simClient struct {
 	index  int
 	addr   transport.Addr
 	policy client.Policy
-	rp     client.ReadPolicy // nil for baselines
+	rp     client.ReadPolicy // nil for the BFT baselines
 
 	st    *stream // workload randomness
 	ts    uint64
@@ -116,21 +116,13 @@ func (s *Sim) newClient(idx int) *simClient {
 
 // newPolicy mirrors cluster's per-protocol reply policies.
 func (s *Sim) newPolicy() client.Policy {
-	n := s.n
-	viewPrimary := func(v ids.View) ids.ReplicaID {
-		return ids.ReplicaID(int(v % ids.View(n)))
-	}
 	switch s.cfg.Protocol {
-	case cluster.SeeMoRe:
-		return client.NewSeeMoRePolicy(s.mb, s.cfg.Mode)
-	case cluster.Paxos:
-		return client.NewGenericPolicy(n, viewPrimary, 1, 1)
+	case cluster.SeeMoRe, cluster.Paxos:
+		return client.NewSeeMoRePolicy(s.mb, s.mode)
 	case cluster.PBFT:
-		q := s.cfg.Crash + s.cfg.Byz + 1
-		return client.NewGenericPolicy(n, viewPrimary, q, q)
+		return client.NewGenericPolicy(s.n, s.cfg.Crash+s.cfg.Byz+1)
 	case cluster.UpRight:
-		q := s.cfg.Byz + 1
-		return client.NewGenericPolicy(n, viewPrimary, q, q)
+		return client.NewGenericPolicy(s.n, s.cfg.Byz+1)
 	default:
 		return nil
 	}

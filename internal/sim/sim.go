@@ -1,5 +1,6 @@
 // Package sim is the deterministic simulation harness: whole clusters —
-// SeeMoRe in any mode, Paxos, PBFT — run inside a single goroutine on a
+// SeeMoRe in any mode, the CFT baseline (Lion with no public cloud),
+// PBFT, S-UpRight — run inside a single goroutine on a
 // virtual clock, with every source of nondeterminism (message latency,
 // loss, duplication, fault timing, workload choice) drawn from
 // counter-based streams keyed off one master seed. The same seed
@@ -28,7 +29,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
-	"repro/internal/paxos"
 	"repro/internal/pbft"
 	"repro/internal/statemachine"
 	"repro/internal/transport"
@@ -42,7 +42,8 @@ type Config struct {
 	// Protocol selects the engine (cluster.SeeMoRe, Paxos, PBFT,
 	// UpRight).
 	Protocol cluster.Protocol
-	// Mode is SeeMoRe's initial mode (ignored by baselines).
+	// Mode is SeeMoRe's initial mode (ignored by the other protocols;
+	// the CFT baseline always runs Lion).
 	Mode ids.Mode
 	// Crash (c) and Byz (m) are the failure bounds, as in cluster.Spec.
 	Crash, Byz int
@@ -264,7 +265,8 @@ type Sim struct {
 	cfg    Config
 	netCfg transport.SimConfig
 	n      int
-	mb     ids.Membership // SeeMoRe only
+	mb     ids.Membership // SeeMoRe and CFT only
+	mode   ids.Mode       // the SeeMoRe engines' initial mode
 	suite  *crypto.Counting
 	// ledgers holds each replica's own count, kept through suite.
 	ledgers []*crypto.Counting
@@ -305,7 +307,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func build(cfg Config) (*Sim, error) {
-	spec := cluster.Spec{Protocol: cfg.Protocol, Crash: cfg.Crash, Byz: cfg.Byz}
+	spec := cluster.Spec{Protocol: cfg.Protocol, Mode: cfg.Mode, Crash: cfg.Crash, Byz: cfg.Byz}
 	n, err := spec.Sizes()
 	if err != nil {
 		return nil, err
@@ -313,6 +315,7 @@ func build(cfg Config) (*Sim, error) {
 	s := &Sim{
 		cfg:         cfg,
 		n:           n,
+		mode:        spec.EngineMode(),
 		vclock:      clock.NewVirtual(),
 		linkRNG:     make(map[[2]transport.Addr]*stream),
 		blocked:     make(map[[2]transport.Addr]bool),
@@ -321,11 +324,10 @@ func build(cfg Config) (*Sim, error) {
 		traces:      make(map[ids.ReplicaID][]Commit),
 	}
 	privateSize := n
-	if cfg.Protocol == cluster.SeeMoRe {
-		s.mb, err = ids.NewMembership(2*cfg.Crash, 3*cfg.Byz+1, cfg.Crash, cfg.Byz)
-		if err != nil {
-			return nil, err
-		}
+	if s.mb, err = spec.Membership(); err != nil {
+		return nil, err
+	}
+	if s.mb.N() > 0 {
 		privateSize = s.mb.S()
 	}
 	s.netCfg = transport.LAN(privateSize, cfg.Seed)
@@ -390,8 +392,8 @@ func (s *Sim) buildNode(id ids.ReplicaID, net transport.Network) (node, error) {
 	sm := statemachine.NewKVStore()
 	cfg := s.cfg
 	switch cfg.Protocol {
-	case cluster.SeeMoRe:
-		cl, err := config.NewCluster(s.mb, cfg.Mode, cfg.Timing)
+	case cluster.SeeMoRe, cluster.Paxos:
+		cl, err := config.NewCluster(s.mb, s.mode, cfg.Timing)
 		if err != nil {
 			return nil, err
 		}
@@ -403,13 +405,6 @@ func (s *Sim) buildNode(id ids.ReplicaID, net transport.Network) (node, error) {
 			StateMachine: sm, TickInterval: cfg.TickInterval,
 			Clock:                s.nodeClk[id],
 			LeaseSlackForTesting: cfg.LeaseSlack,
-		})
-	case cluster.Paxos:
-		return paxos.NewReplica(paxos.Options{
-			ID: id, N: s.n, Suite: s.ledgers[id], Network: net,
-			StateMachine: sm, Timing: cfg.Timing, Batching: cfg.Batching,
-			Pipelining: cfg.Pipelining, TickInterval: cfg.TickInterval,
-			Clock: s.nodeClk[id],
 		})
 	case cluster.PBFT:
 		f := cfg.Crash + cfg.Byz
@@ -447,8 +442,6 @@ func (s *Sim) installProbe(id ids.ReplicaID) {
 	switch nd := s.nodes[id].(type) {
 	case *core.Replica:
 		nd.SetProbe(core.Probe{OnExecute: record})
-	case *paxos.Replica:
-		nd.SetProbe(paxos.Probe{OnExecute: record})
 	case *pbft.Replica:
 		nd.SetProbe(pbft.Probe{OnExecute: record})
 	}
