@@ -528,6 +528,15 @@ func (r *Replica) mayPropose() bool {
 	return !r.rec.InViewChange() && r.isPrimary() && r.log.InWindow(r.nextSeq)
 }
 
+// proposalKind is the kind of a primary's proposal in mode md: a
+// PRE-PREPARE in Peacock, a PREPARE in Lion and Dog.
+func proposalKind(md ids.Mode) message.Kind {
+	if md == ids.Peacock {
+		return message.KindPrePrepare
+	}
+	return message.KindPrepare
+}
+
 // proposeBatch assigns the next sequence number to a request set and
 // starts the mode-specific agreement (the primary's half of Algorithms 1
 // and 2, or PBFT pre-prepare in Peacock). A single-request set goes out
@@ -538,12 +547,8 @@ func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	r.nextSeq++
 	r.leaseRecordPropose(seq)
 
-	kind := message.KindPrepare
-	if r.mode == ids.Peacock {
-		kind = message.KindPrePrepare
-	}
 	prop := &message.Signed{
-		Kind:   kind,
+		Kind:   proposalKind(r.mode),
 		View:   r.view,
 		Seq:    seq,
 		Digest: message.BatchDigest(reqs),

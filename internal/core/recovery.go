@@ -76,7 +76,7 @@ func (t trust) SuffixCommits() []message.Signed {
 }
 
 func (t trust) ValidProposal(s *message.Signed) bool {
-	return t.r.validEvidenceProposal(t.r.mode, s)
+	return t.r.validEvidenceProposal(s)
 }
 
 // AdoptCommit: only a trusted node's signed COMMIT proves a slot

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
-
-	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
+	"repro/internal/mlog"
+	"repro/internal/replica"
 )
 
 // View changes (Sections 5.1–5.3) and dynamic mode switching
@@ -51,38 +50,17 @@ func (r *Replica) startViewChange(target ids.View, targetMode ids.Mode) {
 // transferer needs to pick safely among an equivocating primary's
 // proposals.
 func (r *Replica) buildViewChange(target ids.View, targetMode ids.Mode) *message.Message {
-	m := &message.Message{
-		Kind:            message.KindViewChange,
-		View:            target,
-		Mode:            targetMode,
-		Seq:             r.log.Low(),
-		StateDigest:     r.log.StableDigest(),
-		CheckpointProof: r.log.StableProof(),
-		Prepares:        r.log.ProposalsAbove(),
-		ActiveView:      r.activeView,
-	}
+	var certs []message.Signed
 	switch r.mode {
 	case ids.Lion:
-		m.Commits = r.log.CommitCertsAbove()
+		certs = r.log.CommitCertsAbove()
 	case ids.Peacock:
-		m.Commits = r.preparedCertificates()
+		certs = r.rec.PreparedCertificates()
 	}
+	m := r.rec.ViewChange(target, certs)
+	m.Mode, m.ActiveView = targetMode, r.activeView
 	r.eng.Sign(m)
 	return m
-}
-
-// preparedCertificates flattens the prepare-vote certificates of every
-// live slot (Peacock).
-func (r *Replica) preparedCertificates() []message.Signed {
-	var out []message.Signed
-	for _, prop := range r.log.ProposalsAbove() {
-		entry := r.log.Peek(prop.Seq)
-		if entry == nil {
-			continue
-		}
-		out = append(out, entry.VoteCerts(message.KindPrepare, prop.View, prop.Digest)...)
-	}
-	return out
 }
 
 // onViewChange files a peer's VIEW-CHANGE once replica.Recovery has
@@ -171,285 +149,74 @@ func (r *Replica) tryAssembleNewView(target ids.View, targetMode ids.Mode) {
 	r.applyNewView(nv)
 }
 
-// slotEvidence aggregates everything the quorum reported about one
-// sequence number.
-type slotEvidence struct {
-	// committed is the digest proven committed, if any.
-	committed     bool
-	committedView ids.View
-	committedD    crypto.Digest
-	// candidates maps digest → the best (highest-view) proposal carrying
-	// it, plus how many distinct VC senders reported it.
-	candidates map[crypto.Digest]*candidate
-}
-
-type candidate struct {
-	view ids.View
-	// requests is the slot payload behind the digest: one request, or
-	// the full batch of a batched slot.
-	requests []*message.Request
-	// reporters counts distinct view-change senders whose P set contains
-	// a proposal for this digest (the Lion 2m+c+1 rule).
-	reporters map[ids.ReplicaID]bool
-	// prepareVoters counts distinct proxies whose prepare votes for
-	// (view, seq, digest) appear in the quorum (the Peacock prepared
-	// certificate).
-	prepareVoters map[ids.ReplicaID]bool
-}
-
-// composeNewView implements the per-sequence selection of Sections
-// 5.1–5.3 over the quorum's evidence.
+// composeNewView picks each slot of the NEW-VIEW into target under
+// the old mode's rule (Sections 5.1–5.3), from the quorum's evidence and
+// the collector's own log.
 func (r *Replica) composeNewView(target ids.View, targetMode ids.Mode, quorum []*message.Message) *message.Message {
-	oldMode := r.mode
-
-	// l: the latest stable checkpoint proven by the quorum or known
-	// locally. (Votes were proof-checked on receipt.)
-	l := r.log.Low()
-	lDigest := r.log.StableDigest()
-	lProof := r.log.StableProof()
-	for _, m := range quorum {
-		if m.Seq > l {
-			l = m.Seq
-			lDigest = m.StateDigest
-			lProof = m.CheckpointProof
-		}
+	own := r.log.CommitCertsAbove()
+	if r.mode == ids.Peacock {
+		own = r.rec.PreparedCertificates()
 	}
+	return r.rec.NewView(target, targetMode, quorum, own, r.selection(targetMode))
+}
 
-	evidence := make(map[uint64]*slotEvidence)
-	slot := func(seq uint64) *slotEvidence {
-		ev, ok := evidence[seq]
-		if !ok {
-			ev = &slotEvidence{candidates: make(map[crypto.Digest]*candidate)}
-			evidence[seq] = ev
-		}
-		return ev
-	}
-	h := l
-
-	addCandidate := func(from ids.ReplicaID, s *message.Signed) *candidate {
-		ev := slot(s.Seq)
-		c, ok := ev.candidates[s.Digest]
-		if !ok {
-			c = &candidate{
-				reporters:     make(map[ids.ReplicaID]bool),
-				prepareVoters: make(map[ids.ReplicaID]bool),
-			}
-			ev.candidates[s.Digest] = c
-		}
-		if s.View >= c.view {
-			c.view = s.View
-			if reqs := s.Requests(); len(reqs) > 0 {
-				c.requests = reqs
-			}
-		} else if len(c.requests) == 0 {
-			c.requests = s.Requests()
-		}
-		c.reporters[from] = true
-		return c
-	}
-
-	// Harvest the quorum. Include the collector's own log even when its
-	// own VIEW-CHANGE message is not part of the quorum (Lion counts it
-	// implicitly).
-	harvest := func(from ids.ReplicaID, prepares, commits []message.Signed) {
-		for i := range prepares {
-			s := prepares[i]
-			if s.Seq <= l || s.Seq > l+r.timing.HighWaterMarkLag {
-				continue
-			}
-			if !r.validEvidenceProposal(oldMode, &s) {
-				continue
-			}
-			if s.Seq > h {
-				h = s.Seq
-			}
-			addCandidate(from, &s)
-		}
-		for i := range commits {
-			s := commits[i]
-			if s.Seq <= l || s.Seq > l+r.timing.HighWaterMarkLag {
-				continue
-			}
+// selection is the rule of a change out of the current mode into
+// target. Only a trusted node's signed COMMIT proves a slot committed
+// on its own, and in Lion so does an agreement quorum of matching
+// reports (Section 5.1); in Peacock a pre-prepare and 2m public prepare
+// votes prove it prepared. Any other proposal reported may have
+// committed, and the trusted collector re-issues it. A slot is
+// re-issued as committed only into Lion.
+func (r *Replica) selection(target ids.Mode) replica.Selection {
+	old := r.mode
+	sel := replica.Selection{
+		Proposal: r.validEvidenceProposal,
+		Certificate: func(s *message.Signed) replica.Evidence {
 			switch {
-			case s.Kind == message.KindCommit && r.mb.IsTrusted(s.From) && oldMode != ids.Peacock:
-				// A Lion commit certificate: signed by the trusted old
-				// primary, hence definitive.
-				if !r.eng.VerifyRecord(&s) {
-					continue
-				}
-				ev := slot(s.Seq)
-				if !ev.committed || s.View > ev.committedView {
-					ev.committed = true
-					ev.committedView = s.View
-					ev.committedD = s.Digest
-				}
-				if s.Seq > h {
-					h = s.Seq
-				}
-				addCandidate(from, &s)
-			case s.Kind == message.KindPrepare && oldMode == ids.Peacock:
-				// A Peacock prepare vote contributing to a prepared
-				// certificate.
-				if !r.mb.IsUntrusted(s.From) || !r.eng.VerifyRecord(&s) {
-					continue
-				}
-				ev := slot(s.Seq)
-				c, ok := ev.candidates[s.Digest]
-				if !ok {
-					continue // votes without a matching pre-prepare are unusable
-				}
-				if s.View == c.view {
-					c.prepareVoters[s.From] = true
-				}
+			case s.Kind == message.KindCommit && old != ids.Peacock && r.mb.IsTrusted(s.From) && r.eng.VerifyRecord(s):
+				return replica.Committed
+			case s.Kind == message.KindPrepare && old == ids.Peacock && r.mb.IsUntrusted(s.From) && r.eng.VerifyRecord(s):
+				return replica.PrepareVote
 			}
-		}
+			return replica.Useless
+		},
+		Prepared:   2 * r.mb.M(),
+		Unprepared: true,
+		Kind: func(committed bool) message.Kind {
+			if committed && target == ids.Lion {
+				return message.KindCommit
+			}
+			return proposalKind(target)
+		},
 	}
-	for _, m := range quorum {
-		harvest(m.From, m.Prepares, m.Commits)
+	if old == ids.Lion {
+		sel.Reporters = r.mb.AgreementQuorum(ids.Lion)
 	}
-	ownCommits := r.log.CommitCertsAbove()
-	if oldMode == ids.Peacock {
-		ownCommits = r.preparedCertificates()
-	}
-	harvest(r.eng.ID(), r.log.ProposalsAbove(), ownCommits)
-
-	// Selection per sequence number in (l, h].
-	propKind := message.KindPrepare
-	if targetMode == ids.Peacock {
-		propKind = message.KindPrePrepare
-	}
-	var newPrepares, newCommits []message.Signed
-	for seq := l + 1; seq <= h; seq++ {
-		d, reqs, committed := r.selectDigest(oldMode, evidence[seq])
-		if len(reqs) == 0 {
-			// No usable evidence: fill the hole with µ∅ (a no-op that is
-			// ordered like any request but leaves the state unchanged).
-			noop := &message.Request{Client: -1}
-			reqs = []*message.Request{noop}
-			d = noop.Digest()
-			committed = false
-		}
-		s := message.Signed{Kind: propKind, View: target, Seq: seq, Digest: d}
-		s.SetRequests(reqs)
-		if committed && targetMode == ids.Lion {
-			s.Kind = message.KindCommit
-			r.eng.SignRecord(&s)
-			newCommits = append(newCommits, s)
-			continue
-		}
-		r.eng.SignRecord(&s)
-		newPrepares = append(newPrepares, s)
-	}
-
-	return &message.Message{
-		Kind:            message.KindNewView,
-		View:            target,
-		Mode:            targetMode,
-		Seq:             l,
-		StateDigest:     lDigest,
-		CheckpointProof: lProof,
-		Prepares:        newPrepares,
-		Commits:         newCommits,
-	}
+	return sel
 }
 
 // validEvidenceProposal checks a P-set entry: a proposal must be signed
-// by someone entitled to propose in the old mode — any trusted node for
-// Lion and Dog (only trusted primaries sign proposals, and trusted nodes
-// never lie), or the untrusted primary of the entry's view (or a trusted
-// transferer re-issue) for Peacock.
-func (r *Replica) validEvidenceProposal(oldMode ids.Mode, s *message.Signed) bool {
+// by someone entitled to propose in the current mode — any trusted node
+// for Lion and Dog (only trusted primaries sign proposals, and trusted
+// nodes never lie), or the untrusted primary of the entry's view (or a
+// trusted transferer re-issue) for Peacock.
+func (r *Replica) validEvidenceProposal(s *message.Signed) bool {
 	reqs := s.Requests()
 	if len(reqs) == 0 || message.BatchDigest(reqs) != s.Digest {
 		return false
 	}
-	switch oldMode {
+	switch r.mode {
 	case ids.Lion, ids.Dog:
-		if s.Kind != message.KindPrepare && s.Kind != message.KindCommit {
-			return false
-		}
-		if !r.mb.IsTrusted(s.From) {
+		if s.Kind != message.KindPrepare && s.Kind != message.KindCommit || !r.mb.IsTrusted(s.From) {
 			return false
 		}
 	case ids.Peacock:
-		if s.Kind != message.KindPrePrepare {
-			return false
-		}
-		if !r.mb.IsTrusted(s.From) && s.From != r.mb.Primary(ids.Peacock, s.View) {
+		if s.Kind != message.KindPrePrepare ||
+			!r.mb.IsTrusted(s.From) && s.From != r.mb.Primary(ids.Peacock, s.View) {
 			return false
 		}
 	}
 	return r.eng.VerifyRecord(s)
-}
-
-// selectDigest applies the paper's three-step rule to one slot's
-// evidence, returning the chosen digest, its request payload (one
-// request or a whole batch), and whether the slot is proven committed.
-func (r *Replica) selectDigest(oldMode ids.Mode, ev *slotEvidence) (crypto.Digest, []*message.Request, bool) {
-	if ev == nil {
-		return crypto.Digest{}, nil, false
-	}
-	// Step 1: explicit commit evidence.
-	if ev.committed {
-		if c := ev.candidates[ev.committedD]; c != nil && len(c.requests) > 0 {
-			return ev.committedD, c.requests, true
-		}
-	}
-	// Ties between candidates (same view, different digests — possible
-	// only under Byzantine double-voting) break on digest bytes so the
-	// selection never depends on map-iteration order.
-	better := func(cv ids.View, cd crypto.Digest, bv ids.View, bd crypto.Digest) bool {
-		if cv != bv {
-			return cv > bv
-		}
-		return bytes.Compare(cd[:], bd[:]) < 0
-	}
-	// Step 2: enough matching prepares to prove a quorum accepted.
-	switch oldMode {
-	case ids.Lion:
-		var bestD crypto.Digest
-		var best *candidate
-		for d, c := range ev.candidates {
-			if len(c.reporters) >= r.mb.AgreementQuorum(ids.Lion) && len(c.requests) > 0 {
-				if best == nil || better(c.view, d, best.view, bestD) {
-					best, bestD = c, d
-				}
-			}
-		}
-		if best != nil {
-			return bestD, best.requests, true
-		}
-	case ids.Peacock:
-		// A prepared certificate: pre-prepare + 2m prepare votes. Among
-		// prepared candidates the highest view wins (standard PBFT).
-		var bestD crypto.Digest
-		var best *candidate
-		for d, c := range ev.candidates {
-			if len(c.prepareVoters) >= 2*r.mb.M() && len(c.requests) > 0 {
-				if best == nil || better(c.view, d, best.view, bestD) {
-					best, bestD = c, d
-				}
-			}
-		}
-		if best != nil {
-			return bestD, best.requests, false
-		}
-	}
-	// Step 3: any valid proposal; prefer the highest view.
-	var bestD crypto.Digest
-	var best *candidate
-	for d, c := range ev.candidates {
-		if len(c.requests) == 0 {
-			continue
-		}
-		if best == nil || better(c.view, d, best.view, bestD) {
-			best, bestD = c, d
-		}
-	}
-	if best != nil {
-		return bestD, best.requests, false
-	}
-	return crypto.Digest{}, nil, false
 }
 
 // maybeResendNewView hands the retained NEW-VIEW to a peer observed
@@ -472,41 +239,15 @@ func (r *Replica) maybeResendNewView(peer ids.ReplicaID, staleView ids.View) {
 // onNewView validates a NEW-VIEW from the trusted collector and enters
 // the view.
 func (r *Replica) onNewView(m *message.Message) {
-	if m.View <= r.view {
+	if m.View <= r.view || !m.Mode.Valid() || r.mb.SupportsMode(m.Mode) != nil {
 		return
 	}
-	if !m.Mode.Valid() || r.mb.SupportsMode(m.Mode) != nil {
+	if m.From != r.mb.Transferer(m.Mode, m.View) || !r.mb.IsTrusted(m.From) {
 		return
 	}
-	collector := r.mb.Transferer(m.Mode, m.View)
-	if m.From != collector || !r.mb.IsTrusted(m.From) {
-		return
+	if r.rec.CheckNewView(m, proposalKind(m.Mode)) {
+		r.applyNewView(m)
 	}
-	if !r.eng.Verify(m) {
-		return
-	}
-	if !r.rec.VerifyProof(m.Seq, m.StateDigest, m.CheckpointProof) {
-		return
-	}
-	// Every re-issued entry must be signed by the collector for this
-	// view and carry its request payload (lone request or batch). The
-	// structural checks of a set run first; then its signatures — one
-	// per re-issued slot, the whole in-flight window of the old view —
-	// are checked in order, and the first bad one refuses the NEW-VIEW.
-	for _, set := range [][]message.Signed{m.Prepares, m.Commits} {
-		for i := range set {
-			s := set[i]
-			reqs := s.Requests()
-			if s.From != m.From || s.View != m.View || len(reqs) == 0 ||
-				message.BatchDigest(reqs) != s.Digest {
-				return
-			}
-		}
-		if !r.eng.VerifyRecords(set) {
-			return
-		}
-	}
-	r.applyNewView(m)
 }
 
 // applyNewView installs the new view: adopt the checkpoint, log the
@@ -517,58 +258,18 @@ func (r *Replica) applyNewView(m *message.Message) {
 	// primary is (re-issued slots must not extend it either).
 	r.leaseInvalidate()
 	r.lastNewView = m
-	r.view = m.View
-	r.mode = m.Mode
-	r.activeView = m.View
-	r.rec.EnterView(m.View, m.Mode)
+	r.view, r.mode, r.activeView = m.View, m.Mode, m.View
 	for v := range r.pendingModes {
 		if v <= m.View {
 			delete(r.pendingModes, v)
 		}
 	}
 
-	// Adopt the quorum's checkpoint if it is ahead of ours.
-	r.rec.StabilizeOrPend(m.Seq, m.StateDigest, m.CheckpointProof)
-
-	maxSeq := m.Seq
 	primary := r.mb.Primary(r.mode, r.view)
 	amParticipant := r.mode == ids.Lion || r.isProxy()
-
-	// Committed entries (Lion C′): log, mark, done.
-	for i := range m.Commits {
-		s := m.Commits[i]
-		if s.Seq > maxSeq {
-			maxSeq = s.Seq
-		}
-		entry := r.log.Entry(s.Seq)
-		if entry == nil {
-			continue
-		}
-		if entry.SetProposal(&s) != nil {
-			continue
-		}
-		r.jr.Proposal(&s)
-		entry.SetCommitCert(&s)
-		entry.MarkCommitted()
-		r.jr.Commit(s.Seq, s.View, s.Digest, &s)
-	}
-
-	// Re-issued open entries (P′): log and vote per the new mode.
-	for i := range m.Prepares {
-		s := m.Prepares[i]
-		if s.Seq > maxSeq {
-			maxSeq = s.Seq
-		}
-		entry := r.log.Entry(s.Seq)
-		if entry == nil {
-			continue
-		}
-		if entry.SetProposal(&s) != nil {
-			continue
-		}
-		r.jr.Proposal(&s)
+	maxSeq := r.rec.EnterNewView(m, func(entry *mlog.Entry, s *message.Signed) {
 		if !amParticipant {
-			continue
+			return
 		}
 		if !entry.Committed() {
 			r.pending.Mark(s.Seq)
@@ -597,7 +298,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 		case ids.Peacock:
 			r.peacockPrepare(entry, s.Digest)
 		}
-	}
+	})
 
 	if r.nextSeq <= maxSeq {
 		r.nextSeq = maxSeq + 1

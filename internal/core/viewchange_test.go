@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
+	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -174,5 +176,61 @@ func TestNewViewRefusesBadReissue(t *testing.T) {
 	if r.View() != 1 || store.Len() == journaled {
 		t.Fatalf("the honest NEW-VIEW: view %d, %d records journaled, want view 1 and the re-issued entries",
 			r.View(), store.Len()-journaled)
+	}
+}
+
+// TestNewViewIgnoresSwappedCommitPayload: a COMMIT's signature covers
+// its digest, not the payload riding beside it. Byzantine public backup
+// 5 reports the primary's genuine COMMIT for slot 1 with another
+// request swapped in. The trusted collector of view 1 must re-issue the
+// genuine payload — one that does not match its digest would be refused
+// by every receiver, yet executed by the collector itself.
+func TestNewViewIgnoresSwappedCommitPayload(t *testing.T) {
+	const collector, byzantine = 1, 5
+	mb := baseMembership()
+	if mb.Primary(ids.Lion, 1) != collector || mb.IsTrusted(byzantine) {
+		t.Fatal("the membership no longer makes replica 1 the collector of view 1 and replica 5 public")
+	}
+	suite := crypto.NewEd25519Suite(95, mb.N(), 4)
+	genuine := makeRequest(t, suite, 0, 1)
+	evil := &message.Request{Op: statemachine.EncodePut("evil", []byte("x")), Timestamp: 1, Client: 1}
+	evil.Sig = suite.Sign(crypto.ClientPrincipal(1), evil.SignedBytes())
+	commit := record(suite, message.KindCommit, 0, 0, 1, genuine)
+	swapped := commit
+	swapped.SetRequests([]*message.Request{evil})
+
+	cl, err := config.NewCluster(mb, ids.Lion, fastTiming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := statemachine.NewKVStore()
+	net := &captureNet{}
+	r, err := NewReplica(Options{
+		ID: collector, Cluster: cl, Suite: crypto.Restrict(suite, crypto.ReplicaPrincipal(collector)),
+		Network: net, StateMachine: kv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.StepEnvelope(viewChange(suite, 2, 1, ids.Lion,
+		[]message.Signed{record(suite, message.KindPrepare, 0, 0, 1, genuine)}, []message.Signed{commit}))
+	r.StepEnvelope(viewChange(suite, 4, 1, ids.Lion, nil, nil))
+	r.StepEnvelope(viewChange(suite, byzantine, 1, ids.Lion, nil, []message.Signed{swapped}))
+
+	nv := sentNewView(t, net)
+	if len(nv.Commits) != 1 || len(nv.Prepares) != 0 {
+		t.Fatalf("NEW-VIEW re-issues %d committed and %d open entries, want slot 1 committed", len(nv.Commits), len(nv.Prepares))
+	}
+	if s := nv.Commits[0]; message.BatchDigest(s.Requests()) != s.Digest {
+		t.Fatal("the re-issued COMMIT's payload does not match its digest")
+	}
+	if r.View() != 1 || r.LastExecuted() != 1 {
+		t.Fatalf("collector in view %d executed to %d, want view 1 and slot 1", r.View(), r.LastExecuted())
+	}
+	if _, ok := kv.Get("evil"); ok {
+		t.Fatal("the collector executed the swapped-in request")
+	}
+	if _, ok := kv.Get("k1"); !ok {
+		t.Fatal("the collector did not execute the committed request")
 	}
 }

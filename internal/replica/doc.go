@@ -92,9 +92,10 @@
 // and how a suffix record is adopted, plus the Stabilized notification.
 // Who emits a CHECKPOINT is the flag the engine passes to Executed; how
 // many demands make a replica join a view change is
-// RecoveryConfig.JoinQuorum. VIEW-CHANGE contents and NEW-VIEW
-// composition, validation and application stay in the engines. Engines
-// never read Recovery's tables, and Recovery is engine-goroutine
+// RecoveryConfig.JoinQuorum. The NEW-VIEW is composed, checked and
+// entered here too (newview.go); the engine states its slot rule as a
+// Selection, picks the collector and its quorum, and votes on each
+// re-issued slot. Engines never read Recovery's tables, and Recovery is engine-goroutine
 // confined like everything else here. The package is inside simdet's
 // scope: its map iterations must aggregate order-insensitively or sort.
 package replica

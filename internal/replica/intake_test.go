@@ -177,7 +177,7 @@ func TestIntake(t *testing.T) {
 				g.t.Fatalf("%d parked, want 3", g.in.Parked())
 			}
 			g.open = true
-			g.pend.Reset() // as Recovery.EnterView does
+			g.pend.Reset() // as Recovery.enterView does
 			g.in.EnterView(true)
 			if g.in.Parked() != 0 {
 				g.t.Fatalf("%d still parked after view entry", g.in.Parked())

@@ -75,8 +75,9 @@ type RecoveryConfig struct {
 // for a state transfer (throttle and stall detector included),
 // STATE-REQUEST serving, STATE-REPLY verification and install,
 // checkpoint-certificate checking, the boot-time recover-then-ask
-// sequence, and the view-change vote table with its join scan and
-// escalate-or-back-off deadline. Engine-goroutine confined; no locking.
+// sequence, the view-change vote table with its join scan and
+// escalate-or-back-off deadline, and the NEW-VIEW's composition, check
+// and entry. Engine-goroutine confined; no locking.
 type Recovery struct {
 	eng     *Engine
 	log     *mlog.Log
@@ -89,7 +90,7 @@ type Recovery struct {
 	tau        time.Duration
 	joinQuorum int
 
-	// view and mode are the last view entry (Boot, EnterView): the head
+	// view and mode are the last view entry (Boot, enterView): the head
 	// of every journaled stable record and the floor of the vote scans.
 	view ids.View
 	mode ids.Mode
@@ -207,16 +208,16 @@ func (rc *Recovery) OnCheckpoint(m *message.Message) {
 // signers agree, the matching certificates are the stability proof ξ.
 func (rc *Recovery) countCheckpoint(cp *message.Signed) {
 	if rc.log.AddCheckpointCert(*cp) >= rc.trust.StableQuorum() {
-		rc.StabilizeOrPend(cp.Seq, cp.Digest, rc.log.CheckpointCerts(cp.Seq, cp.Digest))
+		rc.stabilizeOrPend(cp.Seq, cp.Digest, rc.log.CheckpointCerts(cp.Seq, cp.Digest))
 	}
 }
 
-// StabilizeOrPend marks a checkpoint stable if local execution has
+// stabilizeOrPend marks a checkpoint stable if local execution has
 // already produced the matching snapshot; otherwise it parks the
 // evidence and, if the replica has fallen behind, requests a state
-// transfer. Engines call it with a NEW-VIEW's checkpoint, whose
-// certificate they verified.
-func (rc *Recovery) StabilizeOrPend(seq uint64, d crypto.Digest, proof []message.Signed) {
+// transfer. EnterNewView calls it with a NEW-VIEW's checkpoint, whose
+// certificate was verified.
+func (rc *Recovery) stabilizeOrPend(seq uint64, d crypto.Digest, proof []message.Signed) {
 	if seq <= rc.log.Low() {
 		return
 	}
@@ -268,7 +269,7 @@ func (rc *Recovery) drainPendingStable() {
 	for _, seq := range ready {
 		ev := rc.parked[seq]
 		delete(rc.parked, seq)
-		rc.StabilizeOrPend(seq, ev.digest, ev.proof)
+		rc.stabilizeOrPend(seq, ev.digest, ev.proof)
 	}
 }
 

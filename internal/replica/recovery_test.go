@@ -82,15 +82,16 @@ type rig struct {
 }
 
 const (
-	rigN   = 4
-	rigTau = 100 * time.Millisecond
+	rigN    = 4
+	rigSeed = 7
+	rigTau  = 100 * time.Millisecond
 )
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	g := &rig{
 		t:     t,
-		suite: crypto.NewHMACSuite(7, rigN, 4),
+		suite: crypto.NewHMACSuite(rigSeed, rigN, 4),
 		clk:   clock.NewVirtual(),
 		ep:    &captureEndpoint{},
 		log:   mlog.New(64),
@@ -402,10 +403,10 @@ func TestRecoveryVoteTable(t *testing.T) {
 		t.Fatalf("Overdue = (%d, %v), want escalate to 4", next, backOff)
 	}
 
-	// EnterView purges votes up to the view and ends the view change.
-	g.rec.EnterView(3, 0)
+	// enterView purges votes up to the view and ends the view change.
+	g.rec.enterView(3, 0)
 	if g.rec.InViewChange() || len(g.rec.Votes(3)) != 0 || len(g.rec.Votes(5)) != 2 {
-		t.Fatalf("after EnterView(3): inVC %v, %d votes for 3, %d for 5",
+		t.Fatalf("after enterView(3): inVC %v, %d votes for 3, %d for 5",
 			g.rec.InViewChange(), len(g.rec.Votes(3)), len(g.rec.Votes(5)))
 	}
 	if g.rec.OnViewChange(vote(1, 3)) {

@@ -9,9 +9,9 @@ import (
 )
 
 // The view-change half of Recovery: the table of received VIEW-CHANGE
-// messages and the timers around it. What a VIEW-CHANGE carries, which
-// votes make a NEW-VIEW quorum, and how a NEW-VIEW is composed, checked
-// and applied differ per protocol and stay in the engines.
+// messages and the timers around it. Which votes make a NEW-VIEW quorum
+// differs per protocol and stays in the engines; composing, checking
+// and entering the NEW-VIEW is newview.go's.
 
 // InViewChange reports whether a view change is in progress.
 func (rc *Recovery) InViewChange() bool { return rc.target != 0 }
@@ -74,11 +74,11 @@ func (rc *Recovery) Join() ids.View {
 	return join
 }
 
-// Votes returns the votes filed for target in sender order. Everything
-// an engine harvests from them — the checkpoint tie-break, slot picks,
-// the NEW-VIEW's bytes — is order-sensitive (a prepare vote only
-// attaches to an already-seen proposal), so map-iteration order here
-// would break reproducible simulation runs.
+// Votes returns the votes filed for target in sender order. The
+// NEW-VIEW composed from them is order-sensitive — two votes at the
+// same stable checkpoint can carry different certificates, and the
+// first one wins — so map-iteration order here would break reproducible
+// simulation runs.
 func (rc *Recovery) Votes(target ids.View) []*message.Message {
 	out := make([]*message.Message, 0, len(rc.votes[target]))
 	for _, m := range rc.votes[target] {
@@ -115,12 +115,12 @@ func (rc *Recovery) Overdue(now time.Time) (escalate ids.View, backOff bool) {
 	return 0, true
 }
 
-// EnterView records entry into a view (an applied NEW-VIEW): the view
+// enterView records entry into a view (an applied NEW-VIEW): the view
 // entry is journaled before any message of the new view goes out, so a
 // recovered replica rejoins the view it last acted in; the view change
 // is over, its liveness timers restart, and votes up to the view are
 // history.
-func (rc *Recovery) EnterView(v ids.View, mode ids.Mode) {
+func (rc *Recovery) enterView(v ids.View, mode ids.Mode) {
 	rc.view, rc.mode = v, mode
 	rc.jr.View(v, mode)
 	rc.target, rc.deadline = 0, time.Time{}
