@@ -11,7 +11,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Ablation studies for the design choices DESIGN.md calls out. Each
+// Ablation studies for the design choices ARCHITECTURE.md calls out. Each
 // returns labeled series over the same load sweep so the effect of one
 // knob is isolated.
 

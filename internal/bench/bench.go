@@ -1,7 +1,7 @@
 // Package bench regenerates the paper's evaluation (Section 6): the
 // throughput/latency curves of Figures 2 and 3, the view-change timeline
 // of Figure 4, and Table 1's protocol comparison, plus the ablation
-// studies DESIGN.md calls out. Workloads follow the paper's
+// studies ARCHITECTURE.md calls out. Workloads follow the paper's
 // micro-benchmarks: closed-loop clients ("each client waits for the
 // reply before sending a subsequent request") issuing requests with
 // configurable request/reply payload sizes (0/0, 0/4, 4/0).

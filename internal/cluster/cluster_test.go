@@ -162,6 +162,14 @@ func TestClusterSizesMatchPaper(t *testing.T) {
 			t.Errorf("fig2c %s: N = %d, want %d", tc.p, n, tc.want)
 		}
 	}
+	// S-UpRight is 3m+2c+1 wherever the failure bounds put it: Fig 2(b),
+	// Fig 2(d) and the crash-only corner.
+	for _, tc := range []struct{ m, c, want int }{{2, 2, 11}, {1, 3, 10}, {0, 1, 3}} {
+		s := Spec{Protocol: UpRight, Crash: tc.c, Byz: tc.m}
+		if n, _ := s.sizes(); n != tc.want {
+			t.Errorf("S-UpRight m=%d c=%d: N = %d, want %d", tc.m, tc.c, n, tc.want)
+		}
+	}
 }
 
 func TestAllProtocolsEndToEnd(t *testing.T) {

@@ -5,7 +5,7 @@
 // committed requests to the state machine with exactly-once client
 // semantics.
 //
-// Protocol packages (core, pbft, upright) implement the Handler
+// Protocol packages (core, pbft) implement the Handler
 // interface; everything else — inbox draining, frame decoding, tick
 // timers, crash emulation, durability and recovery — lives here exactly
 // once.
