@@ -9,11 +9,13 @@
 //   - Peacock: untrusted primary, PBFT among 3m+1 proxies, three phases,
 //     with a trusted transferer driving view changes.
 //
-// The package also implements the per-mode view changes and the
+// The package also implements the per-mode view-change rules and the
 // dynamic mode-switching protocol of Section 5.4. Checkpointing with
-// garbage collection, state transfer for lagging replicas and the
-// view-change vote table are replica.Recovery's; this package supplies
-// only each mode's trust rule for them (recovery.go).
+// garbage collection, state transfer for lagging replicas, the
+// view-change vote table and the NEW-VIEW's composition, check and
+// entry are replica.Recovery's; this package supplies each mode's trust
+// rule for them (recovery.go), its slot Selection, its collector and
+// quorum, and its vote on a re-issued slot (viewchange.go).
 //
 // # Throughput path
 //

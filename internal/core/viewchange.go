@@ -63,14 +63,6 @@ func (r *Replica) buildViewChange(target ids.View, targetMode ids.Mode) *message
 	return m
 }
 
-// onViewChange files a peer's VIEW-CHANGE once replica.Recovery has
-// validated it.
-func (r *Replica) onViewChange(m *message.Message) {
-	if r.rec.OnViewChange(m) {
-		r.voteRecorded(m)
-	}
-}
-
 // voteRecorded reacts to a newly filed VIEW-CHANGE (a peer's or this
 // replica's own): join the view change once m+1 distinct replicas demand
 // one, and trigger NEW-VIEW assembly when this replica is the collector.

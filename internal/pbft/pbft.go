@@ -259,7 +259,9 @@ func (r *Replica) HandleMessage(m *message.Message) {
 		// back through now rather than on the next tick.
 		r.in.Pump()
 	case message.KindViewChange:
-		r.onViewChange(m)
+		if r.rec.OnViewChange(m) {
+			r.voteRecorded(m)
+		}
 	case message.KindNewView:
 		r.onNewView(m)
 	case message.KindStateRequest:

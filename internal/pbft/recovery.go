@@ -75,12 +75,6 @@ func (r *Replica) startViewChange(target ids.View) {
 	r.eng.Multicast(r.all(), vcm)
 }
 
-func (r *Replica) onViewChange(m *message.Message) {
-	if r.rec.OnViewChange(m) {
-		r.voteRecorded(m)
-	}
-}
-
 // voteRecorded reacts to a newly filed VIEW-CHANGE: join once Byz+1
 // distinct replicas demand a newer view, and assemble the NEW-VIEW when
 // this replica is the view's primary.
