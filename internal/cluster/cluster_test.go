@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/ids"
+	"repro/internal/pbft"
 	"repro/internal/statemachine"
 	"repro/internal/transport"
 )
@@ -162,13 +163,36 @@ func TestClusterSizesMatchPaper(t *testing.T) {
 			t.Errorf("fig2c %s: N = %d, want %d", tc.p, n, tc.want)
 		}
 	}
-	// S-UpRight is 3m+2c+1 wherever the failure bounds put it: Fig 2(b),
-	// Fig 2(d) and the crash-only corner.
-	for _, tc := range []struct{ m, c, want int }{{2, 2, 11}, {1, 3, 10}, {0, 1, 3}} {
-		s := Spec{Protocol: UpRight, Crash: tc.c, Byz: tc.m}
-		if n, _ := s.sizes(); n != tc.want {
-			t.Errorf("S-UpRight m=%d c=%d: N = %d, want %d", tc.m, tc.c, n, tc.want)
+}
+
+// TestUpRightSizing builds S-UpRight wherever the paper's failure bounds
+// put it: N = 3m+2c+1 PBFT replicas, each with agreement quorum 2m+c+1.
+func TestUpRightSizing(t *testing.T) {
+	cases := []struct{ m, c, n, q int }{
+		{1, 1, 6, 4},  // the paper's f=2 scenario
+		{2, 2, 11, 7}, // Fig 2(b)
+		{3, 1, 12, 8}, // Fig 2(c)
+		{1, 3, 10, 6}, // Fig 2(d)
+		{0, 1, 3, 2},  // degenerate crash-only
+	}
+	for _, tc := range cases {
+		c, err := New(Spec{Protocol: UpRight, Crash: tc.c, Byz: tc.m, Timing: testTiming()})
+		if err != nil {
+			t.Fatalf("m=%d c=%d: %v", tc.m, tc.c, err)
 		}
+		if c.N != tc.n || len(c.Nodes) != tc.n {
+			t.Errorf("m=%d c=%d: N = %d with %d nodes, want %d", tc.m, tc.c, c.N, len(c.Nodes), tc.n)
+		}
+		for id, node := range c.Nodes {
+			r, ok := node.(*pbft.Replica)
+			if !ok {
+				t.Fatalf("m=%d c=%d: replica %d is %T, want *pbft.Replica", tc.m, tc.c, id, node)
+			}
+			if r.Quorum() != tc.q {
+				t.Errorf("m=%d c=%d: replica %d quorum = %d, want %d", tc.m, tc.c, id, r.Quorum(), tc.q)
+			}
+		}
+		c.Stop()
 	}
 }
 

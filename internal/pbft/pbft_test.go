@@ -185,6 +185,35 @@ func TestNewReplicaValidation(t *testing.T) {
 	}
 }
 
+// TestNewReplicaUpRightBounds holds an S-UpRight replica to its hybrid
+// bounds: m=1, c=1 needs 3m+2c+1 = 6 replicas, and neither bound may be
+// negative.
+func TestNewReplicaUpRightBounds(t *testing.T) {
+	net := transport.NewSimNetwork(transport.SimConfig{Seed: 1, PrivateSize: 6})
+	defer net.Close()
+	base := Options{
+		N: 6, Byz: 1, Crash: 1, Suite: crypto.NewHMACSuite(1, 6, 0), Network: net,
+		StateMachine: statemachine.NewCounter(), Timing: config.DefaultTiming(),
+	}
+	r, err := NewReplica(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Quorum() != 4 {
+		t.Errorf("quorum = %d, want 4", r.Quorum())
+	}
+	bad := base
+	bad.N = 5
+	if _, err := NewReplica(bad); err == nil {
+		t.Error("N = 5 accepted for m=1 c=1")
+	}
+	bad = base
+	bad.Crash = -1
+	if _, err := NewReplica(bad); err == nil {
+		t.Error("negative crash bound accepted")
+	}
+}
+
 func TestPBFTHappyPath(t *testing.T) {
 	h := newHarness(t, 1, 0, 1) // N = 4
 	c := h.client(0)
