@@ -5,7 +5,7 @@ GO      ?= go
 PKGS    ?= ./...
 COVER   ?= coverage.out
 
-.PHONY: all build test race race-client bench bench-json bench-hotpath bench-smoke bench-pairs profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet lint lint-fix cover clean help
+.PHONY: all build test race race-client bench bench-json bench-smoke bench-pairs profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet lint lint-fix cover clean help
 
 SIM_SEEDS ?= 200
 
@@ -37,9 +37,6 @@ bench-json: ## machine-readable sweeps → BENCH_pipeline/shard/txn/readmix/resh
 		-measure 300ms -warmup 80ms -shard-clients 48 -json BENCH_readmix.json
 	$(GO) run ./cmd/seemore-bench -exp ablation-reshard \
 		-measure 300ms -warmup 80ms -shard-clients 24 -json BENCH_reshard.json
-
-bench-hotpath: ## hot-path microbenchmarks (pooled codec) → BENCH_hotpath.json
-	$(GO) run ./cmd/seemore-bench -exp hotpath -json BENCH_hotpath.json
 
 bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it), and run the crypto, seal, record-set and frame-read microbenchmarks once so their allocs/op pins cannot rot
 	cd benchmark && $(GO) vet ./... && $(GO) test ./... && $(GO) run repro/cmd/seemore-vet ./...
@@ -76,7 +73,7 @@ fmt-check: ## fail if any file needs gofmt (CI gate)
 vet: ## stock go vet
 	$(GO) vet $(PKGS)
 
-seemore-vet: ## the custom invariant analyzers (clockcheck, releasecheck, simdet, errsticky)
+seemore-vet: ## the custom invariant analyzers (clockcheck, simdet, errsticky)
 	$(GO) run ./cmd/seemore-vet $(PKGS)
 
 lint: fmt-check vet doclint seemore-vet ## the full static-analysis umbrella (CI lint gate)

@@ -9,7 +9,6 @@
 //	seemore-bench -exp ablation-pipeline
 //	seemore-bench -exp fig2a -measure 1s -clients 1,4,16,64,128
 //	seemore-bench -exp fig2a -pipeline 16      # pipelined primaries everywhere
-//	seemore-bench -exp hotpath -json BENCH_hotpath.json
 //	seemore-bench -exp fig2a -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -31,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all, table1, fig2a, fig2b, fig2c, fig2d, fig3a, fig3b, fig4, ablation-signer, ablation-proxies, ablation-commit, ablation-checkpoint, ablation-crosscloud, ablation-batch, ablation-pipeline, ablation-shard, ablation-txn, ablation-readmix, ablation-reshard, hotpath (microbenchmarks; not part of all)")
+		exp      = flag.String("exp", "all", "experiment: all, table1, fig2a, fig2b, fig2c, fig2d, fig3a, fig3b, fig4, ablation-signer, ablation-proxies, ablation-commit, ablation-checkpoint, ablation-crosscloud, ablation-batch, ablation-pipeline, ablation-shard, ablation-txn, ablation-readmix, ablation-reshard")
 		measure  = flag.Duration("measure", 500*time.Millisecond, "measurement window per load point")
 		warmup   = flag.Duration("warmup", 150*time.Millisecond, "warmup before each measurement")
 		clients  = flag.String("clients", "1,2,4,8,16,32,64", "comma-separated closed-loop client counts")
@@ -98,7 +97,6 @@ func main() {
 	}
 
 	var collected []bench.JSONExperiment
-	directJSON := false // set when an experiment wrote -json itself
 	record := func(name string, series []bench.Series) {
 		if *jsonOut == "" {
 			return
@@ -212,19 +210,6 @@ func main() {
 			}
 			record(name, series)
 			bench.PrintAblation(os.Stdout, "throughput before/during/after a live 2→4 shard split (Lion, elastic)", "clients", series)
-		case "hotpath":
-			// Microbenchmarks of the codec hot path; excluded from "all"
-			// (they measure a library layer, not the protocols) and
-			// written with their own JSON schema.
-			rep := bench.RunHotpath()
-			bench.PrintHotpath(os.Stdout, rep)
-			if *jsonOut != "" {
-				if err := bench.WriteHotpathJSON(*jsonOut, rep); err != nil {
-					log.Fatal(err)
-				}
-				log.Printf("wrote hot-path report to %s", *jsonOut)
-				directJSON = true
-			}
 		case "ablation-crosscloud":
 			lat := []time.Duration{50 * time.Microsecond, 250 * time.Microsecond, time.Millisecond, 4 * time.Millisecond}
 			series, err := bench.AblationCrossCloudLatency(lat, 16, opts, *seed)
@@ -256,7 +241,7 @@ func main() {
 		run(*exp)
 	}
 
-	if *jsonOut != "" && !directJSON {
+	if *jsonOut != "" {
 		if err := bench.WriteJSONReport(*jsonOut, opts, *seed, collected); err != nil {
 			log.Fatal(err)
 		}

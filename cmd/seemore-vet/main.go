@@ -1,11 +1,11 @@
 // Command seemore-vet is the repository's invariant multichecker: it
 // runs the custom static-analysis passes from internal/analysis
-// (clockcheck, releasecheck, simdet, errsticky) over the tree and
-// fails on any finding. The stock correctness analyzers (copylocks,
-// unusedresult, lostcancel, ...) ride alongside in `make lint` via
-// `go vet`; seemore-vet carries the checks no stock tool knows about —
-// the clock-injection, pooled-frame, sim-determinism and sticky-error
-// contracts earlier PRs established.
+// (clockcheck, simdet, errsticky) over the tree and fails on any
+// finding. The stock correctness analyzers (copylocks, unusedresult,
+// lostcancel, ...) ride alongside in `make lint` via `go vet`;
+// seemore-vet carries the checks no stock tool knows about — the
+// clock-injection, sim-determinism and sticky-error contracts earlier
+// PRs established.
 //
 // Usage:
 //
@@ -21,7 +21,8 @@
 //
 //	//lint:file-allow <analyzer> <reason>
 //
-// The reason is mandatory; an allow without one suppresses nothing.
+// The reason is mandatory; an allow without one suppresses nothing. An
+// allow naming an analyzer that is not in the suite is a finding.
 package main
 
 import (

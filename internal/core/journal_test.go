@@ -41,7 +41,7 @@ type tapEndpoint struct {
 }
 
 func (e tapEndpoint) Send(to transport.Addr, frame []byte) {
-	if m, err := message.Unmarshal(append([]byte(nil), frame...)); err == nil {
+	if m, err := message.Unmarshal(frame); err == nil {
 		e.net.mu.Lock()
 		e.net.sent = append(e.net.sent, m)
 		e.net.mu.Unlock()

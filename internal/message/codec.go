@@ -114,6 +114,69 @@ func (e *encoder) signedSet(set []Signed) {
 	}
 }
 
+// Exact encoded sizes, mirroring the encoder methods field for field so
+// Marshal allocates each frame once, at its final length.
+
+func sizeBytes(b []byte) int { return 4 + len(b) }
+
+func sizeRequest(r *Request) int {
+	if r == nil {
+		return 1
+	}
+	return 1 + sizeBytes(r.Op) + 8 + 8 + sizeBytes(r.Sig)
+}
+
+func sizePayload(r *Request, batch []*Request) int {
+	if len(batch) == 0 {
+		return sizeRequest(r)
+	}
+	n := 1 + 4
+	for _, br := range batch {
+		n += sizeRequest(br)
+	}
+	return n
+}
+
+// EncodedSize returns the exact length of s's standalone encoding.
+func (s *Signed) EncodedSize() int {
+	return 1 + 8 + 8 + 8 + crypto.DigestSize + sizePayload(s.Request, s.Batch) + sizeBytes(s.Sig)
+}
+
+func sizeSignedSet(set []Signed) int {
+	n := 4
+	for i := range set {
+		n += set[i].EncodedSize()
+	}
+	return n
+}
+
+// EncodedSize returns the exact length of Marshal(m).
+func (m *Message) EncodedSize() int {
+	return 1 + // wire version
+		1 + 8 + 8 + 8 + crypto.DigestSize + 1 + // Kind..Mode
+		sizePayload(m.Request, m.Batch) +
+		sizeBytes(m.Result) +
+		8 + 8 + crypto.DigestSize + 8 + 1 + 8 + 8 + // Timestamp..Epoch
+		sizeSignedSet(m.CheckpointProof) +
+		sizeSignedSet(m.Prepares) +
+		sizeSignedSet(m.Commits) +
+		sizeBytes(m.Sig) +
+		sizeAuths(m)
+}
+
+// sizeAuths is the length of the client authenticators m forwards: a
+// PRE-PREPARE's, nothing for any other kind.
+func sizeAuths(m *Message) int {
+	if m.Kind != KindPrePrepare {
+		return 0
+	}
+	n := 4
+	for _, r := range m.Requests() {
+		n += sizeBytes(r.Auth)
+	}
+	return n
+}
+
 type decoder struct {
 	buf []byte
 	off int
@@ -350,18 +413,11 @@ func (e *encoder) message(m *Message) {
 }
 
 // Marshal encodes m into a fresh byte slice sized exactly by EncodedSize,
-// so the encoder never regrows mid-message. Steady-state senders should
-// prefer Encode/Release (zero-allocation pooled frames) or AppendTo.
+// so the encoder never regrows mid-message: one allocation per frame.
+// The frame is immutable once built — a multicast hands the same slice
+// to every destination, and Endpoint.Send may keep it.
 func Marshal(m *Message) []byte {
-	return m.AppendTo(make([]byte, 0, m.EncodedSize()))
-}
-
-// AppendTo appends the wire encoding of m to dst and returns the extended
-// slice, growing dst only if its capacity is short of EncodedSize. It is
-// the allocation-free encode path for callers that own a reusable buffer
-// (the transport write loop, pooled frames).
-func (m *Message) AppendTo(dst []byte) []byte {
-	e := encoder{buf: dst}
+	e := encoder{buf: make([]byte, 0, m.EncodedSize())}
 	e.message(m)
 	return e.buf
 }
@@ -413,7 +469,9 @@ func MarshalSigned(s *Signed) []byte {
 }
 
 // AppendTo appends the standalone encoding of s (the MarshalSigned
-// format) to dst and returns the extended slice.
+// format) to dst and returns the extended slice, growing dst only if its
+// capacity is short of EncodedSize: a caller that owns a reusable buffer
+// (the replica journal) stages records without allocating.
 func (s *Signed) AppendTo(dst []byte) []byte {
 	e := encoder{buf: dst}
 	e.signed(s)

@@ -26,27 +26,22 @@ func benchMessages() map[string]*Message {
 	}
 }
 
-// TestEncodeMatchesMarshal pins the pooled encoder to Marshal across the
-// hot-path shapes, including repeated reuse through the pool.
-func TestEncodeMatchesMarshal(t *testing.T) {
+// frameSink keeps the encoders' results alive, so AllocsPerRun counts
+// the frames they allocate.
+var frameSink []byte
+
+// TestMarshalOneAlloc pins the one encoder: on every hot-path shape
+// Marshal and MarshalSigned allocate exactly one slice, sized exactly by
+// EncodedSize, and a signed record survives a round trip.
+func TestMarshalOneAlloc(t *testing.T) {
 	for name, m := range benchMessages() {
-		want := Marshal(m)
-		if got := m.EncodedSize(); got != len(want) {
-			t.Fatalf("%s: EncodedSize %d, Marshal length %d", name, got, len(want))
+		if got, want := m.EncodedSize(), len(Marshal(m)); got != want {
+			t.Fatalf("%s: EncodedSize %d, Marshal length %d", name, got, want)
 		}
-		for i := 0; i < 4; i++ {
-			f := Encode(m)
-			if !bytes.Equal(f.Bytes(), want) {
-				t.Fatalf("%s: pooled encode diverges from Marshal on reuse %d", name, i)
-			}
-			f.Release()
+		if n := testing.AllocsPerRun(100, func() { frameSink = Marshal(m) }); n != 1 {
+			t.Fatalf("%s: Marshal made %v allocations per frame, want 1", name, n)
 		}
 	}
-}
-
-// TestEncodeSignedMatchesMarshalSigned does the same for standalone
-// Signed records (the WAL payload format).
-func TestEncodeSignedMatchesMarshalSigned(t *testing.T) {
 	req := &Request{Op: []byte("op"), Timestamp: 1, Client: 2, Sig: []byte("sig")}
 	for name, s := range map[string]*Signed{
 		"vote":     {Kind: KindCommit, From: 1, View: 2, Seq: 3, Digest: crypto.Sum([]byte("d")), Sig: []byte("vs")},
@@ -61,11 +56,9 @@ func TestEncodeSignedMatchesMarshalSigned(t *testing.T) {
 		if got := s.EncodedSize(); got != len(want) {
 			t.Fatalf("%s: EncodedSize %d, MarshalSigned length %d", name, got, len(want))
 		}
-		f := EncodeSigned(s)
-		if !bytes.Equal(f.Bytes(), want) {
-			t.Fatalf("%s: pooled encode diverges from MarshalSigned", name)
+		if n := testing.AllocsPerRun(100, func() { frameSink = MarshalSigned(s) }); n != 1 {
+			t.Fatalf("%s: MarshalSigned made %v allocations per record, want 1", name, n)
 		}
-		f.Release()
 		back, err := UnmarshalSigned(want)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -76,46 +69,7 @@ func TestEncodeSignedMatchesMarshalSigned(t *testing.T) {
 	}
 }
 
-// TestFrameForOversized checks that frames beyond the largest size class
-// still work and are simply not pooled.
-func TestFrameForOversized(t *testing.T) {
-	m := &Message{
-		Kind: KindStateReply, From: 1, Seq: 7,
-		Result: bytes.Repeat([]byte{9}, frameClasses[len(frameClasses)-1]+1),
-		Sig:    []byte("x"),
-	}
-	f := Encode(m)
-	if f.class != -1 {
-		t.Fatalf("oversized frame landed in pool class %d", f.class)
-	}
-	if !bytes.Equal(f.Bytes(), Marshal(m)) {
-		t.Fatal("oversized encode diverges from Marshal")
-	}
-	f.Release() // must be a safe no-op
-}
-
-// TestReleaseNil pins that Release on a nil frame is a no-op, so error
-// paths can release unconditionally.
-func TestReleaseNil(t *testing.T) {
-	var f *Frame
-	f.Release()
-}
-
-// BenchmarkEncode measures the pooled steady-state encode path; the
-// acceptance bar is 0 allocs/op for every shape.
-func BenchmarkEncode(b *testing.B) {
-	for name, m := range benchMessages() {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := Encode(m)
-				f.Release()
-			}
-		})
-	}
-}
-
-// BenchmarkMarshal is the pre-pool baseline for the same shapes.
+// BenchmarkMarshal measures encode on the same shapes.
 func BenchmarkMarshal(b *testing.B) {
 	for name, m := range benchMessages() {
 		b.Run(name, func(b *testing.B) {

@@ -106,27 +106,10 @@ func FuzzDecode(f *testing.F) {
 		} else if sig != nil || auth != nil {
 			t.Fatalf("OpenSeal refused %d bytes yet returned parts of them", len(m.Sig))
 		}
-		// The pooled path must agree byte-for-byte with Marshal and its
-		// EncodedSize must be exact.
-		fr := Encode(m)
-		if len(fr.Bytes()) != m.EncodedSize() {
-			t.Fatalf("EncodedSize %d != encoded length %d", m.EncodedSize(), len(fr.Bytes()))
+		// EncodedSize must be exact: Marshal sizes every frame by it.
+		if m.EncodedSize() != len(frame) {
+			t.Fatalf("EncodedSize %d != encoded length %d", m.EncodedSize(), len(frame))
 		}
-		if !bytes.Equal(fr.Bytes(), frame) {
-			t.Fatalf("pooled encode mismatch:\n in  %x\n out %x", frame, fr.Bytes())
-		}
-		// Reuse must not alias: release the frame, encode a different
-		// message (which grabs the same pooled buffer back), and check no
-		// stale bytes from the first encoding leak into the second — the
-		// reused frame must still be exactly canonical for its message.
-		fr.Release()
-		perturbed := *m
-		perturbed.Seq ^= 0xa5a5
-		fr2 := Encode(&perturbed)
-		if !bytes.Equal(fr2.Bytes(), Marshal(&perturbed)) {
-			t.Fatalf("pooled re-encode after Release is not canonical")
-		}
-		fr2.Release()
 	})
 }
 

@@ -32,7 +32,8 @@ import (
 // (ARCHITECTURE.md, "Durability and recovery").
 type Journal struct {
 	store    storage.Store
-	dirty    bool // records appended since the last Sync
+	buf      []byte // stages each record's payload; Store.Append does not retain it
+	dirty    bool   // records appended since the last Sync
 	broken   bool
 	failures int
 }
@@ -99,17 +100,13 @@ func (j *Journal) Proposal(s *message.Signed) {
 	if !j.Enabled() {
 		return
 	}
-	// Store.Append does not retain the payload, so a pooled frame stages
-	// it without leaving a garbage buffer per journaled record.
-	f := message.EncodeSigned(s)
 	j.append(storage.Record{
 		Kind:    storage.KindProposal,
 		Seq:     s.Seq,
 		View:    uint64(s.View),
 		Digest:  s.Digest,
-		Payload: f.Bytes(),
+		Payload: j.stage(s),
 	})
-	f.Release()
 }
 
 // Vote journals a vote this replica is about to send: with its
@@ -119,15 +116,13 @@ func (j *Journal) Vote(s *message.Signed) {
 	if !j.Enabled() {
 		return
 	}
-	f := message.EncodeSigned(s)
 	j.append(storage.Record{
 		Kind:    storage.KindVote,
 		Seq:     s.Seq,
 		View:    uint64(s.View),
 		Digest:  s.Digest,
-		Payload: f.Bytes(),
+		Payload: j.stage(s),
 	})
-	f.Release()
 }
 
 // Commit journals that a slot committed; cert (optional) is the commit
@@ -143,13 +138,18 @@ func (j *Journal) Commit(seq uint64, view ids.View, d crypto.Digest, cert *messa
 		View:   uint64(view),
 		Digest: d,
 	}
-	var f *message.Frame
 	if cert != nil {
-		f = message.EncodeSigned(cert)
-		rec.Payload = f.Bytes()
+		rec.Payload = j.stage(cert)
 	}
 	j.append(rec)
-	f.Release()
+}
+
+// stage encodes s into the journal's one staging buffer, valid until the
+// next stage. Store.Append does not retain a payload, so reusing the
+// buffer spares the hot path a garbage slice per journaled record.
+func (j *Journal) stage(s *message.Signed) []byte {
+	j.buf = s.AppendTo(j.buf[:0])
+	return j.buf
 }
 
 // View journals entry into a view (boot, or an applied NEW-VIEW).

@@ -1,9 +1,6 @@
 package replica
 
-import (
-	"repro/internal/message"
-	"repro/internal/transport"
-)
+import "repro/internal/transport"
 
 // outbox is the one place frames leave an Engine, and so the one place
 // the durability rule is enforced: no frame leaves before every journal
@@ -28,27 +25,26 @@ type outbox struct {
 }
 
 // heldFrame is one destination of a held frame. A multicast frame is
-// held once per destination and released after the last of them.
+// held once per destination, every entry sharing the one slice.
 type heldFrame struct {
-	to   transport.Addr
-	f    *message.Frame
-	last bool
+	to transport.Addr
+	f  []byte
 }
 
-// hold takes ownership of f, to be sent to each of to, in order, once
-// the journal is synced.
-func (o *outbox) hold(f *message.Frame, to []transport.Addr) {
-	for i, a := range to {
-		o.held = append(o.held, heldFrame{to: a, f: f, last: i == len(to)-1})
+// hold queues f, to be sent to each of to, in order, once the journal
+// is synced.
+func (o *outbox) hold(f []byte, to []transport.Addr) {
+	for _, a := range to {
+		o.held = append(o.held, heldFrame{to: a, f: f})
 	}
 	if !o.draining {
 		o.flush(false)
 	}
 }
 
-// flush ends a drain: one Journal.Sync, then every held frame in order,
-// each released after its last destination. Nothing is sent when drop is
-// set (the replica crashed mid-drain) or the sync broke the journal.
+// flush ends a drain: one Journal.Sync, then every held frame in order.
+// Nothing is sent when drop is set (the replica crashed mid-drain) or
+// the sync broke the journal.
 func (o *outbox) flush(drop bool) {
 	if len(o.held) == 0 {
 		return
@@ -59,10 +55,7 @@ func (o *outbox) flush(drop bool) {
 	}
 	for i, h := range o.held {
 		if !drop {
-			o.ep.Send(h.to, h.f.Bytes())
-		}
-		if h.last {
-			h.f.Release()
+			o.ep.Send(h.to, h.f)
 		}
 		o.held[i] = heldFrame{}
 	}

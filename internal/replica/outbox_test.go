@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -16,7 +17,8 @@ import (
 type wireEvent struct {
 	op    string // "append", "sync" or "send"
 	to    transport.Addr
-	frame []byte
+	frame []byte // a copy of the frame, taken inside Send
+	kept  []byte // the frame itself, exactly as Send received it
 }
 
 // wire records a replica's appends, syncs and sends on one timeline: it
@@ -59,12 +61,11 @@ func (wireEnd) Close()                           {}
 func (w *wire) Addr() transport.Addr             { return transport.ReplicaAddr(0) }
 func (w *wire) Inbox() <-chan transport.Envelope { return nil }
 func (w *wire) Send(to transport.Addr, frame []byte) {
-	w.events = append(w.events, wireEvent{op: "send", to: to, frame: append([]byte(nil), frame...)})
+	w.events = append(w.events, wireEvent{op: "send", to: to, frame: append([]byte(nil), frame...), kept: frame})
 }
 
 // sends returns the Seq of every frame sent to each destination, in
-// order, failing the test on a frame that does not decode (an empty one
-// is what a frame released before its send looks like).
+// order, failing the test on a frame that does not decode.
 func (w *wire) sends(t *testing.T) map[transport.Addr][]uint64 {
 	t.Helper()
 	out := make(map[transport.Addr][]uint64)
@@ -109,8 +110,8 @@ func probe(seq uint64) *message.Message {
 // TestOutbox pins the outbox's contract over a recording Store and
 // Endpoint: no frame leaves before a sync covering every earlier append,
 // order per destination survives holding, a clean journal holds nothing,
-// a multicast frame is released once after its last destination, and a
-// crashed or fail-stopped replica sends nothing.
+// a sent frame is never written again, and a crashed or fail-stopped
+// replica sends nothing.
 func TestOutbox(t *testing.T) {
 	all := []ids.ReplicaID{0, 1, 2, 3}
 
@@ -181,35 +182,48 @@ func TestOutbox(t *testing.T) {
 		}
 	})
 
-	t.Run("multicast frame released once after its last destination", func(t *testing.T) {
+	t.Run("a sent frame is never written again", func(t *testing.T) {
 		e, w := newOutboxEngine()
-		var held []heldFrame
-		e.StepTick(drainOf(func() {
-			e.jr.View(1, ids.Lion)
-			e.Multicast(all, probe(7))
-			held = append(held, e.out.held...)
-		}), time.Time{})
-		if len(held) != 3 {
-			t.Fatalf("%d held destinations, want 3", len(held))
+		for d := uint64(1); d <= 8; d++ {
+			e.StepTick(drainOf(func() {
+				if d%2 == 0 {
+					e.jr.View(ids.View(d), ids.Lion) // hold this drain's frames
+				}
+				e.Multicast(all, probe(d))
+				if d%4 == 1 {
+					e.jr.View(ids.View(d), ids.Lion) // hold only the direct send
+				}
+				e.Send(1, probe(100+d))
+			}), time.Time{})
 		}
-		for i, h := range held {
-			if h.f != held[0].f {
-				t.Fatal("one multicast encoded more than one frame")
+		first := map[uint64][]byte{} // each multicast's frame, as its first destination got it
+		sent, changed := 0, 0
+		for _, ev := range w.events {
+			if ev.op != "send" {
+				continue
 			}
-			if h.last != (i == len(held)-1) {
-				t.Fatalf("destination %d: last = %v; the frame must be released after its last destination only", i, h.last)
+			sent++
+			if !bytes.Equal(ev.kept, ev.frame) {
+				changed++
+			}
+			m, err := message.Unmarshal(ev.frame)
+			if err != nil {
+				t.Fatalf("frame to %v does not decode: %v", ev.to, err)
+			}
+			if m.Seq > 100 {
+				continue
+			}
+			if f, ok := first[m.Seq]; !ok {
+				first[m.Seq] = ev.kept
+			} else if &f[0] != &ev.kept[0] {
+				t.Fatalf("multicast %d reached %v in a frame of its own, not the shared one", m.Seq, ev.to)
 			}
 		}
-		if len(held[0].f.Bytes()) != 0 {
-			t.Fatal("the held frame was never released")
+		if sent != 32 {
+			t.Fatalf("%d frames sent, want 32", sent)
 		}
-		for to, seqs := range w.sends(t) {
-			if !equalSeqs(seqs, []uint64{7}) {
-				t.Fatalf("replica %v received %v, want the one multicast", to, seqs)
-			}
-		}
-		if len(e.out.held) != 0 {
-			t.Fatalf("%d frames still held after the drain", len(e.out.held))
+		if changed > 0 {
+			t.Fatalf("%d of %d frames changed after Send returned", changed, sent)
 		}
 	})
 

@@ -26,7 +26,7 @@ type sentFrame struct {
 
 func (e *captureEndpoint) Addr() transport.Addr { return transport.ReplicaAddr(0) }
 func (e *captureEndpoint) Send(to transport.Addr, frame []byte) {
-	m, err := message.Unmarshal(append([]byte(nil), frame...))
+	m, err := message.Unmarshal(frame)
 	if err != nil {
 		panic(err)
 	}

@@ -418,9 +418,7 @@ func (e *Engine) Loopback(m *message.Message) {
 	if e.isCrashed() {
 		return
 	}
-	f := message.Encode(m)
-	e.ep.Send(transport.ReplicaAddr(e.id), f.Bytes())
-	f.Release()
+	e.ep.Send(transport.ReplicaAddr(e.id), message.Marshal(m))
 }
 
 // SendClientTagged stamps m with this replica's identity and its tag for
@@ -487,7 +485,7 @@ func (e *Engine) fillTags(auth []byte, to []ids.ReplicaID, body []byte) {
 
 // Multicast transmits m to every listed replica except the sender
 // itself (protocols account for their own vote locally). The message is
-// encoded once into a pooled frame shared by every destination.
+// encoded once, and every destination shares that one frame.
 func (e *Engine) Multicast(to []ids.ReplicaID, m *message.Message) {
 	var buf [16]transport.Addr // a cluster this size lists its destinations without allocating
 	dests := buf[:0]
@@ -499,23 +497,22 @@ func (e *Engine) Multicast(to []ids.ReplicaID, m *message.Message) {
 	e.post(m, dests)
 }
 
-// post encodes m once into a pooled frame and sends it to each of to, in
-// order — at once, or through the outbox while the journal holds records
-// the frame may depend on. Only the flush that sends held frames syncs
-// the journal, so a frame that finds it clean has nothing held to
-// overtake. Endpoint.Send must not retain frames, so a frame sent at
-// once is reusable the moment the last Send returns.
+// post encodes m once and sends the frame to each of to, in order — at
+// once, or through the outbox while the journal holds records the frame
+// may depend on. Only the flush that sends held frames syncs the
+// journal, so a frame that finds it clean has nothing held to overtake.
+// Frames are immutable: every destination shares the one slice, and
+// Endpoint.Send may keep it.
 func (e *Engine) post(m *message.Message, to []transport.Addr) {
 	if len(to) == 0 || e.silent() {
 		return
 	}
-	f := message.Encode(m)
+	f := message.Marshal(m)
 	if e.jr.Dirty() {
-		e.out.hold(f, to) //lint:allow releasecheck ownership passes to the outbox, which releases f after its last destination once the journal is synced
+		e.out.hold(f, to)
 		return
 	}
 	for _, a := range to {
-		e.ep.Send(a, f.Bytes())
+		e.ep.Send(a, f)
 	}
-	f.Release()
 }

@@ -83,10 +83,6 @@ func (s *Sim) onSend(from, to transport.Addr, frame []byte) {
 	if net.DupRate > 0 && st.float64() < net.DupRate {
 		copies = 2
 	}
-	// The event queue holds the frame until its delivery step, but
-	// Endpoint.Send must not retain the caller's (pooled, reused) buffer
-	// — copy once past the drop checks.
-	frame = append([]byte(nil), frame...)
 	for i := 0; i < copies; i++ {
 		delay := net.BaseLatency(from, to) + net.PerMessageSend + net.PerMessageRecv
 		if net.Jitter > 0 && delay > 0 {

@@ -130,7 +130,8 @@ type Store interface {
 	// Append writes one record to the log. Append returning nil means
 	// the record will survive a process crash, and will be replayed
 	// after every record appended before it; it is durable against a
-	// power failure only once a later Sync returns nil.
+	// power failure only once a later Sync returns nil. Append does not
+	// retain rec.Payload: the caller may reuse it once Append returns.
 	Append(rec Record) error
 	// Sync makes every earlier Append durable (subject to the
 	// implementation's fsync batching policy). An error is sticky: the

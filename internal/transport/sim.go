@@ -313,12 +313,9 @@ func (n *SimNetwork) send(from, to Addr, frame []byte) {
 	}
 	n.mu.Unlock()
 
-	// The frame sits in the scheduler heap until delivery, but Send must
-	// not retain the caller's buffer (it is pooled and reused as soon as
-	// we return) — copy once here, after the drop/partition checks, so
-	// discarded frames cost nothing. Duplicated copies share the clone:
-	// receivers own their envelope but never write through it.
-	env := Envelope{From: from, Frame: append([]byte(nil), frame...)}
+	// The frame is immutable, so it sits in the scheduler heap as is until
+	// delivery; duplicated copies share it.
+	env := Envelope{From: from, Frame: frame}
 	for _, d := range delays {
 		n.sched.schedule(d, to, env)
 	}

@@ -81,10 +81,10 @@ type Endpoint interface {
 	// an unattached or closed endpoint silently drops (an asynchronous
 	// network gives no delivery guarantee).
 	//
-	// Send must not retain frame after it returns: callers encode into
-	// pooled buffers they reuse immediately (see message.Encode), so an
-	// implementation that queues frames for later delivery must copy.
-	// Frames delivered on Inbox are owned by the receiver.
+	// Frames are immutable: Send may keep frame (queue it, deliver the
+	// same slice to a receiver), and neither the caller nor any receiver
+	// writes through it afterwards. A multicast hands every destination
+	// the same slice.
 	Send(to Addr, frame []byte)
 	// Inbox delivers received envelopes. It is closed when the endpoint
 	// or the network closes.
