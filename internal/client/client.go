@@ -14,9 +14,14 @@
 //     replica is trusted.
 //   - PBFT: f+1 matching replies.
 //   - S-UpRight: m+1 matching replies.
+//
+// Session is that protocol as a sans-I/O state machine: it never reads
+// a clock or touches an endpoint. Client drives one on the host clock
+// and a transport endpoint; the deterministic simulation (internal/sim)
+// drives the same Session on virtual time.
 package client
 
-//lint:file-allow clockcheck client-side retry timers and staleness observation run on the host clock by design; replicas never see these timestamps
+//lint:file-allow clockcheck the Client driver feeds its Session the host clock and waits on a host timer by design; replicas never see these timestamps
 
 import (
 	"errors"
@@ -43,12 +48,6 @@ var ErrCanceled = errors.New("client: request canceled")
 // under it.
 var errEndpointClosed = errors.New("client: endpoint closed")
 
-// maxRetryWait caps a backoff-grown retransmit wait. Without it,
-// Backoff > 1 composed with the default 20-retry budget turns an
-// unreachable cluster into a wait of ClientRetry·2²⁰ — the cap keeps
-// the worst-case Invoke latency proportional to the retry budget.
-const maxRetryWait = time.Minute
-
 // Policy decides when collected replies constitute a committed result.
 // Implementations inspect only validated replies (signature checked,
 // timestamp matched).
@@ -66,31 +65,13 @@ type Policy interface {
 	Observe(replies map[ids.ReplicaID]*message.Message)
 }
 
-// Client issues requests and awaits reply quorums. Not safe for
+// Client issues requests and awaits reply quorums: a thin driver of a
+// Session on the host clock and a transport endpoint. Not safe for
 // concurrent use; run one Client per goroutine (the benchmarks do).
 type Client struct {
-	id         ids.ClientID
-	suite      crypto.Suite
-	ep         transport.Endpoint
-	policy     Policy
-	retry      time.Duration
-	maxRetries int
-	backoff    float64
-
-	ts     uint64
-	seeded bool // ts started from config.Client.InitialTimestamp
-
-	// Fast-read freshness tracking (read.go): the monotonic floor every
-	// stale read must clear, the observation log backing MaxStaleness
-	// bounds, and the follower rotation cursor.
-	readFloor uint64
-	wmLog     []wmObs
-	staleRR   int
-
-	// seenEpoch is the highest placement epoch stamped on any validated
-	// reply — the passive signal that the cluster's placement moved and
-	// the router's cache may be stale.
-	seenEpoch uint64
+	sess  *Session
+	ep    transport.Endpoint
+	timer *time.Timer // reused across ops; stopped between them
 }
 
 // New assembles a client from a policy with the default retry behavior
@@ -103,26 +84,21 @@ func New(id ids.ClientID, suite crypto.Suite, network transport.Network, policy 
 // NewWithConfig assembles a client with explicit retry knobs; the zero
 // cc is identical to New.
 func NewWithConfig(id ids.ClientID, suite crypto.Suite, network transport.Network, policy Policy, timing config.Timing, cc config.Client) *Client {
-	cc = cc.Normalized(timing)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	return &Client{
-		id:         id,
-		suite:      suite,
-		ep:         network.Endpoint(transport.ClientAddr(id)),
-		policy:     policy,
-		retry:      cc.RetryTimeout,
-		maxRetries: cc.MaxRetries,
-		backoff:    cc.Backoff,
-		ts:         cc.InitialTimestamp,
-		seeded:     cc.InitialTimestamp > 0,
+		sess:  NewSession(id, suite, policy, timing, cc),
+		ep:    network.Endpoint(transport.ClientAddr(id)),
+		timer: timer,
 	}
 }
 
 // ID returns the client identity.
-func (c *Client) ID() ids.ClientID { return c.id }
+func (c *Client) ID() ids.ClientID { return c.sess.id }
 
 // Timestamp returns the timestamp of the last issued request (or the
 // initial seed before the first one).
-func (c *Client) Timestamp() uint64 { return c.ts }
+func (c *Client) Timestamp() uint64 { return c.sess.Timestamp() }
 
 // AllocateTimestamp consumes and returns the next request timestamp
 // without issuing a request. The transaction coordinator mints
@@ -130,10 +106,12 @@ func (c *Client) Timestamp() uint64 { return c.ts }
 // timestamps share one monotonic counter — seeding
 // config.Client.InitialTimestamp above a previous run therefore makes
 // both fresh, with no separate rule for transaction ids.
-func (c *Client) AllocateTimestamp() uint64 {
-	c.ts++
-	return c.ts
-}
+func (c *Client) AllocateTimestamp() uint64 { return c.sess.AllocateTimestamp() }
+
+// LastSeenEpoch returns the highest placement epoch any validated reply
+// carried. The router compares it against its placement cache and
+// refreshes from the meta group when the cluster has moved ahead.
+func (c *Client) LastSeenEpoch() uint64 { return c.sess.LastSeenEpoch() }
 
 // Close detaches the client's endpoint.
 func (c *Client) Close() { c.ep.Close() }
@@ -150,106 +128,55 @@ func (c *Client) Invoke(op []byte) ([]byte, error) {
 // group's failure stops the sibling waits immediately instead of
 // letting each run out its own retry budget.
 func (c *Client) InvokeCancel(op []byte, cancel <-chan struct{}) ([]byte, error) {
-	c.ts++
-	req := &message.Request{Op: op, Timestamp: c.ts, Client: c.id}
-	req.Sig = c.suite.Sign(crypto.ClientPrincipal(int64(c.id)), req.SignedBytes())
-	// One authenticator for every replica, so the retransmission to all
-	// reuses the wire: each receiver checks its own tag, not req.Sig.
-	wire := message.Marshal(&message.Message{Kind: message.KindRequest, From: -1, Request: req,
-		Sig: message.AuthenticateRequest(c.suite, req, c.policy.All())})
+	return c.do(op, ReadOptions{}, cancel)
+}
 
-	send := func(targets []ids.ReplicaID) {
-		for _, r := range targets {
-			c.ep.Send(transport.ReplicaAddr(r), wire)
+// do runs one op on the caller's goroutine. The Session decides
+// everything; this loop only delivers its frames, reads the clock and
+// waits for the next envelope, the deadline or cancel.
+func (c *Client) do(op []byte, opts ReadOptions, cancel <-chan struct{}) ([]byte, error) {
+	defer c.stopTimer()
+	now := time.Now()
+	st := c.sess.Start(op, opts, now)
+	var armed time.Time
+	for {
+		for _, r := range st.To {
+			c.ep.Send(transport.ReplicaAddr(r), st.Frame)
 		}
-	}
-	send(c.policy.Primary())
-
-	replies := make(map[ids.ReplicaID]*message.Message)
-	retried := false
-	wait := c.retry
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-
-	for attempt := 0; ; {
+		if o := st.Outcome; o != nil {
+			return o.Result, o.Err
+		}
+		if !st.Deadline.Equal(armed) {
+			c.stopTimer()
+			c.timer.Reset(st.Deadline.Sub(now))
+			armed = st.Deadline
+		}
 		select {
 		case <-cancel:
-			return nil, fmt.Errorf("%w (client %d, ts %d)", ErrCanceled, c.id, c.ts)
+			return nil, fmt.Errorf("%w (client %d, ts %d)", ErrCanceled, c.sess.id, c.sess.ts)
 		case env, ok := <-c.ep.Inbox():
 			if !ok {
 				return nil, errEndpointClosed
 			}
-			rep := c.validReply(env, c.ts)
-			if rep == nil {
-				continue
-			}
-			c.noteWatermark(rep.Watermark, time.Now())
-			replies[rep.From] = rep
-			if result, ok := c.policy.Done(replies, retried); ok {
-				c.policy.Observe(replies)
-				c.advanceFloor(replies, result)
-				return result, nil
-			}
-		case <-deadline.C:
-			attempt++
-			if attempt > c.maxRetries {
-				// A zero-seeded timestamp counter is the classic silent
-				// failure against a durable cluster: a restarted process
-				// reusing this client id replays timestamps the replicated
-				// client table has already seen, and replicas drop the
-				// requests without any reply. Surface the likely cause.
-				if !c.seeded {
-					return nil, fmt.Errorf("%w (client %d, ts %d; stale timestamp? a reused client id against a durable cluster needs config.Client.InitialTimestamp seeded above its previous run)", ErrTimeout, c.id, c.ts)
-				}
-				return nil, fmt.Errorf("%w (client %d, ts %d)", ErrTimeout, c.id, c.ts)
-			}
-			// Timeout: suspect the primary and broadcast to everyone
-			// (Section 5.1's client recovery path).
-			retried = true
-			send(c.policy.All())
-			if result, ok := c.policy.Done(replies, retried); ok {
-				c.policy.Observe(replies)
-				c.advanceFloor(replies, result)
-				return result, nil
-			}
-			if c.backoff > 1 {
-				wait = time.Duration(float64(wait) * c.backoff)
-				if wait > maxRetryWait {
-					wait = maxRetryWait
-				}
-			}
-			deadline.Reset(wait)
+			now = time.Now()
+			st = c.sess.OnEnvelope(env, now)
+		case <-c.timer.C:
+			now, armed = time.Now(), time.Time{}
+			st = c.sess.OnTimer(now)
 		}
 	}
 }
 
-// validReply checks envelope provenance, decodes, and verifies the
-// echoed timestamp and the replica's tag for this client (a REPLY is
-// read by its client alone, so it is tagged, not signed).
-func (c *Client) validReply(env transport.Envelope, ts uint64) *message.Message {
-	if env.From.IsClient() {
-		return nil
+// stopTimer stops the reused timer and drains a fire nobody received,
+// so the next Reset starts clean.
+func (c *Client) stopTimer() {
+	if !c.timer.Stop() {
+		select {
+		case <-c.timer.C:
+		default:
+		}
 	}
-	m, err := message.Unmarshal(env.Frame)
-	if err != nil || m.Kind != message.KindReply {
-		return nil
-	}
-	if m.From != env.From.Replica() || m.Client != c.id || m.Timestamp != ts {
-		return nil
-	}
-	if !c.suite.VerifyTag(crypto.ReplicaPrincipal(int(m.From)), crypto.ClientPrincipal(int64(c.id)), m.SignedBytes(), m.Sig) {
-		return nil
-	}
-	if m.Epoch > c.seenEpoch {
-		c.seenEpoch = m.Epoch
-	}
-	return m
 }
-
-// LastSeenEpoch returns the highest placement epoch any validated reply
-// carried. The router compares it against its placement cache and
-// refreshes from the meta group when the cluster has moved ahead.
-func (c *Client) LastSeenEpoch() uint64 { return c.seenEpoch }
 
 // ---------------------------------------------------------------------------
 // SeeMoRe policy

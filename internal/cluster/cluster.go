@@ -582,17 +582,17 @@ func (c *Cluster) RestartNodeIn(g ids.GroupID, id ids.ReplicaID) error {
 	return nil
 }
 
-// newPolicyIn builds the protocol-appropriate reply policy for one
-// group (one per client: policies are stateful — they track the group's
-// mode and view — and groups can diverge in size after a resize).
-func (c *Cluster) newPolicyIn(g ids.GroupID) client.Policy {
-	switch c.Spec.Protocol {
+// Policy builds the protocol-appropriate reply policy for a group of n
+// replicas (mb is its SeeMoRe membership). Policies are stateful — they
+// track the group's mode and view — so every client needs its own.
+func (s *Spec) Policy(mb ids.Membership, n int) client.Policy {
+	switch s.Protocol {
 	case SeeMoRe, Paxos:
-		return client.NewSeeMoRePolicy(c.groupMB[g], c.Spec.EngineMode())
+		return client.NewSeeMoRePolicy(mb, s.EngineMode())
 	case PBFT:
-		return client.NewGenericPolicy(c.groupN[g], c.Spec.Crash+c.Spec.Byz+1)
+		return client.NewGenericPolicy(n, s.Crash+s.Byz+1)
 	case UpRight:
-		return client.NewGenericPolicy(c.groupN[g], c.Spec.Byz+1)
+		return client.NewGenericPolicy(n, s.Byz+1)
 	default:
 		return nil
 	}
@@ -615,7 +615,7 @@ func (c *Cluster) NewClientIn(g ids.GroupID, id ids.ClientID) *client.Client {
 // process coming back with a reseeded initial timestamp.
 func (c *Cluster) NewClientInWithConfig(g ids.GroupID, id ids.ClientID, cc config.Client) *client.Client {
 	return client.NewWithConfig(id, c.SuiteImpl, transport.Grouped(c.Net, g),
-		c.newPolicyIn(g), c.timing, cc)
+		c.Spec.Policy(c.groupMB[g], c.groupN[g]), c.timing, cc)
 }
 
 // NewRouter builds the shard-aware client of a sharded deployment: one

@@ -108,8 +108,8 @@ func (s *Sim) deliver(ev *event) {
 		return
 	}
 	if ev.to.IsClient() {
-		if c, ok := s.clientsByID[ev.to.Client()]; ok {
-			c.onEnvelope(ev.env)
+		if id := int(ev.to.Client()); id >= 0 && id < len(s.clients) {
+			s.clients[id].onEnvelope(ev.env)
 		}
 		return
 	}

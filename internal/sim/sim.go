@@ -106,9 +106,6 @@ type Config struct {
 	// Deadline caps the run in virtual time (default 30s); a run that
 	// reaches it reports the clients that never finished.
 	Deadline time.Duration
-	// MaxRetries bounds client retransmissions per operation
-	// (default 20).
-	MaxRetries int
 }
 
 // normalized fills defaults, returning a copy.
@@ -139,9 +136,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 20
 	}
 	return c
 }
@@ -264,9 +258,9 @@ type node interface {
 type Sim struct {
 	cfg    Config
 	netCfg transport.SimConfig
+	spec   cluster.Spec
 	n      int
 	mb     ids.Membership // SeeMoRe and CFT only
-	mode   ids.Mode       // the SeeMoRe engines' initial mode
 	suite  *crypto.Counting
 	// ledgers holds each replica's own count, kept through suite.
 	ledgers []*crypto.Counting
@@ -283,8 +277,7 @@ type Sim struct {
 	blocked  map[[2]transport.Addr]bool
 	isolated map[transport.Addr]bool
 
-	clients     []*simClient
-	clientsByID map[ids.ClientID]*simClient
+	clients     []*simClient // indexed by client id
 	liveClients int
 
 	traces map[ids.ReplicaID][]Commit
@@ -313,15 +306,14 @@ func build(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{
-		cfg:         cfg,
-		n:           n,
-		mode:        spec.EngineMode(),
-		vclock:      clock.NewVirtual(),
-		linkRNG:     make(map[[2]transport.Addr]*stream),
-		blocked:     make(map[[2]transport.Addr]bool),
-		isolated:    make(map[transport.Addr]bool),
-		clientsByID: make(map[ids.ClientID]*simClient),
-		traces:      make(map[ids.ReplicaID][]Commit),
+		cfg:      cfg,
+		n:        n,
+		spec:     spec,
+		vclock:   clock.NewVirtual(),
+		linkRNG:  make(map[[2]transport.Addr]*stream),
+		blocked:  make(map[[2]transport.Addr]bool),
+		isolated: make(map[transport.Addr]bool),
+		traces:   make(map[ids.ReplicaID][]Commit),
 	}
 	privateSize := n
 	if s.mb, err = spec.Membership(); err != nil {
@@ -368,7 +360,6 @@ func build(cfg Config) (*Sim, error) {
 	for c := 0; c < cfg.Clients; c++ {
 		cl := s.newClient(c)
 		s.clients = append(s.clients, cl)
-		s.clientsByID[cl.id] = cl
 		s.liveClients++
 		// Stagger starts so the first broadcast burst is not one giant
 		// same-instant batch.
@@ -393,7 +384,7 @@ func (s *Sim) buildNode(id ids.ReplicaID, net transport.Network) (node, error) {
 	cfg := s.cfg
 	switch cfg.Protocol {
 	case cluster.SeeMoRe, cluster.Paxos:
-		cl, err := config.NewCluster(s.mb, s.mode, cfg.Timing)
+		cl, err := config.NewCluster(s.mb, s.spec.EngineMode(), cfg.Timing)
 		if err != nil {
 			return nil, err
 		}
@@ -491,6 +482,7 @@ func (s *Sim) run() *Result {
 		}
 	}
 	for _, c := range s.clients {
+		c.recordPending()
 		res.Ops = append(res.Ops, c.history...)
 	}
 	return res
