@@ -26,6 +26,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/config"
@@ -327,15 +328,20 @@ func (p *GenericPolicy) Done(replies map[ids.ReplicaID]*message.Message, _ bool)
 	return matching(replies, p.quorum, func(ids.ReplicaID) bool { return true })
 }
 
-// Observe implements Policy: follow the highest view echoed by the
-// reply set (the client calls Done first, which already established a
-// quorum).
+// Observe implements Policy: follow the quorum-th highest view echoed
+// by the reply set. quorum replies (f+1 in PBFT, m+1 in S-UpRight)
+// include a correct replica, so one faulty replica cannot steer the
+// client to a primary of its choosing with an inflated view.
 func (p *GenericPolicy) Observe(replies map[ids.ReplicaID]*message.Message) {
-	for _, m := range replies {
-		if m.View > p.view {
-			p.view = m.View
-		}
+	if len(replies) < p.quorum {
+		return
 	}
+	views := make([]ids.View, 0, len(replies))
+	for _, m := range replies {
+		views = append(views, m.View)
+	}
+	slices.Sort(views)
+	p.view = max(p.view, views[len(views)-p.quorum])
 }
 
 // matching returns a result echoed by at least need eligible replicas.

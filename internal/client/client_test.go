@@ -247,4 +247,11 @@ func TestGenericPolicy(t *testing.T) {
 	if got := p.Primary(); got[0] != 2 {
 		t.Fatalf("primary after observing view 2 = %v", got)
 	}
+	// One faulty replica's inflated view is not vouched for by a quorum:
+	// it must not pick the primary (1001 mod 4 would be replica 1).
+	p = NewGenericPolicy(4, 2)
+	p.Observe(map[ids.ReplicaID]*message.Message{1: mk(1, "x", 1001), 2: mk(2, "x", 0)})
+	if got := p.Primary(); got[0] != 0 {
+		t.Fatalf("primary after one inflated view = %v, want 0", got)
+	}
 }
