@@ -99,7 +99,7 @@ func (c *Client) ID() ids.ClientID { return c.sess.id }
 
 // Timestamp returns the timestamp of the last issued request (or the
 // initial seed before the first one).
-func (c *Client) Timestamp() uint64 { return c.sess.Timestamp() }
+func (c *Client) Timestamp() uint64 { return c.sess.ts }
 
 // AllocateTimestamp consumes and returns the next request timestamp
 // without issuing a request. The transaction coordinator mints
@@ -107,12 +107,15 @@ func (c *Client) Timestamp() uint64 { return c.sess.Timestamp() }
 // timestamps share one monotonic counter — seeding
 // config.Client.InitialTimestamp above a previous run therefore makes
 // both fresh, with no separate rule for transaction ids.
-func (c *Client) AllocateTimestamp() uint64 { return c.sess.AllocateTimestamp() }
+func (c *Client) AllocateTimestamp() uint64 {
+	c.sess.ts++
+	return c.sess.ts
+}
 
 // LastSeenEpoch returns the highest placement epoch any validated reply
 // carried. The router compares it against its placement cache and
 // refreshes from the meta group when the cluster has moved ahead.
-func (c *Client) LastSeenEpoch() uint64 { return c.sess.LastSeenEpoch() }
+func (c *Client) LastSeenEpoch() uint64 { return c.sess.seenEpoch }
 
 // Close detaches the client's endpoint.
 func (c *Client) Close() { c.ep.Close() }

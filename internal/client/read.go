@@ -52,7 +52,7 @@ type ReadPolicy interface {
 // ObservedFloor returns the monotonic read floor: the highest executed
 // watermark vouching for any result this client accepted. Tests assert
 // it never goes backwards.
-func (c *Client) ObservedFloor() uint64 { return c.sess.ObservedFloor() }
+func (c *Client) ObservedFloor() uint64 { return c.sess.readFloor }
 
 // Read executes a read-only state-machine operation at the requested
 // consistency level. Linearizable reads — and reads against a policy

@@ -117,21 +117,6 @@ func NewSession(id ids.ClientID, suite crypto.Suite, policy Policy, timing confi
 // initial seed before the first one).
 func (s *Session) Timestamp() uint64 { return s.ts }
 
-// AllocateTimestamp consumes and returns the next request timestamp
-// without issuing a request.
-func (s *Session) AllocateTimestamp() uint64 {
-	s.ts++
-	return s.ts
-}
-
-// ObservedFloor returns the monotonic read floor: the highest executed
-// watermark vouching for any result this session accepted.
-func (s *Session) ObservedFloor() uint64 { return s.readFloor }
-
-// LastSeenEpoch returns the highest placement epoch any validated reply
-// carried.
-func (s *Session) LastSeenEpoch() uint64 { return s.seenEpoch }
-
 // Pending describes the op in flight as it stands — its latest request
 // timestamp, the path it is on and its floor — for a recorder that must
 // report an op cut off mid-flight. It reports false when no op is in

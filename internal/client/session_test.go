@@ -89,8 +89,8 @@ func TestSessionLeasedReadWithoutLeaseTargetStartsAsRequest(t *testing.T) {
 func TestSessionRefusesStaleReplyBelowFloor(t *testing.T) {
 	s, suite := newTestSession(ids.Lion, config.Client{})
 	write(t, s, suite, 10, sessT0)
-	if s.ObservedFloor() != 10 {
-		t.Fatalf("floor %d after a write vouched at 10", s.ObservedFloor())
+	if s.readFloor != 10 {
+		t.Fatalf("floor %d after a write vouched at 10", s.readFloor)
 	}
 	st := s.Start([]byte("r"), ReadOptions{Consistency: Stale}, sessT0)
 	ts := sent(t, st, message.KindRead, 0).Request.Timestamp
@@ -102,8 +102,8 @@ func TestSessionRefusesStaleReplyBelowFloor(t *testing.T) {
 	if o == nil || string(o.Result) != "new" || o.Watermark != 12 || o.Floor != 10 || o.Served != Stale {
 		t.Fatalf("outcome %+v, want new@12 served stale over floor 10", o)
 	}
-	if s.ObservedFloor() != 12 {
-		t.Fatalf("floor %d, want 12", s.ObservedFloor())
+	if s.readFloor != 12 {
+		t.Fatalf("floor %d, want 12", s.readFloor)
 	}
 }
 

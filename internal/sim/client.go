@@ -172,8 +172,9 @@ func (c *simClient) apply(st client.Step) {
 	}
 }
 
-// record copies what the Session reports about op into it.
-func (c *simClient) record(op *Op, o client.Outcome) {
+// record copies what the Session reports about the current op into it.
+func (c *simClient) record(o client.Outcome) {
+	op := c.cur
 	for ts := c.first; ts <= o.Timestamp; ts++ {
 		op.Timestamps = append(op.Timestamps, ts)
 	}
@@ -186,8 +187,8 @@ func (c *simClient) record(op *Op, o client.Outcome) {
 
 // recordPending records the op still in flight when the run stopped.
 func (c *simClient) recordPending() {
-	if o, ok := c.sess.Pending(); ok && c.cur != nil {
-		c.record(c.cur, o)
+	if o, ok := c.sess.Pending(); ok {
+		c.record(o)
 	}
 }
 
@@ -197,7 +198,7 @@ func (c *simClient) recordPending() {
 // checker (it may or may not have executed).
 func (c *simClient) finish(o *client.Outcome) {
 	op := c.cur
-	c.record(op, *o)
+	c.record(*o)
 	if o.Err != nil {
 		op.Err = o.Err.Error()
 	} else {
