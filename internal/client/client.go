@@ -21,7 +21,7 @@
 // drives the same Session on virtual time.
 package client
 
-//lint:file-allow clockcheck the Client driver feeds its Session the host clock and waits on a host timer by design; replicas never see these timestamps
+//lint:file-allow clockcheck the Client loop feeds its Session the host clock and waits on a host timer by design; replicas never see these timestamps
 
 import (
 	"errors"
@@ -66,7 +66,7 @@ type Policy interface {
 	Observe(replies map[ids.ReplicaID]*message.Message)
 }
 
-// Client issues requests and awaits reply quorums: a thin driver of a
+// Client issues requests and awaits reply quorums: a thin loop around a
 // Session on the host clock and a transport endpoint. Not safe for
 // concurrent use; run one Client per goroutine (the benchmarks do).
 type Client struct {

@@ -18,12 +18,12 @@ import (
 // the worst-case Invoke latency proportional to the retry budget.
 const maxRetryWait = time.Minute
 
-// Step is what one Session call asks of its driver.
+// Step is what one Session call asks of its caller.
 type Step struct {
 	// Frame is to be delivered to each replica in To, in order.
 	To    []ids.ReplicaID
 	Frame []byte
-	// Deadline is when the driver must call OnTimer; zero once no op is
+	// Deadline is when the caller must call OnTimer; zero once no op is
 	// in flight.
 	Deadline time.Time
 	// Outcome is set once the op was accepted or abandoned.
@@ -52,7 +52,7 @@ type Outcome struct {
 // Session is the whole client protocol as a sans-I/O state machine: it
 // signs requests, picks their targets, validates replies, applies the
 // policy's quorum and runs the retransmission and read-fallback timers,
-// but never reads a clock or touches an endpoint. A driver feeds it the
+// but never reads a clock or touches an endpoint. Its caller feeds it the
 // current time and every envelope addressed to the client, delivers the
 // frames each call returns and calls OnTimer once the returned deadline
 // passes. Client drives one on the host clock; the deterministic
