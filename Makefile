@@ -21,7 +21,7 @@ race: ## run the test suite under the race detector
 	$(GO) test -race $(PKGS)
 
 race-client: ## race-detect the client/coordination layers (fast iteration gate)
-	$(GO) test -race ./internal/client ./internal/cluster ./internal/txn
+	$(GO) test -race ./internal/client ./internal/cluster ./internal/placement ./internal/txn
 
 bench: ## regenerate the paper's figures/tables via the root benchmarks
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -29,13 +29,14 @@
 //	seemore-client ... -op get -key greeting -consistency stale -max-staleness 100ms
 //	seemore-client -shards 2 -peers ... -op scan -lo user/ -hi user0 -limit 50
 //
-// Against an elastic deployment (one whose groups were placement-
-// bootstrapped and may be mid-reshard), -elastic makes the router
-// follow epoch-stamped placement: a group that no longer owns a key
-// rejects the request with the current map attached, and the router
-// adopts it and reroutes. -v logs each such wrong-epoch retry:
+// The router starts from the epoch-1 placement of -shards groups and
+// follows epoch-stamped placement: against an elastic deployment (one
+// whose groups were placement-bootstrapped and may be mid-reshard), a
+// group that no longer owns a key rejects the request with the current
+// map attached, and the router adopts it and reroutes. A static
+// deployment never leaves epoch 1. -v logs each wrong-epoch retry:
 //
-//	seemore-client -shards 2 -peers ... -elastic -v -op get -key greeting
+//	seemore-client -shards 2 -peers ... -v -op get -key greeting
 //
 // Request timestamps are seeded from wall-clock nanoseconds, so a
 // restarted process reusing a -client id keeps getting replies from a
@@ -59,7 +60,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/placement"
-	"repro/internal/shard"
 	"repro/internal/transport"
 )
 
@@ -92,7 +92,6 @@ func main() {
 		retryTmo = flag.Duration("retry-timeout", 0, "wait before the first retransmission (0: the protocol timer)")
 		backoff  = flag.Float64("retry-backoff", 0, "timeout multiplier per retry (≤1: fixed timeout)")
 		initTS   = flag.Int64("initial-ts", -1, "initial request timestamp (-1: wall-clock nanos, the safe default for reused client ids)")
-		elastic  = flag.Bool("elastic", false, "follow epoch-stamped placement: adopt the map attached to wrong-epoch rejections and reroute (epoch 1 routes identically to the static partitioner)")
 		verbose  = flag.Bool("v", false, "log placement traffic: every wrong-epoch rejection absorbed and the epoch adopted")
 	)
 	flag.Parse()
@@ -155,26 +154,13 @@ func main() {
 		perGroup[g] = client.NewWithConfig(ids.ClientID(*id), suite, transport.Single(node),
 			client.NewSeeMoRePolicy(mb, md), config.DefaultTiming(), cc)
 	}
-	var router *client.Router
-	if *elastic {
-		// The bootstrap map at epoch 1 splits the hash space exactly as
-		// the static partitioner does, so the two routers agree until a
-		// reconfiguration bumps the epoch — at which point only this one
-		// can follow the rejection to the new owner.
-		pm, err := placement.Bootstrap(sh.Shards, sh.Shards, mb.N())
-		if err != nil {
-			log.Fatalf("placement: %v", err)
-		}
-		router, err = client.NewElasticRouter(perGroup, placement.NewCache(pm), nil)
-		if err != nil {
-			log.Fatalf("router: %v", err)
-		}
-	} else {
-		var err error
-		router, err = client.NewRouter(perGroup, shard.MustHashPartitioner(sh.Shards), nil)
-		if err != nil {
-			log.Fatalf("router: %v", err)
-		}
+	pm, err := placement.Bootstrap(sh.Shards, sh.Shards, mb.N())
+	if err != nil {
+		log.Fatalf("placement: %v", err)
+	}
+	router, err := client.NewRouter(perGroup, placement.NewCache(pm), nil)
+	if err != nil {
+		log.Fatalf("router: %v", err)
 	}
 	defer router.Close()
 	if *verbose {

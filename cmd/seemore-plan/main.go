@@ -35,7 +35,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/placement"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -225,19 +224,25 @@ func parseGroupPair(s string) (int, int, error) {
 // contiguous global replica indices, owning one contiguous slice of the
 // hashed keyspace.
 func reportShards(n, shards int) {
-	ps, err := shard.Placements(config.Sharding{Shards: shards, ReplicasPerShard: n})
+	sh := config.Sharding{Shards: shards, ReplicasPerShard: n}
+	err := sh.Validate()
+	var boot *placement.Map
+	if err == nil {
+		boot, err = placement.Bootstrap(shards, shards, n)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sharding: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("sharded deployment: %d groups × %d nodes = %d replicas total\n", shards, n, shards*n)
-	for _, pl := range ps {
-		hi := fmt.Sprintf("%#016x", pl.HashHi)
-		if pl.HashHi == 0 {
-			hi = "2^64" // the last range is closed by the top of the hash space
+	for _, e := range boot.Ranges {
+		lo, hi := sh.Range(e.Group)
+		hashHi := fmt.Sprintf("%#016x", e.Range.Hi)
+		if e.Range.Hi == 0 {
+			hashHi = "2^64" // the last range is closed by the top of the hash space
 		}
 		fmt.Printf("  shard %d: replicas %d..%d, key hashes [%#016x, %s)\n",
-			int(pl.Group), pl.LoID, pl.HiID-1, pl.HashLo, hi)
+			int(e.Group), lo, hi-1, e.Range.Lo, hashHi)
 	}
 	fmt.Printf("  run each group as its own cluster (cmd/seemore -shards %d -shard-of <g>); clients route with -shards %d\n",
 		shards, shards)

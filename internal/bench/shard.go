@@ -36,7 +36,7 @@ func ShardNet(seed int64) transport.SimConfig {
 }
 
 // ShardKey returns the i-th key of client cid's keyspace slice. Keys
-// spread uniformly across shards under the hash partitioner, modeling a
+// spread uniformly across shards under hash placement, modeling a
 // uniform single-key workload.
 func ShardKey(cid int64, i int) string { return fmt.Sprintf("c%d-k%d", cid, i) }
 

@@ -112,11 +112,6 @@ func (c *Client) AllocateTimestamp() uint64 {
 	return c.sess.ts
 }
 
-// LastSeenEpoch returns the highest placement epoch any validated reply
-// carried. The router compares it against its placement cache and
-// refreshes from the meta group when the cluster has moved ahead.
-func (c *Client) LastSeenEpoch() uint64 { return c.sess.seenEpoch }
-
 // Close detaches the client's endpoint.
 func (c *Client) Close() { c.ep.Close() }
 

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/crypto"
@@ -178,28 +177,8 @@ func (o *placementOps) Complete(g ids.GroupID, epoch uint64) error {
 }
 
 // adoptPlacement folds an authoritative map into the router's cache (a
-// no-op for static routers and stale maps).
-func (r *Router) adoptPlacement(m *placement.Map) {
-	if r.cache != nil {
-		r.cache.Update(m)
-	}
-}
+// no-op for stale maps).
+func (r *Router) adoptPlacement(m *placement.Map) { r.place.Update(m) }
 
-// RefreshPlacement reads the authoritative map from the meta group and
-// adopts it. Routers call it lazily when a reply's epoch stamp runs
-// ahead of the cache; tools call it to print current placement.
-func (r *Router) RefreshPlacement() (*placement.Map, error) {
-	if r.cache == nil {
-		return nil, errors.New("client: static router has no placement to refresh")
-	}
-	return (&placementOps{r: r}).MetaGet()
-}
-
-// PlacementEpoch reports the cached placement epoch (0 on static
-// routers).
-func (r *Router) PlacementEpoch() uint64 {
-	if r.cache == nil {
-		return 0
-	}
-	return r.cache.Epoch()
-}
+// PlacementEpoch reports the cached placement epoch.
+func (r *Router) PlacementEpoch() uint64 { return r.place.Epoch() }

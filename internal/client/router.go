@@ -13,53 +13,6 @@ import (
 	"repro/internal/txn"
 )
 
-// Partitioner is the key→group mapping the router consults; the
-// concrete hash-range implementation lives in internal/shard (the
-// router only needs the contract, which keeps this package free of a
-// dependency on the sharding layer).
-type Partitioner interface {
-	Shards() int
-	Owner(key string) ids.GroupID
-}
-
-// RangePartitioner is the optional capability a Partitioner implements
-// when it can prune which groups a key-range scan must visit. A
-// hash-range partitioner scatters every key range across all groups, so
-// its implementation returns everyone; a future range partitioner would
-// return only the owners of [lo, hi).
-type RangePartitioner interface {
-	RangeGroups(lo, hi string) []ids.GroupID
-}
-
-// Placement is the router's single routing entry point: both the static
-// Partitioner (wrapped by staticPlacement) and the elastic
-// placement.Cache satisfy it, so every routing decision — point ops,
-// fan-outs, scans, transaction partitioning — flows through one
-// interface regardless of whether the deployment can reshard.
-type Placement interface {
-	Shards() int
-	Owner(key string) ids.GroupID
-	RangeGroups(lo, hi string) []ids.GroupID
-}
-
-// staticPlacement adapts a fixed Partitioner to the Placement contract,
-// preserving the pre-elastic behavior bit for bit: same owners, and
-// scans visit every group unless the partitioner itself can prune.
-type staticPlacement struct {
-	Partitioner
-}
-
-func (s staticPlacement) RangeGroups(lo, hi string) []ids.GroupID {
-	if rp, ok := s.Partitioner.(RangePartitioner); ok {
-		return rp.RangeGroups(lo, hi)
-	}
-	out := make([]ids.GroupID, s.Shards())
-	for g := range out {
-		out[g] = ids.GroupID(g)
-	}
-	return out
-}
-
 // ErrUnroutable reports an operation the router cannot map to an owner
 // group: no routing key is extractable from it. Malformed frames used
 // to fall through to group 0 silently, which hid client-side encoding
@@ -74,13 +27,11 @@ var ErrUnroutable = errors.New("client: operation has no routing key")
 // goroutine.
 type Router struct {
 	clients []*Client // indexed by GroupID
-	place   Placement
-	keyOf   func(op []byte) (string, bool)
-	coord   *txn.Coordinator // lazily built by Txn/MultiPut/ResolveTx
-	// cache is non-nil on elastic deployments: the newest placement map
-	// observed, refreshed from KVWrongEpoch rejections. Static routers
-	// leave it nil and never retry on epoch grounds.
-	cache *placement.Cache
+	// place is the newest placement map observed, refreshed from
+	// KVWrongEpoch rejections and meta-group reads.
+	place *placement.Cache
+	keyOf func(op []byte) (string, bool)
+	coord *txn.Coordinator // lazily built by Txn/MultiPut/ResolveTx
 	// OnWrongEpoch, when set, observes every epoch rejection the router
 	// absorbs (the CLI's -v wiring; tests count reroutes through it).
 	OnWrongEpoch func(g ids.GroupID, m *placement.Map)
@@ -96,30 +47,17 @@ const (
 	epochRetryWait  = 25 * time.Millisecond
 )
 
-// NewRouter assembles a router from per-group clients (index g serves
-// group g; every group must be covered). keyOf extracts the routing key
+// NewRouter assembles a router over a placement cache: routing follows
+// the newest map the cache holds, and stale-epoch rejections refresh it
+// and reroute. clients covers every provisioned group (index g serves
+// group g) — spares included, since a split can make any of them an
+// owner while this router is running. keyOf extracts the routing key
 // from an operation; nil uses the KV codec (statemachine.KVOpKey).
 // Operations without an extractable key fail with ErrUnroutable.
-func NewRouter(clients []*Client, part Partitioner, keyOf func(op []byte) (string, bool)) (*Router, error) {
-	if part == nil {
-		return nil, fmt.Errorf("client: router needs a partitioner")
+func NewRouter(clients []*Client, place *placement.Cache, keyOf func(op []byte) (string, bool)) (*Router, error) {
+	if place == nil {
+		return nil, fmt.Errorf("client: router needs a placement cache")
 	}
-	return newRouter(clients, staticPlacement{part}, nil, keyOf)
-}
-
-// NewElasticRouter assembles a router over a placement cache instead of
-// a static partitioner: routing follows the newest placement map the
-// cache holds, and stale-epoch rejections refresh it and reroute. The
-// client set covers every provisioned group — spares included, since a
-// split can make any of them an owner while this router is running.
-func NewElasticRouter(clients []*Client, cache *placement.Cache, keyOf func(op []byte) (string, bool)) (*Router, error) {
-	if cache == nil {
-		return nil, fmt.Errorf("client: elastic router needs a placement cache")
-	}
-	return newRouter(clients, cache, cache, keyOf)
-}
-
-func newRouter(clients []*Client, place Placement, cache *placement.Cache, keyOf func(op []byte) (string, bool)) (*Router, error) {
 	if len(clients) != place.Shards() {
 		return nil, fmt.Errorf("client: router has %d clients for %d shards", len(clients), place.Shards())
 	}
@@ -131,7 +69,7 @@ func newRouter(clients []*Client, place Placement, cache *placement.Cache, keyOf
 	if keyOf == nil {
 		keyOf = statemachine.KVOpKey
 	}
-	return &Router{clients: clients, place: place, keyOf: keyOf, cache: cache}, nil
+	return &Router{clients: clients, place: place, keyOf: keyOf}, nil
 }
 
 // Shards returns the number of groups the router spans.
@@ -154,16 +92,11 @@ func (r *Router) OwnerOf(op []byte) (ids.GroupID, error) {
 // and whether the routing actually changed (when it did not, the key is
 // mid-handoff and the retry should back off instead of spinning).
 func (r *Router) noteWrongEpoch(g ids.GroupID, payload []byte) (updated bool, err error) {
-	if r.cache == nil {
-		// A static deployment never legitimately sees the fence; treat
-		// it as the protocol error it is.
-		return false, fmt.Errorf("client: group %v rejected a request for epoch reasons on a static deployment", g)
-	}
 	m, err := placement.DecodeMap(payload)
 	if err != nil {
 		return false, fmt.Errorf("client: malformed placement map in epoch rejection from %v: %w", g, err)
 	}
-	updated = r.cache.Update(m)
+	updated = r.place.Update(m)
 	if r.OnWrongEpoch != nil {
 		r.OnWrongEpoch(g, m)
 	}
@@ -208,9 +141,10 @@ func (r *Router) invokeRouted(key string, op []byte, cancel <-chan struct{}, do 
 
 // Invoke routes one operation to its owner group and blocks for that
 // group's reply quorum, exactly as Client.Invoke does against an
-// unsharded cluster. On an elastic deployment stale-epoch rejections
-// are absorbed: the router refreshes its placement cache from the
-// rejection and reroutes, so callers never see a misrouted result.
+// unsharded cluster. Stale-epoch rejections (only a resharding
+// deployment emits them) are absorbed: the router refreshes its
+// placement cache from the rejection and reroutes, so callers never see
+// a misrouted result.
 func (r *Router) Invoke(op []byte) ([]byte, error) {
 	return r.InvokeCancel(op, nil)
 }
@@ -241,27 +175,15 @@ func (r *Router) Read(op []byte, opts ReadOptions) ([]byte, error) {
 	})
 }
 
-// scanGroups returns the groups a scan of [lo, hi) must visit. Elastic
-// deployments visit every provisioned group rather than the cached
-// map's owners: scans are served from committed local state and are
-// not epoch-fenced, so a stale cache must not cause a freshly installed
-// range to be skipped — an empty spare answers an empty page, which is
-// cheap.
-func (r *Router) scanGroups(lo, hi string) []ids.GroupID {
-	if r.cache != nil {
-		out := make([]ids.GroupID, len(r.clients))
-		for g := range out {
-			out[g] = ids.GroupID(g)
-		}
-		return out
-	}
-	return r.place.RangeGroups(lo, hi)
-}
-
-// Scan merge-streams the key range [lo, hi) across every involved
-// group in ascending key order, up to limit pairs. Each group is read
-// in pages through its own continuation token, so an arbitrarily large
-// range never materializes anywhere at once; more reports that keys
+// Scan merge-streams the key range [lo, hi) across every provisioned
+// group in ascending key order, up to limit pairs. Hash placement
+// scatters any key interval over the whole ring, and scans are served
+// from committed local state without an epoch fence, so the router asks
+// every group (spares included) rather than the cached map's owners: a
+// stale cache must not skip a freshly installed range, and an empty
+// spare answers an empty page cheaply. Each group is read in pages
+// through its own continuation token, so an arbitrarily large range
+// never materializes anywhere at once; more reports that keys
 // remain past the last returned one (resume from its successor). The
 // consistency level applies per shard: a Stale merge is a union of
 // per-shard bounded-staleness snapshots, not one cross-shard cut.
@@ -301,13 +223,13 @@ func (r *Router) Scan(lo, hi string, limit int, opts ReadOptions) (pairs []state
 		}
 		return nil
 	}
-	streams := make([]*shardStream, 0, r.place.Shards())
-	for _, g := range r.scanGroups(lo, hi) {
-		s := &shardStream{g: g, next: lo}
+	streams := make([]*shardStream, len(r.clients))
+	for g := range streams {
+		s := &shardStream{g: ids.GroupID(g), next: lo}
 		if err := fill(s); err != nil {
 			return nil, false, err
 		}
-		streams = append(streams, s)
+		streams[g] = s
 	}
 	for len(pairs) < limit {
 		// Pick the stream holding the smallest next key.

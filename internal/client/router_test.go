@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,19 +11,31 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
+	"repro/internal/placement"
 	"repro/internal/statemachine"
 	"repro/internal/transport"
 )
 
-// evenOdd is a two-way test partitioner with a predictable split.
-type evenOdd struct{}
-
-func (evenOdd) Shards() int { return 2 }
-func (evenOdd) Owner(key string) ids.GroupID {
-	if len(key) > 0 && (key[len(key)-1]-'0')%2 == 1 {
-		return 1
+// twoGroups is the epoch-1 placement of a two-group deployment.
+func twoGroups(t *testing.T) *placement.Cache {
+	t.Helper()
+	m, err := placement.Bootstrap(2, 2, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return 0
+	return placement.NewCache(m)
+}
+
+// keysIn returns the first n keys of the form k<i> that place routes to
+// group g.
+func keysIn(place *placement.Cache, g ids.GroupID, n int) []string {
+	var out []string
+	for i := 0; len(out) < n; i++ {
+		if k := fmt.Sprintf("k%d", i); place.Owner(k) == g {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 func TestNewRouterValidation(t *testing.T) {
@@ -35,15 +48,15 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 
 	if _, err := NewRouter([]*Client{mk(0), mk(1)}, nil, nil); err == nil {
-		t.Error("nil partitioner accepted")
+		t.Error("nil placement cache accepted")
 	}
-	if _, err := NewRouter([]*Client{mk(0)}, evenOdd{}, nil); err == nil {
+	if _, err := NewRouter([]*Client{mk(0)}, twoGroups(t), nil); err == nil {
 		t.Error("client/shard count mismatch accepted")
 	}
-	if _, err := NewRouter([]*Client{mk(0), nil}, evenOdd{}, nil); err == nil {
+	if _, err := NewRouter([]*Client{mk(0), nil}, twoGroups(t), nil); err == nil {
 		t.Error("nil group client accepted")
 	}
-	r, err := NewRouter([]*Client{mk(0), mk(1)}, evenOdd{}, nil)
+	r, err := NewRouter([]*Client{mk(0), mk(1)}, twoGroups(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +83,16 @@ func TestRouterRoutesByKey(t *testing.T) {
 	mk := func(g ids.GroupID) *Client {
 		return New(3, suite, transport.Grouped(net, g), NewSeeMoRePolicy(mb, ids.Lion), testTiming())
 	}
-	r, err := NewRouter([]*Client{mk(0), mk(1)}, evenOdd{}, nil)
+	place := twoGroups(t)
+	r, err := NewRouter([]*Client{mk(0), mk(1)}, place, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
-	// key "x1" is odd → group 1; "x2" is even → group 0.
-	if g, err := r.OwnerOf(statemachine.EncodeGet("x1")); err != nil || g != 1 {
-		t.Fatalf("OwnerOf(x1) = %v, %v", g, err)
+	in0, in1 := keysIn(place, 0, 1), keysIn(place, 1, 2)
+	if g, err := r.OwnerOf(statemachine.EncodeGet(in1[0])); err != nil || g != 1 {
+		t.Fatalf("OwnerOf(%s) = %v, %v", in1[0], g, err)
 	}
 	// A malformed op has no routing key — that is an explicit error, not
 	// a silent trip to group 0.
@@ -88,23 +102,23 @@ func TestRouterRoutesByKey(t *testing.T) {
 	if _, err := r.Invoke([]byte{0xff, 0x01}); !errors.Is(err, ErrUnroutable) {
 		t.Fatalf("Invoke(malformed) = %v, want ErrUnroutable", err)
 	}
-	res, err := r.Invoke(statemachine.EncodePut("x1", []byte("v")))
+	res, err := r.Invoke(statemachine.EncodePut(in1[0], []byte("v")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, val := statemachine.DecodeResult(res); string(val) != "1" {
-		t.Fatalf("put x1 answered by group %q, want 1", val)
+		t.Fatalf("put %s answered by group %q, want 1", in1[0], val)
 	}
-	res, err = r.Invoke(statemachine.EncodePut("x2", []byte("v")))
+	res, err = r.Invoke(statemachine.EncodePut(in0[0], []byte("v")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, val := statemachine.DecodeResult(res); string(val) != "0" {
-		t.Fatalf("put x2 answered by group %q, want 0", val)
+		t.Fatalf("put %s answered by group %q, want 0", in0[0], val)
 	}
 
 	// MultiGet fans out and reassembles in key order.
-	vals, err := r.MultiGet([]string{"a1", "a2", "a3"})
+	vals, err := r.MultiGet([]string{in1[0], in0[0], in1[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +147,8 @@ func TestMultiGetReturnsOnFirstGroupError(t *testing.T) {
 	mk := func(g ids.GroupID) *Client {
 		return New(0, suite, transport.Grouped(net, g), NewSeeMoRePolicy(mb, ids.Lion), timing)
 	}
-	r, err := NewRouter([]*Client{mk(0), mk(1)}, evenOdd{}, nil)
+	place := twoGroups(t)
+	r, err := NewRouter([]*Client{mk(0), mk(1)}, place, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +158,7 @@ func TestMultiGetReturnsOnFirstGroupError(t *testing.T) {
 	r.clients[0].Close()
 
 	start := time.Now()
-	_, err = r.MultiGet([]string{"a2", "a1"}) // a2 → group 0, a1 → group 1
+	_, err = r.MultiGet([]string{keysIn(place, 0, 1)[0], keysIn(place, 1, 1)[0]})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("MultiGet against a dead group succeeded")

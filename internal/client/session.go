@@ -76,11 +76,6 @@ type Session struct {
 	wmLog     []wmObs
 	staleRR   int
 
-	// seenEpoch is the highest placement epoch stamped on any validated
-	// reply — the passive signal that the cluster's placement moved and
-	// the router's cache may be stale.
-	seenEpoch uint64
-
 	// The op in flight. path is the consistency its current request asks
 	// for: Linearizable once it is ordered through consensus.
 	busy     bool
@@ -302,7 +297,6 @@ func (s *Session) validReply(env transport.Envelope) *message.Message {
 	if !s.suite.VerifyTag(crypto.ReplicaPrincipal(int(m.From)), crypto.ClientPrincipal(int64(s.id)), m.SignedBytes(), m.Sig) {
 		return nil
 	}
-	s.seenEpoch = max(s.seenEpoch, m.Epoch)
 	return m
 }
 

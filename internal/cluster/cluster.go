@@ -20,7 +20,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/pbft"
 	"repro/internal/placement"
-	"repro/internal/shard"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -116,7 +115,8 @@ type Spec struct {
 	// Shards runs the deployment as this many independent consensus
 	// groups over one simulated network, each group a full cluster of
 	// the shape the other Spec fields describe, with the keyspace
-	// hash-partitioned across groups (internal/shard). Values ≤ 1 run
+	// hash-partitioned across groups by the epoch-1 placement map
+	// (placement.Bootstrap, see Cluster.Placement). Values ≤ 1 run
 	// the single legacy group, byte-identical to the pre-sharding
 	// harness. Byzantine behaviors are installed at the same replica IDs
 	// in every group.
@@ -130,11 +130,13 @@ type Spec struct {
 	// the CFT baseline, being Lion, honours it.
 	Leases config.Leases
 	// Elastic provisions the deployment for live resharding: every group
-	// is seeded with the epoch-1 bootstrap placement map, group 0
-	// additionally holds the authoritative copy as the meta group, and
-	// NewRouter returns an elastic router that reroutes on wrong-epoch
-	// rejections. Requires the default KV state machine (the placement
-	// opcodes live there).
+	// is seeded with the epoch-1 bootstrap placement map (so replicas
+	// fence keys they do not own and answer with wrong-epoch
+	// rejections), and group 0 additionally holds the authoritative copy
+	// as the meta group. Routers are the same either way; a static
+	// deployment skips the seeding round and never leaves epoch 1.
+	// Requires the default KV state machine (the placement opcodes live
+	// there).
 	Elastic bool
 	// SpareGroups provisions this many consensus groups beyond Shards.
 	// Spares are full clusters on the shared network that own no key
@@ -182,11 +184,9 @@ type Cluster struct {
 	// GroupSMs mirrors Groups for the state machines (same inspection
 	// rule as SMs).
 	GroupSMs [][]statemachine.StateMachine
-	// Partitioner is the key→group mapping routers use; nil when the
-	// deployment is a single group.
-	Partitioner *shard.HashPartitioner
-	// Placement is the epoch-1 bootstrap placement map every group was
-	// seeded with; nil unless Spec.Elastic.
+	// Placement is the epoch-1 bootstrap placement map: the key→group
+	// mapping every router starts from. Only Spec.Elastic seeds it into
+	// the groups themselves.
 	Placement *placement.Map
 
 	groupNets []*Adversary     // per-group namespaced (and Byzantine-wrapped) views of Net
@@ -331,15 +331,8 @@ func New(spec Spec) (*Cluster, error) {
 	}
 	owners := sharding.Shards
 	groups := owners + spec.SpareGroups
-	if owners > 1 {
-		c.Partitioner = shard.MustHashPartitioner(owners)
-	}
-	if spec.Elastic {
-		boot, err := placement.Bootstrap(owners, groups, n)
-		if err != nil {
-			return nil, err
-		}
-		c.Placement = boot
+	if c.Placement, err = placement.Bootstrap(owners, groups, n); err != nil {
+		return nil, err
 	}
 	c.Groups = make([][]Node, groups)
 	c.GroupSMs = make([][]statemachine.StateMachine, groups)
@@ -627,28 +620,10 @@ func (c *Cluster) NewRouter(id ids.ClientID) (*client.Router, error) {
 	for g := range clients {
 		clients[g] = c.NewClientIn(ids.GroupID(g), id)
 	}
-	if c.Spec.Elastic {
-		// Seed each router with its own snapshot of the bootstrap map;
-		// wrong-epoch rejections and meta reads move it forward from
-		// there independently of other routers.
-		return client.NewElasticRouter(clients, placement.NewCache(c.Placement.Clone()), nil)
-	}
-	part := c.Partitioner
-	if part == nil {
-		part = shard.MustHashPartitioner(1)
-	}
-	return client.NewRouter(clients, part, nil)
-}
-
-// NewInvoker builds the protocol-invocation handle matching the
-// deployment's shape: a plain Client for a single group, a Router for a
-// sharded one. Callers that only need the client.Invoker / Reader
-// surface use this instead of special-casing Shards.
-func (c *Cluster) NewInvoker(id ids.ClientID) (client.Invoker, error) {
-	if len(c.Groups) == 1 {
-		return c.NewClient(id), nil
-	}
-	return c.NewRouter(id)
+	// Seed each router with its own snapshot of the bootstrap map;
+	// wrong-epoch rejections and meta reads move it forward from there
+	// independently of other routers.
+	return client.NewRouter(clients, placement.NewCache(c.Placement.Clone()), nil)
 }
 
 // SeeMoReNode returns the typed SeeMoRe replica, a CFT one included

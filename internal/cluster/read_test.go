@@ -226,7 +226,7 @@ func TestScanSingleGroupPaging(t *testing.T) {
 
 func TestScanAcrossShards(t *testing.T) {
 	// The router merge-streams per-shard continuations into one globally
-	// ordered result, even though the hash partitioner scatters the range
+	// ordered result, even though hash placement scatters the range
 	// across every group.
 	c, err := New(Spec{
 		Protocol: SeeMoRe, Mode: ids.Lion, Crash: 1, Byz: 1,

@@ -53,7 +53,7 @@ func verifyGroupConvergence(t *testing.T, c *Cluster, g ids.GroupID, skip map[id
 // the shard-aware router: every acknowledged key must be readable back
 // (MultiGet fans the reads out across groups), each group's replicas
 // must converge among themselves, and — the partitioning invariant —
-// every key must live in exactly the group the partitioner assigns it
+// every key must live in exactly the group the placement assigns it
 // to and nowhere else.
 func TestShardedRouterEndToEnd(t *testing.T) {
 	c, err := New(Spec{
@@ -93,13 +93,13 @@ func TestShardedRouterEndToEnd(t *testing.T) {
 
 	// Both shards must actually own part of the keyspace under this
 	// workload (the hash split is ~even; 40 keys landing all on one
-	// side would mean the router ignores the partitioner).
+	// side would mean the router ignores the placement).
 	perGroup := map[ids.GroupID]int{}
 	for _, k := range keys {
-		perGroup[c.Partitioner.Owner(k)]++
+		perGroup[c.Placement.Owner(k)]++
 	}
 	if len(perGroup) != 2 {
-		t.Fatalf("hash partitioner sent every key to the same group: %v", perGroup)
+		t.Fatalf("placement sent every key to the same group: %v", perGroup)
 	}
 
 	for g := range c.Groups {
@@ -113,7 +113,7 @@ func TestShardedRouterEndToEnd(t *testing.T) {
 	// Partitioning invariant: a key lives in its owner group's store
 	// and is absent from the other group.
 	for _, k := range keys {
-		owner := c.Partitioner.Owner(k)
+		owner := c.Placement.Owner(k)
 		for g := range c.Groups {
 			kv := c.GroupSMs[g][0].(*statemachine.KVStore)
 			_, present := kv.Get(k)
@@ -185,7 +185,7 @@ func TestShardedKillRestartOneShard(t *testing.T) {
 	// including on the restarted replica.
 	for i := 0; i < 90; i++ {
 		k := fmt.Sprintf("k%d", i)
-		g := c.Partitioner.Owner(k)
+		g := c.Placement.Owner(k)
 		kv := c.GroupSMs[g][victim].(*statemachine.KVStore)
 		if _, ok := kv.Get(k); !ok {
 			t.Fatalf("acknowledged key %s missing from group %v replica %d", k, g, victim)
@@ -195,7 +195,7 @@ func TestShardedKillRestartOneShard(t *testing.T) {
 
 // TestSingleShardSpecIsLegacy pins the compatibility contract:
 // Shards: 1 (or unset) builds exactly one group whose Nodes/SMs are
-// the legacy views, with no partitioner, and a router over it sends
+// the legacy views, with a one-group placement, and a router over it sends
 // everything to group 0.
 func TestSingleShardSpecIsLegacy(t *testing.T) {
 	c, err := New(Spec{
@@ -206,8 +206,8 @@ func TestSingleShardSpecIsLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	if len(c.Groups) != 1 || c.Partitioner != nil {
-		t.Fatalf("Shards=1 built %d groups (partitioner %v), want the single legacy group", len(c.Groups), c.Partitioner)
+	if len(c.Groups) != 1 || c.Placement.Shards() != 1 {
+		t.Fatalf("Shards=1 built %d groups (placement over %d), want the single legacy group", len(c.Groups), c.Placement.Shards())
 	}
 	if &c.Nodes[0] != &c.Groups[0][0] {
 		t.Fatal("Nodes does not alias Groups[0]")

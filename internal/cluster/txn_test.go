@@ -21,7 +21,7 @@ func shardKeys(t *testing.T, c *Cluster) []string {
 	found := 0
 	for i := 0; found < len(keys) && i < 10_000; i++ {
 		k := fmt.Sprintf("t%d", i)
-		g := c.Partitioner.Owner(k)
+		g := c.Placement.Owner(k)
 		if keys[g] == "" {
 			keys[g], found = k, found+1
 		}
@@ -81,7 +81,7 @@ func TestTxnAtomicCommitAcrossShards(t *testing.T) {
 	// cross-shard transaction at all.
 	perGroup := map[ids.GroupID]int{}
 	for _, k := range keys {
-		perGroup[c.Partitioner.Owner(k)]++
+		perGroup[c.Placement.Owner(k)]++
 	}
 	if len(perGroup) != 2 {
 		t.Fatalf("write set landed on one group only: %v", perGroup)
@@ -111,7 +111,7 @@ func TestTxnAtomicCommitAcrossShards(t *testing.T) {
 	for g := range c.Groups {
 		verifyGroupConvergence(t, c, ids.GroupID(g), nil)
 	}
-	if _, present := c.GroupSMs[c.Partitioner.Owner(keys[0])][0].(*statemachine.KVStore).Get(keys[0]); present {
+	if _, present := c.GroupSMs[c.Placement.Owner(keys[0])][0].(*statemachine.KVStore).Get(keys[0]); present {
 		t.Fatal("transactional delete did not apply")
 	}
 }
@@ -146,7 +146,7 @@ func testCoordinatorDeath(t *testing.T, decideCommitBeforeDeath bool) {
 		cl := c.NewClientIn(ids.GroupID(g), 5)
 		inv[g], closers[g] = cl, cl
 	}
-	co, err := txn.New(5, inv, c.Partitioner, closers[0].AllocateTimestamp)
+	co, err := txn.New(5, inv, c.Placement, closers[0].AllocateTimestamp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func testCoordinatorDeath(t *testing.T, decideCommitBeforeDeath bool) {
 		t.Fatalf("lock held by %v, want %v", blocker, tx.ID)
 	}
 
-	committed, err := r.ResolveTx(c.Partitioner.Owner(keys[0]), blocker)
+	committed, err := r.ResolveTx(c.Placement.Owner(keys[0]), blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func testCoordinatorDeath(t *testing.T, decideCommitBeforeDeath bool) {
 		for i, sm := range c.GroupSMs[g] {
 			kv := sm.(*statemachine.KVStore)
 			key := keys[g]
-			if c.Partitioner.Owner(key) != ids.GroupID(g) {
+			if c.Placement.Owner(key) != ids.GroupID(g) {
 				continue
 			}
 			v, present := kv.Get(key)

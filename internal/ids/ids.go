@@ -27,7 +27,7 @@ const Nobody ReplicaID = -1
 // GroupID identifies one consensus group (shard) in a sharded
 // deployment. A deployment is S independent groups, each a full hybrid
 // cluster with its own primary, views and checkpoints; the keyspace is
-// partitioned across groups (internal/shard) and clients route each
+// partitioned across groups (internal/placement) and clients route each
 // operation to its owner group (client.Router). Group 0 is the only
 // group of an unsharded deployment, so every pre-sharding identifier is
 // implicitly group-0-qualified.

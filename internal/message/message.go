@@ -358,10 +358,8 @@ type Message struct {
 	// keep their own reads monotonic.
 	Watermark uint64
 	// Epoch is the replying replica's placement epoch, stamped on every
-	// reply of an elastic deployment (0 otherwise). Clients compare it
-	// against their cached placement map and refresh when the cluster
-	// has moved on — the cheap complement to the KVWrongEpoch rejection
-	// that carries the full map.
+	// reply of an elastic deployment (0 otherwise). No client reads it:
+	// routers follow the full map a KVWrongEpoch rejection carries.
 	Epoch uint64
 	// CheckpointProof is ξ, the checkpoint certificate carried by a
 	// VIEW-CHANGE: the signed CHECKPOINT message(s) proving stability.

@@ -33,9 +33,7 @@ import (
 // Hash maps a key onto the 64-bit ring placement ranges cover: FNV-1a
 // followed by the 64-bit murmur3 finalizer, because FNV-1a alone
 // diffuses short keys poorly into the high bits and range ownership is
-// decided by exactly those bits. internal/shard delegates here so the
-// static partitioner and the elastic placement agree on every key
-// forever.
+// decided by exactly those bits. It is the only key hash in the tree.
 func Hash(key string) uint64 {
 	f := fnv.New64a()
 	f.Write([]byte(key))
@@ -49,8 +47,7 @@ func Hash(key string) uint64 {
 }
 
 // Range is a half-open hash interval [Lo, Hi). Hi = 0 means the top of
-// the hash space (the same sentinel shard.HashPartitioner.RangeOf uses),
-// so the whole space is {0, 0}.
+// the hash space, so the whole space is {0, 0}.
 type Range struct {
 	Lo, Hi uint64
 }
@@ -107,9 +104,11 @@ type Map struct {
 }
 
 // Bootstrap builds the initial placement: the first `owners` groups
-// split the hash space exactly as shard.HashPartitioner does (so a
-// static deployment and epoch 1 of an elastic one route every key
-// identically), and groups [owners, groups) are provisioned spares.
+// split the hash space into equal contiguous ranges — group g owns
+// [g·w, (g+1)·w) with w = ⌈2⁶⁴/owners⌉, the last range closing at the
+// top of the space — and groups [owners, groups) are provisioned
+// spares. Every deployment routes through it: a static one simply
+// never leaves epoch 1.
 func Bootstrap(owners, groups, replicas int) (*Map, error) {
 	if owners < 1 || groups < owners {
 		return nil, fmt.Errorf("placement: %d owner groups of %d provisioned", owners, groups)
@@ -232,8 +231,7 @@ func (m *Map) ReplicasOf(g ids.GroupID) int {
 }
 
 // Shards returns the number of provisioned groups, spares included; it
-// is the size of the per-group client set a router must hold, which is
-// what the Partitioner contract's Shards() has always meant to callers.
+// is the size of the per-group client set a router must hold.
 func (m *Map) Shards() int { return len(m.Groups) }
 
 // Owner returns the group owning key's hash range.
@@ -248,24 +246,6 @@ func (m *Map) OwnerHash(h uint64) ids.GroupID {
 		return 0 // unreachable on a valid map (first Lo is 0)
 	}
 	return m.Ranges[i].Group
-}
-
-// RangeGroups returns the groups a key-range scan must visit: hash
-// placement scatters any key interval across the whole ring, so it is
-// every group owning at least one range — spares are pruned, which is
-// what makes this the single routing entry point for both static and
-// elastic deployments.
-func (m *Map) RangeGroups(lo, hi string) []ids.GroupID {
-	seen := make(map[ids.GroupID]bool, len(m.Groups))
-	out := make([]ids.GroupID, 0, len(m.Groups))
-	for _, e := range m.Ranges {
-		if !seen[e.Group] {
-			seen[e.Group] = true
-			out = append(out, e.Group)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // OwnedRanges returns the ranges group g owns, in ring order.
@@ -694,11 +674,8 @@ func (c *Cache) Update(m *Map) bool {
 	return true
 }
 
-// Shards implements the router's Placement contract.
+// Shards returns the cached map's provisioned group count.
 func (c *Cache) Shards() int { return c.Current().Shards() }
 
-// Owner implements the router's Placement contract.
+// Owner returns the group owning key under the cached map.
 func (c *Cache) Owner(key string) ids.GroupID { return c.Current().Owner(key) }
-
-// RangeGroups implements the router's Placement contract.
-func (c *Cache) RangeGroups(lo, hi string) []ids.GroupID { return c.Current().RangeGroups(lo, hi) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/ids"
@@ -19,9 +20,9 @@ func mustBootstrap(t *testing.T, owners, groups int) *Map {
 	return m
 }
 
-func TestBootstrapMatchesStaticPartitioner(t *testing.T) {
-	// Epoch 1 of an elastic deployment must route every key exactly as
-	// the static hash partitioner: group g owns [g*width, (g+1)*width).
+func TestBootstrapOwners(t *testing.T) {
+	// Epoch 1 splits the ring into equal contiguous ranges: group g owns
+	// [g*width, (g+1)*width), the last range closing at the top.
 	for _, shards := range []int{1, 2, 3, 4, 7} {
 		m := mustBootstrap(t, shards, shards)
 		width := uint64(math.MaxUint64)/uint64(shards) + 1
@@ -32,7 +33,7 @@ func TestBootstrapMatchesStaticPartitioner(t *testing.T) {
 				want = ids.GroupID(Hash(key) / width)
 			}
 			if got := m.Owner(key); got != want {
-				t.Fatalf("shards=%d key=%q: owner %v, static partitioner says %v", shards, key, got, want)
+				t.Fatalf("shards=%d key=%q: owner %v, want %v", shards, key, got, want)
 			}
 		}
 	}
@@ -43,11 +44,27 @@ func TestBootstrapSpares(t *testing.T) {
 	if m.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4 (spares are provisioned)", m.Shards())
 	}
-	if got := m.RangeGroups("", ""); !reflect.DeepEqual(got, []ids.GroupID{0, 1}) {
-		t.Fatalf("RangeGroups = %v, want owners [0 1] only", got)
-	}
 	if len(m.OwnedRanges(3)) != 0 {
 		t.Fatalf("spare group 3 owns ranges: %v", m.OwnedRanges(3))
+	}
+}
+
+// TestOwnerDistribution pins the property the whole throughput story
+// rests on: short, similar keys (the realistic workload shape) spread
+// across every shard instead of clumping in one hash range.
+func TestOwnerDistribution(t *testing.T) {
+	const shards, keys = 4, 2000
+	m := mustBootstrap(t, shards, shards)
+	counts := make([]int, shards)
+	for i := 0; i < keys; i++ {
+		counts[m.Owner(fmt.Sprintf("k%d", i))]++
+	}
+	for g, n := range counts {
+		// Each shard should hold roughly keys/shards = 500; accept a
+		// generous ±50% band — the test targets clumping, not perfection.
+		if n < keys/shards/2 || n > keys*3/shards/2 {
+			t.Fatalf("group %d owns %d of %d keys (distribution %v)", g, n, keys, counts)
+		}
 	}
 }
 
@@ -223,6 +240,63 @@ func TestCacheNewerEpochWins(t *testing.T) {
 	}
 	if c.Epoch() != m2.Epoch {
 		t.Fatalf("cache epoch %d, want %d", c.Epoch(), m2.Epoch)
+	}
+}
+
+// TestCacheConcurrentUpdate exercises the Cache's concurrency contract:
+// router fan-out legs read it from their own goroutines while a
+// rejection on another leg adopts a newer map. Readers must see epochs
+// only move forward and owners only among the provisioned groups (run
+// it under -race).
+func TestCacheConcurrentUpdate(t *testing.T) {
+	const groups, epochs, readers = 4, 1000, 4
+	shapes := []*Map{mustBootstrap(t, 2, groups), mustBootstrap(t, 4, groups)}
+	c := NewCache(shapes[0])
+	var wg, ready sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ready.Done()
+			var last uint64
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e := c.Epoch()
+				if e < last {
+					errs <- fmt.Errorf("reader %d: epoch went back from %d to %d", r, last, e)
+					return
+				}
+				last = e
+				if g := c.Owner(fmt.Sprintf("k%d", i)); int(g) >= groups {
+					errs <- fmt.Errorf("reader %d: owner %v outside %d groups", r, g, groups)
+					return
+				}
+			}
+		}(r)
+	}
+	ready.Wait()
+	for e := uint64(2); e <= epochs; e++ {
+		next := shapes[e%2].Clone()
+		next.Epoch = e
+		if !c.Update(next) {
+			t.Errorf("epoch %d not adopted over %d", e, e-1)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if c.Epoch() != epochs {
+		t.Fatalf("cache epoch %d, want %d", c.Epoch(), epochs)
 	}
 }
 

@@ -82,9 +82,8 @@ func invoke(inv Invoker, op []byte, cancel <-chan struct{}) ([]byte, error) {
 	return inv.Invoke(op)
 }
 
-// Partitioner is the key→group mapping (the contract of
-// internal/shard.HashPartitioner, redeclared to keep this package free
-// of a dependency direction choice).
+// Partitioner is the key→group mapping the coordinator partitions
+// writes by. Routers pass their *placement.Cache; tests pass fakes.
 type Partitioner interface {
 	Shards() int
 	Owner(key string) ids.GroupID
