@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,9 +60,9 @@ func sharedWatermark(nodes []Node, skip map[ids.ReplicaID]bool) (hi uint64, at i
 // flight between them). It replaces the fixed convergence sleeps: fast
 // runs settle in a few milliseconds instead of always paying the worst
 // case, and slow runs (race detector, loaded hosts) get the full
-// timeout instead of flaking. On timeout it returns anyway — the
-// caller's snapshot comparison delivers the real verdict.
-func waitSettled(t *testing.T, nodes []Node, skip map[ids.ReplicaID]bool, need int, timeout time.Duration) {
+// timeout instead of flaking. It reports whether the nodes settled
+// before the timeout.
+func waitSettled(t *testing.T, nodes []Node, skip map[ids.ReplicaID]bool, need int, timeout time.Duration) bool {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	var lastHi uint64
@@ -70,7 +71,7 @@ func waitSettled(t *testing.T, nodes []Node, skip map[ids.ReplicaID]bool, need i
 		hi, at := sharedWatermark(nodes, skip)
 		if hi > 0 && at >= need {
 			if stable && hi == lastHi {
-				return
+				return true
 			}
 			stable, lastHi = true, hi
 		} else {
@@ -78,6 +79,7 @@ func waitSettled(t *testing.T, nodes []Node, skip map[ids.ReplicaID]bool, need i
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	return false
 }
 
 func verifyConvergence(t *testing.T, c *Cluster, skip map[ids.ReplicaID]bool) {
@@ -88,7 +90,17 @@ func verifyConvergence(t *testing.T, c *Cluster, skip map[ids.ReplicaID]bool) {
 			live++
 		}
 	}
-	waitSettled(t, c.Nodes, skip, live, 5*time.Second)
+	if !waitSettled(t, c.Nodes, skip, live, 5*time.Second) {
+		// A replica still behind is a liveness failure, not divergence:
+		// the snapshot comparison below would misreport it as one.
+		var marks []string
+		for _, n := range c.Nodes {
+			if !skip[n.ID()] {
+				marks = append(marks, fmt.Sprintf("%d:%d", n.ID(), n.LastExecuted()))
+			}
+		}
+		t.Fatalf("live replicas did not settle on one executed sequence within 5s (replica:LastExecuted %s)", strings.Join(marks, " "))
+	}
 	c.Stop()
 	var ref []byte
 	var refID ids.ReplicaID = -1
