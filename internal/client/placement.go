@@ -179,6 +179,3 @@ func (o *placementOps) Complete(g ids.GroupID, epoch uint64) error {
 // adoptPlacement folds an authoritative map into the router's cache (a
 // no-op for stale maps).
 func (r *Router) adoptPlacement(m *placement.Map) { r.place.Update(m) }
-
-// PlacementEpoch reports the cached placement epoch.
-func (r *Router) PlacementEpoch() uint64 { return r.place.Epoch() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/placement"
@@ -136,7 +137,13 @@ func TestElasticSplitUnderLoad(t *testing.T) {
 	// A router still on the bootstrap map must be rerouted, not
 	// misrouted: its write goes to the old owner, which rejects with the
 	// current map attached, and the retry lands at the new owner.
-	stale, err := c.NewRouter(2)
+	// It is built like Cluster.NewRouter's, over a cache the test keeps.
+	staleCache := placement.NewCache(c.Placement.Clone())
+	staleClients := make([]*client.Client, len(c.Groups))
+	for g := range staleClients {
+		staleClients[g] = c.NewClientIn(ids.GroupID(g), 2)
+	}
+	stale, err := client.NewRouter(staleClients, staleCache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +161,7 @@ func TestElasticSplitUnderLoad(t *testing.T) {
 	if reroutes.Load() == 0 {
 		t.Fatal("stale router was never epoch-rejected (write silently misrouted?)")
 	}
-	if got := stale.PlacementEpoch(); got != final.Epoch {
+	if got := staleCache.Epoch(); got != final.Epoch {
 		t.Fatalf("stale router cache at epoch %d after reroute, want %d", got, final.Epoch)
 	}
 

@@ -49,11 +49,48 @@ func (e tapEndpoint) Send(to transport.Addr, frame []byte) {
 	e.Endpoint.Send(to, frame)
 }
 
+// failAtSlot is a store whose disk fails the sync that covers slot k's
+// proposal: once that proposal is appended, the next Sync fails, and the
+// store stays failed. It records the highest proposal slot a successful
+// Sync covered.
+type failAtSlot struct {
+	*storage.Mem
+	k uint64
+
+	mu       sync.Mutex
+	appended uint64 // highest proposal slot appended
+	covered  uint64 // highest proposal slot a successful Sync covered
+}
+
+func (s *failAtSlot) Append(rec storage.Record) error {
+	if rec.Kind == storage.KindProposal {
+		s.mu.Lock()
+		s.appended = max(s.appended, rec.Seq)
+		s.mu.Unlock()
+		if rec.Seq == s.k {
+			s.Mem.FailNth(1)
+		}
+	}
+	return s.Mem.Append(rec)
+}
+
+func (s *failAtSlot) Sync() error {
+	err := s.Mem.Sync()
+	if err == nil {
+		s.mu.Lock()
+		s.covered = s.appended
+		s.mu.Unlock()
+	}
+	return err
+}
+
 // TestLionBackupFailStopsOnSyncError pins the fail-stop rule: a Lion
 // backup whose disk fails the sync that would make slot k's proposal
 // durable sends no ACCEPT for k or any later slot — it looks crashed,
 // never amnesiac — and at c = 1 the group still commits every Put
-// without it.
+// without it. One drain can carry several proposals, so that sync may
+// also be the one for slots below k: the backup accepts exactly the
+// slots a successful sync covered.
 func TestLionBackupFailStopsOnSyncError(t *testing.T) {
 	const (
 		victim = 1 // the private backup of view 0
@@ -65,15 +102,12 @@ func TestLionBackupFailStopsOnSyncError(t *testing.T) {
 		t.Fatal("the victim must be a backup")
 	}
 	tap := &tapNet{Network: h.net, from: transport.ReplicaAddr(victim)}
+	st := &failAtSlot{Mem: storage.NewMem(), k: k}
 	for _, id := range h.mb.All() {
 		if id != victim {
 			h.add(id, tap, nil)
 			continue
 		}
-		// Boot stamps a view record and sends nothing, so the backup's
-		// n-th sync is the one before its ACCEPT for slot n.
-		st := storage.NewMem()
-		st.FailNth(storage.FaultSync, k)
 		h.add(id, tap, st)
 	}
 	for _, r := range h.replicas {
@@ -85,6 +119,12 @@ func TestLionBackupFailStopsOnSyncError(t *testing.T) {
 	}
 	h.stop()
 
+	st.mu.Lock()
+	j := st.covered
+	st.mu.Unlock()
+	if j >= k {
+		t.Fatalf("a successful sync covered slot %d; the sync covering slot %d should have failed", j, k)
+	}
 	var accepted []uint64
 	for _, m := range tap.frames() {
 		if m.Kind != message.KindAccept {
@@ -92,12 +132,12 @@ func TestLionBackupFailStopsOnSyncError(t *testing.T) {
 		}
 		accepted = append(accepted, m.Seq)
 	}
-	if len(accepted) != k-1 {
-		t.Fatalf("the backup accepted slots %v; want 1..%d and nothing from slot %d on", accepted, k-1, k)
+	if len(accepted) != int(j) {
+		t.Fatalf("the backup accepted slots %v; want 1..%d, the slots a successful sync covered", accepted, j)
 	}
 	for i, seq := range accepted {
 		if seq != uint64(i+1) {
-			t.Fatalf("the backup accepted slots %v; want 1..%d", accepted, k-1)
+			t.Fatalf("the backup accepted slots %v; want 1..%d", accepted, j)
 		}
 	}
 	if got := h.replicas[victim].jr.Failures(); got != 1 {

@@ -21,14 +21,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DiskOptions tunes the file-backed store.
 type DiskOptions struct {
-	// FsyncEvery batches fsyncs: Sync fsyncs only once at least N
-	// appends are unsynced. 1 (and anything below) makes every Sync
-	// cover every earlier append — the safest setting and the default.
-	// Larger values trade a bounded window of recent appends (on power
-	// failure; not on process crash) for throughput.
+	// FsyncEvery batches fsyncs: Sync always writes what was appended,
+	// but fdatasyncs only once at least N appends are unsynced. 1 (and
+	// anything below) makes every Sync cover every earlier append — the
+	// safest setting and the default. Larger values trade a bounded
+	// window of recent appends (on power failure; not on process crash)
+	// for throughput.
 	FsyncEvery int
-	// SegmentBytes rotates the active WAL segment once it exceeds this
-	// size (default 4 MiB).
+	// SegmentBytes is each WAL segment's preallocated size: a segment is
+	// created at this size, and a write that would run past it goes to a
+	// fresh segment instead (default 4 MiB).
 	SegmentBytes int64
 }
 
@@ -45,10 +47,14 @@ func (o DiskOptions) normalized() DiskOptions {
 // Disk is the file-backed Store: a directory holding WAL segments
 // (wal-<n>.seg) and checkpoint snapshots (snap-<seq>.snap).
 //
-// Append only writes; Sync makes every earlier append durable. One
-// engine goroutine drives a Disk, syncing once per batch of appends
-// before it lets anything they describe leave (see replica.Journal), so
-// the mutex only guards against a stray concurrent caller.
+// Append only encodes into a buffer the Disk owns; Sync writes that
+// buffer with one positioned write at the active segment's logical end
+// and makes it durable with one fdatasync. Segments are preallocated,
+// so the fdatasync journals no change of file size, and a segment's log
+// ends where its bytes turn to zeros for good. One engine goroutine
+// drives a Disk, syncing once per drain before it lets anything the
+// drain's appends describe leave (see replica.Journal), so the mutex
+// only guards against a stray concurrent caller.
 type Disk struct {
 	dir  string
 	opts DiskOptions
@@ -57,11 +63,14 @@ type Disk struct {
 	mu       sync.Mutex
 	cur      *os.File
 	curName  string
-	curSize  int64
+	curSize  int64  // the active segment's logical end: bytes written
 	curMax   uint64 // highest GC-relevant Seq in the active segment
+	dirty    bool   // the active segment holds writes not yet fdatasynced
+	buf      []byte // frames appended since the last write, in order
+	bufMax   uint64 // highest GC-relevant Seq in buf
 	nextSeg  uint64
 	segMax   map[string]uint64 // closed segments → highest Seq
-	unsynced int               // appends written since the last fsync
+	unsynced int               // appends not yet covered by an fdatasync
 	syncErr  error
 	closed   bool
 }
@@ -74,7 +83,7 @@ const (
 )
 
 // Open creates or reopens a disk store rooted at dir. Reopening scans
-// every segment: a torn tail write (a crash mid-append) is truncated
+// every segment: a torn tail write (a crash mid-write) is truncated
 // away; corruption anywhere else fails the open so a damaged log is
 // never silently replayed.
 func Open(dir string, opts DiskOptions) (*Disk, error) {
@@ -104,36 +113,34 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
+	var end int64 // the newest segment's logical end
 	for i, name := range segs {
 		last := i == len(segs)-1
-		maxSeq, goodLen, err := scanSegment(filepath.Join(dir, name), last)
+		maxSeq, segEnd, torn, err := scanSegment(filepath.Join(dir, name), last)
 		if err != nil {
 			return nil, err
 		}
-		if goodLen >= 0 { // torn tail on the final segment: drop it
-			if err := os.Truncate(filepath.Join(dir, name), goodLen); err != nil {
+		if torn { // torn tail on the final segment: drop it
+			if err := os.Truncate(filepath.Join(dir, name), segEnd); err != nil {
 				return nil, fmt.Errorf("storage: truncate torn tail of %s: %w", name, err)
 			}
 		}
 		d.segMax[name] = maxSeq
+		end = segEnd
 		idx, _ := segIndex(name)
 		if idx >= d.nextSeg {
 			d.nextSeg = idx + 1
 		}
 	}
-	// Append to the newest segment if one exists; otherwise start fresh.
+	// Write on at the newest segment's logical end if one exists;
+	// otherwise start fresh.
 	if len(segs) > 0 {
 		name := segs[len(segs)-1]
-		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("storage: %w", err)
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: %w", err)
-		}
-		d.cur, d.curName, d.curSize = f, name, st.Size()
+		d.cur, d.curName, d.curSize = f, name, end
 		d.curMax = d.segMax[name]
 		delete(d.segMax, name)
 		ok = true
@@ -196,43 +203,76 @@ func gcSeq(rec Record) uint64 {
 }
 
 // scanSegment validates every frame of one segment. It returns the
-// highest GC-relevant Seq seen and, when tornOK and the segment ends in
-// a torn frame, the length of the intact prefix (otherwise -1). A bad
-// frame that is not a clean tail is an error.
-func scanSegment(path string, tornOK bool) (maxSeq uint64, goodLen int64, err error) {
+// highest GC-relevant Seq seen and the segment's logical end: the
+// offset after its last intact frame. When tornOK and the segment ends
+// in a torn frame, torn is set and the logical end is where the torn
+// frame starts. A bad frame that is not a clean tail is an error.
+func scanSegment(path string, tornOK bool) (maxSeq uint64, end int64, torn bool, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return 0, -1, fmt.Errorf("storage: %w", err)
+		return 0, 0, false, fmt.Errorf("storage: %w", err)
 	}
-	off := int64(0)
-	for int(off) < len(b) {
-		rec, n, ferr := readFrame(b[off:])
-		if ferr != nil {
-			// A torn tail — the crash interrupted the final append — is
-			// a frame that runs into end-of-file. A bad frame with more
-			// intact data behind it is real corruption.
-			if tornOK && frameReachesEOF(b[off:]) {
-				return maxSeq, off, nil
-			}
-			return 0, -1, fmt.Errorf("storage: %s corrupt at offset %d: %w", filepath.Base(path), off, ferr)
-		}
+	off, err := walkFrames(b, func(rec Record) error {
 		if s := gcSeq(rec); s > maxSeq {
 			maxSeq = s
 		}
-		off += int64(n)
+		return nil
+	})
+	if err != nil {
+		// A torn tail — the crash interrupted the final write — is a bad
+		// frame with nothing but zeros (or end-of-file) behind it. A bad
+		// frame with more data behind it is real corruption.
+		if tornOK && frameReachesEnd(b[off:], logEnd(b)-off) {
+			return maxSeq, int64(off), true, nil
+		}
+		return 0, 0, false, fmt.Errorf("storage: %s corrupt at offset %d: %w", filepath.Base(path), off, err)
 	}
-	return maxSeq, -1, nil
+	return maxSeq, int64(off), false, nil
 }
 
-// frameReachesEOF reports whether the frame starting at the front of b
-// extends to or past the end of b (the signature of an interrupted
-// append, as opposed to mid-file damage).
-func frameReachesEOF(b []byte) bool {
-	if len(b) < 8 {
+// walkFrames passes each frame of one segment's bytes to fn, in order,
+// up to the segment's end of log: the first frame boundary from which
+// every byte is zero, which is where a preallocated segment's writes
+// stop. It returns the offset it stopped at and, on a bad frame, the
+// frame's error with the offset at its start.
+func walkFrames(b []byte, fn func(rec Record) error) (int, error) {
+	end := logEnd(b)
+	off := 0
+	for off < end {
+		rec, n, err := readFrame(b[off:])
+		if err != nil {
+			return off, err
+		}
+		if err := fn(rec); err != nil {
+			return off, err
+		}
+		off += n
+	}
+	return off, nil
+}
+
+// logEnd is the offset from which every byte of b is zero. A frame
+// never ends there mid-way unless its own last bytes are zeros, and
+// every frame holds a non-zero kind byte, so no frame starts at or past
+// it.
+func logEnd(b []byte) int {
+	end := len(b)
+	for end > 0 && b[end-1] == 0 {
+		end--
+	}
+	return end
+}
+
+// frameReachesEnd reports whether the frame starting at the front of b
+// extends to or past the first rest bytes, the ones before the zeros
+// (the signature of an interrupted write, as opposed to mid-file
+// damage).
+func frameReachesEnd(b []byte, rest int) bool {
+	if rest < 8 {
 		return true
 	}
 	n := binary.LittleEndian.Uint32(b)
-	return 8+int64(n) >= int64(len(b))
+	return 8+int64(n) >= int64(rest)
 }
 
 // readFrame decodes one length|crc|body frame from the front of b,
@@ -270,12 +310,13 @@ func appendFrame(buf []byte, rec *Record) []byte {
 	return buf
 }
 
-// rotate closes the active segment and opens a fresh one. It requires
-// d.mu held and leaves the outgoing segment fully durable, so a later
-// fsync of the new file covers every append.
+// rotate closes the active segment and opens a fresh, preallocated
+// one. It requires d.mu held and leaves the outgoing segment's writes
+// durable, so a later fdatasync of the new file covers every append.
+// Buffered frames stay buffered: they go to the new segment.
 func (d *Disk) rotate() error {
 	if d.cur != nil {
-		if err := d.fsync(); err != nil {
+		if err := d.datasync(); err != nil {
 			return err
 		}
 		if err := d.cur.Close(); err != nil {
@@ -289,69 +330,100 @@ func (d *Disk) rotate() error {
 	if err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
-	d.cur, d.curName, d.curSize, d.curMax = f, name, 0, 0
+	if err := preallocate(f, d.opts.SegmentBytes); err != nil {
+		f.Close()
+		return fmt.Errorf("storage: preallocate %s: %w", name, err)
+	}
+	d.cur, d.curName, d.curSize, d.curMax, d.dirty = f, name, 0, 0, false
 	syncDir(d.dir)
 	return nil
 }
 
-// fsync makes every append so far durable. A failed fsync latches: the
+// latch records a failed write or fdatasync. A failure latches: the
 // page cache may have dropped dirty pages the kernel could not write, so
-// no later fsync can retroactively make earlier appends durable — every
-// subsequent append and sync reports the failure rather than pretending
-// to recover. Caller holds d.mu.
-func (d *Disk) fsync() error {
-	if d.syncErr != nil || d.unsynced == 0 {
+// no later fdatasync can retroactively make earlier appends durable —
+// every subsequent append and sync reports the failure rather than
+// pretending to recover. Caller holds d.mu.
+func (d *Disk) latch(err error) error {
+	d.syncErr = fmt.Errorf("storage: %w", err)
+	return d.syncErr
+}
+
+// write issues the buffered frames as one positioned write at the
+// active segment's logical end, first rotating to a fresh segment when
+// they would run past this one's preallocated size. Caller holds d.mu.
+func (d *Disk) write() error {
+	if d.syncErr != nil || len(d.buf) == 0 {
 		return d.syncErr
 	}
-	if err := d.cur.Sync(); err != nil {
-		d.syncErr = fmt.Errorf("storage: %w", err)
+	if d.curSize > 0 && d.curSize+int64(len(d.buf)) > d.opts.SegmentBytes {
+		if err := d.rotate(); err != nil {
+			return err
+		}
+	}
+	if _, err := d.cur.WriteAt(d.buf, d.curSize); err != nil {
+		return d.latch(err)
+	}
+	d.curSize += int64(len(d.buf))
+	d.curMax = max(d.curMax, d.bufMax)
+	d.buf, d.bufMax, d.dirty = d.buf[:0], 0, true
+	return nil
+}
+
+// datasync fdatasyncs the active segment if it holds unsynced writes.
+// Caller holds d.mu.
+func (d *Disk) datasync() error {
+	if d.syncErr != nil || !d.dirty {
 		return d.syncErr
+	}
+	if err := fdatasync(d.cur); err != nil {
+		return d.latch(err)
+	}
+	d.dirty = false
+	return nil
+}
+
+// fsync makes every append so far durable: one write, one fdatasync.
+// Caller holds d.mu.
+func (d *Disk) fsync() error {
+	if err := d.write(); err != nil {
+		return err
+	}
+	if err := d.datasync(); err != nil {
+		return err
 	}
 	d.unsynced = 0
 	return nil
 }
 
-// Append implements Store: it writes the record and leaves it to Sync
-// to make durable.
+// Append implements Store: it encodes the record into the Disk's buffer
+// and leaves it to Sync to write and make durable.
 func (d *Disk) Append(rec Record) error {
 	if !rec.Kind.Valid() {
 		return fmt.Errorf("storage: append of invalid record kind %d", uint8(rec.Kind))
 	}
-	frame := appendFrame(nil, &rec)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.appendLocked(rec, frame)
-}
-
-// appendLocked writes one pre-encoded record frame to the active
-// segment. The frame is built by the caller outside the lock. Caller
-// holds d.mu.
-func (d *Disk) appendLocked(rec Record, frame []byte) error {
 	if d.closed {
 		return errors.New("storage: store closed")
 	}
 	if d.syncErr != nil {
 		return d.syncErr
 	}
-	if d.curSize > d.opts.SegmentBytes {
-		if err := d.rotate(); err != nil {
-			return err
-		}
-	}
-	if _, err := d.cur.Write(frame); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	d.curSize += int64(len(frame))
-	if s := gcSeq(rec); s > d.curMax {
-		d.curMax = s
-	}
-	d.unsynced++
+	d.buffer(&rec)
 	return nil
 }
 
-// Sync implements Store: it fsyncs once at least FsyncEvery appends are
-// unsynced, which at the default of 1 makes every earlier append
-// durable.
+// buffer encodes one record frame onto the buffer. Caller holds d.mu.
+func (d *Disk) buffer(rec *Record) {
+	d.buf = appendFrame(d.buf, rec)
+	d.bufMax = max(d.bufMax, gcSeq(*rec))
+	d.unsynced++
+}
+
+// Sync implements Store: it writes every buffered append, and
+// fdatasyncs once at least FsyncEvery appends are unsynced, which at the
+// default of 1 makes every earlier append durable.
 func (d *Disk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -359,7 +431,7 @@ func (d *Disk) Sync() error {
 		return nil
 	}
 	if d.unsynced < d.opts.FsyncEvery {
-		return d.syncErr
+		return d.write()
 	}
 	return d.fsync()
 }
@@ -375,39 +447,40 @@ func (d *Disk) Replay(fn func(rec Record) error) error {
 		if err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
-		off := 0
-		for off < len(b) {
-			rec, n, ferr := readFrame(b[off:])
-			if ferr != nil {
-				// Open already truncated torn tails; hitting one here
-				// means the file changed underneath us.
-				return fmt.Errorf("storage: %s corrupt at offset %d: %w", name, off, ferr)
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-			off += n
+		var fnErr error
+		off, err := walkFrames(b, func(rec Record) error {
+			fnErr = fn(rec)
+			return fnErr
+		})
+		if fnErr != nil {
+			return fnErr
+		}
+		if err != nil {
+			// Open already truncated torn tails; hitting one here
+			// means the file changed underneath us.
+			return fmt.Errorf("storage: %s corrupt at offset %d: %w", name, off, err)
 		}
 	}
 	return nil
 }
 
-// Truncate implements Store: epoch records start a fresh segment, then
-// every closed segment whose records all sit at or below seq is
-// deleted.
+// Truncate implements Store: it writes the buffered appends, epoch
+// records start a fresh segment, then every closed segment whose
+// records all sit at or below seq is deleted.
 func (d *Disk) Truncate(seq uint64, epoch []Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return errors.New("storage: store closed")
 	}
+	if err := d.write(); err != nil {
+		return err
+	}
 	if err := d.rotate(); err != nil {
 		return err
 	}
-	for _, rec := range epoch {
-		if err := d.appendLocked(rec, appendFrame(nil, &rec)); err != nil {
-			return err
-		}
+	for i := range epoch {
+		d.buffer(&epoch[i])
 	}
 	if err := d.fsync(); err != nil {
 		return err
@@ -424,7 +497,8 @@ func (d *Disk) Truncate(seq uint64, epoch []Record) error {
 	return nil
 }
 
-// Close implements Store: it syncs the tail and releases the directory.
+// Close implements Store: it writes and syncs the buffered tail and
+// releases the directory.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

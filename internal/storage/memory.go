@@ -6,95 +6,87 @@ import (
 )
 
 // Mem is the in-memory Store. It gives tests and the simulated cluster
-// the exact durability semantics of Disk — records survive the engine
-// that wrote them and can be replayed into a rebuilt replica — while
-// modeling "the disk" as a Go object shared across the simulated
-// process restart. Engines keep their legacy fully-volatile behavior by
-// passing a nil Store instead.
+// the exact durability semantics of Disk — an append stays pending until
+// a Sync, synced records survive the engine that wrote them and can be
+// replayed into a rebuilt replica — while modeling "the disk" as a Go
+// object shared across the simulated process restart. Engines keep
+// their legacy fully-volatile behavior by passing a nil Store instead.
 type Mem struct {
 	mu     sync.Mutex
 	recs   []Record
+	synced int // recs[:synced] survive a crash; the rest are pending
 	snap   *Snapshot
 	closed bool
 
-	// The scripted fault (FailNth): failIn more calls of failOn until
-	// it fires; failed latches once it has.
-	failOn Fault
+	// The scripted fault (FailNth): failIn more Syncs until it fires;
+	// failed latches once it has.
 	failIn int
 	failed error
 }
 
-// Fault names the Mem call a scripted fault hits.
-type Fault uint8
-
-const (
-	FaultAppend Fault = iota + 1 // Mem.Append
-	FaultSync                    // Mem.Sync
-)
-
 // ErrInjected is what a scripted fault returns.
 var ErrInjected = errors.New("storage: injected fault")
 
-// FailNth scripts a disk fault: the nth call of kind f from now on
-// (n ≥ 1) fails with ErrInjected, and so does every Append and Sync
-// after it — like a Disk whose fsync failed, the store cannot vouch for
-// what it was given any more.
-func (m *Mem) FailNth(f Fault, n int) {
+// FailNth scripts a disk fault: the nth Sync from now on (n ≥ 1) fails
+// with ErrInjected, and so does every Append and Sync after it — like a
+// Disk whose fsync failed, the store cannot vouch for what it was given
+// any more, and what that Sync should have covered stays pending.
+func (m *Mem) FailNth(n int) {
 	m.mu.Lock()
-	m.failOn, m.failIn = f, n
+	m.failIn = n
 	m.mu.Unlock()
-}
-
-// fault counts one call of kind f toward the scripted fault and returns
-// the latched failure, if any. Caller holds m.mu.
-func (m *Mem) fault(f Fault) error {
-	if m.failed == nil && m.failOn == f {
-		if m.failIn--; m.failIn == 0 {
-			m.failed = ErrInjected
-		}
-	}
-	return m.failed
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{} }
 
-// Reopen clears the closed flag so the same "disk" can back a restarted
-// replica, mirroring Open on a Disk directory.
+// Reopen models a restart of the process over the same "disk",
+// mirroring Open on a Disk directory: it clears the closed flag and
+// drops the appends no Sync or Close covered, as a crash does.
 func (m *Mem) Reopen() *Mem {
 	m.mu.Lock()
+	m.recs = m.recs[:m.synced]
 	m.closed = false
 	m.mu.Unlock()
 	return m
 }
 
-// Append implements Store.
+// Append implements Store: the record stays pending until a Sync.
 func (m *Mem) Append(rec Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return errors.New("storage: store closed")
 	}
-	if err := m.fault(FaultAppend); err != nil {
-		return err
+	if m.failed != nil {
+		return m.failed
 	}
 	rec.Payload = append([]byte(nil), rec.Payload...)
 	m.recs = append(m.recs, rec)
 	return nil
 }
 
-// Sync implements Store. Appends are durable the moment they land, so
-// all it can do is fail as scripted.
+// Sync implements Store: it makes every pending append durable, or
+// fails as scripted.
 func (m *Mem) Sync() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.fault(FaultSync)
+	if m.failed == nil && m.failIn > 0 {
+		if m.failIn--; m.failIn == 0 {
+			m.failed = ErrInjected
+		}
+	}
+	if m.failed != nil {
+		return m.failed
+	}
+	m.synced = len(m.recs)
+	return nil
 }
 
 // Replay implements Store.
 func (m *Mem) Replay(fn func(rec Record) error) error {
 	m.mu.Lock()
-	recs := append([]Record(nil), m.recs...)
+	recs := append([]Record(nil), m.recs[:m.synced]...)
 	m.mu.Unlock()
 	for _, rec := range recs {
 		if err := fn(rec); err != nil {
@@ -130,12 +122,16 @@ func (m *Mem) LatestSnapshot() (*Snapshot, error) {
 }
 
 // Truncate implements Store: keep records above seq, with the epoch
-// records as the new head.
+// records as the new head. Like Disk's, it makes every record it keeps
+// durable.
 func (m *Mem) Truncate(seq uint64, epoch []Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return errors.New("storage: store closed")
+	}
+	if m.failed != nil {
+		return m.failed
 	}
 	kept := make([]Record, 0, len(epoch)+8)
 	for _, rec := range epoch {
@@ -147,21 +143,26 @@ func (m *Mem) Truncate(seq uint64, epoch []Record) error {
 			kept = append(kept, rec)
 		}
 	}
-	m.recs = kept
+	m.recs, m.synced = kept, len(kept)
 	return nil
 }
 
-// Len reports the number of live records (GC assertions in tests).
+// Len reports the number of live records, pending ones included (GC
+// assertions in tests).
 func (m *Mem) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.recs)
 }
 
-// Close implements Store.
+// Close implements Store: like Disk's, it syncs the pending appends
+// unless a fault has latched.
 func (m *Mem) Close() error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.failed == nil {
+		m.synced = len(m.recs)
+	}
 	m.closed = true
-	m.mu.Unlock()
-	return nil
+	return m.failed
 }

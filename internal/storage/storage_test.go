@@ -82,18 +82,20 @@ func TestDiskTornTailTruncatedOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	name := d.curName
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	name, end := d.curName, d.curSize
 
-	// Simulate a crash mid-append: chop the last record in half.
+	// Simulate a crash mid-write: the last 7 bytes of the final record
+	// never reached the preallocated segment, so they read as zeros.
 	path := filepath.Join(dir, name)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, b[:len(b)-7], 0o644); err != nil {
+	clear(b[end-7 : end])
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,6 +166,9 @@ func TestDiskSegmentRotationAndTruncate(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 64)
 	for i := uint64(1); i <= 20; i++ {
 		if err := d.Append(rec(KindProposal, i, payload)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Sync(); err != nil { // rotation happens as a Sync writes
 			t.Fatal(err)
 		}
 	}
@@ -330,40 +335,65 @@ func TestMemMirrorsDiskSemantics(t *testing.T) {
 	}
 }
 
+// TestMemPendingUntilSync checks that Mem draws Disk's line: an append
+// is pending until a Sync, Replay yields only synced records, Close
+// syncs what is pending, and a Reopen without Close — a crash — drops
+// it.
+func TestMemPendingUntilSync(t *testing.T) {
+	m := NewMem()
+	for i := uint64(1); i <= 2; i++ {
+		if err := m.Append(rec(KindProposal, i, []byte("p"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := collect(t, m); len(got) != 0 {
+		t.Fatalf("replayed %d records before any Sync, want 0", len(got))
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Append(rec(KindCommit, 3, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, m.Reopen()); len(got) != 2 || got[1].Seq != 2 {
+		t.Fatalf("after a crash replayed %+v, want the 2 synced records", got)
+	}
+	if err := m.Append(rec(KindCommit, 3, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, m.Reopen()); len(got) != 3 || got[2].Seq != 3 {
+		t.Fatalf("after Close replayed %+v, want all 3 records", got)
+	}
+}
+
 // TestMemFailNth checks the scripted fault: the nth Sync fails, the
-// calls before it do not, and the store stays failed afterwards.
+// calls before it do not, the store stays failed afterwards, and what
+// the failed Sync should have covered never becomes durable.
 func TestMemFailNth(t *testing.T) {
 	m := NewMem()
-	m.FailNth(FaultSync, 2)
+	m.FailNth(2)
 	if err := m.Append(rec(KindProposal, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Sync(); err != nil {
 		t.Fatalf("first Sync = %v, want nil", err)
 	}
+	if err := m.Append(rec(KindProposal, 2, nil)); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Sync(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second Sync = %v, want ErrInjected", err)
 	}
-	if err := m.Append(rec(KindProposal, 2, nil)); !errors.Is(err, ErrInjected) {
+	if err := m.Append(rec(KindProposal, 3, nil)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Append after the fault = %v, want ErrInjected", err)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("%d records kept, want only the one appended before the fault", m.Len())
+	if err := m.Close(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Close after the fault = %v, want ErrInjected", err)
 	}
-
-	m = NewMem()
-	m.FailNth(FaultAppend, 1)
-	if err := m.Append(rec(KindProposal, 1, nil)); !errors.Is(err, ErrInjected) {
-		t.Fatalf("scripted Append = %v, want ErrInjected", err)
+	if got := collect(t, m.Reopen()); len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("replayed %+v, want only the record synced before the fault", got)
 	}
-	if err := m.Sync(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Sync after a failed Append = %v, want ErrInjected", err)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
