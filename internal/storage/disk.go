@@ -133,12 +133,17 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 		}
 	}
 	// Write on at the newest segment's logical end if one exists;
-	// otherwise start fresh.
+	// otherwise start fresh. A segment cut back by a torn-tail repair is
+	// preallocated again.
 	if len(segs) > 0 {
 		name := segs[len(segs)-1]
 		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("storage: %w", err)
+		}
+		if err := preallocate(f, d.opts.SegmentBytes); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("storage: preallocate %s: %w", name, err)
 		}
 		d.cur, d.curName, d.curSize = f, name, end
 		d.curMax = d.segMax[name]

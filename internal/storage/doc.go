@@ -15,30 +15,39 @@
 // own votes, commit markers, stable-checkpoint markers, and view/mode
 // entries. Engines append a record BEFORE acting on the event it
 // describes (before multicasting a proposal, before voting, before
-// executing a committed slot). Append only writes; Sync makes every
-// earlier append durable, and the engine calls it once before the first
-// frame that could depend on those appends leaves (see replica's
-// outbox), so a replica that crashes and replays its log can never have
-// externalized state it no longer remembers.
+// executing a committed slot). Append only buffers; Sync writes and
+// makes durable every earlier append, and the engine calls it once
+// before the first frame that could depend on those appends leaves (see
+// replica's outbox), so a replica that crashes and replays its log can
+// never have externalized state it no longer remembers. An append no
+// Sync covered may be lost in a crash, but nothing that depends on it
+// has left.
 //
 // On disk the log is a directory of segments (wal-<n>.seg). Each record
 // is framed as
 //
 //	u32 length | u32 CRC-32C(body) | body
 //
-// so torn tail writes are detected and discarded on replay; corruption
-// anywhere before the tail is an error. Segments rotate at a size
-// bound, and Truncate drops whole segments whose records all fall at or
-// below the stable checkpoint — WAL garbage collection rides the same
-// checkpoint stabilization that garbage-collects the in-memory message
-// log, keeping disk usage bounded.
+// Segments are preallocated (fallocate on linux), so Sync is one
+// positioned write at the segment's logical end and one fdatasync that
+// has no file size to journal. A segment's log ends at the first frame
+// boundary from which every byte is zero. A bad frame with only zeros
+// behind it is a torn tail write, discarded on reopen; corruption
+// anywhere before the tail is an error. A write that would run past
+// the preallocated size goes to a fresh segment, and Truncate drops
+// whole segments whose records all fall at or below the stable
+// checkpoint — WAL garbage collection rides the same checkpoint
+// stabilization that garbage-collects the in-memory message log,
+// keeping disk usage bounded.
 //
 // The fsync policy is configurable (config.Durability.FsyncEvery): 1
 // makes every Sync cover every earlier append (nothing a replica said can
-// be lost), N skips a Sync until N appends are pending (bounded loss of
-// the most recent appends on a power failure; a plain process crash
-// loses nothing either way because the OS still holds the written
-// pages). A failed fsync latches: every later Append and Sync reports it.
+// be lost), N makes a Sync write but skip its fdatasync until N appends
+// are pending (bounded loss of the most recent appends on a power
+// failure; a plain process crash loses no written append, because the
+// OS still holds the pages). Appends no Sync has written yet are lost in
+// any crash, under every policy. A failed write or fdatasync latches:
+// every later Append and Sync reports it.
 //
 // # Snapshot store
 //
@@ -51,8 +60,8 @@
 //
 // Two implementations exist: Disk (real deployments, cmd/seemore
 // -data-dir) and Mem (tests and the simulated cluster, where a shared
-// Mem store models a disk that survives the process; FailNth scripts a
-// failed Append or Sync). Engines accept
-// the Store interface, so the legacy fully-in-memory path is simply a
-// nil store.
+// Mem store models a disk that survives the process, keeping appends
+// pending until Sync as Disk does; FailNth scripts a failed Sync).
+// Engines accept the Store interface, so the legacy fully-in-memory
+// path is simply a nil store.
 package storage

@@ -127,16 +127,18 @@ type Snapshot struct {
 // through. Implementations must be safe for use from a single engine
 // goroutine; Close may race with nothing.
 type Store interface {
-	// Append writes one record to the log. Append returning nil means
-	// the record will survive a process crash, and will be replayed
-	// after every record appended before it; it is durable against a
-	// power failure only once a later Sync returns nil. Append does not
-	// retain rec.Payload: the caller may reuse it once Append returns.
+	// Append adds one record to the log; it will be replayed after every
+	// record appended before it. The record survives a process crash
+	// only once a later Sync returns nil (or Close does): until then it
+	// may vanish, together with every record appended after it. Append
+	// does not retain rec.Payload: the caller may reuse it once Append
+	// returns.
 	Append(rec Record) error
 	// Sync makes every earlier Append durable (subject to the
-	// implementation's fsync batching policy). An error is sticky: the
-	// store cannot vouch for those appends any more, and every later
-	// Append and Sync reports it too.
+	// implementation's fsync batching policy, which may leave the most
+	// recent appends exposed to a power failure, never to a process
+	// crash). An error is sticky: the store cannot vouch for those
+	// appends any more, and every later Append and Sync reports it too.
 	Sync() error
 	// Replay streams every surviving record in append order. It is
 	// called once, before the engine starts.

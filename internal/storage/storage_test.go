@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/crypto"
@@ -106,6 +107,13 @@ func TestDiskTornTailTruncatedOnOpen(t *testing.T) {
 	got := collect(t, d2)
 	if len(got) != 2 {
 		t.Fatalf("replayed %d records after torn tail, want 2", len(got))
+	}
+	st, err := d2.cur.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS == "linux" && st.Size() != d2.opts.SegmentBytes {
+		t.Fatalf("repaired segment is %d bytes, want %d preallocated again", st.Size(), d2.opts.SegmentBytes)
 	}
 	// The log must remain appendable after the repair.
 	if err := d2.Append(rec(KindCommit, 4, nil)); err != nil {
