@@ -83,7 +83,7 @@ func (m *Mem) Sync() error {
 	return nil
 }
 
-// Replay implements Store.
+// Replay implements Store: it yields only synced records.
 func (m *Mem) Replay(fn func(rec Record) error) error {
 	m.mu.Lock()
 	recs := append([]Record(nil), m.recs[:m.synced]...)
