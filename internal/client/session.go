@@ -50,13 +50,14 @@ type Outcome struct {
 }
 
 // Session is the whole client protocol as a sans-I/O state machine: it
-// signs requests, picks their targets, validates replies, applies the
-// policy's quorum and runs the retransmission and read-fallback timers,
-// but never reads a clock or touches an endpoint. Its caller feeds it the
-// current time and every envelope addressed to the client, delivers the
-// frames each call returns and calls OnTimer once the returned deadline
-// passes. Client drives one on the host clock; the deterministic
-// simulation drives one on virtual time. At most one op is in flight.
+// authenticates requests, picks their targets, validates replies,
+// applies the policy's quorum and runs the retransmission and
+// read-fallback timers, but never reads a clock or touches an endpoint.
+// Its caller feeds it the current time and every envelope addressed to
+// the client, delivers the frames each call returns and calls OnTimer
+// once the returned deadline passes. Client drives one on the host
+// clock; the deterministic simulation drives one on virtual time. At
+// most one op is in flight.
 type Session struct {
 	id         ids.ClientID
 	suite      crypto.Suite
@@ -128,16 +129,21 @@ func (s *Session) Pending() (Outcome, bool) {
 // ordering the read like a write.
 func (s *Session) Start(op []byte, opts ReadOptions, now time.Time) Step {
 	s.busy, s.op, s.floor = true, op, 0
-	var targets []ids.ReplicaID
+	// targets get the READ first; reach is every replica the same frame
+	// may go to: a stale read's first timeout re-sends it to every stale
+	// target.
+	var targets, reach []ids.ReplicaID
 	if s.rp != nil {
 		switch opts.Consistency {
 		case Leased:
 			if t, ok := s.rp.LeaseTarget(); ok {
 				targets = []ids.ReplicaID{t}
+				reach = targets
 			}
 		case Stale:
 			if all := s.rp.StaleTargets(); len(all) > 0 {
 				targets = []ids.ReplicaID{all[s.staleRR%len(all)]}
+				reach = all
 				s.staleRR++
 			}
 		}
@@ -146,7 +152,7 @@ func (s *Session) Start(op []byte, opts ReadOptions, now time.Time) Step {
 		return s.order(now)
 	}
 	s.path = opts.Consistency
-	s.request(message.KindRead, opts.Consistency)
+	s.request(message.KindRead, opts.Consistency, reach)
 	// The acceptance floor for stale replies: read-your-writes
 	// monotonicity always, plus the MaxStaleness-derived freshness bound.
 	s.floor = s.readFloor
@@ -164,7 +170,7 @@ func (s *Session) Start(op []byte, opts ReadOptions, now time.Time) Step {
 // fast-path read: a fresh timestamp, a fresh reply set, primary first.
 func (s *Session) order(now time.Time) Step {
 	s.path = Linearizable
-	s.request(message.KindRequest, Linearizable)
+	s.request(message.KindRequest, Linearizable, s.policy.All())
 	s.attempt = 0
 	s.wait = s.retry
 	s.deadline = now.Add(s.wait)
@@ -172,18 +178,22 @@ func (s *Session) order(now time.Time) Step {
 }
 
 // request issues a fresh request for the op in flight: the next
-// timestamp, a new signed frame and an empty reply set. One
-// authenticator covers every replica, so a retransmission to all reuses
-// the frame: each receiver checks its own tag, not the request's
-// signature.
-func (s *Session) request(kind message.Kind, c Consistency) {
+// timestamp, a new frame tagged for every replica in reach and an empty
+// reply set. Each receiver checks its own tag, not the request's
+// signature, so a retransmission reuses the frame. A REQUEST is also
+// signed and reaches every replica: a backup relays it, and a Peacock
+// primary admits it, on that signature. A READ, which only a trusted
+// primary ever orders, carries none (ARCHITECTURE.md, "Authentication").
+func (s *Session) request(kind message.Kind, c Consistency, reach []ids.ReplicaID) {
 	s.ts++
 	s.replies = make(map[ids.ReplicaID]*message.Message)
 	s.retried = false
 	req := &message.Request{Op: s.op, Timestamp: s.ts, Client: s.id}
-	req.Sig = s.suite.Sign(crypto.ClientPrincipal(int64(s.id)), req.SignedBytes())
+	if kind == message.KindRequest {
+		req.Sig = s.suite.Sign(crypto.ClientPrincipal(int64(s.id)), req.SignedBytes())
+	}
 	s.wire = message.Marshal(&message.Message{Kind: kind, From: -1, Request: req, Consistency: c,
-		Sig: message.AuthenticateRequest(s.suite, req, s.policy.All())})
+		Sig: message.AuthenticateRequest(s.suite, req, reach)})
 }
 
 // step sends the current request to targets.

@@ -190,3 +190,51 @@ func TestSessionExhaustedBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionReadIsUnsigned: a READ carries no signature and tags only
+// for the replicas its frame can reach — the lease holder, or every
+// stale target, since a stale read's first timeout re-sends the frame
+// to all of them. The REQUEST a stalled read falls back to is signed
+// and tagged for every replica, like a write's.
+func TestSessionReadIsUnsigned(t *testing.T) {
+	for _, tc := range []struct {
+		c     Consistency
+		reach []ids.ReplicaID
+	}{
+		{Leased, []ids.ReplicaID{sessMB.Primary(ids.Lion, 0)}},
+		{Stale, sessMB.Trusted()},
+	} {
+		t.Run(tc.c.String(), func(t *testing.T) {
+			s, suite := newTestSession(ids.Lion, config.Client{})
+			st := s.Start([]byte("r"), ReadOptions{Consistency: tc.c}, sessT0)
+			m := sent(t, st, message.KindRead, tc.reach[0])
+			if len(m.Request.Sig) != 0 {
+				t.Fatalf("the READ carries a %d-byte signature, want none", len(m.Request.Sig))
+			}
+			checkTags(t, suite, m, tc.reach)
+			st = s.OnTimer(st.Deadline)
+			if tc.c == Stale {
+				sent(t, st, message.KindRead, tc.reach...)
+				st = s.OnTimer(st.Deadline)
+			}
+			m = sent(t, st, message.KindRequest, sessMB.Primary(ids.Lion, 0))
+			if !suite.Verify(crypto.ClientPrincipal(int64(sessClient)), m.Request.SignedBytes(), m.Request.Sig) {
+				t.Fatal("the fallback REQUEST's signature does not verify")
+			}
+			checkTags(t, suite, m, sessMB.All())
+		})
+	}
+}
+
+// checkTags checks that m's client authenticator holds a good tag for
+// exactly the replicas in reach.
+func checkTags(t *testing.T, suite crypto.Suite, m *message.Message, reach []ids.ReplicaID) {
+	t.Helper()
+	for _, r := range sessMB.All() {
+		good := suite.VerifyTag(crypto.ClientPrincipal(int64(sessClient)), crypto.ReplicaPrincipal(int(r)),
+			m.Request.TaggedBytes(), message.TagOf(m.Sig, r))
+		if good != slices.Contains(reach, r) {
+			t.Fatalf("the %v's tag for replica %d verifies: %v, want %v", m.Kind, r, good, !good)
+		}
+	}
+}

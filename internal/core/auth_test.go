@@ -578,12 +578,20 @@ var authBudget = map[string]authCost{
 	"CFT":     {3, 0, 0, 10, 7},
 }
 
-// readBudget is what one read served without consensus costs on n
-// replicas — leased at a Lion or Dog primary, or stale at a private node
-// in any mode: the client's signature and its n-tag authenticator, the
-// server's check of its tag, the REPLY's tag and the client's check of
-// it. Nobody verifies a signature.
-func readBudget(n int) authCost { return authCost{1, 0, 0, uint64(n) + 1, 2} }
+// readBudget is what one read served without consensus costs on mb —
+// leased at a Lion or Dog primary, or stale at a private node in any
+// mode: the client's authenticator, with a tag for each replica the READ
+// can reach (the lease holder, or all S private nodes, to which a stale
+// read's first timeout re-sends it), the server's check of its tag, the
+// REPLY's tag and the client's check of it. A READ is unsigned, so
+// nobody signs or verifies a signature.
+func readBudget(c client.Consistency, mb ids.Membership) authCost {
+	reach := uint64(1)
+	if c == client.Stale {
+		reach = uint64(mb.S())
+	}
+	return authCost{0, 0, 0, reach + 1, 2}
+}
 
 // budgetShape is one row of the budget tests: a mode on a membership.
 type budgetShape struct {
@@ -742,7 +750,7 @@ func TestAuthBudgetPerOp(t *testing.T) {
 					Signs: after.Signs - before.Signs, Verifies: after.Verifies - before.Verifies,
 					Tags: after.Tags - before.Tags, TagVerifies: after.TagVerifies - before.TagVerifies,
 					BadVerifies: after.BadVerifies - before.BadVerifies, BadTagVerifies: after.BadTagVerifies - before.BadTagVerifies,
-				}, readBudget(sh.mb.N()))
+				}, readBudget(opts.Consistency, sh.mb))
 			}
 		})
 	}

@@ -35,15 +35,17 @@ func clientOutcome(self ids.ReplicaID, sent []*message.Message) string {
 // TestClientAuthenticatedByTag: every receiver of a client's REQUEST or
 // READ checks its own tag in the client's authenticator and nothing
 // else, except that a Peacock primary verifies the client's signature
-// before it admits the request (ARCHITECTURE.md, "Authentication", the
+// before it admits a REQUEST (ARCHITECTURE.md, "Authentication", the
 // third case). Each row steps one replica with one client message and
 // reads what it sent and what it checked. A forged authenticator gets no
 // reply, no relay and no admission, and costs no signature check; a good
-// tag over a bad signature is admitted by a trusted primary and refused
-// by a Peacock one. A backup relays only on the client's signature, and
-// the primary takes the relay on that signature alone, so a request a
-// backup relays reaches admission even when the client's tag for the
-// primary is bad.
+// tag over a bad or missing signature is admitted by a trusted primary
+// and refused by a Peacock one. A backup relays only on the client's
+// signature, and the primary takes the relay on that signature alone, so
+// a request a backup relays reaches admission even when the client's tag
+// for the primary is bad. A READ is unsigned, and whatever signature it
+// carries is ignored: one the fast path cannot serve is admitted by a
+// trusted primary and dropped by everyone else, with no signature check.
 func TestClientAuthenticatedByTag(t *testing.T) {
 	mb := baseMembership()
 	suite := crypto.NewEd25519Suite(98, mb.N(), 2)
@@ -103,6 +105,10 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 		}},
 		{name: "good tags over a bad signature", badSig: true, build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
 			req.Sig[0] ^= 0xff
+			return req, authenticate(req)
+		}},
+		{name: "good tags and no signature", badSig: true, build: func(_, _ ids.ReplicaID, req *message.Request) (*message.Request, []byte) {
+			req.Sig = nil
 			return req, authenticate(req)
 		}},
 	}
@@ -168,6 +174,9 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 						want = "nothing"
 					case k.consistency == message.ConsistencyStale:
 						want = "reply"
+					case k.kind == message.KindRead && (!atPrimary || rc.mode == ids.Peacock):
+						// Only a trusted primary orders an unsigned READ.
+						want = "nothing"
 					case !atPrimary:
 						// A backup relays only what every replica judges
 						// alike: the client's signature.

@@ -463,22 +463,55 @@ func (r *Replica) onRequest(m *message.Message) {
 	}
 	if m.From >= 0 {
 		if r.eng.VerifyRequest(req) {
-			r.orderRequest(req, true)
+			r.orderRequest(req, bySig)
 		}
 		return
 	}
 	if r.eng.AuthenticRequest(req, m.Sig) {
 		req.Auth = m.Sig
-		r.orderRequest(req, false)
+		r.orderRequest(req, byTag)
 	}
 }
 
-// orderRequest acts on an authentic client request, whose signature has
-// been verified when signed is set: primaries order it; backups that
-// already executed it re-send the cached reply; otherwise the request is
-// relayed to the primary and a liveness timer starts so a dead primary
-// is eventually suspected (Section 5.1's client-retransmission path).
-func (r *Replica) orderRequest(req *message.Request, signed bool) {
+// clientAuth is what a replica checked of a client request before it
+// acts on it.
+type clientAuth uint8
+
+const (
+	// byTag: the client's tag for this replica. The signature inside µ
+	// travels on unverified.
+	byTag clientAuth = iota
+	// bySig: the client's signature, on a request a backup relayed.
+	bySig
+	// unsignedRead: the client's tag on a READ, which carries no
+	// signature (ARCHITECTURE.md, "Authentication", the third case).
+	unsignedRead
+)
+
+// signatureHolds reports whether req, checked as how says, carries a
+// good client signature, verifying it only where it was not checked. An
+// unsigned READ has none to verify, so it costs no check and counts as
+// no bad signature.
+func (r *Replica) signatureHolds(req *message.Request, how clientAuth) bool {
+	switch how {
+	case bySig:
+		return true
+	case unsignedRead:
+		return false
+	default:
+		return r.eng.VerifyRequest(req)
+	}
+}
+
+// orderRequest acts on an authentic client request, checked as how
+// says: primaries order it; backups that already executed it re-send the
+// cached reply; otherwise the request is relayed to the primary and a
+// liveness timer starts so a dead primary is eventually suspected
+// (Section 5.1's client-retransmission path). An unsigned READ is
+// ordered only by a trusted primary, which proposes on its own word; a
+// Peacock primary does not admit it and a backup does not relay it, and
+// its client's timer re-sends the op as a signed REQUEST.
+func (r *Replica) orderRequest(req *message.Request, how clientAuth) {
 	// Retransmission of an executed request: re-send the cached reply
 	// regardless of role (the client is asking everyone because it timed
 	// out).
@@ -490,6 +523,10 @@ func (r *Replica) orderRequest(req *message.Request, signed bool) {
 		return // older than the client's last executed request
 	}
 	if r.rec.InViewChange() {
+		// What a trusted node parks is admitted only if it proposes in
+		// the view it enters, as a Lion or Dog primary (a Peacock primary
+		// is public), so a parked unsigned READ is ordered on a trusted
+		// primary's word or dropped.
 		if r.trustedSelf() {
 			r.in.Park(req)
 		}
@@ -501,7 +538,7 @@ func (r *Replica) orderRequest(req *message.Request, signed bool) {
 		// one bad signature admitted on the primary's tag alone would
 		// poison an honest primary's slot. A trusted primary's proposals
 		// are taken on its word: nobody checks the signature.
-		if r.mode == ids.Peacock && !signed && !r.eng.VerifyRequest(req) {
+		if r.mode == ids.Peacock && !r.signatureHolds(req, how) {
 			return
 		}
 		r.in.Admit(req)
@@ -514,7 +551,7 @@ func (r *Replica) orderRequest(req *message.Request, signed bool) {
 	// alike, so a client cannot have backups suspect an honest primary
 	// with tags good at them and bad at the primary, or good tags over a
 	// bad signature. The wrapper carries nothing of this replica's.
-	if !signed && !r.eng.VerifyRequest(req) {
+	if !r.signatureHolds(req, how) {
 		return
 	}
 	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req}

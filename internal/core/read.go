@@ -25,7 +25,10 @@ package core
 //
 // Anything that cannot be served fast — no valid lease, a state machine
 // without local queries, an op that is not read-only, an untrusted mode
-// — falls back to ordering the read through consensus like any write.
+// — is ordered through consensus like a write if this replica is a
+// trusted (Lion or Dog) primary. A READ carries no client signature, so
+// everyone else drops it, and the client's timer orders the op as a
+// signed REQUEST (orderRequest).
 
 import (
 	"time"
@@ -99,8 +102,10 @@ func (r *Replica) leaseValid(now time.Time) bool {
 // leaseInvalidate drops the lease and every propose record (view or
 // mode transition: whatever happens next, slots proposed under the old
 // view must not extend a lease in the new one). Parked reads are
-// handed to the intake for consensus ordering on view entry; clients
-// retry reads the transition loses.
+// handed to the intake, which admits them on view entry only if this
+// trusted replica is the new view's (Lion or Dog) primary and drops them
+// otherwise, as orderRequest does an unsigned READ; clients retry reads
+// the transition loses.
 func (r *Replica) leaseInvalidate() {
 	r.lease.expiry = time.Time{}
 	if len(r.lease.propose) > 0 {
@@ -116,8 +121,9 @@ func (r *Replica) leaseInvalidate() {
 // executed prefix by any replica; leased reads are served locally by a
 // primary holding a valid lease, after the executor reaches every slot
 // proposed so far; everything else falls back to consensus ordering
-// (orderRequest), whose own commit will re-arm an idle-expired lease.
-// Like a REQUEST, a READ is checked on the client's tag alone.
+// (orderRequest), whose own commit will re-arm an idle-expired lease —
+// at a trusted primary only, since a READ is unsigned: it is checked on
+// the client's tag alone, and whatever signature it carries is ignored.
 func (r *Replica) onRead(m *message.Message) {
 	req := m.Request
 	if req == nil || !r.eng.AuthenticRequest(req, m.Sig) {
@@ -128,7 +134,7 @@ func (r *Replica) onRead(m *message.Message) {
 		r.serveRead(req, message.ConsistencyStale)
 	case message.ConsistencyLeased:
 		if !r.leaseValid(r.clk.Now()) {
-			r.orderRequest(req, false)
+			r.orderRequest(req, unsignedRead)
 			return
 		}
 		if r.leaseSlack > 0 {
@@ -151,17 +157,17 @@ func (r *Replica) onRead(m *message.Message) {
 		}
 		r.parked = append(r.parked, parkedRead{req: req, watermark: watermark})
 	default:
-		r.orderRequest(req, false)
+		r.orderRequest(req, unsignedRead)
 	}
 }
 
 // serveRead answers a read from local committed state, bypassing
-// consensus. Falls back to ordering when the state machine cannot serve
-// local queries or the op is not read-only.
+// consensus. Falls back to ordering the unsigned READ when the state
+// machine cannot serve local queries or the op is not read-only.
 func (r *Replica) serveRead(req *message.Request, c message.Consistency) {
 	result, ok := r.exec.Query(req.Op)
 	if !ok {
-		r.orderRequest(req, false)
+		r.orderRequest(req, unsignedRead)
 		return
 	}
 	rep := &message.Message{
@@ -181,7 +187,8 @@ func (r *Replica) serveRead(req *message.Request, c message.Consistency) {
 // drainParkedReads serves leased reads whose watermark the executor has
 // reached. The lease is re-checked at serve time — the read linearizes
 // now, not at admission; a read that outlived the lease is ordered
-// through consensus instead.
+// through consensus instead, on its tag while this replica is still the
+// trusted primary.
 func (r *Replica) drainParkedReads() {
 	if len(r.parked) == 0 {
 		return
@@ -196,7 +203,7 @@ func (r *Replica) drainParkedReads() {
 		case r.leaseValid(now):
 			r.serveRead(p.req, message.ConsistencyLeased)
 		default:
-			r.orderRequest(p.req, false)
+			r.orderRequest(p.req, unsignedRead)
 		}
 	}
 	r.parked = keep

@@ -69,10 +69,18 @@ type Disk struct {
 	buf      []byte // frames appended since the last write, in order
 	bufMax   uint64 // highest GC-relevant Seq in buf
 	nextSeg  uint64
-	segMax   map[string]uint64 // closed segments → highest Seq
-	unsynced int               // appends not yet covered by an fdatasync
+	segs     map[string]segInfo // closed segments
+	unsynced int                // appends not yet covered by an fdatasync
 	syncErr  error
 	closed   bool
+}
+
+// segInfo is what a Disk keeps of a closed segment: the highest
+// GC-relevant Seq in it, and its logical end, up to which Replay reads
+// it.
+type segInfo struct {
+	maxSeq uint64
+	end    int64
 }
 
 const (
@@ -83,9 +91,10 @@ const (
 )
 
 // Open creates or reopens a disk store rooted at dir. Reopening scans
-// every segment: a torn tail write (a crash mid-write) is truncated
-// away; corruption anywhere else fails the open so a damaged log is
-// never silently replayed.
+// every segment in full and keeps its logical end, so Replay reads only
+// the log, not the preallocated zeros behind it: a torn tail write (a
+// crash mid-write) is truncated away; corruption anywhere else fails
+// the open so a damaged log is never silently replayed.
 func Open(dir string, opts DiskOptions) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
@@ -98,10 +107,10 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 		return nil, err
 	}
 	d := &Disk{
-		dir:    dir,
-		opts:   opts.normalized(),
-		lock:   lock,
-		segMax: make(map[string]uint64),
+		dir:  dir,
+		opts: opts.normalized(),
+		lock: lock,
+		segs: make(map[string]segInfo),
 	}
 	ok := false
 	defer func() {
@@ -125,7 +134,7 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 				return nil, fmt.Errorf("storage: truncate torn tail of %s: %w", name, err)
 			}
 		}
-		d.segMax[name] = maxSeq
+		d.segs[name] = segInfo{maxSeq, segEnd}
 		end = segEnd
 		idx, _ := segIndex(name)
 		if idx >= d.nextSeg {
@@ -146,8 +155,8 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 			return nil, fmt.Errorf("storage: preallocate %s: %w", name, err)
 		}
 		d.cur, d.curName, d.curSize = f, name, end
-		d.curMax = d.segMax[name]
-		delete(d.segMax, name)
+		d.curMax = d.segs[name].maxSeq
+		delete(d.segs, name)
 		ok = true
 		return d, nil
 	}
@@ -179,6 +188,21 @@ func (d *Disk) segments() ([]string, error) {
 		return a < b
 	})
 	return out, nil
+}
+
+// readLog reads the first end bytes of a segment: its log, without
+// the preallocated zeros behind it.
+func readLog(path string, end int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	defer f.Close()
+	b := make([]byte, end)
+	if _, err := f.ReadAt(b, 0); err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	return b, nil
 }
 
 func segIndex(name string) (uint64, bool) {
@@ -327,7 +351,7 @@ func (d *Disk) rotate() error {
 		if err := d.cur.Close(); err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
-		d.segMax[d.curName] = d.curMax
+		d.segs[d.curName] = segInfo{d.curMax, d.curSize}
 	}
 	name := segName(d.nextSeg)
 	d.nextSeg++
@@ -441,16 +465,23 @@ func (d *Disk) Sync() error {
 	return d.fsync()
 }
 
-// Replay implements Store.
+// Replay implements Store: it reads each segment up to its logical end
+// (what Open found, or what this Disk has written since), oldest first.
 func (d *Disk) Replay(fn func(rec Record) error) error {
 	segs, err := d.segments()
 	if err != nil {
 		return err
 	}
 	for _, name := range segs {
-		b, err := os.ReadFile(filepath.Join(d.dir, name))
+		d.mu.Lock()
+		end := d.segs[name].end
+		if name == d.curName {
+			end = d.curSize
+		}
+		d.mu.Unlock()
+		b, err := readLog(filepath.Join(d.dir, name), end)
 		if err != nil {
-			return fmt.Errorf("storage: %w", err)
+			return err
 		}
 		var fnErr error
 		off, err := walkFrames(b, func(rec Record) error {
@@ -490,12 +521,12 @@ func (d *Disk) Truncate(seq uint64, epoch []Record) error {
 	if err := d.fsync(); err != nil {
 		return err
 	}
-	for name, maxSeq := range d.segMax {
-		if maxSeq <= seq {
+	for name, sg := range d.segs {
+		if sg.maxSeq <= seq {
 			if err := os.Remove(filepath.Join(d.dir, name)); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("storage: %w", err)
 			}
-			delete(d.segMax, name)
+			delete(d.segs, name)
 		}
 	}
 	syncDir(d.dir)

@@ -278,7 +278,8 @@ func TestDiskConcurrentAppendWithTruncate(t *testing.T) {
 }
 
 // BenchmarkWALAppendSync measures what one record costs when a Sync
-// covers a batch of 1 or 8 appends — one engine drain's worth.
+// covers a batch of 1 or 8 appends — one engine drain's worth — and pins
+// that neither Append nor Sync allocates once the buffer has grown.
 func BenchmarkWALAppendSync(b *testing.B) {
 	for _, batch := range []int{1, 8} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -287,19 +288,66 @@ func BenchmarkWALAppendSync(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			payload := make([]byte, 256)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := d.Append(rec(KindProposal, 1, payload)); err != nil {
+			r := rec(KindProposal, 1, make([]byte, 256))
+			appended := 0
+			op := func() {
+				if err := d.Append(r); err != nil {
 					b.Fatal(err)
 				}
-				if (i+1)%batch == 0 {
+				if appended++; appended%batch == 0 {
 					if err := d.Sync(); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			b.StopTimer()
+			if n := testing.AllocsPerRun(100, op); n != 0 {
+				b.Fatalf("an append, with a sync every %d, allocates %v times, want 0", batch, n)
+			}
 		})
+	}
+}
+
+// BenchmarkDiskReopen measures a restart's read of the log — Open, then
+// Replay — over a short log in a full-size preallocated segment, where
+// almost every byte of the file lies past the log's end.
+func BenchmarkDiskReopen(b *testing.B) {
+	const records = 64
+	dir := b.TempDir()
+	d, err := Open(dir, DiskOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rec(KindProposal, 1, make([]byte, 256))
+	for i := 0; i < records; i++ {
+		if err := d.Append(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := Open(dir, DiskOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		if err := d.Replay(func(Record) error { n++; return nil }); err != nil {
+			b.Fatal(err)
+		}
+		if n != records {
+			b.Fatalf("replayed %d records, want %d", n, records)
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
