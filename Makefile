@@ -5,7 +5,7 @@ GO      ?= go
 PKGS    ?= ./...
 COVER   ?= coverage.out
 
-.PHONY: all build test race race-client bench bench-json bench-smoke bench-pairs profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet lint lint-fix cover clean help
+.PHONY: all build test race race-client bench bench-json bench-smoke bench-pairs profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet builder-guard lint lint-fix cover clean help
 
 SIM_SEEDS ?= 200
 
@@ -77,13 +77,21 @@ vet: ## stock go vet
 seemore-vet: ## the custom invariant analyzers (clockcheck, simdet, errsticky)
 	$(GO) run ./cmd/seemore-vet $(PKGS)
 
-lint: fmt-check vet doclint seemore-vet ## the full static-analysis umbrella (CI lint gate)
+lint: fmt-check vet doclint seemore-vet builder-guard ## the full static-analysis umbrella (CI lint gate)
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck $(PKGS)"; staticcheck $(PKGS); \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		echo "govulncheck $(PKGS)"; govulncheck $(PKGS); \
 	else echo "govulncheck not installed; skipping (CI runs it)"; fi
+
+builder-guard: ## fail unless core.NewReplica( and pbft.NewReplica( each appear once outside tests and benchmark/, in cluster.Spec.BuildNode (one protocol switch)
+	@for pkg in core pbft; do \
+		hits="$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark "$$pkg\.NewReplica(" .)"; \
+		if [ "$$(printf '%s\n' "$$hits" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$$hits" | grep -q '^\./internal/cluster/cluster\.go:'; then \
+			echo "$$pkg.NewReplica( must appear once, in cluster.Spec.BuildNode; found:"; printf '%s\n' "$$hits"; exit 1; \
+		fi; \
+	done
 
 lint-fix: fmt ## apply the automatic fixes (gofmt), then re-run the lint gate
 	$(MAKE) lint

@@ -100,7 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("membership: %v", err)
 	}
-	md, err := parseMode(*mode)
+	md, err := ids.ParseMode(*mode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,16 +131,9 @@ func main() {
 		}
 	}
 
-	var suite crypto.Suite
-	switch strings.ToLower(*suiteFl) {
-	case "ed25519":
-		suite = crypto.NewEd25519Suite(*seed, mb.N(), *clients)
-	case "hmac":
-		suite = crypto.NewHMACSuite(*seed, mb.N(), *clients)
-	case "none":
-		suite = crypto.NoopSuite{}
-	default:
-		log.Fatalf("unknown suite %q", *suiteFl)
+	suite, err := crypto.NewSuite(*suiteFl, *seed, mb.N(), *clients)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// One TCP node (and one underlying client) per group: the groups are
@@ -300,19 +293,6 @@ func reportKVError(op string, err error) {
 		return
 	}
 	log.Fatalf("%s: %v", op, err)
-}
-
-func parseMode(s string) (ids.Mode, error) {
-	switch strings.ToLower(s) {
-	case "lion":
-		return ids.Lion, nil
-	case "dog":
-		return ids.Dog, nil
-	case "peacock":
-		return ids.Peacock, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
 }
 
 // parsePeers splits a peer list into per-group address maps. Entries

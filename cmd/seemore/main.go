@@ -23,8 +23,8 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/statemachine"
@@ -70,25 +70,34 @@ func main() {
 	if err != nil {
 		log.Fatalf("membership: %v", err)
 	}
-	md, err := parseMode(*mode)
+	md, err := ids.ParseMode(*mode)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, err := config.NewCluster(mb, md, config.DefaultTiming())
-	if err != nil {
+	if err := mb.SupportsMode(md); err != nil {
 		log.Fatalf("cluster config: %v", err)
 	}
-	cl.Batching = config.Batching{BatchSize: *batch, BatchTimeout: *batchTmo}
-	if err := cl.Batching.Validate(); err != nil {
+	// The membership comes from -s/-p, which need not be the 2c/3m+1
+	// shape the Spec would derive, so it travels in the Env.
+	spec := cluster.Spec{
+		Protocol: cluster.SeeMoRe, Mode: md, Crash: *c, Byz: *m,
+		Timing:     config.DefaultTiming(),
+		Batching:   config.Batching{BatchSize: *batch, BatchTimeout: *batchTmo},
+		Pipelining: config.Pipelining{Depth: *pipeline},
+		Leases:     config.Leases{Duration: *lease, MaxClockSkew: *leaseSkw},
+	}
+	if err := spec.Batching.Validate(); err != nil {
 		log.Fatalf("batching: %v", err)
 	}
-	cl.Pipelining = config.Pipelining{Depth: *pipeline}
-	if err := cl.Pipelining.Validate(); err != nil {
+	if err := spec.Pipelining.Validate(); err != nil {
 		log.Fatalf("pipelining: %v", err)
 	}
-	cl.Leases = config.Leases{Duration: *lease, MaxClockSkew: *leaseSkw}
-	if err := cl.Leases.Validate(cl.Timing); err != nil {
+	if err := spec.Leases.Validate(spec.Timing); err != nil {
 		log.Fatalf("leases: %v", err)
+	}
+	keys, err := crypto.NewSuite(*suite, *seed, mb.N(), *clients)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Each consensus group of a sharded deployment is its own TCP
@@ -99,8 +108,8 @@ func main() {
 	if dir != "" && sh.Enabled() {
 		dir = filepath.Join(dir, fmt.Sprintf("g%d", group))
 	}
-	cl.Durability = config.Durability{Dir: dir, FsyncEvery: *fsyncEv}
-	if err := cl.Durability.Validate(); err != nil {
+	spec.Durability = config.Durability{Dir: dir, FsyncEvery: *fsyncEv}
+	if err := spec.Durability.Validate(); err != nil {
 		log.Fatalf("durability: %v", err)
 	}
 
@@ -114,20 +123,20 @@ func main() {
 	}
 
 	var store storage.Store
-	if cl.Durability.Enabled() {
-		store, err = storage.Open(cl.Durability.Dir, storage.DiskOptions{FsyncEvery: cl.Durability.FsyncEvery})
+	if spec.Durability.Enabled() {
+		store, err = storage.Open(spec.Durability.Dir, storage.DiskOptions{FsyncEvery: spec.Durability.FsyncEvery})
 		if err != nil {
 			log.Fatalf("storage: %v", err)
 		}
 	}
 
-	replica, err := core.NewReplica(core.Options{
-		ID:           ids.ReplicaID(*id),
-		Cluster:      cl,
-		Suite:        pickSuite(*suite, *seed, mb.N(), *clients),
+	replica, err := spec.BuildNode(ids.ReplicaID(*id), cluster.Env{
+		Membership:   mb,
+		N:            mb.N(),
 		Network:      transport.Single(node),
+		Suite:        keys,
 		StateMachine: statemachine.NewKVStore(),
-		Storage:      store, // the replica recovers from it and owns it
+		Store:        store, // the replica recovers from it and owns it
 	})
 	if err != nil {
 		log.Fatalf("replica: %v", err)
@@ -161,19 +170,6 @@ func main() {
 	log.Printf("shutdown complete")
 }
 
-func parseMode(s string) (ids.Mode, error) {
-	switch strings.ToLower(s) {
-	case "lion":
-		return ids.Lion, nil
-	case "dog":
-		return ids.Dog, nil
-	case "peacock":
-		return ids.Peacock, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (lion, dog, peacock)", s)
-	}
-}
-
 func parsePeers(s string) (map[transport.Addr]string, error) {
 	out := make(map[transport.Addr]string)
 	if s == "" {
@@ -191,18 +187,4 @@ func parsePeers(s string) (map[transport.Addr]string, error) {
 		out[transport.ReplicaAddr(ids.ReplicaID(id))] = kv[1]
 	}
 	return out, nil
-}
-
-func pickSuite(name string, seed int64, replicas int, clients int64) crypto.Suite {
-	switch strings.ToLower(name) {
-	case "ed25519":
-		return crypto.NewEd25519Suite(seed, replicas, clients)
-	case "hmac":
-		return crypto.NewHMACSuite(seed, replicas, clients)
-	case "none":
-		return crypto.NoopSuite{}
-	default:
-		log.Fatalf("unknown suite %q", name)
-		return nil
-	}
 }

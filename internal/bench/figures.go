@@ -11,10 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/ids"
-	"repro/internal/pbft"
-	"repro/internal/statemachine"
 )
 
 // FigureSpec identifies one of the paper's throughput/latency figures.
@@ -413,11 +410,3 @@ func PrintTable1(w io.Writer, rows []TableRow, c, m int) {
 			r.MeasuredMsgs, r.MeasuredBytes)
 	}
 }
-
-// Compile-time guards: the harness depends on these concrete replica
-// types even though it drives them through cluster.Node.
-var (
-	_ = (*core.Replica)(nil)
-	_ = (*pbft.Replica)(nil)
-	_ = statemachine.NewEcho
-)

@@ -14,10 +14,12 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ids"
+	"repro/internal/message"
 	"repro/internal/pbft"
 	"repro/internal/placement"
 	"repro/internal/statemachine"
@@ -150,7 +152,11 @@ type Spec struct {
 	ResizeHeadroom int
 }
 
-// Node is the uniform replica handle.
+// Node is the uniform replica handle: both engines, core.Replica and
+// pbft.Replica, satisfy it. A cluster runs each node on its own
+// goroutines (Start); the deterministic simulation instead drives it on
+// the caller's goroutine through StepEnvelope and StepTick and never
+// starts it.
 type Node interface {
 	Start()
 	Stop()
@@ -161,6 +167,41 @@ type Node interface {
 	// number this replica has applied to its state machine. The harness
 	// tests wait on it instead of sleeping.
 	LastExecuted() uint64
+	StepEnvelope(transport.Envelope)
+	StepTick(time.Time)
+	// View and StableCheckpoint are engine-confined: read them only
+	// from the goroutine that steps the node, or after Stop.
+	View() ids.View
+	StableCheckpoint() uint64
+}
+
+// Env is what differs between the callers that build a replica from
+// one Spec: the cluster harness, the deterministic simulation and the
+// seemore command.
+type Env struct {
+	// Membership is the group's SeeMoRe membership (SeeMoRe and CFT;
+	// the BFT baselines ignore it), and N its replica count (the BFT
+	// baselines' group size).
+	Membership ids.Membership
+	N          int
+	// Network attaches the replica's endpoint.
+	Network transport.Network
+	// Suite signs and verifies the replica's messages.
+	Suite crypto.Suite
+	// Clock drives every protocol timer; nil is the real clock.
+	Clock clock.Clock
+	// Store is the replica's durable store, which it recovers from and
+	// then owns; nil keeps it fully in memory.
+	Store storage.Store
+	// StateMachine is the replicated service.
+	StateMachine statemachine.StateMachine
+	// OnExecute, when set, observes every executed request on the
+	// engine goroutine (req is nil for a protocol no-op).
+	OnExecute func(seq uint64, req *message.Request, result []byte)
+	// LeaseSlack is core.Options.LeaseSlackForTesting: a deliberate
+	// lease-safety bug the simulation's checker must catch. Zero
+	// everywhere else.
+	LeaseSlack time.Duration
 }
 
 // Cluster is a running deployment of one or more consensus groups.
@@ -192,7 +233,6 @@ type Cluster struct {
 	groupNets []*Adversary     // per-group namespaced (and Byzantine-wrapped) views of Net
 	groupMB   []ids.Membership // per-group membership (SeeMoRe and CFT; diverges after resize)
 	groupN    []int            // per-group replica count (diverges after resize)
-	timing    config.Timing
 	stopped   bool
 }
 
@@ -200,11 +240,7 @@ type Cluster struct {
 // CFT and BFT tolerate f = c+m failures of their single class. The
 // simulation harness shares it so both build identically shaped
 // deployments.
-func (s *Spec) Sizes() (n int, err error) { return s.sizes() }
-
-// sizes computes the cluster size for the spec, following Section 6: CFT
-// and BFT tolerate f = c+m failures of their single class.
-func (s *Spec) sizes() (n int, err error) {
+func (s *Spec) Sizes() (n int, err error) {
 	switch s.Protocol {
 	case SeeMoRe:
 		// The paper's deployments put 2c nodes in the private cloud and
@@ -239,6 +275,29 @@ func (s *Spec) Membership() (ids.Membership, error) {
 	}
 }
 
+// NetConfig is the simulated network of the spec's deployment: Net, or
+// transport.LAN seeded by Seed, with the private cloud sized to the
+// membership's S (the whole group for the BFT baselines).
+func (s *Spec) NetConfig() (transport.SimConfig, error) {
+	privateSize, err := s.Sizes()
+	if err != nil {
+		return transport.SimConfig{}, err
+	}
+	mb, err := s.Membership()
+	if err != nil {
+		return transport.SimConfig{}, err
+	}
+	if mb.N() > 0 {
+		privateSize = mb.S()
+	}
+	if s.Net == nil {
+		return transport.LAN(privateSize, s.Seed), nil
+	}
+	cfg := *s.Net
+	cfg.PrivateSize = privateSize
+	return cfg, nil
+}
+
 // EngineMode is the mode a SeeMoRe engine starts in: Spec.Mode, pinned
 // to Lion for the CFT baseline.
 func (s *Spec) EngineMode() ids.Mode {
@@ -248,12 +307,67 @@ func (s *Spec) EngineMode() ids.Mode {
 	return s.Mode
 }
 
+// BuildNode assembles replica id of one group under the spec's
+// protocol: a core.Replica for SeeMoRe and the CFT baseline, a
+// pbft.Replica for PBFT and S-UpRight. Every replica in the tree is
+// built here; env carries only what differs between callers. The node
+// is returned unstarted.
+func (s *Spec) BuildNode(id ids.ReplicaID, env Env) (Node, error) {
+	switch s.Protocol {
+	case SeeMoRe, Paxos:
+		cl, err := config.NewCluster(env.Membership, s.EngineMode(), s.Timing)
+		if err != nil {
+			return nil, err
+		}
+		cl.Batching = s.Batching
+		cl.Pipelining = s.Pipelining
+		cl.Durability = s.Durability
+		cl.Leases = s.Leases
+		r, err := core.NewReplica(core.Options{
+			ID: id, Cluster: cl, Suite: env.Suite, Network: env.Network,
+			StateMachine: env.StateMachine, TickInterval: s.TickInterval,
+			LeanCommits: s.LeanCommits, Storage: env.Store, Clock: env.Clock,
+			LeaseSlackForTesting: env.LeaseSlack,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if env.OnExecute != nil {
+			r.SetProbe(core.Probe{OnExecute: env.OnExecute})
+		}
+		return r, nil
+	case PBFT, UpRight:
+		// PBFT tolerates f = c+m Byzantine faults; S-UpRight keeps the
+		// two bounds apart.
+		byz, crash := s.Crash+s.Byz, 0
+		if s.Protocol == UpRight {
+			byz, crash = s.Byz, s.Crash
+		}
+		r, err := pbft.NewReplica(pbft.Options{
+			ID: id, N: env.N, Byz: byz, Crash: crash,
+			Suite: env.Suite, Network: env.Network,
+			StateMachine: env.StateMachine, Timing: s.Timing, Batching: s.Batching,
+			Pipelining: s.Pipelining, TickInterval: s.TickInterval,
+			Storage: env.Store, Clock: env.Clock,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if env.OnExecute != nil {
+			r.SetProbe(pbft.Probe{OnExecute: env.OnExecute})
+		}
+		return r, nil
+	default:
+		return nil, fmt.Errorf("cluster: unknown protocol %d", int(s.Protocol))
+	}
+}
+
 // New builds and starts a cluster.
 func New(spec Spec) (*Cluster, error) {
 	if spec.Crash < 0 || spec.Byz < 0 || spec.Crash+spec.Byz == 0 {
 		return nil, fmt.Errorf("cluster: need at least one tolerated failure (c=%d, m=%d)", spec.Crash, spec.Byz)
 	}
-	n, err := spec.sizes()
+	n, err := spec.Sizes()
 	if err != nil {
 		return nil, err
 	}
@@ -294,31 +408,22 @@ func New(spec Spec) (*Cluster, error) {
 		spec.NewStateMachine = func() statemachine.StateMachine { return statemachine.NewKVStore() }
 	}
 
-	privateSize := n // baselines: everything is "one cloud"
 	mb, err := spec.Membership()
 	if err != nil {
 		return nil, err
 	}
-	if mb.N() > 0 {
-		privateSize = mb.S()
+	netCfg, err := spec.NetConfig()
+	if err != nil {
+		return nil, err
 	}
-	netCfg := transport.LAN(privateSize, spec.Seed)
-	if spec.Net != nil {
-		netCfg = *spec.Net
-		netCfg.PrivateSize = privateSize
+	suiteName := spec.Suite
+	if suiteName == "" {
+		suiteName = "hmac"
 	}
-
-	var suite crypto.Suite
 	keyed := n + spec.ResizeHeadroom // per-principal derivation: headroom adds keys, changes none
-	switch spec.Suite {
-	case "", "hmac":
-		suite = crypto.NewHMACSuite(spec.Seed, keyed, spec.MaxClients)
-	case "ed25519":
-		suite = crypto.NewEd25519Suite(spec.Seed, keyed, spec.MaxClients)
-	case "none":
-		suite = crypto.NoopSuite{}
-	default:
-		return nil, fmt.Errorf("cluster: unknown suite %q", spec.Suite)
+	suite, err := crypto.NewSuite(suiteName, spec.Seed, keyed, spec.MaxClients)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	c := &Cluster{
@@ -327,7 +432,6 @@ func New(spec Spec) (*Cluster, error) {
 		N:          n,
 		Net:        transport.NewSimNetwork(netCfg),
 		SuiteImpl:  suite,
-		timing:     spec.Timing,
 	}
 	owners := sharding.Shards
 	groups := owners + spec.SpareGroups
@@ -405,6 +509,8 @@ func (c *Cluster) seedPlacement() error {
 	return nil
 }
 
+// buildNode builds replica id of group g over the group's network,
+// membership and data directory, with a fresh state machine.
 func (c *Cluster) buildNode(g ids.GroupID, id ids.ReplicaID) (Node, error) {
 	sm := c.Spec.NewStateMachine()
 	c.GroupSMs[g][id] = sm // also rewritten by RestartNodeIn
@@ -412,41 +518,10 @@ func (c *Cluster) buildNode(g ids.GroupID, id ids.ReplicaID) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch c.Spec.Protocol {
-	case SeeMoRe, Paxos:
-		cl, err := config.NewCluster(c.groupMB[g], c.Spec.EngineMode(), c.timing)
-		if err != nil {
-			return nil, err
-		}
-		cl.Batching = c.Spec.Batching
-		cl.Pipelining = c.Spec.Pipelining
-		cl.Durability = c.Spec.Durability
-		cl.Leases = c.Spec.Leases
-		return core.NewReplica(core.Options{
-			ID: id, Cluster: cl, Suite: c.SuiteImpl, Network: c.groupNets[g],
-			StateMachine: sm, TickInterval: c.Spec.TickInterval,
-			LeanCommits: c.Spec.LeanCommits, Storage: st,
-		})
-	case PBFT:
-		f := c.Spec.Crash + c.Spec.Byz
-		return pbft.NewReplica(pbft.Options{
-			ID: id, N: c.groupN[g], Byz: f, Crash: 0,
-			Suite: c.SuiteImpl, Network: c.groupNets[g],
-			StateMachine: sm, Timing: c.timing, Batching: c.Spec.Batching,
-			Pipelining: c.Spec.Pipelining, TickInterval: c.Spec.TickInterval,
-			Storage: st,
-		})
-	case UpRight:
-		return pbft.NewReplica(pbft.Options{
-			ID: id, N: c.groupN[g], Byz: c.Spec.Byz, Crash: c.Spec.Crash,
-			Suite: c.SuiteImpl, Network: c.groupNets[g],
-			StateMachine: sm, Timing: c.timing, Batching: c.Spec.Batching,
-			Pipelining: c.Spec.Pipelining, TickInterval: c.Spec.TickInterval,
-			Storage: st,
-		})
-	default:
-		return nil, fmt.Errorf("cluster: unknown protocol")
-	}
+	return c.Spec.BuildNode(id, Env{
+		Membership: c.groupMB[g], N: c.groupN[g], Network: c.groupNets[g],
+		Suite: c.SuiteImpl, Store: st, StateMachine: sm,
+	})
 }
 
 // StorageDir returns the data directory group-0 replica id journals to,
@@ -531,7 +606,7 @@ func (c *Cluster) ResizeGroupPublic(g ids.GroupID, extra int) error {
 	}
 	// Dry-run the per-node config build so a membership the mode cannot
 	// run on (e.g. Dog with P < 3m+1) is rejected before any node stops.
-	if _, err := config.NewCluster(mb, c.Spec.Mode, c.timing); err != nil {
+	if _, err := config.NewCluster(mb, c.Spec.Mode, c.Spec.Timing); err != nil {
 		return fmt.Errorf("cluster: resize group %v by %+d: %w", g, extra, err)
 	}
 	n := mb.N()
@@ -608,7 +683,7 @@ func (c *Cluster) NewClientIn(g ids.GroupID, id ids.ClientID) *client.Client {
 // process coming back with a reseeded initial timestamp.
 func (c *Cluster) NewClientInWithConfig(g ids.GroupID, id ids.ClientID, cc config.Client) *client.Client {
 	return client.NewWithConfig(id, c.SuiteImpl, transport.Grouped(c.Net, g),
-		c.Spec.Policy(c.groupMB[g], c.groupN[g]), c.timing, cc)
+		c.Spec.Policy(c.groupMB[g], c.groupN[g]), c.Spec.Timing, cc)
 }
 
 // NewRouter builds the shard-aware client of a sharded deployment: one

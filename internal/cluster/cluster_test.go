@@ -156,7 +156,7 @@ func TestClusterSizesMatchPaper(t *testing.T) {
 	}
 	for _, tc := range cases {
 		s := Spec{Protocol: tc.p, Crash: 1, Byz: 1}
-		n, err := s.sizes()
+		n, err := s.Sizes()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestClusterSizesMatchPaper(t *testing.T) {
 		want int
 	}{{SeeMoRe, 12}, {UpRight, 12}, {Paxos, 9}, {PBFT, 13}} {
 		s := Spec{Protocol: tc.p, Crash: 1, Byz: 3}
-		n, _ := s.sizes()
+		n, _ := s.Sizes()
 		if n != tc.want {
 			t.Errorf("fig2c %s: N = %d, want %d", tc.p, n, tc.want)
 		}
@@ -246,7 +246,7 @@ func TestByzantineSilentToleratedEverywhere(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			spec := Spec{Protocol: p, Crash: 1, Byz: 1, Timing: testTiming(), Seed: 9}
-			n, _ := spec.sizes()
+			n, _ := spec.Sizes()
 			byzID := ids.ReplicaID(n - 1)
 			spec.Byzantine = map[ids.ReplicaID]Behavior{byzID: BehaviorSilent}
 			c, err := New(spec)
@@ -267,7 +267,7 @@ func TestByzantineCorruptVotesOutvoted(t *testing.T) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			spec := Spec{Protocol: SeeMoRe, Mode: mode, Crash: 1, Byz: 1, Timing: testTiming(), Seed: 10}
-			n, _ := spec.sizes()
+			n, _ := spec.Sizes()
 			byzID := ids.ReplicaID(n - 1) // public-cloud node
 			spec.Byzantine = map[ids.ReplicaID]Behavior{byzID: BehaviorCorrupt}
 			c, err := New(spec)
@@ -290,7 +290,7 @@ func TestByzantineCorruptVotesOutvoted(t *testing.T) {
 
 func TestByzantineEquivocationSafe(t *testing.T) {
 	spec := Spec{Protocol: SeeMoRe, Mode: ids.Peacock, Crash: 1, Byz: 1, Timing: testTiming(), Seed: 11}
-	n, _ := spec.sizes()
+	n, _ := spec.Sizes()
 	byzID := ids.ReplicaID(n - 1)
 	spec.Byzantine = map[ids.ReplicaID]Behavior{byzID: BehaviorEquivocate}
 	c, err := New(spec)

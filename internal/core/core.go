@@ -444,7 +444,6 @@ func (r *Replica) sendReply(mode ids.Mode, view ids.View, req *message.Request, 
 		// anchor the staleness bound and monotonicity of later
 		// coordination-free reads (read.go).
 		Watermark: r.exec.LastExecuted(),
-		Epoch:     r.exec.PlacementEpoch(),
 	}
 	r.eng.SendClientTagged(req.Client, rep)
 }

@@ -179,7 +179,6 @@ func (r *Replica) serveRead(req *message.Request, c message.Consistency) {
 		Result:      result,
 		Consistency: c,
 		Watermark:   r.exec.LastExecuted(),
-		Epoch:       r.exec.PlacementEpoch(),
 	}
 	r.eng.SendClientTagged(req.Client, rep)
 }

@@ -21,6 +21,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // DigestSize is the size of a message digest in bytes (SHA-256).
@@ -353,3 +354,19 @@ func (NoopSuite) VerifyTag(Principal, Principal, []byte, []byte) bool { return t
 
 // Name implements Suite.
 func (NoopSuite) Name() string { return "none" }
+
+// NewSuite builds a suite by name — "ed25519", "hmac" or "none", in any
+// case — keyed for the same principal population as NewEd25519Suite.
+// Callers map an empty name to their own default.
+func NewSuite(name string, seed int64, replicas int, clients int64) (Suite, error) {
+	switch strings.ToLower(name) {
+	case "ed25519":
+		return NewEd25519Suite(seed, replicas, clients), nil
+	case "hmac":
+		return NewHMACSuite(seed, replicas, clients), nil
+	case "none":
+		return NoopSuite{}, nil
+	default:
+		return nil, fmt.Errorf("crypto: unknown suite %q (ed25519, hmac, none)", name)
+	}
+}

@@ -315,3 +315,24 @@ func TestCountingSuite(t *testing.T) {
 		t.Error("an idle principal has counts, or the name changed")
 	}
 }
+
+func TestNewSuite(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"ed25519", "ed25519"},
+		{"HMAC", "hmac-sha256"},
+		{"None", "none"},
+	} {
+		s, err := NewSuite(tc.name, 1, 4, 2)
+		if err != nil {
+			t.Fatalf("NewSuite(%q): %v", tc.name, err)
+		}
+		if got := s.Name(); got != tc.want {
+			t.Errorf("NewSuite(%q).Name() = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	for _, name := range []string{"", "rot13"} {
+		if _, err := NewSuite(name, 1, 4, 2); err == nil {
+			t.Errorf("NewSuite(%q) accepted", name)
+		}
+	}
+}

@@ -8,7 +8,10 @@
 // live here so that the protocol packages share one audited copy.
 package ids
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // ReplicaID identifies a replica within a cluster. IDs are dense integers
 // in [0, N). The ordering is significant: the private cloud occupies the
@@ -73,6 +76,17 @@ func (m Mode) String() string {
 
 // Valid reports whether m is one of the three defined modes.
 func (m Mode) Valid() bool { return m >= Lion && m <= Peacock }
+
+// ParseMode maps a mode name — "lion", "dog" or "peacock", in any case —
+// to its Mode.
+func ParseMode(s string) (Mode, error) {
+	for m := Lion; m <= Peacock; m++ {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (lion, dog, peacock)", s)
+}
 
 // View is a monotonically increasing configuration number. Within a view
 // one replica is the primary and the rest are backups (Section 5).

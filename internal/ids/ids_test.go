@@ -347,3 +347,24 @@ func TestGroupID(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{
+		{"lion", Lion, true},
+		{"Dog", Dog, true},
+		{"PEACOCK", Peacock, true},
+		{"pEaCoCk", Peacock, true},
+		{"", 0, false},
+		{"tiger", 0, false},
+		{"Mode(1)", 0, false},
+	} {
+		got, err := ParseMode(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -31,7 +31,7 @@ import (
 // appends auths, the client authenticators its primary forwards, behind
 // Sig; every other kind's frame, and every signed record, ends at Sig.
 
-const wireVersion = 1
+const wireVersion = 2
 
 // maxSliceLen caps every decoded length prefix to keep a malicious peer
 // from making us allocate gigabytes from a tiny frame (the Section 3
@@ -156,7 +156,7 @@ func (m *Message) EncodedSize() int {
 		1 + 8 + 8 + 8 + crypto.DigestSize + 1 + // Kind..Mode
 		sizePayload(m.Request, m.Batch) +
 		sizeBytes(m.Result) +
-		8 + 8 + crypto.DigestSize + 8 + 1 + 8 + 8 + // Timestamp..Epoch
+		8 + 8 + crypto.DigestSize + 8 + 1 + 8 + // Timestamp..Watermark
 		sizeSignedSet(m.CheckpointProof) +
 		sizeSignedSet(m.Prepares) +
 		sizeSignedSet(m.Commits) +
@@ -402,7 +402,6 @@ func (e *encoder) message(m *Message) {
 	e.u64(uint64(m.ActiveView))
 	e.u8(uint8(m.Consistency))
 	e.u64(m.Watermark)
-	e.u64(m.Epoch)
 	e.signedSet(m.CheckpointProof)
 	e.signedSet(m.Prepares)
 	e.signedSet(m.Commits)
@@ -444,7 +443,6 @@ func Unmarshal(frame []byte) (*Message, error) {
 	m.ActiveView = ids.View(d.u64())
 	m.Consistency = Consistency(d.u8())
 	m.Watermark = d.u64()
-	m.Epoch = d.u64()
 	m.CheckpointProof = d.signedSet()
 	m.Prepares = d.signedSet()
 	m.Commits = d.signedSet()

@@ -39,7 +39,7 @@ func goldenFrames() []*Message {
 		{Kind: KindAccept, From: 3, View: 1, Seq: 9, Digest: req.Digest(), Sig: tags},
 		{Kind: KindCommit, From: 0, View: 1, Seq: 9, Digest: req.Digest(), Request: req, Sig: []byte("sealed")},
 		{Kind: KindInform, From: 4, View: 1, Seq: 9, Digest: req.Digest(), Sig: tags},
-		{Kind: KindReply, From: 3, View: 1, Mode: ids.Peacock, Timestamp: 3, Client: 2, Result: []byte("ok"), Watermark: 9, Epoch: 2, Sig: tags[:crypto.TagSize]},
+		{Kind: KindReply, From: 3, View: 1, Mode: ids.Peacock, Timestamp: 3, Client: 2, Result: []byte("ok"), Watermark: 9, Sig: tags[:crypto.TagSize]},
 		{Kind: KindCheckpoint, From: 4, Seq: 16, StateDigest: cp.Digest, Sig: []byte("cs")},
 		{Kind: KindViewChange, From: 3, View: 2, Seq: 16, ActiveView: 1, CheckpointProof: []Signed{cp}, Prepares: []Signed{prop}, Commits: []Signed{prep}, Sig: []byte("vc")},
 		{Kind: KindNewView, From: 1, View: 2, Mode: ids.Peacock, Prepares: []Signed{prop}, Sig: []byte("nv")},

@@ -357,10 +357,6 @@ type Message struct {
 	// stamped on read replies. Clients use it to bound staleness and to
 	// keep their own reads monotonic.
 	Watermark uint64
-	// Epoch is the replying replica's placement epoch, stamped on every
-	// reply of an elastic deployment (0 otherwise). No client reads it:
-	// routers follow the full map a KVWrongEpoch rejection carries.
-	Epoch uint64
 	// CheckpointProof is ξ, the checkpoint certificate carried by a
 	// VIEW-CHANGE: the signed CHECKPOINT message(s) proving stability.
 	CheckpointProof []Signed
@@ -387,7 +383,7 @@ func (m *Message) SetRequests(reqs []*Request) { m.Request, m.Batch = splitPaylo
 // input stays small and unambiguous; the full payloads travel alongside.
 func (m *Message) SignedBytes() []byte {
 	// Fixed shape: every variable-size field enters as a 32-byte digest.
-	const size = 1 + 8 + 8 + 8 + 1 + 1 + 8 + 8 + 8 + 8 + 8 + 6*crypto.DigestSize
+	const size = 1 + 8 + 8 + 8 + 1 + 1 + 8 + 8 + 8 + 8 + 6*crypto.DigestSize
 	e := encoder{buf: make([]byte, 0, size)}
 	e.u8(uint8(m.Kind))
 	e.i64(int64(m.From))
@@ -402,7 +398,6 @@ func (m *Message) SignedBytes() []byte {
 	e.digest(crypto.Sum(m.Result))
 	e.u8(uint8(m.Consistency))
 	e.u64(m.Watermark)
-	e.u64(m.Epoch)
 	e.digest(digestSigned(m.CheckpointProof))
 	e.digest(digestSigned(m.Prepares))
 	e.digest(digestSigned(m.Commits))
@@ -525,7 +520,6 @@ func (m *Message) Equal(o *Message) bool {
 		m.Timestamp != o.Timestamp || m.Client != o.Client ||
 		m.StateDigest != o.StateDigest || m.ActiveView != o.ActiveView ||
 		m.Consistency != o.Consistency || m.Watermark != o.Watermark ||
-		m.Epoch != o.Epoch ||
 		string(m.Result) != string(o.Result) ||
 		string(m.Sig) != string(o.Sig) ||
 		!m.Request.Equal(o.Request) ||

@@ -329,7 +329,6 @@ func (r *Replica) sendReply(view ids.View, req *message.Request, result []byte) 
 		Timestamp: req.Timestamp,
 		Client:    req.Client,
 		Result:    result,
-		Epoch:     r.exec.PlacementEpoch(),
 	}
 	r.eng.SendClientTagged(req.Client, rep)
 }

@@ -50,7 +50,8 @@ func (x *Executor) Period() uint64 { return x.period }
 
 // PlacementEpoch reports the state machine's placement epoch, 0 when
 // the machine is not placement-aware (every non-elastic deployment).
-// Replies stamp it so clients track the cluster's epoch passively.
+// No replica reads it; the benchmark's traced state machine checks
+// through it that its wrapper keeps the capability visible.
 func (x *Executor) PlacementEpoch() uint64 {
 	if pe, ok := x.sm.(interface{ PlacementEpoch() uint64 }); ok {
 		return pe.PlacementEpoch()

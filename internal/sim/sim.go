@@ -6,9 +6,13 @@
 // counter-based streams keyed off one master seed. The same seed
 // therefore produces a byte-identical execution: identical client
 // histories, identical per-replica commit traces, identical
-// Fingerprint. On top of the recorded histories, checker.go verifies
-// linearizability of writes and reads at each consistency level, so a
-// failing seed is a one-line reproduction of a real safety bug:
+// Fingerprint. Each replica is built by cluster.Spec.BuildNode, as the
+// cluster harness builds it, and journals to its own storage.Mem, so
+// the journal and the outbox's durable-before-externalised rule are on
+// every simulated path. On top of the recorded histories, checker.go
+// verifies linearizability of writes and reads at each consistency
+// level, so a failing seed is a one-line reproduction of a real safety
+// bug:
 //
 //	go test ./internal/sim -run 'TestSimSeed/seed42' -sim.seeds 64
 package sim
@@ -18,19 +22,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/message"
-	"repro/internal/pbft"
 	"repro/internal/statemachine"
+	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -242,18 +244,6 @@ func (r *Result) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// node is the uniform stepped-replica handle all three engines satisfy.
-type node interface {
-	StepEnvelope(transport.Envelope)
-	StepTick(time.Time)
-	Crash()
-	Recover()
-	Stop()
-	LastExecuted() uint64
-	View() ids.View
-	StableCheckpoint() uint64
-}
-
 // Sim is one deterministic execution in flight.
 type Sim struct {
 	cfg    Config
@@ -268,7 +258,10 @@ type Sim struct {
 
 	vclock  *clock.Virtual
 	nodeClk []clock.Clock
-	nodes   []node
+	nodes   []cluster.Node
+	// stores holds each replica's journal. A Mem outlives the engine
+	// that writes it, as a disk outlives its process.
+	stores []*storage.Mem
 
 	events       eventHeap
 	nextEventSeq uint64
@@ -300,7 +293,11 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func build(cfg Config) (*Sim, error) {
-	spec := cluster.Spec{Protocol: cfg.Protocol, Mode: cfg.Mode, Crash: cfg.Crash, Byz: cfg.Byz}
+	spec := cluster.Spec{
+		Protocol: cfg.Protocol, Mode: cfg.Mode, Crash: cfg.Crash, Byz: cfg.Byz,
+		Timing: cfg.Timing, Batching: cfg.Batching, Pipelining: cfg.Pipelining,
+		Leases: cfg.Leases, TickInterval: cfg.TickInterval, Net: cfg.Net, Seed: cfg.Seed,
+	}
 	n, err := spec.Sizes()
 	if err != nil {
 		return nil, err
@@ -315,45 +312,42 @@ func build(cfg Config) (*Sim, error) {
 		isolated: make(map[transport.Addr]bool),
 		traces:   make(map[ids.ReplicaID][]Commit),
 	}
-	privateSize := n
 	if s.mb, err = spec.Membership(); err != nil {
 		return nil, err
 	}
-	if s.mb.N() > 0 {
-		privateSize = s.mb.S()
-	}
-	s.netCfg = transport.LAN(privateSize, cfg.Seed)
-	if cfg.Net != nil {
-		s.netCfg = *cfg.Net
-		s.netCfg.PrivateSize = privateSize
+	if s.netCfg, err = spec.NetConfig(); err != nil {
+		return nil, err
 	}
 	keys := crypto.NewHMACSuite(cfg.Seed, n, int64(cfg.Clients)+1)
 	s.suite = crypto.Count(keys)
 	// The adversary authenticates outside the ledger, which therefore
 	// counts exactly what replica engines and clients signed and checked.
 	s.byz = cluster.WrapByzantine(simNet{s: s}, keys, n, s.mb, cfg.Byzantine)
-	net := s.byz
 	s.nodeClk = make([]clock.Clock, n)
-	s.nodes = make([]node, n)
+	s.nodes = make([]cluster.Node, n)
+	s.stores = make([]*storage.Mem, n)
 	s.ledgers = make([]*crypto.Counting, n)
 	for i := 0; i < n; i++ {
+		id := ids.ReplicaID(i)
 		s.ledgers[i] = crypto.Count(s.suite)
 		s.nodeClk[i] = s.vclock
-		if r, ok := cfg.ClockDrift[ids.ReplicaID(i)]; ok && r > 0 {
+		if r, ok := cfg.ClockDrift[id]; ok && r > 0 {
 			s.nodeClk[i] = clock.Drift(s.nodeClk[i], clock.Epoch, r)
 		}
-		if d, ok := cfg.ClockSkew[ids.ReplicaID(i)]; ok && d != 0 {
+		if d, ok := cfg.ClockSkew[id]; ok && d != 0 {
 			s.nodeClk[i] = clock.Offset(s.nodeClk[i], d)
 		}
-		nd, err := s.buildNode(ids.ReplicaID(i), net)
-		if err != nil {
-			return nil, err
+		s.stores[i] = storage.NewMem()
+		env := cluster.Env{
+			Membership: s.mb, N: n, Network: s.byz, Suite: s.ledgers[i],
+			Clock: s.nodeClk[i], Store: s.stores[i],
+			StateMachine: statemachine.NewKVStore(), LeaseSlack: cfg.LeaseSlack,
 		}
-		s.nodes[i] = nd
-	}
-	for i := 0; i < n; i++ {
-		if cfg.Byzantine[ids.ReplicaID(i)] == cluster.BehaviorNone {
-			s.installProbe(ids.ReplicaID(i))
+		if cfg.Byzantine[id] == cluster.BehaviorNone {
+			env.OnExecute = s.recorder(id)
+		}
+		if s.nodes[i], err = spec.BuildNode(id, env); err != nil {
+			return nil, err
 		}
 	}
 
@@ -376,65 +370,16 @@ func build(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// buildNode mirrors cluster's per-protocol assembly with the harness
-// clock injected and no durable storage (crash/recover keeps the
-// process; restarts-with-recovery stay in the cluster tests).
-func (s *Sim) buildNode(id ids.ReplicaID, net transport.Network) (node, error) {
-	sm := statemachine.NewKVStore()
-	cfg := s.cfg
-	switch cfg.Protocol {
-	case cluster.SeeMoRe, cluster.Paxos:
-		cl, err := config.NewCluster(s.mb, s.spec.EngineMode(), cfg.Timing)
-		if err != nil {
-			return nil, err
-		}
-		cl.Batching = cfg.Batching
-		cl.Pipelining = cfg.Pipelining
-		cl.Leases = cfg.Leases
-		return core.NewReplica(core.Options{
-			ID: id, Cluster: cl, Suite: s.ledgers[id], Network: net,
-			StateMachine: sm, TickInterval: cfg.TickInterval,
-			Clock:                s.nodeClk[id],
-			LeaseSlackForTesting: cfg.LeaseSlack,
-		})
-	case cluster.PBFT:
-		f := cfg.Crash + cfg.Byz
-		return pbft.NewReplica(pbft.Options{
-			ID: id, N: s.n, Byz: f, Crash: 0,
-			Suite: s.ledgers[id], Network: net,
-			StateMachine: sm, Timing: cfg.Timing, Batching: cfg.Batching,
-			Pipelining: cfg.Pipelining, TickInterval: cfg.TickInterval,
-			Clock: s.nodeClk[id],
-		})
-	case cluster.UpRight:
-		return pbft.NewReplica(pbft.Options{
-			ID: id, N: s.n, Byz: cfg.Byz, Crash: cfg.Crash,
-			Suite: s.ledgers[id], Network: net,
-			StateMachine: sm, Timing: cfg.Timing, Batching: cfg.Batching,
-			Pipelining: cfg.Pipelining, TickInterval: cfg.TickInterval,
-			Clock: s.nodeClk[id],
-		})
-	default:
-		return nil, fmt.Errorf("sim: unknown protocol %d", int(cfg.Protocol))
-	}
-}
-
-// installProbe records an honest replica's commit trace. Execution
-// happens synchronously inside StepEnvelope, so appends are ordered by
-// the event loop, never by goroutines.
-func (s *Sim) installProbe(id ids.ReplicaID) {
-	record := func(seq uint64, req *message.Request, result []byte) {
+// recorder returns the probe that records an honest replica's commit
+// trace. Execution happens synchronously inside StepEnvelope, so appends
+// are ordered by the event loop, never by goroutines.
+func (s *Sim) recorder(id ids.ReplicaID) func(uint64, *message.Request, []byte) {
+	return func(seq uint64, req *message.Request, result []byte) {
 		c := Commit{Seq: seq, Client: -1, Result: result}
 		if req != nil {
 			c.Client, c.Timestamp = req.Client, req.Timestamp
 		}
 		s.traces[id] = append(s.traces[id], c)
-	}
-	switch nd := s.nodes[id].(type) {
-	case *core.Replica:
-		nd.SetProbe(core.Probe{OnExecute: record})
-	case *pbft.Replica:
-		nd.SetProbe(pbft.Probe{OnExecute: record})
 	}
 }
 

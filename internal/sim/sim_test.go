@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/ids"
+	"repro/internal/storage"
 )
 
 // baseConfig is the standard simulation shape the tests (and the seed
@@ -95,6 +96,41 @@ func TestSimDeterminism(t *testing.T) {
 			}
 			if c := baseConfig(43, tc.proto, tc.mode); mustRun(t, c).Fingerprint() == fa {
 				t.Fatalf("different seeds produced identical executions")
+			}
+		})
+	}
+}
+
+// TestSimJournals: every replica the sim builds journals to its
+// own storage.Mem, so the checked runs cross the journal and the
+// outbox's durable-before-externalised rule.
+func TestSimJournals(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		proto cluster.Protocol
+		mode  ids.Mode
+	}{
+		{"lion", cluster.SeeMoRe, ids.Lion},
+		{"pbft", cluster.PBFT, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(7, tc.proto, tc.mode)
+			cfg.OpsPerClient = 5
+			s, err := build(cfg.normalized())
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if res := s.run(); res.Incomplete > 0 {
+				t.Fatalf("%d clients never finished", res.Incomplete)
+			}
+			for i, st := range s.stores {
+				synced := 0
+				if err := st.Replay(func(storage.Record) error { synced++; return nil }); err != nil {
+					t.Fatalf("replica %d: replay: %v", i, err)
+				}
+				if synced == 0 {
+					t.Errorf("replica %d holds no synced journal record", i)
+				}
 			}
 		})
 	}

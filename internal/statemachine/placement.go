@@ -237,9 +237,8 @@ func DecodeInstallResult(res []byte) (byte, error) {
 // Fence
 
 // PlacementEpoch reports the epoch of the placement map this store has
-// adopted, 0 when the deployment is not elastic. Replicas stamp it on
-// every reply so clients notice epoch bumps without waiting to be
-// rejected.
+// adopted, 0 when the deployment is not elastic. Routers do not read
+// it: they follow the map a KVWrongEpoch rejection carries.
 func (kv *KVStore) PlacementEpoch() uint64 {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
