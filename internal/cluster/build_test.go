@@ -59,10 +59,7 @@ func TestBuildNode(t *testing.T) {
 		})
 	}
 	unknown := Spec{Protocol: Protocol(9), Crash: 1, Byz: 1, Timing: config.DefaultTiming()}
-	net := transport.NewSimNetwork(transport.LAN(4, 1))
-	defer net.Close()
-	if node, err := unknown.BuildNode(0, Env{N: 4, Network: net, Suite: crypto.NoopSuite{},
-		StateMachine: statemachine.NewKVStore()}); err == nil {
+	if node, err := unknown.BuildNode(0, Env{}); err == nil {
 		t.Errorf("unknown protocol built a %T", node)
 	}
 }
