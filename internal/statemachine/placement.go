@@ -19,10 +19,10 @@ import (
 // consensus like any other operation, which is the whole point: a
 // placement change is an agreed-upon event in the replicated log, so
 // WAL recovery, snapshots and state transfer cover it with zero new
-// machinery.
+// machinery. Value 12 is reserved: it was a fence-state read nothing
+// called.
 const (
 	kvOpPlaceInit     byte = 11 // adopt the bootstrap placement map
-	kvOpPlaceStatus   byte = 12 // read this group's fence state
 	kvOpPlaceSeal     byte = 13 // freeze the outgoing range (old owner)
 	kvOpPlaceExport   byte = 14 // page the frozen range out (old owner)
 	kvOpPlaceInstall  byte = 15 // stage / merge the incoming range (new owner)
@@ -115,9 +115,6 @@ func EncodePlaceInit(g ids.GroupID, m *placement.Map) []byte {
 	out = binary.BigEndian.AppendUint32(out, uint32(len(enc)))
 	return append(out, enc...)
 }
-
-// EncodePlaceStatus builds the fence-state read.
-func EncodePlaceStatus() []byte { return []byte{kvOpPlaceStatus} }
 
 // EncodePlaceSeal builds the seal op carrying the successor map (whose
 // Pending migration names this group as the source).
@@ -327,28 +324,6 @@ func (kv *KVStore) placeInit(b []byte) []byte {
 		kv.place = &placeState{self: g, mp: m}
 	}
 	return append([]byte{KVOK}, kv.place.mp.Encode()...)
-}
-
-// placeStatus reports the fence state (current map plus progress
-// epochs); the CLI and tests read it.
-func (kv *KVStore) placeStatus() []byte {
-	p := kv.place
-	if p == nil {
-		return []byte{KVNotFound}
-	}
-	out := []byte{KVOK}
-	out = binary.BigEndian.AppendUint32(out, uint32(p.self))
-	var flags byte
-	if p.seal != nil {
-		flags |= 1
-	}
-	if p.importing != nil {
-		flags |= 2
-	}
-	out = append(out, flags)
-	out = binary.BigEndian.AppendUint64(out, p.installedEpoch)
-	out = binary.BigEndian.AppendUint64(out, p.doneEpoch)
-	return append(out, p.mp.Encode()...)
 }
 
 // placeSeal freezes the outgoing range under the successor map nm. The
@@ -626,8 +601,6 @@ func (kv *KVStore) applyPlacement(op []byte) []byte {
 	switch op[0] {
 	case kvOpPlaceInit:
 		return kv.placeInit(op[1:])
-	case kvOpPlaceStatus:
-		return kv.placeStatus()
 	case kvOpPlaceSeal:
 		return kv.placeSeal(op[1:])
 	case kvOpPlaceExport:

@@ -567,7 +567,7 @@ func (kv *KVStore) Apply(op []byte) []byte {
 		return kv.txStatus(op[1:])
 	case kvOpScan:
 		return kv.scan(op)
-	case kvOpPlaceInit, kvOpPlaceStatus, kvOpPlaceSeal, kvOpPlaceExport,
+	case kvOpPlaceInit, kvOpPlaceSeal, kvOpPlaceExport,
 		kvOpPlaceInstall, kvOpPlaceComplete,
 		kvOpMetaInit, kvOpMetaApply, kvOpMetaDone, kvOpMetaGet:
 		return kv.applyPlacement(op)
