@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 
+	"repro/internal/placement"
 	"repro/internal/statemachine"
 )
 
@@ -29,7 +30,7 @@ type Reader interface {
 // Router implements it by streaming per-shard continuations into one
 // ordered result.
 type Scanner interface {
-	Scan(lo, hi string, limit int, opts ReadOptions) ([]statemachine.ScanPair, bool, error)
+	Scan(lo, hi string, limit int, opts ReadOptions) ([]placement.Pair, bool, error)
 }
 
 // Compile-time checks: both client shapes satisfy the unified surface.
@@ -152,7 +153,7 @@ func (kv *KV) Add(key string, delta int64) (uint64, error) {
 // sharded Router the scan streams per-shard continuations and
 // merge-sorts them; against a single group it pages through the owner's
 // continuation flag.
-func (kv *KV) Scan(lo, hi string, limit int, opts ReadOptions) (pairs []statemachine.ScanPair, more bool, err error) {
+func (kv *KV) Scan(lo, hi string, limit int, opts ReadOptions) (pairs []placement.Pair, more bool, err error) {
 	if limit <= 0 || limit > statemachine.MaxScanLimit {
 		limit = statemachine.MaxScanLimit
 	}

@@ -28,11 +28,17 @@ type placementOps struct {
 // placement.NewController(r.PlacementOps()) is the reshard driver.
 func (r *Router) PlacementOps() placement.Ops { return &placementOps{r: r} }
 
-func (o *placementOps) invoke(g ids.GroupID, op []byte) (byte, []byte, error) {
+// call orders op on group g and returns its result.
+func (o *placementOps) call(g ids.GroupID, op []byte) ([]byte, error) {
 	if int(g) < 0 || int(g) >= len(o.r.clients) {
-		return 0, nil, fmt.Errorf("client: placement op for unprovisioned group %v", g)
+		return nil, fmt.Errorf("client: placement op for unprovisioned group %v", g)
 	}
-	res, err := o.r.clients[g].Invoke(op)
+	return o.r.clients[g].Invoke(op)
+}
+
+// invoke is call, with the result split into status and payload.
+func (o *placementOps) invoke(g ids.GroupID, op []byte) (byte, []byte, error) {
+	res, err := o.call(g, op)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -109,13 +115,13 @@ func (o *placementOps) MetaDone(epoch uint64) (*placement.Map, error) {
 // reported as ErrSealBusy so the controller retries; a live transaction
 // that finishes on its own clears the next attempt anyway.
 func (o *placementOps) Seal(g ids.GroupID, m *placement.Map) (placement.SealResult, error) {
-	status, payload, err := o.invoke(g, statemachine.EncodePlaceSeal(m))
+	res, err := o.call(g, statemachine.EncodePlaceSeal(m))
 	if err != nil {
 		return placement.SealResult{}, err
 	}
-	switch status {
+	switch status, payload := statemachine.DecodeResult(res); status {
 	case statemachine.KVOK:
-		return statemachine.DecodeSealResult(append([]byte{statemachine.KVOK}, payload...))
+		return statemachine.DecodeSealResult(res)
 	case statemachine.KVLocked:
 		if holder, ok := statemachine.DecodeLockHolder(payload); ok {
 			// Best-effort: a still-live coordinator finishing first is
@@ -130,36 +136,25 @@ func (o *placementOps) Seal(g ids.GroupID, m *placement.Map) (placement.SealResu
 
 // Export implements placement.Ops.
 func (o *placementOps) Export(g ids.GroupID, epoch uint64, start string, limit int) ([]placement.Pair, bool, error) {
-	status, payload, err := o.invoke(g, statemachine.EncodePlaceExport(epoch, start, limit))
+	res, err := o.call(g, statemachine.EncodePlaceExport(epoch, start, limit))
 	if err != nil {
 		return nil, false, err
 	}
-	if status != statemachine.KVOK {
-		return nil, false, fmt.Errorf("client: export from %v rejected with status %d", g, status)
-	}
-	pairs, more, err := statemachine.DecodeScanResult(append([]byte{statemachine.KVOK}, payload...))
+	pairs, more, err := statemachine.DecodeScanResult(res)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("client: export from %v: %w", g, err)
 	}
-	out := make([]placement.Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = placement.Pair{Key: p.Key, Value: p.Value}
-	}
-	return out, more, nil
+	return pairs, more, nil
 }
 
 // Install implements placement.Ops.
 func (o *placementOps) Install(g ids.GroupID, m *placement.Map, pairs []placement.Pair, done bool, digest [32]byte) error {
-	op := statemachine.EncodePlaceInstall(m, pairs, done, crypto.Digest(digest))
-	status, payload, err := o.invoke(g, op)
+	res, err := o.call(g, statemachine.EncodePlaceInstall(m, pairs, done, crypto.Digest(digest)))
 	if err != nil {
 		return err
 	}
-	if status != statemachine.KVOK {
-		return fmt.Errorf("client: install on %v rejected with status %d", g, status)
-	}
-	if _, err := statemachine.DecodeInstallResult(append([]byte{statemachine.KVOK}, payload...)); err != nil {
-		return err
+	if _, err := statemachine.DecodeInstallResult(res); err != nil {
+		return fmt.Errorf("client: install on %v: %w", g, err)
 	}
 	return nil
 }

@@ -187,13 +187,13 @@ func (r *Router) Read(op []byte, opts ReadOptions) ([]byte, error) {
 // remain past the last returned one (resume from its successor). The
 // consistency level applies per shard: a Stale merge is a union of
 // per-shard bounded-staleness snapshots, not one cross-shard cut.
-func (r *Router) Scan(lo, hi string, limit int, opts ReadOptions) (pairs []statemachine.ScanPair, more bool, err error) {
+func (r *Router) Scan(lo, hi string, limit int, opts ReadOptions) (pairs []placement.Pair, more bool, err error) {
 	if limit <= 0 || limit > statemachine.MaxScanLimit {
 		limit = statemachine.MaxScanLimit
 	}
 	type shardStream struct {
 		g    ids.GroupID
-		buf  []statemachine.ScanPair
+		buf  []placement.Pair
 		next string // resume key of the shard's following page
 		done bool   // shard exhausted (last page had no continuation)
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/config"
 	"repro/internal/ids"
-	"repro/internal/statemachine"
+	"repro/internal/placement"
 )
 
 // testLeases fits testTiming's 100ms view-change timer: an expired-view
@@ -197,7 +197,7 @@ func TestScanSingleGroupPaging(t *testing.T) {
 
 	// Paged: a small limit reports a continuation, and resuming from the
 	// last key's successor walks the rest without duplicates or gaps.
-	var got []statemachine.ScanPair
+	var got []placement.Pair
 	cursor := "scan/"
 	for {
 		page, pageMore, err := kv.Scan(cursor, "scan/z", 4, client.ReadOptions{Consistency: client.Leased})

@@ -19,7 +19,6 @@
 package placement
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -28,6 +27,7 @@ import (
 	"sync"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 // Hash maps a key onto the 64-bit ring placement ranges cover: FNV-1a
@@ -470,125 +470,65 @@ const maxWireEntries = 1 << 16
 // bytes, so the encoding is safe to embed in replicated operations and
 // snapshots.
 func (m *Map) Encode() []byte {
-	out := []byte{mapWireVersion}
-	out = binary.BigEndian.AppendUint64(out, m.Epoch)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Ranges)))
+	out := wire.AppendU64([]byte{mapWireVersion}, m.Epoch)
+	out = wire.AppendU32(out, uint32(len(m.Ranges)))
 	for _, e := range m.Ranges {
-		out = binary.BigEndian.AppendUint64(out, e.Range.Lo)
-		out = binary.BigEndian.AppendUint64(out, e.Range.Hi)
-		out = binary.BigEndian.AppendUint32(out, uint32(e.Group))
+		out = wire.AppendU64(out, e.Range.Lo)
+		out = wire.AppendU64(out, e.Range.Hi)
+		out = wire.AppendU32(out, uint32(e.Group))
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Groups)))
+	out = wire.AppendU32(out, uint32(len(m.Groups)))
 	for _, g := range m.Groups {
-		out = binary.BigEndian.AppendUint32(out, uint32(g.Group))
-		out = binary.BigEndian.AppendUint32(out, uint32(g.Replicas))
+		out = wire.AppendU32(out, uint32(g.Group))
+		out = wire.AppendU32(out, uint32(g.Replicas))
 	}
 	if p := m.Pending; p != nil {
-		out = append(out, 1)
-		out = binary.BigEndian.AppendUint64(out, p.Epoch)
-		out = binary.BigEndian.AppendUint64(out, p.Range.Lo)
-		out = binary.BigEndian.AppendUint64(out, p.Range.Hi)
-		out = binary.BigEndian.AppendUint32(out, uint32(p.From))
-		out = binary.BigEndian.AppendUint32(out, uint32(p.To))
-	} else {
-		out = append(out, 0)
+		out = wire.AppendU64(append(out, 1), p.Epoch)
+		out = wire.AppendU64(out, p.Range.Lo)
+		out = wire.AppendU64(out, p.Range.Hi)
+		out = wire.AppendU32(out, uint32(p.From))
+		return wire.AppendU32(out, uint32(p.To))
 	}
-	return out
-}
-
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wireReader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off+n > len(r.b) {
-		r.err = errors.New("placement: truncated frame")
-		return false
-	}
-	return true
-}
-
-func (r *wireReader) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *wireReader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *wireReader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *wireReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("placement: %d trailing bytes", len(r.b)-r.off)
-	}
-	return nil
+	return append(out, 0)
 }
 
 // DecodeMap parses an Encode frame. It never panics on hostile input,
 // and every decoded map satisfies Validate.
 func DecodeMap(b []byte) (*Map, error) {
-	r := &wireReader{b: b}
-	if v := r.u8(); r.err == nil && v != mapWireVersion {
+	r := wire.NewReader(b)
+	if v := r.U8(); r.Err() == nil && v != mapWireVersion {
 		return nil, fmt.Errorf("placement: unsupported map version %d", v)
 	}
-	m := &Map{Epoch: r.u64()}
-	nr := int(r.u32())
-	if nr > maxWireEntries || (r.err == nil && nr*20 > len(b)) {
+	m := &Map{Epoch: r.U64()}
+	nr := r.Count(20)
+	if nr > maxWireEntries {
 		return nil, errors.New("placement: range count exceeds frame")
 	}
-	for i := 0; i < nr && r.err == nil; i++ {
-		e := Entry{Range: Range{Lo: r.u64(), Hi: r.u64()}, Group: ids.GroupID(r.u32())}
+	for i := 0; i < nr && r.Err() == nil; i++ {
+		e := Entry{Range: Range{Lo: r.U64(), Hi: r.U64()}, Group: ids.GroupID(r.U32())}
 		m.Ranges = append(m.Ranges, e)
 	}
-	ng := int(r.u32())
-	if ng > maxWireEntries || (r.err == nil && ng*8 > len(b)) {
+	ng := r.Count(8)
+	if ng > maxWireEntries {
 		return nil, errors.New("placement: group count exceeds frame")
 	}
-	for i := 0; i < ng && r.err == nil; i++ {
-		m.Groups = append(m.Groups, GroupSpec{Group: ids.GroupID(r.u32()), Replicas: int(r.u32())})
+	for i := 0; i < ng && r.Err() == nil; i++ {
+		m.Groups = append(m.Groups, GroupSpec{Group: ids.GroupID(r.U32()), Replicas: int(r.U32())})
 	}
-	switch r.u8() {
+	switch r.U8() {
 	case 0:
 	case 1:
 		m.Pending = &Migration{
-			Epoch: r.u64(),
-			Range: Range{Lo: r.u64(), Hi: r.u64()},
-			From:  ids.GroupID(r.u32()),
-			To:    ids.GroupID(r.u32()),
+			Epoch: r.U64(),
+			Range: Range{Lo: r.U64(), Hi: r.U64()},
+			From:  ids.GroupID(r.U32()),
+			To:    ids.GroupID(r.U32()),
 		}
 	default:
-		if r.err == nil {
-			return nil, errors.New("placement: invalid pending presence byte")
-		}
+		r.Fail(errors.New("placement: invalid pending presence byte"))
 	}
-	if err := r.done(); err != nil {
-		return nil, err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("placement: map: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -598,33 +538,31 @@ func DecodeMap(b []byte) (*Map, error) {
 
 // EncodeCmd serializes a command canonically.
 func EncodeCmd(c Cmd) []byte {
-	out := []byte{cmdWireVersion, uint8(c.Kind)}
-	out = binary.BigEndian.AppendUint32(out, uint32(c.Group))
-	out = binary.BigEndian.AppendUint64(out, c.At)
-	out = binary.BigEndian.AppendUint32(out, uint32(c.To))
-	out = binary.BigEndian.AppendUint64(out, c.Range.Lo)
-	out = binary.BigEndian.AppendUint64(out, c.Range.Hi)
-	out = binary.BigEndian.AppendUint32(out, uint32(c.Replicas))
-	return out
+	out := wire.AppendU32([]byte{cmdWireVersion, uint8(c.Kind)}, uint32(c.Group))
+	out = wire.AppendU64(out, c.At)
+	out = wire.AppendU32(out, uint32(c.To))
+	out = wire.AppendU64(out, c.Range.Lo)
+	out = wire.AppendU64(out, c.Range.Hi)
+	return wire.AppendU32(out, uint32(c.Replicas))
 }
 
 // DecodeCmd parses an EncodeCmd frame. Structural validity only; the
 // meta state machine validates the command against its current map.
 func DecodeCmd(b []byte) (Cmd, error) {
-	r := &wireReader{b: b}
-	if v := r.u8(); r.err == nil && v != cmdWireVersion {
+	r := wire.NewReader(b)
+	if v := r.U8(); r.Err() == nil && v != cmdWireVersion {
 		return Cmd{}, fmt.Errorf("placement: unsupported command version %d", v)
 	}
 	c := Cmd{
-		Kind:  CmdKind(r.u8()),
-		Group: ids.GroupID(r.u32()),
-		At:    r.u64(),
-		To:    ids.GroupID(r.u32()),
+		Kind:  CmdKind(r.U8()),
+		Group: ids.GroupID(r.U32()),
+		At:    r.U64(),
+		To:    ids.GroupID(r.U32()),
 	}
-	c.Range = Range{Lo: r.u64(), Hi: r.u64()}
-	c.Replicas = int(r.u32())
-	if err := r.done(); err != nil {
-		return Cmd{}, err
+	c.Range = Range{Lo: r.U64(), Hi: r.U64()}
+	c.Replicas = int(r.U32())
+	if err := r.Done(); err != nil {
+		return Cmd{}, fmt.Errorf("placement: command: %w", err)
 	}
 	if c.Kind < CmdSplit || c.Kind > CmdSetReplicas {
 		return Cmd{}, fmt.Errorf("placement: unknown command kind %d", uint8(c.Kind))

@@ -1,8 +1,6 @@
 package replica
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -10,6 +8,7 @@ import (
 	"repro/internal/message"
 	"repro/internal/mlog"
 	"repro/internal/statemachine"
+	"repro/internal/wire"
 )
 
 // Executor applies committed requests to the state machine in sequence
@@ -211,26 +210,16 @@ func compositeSnapshot(sm statemachine.StateMachine, ct *statemachine.ClientTabl
 	s := sm.Snapshot()
 	c := ct.Snapshot()
 	out := make([]byte, 0, 8+len(s)+len(c))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-	out = append(out, s...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(c)))
-	out = append(out, c...)
-	return out
+	out = wire.AppendBytes(out, s)
+	return wire.AppendBytes(out, c)
 }
 
+// splitComposite is compositeSnapshot's inverse.
 func splitComposite(snapshot []byte) (sm, ct []byte, err error) {
-	if len(snapshot) < 4 {
-		return nil, nil, errors.New("replica: short composite snapshot")
+	r := wire.NewReader(snapshot)
+	sm, ct = r.Bytes(), r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, nil, fmt.Errorf("replica: composite snapshot: %w", err)
 	}
-	n := int(binary.BigEndian.Uint32(snapshot))
-	if 4+n+4 > len(snapshot) {
-		return nil, nil, errors.New("replica: truncated composite snapshot")
-	}
-	sm = snapshot[4 : 4+n]
-	rest := snapshot[4+n:]
-	c := int(binary.BigEndian.Uint32(rest))
-	if 4+c != len(rest) {
-		return nil, nil, errors.New("replica: malformed composite snapshot")
-	}
-	return sm, rest[4:], nil
+	return sm, ct, nil
 }

@@ -12,61 +12,61 @@ import (
 	"repro/internal/transport"
 )
 
-// wireEvent is one thing the replica did to its disk or its network, in
+// tapeEvent is one thing the replica did to its disk or its network, in
 // the order it did them.
-type wireEvent struct {
+type tapeEvent struct {
 	op    string // "append", "sync" or "send"
 	to    transport.Addr
 	frame []byte // a copy of the frame, taken inside Send
 	kept  []byte // the frame itself, exactly as Send received it
 }
 
-// wire records a replica's appends, syncs and sends on one timeline: it
+// tape records a replica's appends, syncs and sends on one timeline: it
 // is both the Store under the Journal and the Endpoint under the Engine.
-type wire struct {
-	events     []wireEvent
+type tape struct {
+	events     []tapeEvent
 	failAppend bool
 	failSync   bool
 }
 
 var errDiskGone = errors.New("disk gone")
 
-func (w *wire) Append(storage.Record) error {
+func (w *tape) Append(storage.Record) error {
 	if w.failAppend {
 		return errDiskGone
 	}
-	w.events = append(w.events, wireEvent{op: "append"})
+	w.events = append(w.events, tapeEvent{op: "append"})
 	return nil
 }
 
-func (w *wire) Sync() error {
+func (w *tape) Sync() error {
 	if w.failSync {
 		return errDiskGone
 	}
-	w.events = append(w.events, wireEvent{op: "sync"})
+	w.events = append(w.events, tapeEvent{op: "sync"})
 	return nil
 }
 
-func (w *wire) Replay(func(storage.Record) error) error    { return nil }
-func (w *wire) SaveSnapshot(storage.Snapshot) error        { return nil }
-func (w *wire) LatestSnapshot() (*storage.Snapshot, error) { return nil, nil }
-func (w *wire) Truncate(uint64, []storage.Record) error    { return nil }
-func (w *wire) Close() error                               { return nil }
+func (w *tape) Replay(func(storage.Record) error) error    { return nil }
+func (w *tape) SaveSnapshot(storage.Snapshot) error        { return nil }
+func (w *tape) LatestSnapshot() (*storage.Snapshot, error) { return nil, nil }
+func (w *tape) Truncate(uint64, []storage.Record) error    { return nil }
+func (w *tape) Close() error                               { return nil }
 
-// wireEnd is the Endpoint face of a wire (Store and Endpoint disagree on
+// tapeEnd is the Endpoint face of a tape (Store and Endpoint disagree on
 // Close).
-type wireEnd struct{ *wire }
+type tapeEnd struct{ *tape }
 
-func (wireEnd) Close()                           {}
-func (w *wire) Addr() transport.Addr             { return transport.ReplicaAddr(0) }
-func (w *wire) Inbox() <-chan transport.Envelope { return nil }
-func (w *wire) Send(to transport.Addr, frame []byte) {
-	w.events = append(w.events, wireEvent{op: "send", to: to, frame: append([]byte(nil), frame...), kept: frame})
+func (tapeEnd) Close()                           {}
+func (w *tape) Addr() transport.Addr             { return transport.ReplicaAddr(0) }
+func (w *tape) Inbox() <-chan transport.Envelope { return nil }
+func (w *tape) Send(to transport.Addr, frame []byte) {
+	w.events = append(w.events, tapeEvent{op: "send", to: to, frame: append([]byte(nil), frame...), kept: frame})
 }
 
 // sends returns the Seq of every frame sent to each destination, in
 // order, failing the test on a frame that does not decode.
-func (w *wire) sends(t *testing.T) map[transport.Addr][]uint64 {
+func (w *tape) sends(t *testing.T) map[transport.Addr][]uint64 {
 	t.Helper()
 	out := make(map[transport.Addr][]uint64)
 	for _, ev := range w.events {
@@ -82,7 +82,7 @@ func (w *wire) sends(t *testing.T) map[transport.Addr][]uint64 {
 	return out
 }
 
-func (w *wire) count(op string) int {
+func (w *tape) count(op string) int {
 	n := 0
 	for _, ev := range w.events {
 		if ev.op == op {
@@ -98,9 +98,9 @@ type drainOf func()
 func (d drainOf) HandleMessage(*message.Message) { d() }
 func (d drainOf) HandleTick(time.Time)           { d() }
 
-func newOutboxEngine() (*Engine, *wire) {
-	w := &wire{}
-	return NewEngine(Config{ID: 0, Endpoint: wireEnd{w}, Journal: NewJournal(w)}), w
+func newOutboxEngine() (*Engine, *tape) {
+	w := &tape{}
+	return NewEngine(Config{ID: 0, Endpoint: tapeEnd{w}, Journal: NewJournal(w)}), w
 }
 
 func probe(seq uint64) *message.Message {

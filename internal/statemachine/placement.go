@@ -1,14 +1,13 @@
 package statemachine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/placement"
+	"repro/internal/wire"
 )
 
 // Placement opcodes. They continue the KV opcode namespace (values are
@@ -87,33 +86,28 @@ func encodeWithMap(op byte, m *placement.Map) []byte {
 	enc := m.Encode()
 	out := make([]byte, 0, 1+4+len(enc))
 	out = append(out, op)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(enc)))
-	return append(out, enc...)
+	return wire.AppendBytes(out, enc)
 }
 
-func decodeOpMap(b []byte) (*placement.Map, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, errors.New("statemachine: truncated placement op")
+// readMap reads a u32-length-prefixed encoded map, recording a decode
+// failure on r.
+func readMap(r *wire.Reader) *placement.Map {
+	b := r.Bytes()
+	if r.Err() != nil {
+		return nil
 	}
-	n := int(binary.BigEndian.Uint32(b))
-	if n < 0 || 4+n > len(b) {
-		return nil, nil, errors.New("statemachine: truncated placement map")
-	}
-	m, err := placement.DecodeMap(b[4 : 4+n])
+	m, err := placement.DecodeMap(b)
 	if err != nil {
-		return nil, nil, err
+		r.Fail(err)
 	}
-	return m, b[4+n:], nil
+	return m
 }
 
 // EncodePlaceInit builds the bootstrap op adopting map m as group g's
 // initial placement.
 func EncodePlaceInit(g ids.GroupID, m *placement.Map) []byte {
-	out := []byte{kvOpPlaceInit}
-	out = binary.BigEndian.AppendUint32(out, uint32(g))
-	enc := m.Encode()
-	out = binary.BigEndian.AppendUint32(out, uint32(len(enc)))
-	return append(out, enc...)
+	out := wire.AppendU32([]byte{kvOpPlaceInit}, uint32(g))
+	return wire.AppendBytes(out, m.Encode())
 }
 
 // EncodePlaceSeal builds the seal op carrying the successor map (whose
@@ -123,11 +117,9 @@ func EncodePlaceSeal(m *placement.Map) []byte { return encodeWithMap(kvOpPlaceSe
 // EncodePlaceExport builds one export page request: frozen-range keys
 // >= start, at most limit pairs.
 func EncodePlaceExport(epoch uint64, start string, limit int) []byte {
-	out := []byte{kvOpPlaceExport}
-	out = binary.BigEndian.AppendUint64(out, epoch)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(start)))
-	out = append(out, start...)
-	return binary.BigEndian.AppendUint32(out, uint32(limit))
+	out := wire.AppendU64([]byte{kvOpPlaceExport}, epoch)
+	out = wire.AppendBytes(out, start)
+	return wire.AppendU32(out, uint32(limit))
 }
 
 // EncodePlaceInstall builds one install page: pairs to stage under map
@@ -141,21 +133,13 @@ func EncodePlaceInstall(m *placement.Map, pairs []placement.Pair, done bool, dig
 		out = append(out, 0)
 	}
 	out = append(out, digest[:]...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(pairs)))
-	for _, p := range pairs {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(p.Key)))
-		out = append(out, p.Key...)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(p.Value)))
-		out = append(out, p.Value...)
-	}
-	return out
+	return appendPairs(out, pairs)
 }
 
 // EncodePlaceComplete builds the purge op retiring migration epoch on
 // the old owner.
 func EncodePlaceComplete(epoch uint64) []byte {
-	out := []byte{kvOpPlaceComplete}
-	return binary.BigEndian.AppendUint64(out, epoch)
+	return wire.AppendU64([]byte{kvOpPlaceComplete}, epoch)
 }
 
 // EncodeMetaInit builds the op seeding the meta group's authoritative
@@ -173,8 +157,7 @@ func EncodeMetaApply(c placement.Cmd) []byte {
 
 // EncodeMetaDone builds the op retiring migration epoch.
 func EncodeMetaDone(epoch uint64) []byte {
-	out := []byte{kvOpMetaDone}
-	return binary.BigEndian.AppendUint64(out, epoch)
+	return wire.AppendU64([]byte{kvOpMetaDone}, epoch)
 }
 
 // EncodeMetaGet builds the authoritative-map read.
@@ -197,11 +180,12 @@ func DecodeSealResult(res []byte) (placement.SealResult, error) {
 	if status != KVOK {
 		return placement.SealResult{}, fmt.Errorf("statemachine: seal result status %d", status)
 	}
-	if len(b) != 1+8+crypto.DigestSize {
+	r := wire.NewReader(b)
+	sr := placement.SealResult{Done: r.U8() != 0, Count: r.U64()}
+	copy(sr.Digest[:], r.Fixed(crypto.DigestSize))
+	if r.Done() != nil {
 		return placement.SealResult{}, fmt.Errorf("statemachine: seal payload of %d bytes", len(b))
 	}
-	sr := placement.SealResult{Done: b[0] != 0, Count: binary.BigEndian.Uint64(b[1:])}
-	copy(sr.Digest[:], b[9:])
 	return sr, nil
 }
 
@@ -252,6 +236,13 @@ func wrongEpoch(m *placement.Map) []byte {
 	return append([]byte{KVWrongEpoch}, m.Encode()...)
 }
 
+// sealResult encodes a seal's KVOK result: the done flag, then the
+// range manifest.
+func sealResult(done byte, count uint64, digest crypto.Digest) []byte {
+	out := wire.AppendU64([]byte{KVOK, done}, count)
+	return append(out, digest[:]...)
+}
+
 // fenceReject answers non-nil when this group must refuse to serve key
 // under the current placement: either the key's range is owned
 // elsewhere (it moved, or never lived here), or it is mid-import and
@@ -290,34 +281,18 @@ func (kv *KVStore) sealedOut(key string) bool {
 // derive it the same way, so a lost or corrupted export page cannot
 // merge silently.
 func rangeManifest(data map[string][]byte, rng placement.Range) (uint64, crypto.Digest) {
-	keys := make([]string, 0, 64)
-	for k := range data {
-		if rng.Contains(placement.Hash(k)) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
-	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(k)))
-		buf = append(buf, k...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(data[k])))
-		buf = append(buf, data[k]...)
-	}
-	return uint64(len(keys)), crypto.Sum(buf)
+	pairs := sortedPairs(data, func(k string) bool { return rng.Contains(placement.Hash(k)) })
+	return uint64(len(pairs)), crypto.Sum(appendPairs(nil, pairs))
 }
 
 // placeInit adopts the bootstrap map. Idempotent; on an already-placed
 // group it answers with the (possibly newer) current map and changes
 // nothing, so replayed bootstraps cannot roll the fence back.
 func (kv *KVStore) placeInit(b []byte) []byte {
-	if len(b) < 4 {
-		return []byte{KVBadOp}
-	}
-	g := ids.GroupID(binary.BigEndian.Uint32(b))
-	m, rest, err := decodeOpMap(b[4:])
-	if err != nil || len(rest) != 0 || !g.Valid() {
+	r := wire.NewReader(b)
+	g := ids.GroupID(r.U32())
+	m := readMap(r)
+	if r.Done() != nil || !g.Valid() {
 		return []byte{KVBadOp}
 	}
 	if kv.place == nil {
@@ -335,8 +310,9 @@ func (kv *KVStore) placeInit(b []byte) []byte {
 // rejections at the new owner), so the export below reads a stable
 // set.
 func (kv *KVStore) placeSeal(b []byte) []byte {
-	nm, rest, err := decodeOpMap(b)
-	if err != nil || len(rest) != 0 {
+	r := wire.NewReader(b)
+	nm := readMap(r)
+	if r.Done() != nil {
 		return []byte{KVBadOp}
 	}
 	p := kv.place
@@ -347,17 +323,13 @@ func (kv *KVStore) placeSeal(b []byte) []byte {
 	// Handoff already finished here (a resumed controller re-sealing):
 	// answer Done so it skips straight to retiring the epoch.
 	if pend.Epoch <= p.doneEpoch {
-		out := []byte{KVOK, 1}
-		out = binary.BigEndian.AppendUint64(out, 0)
-		return append(out, make([]byte, crypto.DigestSize)...)
+		return sealResult(1, 0, crypto.Digest{})
 	}
 	// Idempotent re-seal of the active epoch: return the cached
 	// manifest (the range is already frozen; recomputing could only
 	// agree).
 	if p.seal != nil && p.seal.epoch == pend.Epoch {
-		out := []byte{KVOK, 0}
-		out = binary.BigEndian.AppendUint64(out, p.seal.count)
-		return append(out, p.seal.digest[:]...)
+		return sealResult(0, p.seal.count, p.seal.digest)
 	}
 	if p.seal != nil || p.importing != nil {
 		return []byte{KVBadOp} // a different handoff is mid-flight here
@@ -373,25 +345,18 @@ func (kv *KVStore) placeSeal(b []byte) []byte {
 	count, digest := rangeManifest(kv.data, pend.Range)
 	p.seal = &sealRec{epoch: pend.Epoch, rng: pend.Range, count: count, digest: digest}
 	p.mp = nm
-	out := []byte{KVOK, 0}
-	out = binary.BigEndian.AppendUint64(out, count)
-	return append(out, digest[:]...)
+	return sealResult(0, count, digest)
 }
 
 // placeExport pages the frozen range: keys >= start in ascending
 // order, at most limit pairs, scan-shaped result. Reads only — the
 // page can be re-requested forever.
 func (kv *KVStore) placeExport(b []byte) []byte {
-	if len(b) < 12 {
+	r := wire.NewReader(b)
+	epoch, start, limit := r.U64(), string(r.Bytes()), int(r.U32())
+	if r.Done() != nil {
 		return []byte{KVBadOp}
 	}
-	epoch := binary.BigEndian.Uint64(b)
-	n := int(binary.BigEndian.Uint32(b[8:]))
-	if n < 0 || 12+n+4 != len(b) {
-		return []byte{KVBadOp}
-	}
-	start := string(b[12 : 12+n])
-	limit := int(binary.BigEndian.Uint32(b[12+n:]))
 	if limit <= 0 || limit > MaxScanLimit {
 		limit = MaxScanLimit
 	}
@@ -402,30 +367,9 @@ func (kv *KVStore) placeExport(b []byte) []byte {
 		}
 		return []byte{KVBadOp}
 	}
-	keys := make([]string, 0, 64)
-	for k := range kv.data {
-		if k >= start && p.seal.rng.Contains(placement.Hash(k)) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	more := len(keys) > limit
-	if more {
-		keys = keys[:limit]
-	}
-	out := []byte{KVOK}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(keys)))
-	for _, k := range keys {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(k)))
-		out = append(out, k...)
-		v := kv.data[k]
-		out = binary.BigEndian.AppendUint32(out, uint32(len(v)))
-		out = append(out, v...)
-	}
-	if more {
-		return append(out, 1)
-	}
-	return append(out, 0)
+	return pageResult(sortedPairs(kv.data, func(k string) bool {
+		return k >= start && p.seal.rng.Contains(placement.Hash(k))
+	}), limit)
 }
 
 // placeInstall stages one page of the incoming range on the new owner
@@ -436,17 +380,13 @@ func (kv *KVStore) placeExport(b []byte) []byte {
 // it at the seal, the new one refuses it until the bytes verifiably
 // arrived.
 func (kv *KVStore) placeInstall(b []byte) []byte {
-	nm, rest, err := decodeOpMap(b)
-	if err != nil || len(rest) < 1+crypto.DigestSize+4 {
-		return []byte{KVBadOp}
-	}
-	done := rest[0] != 0
+	r := wire.NewReader(b)
+	nm := readMap(r)
+	done := r.U8() != 0
 	var digest crypto.Digest
-	copy(digest[:], rest[1:])
-	rest = rest[1+crypto.DigestSize:]
-	np := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if np < 0 || 8*np > len(rest) {
+	copy(digest[:], r.Fixed(crypto.DigestSize))
+	np := r.Count(8)
+	if r.Err() != nil {
 		return []byte{KVBadOp}
 	}
 	p := kv.place
@@ -470,23 +410,14 @@ func (kv *KVStore) placeInstall(b []byte) []byte {
 	if imp.epoch != pend.Epoch {
 		return []byte{KVBadOp}
 	}
-	off := 0
-	for i := 0; i < np; i++ {
-		k, next, err := readChunk(rest, off)
-		if err != nil {
-			return []byte{KVBadOp}
-		}
-		v, next2, err := readChunk(rest, next)
-		if err != nil {
-			return []byte{KVBadOp}
-		}
+	readPairs(r, np, func(k, v []byte) {
 		if !imp.rng.Contains(placement.Hash(string(k))) {
-			return []byte{KVBadOp} // a pair outside the migrating range
+			r.Fail(errors.New("statemachine: install pair outside the migrating range"))
+			return
 		}
 		imp.staged[string(k)] = append([]byte(nil), v...)
-		off = next2
-	}
-	if off != len(rest) {
+	})
+	if r.Done() != nil {
 		return []byte{KVBadOp}
 	}
 	if !done {
@@ -510,10 +441,11 @@ func (kv *KVStore) placeInstall(b []byte) []byte {
 // verifiably live at the new owner, so this group drops them and keeps
 // only the fence (its adopted map already routes the range away).
 func (kv *KVStore) placeComplete(b []byte) []byte {
-	if len(b) != 8 {
+	r := wire.NewReader(b)
+	epoch := r.U64()
+	if r.Done() != nil {
 		return []byte{KVBadOp}
 	}
-	epoch := binary.BigEndian.Uint64(b)
 	p := kv.place
 	if p == nil {
 		return []byte{KVBadOp}
@@ -540,8 +472,9 @@ func (kv *KVStore) placeComplete(b []byte) []byte {
 // metaInit seeds the authoritative map. Idempotent: a second init (or
 // a replayed one) answers the current map unchanged.
 func (kv *KVStore) metaInit(b []byte) []byte {
-	m, rest, err := decodeOpMap(b)
-	if err != nil || len(rest) != 0 {
+	r := wire.NewReader(b)
+	m := readMap(r)
+	if r.Done() != nil {
 		return []byte{KVBadOp}
 	}
 	if kv.meta == nil {
@@ -574,10 +507,12 @@ func (kv *KVStore) metaApply(b []byte) []byte {
 // metaDone retires a finished migration. Idempotent for epochs already
 // retired.
 func (kv *KVStore) metaDone(b []byte) []byte {
-	if len(b) != 8 || kv.meta == nil {
+	r := wire.NewReader(b)
+	epoch := r.U64()
+	if r.Done() != nil || kv.meta == nil {
 		return []byte{KVBadOp}
 	}
-	next, err := kv.meta.CompletePending(binary.BigEndian.Uint64(b))
+	next, err := kv.meta.CompletePending(epoch)
 	if err != nil {
 		return []byte{KVBadOp}
 	}
@@ -634,41 +569,20 @@ func (kv *KVStore) appendPlacementSnapshot(out []byte) []byte {
 		return out
 	}
 	if p := kv.place; p != nil {
-		out = append(out, 1)
-		out = binary.BigEndian.AppendUint32(out, uint32(p.self))
-		enc := p.mp.Encode()
-		out = binary.BigEndian.AppendUint32(out, uint32(len(enc)))
-		out = append(out, enc...)
-		out = binary.BigEndian.AppendUint64(out, p.installedEpoch)
-		out = binary.BigEndian.AppendUint64(out, p.doneEpoch)
+		out = wire.AppendU32(append(out, 1), uint32(p.self))
+		out = wire.AppendBytes(out, p.mp.Encode())
+		out = wire.AppendU64(out, p.installedEpoch)
+		out = wire.AppendU64(out, p.doneEpoch)
 		if s := p.seal; s != nil {
-			out = append(out, 1)
-			out = binary.BigEndian.AppendUint64(out, s.epoch)
-			out = binary.BigEndian.AppendUint64(out, s.rng.Lo)
-			out = binary.BigEndian.AppendUint64(out, s.rng.Hi)
-			out = binary.BigEndian.AppendUint64(out, s.count)
+			out = appendRange(append(out, 1), s.epoch, s.rng)
+			out = wire.AppendU64(out, s.count)
 			out = append(out, s.digest[:]...)
 		} else {
 			out = append(out, 0)
 		}
 		if imp := p.importing; imp != nil {
-			out = append(out, 1)
-			out = binary.BigEndian.AppendUint64(out, imp.epoch)
-			out = binary.BigEndian.AppendUint64(out, imp.rng.Lo)
-			out = binary.BigEndian.AppendUint64(out, imp.rng.Hi)
-			keys := make([]string, 0, len(imp.staged))
-			for k := range imp.staged {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			out = binary.BigEndian.AppendUint32(out, uint32(len(keys)))
-			for _, k := range keys {
-				out = binary.BigEndian.AppendUint32(out, uint32(len(k)))
-				out = append(out, k...)
-				v := imp.staged[k]
-				out = binary.BigEndian.AppendUint32(out, uint32(len(v)))
-				out = append(out, v...)
-			}
+			out = appendRange(append(out, 1), imp.epoch, imp.rng)
+			out = appendPairs(out, sortedPairs(imp.staged, nil))
 		} else {
 			out = append(out, 0)
 		}
@@ -676,175 +590,69 @@ func (kv *KVStore) appendPlacementSnapshot(out []byte) []byte {
 		out = append(out, 0)
 	}
 	if kv.meta != nil {
-		out = append(out, 1)
-		enc := kv.meta.Encode()
-		out = binary.BigEndian.AppendUint32(out, uint32(len(enc)))
-		out = append(out, enc...)
-	} else {
-		out = append(out, 0)
+		return wire.AppendBytes(append(out, 1), kv.meta.Encode())
 	}
-	return out
+	return append(out, 0)
 }
 
-// restorePlacement parses the optional placement section starting at
-// off. off == len(snapshot) means the section is absent (a snapshot
-// from a non-elastic store or an older writer) and leaves placement
-// state empty.
-func (kv *KVStore) restorePlacement(snapshot []byte, off int) (*placeState, *placement.Map, error) {
-	if off == len(snapshot) {
-		return nil, nil, nil
-	}
-	r := snapshot[off:]
-	u8 := func() (byte, error) {
-		if len(r) < 1 {
-			return 0, errors.New("statemachine: truncated placement section")
-		}
-		v := r[0]
-		r = r[1:]
-		return v, nil
-	}
-	u32 := func() (uint32, error) {
-		if len(r) < 4 {
-			return 0, errors.New("statemachine: truncated placement section")
-		}
-		v := binary.BigEndian.Uint32(r)
-		r = r[4:]
-		return v, nil
-	}
-	u64 := func() (uint64, error) {
-		if len(r) < 8 {
-			return 0, errors.New("statemachine: truncated placement section")
-		}
-		v := binary.BigEndian.Uint64(r)
-		r = r[8:]
-		return v, nil
-	}
-	chunk := func() ([]byte, error) {
-		n, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > len(r) {
-			return nil, errors.New("statemachine: truncated placement chunk")
-		}
-		v := r[:n]
-		r = r[n:]
-		return v, nil
-	}
-	readMap := func() (*placement.Map, error) {
-		b, err := chunk()
-		if err != nil {
-			return nil, err
-		}
-		return placement.DecodeMap(b)
-	}
+// appendRange appends a handoff record's epoch and hash range.
+func appendRange(out []byte, epoch uint64, rng placement.Range) []byte {
+	out = wire.AppendU64(out, epoch)
+	out = wire.AppendU64(out, rng.Lo)
+	return wire.AppendU64(out, rng.Hi)
+}
 
+// readRange reads appendRange's fields.
+func readRange(r *wire.Reader) (uint64, placement.Range) {
+	return r.U64(), placement.Range{Lo: r.U64(), Hi: r.U64()}
+}
+
+// present reads a section's presence byte: 0 absent, 1 present,
+// anything else a failure recorded on r.
+func present(r *wire.Reader, section string) bool {
+	switch r.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		r.Fail(fmt.Errorf("statemachine: invalid %s presence byte", section))
+		return false
+	}
+}
+
+// restorePlacement parses the optional placement section that ends a
+// snapshot. An exhausted reader means the section is absent (a
+// snapshot from a non-elastic store or an older writer) and leaves
+// placement state empty; errors are recorded on r.
+func restorePlacement(r *wire.Reader) (*placeState, *placement.Map) {
+	if r.Len() == 0 {
+		return nil, nil
+	}
 	var place *placeState
-	hasPlace, err := u8()
-	if err != nil {
-		return nil, nil, err
-	}
-	if hasPlace == 1 {
-		place = &placeState{}
-		self, err := u32()
-		if err != nil {
-			return nil, nil, err
-		}
-		place.self = ids.GroupID(self)
-		if place.mp, err = readMap(); err != nil {
-			return nil, nil, err
-		}
-		if place.installedEpoch, err = u64(); err != nil {
-			return nil, nil, err
-		}
-		if place.doneEpoch, err = u64(); err != nil {
-			return nil, nil, err
-		}
-		hasSeal, err := u8()
-		if err != nil {
-			return nil, nil, err
-		}
-		if hasSeal == 1 {
+	if present(r, "placement") {
+		place = &placeState{self: ids.GroupID(r.U32()), mp: readMap(r)}
+		place.installedEpoch, place.doneEpoch = r.U64(), r.U64()
+		if present(r, "seal") {
 			s := &sealRec{}
-			if s.epoch, err = u64(); err != nil {
-				return nil, nil, err
-			}
-			if s.rng.Lo, err = u64(); err != nil {
-				return nil, nil, err
-			}
-			if s.rng.Hi, err = u64(); err != nil {
-				return nil, nil, err
-			}
-			if s.count, err = u64(); err != nil {
-				return nil, nil, err
-			}
-			if len(r) < crypto.DigestSize {
-				return nil, nil, errors.New("statemachine: truncated seal digest")
-			}
-			copy(s.digest[:], r)
-			r = r[crypto.DigestSize:]
+			s.epoch, s.rng = readRange(r)
+			s.count = r.U64()
+			copy(s.digest[:], r.Fixed(crypto.DigestSize))
 			place.seal = s
-		} else if hasSeal != 0 {
-			return nil, nil, errors.New("statemachine: invalid seal presence byte")
 		}
-		hasImp, err := u8()
-		if err != nil {
-			return nil, nil, err
-		}
-		if hasImp == 1 {
+		if present(r, "importing") {
 			imp := &importRec{staged: make(map[string][]byte)}
-			if imp.epoch, err = u64(); err != nil {
-				return nil, nil, err
-			}
-			if imp.rng.Lo, err = u64(); err != nil {
-				return nil, nil, err
-			}
-			if imp.rng.Hi, err = u64(); err != nil {
-				return nil, nil, err
-			}
-			ns, err := u32()
-			if err != nil {
-				return nil, nil, err
-			}
-			if int(ns)*8 > len(r) {
-				return nil, nil, errors.New("statemachine: staged count exceeds snapshot")
-			}
-			for i := 0; i < int(ns); i++ {
-				k, err := chunk()
-				if err != nil {
-					return nil, nil, err
-				}
-				v, err := chunk()
-				if err != nil {
-					return nil, nil, err
-				}
-				imp.staged[string(k)] = append([]byte(nil), v...)
-			}
+			imp.epoch, imp.rng = readRange(r)
+			readPairs(r, r.Count(8), func(k, v []byte) { imp.staged[string(k)] = append([]byte(nil), v...) })
 			place.importing = imp
-		} else if hasImp != 0 {
-			return nil, nil, errors.New("statemachine: invalid importing presence byte")
 		}
-	} else if hasPlace != 0 {
-		return nil, nil, errors.New("statemachine: invalid placement presence byte")
 	}
-
 	var meta *placement.Map
-	hasMeta, err := u8()
-	if err != nil {
-		return nil, nil, err
-	}
-	if hasMeta == 1 {
-		if meta, err = readMap(); err != nil {
-			return nil, nil, err
-		}
-	} else if hasMeta != 0 {
-		return nil, nil, errors.New("statemachine: invalid meta presence byte")
-	}
-	if len(r) != 0 {
-		return nil, nil, fmt.Errorf("statemachine: %d trailing snapshot bytes", len(r))
+	if present(r, "meta") {
+		meta = readMap(r)
 	}
 	if place == nil && meta == nil {
-		return nil, nil, errors.New("statemachine: empty placement section")
+		r.Fail(errors.New("statemachine: empty placement section"))
 	}
-	return place, meta, nil
+	return place, meta
 }

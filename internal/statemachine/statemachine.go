@@ -7,16 +7,18 @@
 package statemachine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/placement"
+	"repro/internal/wire"
 )
 
 // StateMachine is the deterministic service replicated by the protocols.
@@ -122,26 +124,20 @@ func (id TxID) String() string { return fmt.Sprintf("tx:%d.%d", int64(id.Client)
 const txIDLen = 16
 
 func appendTxID(out []byte, id TxID) []byte {
-	out = binary.BigEndian.AppendUint64(out, uint64(id.Client))
-	return binary.BigEndian.AppendUint64(out, id.Seq)
+	out = wire.AppendU64(out, uint64(id.Client))
+	return wire.AppendU64(out, id.Seq)
 }
 
-func readTxID(b []byte) (TxID, []byte, bool) {
-	if len(b) < txIDLen {
-		return TxID{}, nil, false
-	}
-	id := TxID{
-		Client: ids.ClientID(binary.BigEndian.Uint64(b)),
-		Seq:    binary.BigEndian.Uint64(b[8:]),
-	}
-	return id, b[txIDLen:], true
+func readTxID(r *wire.Reader) TxID {
+	return TxID{Client: ids.ClientID(r.U64()), Seq: r.U64()}
 }
 
 // DecodeLockHolder extracts the blocking transaction from a KVLocked or
 // TxVoteNo result payload.
 func DecodeLockHolder(payload []byte) (TxID, bool) {
-	id, rest, ok := readTxID(payload)
-	return id, ok && len(rest) == 0
+	r := wire.NewReader(payload)
+	id := readTxID(r)
+	return id, r.Done() == nil
 }
 
 // EncodeTxPrepare builds the prepare leg for one shard: the transaction
@@ -156,16 +152,36 @@ func EncodeTxPrepare(id TxID, participants []ids.GroupID, writes [][]byte) []byt
 	out := make([]byte, 0, size)
 	out = append(out, kvOpTxPrepare)
 	out = appendTxID(out, id)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(participants)))
-	for _, g := range participants {
-		out = binary.BigEndian.AppendUint32(out, uint32(g))
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(writes)))
+	return appendTxBody(out, participants, writes)
+}
+
+// appendTxBody appends a prepared portion as both the prepare op and
+// the snapshot carry it: the participant list, then the writes.
+func appendTxBody(out []byte, participants []ids.GroupID, writes [][]byte) []byte {
+	out = appendParticipants(out, participants)
+	out = wire.AppendU32(out, uint32(len(writes)))
 	for _, w := range writes {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(w)))
-		out = append(out, w...)
+		out = wire.AppendBytes(out, w)
 	}
 	return out
+}
+
+// appendParticipants appends a u32-counted group list.
+func appendParticipants(out []byte, participants []ids.GroupID) []byte {
+	out = wire.AppendU32(out, uint32(len(participants)))
+	for _, g := range participants {
+		out = wire.AppendU32(out, uint32(g))
+	}
+	return out
+}
+
+// readParticipants reads appendParticipants' list.
+func readParticipants(r *wire.Reader) []ids.GroupID {
+	participants := make([]ids.GroupID, r.Count(4))
+	for i := range participants {
+		participants[i] = ids.GroupID(r.U32())
+	}
+	return participants
 }
 
 // EncodeTxCommit builds the commit leg: apply buffered writes, release
@@ -201,25 +217,14 @@ func EncodeTxStatus(id TxID) []byte {
 // DecodeTxStatusReply splits a TxStatus result payload into the fate
 // byte and, for TxPrepared, the participant group list.
 func DecodeTxStatusReply(payload []byte) (fate byte, participants []ids.GroupID, ok bool) {
-	if len(payload) < 1 {
+	r := wire.NewReader(payload)
+	fate = r.U8()
+	if r.Err() == nil && fate != TxPrepared {
+		return fate, nil, r.Done() == nil
+	}
+	participants = readParticipants(r)
+	if r.Done() != nil {
 		return 0, nil, false
-	}
-	fate = payload[0]
-	rest := payload[1:]
-	if fate != TxPrepared {
-		return fate, nil, len(rest) == 0
-	}
-	if len(rest) < 4 {
-		return 0, nil, false
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if len(rest) != 4*n {
-		return 0, nil, false
-	}
-	participants = make([]ids.GroupID, n)
-	for i := range participants {
-		participants[i] = ids.GroupID(binary.BigEndian.Uint32(rest[4*i:]))
 	}
 	return fate, participants, true
 }
@@ -351,8 +356,7 @@ func EncodeDelete(key string) []byte { return encodeKV(kvOpDelete, key, nil) }
 // example uses it for balance transfers.
 func EncodeAdd(key string, delta int64) []byte {
 	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(delta))
-	return encodeKV(kvOpAdd, key, buf[:])
+	return encodeKV(kvOpAdd, key, wire.AppendU64(buf[:0], uint64(delta)))
 }
 
 // EncodeScan builds a SCAN operation over the half-open key range
@@ -364,119 +368,114 @@ func EncodeScan(lo, hi string, limit int) []byte {
 	}
 	out := make([]byte, 0, 1+4+len(lo)+4+len(hi)+4)
 	out = append(out, kvOpScan)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(lo)))
-	out = append(out, lo...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(hi)))
-	out = append(out, hi...)
-	out = binary.BigEndian.AppendUint32(out, uint32(limit))
-	return out
+	out = wire.AppendBytes(out, lo)
+	out = wire.AppendBytes(out, hi)
+	return wire.AppendU32(out, uint32(limit))
 }
 
-// DecodeScan splits a SCAN operation into its range and limit. It is
+// decodeScan splits a SCAN operation into its range and limit. It is
 // the inverse of EncodeScan; ok is false for anything else.
-func DecodeScan(op []byte) (lo, hi string, limit int, ok bool) {
-	if len(op) < 1 || op[0] != kvOpScan {
+func decodeScan(op []byte) (lo, hi string, limit int, ok bool) {
+	r := wire.NewReader(op)
+	if r.U8() != kvOpScan {
 		return "", "", 0, false
 	}
-	b := op[1:]
-	read := func() (string, bool) {
-		if len(b) < 4 {
-			return "", false
-		}
-		n := int(binary.BigEndian.Uint32(b))
-		b = b[4:]
-		if n < 0 || n > len(b) {
-			return "", false
-		}
-		s := string(b[:n])
-		b = b[n:]
-		return s, true
-	}
-	if lo, ok = read(); !ok {
+	l, h, n := r.Bytes(), r.Bytes(), r.U32()
+	if r.Done() != nil {
 		return "", "", 0, false
 	}
-	if hi, ok = read(); !ok {
-		return "", "", 0, false
-	}
-	if len(b) != 4 {
-		return "", "", 0, false
-	}
-	return lo, hi, int(binary.BigEndian.Uint32(b)), true
+	return string(l), string(h), int(n), true
 }
 
-// IsScan reports whether op is a well-formed SCAN. Scans address a key
-// range, not a single key, so the router fans them out instead of
-// routing by owner.
-func IsScan(op []byte) bool {
-	_, _, _, ok := DecodeScan(op)
-	return ok
-}
-
-// ScanPair is one key/value result of a Scan.
-type ScanPair struct {
-	Key   string
-	Value []byte
-}
-
-// DecodeScanResult parses a Scan result: the ordered pairs plus a
-// continuation flag — more=true means the range holds further keys past
-// the last returned one (the caller resumes from its successor).
-func DecodeScanResult(res []byte) (pairs []ScanPair, more bool, err error) {
+// DecodeScanResult parses a Scan (or placement export) result: the
+// ordered pairs plus a continuation flag — more=true means the range
+// holds further keys past the last returned one (the caller resumes
+// from its successor).
+func DecodeScanResult(res []byte) (pairs []placement.Pair, more bool, err error) {
 	status, b := DecodeResult(res)
 	if status != KVOK {
 		return nil, false, fmt.Errorf("statemachine: scan failed with status %d", status)
 	}
-	if len(b) < 4 {
-		return nil, false, errors.New("statemachine: truncated scan result")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n < 0 || n > MaxScanLimit {
+	r := wire.NewReader(b)
+	n := r.Count(8)
+	if n > MaxScanLimit {
 		return nil, false, fmt.Errorf("statemachine: scan result count %d out of range", n)
 	}
-	// Hostile-input discipline: cap the allocation hint by what the
-	// payload could possibly hold (8 bytes of lengths per pair minimum).
-	hint := n
-	if max := len(b)/8 + 1; hint > max {
-		hint = max
+	pairs = make([]placement.Pair, 0, n)
+	readPairs(r, n, func(k, v []byte) {
+		pairs = append(pairs, placement.Pair{Key: string(k), Value: append([]byte(nil), v...)})
+	})
+	more = r.U8() != 0
+	if err := r.Done(); err != nil {
+		return nil, false, fmt.Errorf("statemachine: malformed scan result: %w", err)
 	}
-	pairs = make([]ScanPair, 0, hint)
-	for i := 0; i < n; i++ {
-		var p ScanPair
-		for j := 0; j < 2; j++ {
-			if len(b) < 4 {
-				return nil, false, errors.New("statemachine: truncated scan result")
-			}
-			l := int(binary.BigEndian.Uint32(b))
-			b = b[4:]
-			if l < 0 || l > len(b) {
-				return nil, false, errors.New("statemachine: truncated scan result")
-			}
-			if j == 0 {
-				p.Key = string(b[:l])
-			} else {
-				p.Value = append([]byte(nil), b[:l]...)
-			}
-			b = b[l:]
+	return pairs, more, nil
+}
+
+// sortedPairs lists the pairs of data whose key keep accepts (every
+// pair when keep is nil) in ascending key order. Values alias data.
+func sortedPairs(data map[string][]byte, keep func(key string) bool) []placement.Pair {
+	pairs := make([]placement.Pair, 0, len(data))
+	for k, v := range data {
+		if keep == nil || keep(k) {
+			pairs = append(pairs, placement.Pair{Key: k, Value: v})
 		}
-		pairs = append(pairs, p)
 	}
-	if len(b) != 1 {
-		return nil, false, errors.New("statemachine: malformed scan result tail")
+	slices.SortFunc(pairs, func(a, b placement.Pair) int { return strings.Compare(a.Key, b.Key) })
+	return pairs
+}
+
+// appendPairs appends the one pair-list encoding every section uses: a
+// u32 count, then each u32-length key and u32-length value.
+func appendPairs(out []byte, pairs []placement.Pair) []byte {
+	out = wire.AppendU32(out, uint32(len(pairs)))
+	for _, p := range pairs {
+		out = wire.AppendBytes(out, p.Key)
+		out = wire.AppendBytes(out, p.Value)
 	}
-	return pairs, b[0] != 0, nil
+	return out
+}
+
+// readPairs reads n pairs of appendPairs' encoding (the caller has
+// read the count), handing each to put until the input runs short or
+// put calls r.Fail. Key and value alias the input.
+func readPairs(r *wire.Reader, n int, put func(k, v []byte)) {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k, v := r.Bytes(), r.Bytes()
+		if r.Err() == nil {
+			put(k, v)
+		}
+	}
 }
 
 func encodeKV(op byte, key string, value []byte) []byte {
 	out := make([]byte, 0, 1+4+len(key)+4+len(value))
 	out = append(out, op)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(key)))
-	out = append(out, key...)
+	out = wire.AppendBytes(out, key)
 	if op == kvOpPut || op == kvOpAdd {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(value)))
-		out = append(out, value...)
+		out = wire.AppendBytes(out, value)
 	}
 	return out
+}
+
+// kvHeader splits a KV operation into its opcode, its u32-length key
+// and the bytes after the key, whatever the opcode; ok is false when op
+// is shorter than the 5-byte header or the key runs past its end.
+// KVOpKey, IsKVWrite, IsKVRead and applyKV all parse through it.
+func kvHeader(op []byte) (code byte, key, rest []byte, ok bool) {
+	r := wire.NewReader(op)
+	code = r.U8()
+	key = r.Bytes()
+	rest = r.Rest()
+	return code, key, rest, r.Err() == nil
+}
+
+// decodeValue reads a value that must fill rest exactly: a u32 length
+// and that many bytes.
+func decodeValue(rest []byte) ([]byte, bool) {
+	r := wire.NewReader(rest)
+	v := r.Bytes()
+	return v, r.Done() == nil
 }
 
 // KVOpKey extracts the key a KV operation addresses, without applying
@@ -487,19 +486,11 @@ func encodeKV(op byte, key string, value []byte) []byte {
 // a deterministic default group, and the owner replica will answer
 // KVBadOp exactly as an unsharded one would).
 func KVOpKey(op []byte) (string, bool) {
-	if len(op) < 5 {
-		return "", false
+	code, key, _, ok := kvHeader(op)
+	if ok && (code == kvOpGet || code == kvOpPut || code == kvOpDelete || code == kvOpAdd) {
+		return string(key), true
 	}
-	switch op[0] {
-	case kvOpGet, kvOpPut, kvOpDelete, kvOpAdd:
-	default:
-		return "", false
-	}
-	keyLen := int(binary.BigEndian.Uint32(op[1:5]))
-	if keyLen < 0 || 5+keyLen > len(op) {
-		return "", false
-	}
-	return string(op[5 : 5+keyLen]), true
+	return "", false
 }
 
 // IsKVWrite reports whether op is a well-formed KV write (Put, Delete
@@ -509,15 +500,11 @@ func KVOpKey(op []byte) (string, bool) {
 // key starts from zero) a buffered write always applies with a
 // well-defined effect.
 func IsKVWrite(op []byte) bool {
-	if len(op) < 5 {
+	code, _, rest, ok := kvHeader(op)
+	if !ok {
 		return false
 	}
-	keyLen := int(binary.BigEndian.Uint32(op[1:5]))
-	if keyLen < 0 || 5+keyLen > len(op) {
-		return false
-	}
-	rest := op[5+keyLen:]
-	switch op[0] {
+	switch code {
 	case kvOpDelete:
 		return len(rest) == 0
 	case kvOpPut:
@@ -533,10 +520,12 @@ func IsKVWrite(op []byte) bool {
 
 // DecodeCounter parses the uint64 payload an Add result carries.
 func DecodeCounter(payload []byte) (uint64, error) {
-	if len(payload) != 8 {
+	r := wire.NewReader(payload)
+	v := r.U64()
+	if r.Done() != nil {
 		return 0, fmt.Errorf("statemachine: counter payload of %d bytes", len(payload))
 	}
-	return binary.BigEndian.Uint64(payload), nil
+	return v, nil
 }
 
 // DecodeResult splits a KV result into status and payload.
@@ -596,60 +585,45 @@ func (kv *KVStore) Query(op []byte) (result []byte, ok bool) {
 // else (including malformed frames, whose KVBadOp answer is itself a
 // deterministic state-machine result) takes the ordered path.
 func IsKVRead(op []byte) bool {
-	if len(op) == 0 {
-		return false
+	if code, _, rest, ok := kvHeader(op); ok && code == kvOpGet {
+		return len(rest) == 0
 	}
-	switch op[0] {
-	case kvOpGet:
-		key, ok := KVOpKey(op)
-		return ok && len(op) == 5+len(key)
-	case kvOpScan:
-		return IsScan(op)
-	default:
-		return false
-	}
+	_, _, _, ok := decodeScan(op)
+	return ok
 }
 
 // scan executes a SCAN op: ascending key order over [lo, hi), clamped
 // to MaxScanLimit pairs, with a continuation flag when the range holds
 // more. Callers hold kv.mu (either mode — scan never mutates).
 func (kv *KVStore) scan(op []byte) []byte {
-	lo, hi, limit, ok := DecodeScan(op)
+	lo, hi, limit, ok := decodeScan(op)
 	if !ok {
 		return []byte{KVBadOp}
 	}
 	if limit <= 0 || limit > MaxScanLimit {
 		limit = MaxScanLimit
 	}
-	keys := make([]string, 0, len(kv.data))
-	for k := range kv.data {
-		// Keys in a sealed outgoing range are omitted: the new owner
-		// will serve them once installed, and a scan overlapping the
-		// handoff must never see a pair from both sides.
-		if k >= lo && (hi == "" || k < hi) && !kv.sealedOut(k) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	more := len(keys) > limit
+	// Keys in a sealed outgoing range are omitted: the new owner will
+	// serve them once installed, and a scan overlapping the handoff must
+	// never see a pair from both sides.
+	return pageResult(sortedPairs(kv.data, func(k string) bool {
+		return k >= lo && (hi == "" || k < hi) && !kv.sealedOut(k)
+	}), limit)
+}
+
+// pageResult encodes the scan-shaped result of Scan and placement
+// export: the first limit pairs, then a continuation flag set when
+// pairs were left out.
+func pageResult(pairs []placement.Pair, limit int) []byte {
+	more := len(pairs) > limit
 	if more {
-		keys = keys[:limit]
+		pairs = pairs[:limit]
 	}
-	out := []byte{KVOK}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(keys)))
-	for _, k := range keys {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(k)))
-		out = append(out, k...)
-		v := kv.data[k]
-		out = binary.BigEndian.AppendUint32(out, uint32(len(v)))
-		out = append(out, v...)
-	}
+	out := appendPairs([]byte{KVOK}, pairs)
 	if more {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		return append(out, 1)
 	}
-	return out
+	return append(out, 0)
 }
 
 // applyKV executes one plain KV operation. inTx marks the commit-time
@@ -659,16 +633,11 @@ func (kv *KVStore) scan(op []byte) []byte {
 // its writes with a well-defined effect, it cannot half-fail the way a
 // standalone Add returning KVNotFound does.
 func (kv *KVStore) applyKV(op []byte, inTx bool) []byte {
-	if len(op) < 5 {
+	code, k, rest, ok := kvHeader(op)
+	if !ok {
 		return []byte{KVBadOp}
 	}
-	code := op[0]
-	keyLen := int(binary.BigEndian.Uint32(op[1:5]))
-	if 5+keyLen > len(op) {
-		return []byte{KVBadOp}
-	}
-	key := string(op[5 : 5+keyLen])
-	rest := op[5+keyLen:]
+	key := string(k)
 	// Placement fence: a key this group no longer (or does not yet) own
 	// is rejected with the current map attached. Commit-time replay of
 	// buffered transaction writes is exempt — a seal cannot commit while
@@ -719,9 +688,8 @@ func (kv *KVStore) applyKV(op []byte, inTx bool) []byte {
 		default:
 			return []byte{KVBadOp}
 		}
-		sum := binary.BigEndian.Uint64(cur) + binary.BigEndian.Uint64(v)
-		out := make([]byte, 8)
-		binary.BigEndian.PutUint64(out, sum)
+		sum := wire.NewReader(cur).U64() + wire.NewReader(v).U64()
+		out := wire.AppendU64(make([]byte, 0, 8), sum)
 		kv.data[key] = out
 		return append([]byte{KVOK}, out...)
 	default:
@@ -733,49 +701,28 @@ func (kv *KVStore) applyKV(op []byte, inTx bool) []byte {
 // transaction, locking every written key. All-or-nothing: a single
 // conflicting key votes the whole shard no and acquires nothing.
 func (kv *KVStore) txPrepare(b []byte) []byte {
-	id, b, ok := readTxID(b)
-	if !ok || len(b) < 4 {
-		return []byte{KVBadOp}
-	}
-	np := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
+	r := wire.NewReader(b)
+	id := readTxID(r)
+	participants := readParticipants(r)
 	// An empty participant list is malformed: recovery derives the
 	// coordinator shard from it, so accepting the prepare would create
 	// locks nothing could ever release.
-	if np <= 0 || 4*np > len(b) {
+	if r.Err() != nil || len(participants) == 0 {
 		return []byte{KVBadOp}
 	}
-	participants := make([]ids.GroupID, np)
-	for i := range participants {
-		participants[i] = ids.GroupID(binary.BigEndian.Uint32(b[4*i:]))
-	}
-	b = b[4*np:]
-	if len(b) < 4 {
-		return []byte{KVBadOp}
-	}
-	nw := int(binary.BigEndian.Uint32(b))
-	off := 4
-	// Cap by what the bytes can hold (untrusted input, same discipline
-	// as Restore): every write costs at least its length prefix.
-	if nw < 0 || 4*nw > len(b)-off {
-		return []byte{KVBadOp}
-	}
+	nw := r.Count(4) // every write costs at least its length prefix
 	writes := make([][]byte, 0, nw)
 	keys := make([]string, 0, nw)
 	for i := 0; i < nw; i++ {
-		w, next, err := readChunk(b, off)
-		if err != nil {
-			return []byte{KVBadOp}
-		}
-		if !IsKVWrite(w) {
+		w := r.Bytes()
+		if r.Err() != nil || !IsKVWrite(w) {
 			return []byte{KVBadOp}
 		}
 		key, _ := KVOpKey(w)
 		writes = append(writes, append([]byte(nil), w...))
 		keys = append(keys, key)
-		off = next
 	}
-	if off != len(b) {
+	if r.Done() != nil {
 		return []byte{KVBadOp}
 	}
 
@@ -826,8 +773,9 @@ func (kv *KVStore) txPrepare(b []byte) []byte {
 // must then vote no); committing one returns KVNotFound, because a
 // correct coordinator only sends commit after this shard voted yes.
 func (kv *KVStore) txFinish(b []byte, commit bool) []byte {
-	id, rest, ok := readTxID(b)
-	if !ok || len(rest) != 0 {
+	r := wire.NewReader(b)
+	id := readTxID(r)
+	if r.Done() != nil {
 		return []byte{KVBadOp}
 	}
 	if p, ok := kv.pending[id]; ok {
@@ -900,12 +848,9 @@ func (kv *KVStore) recordDecision(id TxID, outcome byte) {
 // (the original coordinator racing a recovery client, or vice versa)
 // gets the recorded one back and must follow it.
 func (kv *KVStore) txDecide(b []byte) []byte {
-	id, rest, ok := readTxID(b)
-	if !ok || len(rest) != 1 {
-		return []byte{KVBadOp}
-	}
-	d := rest[0]
-	if d != TxCommitted && d != TxAborted {
+	r := wire.NewReader(b)
+	id, d := readTxID(r), r.U8()
+	if r.Done() != nil || (d != TxCommitted && d != TxAborted) {
 		return []byte{KVBadOp}
 	}
 	if prev, ok := kv.decided[id]; ok {
@@ -926,17 +871,13 @@ func (kv *KVStore) txDecide(b []byte) []byte {
 // record also exists, so recovery keeps driving the commit/abort legs
 // until the locks are actually released.
 func (kv *KVStore) txStatus(b []byte) []byte {
-	id, rest, ok := readTxID(b)
-	if !ok || len(rest) != 0 {
+	r := wire.NewReader(b)
+	id := readTxID(r)
+	if r.Done() != nil {
 		return []byte{KVBadOp}
 	}
 	if p, ok := kv.pending[id]; ok {
-		out := []byte{KVOK, TxPrepared}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(p.participants)))
-		for _, g := range p.participants {
-			out = binary.BigEndian.AppendUint32(out, uint32(g))
-		}
-		return out
+		return appendParticipants([]byte{KVOK, TxPrepared}, p.participants)
 	}
 	if d, ok := kv.decided[id]; ok {
 		return []byte{KVOK, d}
@@ -945,17 +886,6 @@ func (kv *KVStore) txStatus(b []byte) []byte {
 		return []byte{KVOK, TxAborted}
 	}
 	return []byte{KVOK, TxUnknown}
-}
-
-func decodeValue(b []byte) ([]byte, bool) {
-	if len(b) < 4 {
-		return nil, false
-	}
-	n := int(binary.BigEndian.Uint32(b[:4]))
-	if 4+n != len(b) {
-		return nil, false
-	}
-	return b[4:], true
 }
 
 // sortTxIDs orders transaction ids canonically (client, then seq).
@@ -977,20 +907,7 @@ func sortTxIDs(ts []TxID) {
 func (kv *KVStore) Snapshot() []byte {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	keys := make([]string, 0, len(kv.data))
-	for k := range kv.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []byte
-	out = binary.BigEndian.AppendUint32(out, uint32(len(keys)))
-	for _, k := range keys {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(k)))
-		out = append(out, k...)
-		v := kv.data[k]
-		out = binary.BigEndian.AppendUint32(out, uint32(len(v)))
-		out = append(out, v...)
-	}
+	out := appendPairs(nil, sortedPairs(kv.data, nil))
 
 	// Lock table, key-sorted.
 	lkeys := make([]string, 0, len(kv.locks))
@@ -998,10 +915,9 @@ func (kv *KVStore) Snapshot() []byte {
 		lkeys = append(lkeys, k)
 	}
 	sort.Strings(lkeys)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(lkeys)))
+	out = wire.AppendU32(out, uint32(len(lkeys)))
 	for _, k := range lkeys {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(k)))
-		out = append(out, k...)
+		out = wire.AppendBytes(out, k)
 		out = appendTxID(out, kv.locks[k])
 	}
 
@@ -1011,26 +927,18 @@ func (kv *KVStore) Snapshot() []byte {
 		pids = append(pids, id)
 	}
 	sortTxIDs(pids)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(pids)))
+	out = wire.AppendU32(out, uint32(len(pids)))
 	for _, id := range pids {
 		p := kv.pending[id]
 		out = appendTxID(out, id)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(p.participants)))
-		for _, g := range p.participants {
-			out = binary.BigEndian.AppendUint32(out, uint32(g))
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(p.writes)))
-		for _, w := range p.writes {
-			out = binary.BigEndian.AppendUint32(out, uint32(len(w)))
-			out = append(out, w...)
-		}
+		out = appendTxBody(out, p.participants, p.writes)
 	}
 
 	// Decided outcomes: commits id-sorted (they are a plain permanent
 	// set), then aborts in ledger (insertion) order — the abort order
 	// is a pure function of Apply order, identical on every replica,
 	// and FIFO eviction depends on it, so it is canonical state.
-	out = binary.BigEndian.AppendUint32(out, uint32(len(kv.decided)))
+	out = wire.AppendU32(out, uint32(len(kv.decided)))
 	nc := len(kv.decided) - len(kv.abortOrder)
 	if nc < 0 {
 		nc = 0
@@ -1057,44 +965,31 @@ func (kv *KVStore) Snapshot() []byte {
 		hcs = append(hcs, c)
 	}
 	sort.Slice(hcs, func(i, j int) bool { return hcs[i] < hcs[j] })
-	out = binary.BigEndian.AppendUint32(out, uint32(len(hcs)))
+	out = wire.AppendU32(out, uint32(len(hcs)))
 	for _, c := range hcs {
-		out = binary.BigEndian.AppendUint64(out, uint64(c))
-		out = binary.BigEndian.AppendUint64(out, kv.abortHorizon[c])
+		out = wire.AppendU64(out, uint64(c))
+		out = wire.AppendU64(out, kv.abortHorizon[c])
 	}
 	// Placement section, appended only on elastic deployments so every
 	// pre-placement snapshot stays byte-identical.
 	return kv.appendPlacementSnapshot(out)
 }
 
-// Restore implements StateMachine.
+// Restore implements StateMachine. Every count is untrusted input (state
+// transfer ships snapshots from possibly-Byzantine peers), so each is
+// capped by what the remaining bytes could hold before it sizes an
+// allocation: a short hostile snapshot cannot demand a multi-gigabyte
+// map before the truncation checks reject it.
 func (kv *KVStore) Restore(snapshot []byte) error {
-	if len(snapshot) < 4 {
-		return errors.New("statemachine: short snapshot")
+	r := wire.NewReader(snapshot)
+	n := r.Count(8) // every pair costs at least its two length prefixes
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("statemachine: snapshot: %w", err)
 	}
-	n := int(binary.BigEndian.Uint32(snapshot[:4]))
-	// The count is untrusted input (state transfer ships snapshots from
-	// possibly-Byzantine peers): cap the allocation hint by what the
-	// bytes could actually hold — every entry costs at least its two
-	// length prefixes — so a short hostile snapshot cannot demand a
-	// multi-gigabyte map before the truncation checks reject it.
-	hint := n
-	if max := (len(snapshot) - 4) / 8; hint > max {
-		hint = max
-	}
-	data := make(map[string][]byte, hint)
-	off := 4
-	for i := 0; i < n; i++ {
-		k, next, err := readChunk(snapshot, off)
-		if err != nil {
-			return err
-		}
-		v, next2, err := readChunk(snapshot, next)
-		if err != nil {
-			return err
-		}
-		data[string(k)] = append([]byte(nil), v...)
-		off = next2
+	data := make(map[string][]byte, n)
+	readPairs(r, n, func(k, v []byte) { data[string(k)] = append([]byte(nil), v...) })
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("statemachine: snapshot: %w", err)
 	}
 
 	// A snapshot ending after the data section is the pre-transaction
@@ -1102,7 +997,7 @@ func (kv *KVStore) Restore(snapshot []byte) error {
 	// serialized by an older writer): accept it with empty
 	// transactional state, so durable deployments can restart across
 	// the format change.
-	if off == len(snapshot) {
+	if r.Len() == 0 {
 		kv.mu.Lock()
 		defer kv.mu.Unlock()
 		kv.data = data
@@ -1117,59 +1012,23 @@ func (kv *KVStore) Restore(snapshot []byte) error {
 	}
 
 	// Lock table.
-	nl, off, err := readCount(snapshot, off, 4+txIDLen)
-	if err != nil {
-		return err
-	}
+	nl := r.Count(4 + txIDLen)
 	locks := make(map[string]TxID, nl)
-	for i := 0; i < nl; i++ {
-		k, next, err := readChunk(snapshot, off)
-		if err != nil {
-			return err
-		}
-		if next+txIDLen > len(snapshot) {
-			return errors.New("statemachine: truncated lock entry")
-		}
-		id, _, _ := readTxID(snapshot[next:])
-		locks[string(k)] = id
-		off = next + txIDLen
+	for i := 0; i < nl && r.Err() == nil; i++ {
+		k := r.Bytes()
+		locks[string(k)] = readTxID(r)
 	}
 
 	// Prepared transactions.
-	np, off, err := readCount(snapshot, off, txIDLen+8)
-	if err != nil {
-		return err
-	}
+	np := r.Count(txIDLen + 8)
 	pending := make(map[TxID]pendingTx, np)
-	for i := 0; i < np; i++ {
-		if off+txIDLen+4 > len(snapshot) {
-			return errors.New("statemachine: truncated pending transaction")
-		}
-		id, _, _ := readTxID(snapshot[off:])
-		off += txIDLen
-		ng := int(binary.BigEndian.Uint32(snapshot[off:]))
-		off += 4
-		if ng < 0 || off+4*ng+4 > len(snapshot) {
-			return errors.New("statemachine: truncated participant list")
-		}
-		participants := make([]ids.GroupID, ng)
-		for j := range participants {
-			participants[j] = ids.GroupID(binary.BigEndian.Uint32(snapshot[off+4*j:]))
-		}
-		off += 4 * ng
-		nw := int(binary.BigEndian.Uint32(snapshot[off:]))
-		off += 4
-		if nw < 0 || 4*nw > len(snapshot)-off {
-			return errors.New("statemachine: truncated write list")
-		}
+	for i := 0; i < np && r.Err() == nil; i++ {
+		id := readTxID(r)
+		participants := readParticipants(r)
+		nw := r.Count(4)
 		writes := make([][]byte, 0, nw)
 		for j := 0; j < nw; j++ {
-			w, next, err := readChunk(snapshot, off)
-			if err != nil {
-				return err
-			}
-			writes = append(writes, append([]byte(nil), w...))
-			off = next
+			writes = append(writes, append([]byte(nil), r.Bytes()...))
 		}
 		pending[id] = pendingTx{participants: participants, writes: writes}
 	}
@@ -1178,30 +1037,21 @@ func (kv *KVStore) Restore(snapshot []byte) error {
 	// order; everything else is the permanent (commit) set. Duplicate
 	// ids (possible only in hostile input) keep their first occurrence,
 	// matching what the maps can hold.
-	nd, off, err := readCount(snapshot, off, txIDLen+1)
-	if err != nil {
-		return err
-	}
+	nd := r.Count(txIDLen + 1)
 	decided := make(map[TxID]byte, nd)
 	var abortOrder []TxID
-	for i := 0; i < nd; i++ {
-		if off+txIDLen+1 > len(snapshot) {
-			return errors.New("statemachine: truncated decision entry")
-		}
-		id, _, _ := readTxID(snapshot[off:])
-		d := snapshot[off+txIDLen]
+	for i := 0; i < nd && r.Err() == nil; i++ {
+		id, d := readTxID(r), r.U8()
 		// The fate byte is an enum; anything else is a corrupt or
 		// hostile snapshot (the maps only ever hold these two values).
 		if d != TxCommitted && d != TxAborted {
-			return fmt.Errorf("statemachine: invalid decision fate %d", d)
-		}
-		if _, dup := decided[id]; !dup {
+			r.Fail(fmt.Errorf("statemachine: invalid decision fate %d", d))
+		} else if _, dup := decided[id]; !dup {
 			decided[id] = d
 			if d == TxAborted {
 				abortOrder = append(abortOrder, id)
 			}
 		}
-		off += txIDLen + 1
 	}
 	for len(abortOrder) > txAbortLedgerCap {
 		delete(decided, abortOrder[0])
@@ -1209,25 +1059,18 @@ func (kv *KVStore) Restore(snapshot []byte) error {
 	}
 
 	// Abort horizon.
-	nh, off, err := readCount(snapshot, off, 16)
-	if err != nil {
-		return err
-	}
+	nh := r.Count(16)
 	abortHorizon := make(map[ids.ClientID]uint64, nh)
-	for i := 0; i < nh; i++ {
-		if off+16 > len(snapshot) {
-			return errors.New("statemachine: truncated abort-horizon entry")
-		}
-		c := ids.ClientID(binary.BigEndian.Uint64(snapshot[off:]))
-		abortHorizon[c] = binary.BigEndian.Uint64(snapshot[off+8:])
-		off += 16
+	for i := 0; i < nh && r.Err() == nil; i++ {
+		c := ids.ClientID(r.U64())
+		abortHorizon[c] = r.U64()
 	}
 
 	// A snapshot ending here predates (or never had) placement state;
 	// anything further is the optional placement section.
-	place, meta, err := kv.restorePlacement(snapshot, off)
-	if err != nil {
-		return err
+	place, meta := restorePlacement(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("statemachine: snapshot: %w", err)
 	}
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -1240,32 +1083,6 @@ func (kv *KVStore) Restore(snapshot []byte) error {
 	kv.place = place
 	kv.meta = meta
 	return nil
-}
-
-// readCount reads a section's entry count and caps it by the bytes
-// remaining (each entry costs at least minEntry bytes), the untrusted
-// allocation-hint discipline of Restore.
-func readCount(b []byte, off, minEntry int) (n, next int, err error) {
-	if off+4 > len(b) {
-		return 0, 0, errors.New("statemachine: truncated section count")
-	}
-	n = int(binary.BigEndian.Uint32(b[off:]))
-	if n < 0 || n*minEntry > len(b)-off-4 {
-		return 0, 0, errors.New("statemachine: section count exceeds snapshot size")
-	}
-	return n, off + 4, nil
-}
-
-func readChunk(b []byte, off int) ([]byte, int, error) {
-	if off+4 > len(b) {
-		return nil, 0, errors.New("statemachine: truncated snapshot")
-	}
-	n := int(binary.BigEndian.Uint32(b[off:]))
-	off += 4
-	if off+n > len(b) {
-		return nil, 0, errors.New("statemachine: truncated snapshot chunk")
-	}
-	return b[off : off+n], off + n, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1288,25 +1105,22 @@ func (c *Counter) Value() uint64 { return c.n.Load() }
 
 // Apply implements StateMachine.
 func (c *Counter) Apply(op []byte) []byte {
-	n := c.n.Add(1)
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint64(out, n)
-	return out
+	return wire.AppendU64(make([]byte, 0, 8), c.n.Add(1))
 }
 
 // Snapshot implements StateMachine.
 func (c *Counter) Snapshot() []byte {
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint64(out, c.n.Load())
-	return out
+	return wire.AppendU64(make([]byte, 0, 8), c.n.Load())
 }
 
 // Restore implements StateMachine.
 func (c *Counter) Restore(snapshot []byte) error {
-	if len(snapshot) != 8 {
+	r := wire.NewReader(snapshot)
+	n := r.U64()
+	if r.Done() != nil {
 		return errors.New("statemachine: counter snapshot must be 8 bytes")
 	}
-	c.n.Store(binary.BigEndian.Uint64(snapshot))
+	c.n.Store(n)
 	return nil
 }
 
@@ -1332,19 +1146,18 @@ func (e *Echo) Apply(op []byte) []byte {
 
 // Snapshot implements StateMachine.
 func (e *Echo) Snapshot() []byte {
-	out := make([]byte, 16)
-	binary.BigEndian.PutUint64(out, uint64(e.replySize))
-	binary.BigEndian.PutUint64(out[8:], e.applied)
-	return out
+	out := wire.AppendU64(make([]byte, 0, 16), uint64(e.replySize))
+	return wire.AppendU64(out, e.applied)
 }
 
 // Restore implements StateMachine.
 func (e *Echo) Restore(snapshot []byte) error {
-	if len(snapshot) != 16 {
+	r := wire.NewReader(snapshot)
+	size, applied := r.U64(), r.U64()
+	if r.Done() != nil {
 		return errors.New("statemachine: echo snapshot must be 16 bytes")
 	}
-	e.replySize = int(binary.BigEndian.Uint64(snapshot))
-	e.applied = binary.BigEndian.Uint64(snapshot[8:])
+	e.replySize, e.applied = int(size), applied
 	return nil
 }
 
@@ -1399,48 +1212,29 @@ func (t *ClientTable) Snapshot() []byte {
 		cs = append(cs, c)
 	}
 	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	var out []byte
-	out = binary.BigEndian.AppendUint32(out, uint32(len(cs)))
+	out := wire.AppendU32(nil, uint32(len(cs)))
 	for _, c := range cs {
-		out = binary.BigEndian.AppendUint64(out, uint64(c))
 		rec := t.last[c]
-		out = binary.BigEndian.AppendUint64(out, rec.timestamp)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(rec.reply)))
-		out = append(out, rec.reply...)
+		out = wire.AppendU64(out, uint64(c))
+		out = wire.AppendU64(out, rec.timestamp)
+		out = wire.AppendBytes(out, rec.reply)
 	}
 	return out
 }
 
-// Restore replaces the table from a snapshot.
+// Restore replaces the table from a snapshot. The record count is
+// untrusted, so it is capped by the bytes available (each record is at
+// least 20 bytes of fixed header) before it sizes the table.
 func (t *ClientTable) Restore(snapshot []byte) error {
-	if len(snapshot) < 4 {
-		return errors.New("statemachine: short client-table snapshot")
+	r := wire.NewReader(snapshot)
+	n := r.Count(20)
+	last := make(map[ids.ClientID]clientRecord, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		c, ts := ids.ClientID(r.U64()), r.U64()
+		last[c] = clientRecord{timestamp: ts, reply: append([]byte(nil), r.Bytes()...)}
 	}
-	n := int(binary.BigEndian.Uint32(snapshot[:4]))
-	// Untrusted count: cap the allocation hint by the bytes available
-	// (each record is at least 20 bytes of fixed header).
-	hint := n
-	if max := (len(snapshot) - 4) / 20; hint > max {
-		hint = max
-	}
-	last := make(map[ids.ClientID]clientRecord, hint)
-	off := 4
-	for i := 0; i < n; i++ {
-		if off+20 > len(snapshot) {
-			return errors.New("statemachine: truncated client-table snapshot")
-		}
-		c := ids.ClientID(binary.BigEndian.Uint64(snapshot[off:]))
-		ts := binary.BigEndian.Uint64(snapshot[off+8:])
-		rl := int(binary.BigEndian.Uint32(snapshot[off+16:]))
-		off += 20
-		if off+rl > len(snapshot) {
-			return errors.New("statemachine: truncated client-table reply")
-		}
-		last[c] = clientRecord{timestamp: ts, reply: append([]byte(nil), snapshot[off:off+rl]...)}
-		off += rl
-	}
-	if off != len(snapshot) {
-		return errors.New("statemachine: trailing client-table bytes")
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("statemachine: client-table snapshot: %w", err)
 	}
 	t.last = last
 	return nil
