@@ -5,7 +5,7 @@ GO      ?= go
 PKGS    ?= ./...
 COVER   ?= coverage.out
 
-.PHONY: all build test race race-client bench bench-json bench-smoke bench-pairs profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet builder-guard lint lint-fix cover clean help
+.PHONY: all build test race race-client bench bench-json bench-smoke bench-pairs profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet builder-guard codec-guard lint lint-fix cover clean help
 
 SIM_SEEDS ?= 200
 
@@ -77,7 +77,7 @@ vet: ## stock go vet
 seemore-vet: ## the custom invariant analyzers (clockcheck, simdet, errsticky)
 	$(GO) run ./cmd/seemore-vet $(PKGS)
 
-lint: fmt-check vet doclint seemore-vet builder-guard ## the full static-analysis umbrella (CI lint gate)
+lint: fmt-check vet doclint seemore-vet builder-guard codec-guard ## the full static-analysis umbrella (CI lint gate)
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck $(PKGS)"; staticcheck $(PKGS); \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
@@ -92,6 +92,12 @@ builder-guard: ## fail unless core.NewReplica( and pbft.NewReplica( each appear 
 			echo "$$pkg.NewReplica( must appear once, in cluster.Spec.BuildNode; found:"; printf '%s\n' "$$hits"; exit 1; \
 		fi; \
 	done
+
+codec-guard: ## fail if a non-test file under internal/statemachine, internal/placement or internal/replica imports encoding/binary (the state machine's bytes go through internal/wire)
+	@hits="$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' internal/statemachine internal/placement internal/replica)"; \
+	if [ -n "$$hits" ]; then \
+		echo "encode and decode through internal/wire, not encoding/binary, in:"; printf '%s\n' "$$hits"; exit 1; \
+	fi
 
 lint-fix: fmt ## apply the automatic fixes (gofmt), then re-run the lint gate
 	$(MAKE) lint

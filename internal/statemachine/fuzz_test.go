@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/crypto"
 	"repro/internal/ids"
+	"repro/internal/placement"
 )
 
 // FuzzKVApply hammers the KV store's untrusted-input surfaces. The
@@ -38,11 +40,33 @@ func FuzzKVApply(f *testing.F) {
 	f.Add(EncodeTxAbort(txid))
 	f.Add(EncodeTxDecide(txid, true))
 	f.Add(EncodeTxStatus(txid))
-	// A valid snapshot seed so the Restore arm starts somewhere useful.
+	f.Add(EncodeScan("a", "z", 2))
+	f.Add(EncodeScan("", "", 0))
+	boot, err := placement.Bootstrap(1, 2, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	split := placement.Cmd{Kind: placement.CmdSplit, Group: 0, To: 1}
+	next, err := split.Apply(boot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EncodePlaceInit(0, boot))
+	f.Add(EncodePlaceSeal(next))
+	f.Add(EncodePlaceExport(next.Epoch, "", 2))
+	f.Add(EncodePlaceInstall(next, []placement.Pair{{Key: "k", Value: []byte("v")}}, true, crypto.Digest{1}))
+	f.Add(EncodePlaceComplete(next.Epoch))
+	f.Add(EncodeMetaInit(boot))
+	f.Add(EncodeMetaApply(split))
+	f.Add(EncodeMetaDone(next.Epoch))
+	f.Add(EncodeMetaGet())
+	// Valid snapshot seeds so the Restore arm starts somewhere useful:
+	// a small store, and one holding every section.
 	seedKV := NewKVStore()
 	seedKV.Apply(EncodePut("a", []byte("1")))
 	seedKV.Apply(EncodePut("b", []byte("2")))
 	f.Add(seedKV.Snapshot())
+	f.Add(AllSections(f).Snapshot())
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// Two stores with identical contents: determinism harness.

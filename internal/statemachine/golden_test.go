@@ -444,39 +444,6 @@ func tryRestore(b []byte) (string, bool) {
 	return stateOf(kv), true
 }
 
-// allSections builds a store whose snapshot holds every section: data,
-// locks, a prepared transaction, commit and abort records, an abort
-// horizon, a placement fence with both a seal and an import, and a
-// meta map with a pending migration.
-func allSections(t *testing.T) *sm.KVStore {
-	boot, next, split := splitMaps(t)
-	kept := keysIn(next.Pending.Range, false, 3)
-	moved := keysIn(next.Pending.Range, true, 2)
-	kv := sm.NewKVStore()
-	mustStatus(t, kv.Apply(sm.EncodePlaceInit(0, boot)), sm.KVOK)
-	for _, k := range append(append([]string(nil), kept...), moved...) {
-		mustStatus(t, kv.Apply(sm.EncodePut(k, []byte("v-"+k))), sm.KVOK)
-	}
-	mustStatus(t, kv.Apply(sm.EncodePut("empty", nil)), sm.KVOK)
-	parts := []ids.GroupID{0, 1}
-	mustStatus(t, kv.Apply(sm.EncodeTxPrepare(sm.TxID{Client: 2, Seq: 1}, parts, [][]byte{
-		sm.EncodePut(kept[0], []byte("tx")), sm.EncodeDelete(kept[1]),
-	})), sm.TxVoteYes)
-	mustStatus(t, kv.Apply(sm.EncodeTxPrepare(sm.TxID{Client: 2, Seq: 2}, parts, [][]byte{
-		sm.EncodeAdd("ctr", 1),
-	})), sm.TxVoteYes)
-	mustStatus(t, kv.Apply(sm.EncodeTxCommit(sm.TxID{Client: 2, Seq: 2})), sm.KVOK)
-	mustStatus(t, kv.Apply(sm.EncodeTxAbort(sm.TxID{Client: 3, Seq: 1})), sm.KVOK)
-	kv.RaiseAbortHorizon(4, 9)
-	mustStatus(t, kv.Apply(sm.EncodePlaceSeal(next)), sm.KVOK)
-	kv.StageImport(7, placement.Range{Lo: 1 << 60, Hi: 1 << 61}, []placement.Pair{
-		{Key: "imp-a", Value: []byte("1")}, {Key: "imp-b", Value: nil},
-	})
-	mustStatus(t, kv.Apply(sm.EncodeMetaInit(boot)), sm.KVOK)
-	mustStatus(t, kv.Apply(sm.EncodeMetaApply(split)), sm.KVOK)
-	return kv
-}
-
 // goldenSnapshots: the data-only (pre-transaction) format, and the
 // decoders' sweeps.
 func goldenSnapshots(t *testing.T, r *goldenRows) {
@@ -495,7 +462,7 @@ func goldenSnapshots(t *testing.T, r *goldenRows) {
 		r.add("snap/"+s.name, "ok=%v st=%s", ok, out)
 	}
 
-	all := allSections(t)
+	all := sm.AllSections(t)
 	snap := all.Snapshot()
 	r.add("snap/all", "snap=%s", show(snap))
 	sweep(r, "restore", snap, tryRestore)
