@@ -51,7 +51,6 @@ func main() {
 		lease    = flag.Duration("lease", 0, "leader lease duration for local leased reads (0 disables; trusted modes only)")
 		leaseSkw = flag.Duration("lease-skew", 0, "assumed clock-skew bound backing the lease safety margin")
 		dataDir  = flag.String("data-dir", "", "durable storage directory (WAL + snapshots); empty runs fully in memory")
-		fsyncEv  = flag.Int("fsync-every", 1, "fsync the WAL only once N appends are pending (1: before anything appended is sent; >1 trades a bounded power-failure window for throughput)")
 		shards   = flag.Int("shards", 1, "total consensus groups in the sharded deployment this replica belongs to")
 		shardOf  = flag.Int("shard-of", 0, "which group this replica serves, in [0, shards)")
 	)
@@ -108,10 +107,7 @@ func main() {
 	if dir != "" && sh.Enabled() {
 		dir = filepath.Join(dir, fmt.Sprintf("g%d", group))
 	}
-	spec.Durability = config.Durability{Dir: dir, FsyncEvery: *fsyncEv}
-	if err := spec.Durability.Validate(); err != nil {
-		log.Fatalf("durability: %v", err)
-	}
+	spec.Durability = config.Durability{Dir: dir}
 
 	peerMap, err := parsePeers(*peers)
 	if err != nil {
@@ -124,7 +120,7 @@ func main() {
 
 	var store storage.Store
 	if spec.Durability.Enabled() {
-		store, err = storage.Open(spec.Durability.Dir, storage.DiskOptions{FsyncEvery: spec.Durability.FsyncEvery})
+		store, err = storage.Open(spec.Durability.Dir, storage.DiskOptions{})
 		if err != nil {
 			log.Fatalf("storage: %v", err)
 		}

@@ -550,12 +550,7 @@ func (c *Cluster) openStorage(g ids.GroupID, id ids.ReplicaID) (storage.Store, e
 	if !c.Spec.Durability.Enabled() {
 		return nil, nil
 	}
-	if err := c.Spec.Durability.Validate(); err != nil {
-		return nil, err
-	}
-	return storage.Open(c.StorageDirIn(g, id), storage.DiskOptions{
-		FsyncEvery: c.Spec.Durability.FsyncEvery,
-	})
+	return storage.Open(c.StorageDirIn(g, id), storage.DiskOptions{})
 }
 
 // RestartNode models a process crash plus restart of one group-0

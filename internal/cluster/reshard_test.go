@@ -198,7 +198,7 @@ func TestElasticSplitUnderLoad(t *testing.T) {
 func TestElasticKillSourcePrimaryMidHandoff(t *testing.T) {
 	spec := elasticSpec(101)
 	spec.Shards, spec.SpareGroups = 1, 1
-	spec.Durability = config.Durability{Dir: t.TempDir(), FsyncEvery: 1}
+	spec.Durability = config.Durability{Dir: t.TempDir()}
 	c, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +360,7 @@ func TestElasticMembershipResize(t *testing.T) {
 	spec := elasticSpec(33)
 	spec.Shards, spec.SpareGroups = 1, 0
 	spec.ResizeHeadroom = 1
-	spec.Durability = config.Durability{Dir: t.TempDir(), FsyncEvery: 1}
+	spec.Durability = config.Durability{Dir: t.TempDir()}
 	c, err := New(spec)
 	if err != nil {
 		t.Fatal(err)

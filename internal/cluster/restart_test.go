@@ -69,7 +69,7 @@ func waitAtLeast(t *testing.T, hi *atomic.Uint64, target uint64, d time.Duration
 // with the cluster — no committed operation lost.
 func testCrashRestartRecovery(t *testing.T, spec Spec) {
 	spec.Timing = testTiming()
-	spec.Durability = config.Durability{Dir: t.TempDir(), FsyncEvery: 1}
+	spec.Durability = config.Durability{Dir: t.TempDir()}
 	spec.Seed = 7
 	c, err := New(spec)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestRecoverLocallyFromWALAndSnapshot(t *testing.T) {
 	spec := Spec{
 		Protocol: SeeMoRe, Mode: ids.Lion, Crash: 1, Byz: 1,
 		Timing:     testTiming(),
-		Durability: config.Durability{Dir: t.TempDir(), FsyncEvery: 4},
+		Durability: config.Durability{Dir: t.TempDir()},
 		Seed:       3,
 	}
 	c, err := New(spec)
@@ -159,7 +159,7 @@ func TestRecoverLocallyFromWALAndSnapshot(t *testing.T) {
 	cl.Close()
 	c.Stop() // closes every replica's store
 
-	st, err := storage.Open(c.StorageDir(1), storage.DiskOptions{FsyncEvery: 4})
+	st, err := storage.Open(c.StorageDir(1), storage.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

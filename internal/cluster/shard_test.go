@@ -137,7 +137,7 @@ func TestShardedKillRestartOneShard(t *testing.T) {
 	c, err := New(Spec{
 		Protocol: SeeMoRe, Mode: ids.Lion, Crash: 1, Byz: 1,
 		Timing:     testTiming(),
-		Durability: config.Durability{Dir: t.TempDir(), FsyncEvery: 1},
+		Durability: config.Durability{Dir: t.TempDir()},
 		Seed:       33, Shards: 2,
 	})
 	if err != nil {

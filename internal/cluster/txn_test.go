@@ -129,7 +129,7 @@ func testCoordinatorDeath(t *testing.T, decideCommitBeforeDeath bool) {
 	c, err := New(Spec{
 		Protocol: SeeMoRe, Mode: ids.Lion, Crash: 1, Byz: 1,
 		Timing:     testTiming(),
-		Durability: config.Durability{Dir: t.TempDir(), FsyncEvery: 1},
+		Durability: config.Durability{Dir: t.TempDir()},
 		Seed:       43, Shards: 2,
 	})
 	if err != nil {

@@ -314,25 +314,10 @@ type Durability struct {
 	// Dir is the data directory (the -data-dir flag of cmd/seemore).
 	// Empty disables durability.
 	Dir string
-	// FsyncEvery batches WAL fsyncs: a replica syncs its log once before
-	// it sends anything it appended, and the sync reaches the disk only
-	// once N appends are pending. Values ≤ 1 fsync every such time (the
-	// default, and the only setting under which a sent vote can never be
-	// forgotten across a power failure); larger values amortize the sync
-	// cost at a bounded durability loss.
-	FsyncEvery int
 }
 
 // Enabled reports whether durable storage is configured.
 func (d Durability) Enabled() bool { return d.Dir != "" }
-
-// Validate rejects nonsensical durability values.
-func (d Durability) Validate() error {
-	if d.FsyncEvery < 0 {
-		return fmt.Errorf("config: negative FsyncEvery %d", d.FsyncEvery)
-	}
-	return nil
-}
 
 // MaxShards caps the number of consensus groups in a sharded
 // deployment. The transport address space supports vastly more; this

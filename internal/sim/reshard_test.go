@@ -33,7 +33,7 @@ func runReshardScenario(t *testing.T, seed int64) {
 		},
 		Seed:   seed,
 		Shards: 1, SpareGroups: 1, Elastic: true,
-		Durability: config.Durability{Dir: t.TempDir(), FsyncEvery: 1},
+		Durability: config.Durability{Dir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)

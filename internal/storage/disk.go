@@ -21,12 +21,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DiskOptions tunes the file-backed store.
 type DiskOptions struct {
-	// FsyncEvery batches fsyncs: Sync always writes what was appended,
-	// but fdatasyncs only once at least N appends are unsynced. 1 (and
-	// anything below) makes every Sync cover every earlier append — the
-	// safest setting and the default. Larger values trade a bounded
-	// window of recent appends (on power failure; not on process crash)
-	// for throughput.
+	// FsyncEvery may only be 0 or 1, which mean the same: every Sync
+	// writes and fdatasyncs what was appended, so a returned Sync always
+	// means durable. Open refuses larger values. The field stays only
+	// because the repo benchmark sets it to 1.
 	FsyncEvery int
 	// SegmentBytes is each WAL segment's preallocated size: a segment is
 	// created at this size, and a write that would run past it goes to a
@@ -35,9 +33,6 @@ type DiskOptions struct {
 }
 
 func (o DiskOptions) normalized() DiskOptions {
-	if o.FsyncEvery < 1 {
-		o.FsyncEvery = 1
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -70,7 +65,6 @@ type Disk struct {
 	bufMax   uint64 // highest GC-relevant Seq in buf
 	nextSeg  uint64
 	segs     map[string]segInfo // closed segments
-	unsynced int                // appends not yet covered by an fdatasync
 	syncErr  error
 	closed   bool
 }
@@ -96,6 +90,9 @@ const (
 // crash mid-write) is truncated away; corruption anywhere else fails
 // the open so a damaged log is never silently replayed.
 func Open(dir string, opts DiskOptions) (*Disk, error) {
+	if opts.FsyncEvery > 1 {
+		return nil, fmt.Errorf("storage: FsyncEvery %d: every Sync fdatasyncs, so only 0 or 1 is accepted", opts.FsyncEvery)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
@@ -418,11 +415,7 @@ func (d *Disk) fsync() error {
 	if err := d.write(); err != nil {
 		return err
 	}
-	if err := d.datasync(); err != nil {
-		return err
-	}
-	d.unsynced = 0
-	return nil
+	return d.datasync()
 }
 
 // Append implements Store: it encodes the record into the Disk's buffer
@@ -447,20 +440,15 @@ func (d *Disk) Append(rec Record) error {
 func (d *Disk) buffer(rec *Record) {
 	d.buf = appendFrame(d.buf, rec)
 	d.bufMax = max(d.bufMax, gcSeq(*rec))
-	d.unsynced++
 }
 
-// Sync implements Store: it writes every buffered append, and
-// fdatasyncs once at least FsyncEvery appends are unsynced, which at the
-// default of 1 makes every earlier append durable.
+// Sync implements Store: it writes every buffered append and
+// fdatasyncs, making every earlier append durable.
 func (d *Disk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
-	}
-	if d.unsynced < d.opts.FsyncEvery {
-		return d.write()
 	}
 	return d.fsync()
 }

@@ -40,14 +40,11 @@
 // stabilization that garbage-collects the in-memory message log,
 // keeping disk usage bounded.
 //
-// The fsync policy is configurable (config.Durability.FsyncEvery): 1
-// makes every Sync cover every earlier append (nothing a replica said can
-// be lost), N makes a Sync write but skip its fdatasync until N appends
-// are pending (bounded loss of the most recent appends on a power
-// failure; a plain process crash loses no written append, because the
-// OS still holds the pages). Appends no Sync has written yet are lost in
-// any crash, under every policy. A failed write or fdatasync latches:
-// every later Append and Sync reports it.
+// The fsync policy is not configurable: every Sync writes and
+// fdatasyncs, so a returned Sync covers every earlier append and
+// nothing a replica said can be lost. Appends no Sync has written yet
+// are lost in any crash. A failed write or fdatasync latches: every
+// later Append and Sync reports it.
 //
 // # Snapshot store
 //

@@ -134,11 +134,10 @@ type Store interface {
 	// does not retain rec.Payload: the caller may reuse it once Append
 	// returns.
 	Append(rec Record) error
-	// Sync makes every earlier Append durable (subject to the
-	// implementation's fsync batching policy, which may leave the most
-	// recent appends exposed to a power failure, never to a process
-	// crash). An error is sticky: the store cannot vouch for those
-	// appends any more, and every later Append and Sync reports it too.
+	// Sync makes every earlier Append durable: once it returns nil, no
+	// crash or power failure loses them. An error is sticky: the store
+	// cannot vouch for those appends any more, and every later Append
+	// and Sync reports it too.
 	Sync() error
 	// Replay streams every surviving record in append order. It is
 	// called once, before the engine starts.

@@ -225,28 +225,25 @@ func TestDiskSegmentRotationAndTruncate(t *testing.T) {
 	}
 }
 
-func TestDiskFsyncBatching(t *testing.T) {
+// TestDiskOpenRefusesFsyncEvery pins that a returned Sync always means
+// durable: Open refuses any FsyncEvery above 1 (a value that once let
+// Sync skip its fdatasync) and takes 0 and 1 as the default.
+func TestDiskOpenRefusesFsyncEvery(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, DiskOptions{FsyncEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 20; i++ {
-		if err := d.Append(rec(KindCommit, i, nil)); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{2, 8} {
+		if d, err := Open(dir, DiskOptions{FsyncEvery: n}); err == nil {
+			d.Close()
+			t.Fatalf("Open accepted FsyncEvery %d", n)
 		}
 	}
-	// Close syncs the remainder; reopen sees everything.
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Open(dir, DiskOptions{FsyncEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if got := collect(t, d2); len(got) != 20 {
-		t.Fatalf("replayed %d records, want 20", len(got))
+	for _, n := range []int{0, 1} {
+		d, err := Open(dir, DiskOptions{FsyncEvery: n})
+		if err != nil {
+			t.Fatalf("Open with FsyncEvery %d: %v", n, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -12,9 +12,7 @@ import (
 
 // TestDiskSyncCoversEarlierAppends checks the append/sync split: Append
 // only buffers, and one Sync makes every append before it durable —
-// across segment rotations, which sync the outgoing file themselves —
-// while FsyncEvery defers the fdatasync until enough appends are
-// pending.
+// across segment rotations, which sync the outgoing file themselves.
 func TestDiskSyncCoversEarlierAppends(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, DiskOptions{FsyncEvery: 1, SegmentBytes: 4 << 10})
@@ -27,14 +25,14 @@ func TestDiskSyncCoversEarlierAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.unsynced == 0 {
-		t.Fatal("appends were synced before any Sync")
+	if len(d.buf) == 0 {
+		t.Fatal("appends were written before any Sync")
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if d.unsynced != 0 {
-		t.Fatalf("%d appends still unsynced after Sync", d.unsynced)
+	if len(d.buf) != 0 || d.dirty {
+		t.Fatalf("after Sync: %d bytes unwritten, segment dirty %v", len(d.buf), d.dirty)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -53,23 +51,6 @@ func TestDiskSyncCoversEarlierAppends(t *testing.T) {
 		}
 	}
 	d2.Close()
-
-	batched, err := Open(t.TempDir(), DiskOptions{FsyncEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
-	for i := 1; i <= 4; i++ {
-		if err := batched.Append(rec(KindCommit, uint64(i), nil)); err != nil {
-			t.Fatal(err)
-		}
-		if err := batched.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if want := i % 4; batched.unsynced != want {
-			t.Fatalf("FsyncEvery:4 after %d appends and a Sync: %d unsynced, want %d", i, batched.unsynced, want)
-		}
-	}
 }
 
 // TestDiskAppendWritesNothingUntilSync checks that Append only buffers:
