@@ -133,7 +133,7 @@ func EncodePlaceInstall(m *placement.Map, pairs []placement.Pair, done bool, dig
 		out = append(out, 0)
 	}
 	out = append(out, digest[:]...)
-	return appendPairs(out, pairs)
+	return appendPairs(out, len(pairs), func(i int) (string, []byte) { return pairs[i].Key, pairs[i].Value })
 }
 
 // EncodePlaceComplete builds the purge op retiring migration epoch on
@@ -281,8 +281,8 @@ func (kv *KVStore) sealedOut(key string) bool {
 // derive it the same way, so a lost or corrupted export page cannot
 // merge silently.
 func rangeManifest(data map[string][]byte, rng placement.Range) (uint64, crypto.Digest) {
-	pairs := sortedPairs(data, func(k string) bool { return rng.Contains(placement.Hash(k)) })
-	return uint64(len(pairs)), crypto.Sum(appendPairs(nil, pairs))
+	keys := sortedKeys(data, func(k string) bool { return rng.Contains(placement.Hash(k)) })
+	return uint64(len(keys)), crypto.Sum(appendKeyed(nil, keys, data))
 }
 
 // placeInit adopts the bootstrap map. Idempotent; on an already-placed
@@ -367,9 +367,9 @@ func (kv *KVStore) placeExport(b []byte) []byte {
 		}
 		return []byte{KVBadOp}
 	}
-	return pageResult(sortedPairs(kv.data, func(k string) bool {
+	return pageResult(sortedKeys(kv.data, func(k string) bool {
 		return k >= start && p.seal.rng.Contains(placement.Hash(k))
-	}), limit)
+	}), kv.data, limit)
 }
 
 // placeInstall stages one page of the incoming range on the new owner
@@ -582,7 +582,7 @@ func (kv *KVStore) appendPlacementSnapshot(out []byte) []byte {
 		}
 		if imp := p.importing; imp != nil {
 			out = appendRange(append(out, 1), imp.epoch, imp.rng)
-			out = appendPairs(out, sortedPairs(imp.staged, nil))
+			out = appendKeyed(out, sortedKeys(imp.staged, nil), imp.staged)
 		} else {
 			out = append(out, 0)
 		}

@@ -9,9 +9,7 @@ package statemachine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -412,28 +410,36 @@ func DecodeScanResult(res []byte) (pairs []placement.Pair, more bool, err error)
 	return pairs, more, nil
 }
 
-// sortedPairs lists the pairs of data whose key keep accepts (every
-// pair when keep is nil) in ascending key order. Values alias data.
-func sortedPairs(data map[string][]byte, keep func(key string) bool) []placement.Pair {
-	pairs := make([]placement.Pair, 0, len(data))
-	for k, v := range data {
+// sortedKeys lists the keys of data that keep accepts (every key when
+// keep is nil) in ascending order.
+func sortedKeys(data map[string][]byte, keep func(key string) bool) []string {
+	keys := make([]string, 0, len(data))
+	for k := range data {
 		if keep == nil || keep(k) {
-			pairs = append(pairs, placement.Pair{Key: k, Value: v})
+			keys = append(keys, k)
 		}
 	}
-	slices.SortFunc(pairs, func(a, b placement.Pair) int { return strings.Compare(a.Key, b.Key) })
-	return pairs
+	sort.Strings(keys)
+	return keys
 }
 
 // appendPairs appends the one pair-list encoding every section uses: a
-// u32 count, then each u32-length key and u32-length value.
-func appendPairs(out []byte, pairs []placement.Pair) []byte {
-	out = wire.AppendU32(out, uint32(len(pairs)))
-	for _, p := range pairs {
-		out = wire.AppendBytes(out, p.Key)
-		out = wire.AppendBytes(out, p.Value)
+// u32 count n, then each u32-length key and u32-length value, the i-th
+// pair being pair(i).
+func appendPairs(out []byte, n int, pair func(i int) (string, []byte)) []byte {
+	out = wire.AppendU32(out, uint32(n))
+	for i := 0; i < n; i++ {
+		k, v := pair(i)
+		out = wire.AppendBytes(out, k)
+		out = wire.AppendBytes(out, v)
 	}
 	return out
+}
+
+// appendKeyed appends appendPairs' encoding of data's pairs under keys,
+// in keys' order.
+func appendKeyed(out []byte, keys []string, data map[string][]byte) []byte {
+	return appendPairs(out, len(keys), func(i int) (string, []byte) { return keys[i], data[keys[i]] })
 }
 
 // readPairs reads n pairs of appendPairs' encoding (the caller has
@@ -606,20 +612,20 @@ func (kv *KVStore) scan(op []byte) []byte {
 	// Keys in a sealed outgoing range are omitted: the new owner will
 	// serve them once installed, and a scan overlapping the handoff must
 	// never see a pair from both sides.
-	return pageResult(sortedPairs(kv.data, func(k string) bool {
+	return pageResult(sortedKeys(kv.data, func(k string) bool {
 		return k >= lo && (hi == "" || k < hi) && !kv.sealedOut(k)
-	}), limit)
+	}), kv.data, limit)
 }
 
 // pageResult encodes the scan-shaped result of Scan and placement
-// export: the first limit pairs, then a continuation flag set when
-// pairs were left out.
-func pageResult(pairs []placement.Pair, limit int) []byte {
-	more := len(pairs) > limit
+// export: data's pairs under the first limit keys, then a continuation
+// flag set when keys were left out.
+func pageResult(keys []string, data map[string][]byte, limit int) []byte {
+	more := len(keys) > limit
 	if more {
-		pairs = pairs[:limit]
+		keys = keys[:limit]
 	}
-	out := appendPairs([]byte{KVOK}, pairs)
+	out := appendKeyed([]byte{KVOK}, keys, data)
 	if more {
 		return append(out, 1)
 	}
@@ -907,7 +913,7 @@ func sortTxIDs(ts []TxID) {
 func (kv *KVStore) Snapshot() []byte {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	out := appendPairs(nil, sortedPairs(kv.data, nil))
+	out := appendKeyed(nil, sortedKeys(kv.data, nil), kv.data)
 
 	// Lock table, key-sorted.
 	lkeys := make([]string, 0, len(kv.locks))

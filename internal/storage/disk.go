@@ -55,18 +55,18 @@ type Disk struct {
 	opts DiskOptions
 	lock *os.File // flock on LOCK, held for the store's lifetime
 
-	mu       sync.Mutex
-	cur      *os.File
-	curName  string
-	curSize  int64  // the active segment's logical end: bytes written
-	curMax   uint64 // highest GC-relevant Seq in the active segment
-	dirty    bool   // the active segment holds writes not yet fdatasynced
-	buf      []byte // frames appended since the last write, in order
-	bufMax   uint64 // highest GC-relevant Seq in buf
-	nextSeg  uint64
-	segs     map[string]segInfo // closed segments
-	syncErr  error
-	closed   bool
+	mu      sync.Mutex
+	cur     *os.File
+	curName string
+	curSize int64  // the active segment's logical end: bytes written
+	curMax  uint64 // highest GC-relevant Seq in the active segment
+	dirty   bool   // the active segment holds writes not yet fdatasynced
+	buf     []byte // frames appended since the last write, in order
+	bufMax  uint64 // highest GC-relevant Seq in buf
+	nextSeg uint64
+	segs    map[string]segInfo // closed segments
+	syncErr error
+	closed  bool
 }
 
 // segInfo is what a Disk keeps of a closed segment: the highest

@@ -91,14 +91,7 @@ func (r *Reader) Fixed(n int) []byte {
 }
 
 // Bytes reads a uint32 length, then that many bytes.
-func (r *Reader) Bytes() []byte {
-	n := r.U32()
-	if r.err != nil || uint64(n) > uint64(len(r.b)-r.off) {
-		r.Fail(ErrTruncated)
-		return nil
-	}
-	return r.Fixed(int(n))
-}
+func (r *Reader) Bytes() []byte { return r.Fixed(int(r.U32())) }
 
 // Count reads a uint32 entry count and fails, returning 0, unless the
 // bytes left after it can hold that many entries of at least minEntry
