@@ -989,9 +989,6 @@ func (kv *KVStore) Snapshot() []byte {
 func (kv *KVStore) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	n := r.Count(8) // every pair costs at least its two length prefixes
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("statemachine: snapshot: %w", err)
-	}
 	data := make(map[string][]byte, n)
 	readPairs(r, n, func(k, v []byte) { data[string(k)] = append([]byte(nil), v...) })
 	if err := r.Err(); err != nil {
