@@ -33,10 +33,13 @@ var Simdet = &Analyzer{
 }
 
 // simdetScope lists the packages the deterministic simulation steps:
-// the harness, the engines, and internal/replica, whose Recovery owns
-// the vote table and parked-checkpoint map the engines' map-order bugs
-// lived in. Fixture packages match by their bare path.
-var simdetScope = []string{"internal/sim", "internal/core", "internal/pbft", "internal/replica"}
+// the harness, the engines, internal/replica, whose Recovery owns the
+// vote table and parked-checkpoint map the engines' map-order bugs
+// lived in, and the state machine with its placement map, whose Apply
+// every replica must answer byte for byte alike. Fixture packages match
+// by their bare path.
+var simdetScope = []string{"internal/sim", "internal/core", "internal/pbft", "internal/replica",
+	"internal/statemachine", "internal/placement"}
 
 func simdetScoped(path string) bool {
 	for _, s := range simdetScope {

@@ -23,3 +23,10 @@ func TestSimdetReplicaScope(t *testing.T) {
 func TestSimdetScope(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Simdet, "other")
 }
+
+// TestSimdetStateMachineScope pins the scope over internal/statemachine
+// (and, by the same list entry shape, internal/placement), whose Apply
+// results every replica must produce byte for byte alike.
+func TestSimdetStateMachineScope(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.Simdet, "statemachine")
+}

@@ -3,6 +3,7 @@ package statemachine
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"repro/internal/crypto"
 	"repro/internal/ids"
@@ -337,10 +338,18 @@ func (kv *KVStore) placeSeal(b []byte) []byte {
 	if nm.Epoch <= p.mp.Epoch {
 		return wrongEpoch(p.mp) // seal for an epoch this group moved past
 	}
+	// Name the holder of the smallest locked key in range, so every
+	// replica in this state answers with the same bytes.
+	var lockedKey string
+	var lockedBy TxID
+	locked := false
 	for key, holder := range kv.locks {
-		if pend.Range.Contains(placement.Hash(key)) {
-			return append([]byte{KVLocked}, appendTxID(nil, holder)...)
+		if pend.Range.Contains(placement.Hash(key)) && (!locked || key < lockedKey) {
+			lockedKey, lockedBy, locked = key, holder, true
 		}
+	}
+	if locked {
+		return append([]byte{KVLocked}, appendTxID(nil, lockedBy)...)
 	}
 	count, digest := rangeManifest(kv.data, pend.Range)
 	p.seal = &sealRec{epoch: pend.Epoch, rng: pend.Range, count: count, digest: digest}
@@ -429,9 +438,7 @@ func (kv *KVStore) placeInstall(b []byte) []byte {
 		imp.staged = make(map[string][]byte)
 		return []byte{KVBadOp}
 	}
-	for k, v := range imp.staged {
-		kv.data[k] = v
-	}
+	maps.Copy(kv.data, imp.staged)
 	p.importing = nil
 	p.installedEpoch = pend.Epoch
 	return []byte{KVOK, PlaceInstallDone}

@@ -223,6 +223,42 @@ func TestPlacementSealWaitsForPreparedTx(t *testing.T) {
 	}
 }
 
+// TestPlacementSealLockedDeterministic pins that a seal blocked by
+// several prepared transactions answers the same bytes on every replica
+// in the same state: the holder of the smallest locked key in range,
+// never whichever lock map iteration reaches first.
+func TestPlacementSealLockedDeterministic(t *testing.T) {
+	boot, next := splitScenario(t)
+	src := placedStore(t, 0, boot)
+	moved, _ := splitKeys(t, next.Pending.Range, 8)
+	smallest := 0
+	for i, k := range moved {
+		prep(t, src, TxID{Client: 3, Seq: uint64(i + 1)}, EncodePut(k, []byte("tx")))
+		if k < moved[smallest] {
+			smallest = i
+		}
+	}
+	snap := src.Snapshot()
+	want := TxID{Client: 3, Seq: uint64(smallest + 1)}
+	var first []byte
+	for i := 0; i < 24; i++ {
+		kv := NewKVStore()
+		if err := kv.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		res := kv.Apply(EncodePlaceSeal(next))
+		if i == 0 {
+			first = res
+			st, payload := DecodeResult(res)
+			if holder, ok := DecodeLockHolder(payload); st != KVLocked || !ok || holder != want {
+				t.Fatalf("seal: status %d holder %v (ok=%v), want KVLocked by %v", st, holder, ok, want)
+			}
+		} else if !bytes.Equal(res, first) {
+			t.Fatalf("store %d sealed to %x, store 0 to %x", i, res, first)
+		}
+	}
+}
+
 func TestPlacementInstallDigestMismatchRestarts(t *testing.T) {
 	boot, next := splitScenario(t)
 	src := placedStore(t, 0, boot)
