@@ -53,13 +53,14 @@ profile: ## CPU+heap profile one pipeline sweep → cpu.pprof / mem.pprof (inspe
 		-measure 200ms -warmup 50ms -clients 8 \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 
-fuzz: ## fuzz the untrusted-input decoders briefly (wire codec + KV state machine + placement map + linearizability checker + NEW-VIEW check)
+fuzz: ## fuzz the untrusted-input decoders briefly (wire codec + KV state machine + placement map + linearizability checker + NEW-VIEW check + signature verifier against crypto/ed25519)
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=15s ./internal/message
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/message
 	$(GO) test -run='^$$' -fuzz=FuzzKVApply -fuzztime=10s ./internal/statemachine
 	$(GO) test -run='^$$' -fuzz=FuzzPlacement -fuzztime=10s ./internal/placement
 	$(GO) test -run='^$$' -fuzz=FuzzLinearizable -fuzztime=15s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzNewView -fuzztime=15s ./internal/replica
+	$(GO) test -run='^$$' -fuzz=FuzzVerify -fuzztime=15s ./internal/crypto
 
 sim-explore: ## sweep SIM_SEEDS deterministic-simulation seeds (failures print a one-line reproduction)
 	$(GO) test ./internal/sim -run TestSimSeed -sim.seeds $(SIM_SEEDS) -timeout 60m

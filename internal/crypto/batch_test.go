@@ -27,9 +27,9 @@ func checkAgainstStdlib(t *testing.T, s *Ed25519Suite, items []BatchItem, ok boo
 	t.Helper()
 	wantOK, wantBad := true, -1
 	for i := range items {
-		pub := s.pub[items[i].Signer]
-		if pub == nil || len(items[i].Sig) != ed25519.SignatureSize ||
-			!ed25519.Verify(pub, items[i].Msg, items[i].Sig) {
+		key := s.pub[items[i].Signer]
+		if key == nil || len(items[i].Sig) != ed25519.SignatureSize ||
+			!ed25519.Verify(key.pub[:], items[i].Msg, items[i].Sig) {
 			wantOK, wantBad = false, i
 			break
 		}

@@ -169,7 +169,7 @@ func (p pairKeys) VerifyTag(from, to Principal, msg, tag []byte) bool {
 // keyring without a key-distribution subprotocol.
 type Ed25519Suite struct {
 	pairKeys
-	pub  map[Principal]ed25519.PublicKey
+	pub  map[Principal]*verifyKey
 	priv map[Principal]ed25519.PrivateKey
 }
 
@@ -181,7 +181,7 @@ type Ed25519Suite struct {
 func NewEd25519Suite(seed int64, replicas int, clients int64) *Ed25519Suite {
 	s := &Ed25519Suite{
 		pairKeys: pairKeys{seed: seed, replicas: replicas, clients: clients},
-		pub:      make(map[Principal]ed25519.PublicKey, replicas+int(clients)),
+		pub:      make(map[Principal]*verifyKey, replicas+int(clients)),
 		priv:     make(map[Principal]ed25519.PrivateKey, replicas+int(clients)),
 	}
 	for r := 0; r < replicas; r++ {
@@ -200,7 +200,7 @@ func (s *Ed25519Suite) add(p Principal, seed int64) {
 	material[16] = 0xd5 // domain separation from any other seed derivation
 	priv := ed25519.NewKeyFromSeed(hashSeed(material[:]))
 	s.priv[p] = priv
-	s.pub[p] = priv.Public().(ed25519.PublicKey)
+	s.pub[p] = newVerifyKey(priv.Public().(ed25519.PublicKey))
 }
 
 func hashSeed(b []byte) []byte {
@@ -219,11 +219,8 @@ func (s *Ed25519Suite) Sign(signer Principal, msg []byte) []byte {
 
 // Verify implements Suite.
 func (s *Ed25519Suite) Verify(signer Principal, msg, sig []byte) bool {
-	pub, ok := s.pub[signer]
-	if !ok {
-		return false
-	}
-	return len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
+	key, ok := s.pub[signer]
+	return ok && key.verify(msg, sig)
 }
 
 // Name implements Suite.
