@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/crypto/edwards25519"
@@ -170,4 +171,23 @@ func FuzzVerify(f *testing.F) {
 			t.Fatalf("key %x msg %x sig %x: verify = %v, ed25519.Verify = %v", key, msg, sig, got, want)
 		}
 	})
+}
+
+// TestVerifyConcurrentFirstUse checks one key from several goroutines
+// at once, so the lazily built split table is raced for under -race.
+func TestVerifyConcurrentFirstUse(t *testing.T) {
+	s := NewEd25519Suite(13, 2, 0)
+	msg := []byte("prepare v=2 n=9")
+	sig := s.Sign(ReplicaPrincipal(1), msg)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !s.Verify(ReplicaPrincipal(1), msg, sig) {
+				t.Error("valid signature rejected")
+			}
+		}()
+	}
+	wg.Wait()
 }
