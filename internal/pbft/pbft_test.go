@@ -12,6 +12,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ids"
 	"repro/internal/statemachine"
+	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -28,29 +29,44 @@ type harness struct {
 	stopped  bool
 }
 
-// newHarness builds a PBFT cluster (crash=0) or an S-UpRight cluster
-// (crash>0) — same engine, different sizing, like the paper.
+// newHarness builds and starts a PBFT cluster (crash=0) or an S-UpRight
+// cluster (crash>0) — same engine, different sizing, like the paper.
 func newHarness(t *testing.T, byz, crash int, seed int64) *harness {
 	t.Helper()
 	n := 3*byz + 2*crash + 1
-	timing := config.Timing{
+	h := buildHarness(t, byz, crash, crypto.NewHMACSuite(seed, n, 64), seed, config.Timing{
 		ViewChange:       100 * time.Millisecond,
 		ClientRetry:      150 * time.Millisecond,
 		CheckpointPeriod: 16,
 		HighWaterMarkLag: 256,
-	}
+	}, nil)
+	h.start()
+	return h
+}
+
+// buildHarness builds, without starting it, the cluster of byz and crash
+// bounds over suite on a LAN seeded with seed, each replica journaling
+// to storeOf(id) (storeOf nil: no durability).
+func buildHarness(t *testing.T, byz, crash int, suite crypto.Suite, seed int64, timing config.Timing, storeOf func(ids.ReplicaID) storage.Store) *harness {
+	t.Helper()
+	n := 3*byz + 2*crash + 1
 	h := &harness{
 		t: t, n: n, byz: byz, crash: crash,
-		suite:  crypto.NewHMACSuite(seed, n, 64),
+		suite:  suite,
 		net:    transport.NewSimNetwork(transport.LAN(n, seed)),
 		timing: timing,
 	}
+	t.Cleanup(h.stop)
 	for i := 0; i < n; i++ {
+		var st storage.Store
+		if storeOf != nil {
+			st = storeOf(ids.ReplicaID(i))
+		}
 		kv := statemachine.NewKVStore()
 		r, err := NewReplica(Options{
 			ID: ids.ReplicaID(i), N: n, Byz: byz, Crash: crash,
 			Suite: h.suite, Network: h.net, StateMachine: kv,
-			Timing: timing, TickInterval: 2 * time.Millisecond,
+			Timing: timing, TickInterval: 2 * time.Millisecond, Storage: st,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,11 +74,13 @@ func newHarness(t *testing.T, byz, crash int, seed int64) *harness {
 		h.replicas = append(h.replicas, r)
 		h.kvs = append(h.kvs, kv)
 	}
+	return h
+}
+
+func (h *harness) start() {
 	for _, r := range h.replicas {
 		r.Start()
 	}
-	t.Cleanup(h.stop)
-	return h
 }
 
 func (h *harness) stop() {

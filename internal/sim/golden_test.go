@@ -25,7 +25,7 @@ const goldenFile = "testdata/fingerprints.golden"
 // stabilizes checkpoints, completes a view change and installs a state
 // transfer (TestSimGoldenFingerprints enforces all three).
 var recoverySeeds = map[string]int64{
-	"lion": 4, "dog": 24, "peacock": 4, "paxos": 4, "pbft": 6,
+	"lion": 4, "dog": 24, "peacock": 4, "paxos": 4, "pbft": 6, "upright": 1,
 }
 
 // recoveryConfig is the recovery-heavy shape. The base seeds finish
@@ -60,7 +60,7 @@ func recoveryConfig(seed int64, proto cluster.Protocol, mode ids.Mode) Config {
 // batchedSeeds is recoverySeeds for the batched, pipelined recovery
 // runs: the same three requirements, met under the batched shape.
 var batchedSeeds = map[string]int64{
-	"lion": 4, "dog": 24, "peacock": 3, "paxos": 4, "pbft": 4,
+	"lion": 4, "dog": 24, "peacock": 3, "paxos": 4, "pbft": 4, "upright": 1,
 }
 
 // batched puts the lion_batched benchmark workload's knobs on a run:

@@ -39,7 +39,8 @@ func baseConfig(seed int64, proto cluster.Protocol, mode ids.Mode) Config {
 	return cfg
 }
 
-// shapes are the five protocol shapes every sim test family covers.
+// shapes are the six protocol shapes every sim test family covers.
+// S-UpRight is the one PBFT quorum that is not 2f+1 (2m+c+1 = 4 of 6).
 var shapes = []struct {
 	name  string
 	proto cluster.Protocol
@@ -50,6 +51,7 @@ var shapes = []struct {
 	{"peacock", cluster.SeeMoRe, ids.Peacock},
 	{"paxos", cluster.Paxos, 0},
 	{"pbft", cluster.PBFT, 0},
+	{"upright", cluster.UpRight, 0},
 }
 
 func mustRun(t *testing.T, cfg Config) *Result {
