@@ -94,6 +94,10 @@ type Replica struct {
 	// change is in progress exactly while rec.InViewChange().
 	rec *replica.Recovery
 
+	// round is the PBFT prepare/commit round Peacock's proxies run (see
+	// replica.Round).
+	round *replica.Round
+
 	// targetMode is the mode of the view rec is trying to enter;
 	// pendingModes records MODE-CHANGE announcements: view → new mode.
 	targetMode   ids.Mode
@@ -196,6 +200,19 @@ func NewReplica(opts Options) (*Replica, error) {
 		Engine: r.eng, Log: r.log, Exec: r.exec, Pending: r.pending,
 		Trust: trust{r}, N: mb.N(), ViewChange: r.timing.ViewChange,
 		JoinQuorum: mb.M() + 1, Mode: r.mode,
+	})
+	r.round = replica.NewRound(replica.RoundConfig{
+		Recovery:  r.rec,
+		Voter:     func(v ids.View, id ids.ReplicaID) bool { return mb.IsProxy(ids.Peacock, v, id) },
+		Voters:    func(v ids.View) []ids.ReplicaID { return mb.Proxies(ids.Peacock, v) },
+		Quorum:    mb.AgreementQuorum(ids.Peacock),
+		Authentic: r.authentic,
+		// Second Peacock modification: INFORM the passive nodes; the
+		// proxies reply inside the execution hook.
+		Committed: func(seq uint64, d crypto.Digest) {
+			r.inform(seq, d)
+			r.executeReady()
+		},
 	})
 	if opts.Storage != nil {
 		// Crash-restart recovery: replay the journal into the message

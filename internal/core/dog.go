@@ -161,14 +161,16 @@ func (r *Replica) dogOnCommit(m *message.Message) {
 	}
 }
 
-// dogOnInform: passive nodes execute after 2m+1 matching INFORMs from
-// distinct proxies that agree with the prepare received from the trusted
-// primary (Algorithm 2 commentary).
-func (r *Replica) dogOnInform(m *message.Message) {
+// onInform: a passive node of a Dog or Peacock view executes a slot
+// once enough distinct proxies INFORM it of the commit, provided it holds
+// the matching proposal for the body: 2m+1 in Dog, where the proposal is
+// the trusted primary's PREPARE (Algorithm 2 commentary), m+1 in Peacock
+// (Section 5.3). Lion has no proxies, so no INFORM passes there.
+func (r *Replica) onInform(m *message.Message) {
 	if r.rec.InViewChange() || m.View != r.view || r.isProxy() {
 		return
 	}
-	if !r.mb.IsProxy(ids.Dog, r.view, m.From) {
+	if !r.mb.IsProxy(r.mode, r.view, m.From) {
 		return
 	}
 	entry := r.openSlot(m.Seq)
@@ -180,7 +182,7 @@ func (r *Replica) dogOnInform(m *message.Message) {
 	if prop == nil || prop.Digest != m.Digest {
 		return
 	}
-	if entry.VoteCount(message.KindInform, r.view, m.Digest) >= r.mb.InformQuorum(true) {
+	if entry.VoteCount(message.KindInform, r.view, m.Digest) >= r.mb.InformQuorum(r.mode == ids.Dog) {
 		entry.MarkCommitted()
 		r.jr.Commit(m.Seq, r.view, m.Digest, nil)
 		r.pending.Clear(m.Seq) // the Dog primary armed the timer when proposing

@@ -28,17 +28,6 @@ func (r *Replica) validProposalPayload(m *message.Message) bool {
 	return r.mb.IsTrusted(m.From) || !r.isProxy() || r.eng.AuthenticForwarded(reqs)
 }
 
-// hasOwnVote reports whether this replica already voted (kind) on the
-// entry in the given view — used to send each vote exactly once.
-func (r *Replica) hasOwnVote(e *mlog.Entry, kind message.Kind, view ids.View, d [32]byte) bool {
-	for _, v := range e.Voters(kind, view, d) {
-		if v == r.eng.ID() {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Lion normal case (Algorithm 1)
 
@@ -51,7 +40,7 @@ func (r *Replica) onPrepare(m *message.Message) {
 	case ids.Dog:
 		r.dogOnPrepare(m)
 	case ids.Peacock:
-		r.peacockOnPrepareVote(m)
+		r.round.OnPrepare(m)
 	}
 }
 
@@ -74,17 +63,7 @@ func (r *Replica) onCommit(m *message.Message) {
 	case ids.Dog:
 		r.dogOnCommit(m)
 	case ids.Peacock:
-		r.peacockOnCommitVote(m)
-	}
-}
-
-// onInform handles INFORM at passive nodes (Dog and Peacock).
-func (r *Replica) onInform(m *message.Message) {
-	switch r.mode {
-	case ids.Dog:
-		r.dogOnInform(m)
-	case ids.Peacock:
-		r.peacockOnInform(m)
+		r.round.OnCommit(m)
 	}
 }
 

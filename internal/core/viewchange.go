@@ -288,7 +288,7 @@ func (r *Replica) applyNewView(m *message.Message) {
 		case ids.Dog:
 			r.dogAccept(entry, s.Digest)
 		case ids.Peacock:
-			r.peacockPrepare(entry, s.Digest)
+			r.round.Prepare(entry, s.Digest)
 		}
 	})
 

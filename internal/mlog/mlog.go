@@ -181,16 +181,10 @@ func (e *Entry) VoteCerts(kind message.Kind, view ids.View, d crypto.Digest) []m
 	return out
 }
 
-// Voters lists the replicas behind VoteCount, sorted, for diagnostics.
-func (e *Entry) Voters(kind message.Kind, view ids.View, d crypto.Digest) []ids.ReplicaID {
-	var out []ids.ReplicaID
-	for k, vd := range e.votes {
-		if k.kind == kind && k.view == view && vd == d {
-			out = append(out, k.from)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Voted reports whether from's (kind, view) vote is for digest d.
+func (e *Entry) Voted(kind message.Kind, view ids.View, from ids.ReplicaID, d crypto.Digest) bool {
+	vd, ok := e.votes[voteKey{kind: kind, view: view, from: from}]
+	return ok && vd == d
 }
 
 // Checkpoint accumulates checkpoint votes for one sequence number and

@@ -140,9 +140,13 @@ func TestVoteAccounting(t *testing.T) {
 	if got := e.VoteCount(message.KindCommit, 1, d); got != 0 {
 		t.Fatalf("other-kind count = %d", got)
 	}
-	voters := e.Voters(message.KindAccept, 1, d)
-	if len(voters) != 3 || voters[0] != 2 || voters[1] != 3 || voters[2] != 4 {
-		t.Fatalf("voters = %v", voters)
+	for from, want := range map[ids.ReplicaID]bool{2: true, 3: true, 4: true, 5: false} {
+		if got := e.Voted(message.KindAccept, 1, from, d); got != want {
+			t.Errorf("Voted(%d) = %v, want %v", from, got, want)
+		}
+	}
+	if e.Voted(message.KindAccept, 1, 2, dig("y")) || e.Voted(message.KindAccept, 2, 2, d) || e.Voted(message.KindCommit, 1, 2, d) {
+		t.Error("a vote counts for another digest, view or kind")
 	}
 }
 

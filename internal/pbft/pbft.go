@@ -96,6 +96,10 @@ type Replica struct {
 	// change is in progress exactly while rec.InViewChange().
 	rec *replica.Recovery
 
+	// round is the shared PBFT prepare/commit round, among all N
+	// replicas (see replica.Round).
+	round *replica.Round
+
 	probe atomic.Pointer[Probe]
 }
 
@@ -155,6 +159,14 @@ func NewReplica(opts Options) (*Replica, error) {
 	r.rec = replica.NewRecovery(replica.RecoveryConfig{
 		Engine: r.eng, Log: r.log, Exec: r.exec, Pending: r.pending,
 		Trust: trust{r}, N: r.n, ViewChange: r.timing.ViewChange, JoinQuorum: r.WeakQuorum(),
+	})
+	r.round = replica.NewRound(replica.RoundConfig{
+		Recovery:  r.rec,
+		Voter:     func(_ ids.View, id ids.ReplicaID) bool { return id >= 0 && int(id) < r.n },
+		Voters:    func(ids.View) []ids.ReplicaID { return r.all() },
+		Quorum:    r.Quorum(),
+		Authentic: r.authentic,
+		Committed: func(uint64, crypto.Digest) { r.executeReady() },
 	})
 	if opts.Storage != nil {
 		rs, err := r.rec.Boot()
@@ -249,9 +261,9 @@ func (r *Replica) HandleMessage(m *message.Message) {
 	case message.KindPrePrepare:
 		r.onPrePrepare(m)
 	case message.KindPrepare:
-		r.onPrepare(m)
+		r.round.OnPrepare(m)
 	case message.KindCommit:
-		r.onCommit(m)
+		r.round.OnCommit(m)
 	case message.KindCheckpoint:
 		r.rec.OnCheckpoint(m)
 		// A checkpoint that stabilizes on a peer's message opens the log
@@ -426,113 +438,5 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	r.pending.Mark(m.Seq)
 	r.jr.Proposal(s)
 	entry.AddVote(message.KindPrepare, r.view, m.From, m.Digest)
-	r.prepare(entry, m.Digest)
-	r.maybePrepared(entry)
-}
-
-// prepare journals, files and multicasts this replica's PREPARE vote for
-// the slot's proposal in the current view. The vote is signed: Quorum-1
-// of them beside the pre-prepare are the prepared certificate a view
-// change presents (see recovery.go).
-func (r *Replica) prepare(entry *mlog.Entry, d crypto.Digest) {
-	prep := &message.Signed{Kind: message.KindPrepare, View: r.view, Seq: entry.Seq(), Digest: d}
-	r.eng.SignRecord(prep)
-	r.jr.Vote(prep)
-	entry.AddVoteCert(prep)
-	r.eng.Multicast(r.all(), prep.Wire())
-}
-
-// hasOwnVote reports whether this replica already voted (kind) for d on
-// the entry in the current view.
-func (r *Replica) hasOwnVote(entry *mlog.Entry, kind message.Kind, d crypto.Digest) bool {
-	for _, v := range entry.Voters(kind, r.view, d) {
-		if v == r.eng.ID() {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Replica) onPrepare(m *message.Message) {
-	if r.rec.InViewChange() || m.View != r.view {
-		return
-	}
-	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
-		return
-	}
-	entry := r.log.Entry(m.Seq)
-	if entry == nil {
-		return
-	}
-	// Once this replica has sent its COMMIT vote the slot is prepared
-	// here for good — it already holds the certificate, pre-prepare plus
-	// Quorum-1 signed PREPAREs — so a further vote is not worth
-	// verifying.
-	if prop := entry.Proposal(); prop != nil && prop.View == r.view &&
-		r.hasOwnVote(entry, message.KindCommit, prop.Digest) {
-		return
-	}
-	s := m.Record()
-	if !r.authentic(s) {
-		return
-	}
-	entry.AddVoteCert(s)
-	r.maybePrepared(entry)
-}
-
-func (r *Replica) maybePrepared(entry *mlog.Entry) {
-	prop := entry.Proposal()
-	if prop == nil || prop.View != r.view {
-		return
-	}
-	d := prop.Digest
-	if entry.VoteCount(message.KindPrepare, r.view, d) < r.Quorum() {
-		return
-	}
-	if r.hasOwnVote(entry, message.KindCommit, d) {
-		return // commit vote already sent
-	}
-	// The COMMIT vote is read by its receivers and exported by no view
-	// change, so it is tagged, not signed (auth.go).
-	com := &message.Signed{Kind: message.KindCommit, From: r.eng.ID(), View: r.view, Seq: entry.Seq(), Digest: d}
-	r.jr.Vote(com)
-	entry.AddVote(message.KindCommit, r.view, r.eng.ID(), d)
-	r.eng.MulticastTagged(r.all(), com)
-	r.maybeCommitted(entry)
-}
-
-func (r *Replica) onCommit(m *message.Message) {
-	if r.rec.InViewChange() || m.View != r.view {
-		return
-	}
-	if int(m.From) < 0 || int(m.From) >= r.n || m.From == r.eng.ID() {
-		return
-	}
-	// A vote on a committed slot changes nothing: drop it unchecked.
-	entry := r.log.Entry(m.Seq)
-	if entry == nil || entry.Committed() || !r.authentic(m.Record()) {
-		return
-	}
-	entry.AddVote(message.KindCommit, r.view, m.From, m.Digest)
-	r.maybePrepared(entry)
-	r.maybeCommitted(entry)
-}
-
-func (r *Replica) maybeCommitted(entry *mlog.Entry) {
-	if entry.Committed() {
-		return
-	}
-	prop := entry.Proposal()
-	if prop == nil || prop.View != r.view {
-		return
-	}
-	d := prop.Digest
-	if entry.VoteCount(message.KindPrepare, r.view, d) < r.Quorum() ||
-		entry.VoteCount(message.KindCommit, r.view, d) < r.Quorum() {
-		return
-	}
-	entry.MarkCommitted()
-	r.jr.Commit(entry.Seq(), r.view, d, nil)
-	r.pending.Clear(entry.Seq())
-	r.executeReady()
+	r.round.Prepare(entry, m.Digest)
 }

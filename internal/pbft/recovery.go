@@ -155,9 +155,10 @@ func (r *Replica) applyNewView(m *message.Message) {
 		}
 		entry.AddVote(message.KindPrepare, r.view, m.From, s.Digest)
 		if r.eng.ID() != m.From {
-			r.prepare(entry, s.Digest)
+			r.round.Prepare(entry, s.Digest)
+		} else {
+			r.round.MaybePrepared(entry)
 		}
-		r.maybePrepared(entry)
 	})
 	if r.nextSeq <= maxSeq {
 		r.nextSeq = maxSeq + 1
