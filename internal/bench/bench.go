@@ -224,9 +224,6 @@ func Sweep(label string, spec cluster.Spec, w Workload, clientCounts []int, opts
 	return s, nil
 }
 
-// DefaultClientCounts is the load sweep used by the figure runners.
-func DefaultClientCounts() []int { return []int{1, 2, 4, 8, 16, 32, 64} }
-
 // Competitors returns the protocol lines of the paper's figures for a
 // given failure mix: CFT, BFT, S-UpRight and the three SeeMoRe modes.
 // Dog and Peacock require m ≥ 0 proxies; all specs share the seed.

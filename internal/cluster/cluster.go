@@ -737,9 +737,6 @@ func (c *Cluster) CrashNodeIn(g ids.GroupID, id ids.ReplicaID) { c.Groups[g][id]
 // RecoverNode resumes a crashed group-0 replica.
 func (c *Cluster) RecoverNode(id ids.ReplicaID) { c.Nodes[id].Recover() }
 
-// RecoverNodeIn resumes a crashed replica of one shard.
-func (c *Cluster) RecoverNodeIn(g ids.GroupID, id ids.ReplicaID) { c.Groups[g][id].Recover() }
-
 // PartitionNode cuts a group-0 replica off the network (in-flight
 // frames die too), modeling a network-level failure rather than a
 // process crash.

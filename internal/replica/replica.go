@@ -342,26 +342,19 @@ func (e *Engine) VerifyRequest(r *message.Request) bool {
 }
 
 // VerifyRequests checks every client signature in a slot payload, one
-// by one, stopping at the first bad one (see crypto.BatchVerify). It is
-// what a PBFT replica owes a proposal from a public node, and what a
-// Peacock proxy owes the members it holds no good forwarded tag for
-// (AuthenticForwarded); a trusted proposer's receivers take its word for
-// the clients it admitted on their tags (AuthenticRequest).
-// No-op requests (Client < 0) carry no signature and are skipped.
+// by one, stopping at the first bad one. It is what a PBFT replica owes
+// a proposal from a public node, and what a Peacock proxy owes the
+// members it holds no good forwarded tag for (AuthenticForwarded); a
+// trusted proposer's receivers take its word for the clients it
+// admitted on their tags (AuthenticRequest). No-op requests
+// (Client < 0) carry no signature and are skipped.
 func (e *Engine) VerifyRequests(reqs []*message.Request) bool {
-	items := make([]crypto.BatchItem, 0, len(reqs))
 	for _, r := range reqs {
-		if r.Client < 0 {
-			continue
+		if !e.VerifyRequest(r) {
+			return false
 		}
-		items = append(items, crypto.BatchItem{
-			Signer: crypto.ClientPrincipal(int64(r.Client)),
-			Msg:    r.SignedBytes(),
-			Sig:    r.Sig,
-		})
 	}
-	ok, _ := crypto.BatchVerify(e.suite, items)
-	return ok
+	return true
 }
 
 // AuthenticForwarded checks a public proposer's payload for a voter
@@ -382,22 +375,17 @@ func (e *Engine) AuthenticForwarded(reqs []*message.Request) bool {
 
 // VerifyRecords checks a set of Signed evidence records — independent
 // slots re-issued by a NEW-VIEW, or a checkpoint certificate — the same
-// way, stopping at the first bad one. The signed tuples share one
-// buffer, so the check allocates nothing per record.
+// way, stopping at the first bad one. Every signed tuple is laid out in
+// one reused buffer, so the check allocates nothing per record.
 func (e *Engine) VerifyRecords(set []message.Signed) bool {
-	items := make([]crypto.BatchItem, len(set))
-	buf := make([]byte, 0, len(set)*message.SignedBytesSize)
+	buf := make([]byte, 0, message.SignedBytesSize)
 	for i := range set {
-		start := len(buf)
-		buf = set[i].AppendSignedBytes(buf)
-		items[i] = crypto.BatchItem{
-			Signer: crypto.ReplicaPrincipal(int(set[i].From)),
-			Msg:    buf[start:len(buf):len(buf)],
-			Sig:    set[i].Sig,
+		buf = set[i].AppendSignedBytes(buf[:0])
+		if !e.suite.Verify(crypto.ReplicaPrincipal(int(set[i].From)), buf, set[i].Sig) {
+			return false
 		}
 	}
-	ok, _ := crypto.BatchVerify(e.suite, items)
-	return ok
+	return true
 }
 
 // Send transmits m to a replica. A crashed or fail-stopped replica
