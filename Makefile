@@ -38,9 +38,9 @@ bench-json: ## machine-readable sweeps → BENCH_pipeline/shard/txn/readmix/resh
 	$(GO) run ./cmd/seemore-bench -exp ablation-reshard \
 		-measure 300ms -warmup 80ms -shard-clients 24 -json BENCH_reshard.json
 
-bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it), and run the crypto, seal, record-set, frame-read, WAL-append and reopen microbenchmarks once so their pins cannot rot
+bench-smoke: ## vet, test and seemore-vet the repo benchmark (benchmark/ is its own module, so ./... at the root never compiles it), and run the crypto, seal, record-set, codec, frame-read, WAL-append and reopen microbenchmarks once so their pins cannot rot
 	cd benchmark && $(GO) vet ./... && $(GO) test ./... && $(GO) run repro/cmd/seemore-vet ./...
-	$(GO) test ./internal/crypto ./internal/message ./internal/replica ./internal/transport -run '^$$' -bench 'Tag|Sign|Verify$$|Seal$$|VerifyRecords|ReadFrame' -benchtime=1x
+	$(GO) test ./internal/crypto ./internal/message ./internal/replica ./internal/transport -run '^$$' -bench 'Tag|Sign|Verify$$|Seal$$|VerifyRecords|ReadFrame|Marshal|Unmarshal' -benchtime=1x
 	$(GO) test ./internal/storage -run '^$$' -bench 'WALAppendSync|DiskReopen' -benchtime=1x
 
 PAIRS ?= 10

@@ -34,10 +34,10 @@ func startFake(net transport.Network, suite crypto.Suite, id ids.ReplicaID,
 	go func() {
 		for env := range f.ep.Inbox() {
 			m, err := message.Unmarshal(env.Frame)
-			if err != nil || m.Kind != message.KindRequest || m.Request == nil {
+			if err != nil || m.Kind != message.KindRequest || len(m.Payload) != 1 {
 				continue
 			}
-			rep := f.respond(m.Request)
+			rep := f.respond(m.Payload[0])
 			if rep == nil {
 				continue
 			}

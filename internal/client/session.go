@@ -192,7 +192,7 @@ func (s *Session) request(kind message.Kind, c Consistency, reach []ids.ReplicaI
 	if kind == message.KindRequest {
 		req.Sig = s.suite.Sign(crypto.ClientPrincipal(int64(s.id)), req.SignedBytes())
 	}
-	s.wire = message.Marshal(&message.Message{Kind: kind, From: -1, Request: req, Consistency: c,
+	s.wire = message.Marshal(&message.Message{Kind: kind, From: -1, Payload: []*message.Request{req}, Consistency: c,
 		Sig: message.AuthenticateRequest(s.suite, req, reach)})
 }
 

@@ -78,8 +78,8 @@ func TestSessionLeasedReadWithoutLeaseTargetStartsAsRequest(t *testing.T) {
 	s, _ := newTestSession(ids.Peacock, config.Client{})
 	st := s.Start([]byte("r"), ReadOptions{Consistency: Leased}, sessT0)
 	m := sent(t, st, message.KindRequest, sessMB.Primary(ids.Peacock, 0))
-	if m.Request.Timestamp != 1 || !st.Deadline.Equal(sessT0.Add(sessRetry)) {
-		t.Fatalf("ts %d deadline %v", m.Request.Timestamp, st.Deadline)
+	if m.Payload[0].Timestamp != 1 || !st.Deadline.Equal(sessT0.Add(sessRetry)) {
+		t.Fatalf("ts %d deadline %v", m.Payload[0].Timestamp, st.Deadline)
 	}
 	if o, ok := s.Pending(); !ok || o.Served != Linearizable {
 		t.Fatalf("pending %+v %v, want an ordered op in flight", o, ok)
@@ -93,7 +93,7 @@ func TestSessionRefusesStaleReplyBelowFloor(t *testing.T) {
 		t.Fatalf("floor %d after a write vouched at 10", s.readFloor)
 	}
 	st := s.Start([]byte("r"), ReadOptions{Consistency: Stale}, sessT0)
-	ts := sent(t, st, message.KindRead, 0).Request.Timestamp
+	ts := sent(t, st, message.KindRead, 0).Payload[0].Timestamp
 	if st = s.OnEnvelope(reply(suite, 0, ts, "old", 9, Stale), sessT0); st.Outcome != nil {
 		t.Fatalf("accepted a reply at watermark 9 under floor 10: %+v", st.Outcome)
 	}
@@ -110,12 +110,12 @@ func TestSessionRefusesStaleReplyBelowFloor(t *testing.T) {
 func TestSessionStaleReadBroadcastsThenFallsBack(t *testing.T) {
 	s, suite := newTestSession(ids.Lion, config.Client{})
 	st := s.Start([]byte("r"), ReadOptions{Consistency: Stale}, sessT0)
-	ts := sent(t, st, message.KindRead, 0).Request.Timestamp
+	ts := sent(t, st, message.KindRead, 0).Payload[0].Timestamp
 
 	// First timeout: the same READ to every stale target.
 	st = s.OnTimer(st.Deadline)
-	if m := sent(t, st, message.KindRead, sessMB.Trusted()...); m.Request.Timestamp != ts {
-		t.Fatalf("broadcast ts %d, want the read's %d", m.Request.Timestamp, ts)
+	if m := sent(t, st, message.KindRead, sessMB.Trusted()...); m.Payload[0].Timestamp != ts {
+		t.Fatalf("broadcast ts %d, want the read's %d", m.Payload[0].Timestamp, ts)
 	}
 	if !st.Deadline.Equal(sessT0.Add(2 * sessRetry)) {
 		t.Fatalf("deadline %v", st.Deadline)
@@ -124,8 +124,8 @@ func TestSessionStaleReadBroadcastsThenFallsBack(t *testing.T) {
 	// Second timeout: order the read like a write, under a fresh timestamp.
 	st = s.OnTimer(st.Deadline)
 	m := sent(t, st, message.KindRequest, sessMB.Primary(ids.Lion, 0))
-	if m.Request.Timestamp != ts+1 || m.Consistency != Linearizable {
-		t.Fatalf("fallback ts %d consistency %v, want %d linearizable", m.Request.Timestamp, m.Consistency, ts+1)
+	if m.Payload[0].Timestamp != ts+1 || m.Consistency != Linearizable {
+		t.Fatalf("fallback ts %d consistency %v, want %d linearizable", m.Payload[0].Timestamp, m.Consistency, ts+1)
 	}
 	now := st.Deadline
 	if st = s.OnEnvelope(reply(suite, 0, ts, "late", 0, Stale), now); st.Outcome != nil {
@@ -208,8 +208,8 @@ func TestSessionReadIsUnsigned(t *testing.T) {
 			s, suite := newTestSession(ids.Lion, config.Client{})
 			st := s.Start([]byte("r"), ReadOptions{Consistency: tc.c}, sessT0)
 			m := sent(t, st, message.KindRead, tc.reach[0])
-			if len(m.Request.Sig) != 0 {
-				t.Fatalf("the READ carries a %d-byte signature, want none", len(m.Request.Sig))
+			if len(m.Payload[0].Sig) != 0 {
+				t.Fatalf("the READ carries a %d-byte signature, want none", len(m.Payload[0].Sig))
 			}
 			checkTags(t, suite, m, tc.reach)
 			st = s.OnTimer(st.Deadline)
@@ -218,7 +218,7 @@ func TestSessionReadIsUnsigned(t *testing.T) {
 				st = s.OnTimer(st.Deadline)
 			}
 			m = sent(t, st, message.KindRequest, sessMB.Primary(ids.Lion, 0))
-			if !suite.Verify(crypto.ClientPrincipal(int64(sessClient)), m.Request.SignedBytes(), m.Request.Sig) {
+			if !suite.Verify(crypto.ClientPrincipal(int64(sessClient)), m.Payload[0].SignedBytes(), m.Payload[0].Sig) {
 				t.Fatal("the fallback REQUEST's signature does not verify")
 			}
 			checkTags(t, suite, m, sessMB.All())
@@ -232,7 +232,7 @@ func checkTags(t *testing.T, suite crypto.Suite, m *message.Message, reach []ids
 	t.Helper()
 	for _, r := range sessMB.All() {
 		good := suite.VerifyTag(crypto.ClientPrincipal(int64(sessClient)), crypto.ReplicaPrincipal(int(r)),
-			m.Request.TaggedBytes(), message.TagOf(m.Sig, r))
+			m.Payload[0].TaggedBytes(), message.TagOf(m.Sig, r))
 		if good != slices.Contains(reach, r) {
 			t.Fatalf("the %v's tag for replica %d verifies: %v, want %v", m.Kind, r, good, !good)
 		}

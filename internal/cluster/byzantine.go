@@ -331,7 +331,7 @@ func (e *byzEndpoint) usurp(view ids.View, seq uint64, kinds []message.Kind, nam
 				if v == e.self || w == e.self || v == w {
 					continue
 				}
-				m := &message.Message{Kind: kind, From: v, View: view, Seq: seq, Digest: d, Request: noop}
+				m := &message.Message{Kind: kind, From: v, View: view, Seq: seq, Digest: d, Payload: []*message.Request{noop}}
 				e.reauth(m, transport.ReplicaAddr(w), replica.AuthSealed)
 				e.sendAs(transport.ReplicaAddr(w), m)
 			}
@@ -357,7 +357,7 @@ func (e *byzEndpoint) forgeProposal(to transport.Addr, frame []byte) ([]byte, bo
 	default:
 		return nil, false
 	}
-	if m.Request == nil && len(m.Batch) == 0 {
+	if len(m.Payload) == 0 {
 		return nil, false // digest-only relay, nothing to equivocate about
 	}
 	// µ∅ no-ops (Client < 0) carry no client signature and verify
@@ -366,8 +366,7 @@ func (e *byzEndpoint) forgeProposal(to transport.Addr, frame []byte) ([]byte, bo
 	// slots distinct.
 	how := e.authOf(m)
 	noop := &message.Request{Client: -1, Timestamp: m.Seq}
-	m.Request = noop
-	m.Batch = nil
+	m.Payload = []*message.Request{noop}
 	m.Digest = noop.Digest()
 	e.reauth(m, to, how)
 	return message.Marshal(m), true
@@ -427,7 +426,7 @@ func (e *byzEndpoint) corrupt(to transport.Addr, frame []byte) ([]byte, bool) {
 	}
 	how := e.authOf(m)
 	m.Digest[0] ^= 0xFF
-	m.Request = nil // a corrupted digest cannot keep a matching body
+	m.Payload = nil // a corrupted digest cannot keep a matching body
 	e.reauth(m, to, how)
 	return message.Marshal(m), true
 }

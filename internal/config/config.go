@@ -168,11 +168,11 @@ func (t Timing) Validate() error {
 // Batching governs how a primary packs client requests into consensus
 // slots. Amortizing one agreement round (and its signing/MAC work) over
 // many requests is the standard BFT throughput lever; the zero value
-// means one request per slot, in the single-request frame format.
+// means one request per slot.
 type Batching struct {
 	// BatchSize is the maximum number of requests per slot. Values ≤ 1
 	// mean one: every request is proposed as soon as the proposal window
-	// allows, in the single-request frame format.
+	// allows.
 	BatchSize int
 	// BatchTimeout bounds how long a partial batch may wait for more
 	// requests before the primary flushes it anyway. Ignored when

@@ -30,8 +30,8 @@
 // primary keep several consensus slots in flight at once instead of
 // waiting for slot n to commit before proposing n+1, overlapping the
 // network round trips of independent slots. At their zero values a
-// slot carries one request, in the single-request frame, and the window
-// is DefaultPipelineDepth slots; either way there is one proposal path
-// (replica.Intake). See the Batching and Pipelining types for the exact
-// semantics and Cluster for how they are plumbed into a deployment.
+// slot carries one request and the window is DefaultPipelineDepth
+// slots; either way there is one proposal path (replica.Intake). See
+// the Batching and Pipelining types for the exact semantics and Cluster
+// for how they are plumbed into a deployment.
 package config

@@ -153,7 +153,7 @@ func TestForgedTagsRejected(t *testing.T) {
 	// prePrepare is the Peacock primary's (replica 2's) honest proposal
 	// of slot 1, sealed for to.
 	prePrepare := func(to ids.ReplicaID) []byte {
-		s := message.Signed{Kind: message.KindPrePrepare, From: 2, Seq: 1, Digest: d, Request: req}
+		s := message.Signed{Kind: message.KindPrePrepare, From: 2, Seq: 1, Digest: d, Payload: []*message.Request{req}}
 		return sealedFrame(suite, 2, to, s, suite.Sign(crypto.ReplicaPrincipal(2), s.SignedBytes()))
 	}
 
@@ -261,11 +261,11 @@ func TestForgedTagsRejected(t *testing.T) {
 			}
 			primary := transport.ReplicaAddr(tc.primary)
 
-			s := message.Signed{Kind: tc.kind, From: tc.primary, Seq: 1, Digest: d, Request: req}
+			s := message.Signed{Kind: tc.kind, From: tc.primary, Seq: 1, Digest: d, Payload: []*message.Request{req}}
 			if tc.forwarded {
 				fwd := *req
 				fwd.Auth = message.AuthenticateRequest(suite, req, members.All())
-				s.Request = &fwd
+				s.Payload = []*message.Request{&fwd}
 			}
 			genuine := suite.Sign(crypto.ReplicaPrincipal(int(tc.primary)), s.SignedBytes())
 			honest := sealedFrame(suite, tc.primary, tc.self, s, genuine)
@@ -384,7 +384,7 @@ func TestSealedEvidenceExports(t *testing.T) {
 	suite := crypto.NewEd25519Suite(94, baseMembership().N(), 4)
 	reqs := []*message.Request{makeRequest(t, suite, 0, 1), makeRequest(t, suite, 1, 1)}
 	sealed := func(to ids.ReplicaID, kind message.Kind, seq uint64) []byte {
-		s := message.Signed{Kind: kind, From: 0, Seq: seq, Digest: reqs[seq-1].Digest(), Request: reqs[seq-1]}
+		s := message.Signed{Kind: kind, From: 0, Seq: seq, Digest: reqs[seq-1].Digest(), Payload: []*message.Request{reqs[seq-1]}}
 		return sealedFrame(suite, 0, to, s, suite.Sign(crypto.ReplicaPrincipal(0), s.SignedBytes()))
 	}
 	// Backup 2 of view 0 accepts slot 1 (PREPARE and COMMIT) and slot 2
@@ -475,7 +475,7 @@ func TestSealedEvidenceExportsPeacock(t *testing.T) {
 	}
 	suite := crypto.NewEd25519Suite(93, mb.N(), 4)
 	proposal := func(seq uint64, req *message.Request) message.Signed {
-		return message.Signed{Kind: message.KindPrePrepare, From: primary, Seq: seq, Digest: req.Digest(), Request: req}
+		return message.Signed{Kind: message.KindPrePrepare, From: primary, Seq: seq, Digest: req.Digest(), Payload: []*message.Request{req}}
 	}
 	bad := []message.Signed{proposal(1, makeRequest(t, suite, 0, 1)), proposal(2, makeRequest(t, suite, 1, 1))}
 	good := proposal(1, makeRequest(t, suite, 2, 1))
@@ -526,7 +526,7 @@ func TestLaggardAdoptsCommitOverUncheckedSignature(t *testing.T) {
 	req.Sig[0] ^= 0xff
 	commit := func(edit func(*message.Signed)) message.Signed {
 		s := message.Signed{Kind: message.KindCommit, From: primary, Seq: 1,
-			Digest: message.BatchDigest([]*message.Request{req}), Request: req}
+			Digest: message.BatchDigest([]*message.Request{req}), Payload: []*message.Request{req}}
 		s.Sig = suite.Sign(crypto.ReplicaPrincipal(primary), s.SignedBytes())
 		edit(&s)
 		return s
@@ -538,7 +538,7 @@ func TestLaggardAdoptsCommitOverUncheckedSignature(t *testing.T) {
 	}{
 		{"the primary's COMMIT", commit(func(*message.Signed) {}), 1},
 		{"a COMMIT the primary did not sign", commit(func(s *message.Signed) { s.Sig[0] ^= 0xff }), 0},
-		{"a COMMIT over another payload", commit(func(s *message.Signed) { s.Request = makeRequest(t, suite, 0, 2) }), 0},
+		{"a COMMIT over another payload", commit(func(s *message.Signed) { s.Payload = []*message.Request{makeRequest(t, suite, 0, 2)} }), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if suite.Verify(crypto.ClientPrincipal(0), req.SignedBytes(), req.Sig) {

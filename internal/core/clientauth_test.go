@@ -163,7 +163,7 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 					req.Sig = suite.Sign(crypto.ClientPrincipal(0), req.SignedBytes())
 					req, auth := tc.build(rc.self, primary, req)
 					frame := message.Marshal(&message.Message{
-						Kind: k.kind, From: -1, Request: req, Consistency: k.consistency, Sig: auth,
+						Kind: k.kind, From: -1, Payload: []*message.Request{req}, Consistency: k.consistency, Sig: auth,
 					})
 					sent, got := step(t, rc.mode, rc.self, transport.ClientAddr(0), frame)
 
@@ -244,7 +244,7 @@ func TestClientAuthenticatedByTag(t *testing.T) {
 			req := makeRequest(t, suite, 1, 1)
 			req.Sig[0] ^= 0xff
 			ep.Send(transport.ReplicaAddr(mb.Primary(mode, 0)), message.Marshal(&message.Message{
-				Kind: message.KindRequest, From: -1, Request: req, Sig: message.AuthenticateRequest(suite, req, all),
+				Kind: message.KindRequest, From: -1, Payload: []*message.Request{req}, Sig: message.AuthenticateRequest(suite, req, all),
 			}))
 			select {
 			case env := <-ep.Inbox():
@@ -331,7 +331,7 @@ func TestClientCannotFrameThePrimary(t *testing.T) {
 			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
 				h := newHarness(t, baseMembership(), mode, 97)
 				req, auth := tc.build(h.suite, h.mb.All(), h.mb.Primary(mode, 0))
-				frame := message.Marshal(&message.Message{Kind: message.KindRequest, From: -1, Request: req, Sig: auth})
+				frame := message.Marshal(&message.Message{Kind: message.KindRequest, From: -1, Payload: []*message.Request{req}, Sig: auth})
 				ep := h.net.Endpoint(transport.ClientAddr(1))
 				for _, r := range h.mb.All() {
 					ep.Send(transport.ReplicaAddr(r), frame)

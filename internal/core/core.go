@@ -473,10 +473,10 @@ func (r *Replica) sendReply(mode ids.Mode, view ids.View, req *message.Request, 
 // signature, as the backup checked it before relaying
 // (ARCHITECTURE.md, "Authentication", the third case).
 func (r *Replica) onRequest(m *message.Message) {
-	req := m.Request
-	if req == nil || req.Client < 0 {
+	if len(m.Payload) != 1 || m.Payload[0].Client < 0 {
 		return
 	}
+	req := m.Payload[0]
 	if m.From >= 0 {
 		if r.eng.VerifyRequest(req) {
 			r.orderRequest(req, bySig)
@@ -570,7 +570,7 @@ func (r *Replica) orderRequest(req *message.Request, how clientAuth) {
 	if !r.signatureHolds(req, how) {
 		return
 	}
-	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req}
+	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Payload: []*message.Request{req}}
 	r.eng.Send(r.mb.Primary(r.mode, r.view), fwd)
 	r.pending.Mark(replica.RelaySentinel)
 }
@@ -594,8 +594,7 @@ func proposalKind(md ids.Mode) message.Kind {
 
 // proposeBatch assigns the next sequence number to a request set and
 // starts the mode-specific agreement (the primary's half of Algorithms 1
-// and 2, or PBFT pre-prepare in Peacock). A single-request set goes out
-// in the single-request frame format. replica.Intake calls it, only
+// and 2, or PBFT pre-prepare in Peacock). replica.Intake calls it, only
 // while mayPropose holds, and is told whether the slot went out.
 func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	seq := r.nextSeq
@@ -603,12 +602,12 @@ func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	r.leaseRecordPropose(seq)
 
 	prop := &message.Signed{
-		Kind:   proposalKind(r.mode),
-		View:   r.view,
-		Seq:    seq,
-		Digest: message.BatchDigest(reqs),
+		Kind:    proposalKind(r.mode),
+		View:    r.view,
+		Seq:     seq,
+		Digest:  message.BatchDigest(reqs),
+		Payload: reqs,
 	}
-	prop.SetRequests(reqs)
 	r.eng.SignRecord(prop)
 
 	entry := r.log.Entry(seq)

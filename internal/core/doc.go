@@ -26,8 +26,8 @@
 // that arrives mid-view-change only at trusted replicas, and orders a
 // slot from sequence assignment on (proposeBatch). Two knobs shape the
 // intake, stacked on the paper's per-request agreement rounds (at their
-// zero values: one request per slot, in the single-request frame, under
-// a window of config.DefaultPipelineDepth slots):
+// zero values: one request per slot, under a window of
+// config.DefaultPipelineDepth slots):
 //
 //   - Batching (config.Batching): the primary packs up to BatchSize
 //     client requests into one consensus slot, amortizing one agreement

@@ -70,7 +70,7 @@ func TestProxyTakesForwardedClientTag(t *testing.T) {
 			ledger := crypto.Count(crypto.Restrict(suite, crypto.ReplicaPrincipal(proxy)))
 			r := loneReplica(t, ids.Peacock, proxy, ledger, net, nil)
 			req := tc.build()
-			s := message.Signed{Kind: message.KindPrePrepare, From: primary, Seq: 1, Digest: req.Digest(), Request: req}
+			s := message.Signed{Kind: message.KindPrePrepare, From: primary, Seq: 1, Digest: req.Digest(), Payload: []*message.Request{req}}
 			frame := sealedFrame(suite, primary, proxy, s, suite.Sign(crypto.ReplicaPrincipal(primary), s.SignedBytes()))
 			r.StepEnvelope(transport.Envelope{From: transport.ReplicaAddr(primary), Frame: frame})
 
@@ -117,7 +117,7 @@ func TestProxyTakesForwardedClientTag(t *testing.T) {
 		}
 		ep := h.net.Endpoint(transport.ReplicaAddr(primary))
 		propose := func(seq uint64, req *message.Request) {
-			s := message.Signed{Kind: message.KindPrePrepare, From: primary, Seq: seq, Digest: req.Digest(), Request: req}
+			s := message.Signed{Kind: message.KindPrePrepare, From: primary, Seq: seq, Digest: req.Digest(), Payload: []*message.Request{req}}
 			sig := suite.Sign(crypto.ReplicaPrincipal(primary), s.SignedBytes())
 			for _, to := range mb.All() {
 				if to != primary {

@@ -154,9 +154,8 @@ func (r *Replica) lionCommit(entry *mlog.Entry) {
 		Seq:    entry.Seq(),
 		Digest: prop.Digest,
 	}
-	commit.SetRequests(prop.Requests())
-	if r.leanCommits {
-		commit.ClearRequests()
+	if !r.leanCommits {
+		commit.Payload = prop.Payload
 	}
 	r.eng.SignRecord(commit)
 	entry.SetCommitCert(commit)

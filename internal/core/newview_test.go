@@ -15,7 +15,7 @@ import (
 // from in view v.
 func record(suite crypto.Suite, kind message.Kind, from ids.ReplicaID, v ids.View, seq uint64, reqs ...*message.Request) message.Signed {
 	s := message.Signed{Kind: kind, From: from, View: v, Seq: seq, Digest: message.BatchDigest(reqs)}
-	s.SetRequests(reqs)
+	s.Payload = reqs
 	s.Sig = suite.Sign(crypto.ReplicaPrincipal(int(from)), s.SignedBytes())
 	return s
 }

@@ -303,6 +303,6 @@ func makeRequest(t *testing.T, suite crypto.Suite, client ids.ClientID, ts uint6
 // clientRequest wraps req as its client sends it: a REQUEST under the
 // client's authenticator for every replica of mb.
 func clientRequest(suite crypto.Suite, mb ids.Membership, req *message.Request) *message.Message {
-	return &message.Message{Kind: message.KindRequest, From: -1, Request: req,
+	return &message.Message{Kind: message.KindRequest, From: -1, Payload: []*message.Request{req},
 		Sig: message.AuthenticateRequest(suite, req, mb.All())}
 }

@@ -125,10 +125,10 @@ func (r *Replica) leaseInvalidate() {
 // at a trusted primary only, since a READ is unsigned: it is checked on
 // the client's tag alone, and whatever signature it carries is ignored.
 func (r *Replica) onRead(m *message.Message) {
-	req := m.Request
-	if req == nil || !r.eng.AuthenticRequest(req, m.Sig) {
+	if len(m.Payload) != 1 || !r.eng.AuthenticRequest(m.Payload[0], m.Sig) {
 		return
 	}
+	req := m.Payload[0]
 	switch m.Consistency {
 	case message.ConsistencyStale:
 		r.serveRead(req, message.ConsistencyStale)

@@ -160,9 +160,9 @@ func TestUnsignedReadFallbacks(t *testing.T) {
 		readTS := c.Timestamp() - 1 // the fallback REQUEST took the next timestamp
 		var relayedRead, relayedRequest bool
 		for _, m := range tap.frames() {
-			if m.Kind == message.KindRequest && m.From == 0 && m.Request.Client == 1 {
-				relayedRead = relayedRead || m.Request.Timestamp == readTS
-				relayedRequest = relayedRequest || m.Request.Timestamp == readTS+1
+			if m.Kind == message.KindRequest && m.From == 0 && m.Payload[0].Client == 1 {
+				relayedRead = relayedRead || m.Payload[0].Timestamp == readTS
+				relayedRequest = relayedRequest || m.Payload[0].Timestamp == readTS+1
 			}
 		}
 		if relayedRead || !relayedRequest {

@@ -25,7 +25,7 @@ func committedWithoutCert(t *testing.T, net transport.Network, id ids.ReplicaID)
 	req := makeRequest(t, suite, 0, 1)
 	entry := r.log.Entry(1)
 	if err := entry.SetProposal(&message.Signed{
-		Kind: message.KindPrepare, From: 0, View: 0, Seq: 1, Digest: req.Digest(), Request: req,
+		Kind: message.KindPrepare, From: 0, View: 0, Seq: 1, Digest: req.Digest(), Payload: []*message.Request{req},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func committedWithoutCert(t *testing.T, net transport.Network, id ids.ReplicaID)
 	nv := &message.Message{
 		Kind: message.KindNewView, From: 1, View: 1, Mode: ids.Lion,
 		Prepares: []message.Signed{{
-			Kind: message.KindPrepare, From: 1, View: 1, Seq: 1, Digest: req.Digest(), Request: req,
+			Kind: message.KindPrepare, From: 1, View: 1, Seq: 1, Digest: req.Digest(), Payload: []*message.Request{req},
 		}},
 	}
 	return r, nv, suite
@@ -126,7 +126,7 @@ func TestNewViewRefusesBadReissue(t *testing.T) {
 			kinds = append(kinds, message.KindCommit)
 		}
 		for _, kind := range kinds {
-			s := message.Signed{Kind: kind, From: 0, Seq: seq, Digest: req.Digest(), Request: req}
+			s := message.Signed{Kind: kind, From: 0, Seq: seq, Digest: req.Digest(), Payload: []*message.Request{req}}
 			frame := sealedFrame(suite, 0, backup, s, suite.Sign(crypto.ReplicaPrincipal(0), s.SignedBytes()))
 			b.StepEnvelope(transport.Envelope{From: transport.ReplicaAddr(0), Frame: frame})
 		}
@@ -197,7 +197,7 @@ func TestNewViewIgnoresSwappedCommitPayload(t *testing.T) {
 	evil.Sig = suite.Sign(crypto.ClientPrincipal(1), evil.SignedBytes())
 	commit := record(suite, message.KindCommit, 0, 0, 1, genuine)
 	swapped := commit
-	swapped.SetRequests([]*message.Request{evil})
+	swapped.Payload = []*message.Request{evil}
 
 	cl, err := config.NewCluster(mb, ids.Lion, fastTiming())
 	if err != nil {

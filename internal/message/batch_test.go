@@ -42,13 +42,13 @@ func TestBatchDigestOrderSensitive(t *testing.T) {
 func TestBatchMessageRoundTrip(t *testing.T) {
 	b := batchOf(4)
 	m := &Message{
-		Kind:   KindPrepare,
-		From:   1,
-		View:   2,
-		Seq:    9,
-		Digest: BatchDigest(b),
-		Batch:  b,
-		Sig:    []byte{1, 2},
+		Kind:    KindPrepare,
+		From:    1,
+		View:    2,
+		Seq:     9,
+		Digest:  BatchDigest(b),
+		Payload: b,
+		Sig:     []byte{1, 2},
 	}
 	got, err := Unmarshal(Marshal(m))
 	if err != nil {
@@ -57,14 +57,14 @@ func TestBatchMessageRoundTrip(t *testing.T) {
 	if !got.Equal(m) {
 		t.Fatal("batched message did not round-trip")
 	}
-	if len(got.Batch) != 4 || got.Request != nil {
-		t.Fatalf("payload shape lost: batch=%d request=%v", len(got.Batch), got.Request)
+	if len(got.Payload) != 4 {
+		t.Fatalf("payload shape lost: %d members", len(got.Payload))
 	}
 }
 
 func TestBatchSignedSetRoundTrip(t *testing.T) {
 	b := batchOf(2)
-	s := Signed{Kind: KindPrePrepare, From: 2, View: 1, Seq: 4, Digest: BatchDigest(b), Batch: b, Sig: []byte{3}}
+	s := Signed{Kind: KindPrePrepare, From: 2, View: 1, Seq: 4, Digest: BatchDigest(b), Payload: b, Sig: []byte{3}}
 	m := &Message{Kind: KindNewView, From: 0, View: 1, Prepares: []Signed{s}, Sig: []byte{1}}
 	got, err := Unmarshal(Marshal(m))
 	if err != nil {
@@ -75,101 +75,68 @@ func TestBatchSignedSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnbatchedFramesByteCompatible pins the batching change to the
-// pre-batching wire format: a message whose payload is a single Request
-// must encode exactly as it did before Batch existed (presence byte 1,
-// no count field).
-func TestUnbatchedFramesByteCompatible(t *testing.T) {
-	m := sampleMessage()
-	frame := Marshal(m)
-	// Re-encode the same logical message through SetRequests: one
-	// request must land in Request, not Batch, leaving bytes unchanged.
-	m2 := *m
-	m2.SetRequests([]*Request{m.Request})
-	if len(m2.Batch) != 0 {
-		t.Fatal("SetRequests of one request must use the legacy Request field")
+// TestPayloadCountBytes pins the payload encoding: an empty payload is
+// the one byte 00, a lone request is 01 followed by MarshalRequest's
+// request bytes (so D(µ) digests exactly what the frame carries), and a
+// set of n members adds one uvarint count and nothing per member.
+func TestPayloadCountBytes(t *testing.T) {
+	const at = 1 + 1 + 8 + 8 + 8 + 32 + 1 // version, Kind .. Mode
+	bare := &Message{Kind: KindPrepare, From: 1, View: 2, Seq: 3, Sig: []byte{7}}
+	empty := Marshal(bare)
+	if empty[at] != 0 {
+		t.Fatalf("empty payload encodes as %x, want 00", empty[at])
 	}
-	if !bytes.Equal(frame, Marshal(&m2)) {
-		t.Fatal("single-request frame changed byte layout")
+	r := sampleRequest()
+	m := *bare
+	m.Payload = []*Request{r}
+	if got, want := Marshal(&m)[at:at+1+sizeRequest(r)], MarshalRequest(r); !bytes.Equal(got, want) {
+		t.Fatalf("lone request encodes as %x, want %x", got, want)
 	}
-}
-
-func TestSetRequestsShapes(t *testing.T) {
-	var s Signed
-	s.SetRequests(nil)
-	if s.Request != nil || s.Batch != nil || s.Requests() != nil {
-		t.Fatal("empty payload must stay empty")
-	}
-	b := batchOf(3)
-	s.SetRequests(b)
-	if s.Request != nil || len(s.Batch) != 3 || len(s.Requests()) != 3 {
-		t.Fatal("multi-request payload must ride in Batch")
-	}
-	s.SetRequests(b[:1])
-	if s.Request == nil || s.Batch != nil || len(s.Requests()) != 1 {
-		t.Fatal("single-request payload must ride in Request")
-	}
-	s.ClearRequests()
-	if s.Requests() != nil {
-		t.Fatal("ClearRequests must strip the payload")
+	for _, n := range []int{1, 2, 127, 128, MaxBatch} {
+		m.Payload = batchOf(n)
+		want := len(empty) + uvarintLen(uint64(n)) - 1
+		for _, r := range m.Payload {
+			want += sizeRequest(r)
+		}
+		if got := len(Marshal(&m)); got != want {
+			t.Errorf("%d members: %d bytes, want %d", n, got, want)
+		}
 	}
 }
 
 func TestValidateRejectsMalformedBatches(t *testing.T) {
 	b := batchOf(2)
-	both := &Message{Kind: KindPrepare, From: 0, Batch: b, Request: b[0]}
-	if both.Validate() == nil {
-		t.Error("Request and Batch together must be rejected")
-	}
-	nilMember := &Message{Kind: KindPrepare, From: 0, Batch: []*Request{b[0], nil}}
+	nilMember := &Message{Kind: KindPrepare, From: 0, Payload: []*Request{b[0], nil}}
 	if nilMember.Validate() == nil {
 		t.Error("nil batch member must be rejected")
 	}
-	ok := &Message{Kind: KindPrepare, From: 0, Digest: BatchDigest(b), Batch: b}
+	for _, kind := range []Kind{KindRequest, KindRead} {
+		for _, reqs := range [][]*Request{nil, b} {
+			m := &Message{Kind: kind, From: -1, Payload: reqs}
+			if m.Validate() == nil {
+				t.Errorf("%v with %d requests accepted", kind, len(reqs))
+			}
+		}
+	}
+	ok := &Message{Kind: KindPrepare, From: 0, Digest: BatchDigest(b), Payload: b}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("well-formed batch rejected: %v", err)
 	}
 }
 
+// TestDecodeRejectsHostileBatches: every malformed payload in
+// refusedFrames is refused (by the decoder, or for a REQUEST's member
+// count by Validate), never panicking or allocating by a hostile count.
 func TestDecodeRejectsHostileBatches(t *testing.T) {
-	b := batchOf(2)
-	// Hand-encode a frame prefix up to the payload slot, then attach a
-	// hostile batch: the decoder must error, never panic or allocate
-	// unbounded memory.
-	prefix := func() *encoder {
-		var e encoder
-		e.u8(wireVersion)
-		e.u8(uint8(KindPrepare))
-		e.i64(0) // from
-		e.u64(0) // view
-		e.u64(1) // seq
-		e.digest(BatchDigest(b))
-		e.u8(0) // mode
-		return &e
-	}
-	// Count far beyond what the frame can hold.
-	e := prefix()
-	e.u8(2)
-	e.u32(0x7fffffff)
-	if _, err := Unmarshal(e.buf); err == nil {
-		t.Error("oversized batch count must be rejected")
-	}
-	// A batch of one on the wire is also malformed (it must use the
-	// legacy single-request encoding).
-	e = prefix()
-	e.u8(2)
-	e.u32(1)
-	e.request(b[0])
-	if _, err := Unmarshal(e.buf); err == nil {
-		t.Error("wire batch of one must be rejected")
-	}
-	// A nil member inside a batch is malformed.
-	e = prefix()
-	e.u8(2)
-	e.u32(2)
-	e.request(b[0])
-	e.u8(0) // presence 0: nil member
-	if _, err := Unmarshal(e.buf); err == nil {
-		t.Error("nil batch member on the wire must be rejected")
+	for _, c := range refusedFrames() {
+		m, err := Unmarshal(c.frame)
+		switch {
+		case err != nil && c.validate:
+			t.Errorf("%s: the decoder refused it (%v); Validate should", c.name, err)
+		case err == nil && !c.validate:
+			t.Errorf("%s: decoded", c.name)
+		case err == nil && m.Validate() == nil:
+			t.Errorf("%s: passed Validate", c.name)
+		}
 	}
 }

@@ -17,10 +17,10 @@ import (
 //	u64 / i64    8 bytes little-endian (i64 two's complement)
 //	bytes        u32 length prefix + raw bytes
 //	digest       32 raw bytes
-//	request      presence byte (0/1) + Op + Timestamp + Client + Sig
-//	payload      presence byte 0 (none), 1 (one request), or 2 (batch:
-//	             u32 count + that many request records) — so unbatched
-//	             frames are byte-identical to the pre-batching format
+//	uvarint      minimal unsigned LEB128 (encoding/binary's Uvarint)
+//	request      Op + Timestamp + Client + Sig
+//	payload      uvarint count (0 to MaxBatch) + that many requests; so
+//	             an empty payload is 00 and a lone request 01‖request
 //	signed       Kind + From + View + Seq + Digest + payload + Sig
 //	signedSet    u32 count + that many signed records
 //	auths        u32 count, equal to the payload's member count, + one
@@ -31,7 +31,7 @@ import (
 // appends auths, the client authenticators its primary forwards, behind
 // Sig; every other kind's frame, and every signed record, ends at Sig.
 
-const wireVersion = 2
+const wireVersion = 3
 
 // maxSliceLen caps every decoded length prefix to keep a malicious peer
 // from making us allocate gigabytes from a tiny frame (the Section 3
@@ -64,29 +64,17 @@ func (e *encoder) bytes(b []byte) {
 func (e *encoder) digest(d crypto.Digest) { e.buf = append(e.buf, d[:]...) }
 
 func (e *encoder) request(r *Request) {
-	if r == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
 	e.bytes(r.Op)
 	e.u64(r.Timestamp)
 	e.i64(int64(r.Client))
 	e.bytes(r.Sig)
 }
 
-// payload encodes the Request/Batch pair occupying one proposal slot.
-// Batches use presence byte 2 so every non-batched message keeps the
-// exact byte layout of the pre-batching wire format.
-func (e *encoder) payload(r *Request, batch []*Request) {
-	if len(batch) == 0 {
+// payload encodes the request set one message or record carries.
+func (e *encoder) payload(reqs []*Request) {
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(reqs)))
+	for _, r := range reqs {
 		e.request(r)
-		return
-	}
-	e.u8(2)
-	e.u32(uint32(len(batch)))
-	for _, br := range batch {
-		e.request(br)
 	}
 }
 
@@ -96,7 +84,7 @@ func (e *encoder) signed(s *Signed) {
 	e.u64(uint64(s.View))
 	e.u64(s.Seq)
 	e.digest(s.Digest)
-	e.payload(s.Request, s.Batch)
+	e.payload(s.Payload)
 	e.bytes(s.Sig)
 }
 
@@ -119,27 +107,28 @@ func (e *encoder) signedSet(set []Signed) {
 
 func sizeBytes(b []byte) int { return 4 + len(b) }
 
-func sizeRequest(r *Request) int {
-	if r == nil {
-		return 1
+func sizeRequest(r *Request) int { return sizeBytes(r.Op) + 8 + 8 + sizeBytes(r.Sig) }
+
+func sizePayload(reqs []*Request) int {
+	n := uvarintLen(uint64(len(reqs)))
+	for _, r := range reqs {
+		n += sizeRequest(r)
 	}
-	return 1 + sizeBytes(r.Op) + 8 + 8 + sizeBytes(r.Sig)
+	return n
 }
 
-func sizePayload(r *Request, batch []*Request) int {
-	if len(batch) == 0 {
-		return sizeRequest(r)
-	}
-	n := 1 + 4
-	for _, br := range batch {
-		n += sizeRequest(br)
+// uvarintLen is the length of v's minimal uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
 	}
 	return n
 }
 
 // EncodedSize returns the exact length of s's standalone encoding.
 func (s *Signed) EncodedSize() int {
-	return 1 + 8 + 8 + 8 + crypto.DigestSize + sizePayload(s.Request, s.Batch) + sizeBytes(s.Sig)
+	return 1 + 8 + 8 + 8 + crypto.DigestSize + sizePayload(s.Payload) + sizeBytes(s.Sig)
 }
 
 func sizeSignedSet(set []Signed) int {
@@ -154,7 +143,7 @@ func sizeSignedSet(set []Signed) int {
 func (m *Message) EncodedSize() int {
 	return 1 + // wire version
 		1 + 8 + 8 + 8 + crypto.DigestSize + 1 + // Kind..Mode
-		sizePayload(m.Request, m.Batch) +
+		sizePayload(m.Payload) +
 		sizeBytes(m.Result) +
 		8 + 8 + crypto.DigestSize + 8 + 1 + 8 + // Timestamp..Watermark
 		sizeSignedSet(m.CheckpointProof) +
@@ -171,7 +160,7 @@ func sizeAuths(m *Message) int {
 		return 0
 	}
 	n := 4
-	for _, r := range m.Requests() {
+	for _, r := range m.Payload {
 		n += sizeBytes(r.Auth)
 	}
 	return n
@@ -260,81 +249,80 @@ func (d *decoder) digest() crypto.Digest {
 	return out
 }
 
-func (d *decoder) request() *Request {
-	switch d.u8() {
-	case 0:
-		return nil
-	case 1:
-		return d.requestBody()
-	default:
-		d.fail(errors.New("message: invalid request presence byte"))
-		return nil
-	}
-}
-
-func (d *decoder) requestBody() *Request {
-	r := &Request{}
-	d.requestBodyInto(r)
-	return r
-}
-
-func (d *decoder) requestBodyInto(r *Request) {
+func (d *decoder) request(r *Request) {
 	r.Op = d.bytes()
 	r.Timestamp = d.u64()
 	r.Client = ids.ClientID(d.i64())
 	r.Sig = d.bytes()
 }
 
-// payload decodes the request/batch slot written by encoder.payload.
-func (d *decoder) payload() (*Request, []*Request) {
-	switch d.u8() {
-	case 0:
-		return nil, nil
-	case 1:
-		return d.requestBody(), nil
-	case 2:
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, nil
-		}
-		// Each batched request occupies at least 25 bytes on the wire
-		// (presence + op length + timestamp + client + sig length); bound
-		// the count by the frame before allocating, then by the protocol
-		// limit.
-		if n > len(d.buf)/25+1 || n > MaxBatch {
-			d.fail(fmt.Errorf("message: batch count %d exceeds limit", n))
-			return nil, nil
-		}
-		if n < 2 {
-			d.fail(errors.New("message: batch must carry at least two requests"))
-			return nil, nil
-		}
-		// The count is already bounded by the frame size, so pre-size the
-		// whole batch: one backing array for the Request structs instead of
-		// one allocation per request.
-		backing := make([]Request, n)
-		out := make([]*Request, n)
-		for i := 0; i < n; i++ {
-			switch d.u8() {
-			case 1:
-			case 0:
-				d.fail(errors.New("message: nil request inside batch"))
-				return nil, nil
-			default:
-				d.fail(errors.New("message: invalid request presence byte"))
-				return nil, nil
-			}
-			d.requestBodyInto(&backing[i])
-			if d.err != nil {
-				return nil, nil
-			}
-			out[i] = &backing[i]
-		}
-		return nil, out
-	default:
-		d.fail(errors.New("message: invalid payload presence byte"))
-		return nil, nil
+// minRequestSize is the shortest encoded request: two empty byte
+// strings around Timestamp and Client.
+const minRequestSize = 4 + 8 + 8 + 4
+
+// lone holds a one-member payload in one allocation: the request and the
+// slice element pointing at it.
+type lone struct {
+	req  Request
+	reqs [1]*Request
+}
+
+// count decodes a uvarint, refusing any but its minimal encoding so
+// that every payload has one canonical frame.
+func (d *decoder) count() uint64 {
+	if d.err != nil {
+		return 0
 	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	switch {
+	case n == 0:
+		d.fail(ErrTruncated)
+		return 0
+	case n < 0:
+		d.fail(errors.New("message: count overflows 64 bits"))
+		return 0
+	case n != uvarintLen(v):
+		d.fail(errors.New("message: count not minimally encoded"))
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// payload decodes the request set written by encoder.payload. The count
+// is bounded by the protocol limit and by what the rest of the frame can
+// hold before anything is allocated.
+func (d *decoder) payload() []*Request {
+	n := d.count()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	if n > MaxBatch {
+		d.fail(fmt.Errorf("message: batch count %d exceeds limit %d", n, MaxBatch))
+		return nil
+	}
+	if n > uint64(len(d.buf)-d.off)/minRequestSize {
+		d.fail(fmt.Errorf("message: batch count %d exceeds frame capacity", n))
+		return nil
+	}
+	if n == 1 {
+		l := &lone{}
+		d.request(&l.req)
+		l.reqs[0] = &l.req
+		return l.reqs[:]
+	}
+	// One backing array for the Request structs instead of one
+	// allocation per request.
+	backing := make([]Request, n)
+	out := make([]*Request, n)
+	for i := range backing {
+		d.request(&backing[i])
+		out[i] = &backing[i]
+	}
+	if d.err != nil {
+		return nil
+	}
+	return out
 }
 
 func (d *decoder) signed() Signed {
@@ -344,7 +332,7 @@ func (d *decoder) signed() Signed {
 	s.View = ids.View(d.u64())
 	s.Seq = d.u64()
 	s.Digest = d.digest()
-	s.Request, s.Batch = d.payload()
+	s.Payload = d.payload()
 	s.Sig = d.bytes()
 	return s
 }
@@ -394,7 +382,7 @@ func (e *encoder) message(m *Message) {
 	e.u64(m.Seq)
 	e.digest(m.Digest)
 	e.u8(uint8(m.Mode))
-	e.payload(m.Request, m.Batch)
+	e.payload(m.Payload)
 	e.bytes(m.Result)
 	e.u64(m.Timestamp)
 	e.i64(int64(m.Client))
@@ -407,7 +395,7 @@ func (e *encoder) message(m *Message) {
 	e.signedSet(m.Commits)
 	e.bytes(m.Sig)
 	if m.Kind == KindPrePrepare {
-		e.auths(m.Requests())
+		e.auths(m.Payload)
 	}
 }
 
@@ -435,7 +423,7 @@ func Unmarshal(frame []byte) (*Message, error) {
 	m.Seq = d.u64()
 	m.Digest = d.digest()
 	m.Mode = ids.Mode(d.u8())
-	m.Request, m.Batch = d.payload()
+	m.Payload = d.payload()
 	m.Result = d.bytes()
 	m.Timestamp = d.u64()
 	m.Client = ids.ClientID(d.i64())
@@ -448,7 +436,7 @@ func Unmarshal(frame []byte) (*Message, error) {
 	m.Commits = d.signedSet()
 	m.Sig = d.bytes()
 	if m.Kind == KindPrePrepare {
-		d.auths(m.Requests())
+		d.auths(m.Payload)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -511,26 +499,26 @@ func UnmarshalSignedSet(b []byte) ([]Signed, error) {
 	return set, nil
 }
 
-// MarshalRequest encodes a bare request (used by D(µ) and client signing
-// tests); the Message envelope embeds requests with the same encoding.
+// MarshalRequest encodes a bare request as a one-member payload: the
+// bytes D(µ) digests, and those a REQUEST frame carries for µ.
 func MarshalRequest(r *Request) []byte {
-	e := encoder{buf: make([]byte, 0, sizeRequest(r))}
-	e.request(r)
+	e := encoder{buf: make([]byte, 0, 1+sizeRequest(r))}
+	e.payload([]*Request{r})
 	return e.buf
 }
 
 // UnmarshalRequest decodes the output of MarshalRequest.
 func UnmarshalRequest(frame []byte) (*Request, error) {
 	d := decoder{buf: frame}
-	r := d.request()
+	reqs := d.payload()
 	if d.err != nil {
 		return nil, d.err
 	}
 	if d.off != len(frame) {
 		return nil, fmt.Errorf("message: %d trailing bytes", len(frame)-d.off)
 	}
-	if r == nil {
-		return nil, errors.New("message: frame encodes a nil request")
+	if len(reqs) != 1 {
+		return nil, fmt.Errorf("message: frame encodes %d requests, want 1", len(reqs))
 	}
-	return r, nil
+	return reqs[0], nil
 }

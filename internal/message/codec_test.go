@@ -17,11 +17,11 @@ func benchMessages() map[string]*Message {
 		batch[i] = &Request{Op: bytes.Repeat([]byte{byte(i)}, 64), Timestamp: uint64(i), Client: 3, Sig: bytes.Repeat([]byte{2}, 64)}
 	}
 	return map[string]*Message{
-		"request": {Kind: KindRequest, From: -1, Request: req},
+		"request": {Kind: KindRequest, From: -1, Payload: []*Request{req}},
 		"vote":    {Kind: KindCommit, From: 2, View: 1, Seq: 99, Digest: req.Digest(), Sig: bytes.Repeat([]byte{3}, 64)},
 		"commit-batch": {
 			Kind: KindPrepare, From: 0, View: 1, Seq: 100,
-			Digest: BatchDigest(batch), Batch: batch, Sig: bytes.Repeat([]byte{4}, 64),
+			Digest: BatchDigest(batch), Payload: batch, Sig: bytes.Repeat([]byte{4}, 64),
 		},
 	}
 }
@@ -45,11 +45,11 @@ func TestMarshalOneAlloc(t *testing.T) {
 	req := &Request{Op: []byte("op"), Timestamp: 1, Client: 2, Sig: []byte("sig")}
 	for name, s := range map[string]*Signed{
 		"vote":     {Kind: KindCommit, From: 1, View: 2, Seq: 3, Digest: crypto.Sum([]byte("d")), Sig: []byte("vs")},
-		"proposal": {Kind: KindPrepare, From: 0, View: 2, Seq: 3, Digest: req.Digest(), Request: req, Sig: []byte("ps")},
+		"proposal": {Kind: KindPrepare, From: 0, View: 2, Seq: 3, Digest: req.Digest(), Payload: []*Request{req}, Sig: []byte("ps")},
 		"batch": {
 			Kind: KindPrepare, From: 0, View: 2, Seq: 4,
-			Batch: []*Request{req, {Op: []byte("op2"), Timestamp: 2, Client: 3, Sig: []byte("s2")}},
-			Sig:   []byte("bs"),
+			Payload: []*Request{req, {Op: []byte("op2"), Timestamp: 2, Client: 3, Sig: []byte("s2")}},
+			Sig:     []byte("bs"),
 		},
 	} {
 		want := MarshalSigned(s)
@@ -65,6 +65,41 @@ func TestMarshalOneAlloc(t *testing.T) {
 		}
 		if !bytes.Equal(MarshalSigned(back), want) {
 			t.Fatalf("%s: round-trip changed the record", name)
+		}
+	}
+}
+
+// requestsSink keeps Requests' result alive for AllocsPerRun.
+var requestsSink []*Request
+
+// TestUnmarshalAllocs pins the decoder's allocations on the unbatched hot
+// path: the Message, its one request (the request and its slice share
+// one allocation), the request's Op and Sig, and a vote's Sig. Requests
+// returns the decoded payload as it is, allocating nothing.
+func TestUnmarshalAllocs(t *testing.T) {
+	req := &Request{Op: []byte("op"), Timestamp: 1, Client: 2, Sig: []byte("sig")}
+	for _, c := range []struct {
+		name string
+		m    *Message
+		want float64
+	}{
+		{"request", &Message{Kind: KindRequest, From: -1, Payload: []*Request{req}}, 4},
+		{"prepare", &Message{Kind: KindPrepare, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Payload: []*Request{req}, Sig: []byte("ps")}, 5},
+	} {
+		frame := Marshal(c.m)
+		if n := testing.AllocsPerRun(100, func() { _, _ = Unmarshal(frame) }); n != c.want {
+			t.Errorf("%s: Unmarshal made %v allocations, want %v", c.name, n, c.want)
+		}
+		got, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { requestsSink = got.Requests() }); n != 0 {
+			t.Errorf("%s: Requests made %v allocations, want 0", c.name, n)
+		}
+		rec := got.Record()
+		if n := testing.AllocsPerRun(100, func() { requestsSink = rec.Requests() }); n != 0 {
+			t.Errorf("%s: Signed.Requests made %v allocations, want 0", c.name, n)
 		}
 	}
 }

@@ -11,14 +11,15 @@
 //
 // # Wire compatibility of the throughput knobs
 //
-// Request batching rides on the same envelope: a single-request slot
-// travels in the legacy Request field (its frame is byte-identical to
-// the pre-batching protocol, and BatchDigest of a one-element set is
-// exactly D(µ)), while two or more requests ride in Batch under a
-// domain-separated set digest. Pipelining adds no wire surface at all —
-// a primary merely has PREPAREs/PRE-PREPAREs for several sequence
-// numbers outstanding at once, each of them an ordinary frame — so
-// nodes configured with different window depths interoperate.
+// Every message and Signed record carries its requests in one list,
+// Payload: exactly µ on a REQUEST or READ, a slot's ordered batch on a
+// proposal. The wire writes the list as a uvarint member count and the
+// members, so a slot of one request and a slot of many share one layout,
+// and BatchDigest of a one-member set is exactly D(µ); nodes configured
+// with different batch sizes interoperate. Pipelining adds no wire
+// surface at all — a primary merely has PREPAREs/PRE-PREPAREs for several
+// sequence numbers outstanding at once, each of them an ordinary frame —
+// so nodes configured with different window depths interoperate too.
 //
 // # Signed evidence
 //

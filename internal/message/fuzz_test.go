@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/crypto"
@@ -25,9 +26,9 @@ func fuzzSeeds() [][]byte {
 	prep := Signed{Kind: KindPrepare, From: 1, View: 2, Seq: 9, Digest: crypto.Sum([]byte("d")), Sig: []byte("ps")}
 	var seeds [][]byte
 	msgs := []*Message{
-		{Kind: KindRequest, From: -1, Request: req},
-		{Kind: KindPrepare, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Request: req, Sig: []byte("x")},
-		{Kind: KindPrepare, From: 0, View: 1, Seq: 6, Digest: BatchDigest(batch), Batch: batch, Sig: []byte("x")},
+		{Kind: KindRequest, From: -1, Payload: []*Request{req}},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Payload: []*Request{req}, Sig: []byte("x")},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 6, Digest: BatchDigest(batch), Payload: batch, Sig: []byte("x")},
 		{Kind: KindCommit, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Sig: []byte("x")},
 		{Kind: KindReply, From: 2, View: 1, Mode: ids.Lion, Timestamp: 7, Client: 3, Result: []byte("r"), Sig: []byte("x")},
 		{Kind: KindCheckpoint, From: 2, Seq: 128, StateDigest: crypto.Sum([]byte("state")), Sig: []byte("x")},
@@ -42,14 +43,14 @@ func fuzzSeeds() [][]byte {
 		// Seals: whole, with a ragged authenticator, cut inside the
 		// signature, a length byte past the end, and no signature at all
 		// (NoopSuite) in front of the authenticator.
-		{Kind: KindPrepare, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Request: req, Sig: seal(64, 6)},
-		{Kind: KindCommit, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Request: req, Sig: seal(32, 6)[:1+32+5*crypto.TagSize+9]},
-		{Kind: KindPrepare, From: 0, View: 1, Seq: 6, Digest: BatchDigest(batch), Batch: batch, Sig: seal(64, 6)[:40]},
-		{Kind: KindPrepare, From: 0, View: 1, Seq: 7, Digest: req.Digest(), Request: req, Sig: append([]byte{0xff}, make([]byte, 64)...)},
-		{Kind: KindCommit, From: 0, View: 1, Seq: 7, Digest: req.Digest(), Request: req, Sig: seal(0, 6)},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Payload: []*Request{req}, Sig: seal(64, 6)},
+		{Kind: KindCommit, From: 0, View: 1, Seq: 5, Digest: req.Digest(), Payload: []*Request{req}, Sig: seal(32, 6)[:1+32+5*crypto.TagSize+9]},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 6, Digest: BatchDigest(batch), Payload: batch, Sig: seal(64, 6)[:40]},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 7, Digest: req.Digest(), Payload: []*Request{req}, Sig: append([]byte{0xff}, make([]byte, 64)...)},
+		{Kind: KindCommit, From: 0, View: 1, Seq: 7, Digest: req.Digest(), Payload: []*Request{req}, Sig: seal(0, 6)},
 		// A PRE-PREPARE forwarding its members' client authenticators,
 		// one of them empty.
-		{Kind: KindPrePrepare, From: 2, View: 1, Seq: 6, Digest: BatchDigest(forwarded), Batch: forwarded, Sig: seal(64, 6)},
+		{Kind: KindPrePrepare, From: 2, View: 1, Seq: 6, Digest: BatchDigest(forwarded), Payload: forwarded, Sig: seal(64, 6)},
 		{Kind: KindStateRequest, From: 1, Seq: 40, Sig: []byte("x")},
 		{Kind: KindStateReply, From: 2, Seq: 128, Result: []byte("snapshot"), CheckpointProof: []Signed{prep}, Prepares: []Signed{prep}, Sig: []byte("x")},
 	}
@@ -59,6 +60,41 @@ func fuzzSeeds() [][]byte {
 	return seeds
 }
 
+// refusedFrame is a malformed frame a receiver must drop: Unmarshal
+// refuses it, or where validate is set, it decodes and Validate does.
+type refusedFrame struct {
+	name     string
+	frame    []byte
+	validate bool
+}
+
+// refusedFrames builds one frame per payload refusal: a count that is not
+// minimally encoded, one above MaxBatch, one the frame cannot hold, a
+// REQUEST with zero or two members, and a frame of the previous wire
+// version.
+func refusedFrames() []refusedFrame {
+	req := &Request{Op: []byte("op-bytes"), Timestamp: 7, Client: 3, Sig: []byte("sig")}
+	pair := []*Request{req, {Op: []byte("second"), Timestamp: 8, Client: 4, Sig: []byte("s2")}}
+	prep := Marshal(&Message{Kind: KindPrepare, From: 0, View: 1, Seq: 5, Digest: BatchDigest(pair), Payload: pair, Sig: []byte("x")})
+	const at = 1 + 1 + 8 + 8 + 8 + crypto.DigestSize + 1 // the payload's count byte
+	withCount := func(count ...byte) []byte {
+		return append(append(bytes.Clone(prep[:at]), count...), prep[at+1:]...)
+	}
+	v2 := Marshal(&Message{Kind: KindRequest, From: -1, Payload: []*Request{req}})
+	v2[0] = 2
+	return []refusedFrame{
+		{name: "count 2 in two bytes", frame: withCount(0x82, 0x00)},
+		{name: "count 0 in two bytes", frame: withCount(0x80, 0x00)},
+		{name: "count past 64 bits", frame: withCount(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)},
+		{name: "count MaxBatch+1", frame: withCount(binary.AppendUvarint(nil, MaxBatch+1)...)},
+		{name: "count past the frame", frame: withCount(binary.AppendUvarint(nil, MaxBatch)...)},
+		{name: "count 3 for 2 members", frame: withCount(3)},
+		{name: "version 2", frame: v2},
+		{name: "REQUEST without a request", frame: Marshal(&Message{Kind: KindRequest, From: -1}), validate: true},
+		{name: "REQUEST with two requests", frame: Marshal(&Message{Kind: KindRequest, From: -1, Payload: pair}), validate: true},
+	}
+}
+
 // FuzzDecode hammers Unmarshal with arbitrary frames: it must never
 // panic or over-allocate, and any frame it does accept must be
 // structurally sound and survive a marshal round-trip byte-for-byte
@@ -66,6 +102,9 @@ func fuzzSeeds() [][]byte {
 func FuzzDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
+	}
+	for _, c := range refusedFrames() {
+		f.Add(c.frame)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{wireVersion})

@@ -25,7 +25,7 @@ const framesGolden = "testdata/frames.golden"
 func goldenFrames() []*Message {
 	req := &Request{Op: []byte("put k v"), Timestamp: 3, Client: 2, Sig: []byte("client-sig")}
 	batch := []*Request{req, {Op: []byte("get k"), Timestamp: 4, Client: 5, Sig: []byte("s2")}}
-	prop := Signed{Kind: KindPrePrepare, From: 2, View: 1, Seq: 9, Digest: BatchDigest(batch), Batch: batch, Sig: []byte("pp")}
+	prop := Signed{Kind: KindPrePrepare, From: 2, View: 1, Seq: 9, Digest: BatchDigest(batch), Payload: batch, Sig: []byte("pp")}
 	prep := Signed{Kind: KindPrepare, From: 3, View: 1, Seq: 9, Digest: prop.Digest, Sig: []byte("ps")}
 	cp := Signed{Kind: KindCheckpoint, From: 4, Seq: 16, Digest: crypto.Sum([]byte("state")), Sig: []byte("cs")}
 	tags := make([]byte, 6*crypto.TagSize)
@@ -33,11 +33,11 @@ func goldenFrames() []*Message {
 		tags[i] = byte(i)
 	}
 	return []*Message{
-		{Kind: KindRequest, From: -1, Request: req, Sig: tags},
-		{Kind: KindPrepare, From: 0, View: 1, Seq: 9, Digest: req.Digest(), Request: req, Sig: []byte("sealed")},
-		{Kind: KindPrepare, From: 0, View: 1, Seq: 10, Digest: BatchDigest(batch), Batch: batch, Sig: []byte("sealed")},
+		{Kind: KindRequest, From: -1, Payload: []*Request{req}, Sig: tags},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 9, Digest: req.Digest(), Payload: []*Request{req}, Sig: []byte("sealed")},
+		{Kind: KindPrepare, From: 0, View: 1, Seq: 10, Digest: BatchDigest(batch), Payload: batch, Sig: []byte("sealed")},
 		{Kind: KindAccept, From: 3, View: 1, Seq: 9, Digest: req.Digest(), Sig: tags},
-		{Kind: KindCommit, From: 0, View: 1, Seq: 9, Digest: req.Digest(), Request: req, Sig: []byte("sealed")},
+		{Kind: KindCommit, From: 0, View: 1, Seq: 9, Digest: req.Digest(), Payload: []*Request{req}, Sig: []byte("sealed")},
 		{Kind: KindInform, From: 4, View: 1, Seq: 9, Digest: req.Digest(), Sig: tags},
 		{Kind: KindReply, From: 3, View: 1, Mode: ids.Peacock, Timestamp: 3, Client: 2, Result: []byte("ok"), Watermark: 9, Sig: tags[:crypto.TagSize]},
 		{Kind: KindCheckpoint, From: 4, Seq: 16, StateDigest: cp.Digest, Sig: []byte("cs")},
@@ -46,7 +46,7 @@ func goldenFrames() []*Message {
 		{Kind: KindModeChange, From: 0, View: 2, Mode: ids.Dog, Sig: []byte("mc")},
 		{Kind: KindStateRequest, From: 5, Seq: 16, Sig: []byte("sq")},
 		{Kind: KindStateReply, From: 3, Seq: 16, StateDigest: cp.Digest, Result: []byte("snapshot"), CheckpointProof: []Signed{cp}, Prepares: []Signed{prop}, Sig: []byte("sr")},
-		{Kind: KindRead, From: -1, Request: req, Consistency: ConsistencyStale, Sig: tags},
+		{Kind: KindRead, From: -1, Payload: []*Request{req}, Consistency: ConsistencyStale, Sig: tags},
 	}
 }
 
@@ -92,7 +92,7 @@ func forwarding(batch []*Request) *Message {
 		r.Auth = bytes.Repeat([]byte{byte(i + 1)}, 6*crypto.TagSize)
 	}
 	m := &Message{Kind: KindPrePrepare, From: 2, View: 1, Seq: 9, Digest: BatchDigest(batch), Sig: []byte("sealed")}
-	m.SetRequests(batch)
+	m.Payload = batch
 	return m
 }
 
@@ -127,7 +127,7 @@ func TestForwardedAuthenticatorsStayOffRecords(t *testing.T) {
 	}
 	s := forwarded.Record()
 	withAuth := MarshalSigned(s)
-	s.SetRequests(bare)
+	s.Payload = bare
 	if !bytes.Equal(withAuth, MarshalSigned(s)) {
 		t.Fatal("MarshalSigned of a proposal depends on its members' authenticators")
 	}
@@ -141,7 +141,7 @@ func TestForwardedAuthenticatorsStayOffRecords(t *testing.T) {
 		m := *forwarded
 		m.Kind = kind
 		p := m
-		p.SetRequests(bare)
+		p.Payload = bare
 		if !bytes.Equal(Marshal(&m), Marshal(&p)) {
 			t.Fatalf("a %v frame carries its members' authenticators", kind)
 		}

@@ -161,10 +161,11 @@ func (r *Request) appendSignedBytes(buf []byte) []byte {
 // Digest returns D(µ): the digest of the request including its
 // signature, so that two requests with identical payloads from the same
 // client remain distinguishable only by timestamp, as the paper requires
-// for exactly-once semantics.
+// for exactly-once semantics. The digested bytes are µ's encoding as a
+// one-member payload (MarshalRequest).
 func (r *Request) Digest() crypto.Digest {
-	e := encoder{buf: make([]byte, 0, sizeRequest(r))}
-	e.request(r)
+	e := encoder{buf: make([]byte, 0, 1+sizeRequest(r))}
+	e.payload([]*Request{r})
 	return crypto.Sum(e.buf)
 }
 
@@ -183,10 +184,8 @@ func (r *Request) Equal(o *Request) bool {
 const MaxBatch = 4096
 
 // BatchDigest returns the digest binding a proposal to its request set.
-// A single-request set digests to exactly D(µ), so an unbatched proposal
-// is indistinguishable — in bytes and in digest — from today's
-// single-request slots; larger sets hash the ordered list of member
-// digests under a domain-separation tag.
+// A one-member set digests to exactly D(µ); larger sets hash the ordered
+// list of member digests under a domain-separation tag.
 func BatchDigest(reqs []*Request) crypto.Digest {
 	if len(reqs) == 1 {
 		return reqs[0].Digest()
@@ -201,7 +200,7 @@ func BatchDigest(reqs []*Request) crypto.Digest {
 	return crypto.Sum(e.buf)
 }
 
-func batchEqual(a, b []*Request) bool {
+func payloadEqual(a, b []*Request) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -216,64 +215,28 @@ func batchEqual(a, b []*Request) bool {
 // Signed is a compact record of a previously sent signed protocol message
 // (a prepare, commit, or checkpoint). View changes carry sets of these as
 // evidence (the paper's P, C, and ξ), and NEW-VIEW messages carry the
-// reconstructed P′ and C′ — those entries may attach the full request µ.
+// reconstructed P′ and C′ — those entries may attach the slot's requests.
 type Signed struct {
-	Kind    Kind
-	From    ids.ReplicaID
-	View    ids.View
-	Seq     uint64
-	Digest  crypto.Digest
-	Request *Request // only set where the protocol attaches a lone µ
-	// Batch carries the full request set of a batched slot (two or more
-	// requests; single-request proposals use Request so their wire frames
-	// stay identical to the pre-batching format). Digest covers the set
-	// via BatchDigest.
-	Batch []*Request
-	Sig   []byte
+	Kind   Kind
+	From   ids.ReplicaID
+	View   ids.View
+	Seq    uint64
+	Digest crypto.Digest
+	// Payload is the slot's ordered request set where the protocol
+	// attaches it (0 to MaxBatch members). Digest covers the set via
+	// BatchDigest.
+	Payload []*Request
+	Sig     []byte
 }
 
-// payloadRequests implements Requests for both payload-carrying record
-// types: the batch if present, the lone request wrapped, or nil.
-func payloadRequests(r *Request, batch []*Request) []*Request {
-	if len(batch) > 0 {
-		return batch
-	}
-	if r != nil {
-		return []*Request{r}
-	}
-	return nil
-}
-
-// splitPayload canonicalizes a request set for the wire: one request
-// rides in the Request field (byte-compatible with unbatched slots),
-// more ride in Batch.
-func splitPayload(reqs []*Request) (*Request, []*Request) {
-	switch len(reqs) {
-	case 0:
-		return nil, nil
-	case 1:
-		return reqs[0], nil
-	default:
-		return nil, reqs
-	}
-}
-
-// Requests returns the slot payload as a slice: the batch if present,
-// the lone request wrapped, or nil when the record carries no payload.
-func (s *Signed) Requests() []*Request { return payloadRequests(s.Request, s.Batch) }
-
-// SetRequests attaches a payload in canonical form: one request rides in
-// Request (wire-compatible with unbatched slots), more ride in Batch.
-func (s *Signed) SetRequests(reqs []*Request) { s.Request, s.Batch = splitPayload(reqs) }
-
-// ClearRequests strips the payload (lean commits, vote certificates).
-func (s *Signed) ClearRequests() { s.Request, s.Batch = nil, nil }
+// Requests returns the slot payload, or nil when the record carries none.
+func (s *Signed) Requests() []*Request { return s.Payload }
 
 // Wire builds the wire message for a Signed record.
 func (s *Signed) Wire() *Message {
 	return &Message{
 		Kind: s.Kind, From: s.From, View: s.View, Seq: s.Seq,
-		Digest: s.Digest, Request: s.Request, Batch: s.Batch, Sig: s.Sig,
+		Digest: s.Digest, Payload: s.Payload, Sig: s.Sig,
 	}
 }
 
@@ -288,7 +251,7 @@ func (s *Signed) Wire() *Message {
 func (m *Message) Record() *Signed {
 	return &Signed{
 		Kind: m.Kind, From: m.From, View: m.View, Seq: m.Seq,
-		Digest: m.Digest, Request: m.Request, Batch: m.Batch, Sig: m.Sig,
+		Digest: m.Digest, Payload: m.Payload, Sig: m.Sig,
 	}
 }
 
@@ -329,14 +292,11 @@ type Message struct {
 	// Mode is π, carried by REPLY (so clients can track the current
 	// mode, Section 5.1) and MODE-CHANGE (the new mode π′, Section 5.4).
 	Mode ids.Mode
-	// Request is µ where the protocol attaches the full request
-	// (REQUEST, Lion/Dog PREPARE, Lion COMMIT, Peacock PRE-PREPARE).
-	Request *Request
-	// Batch is the request set of a batched proposal (two or more
-	// requests; a single request travels in Request so unbatched frames
-	// keep the pre-batching byte layout). Digest binds the set via
-	// BatchDigest.
-	Batch []*Request
+	// Payload is the request set the message carries: exactly µ on a
+	// REQUEST or READ, the slot's ordered batch (0 to MaxBatch members)
+	// where the protocol attaches it (Lion/Dog PREPARE, Lion COMMIT,
+	// Peacock PRE-PREPARE). Digest binds a slot's set via BatchDigest.
+	Payload []*Request
 	// Result is u, the execution result in a REPLY.
 	Result []byte
 	// Timestamp is tsς echoed in a REPLY.
@@ -371,12 +331,8 @@ type Message struct {
 	Sig []byte
 }
 
-// Requests returns the message payload as a slice (see Signed.Requests).
-func (m *Message) Requests() []*Request { return payloadRequests(m.Request, m.Batch) }
-
-// SetRequests attaches a payload in canonical form (see
-// Signed.SetRequests).
-func (m *Message) SetRequests(reqs []*Request) { m.Request, m.Batch = splitPayload(reqs) }
+// Requests returns the message payload, or nil when it carries none.
+func (m *Message) Requests() []*Request { return m.Payload }
 
 // SignedBytes returns the canonical bytes covered by Sig. Variable-size
 // payloads (result, evidence sets) are bound by digest so the signature
@@ -425,28 +381,18 @@ func (m *Message) Validate() error {
 	if !m.Kind.Valid() {
 		return fmt.Errorf("message: invalid kind %d", uint8(m.Kind))
 	}
-	if len(m.Batch) > 0 {
-		if m.Request != nil {
-			return fmt.Errorf("message: %s with both Request and Batch set", m.Kind)
-		}
-		if len(m.Batch) == 1 {
-			// The decoder rejects wire batches of one; a single request
-			// must use the legacy Request field (SetRequests does this).
-			return fmt.Errorf("message: %s batch of one (use Request)", m.Kind)
-		}
-		if len(m.Batch) > MaxBatch {
-			return fmt.Errorf("message: batch of %d exceeds limit %d", len(m.Batch), MaxBatch)
-		}
-		for _, r := range m.Batch {
-			if r == nil {
-				return fmt.Errorf("message: %s batch with nil request", m.Kind)
-			}
+	if len(m.Payload) > MaxBatch {
+		return fmt.Errorf("message: batch of %d exceeds limit %d", len(m.Payload), MaxBatch)
+	}
+	for _, r := range m.Payload {
+		if r == nil {
+			return fmt.Errorf("message: %s batch with nil request", m.Kind)
 		}
 	}
 	switch m.Kind {
 	case KindRequest:
-		if m.Request == nil {
-			return fmt.Errorf("message: REQUEST without request body")
+		if len(m.Payload) != 1 {
+			return fmt.Errorf("message: REQUEST carries %d requests, want 1", len(m.Payload))
 		}
 	case KindPrePrepare, KindPrepare:
 		if m.From < 0 {
@@ -500,8 +446,8 @@ func (m *Message) Validate() error {
 			return fmt.Errorf("message: %s without sender", m.Kind)
 		}
 	case KindRead:
-		if m.Request == nil {
-			return fmt.Errorf("message: READ without request body")
+		if len(m.Payload) != 1 {
+			return fmt.Errorf("message: READ carries %d requests, want 1", len(m.Payload))
 		}
 		if !m.Consistency.Valid() {
 			return fmt.Errorf("message: READ with invalid consistency %d", uint8(m.Consistency))
@@ -522,9 +468,8 @@ func (m *Message) Equal(o *Message) bool {
 		m.Consistency != o.Consistency || m.Watermark != o.Watermark ||
 		string(m.Result) != string(o.Result) ||
 		string(m.Sig) != string(o.Sig) ||
-		!m.Request.Equal(o.Request) ||
-		!batchEqual(m.Batch, o.Batch) ||
-		m.Kind == KindPrePrepare && !authsEqual(m.Requests(), o.Requests()) {
+		!payloadEqual(m.Payload, o.Payload) ||
+		m.Kind == KindPrePrepare && !authsEqual(m.Payload, o.Payload) {
 		return false
 	}
 	return signedSetEqual(m.CheckpointProof, o.CheckpointProof) &&
@@ -552,8 +497,7 @@ func signedSetEqual(a, b []Signed) bool {
 			a[i].View != b[i].View || a[i].Seq != b[i].Seq ||
 			a[i].Digest != b[i].Digest ||
 			string(a[i].Sig) != string(b[i].Sig) ||
-			!a[i].Request.Equal(b[i].Request) ||
-			!batchEqual(a[i].Batch, b[i].Batch) {
+			!payloadEqual(a[i].Payload, b[i].Payload) {
 			return false
 		}
 	}

@@ -29,7 +29,7 @@ func sampleMessage() *Message {
 		Seq:         17,
 		Digest:      req.Digest(),
 		Mode:        ids.Dog,
-		Request:     req,
+		Payload:     []*Request{req},
 		Result:      []byte("ok"),
 		Timestamp:   42,
 		Client:      7,
@@ -40,7 +40,7 @@ func sampleMessage() *Message {
 		}},
 		Prepares: []Signed{{
 			Kind: KindPrepare, From: 0, View: 2, Seq: 16,
-			Digest: crypto.Sum([]byte("p")), Request: sampleRequest(), Sig: []byte{8},
+			Digest: crypto.Sum([]byte("p")), Payload: []*Request{sampleRequest()}, Sig: []byte{8},
 		}},
 		Commits: []Signed{{
 			Kind: KindCommit, From: 0, View: 2, Seq: 15,
@@ -90,7 +90,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if !got.Equal(m) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, m)
 	}
-	if !reflect.DeepEqual(got.Prepares[0].Request, m.Prepares[0].Request) {
+	if !reflect.DeepEqual(got.Prepares[0].Payload, m.Prepares[0].Payload) {
 		t.Error("nested request in signed set lost")
 	}
 }
@@ -104,7 +104,7 @@ func TestMarshalEmptyMessage(t *testing.T) {
 	if !got.Equal(m) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, m)
 	}
-	if got.Request != nil || got.Prepares != nil || got.Commits != nil {
+	if got.Payload != nil || got.Prepares != nil || got.Commits != nil {
 		t.Error("empty fields should decode as nil")
 	}
 }
@@ -143,8 +143,11 @@ func TestUnmarshalHostileInput(t *testing.T) {
 	e.u64(0)
 	e.digest(crypto.Digest{})
 	e.u8(0)
-	e.u8(1)           // request present
+	e.u8(1)           // one request
 	e.u32(0xFFFFFFFF) // hostile op length
+	e.u64(0)          // the rest of a request, so the count fits the frame
+	e.u64(0)
+	e.u32(0)
 	if _, err := Unmarshal(e.buf); err == nil {
 		t.Fatal("hostile length prefix accepted")
 	}
@@ -225,7 +228,7 @@ func TestMessageSignedBytesBindFields(t *testing.T) {
 func TestSignedSignedBytes(t *testing.T) {
 	s := Signed{Kind: KindPrepare, From: 1, View: 2, Seq: 3, Digest: crypto.Sum([]byte("x"))}
 	a := s.SignedBytes()
-	s.Request = sampleRequest() // µ travels outside the signature
+	s.Payload = []*Request{sampleRequest()} // µ travels outside the signature
 	if !bytes.Equal(a, s.SignedBytes()) {
 		t.Error("attached request changed signed bytes; paper signs 〈PREPARE,v,n,d〉 only")
 	}
@@ -237,7 +240,7 @@ func TestSignedSignedBytes(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	valid := []*Message{
-		{Kind: KindRequest, From: -1, Request: sampleRequest()},
+		{Kind: KindRequest, From: -1, Payload: []*Request{sampleRequest()}},
 		{Kind: KindPrepare, From: 0},
 		{Kind: KindPrePrepare, From: 2},
 		{Kind: KindAccept, From: 1},
@@ -311,7 +314,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			op := make([]byte, rng.Intn(64))
 			rng.Read(op)
-			m.Request = &Request{Op: op, Timestamp: rng.Uint64(), Client: ids.ClientID(rng.Int63n(50))}
+			m.Payload = []*Request{{Op: op, Timestamp: rng.Uint64(), Client: ids.ClientID(rng.Int63n(50))}}
 		}
 		if rng.Intn(2) == 0 {
 			m.Result = make([]byte, rng.Intn(32))

@@ -93,21 +93,8 @@ func (e *Entry) SetProposal(p *message.Signed) error {
 // Proposal returns the recorded proposal, or nil.
 func (e *Entry) Proposal() *message.Signed { return e.proposal }
 
-// Request returns the request attached to the proposal, if any. For
-// batched slots it returns the first request; execution paths use
-// Requests.
-func (e *Entry) Request() *message.Request {
-	if e.proposal == nil {
-		return nil
-	}
-	if reqs := e.proposal.Requests(); len(reqs) > 0 {
-		return reqs[0]
-	}
-	return nil
-}
-
-// Requests returns the full ordered request payload of the slot: the
-// proposal's batch, or its lone request wrapped, or nil.
+// Requests returns the ordered request payload of the slot's proposal,
+// or nil.
 func (e *Entry) Requests() []*message.Request {
 	if e.proposal == nil {
 		return nil
@@ -162,7 +149,7 @@ func (e *Entry) AddVoteCert(s *message.Signed) bool {
 		e.certs = make(map[voteKey]message.Signed, 8)
 	}
 	cp := *s
-	cp.ClearRequests() // certificates never need the request payload
+	cp.Payload = nil // certificates never need the request payload
 	e.certs[voteKey{kind: s.Kind, view: s.View, from: s.From}] = cp
 	return true
 }

@@ -91,21 +91,21 @@ func TestProposalKeepsRicherCopy(t *testing.T) {
 	e := l.Entry(1)
 	req := &message.Request{Op: []byte("op"), Timestamp: 1, Client: 2}
 	bare := &message.Signed{Kind: message.KindPrepare, View: 1, Seq: 1, Digest: dig("a")}
-	full := &message.Signed{Kind: message.KindPrepare, View: 1, Seq: 1, Digest: dig("a"), Request: req}
+	full := &message.Signed{Kind: message.KindPrepare, View: 1, Seq: 1, Digest: dig("a"), Payload: []*message.Request{req}}
 	if err := e.SetProposal(bare); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SetProposal(full); err != nil {
 		t.Fatal(err)
 	}
-	if e.Request() == nil {
+	if len(e.Requests()) != 1 {
 		t.Fatal("request-carrying duplicate should upgrade the stored proposal")
 	}
 	// And a later bare copy must not downgrade it.
 	if err := e.SetProposal(bare); err != nil {
 		t.Fatal(err)
 	}
-	if e.Request() == nil {
+	if len(e.Requests()) != 1 {
 		t.Fatal("bare duplicate downgraded the stored proposal")
 	}
 }
@@ -357,11 +357,11 @@ func TestVoteCertificates(t *testing.T) {
 	// Requests are stripped from stored certificates.
 	withReq := &message.Signed{
 		Kind: message.KindPrepare, From: 4, View: 1, Seq: 4, Digest: d,
-		Request: &message.Request{Op: []byte("x")},
+		Payload: []*message.Request{{Op: []byte("x")}},
 	}
 	e.AddVoteCert(withReq)
 	for _, c := range e.VoteCerts(message.KindPrepare, 1, d) {
-		if c.Request != nil {
+		if c.Payload != nil {
 			t.Fatal("certificate kept the request body")
 		}
 	}

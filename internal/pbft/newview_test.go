@@ -48,7 +48,7 @@ func TestNewViewSelection(t *testing.T) {
 	prePrepare := func(seq uint64, ts uint64) message.Signed {
 		req := &message.Request{Op: statemachine.EncodePut(fmt.Sprintf("k%d", ts), []byte("v")), Timestamp: ts}
 		req.Sig = suite.Sign(crypto.ClientPrincipal(0), req.SignedBytes())
-		s := message.Signed{Kind: message.KindPrePrepare, From: 0, Seq: seq, Digest: req.Digest(), Request: req}
+		s := message.Signed{Kind: message.KindPrePrepare, From: 0, Seq: seq, Digest: req.Digest(), Payload: []*message.Request{req}}
 		return sign(s)
 	}
 	prepared, open := prePrepare(1, 1), prePrepare(2, 2)

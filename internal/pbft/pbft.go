@@ -72,6 +72,10 @@ type Replica struct {
 	crash  int
 	timing config.Timing
 
+	// all lists every replica ID, built once: the round's voters, the
+	// state servers and every multicast's destinations share it.
+	all []ids.ReplicaID
+
 	view ids.View
 
 	log  *mlog.Log
@@ -137,10 +141,14 @@ func NewReplica(opts Options) (*Replica, error) {
 		byz:     opts.Byz,
 		crash:   opts.Crash,
 		timing:  opts.Timing,
+		all:     make([]ids.ReplicaID, opts.N),
 		log:     mlog.New(opts.Timing.HighWaterMarkLag),
 		exec:    replica.NewExecutor(opts.StateMachine, opts.Timing.CheckpointPeriod),
 		nextSeq: 1,
 		pending: replica.NewPending(clk),
+	}
+	for i := range r.all {
+		r.all[i] = ids.ReplicaID(i)
 	}
 	r.jr = replica.NewJournal(opts.Storage)
 	r.in = replica.NewIntake(replica.IntakeConfig{
@@ -163,7 +171,7 @@ func NewReplica(opts Options) (*Replica, error) {
 	r.round = replica.NewRound(replica.RoundConfig{
 		Recovery:  r.rec,
 		Voter:     func(_ ids.View, id ids.ReplicaID) bool { return id >= 0 && int(id) < r.n },
-		Voters:    func(ids.View) []ids.ReplicaID { return r.all() },
+		Voters:    func(ids.View) []ids.ReplicaID { return r.all },
 		Quorum:    r.Quorum(),
 		Authentic: r.authentic,
 		Committed: func(uint64, crypto.Digest) { r.executeReady() },
@@ -196,14 +204,6 @@ func (r *Replica) Primary(v ids.View) ids.ReplicaID {
 }
 
 func (r *Replica) isPrimary() bool { return r.Primary(r.view) == r.eng.ID() }
-
-func (r *Replica) all() []ids.ReplicaID {
-	out := make([]ids.ReplicaID, r.n)
-	for i := range out {
-		out[i] = ids.ReplicaID(i)
-	}
-	return out
-}
 
 // SetProbe installs event callbacks; safe at any time.
 func (r *Replica) SetProbe(p Probe) { r.probe.Store(&p) }
@@ -257,7 +257,9 @@ func (r *Replica) StableCheckpoint() uint64 { return r.log.Low() }
 func (r *Replica) HandleMessage(m *message.Message) {
 	switch m.Kind {
 	case message.KindRequest:
-		r.onRequest(m.Request)
+		if len(m.Payload) == 1 {
+			r.onRequest(m.Payload[0])
+		}
 	case message.KindPrePrepare:
 		r.onPrePrepare(m)
 	case message.KindPrepare:
@@ -346,7 +348,7 @@ func (r *Replica) sendReply(view ids.View, req *message.Request, result []byte) 
 }
 
 func (r *Replica) onRequest(req *message.Request) {
-	if req == nil || req.Client < 0 || !r.eng.VerifyRequest(req) {
+	if req.Client < 0 || !r.eng.VerifyRequest(req) {
 		return
 	}
 	if cached, ok := r.exec.CachedReply(req); ok {
@@ -365,7 +367,7 @@ func (r *Replica) onRequest(req *message.Request) {
 	}
 	// The relay wrapper carries nothing of this replica's: the primary
 	// checks the client's signature inside.
-	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Request: req}
+	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Payload: []*message.Request{req}}
 	r.eng.Send(r.Primary(r.view), fwd)
 	r.pending.Mark(replica.RelaySentinel)
 }
@@ -383,12 +385,12 @@ func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	seq := r.nextSeq
 	r.nextSeq++
 	pp := &message.Signed{
-		Kind:   message.KindPrePrepare,
-		View:   r.view,
-		Seq:    seq,
-		Digest: message.BatchDigest(reqs),
+		Kind:    message.KindPrePrepare,
+		View:    r.view,
+		Seq:     seq,
+		Digest:  message.BatchDigest(reqs),
+		Payload: reqs,
 	}
-	pp.SetRequests(reqs)
 	r.eng.SignRecord(pp)
 	entry := r.log.Entry(seq)
 	if entry == nil {
@@ -403,12 +405,11 @@ func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	r.jr.Proposal(pp)
 	// The primary's pre-prepare stands in for its prepare vote.
 	entry.AddVote(message.KindPrepare, r.view, r.eng.ID(), pp.Digest)
-	r.eng.Multicast(r.all(), pp.Wire())
+	r.eng.Multicast(r.all, pp.Wire())
 	return true
 }
 
-// validPayload checks the attached payload (lone request or batch)
-// against the proposal digest and the client signature of every member.
+// validPayload checks the attached payload against the proposal digest and the client signature of every member.
 func (r *Replica) validPayload(m *message.Message) bool {
 	reqs := m.Requests()
 	if len(reqs) == 0 || message.BatchDigest(reqs) != m.Digest {

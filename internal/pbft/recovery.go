@@ -37,7 +37,7 @@ func (t trust) ProofSuffices(signers []ids.ReplicaID) bool {
 	return len(signers) >= t.r.WeakQuorum()
 }
 
-func (t trust) StateServers() []ids.ReplicaID { return t.r.all() }
+func (t trust) StateServers() []ids.ReplicaID { return t.r.all }
 
 func (t trust) SuffixCommits() []message.Signed { return nil }
 
@@ -72,7 +72,7 @@ func (r *Replica) startViewChange(target ids.View) {
 	r.eng.Sign(vcm)
 	r.rec.Suspect(target, vcm)
 	r.voteRecorded(vcm)
-	r.eng.Multicast(r.all(), vcm)
+	r.eng.Multicast(r.all, vcm)
 }
 
 // voteRecorded reacts to a newly filed VIEW-CHANGE: join once Byz+1
@@ -116,7 +116,7 @@ func (r *Replica) tryAssembleNewView(target ids.View) {
 	}
 	nv := r.rec.NewView(target, 0, quorum, r.rec.PreparedCertificates(), r.selection())
 	r.eng.Sign(nv)
-	r.eng.Multicast(r.all(), nv)
+	r.eng.Multicast(r.all, nv)
 	r.applyNewView(nv)
 }
 

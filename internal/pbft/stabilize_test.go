@@ -45,7 +45,7 @@ func TestStabilizationReleasesHeldRequests(t *testing.T) {
 			for ts := uint64(1); ts <= lag+1; ts++ {
 				req := &message.Request{Op: statemachine.EncodePut(fmt.Sprintf("k%d", ts), []byte("v")), Timestamp: ts}
 				req.Sig = suite.Sign(crypto.ClientPrincipal(0), req.SignedBytes())
-				r.HandleMessage(&message.Message{Kind: message.KindRequest, Request: req})
+				r.HandleMessage(&message.Message{Kind: message.KindRequest, Payload: []*message.Request{req}})
 			}
 			if r.nextSeq != lag+1 || r.in.Buffered() != 1 {
 				t.Fatalf("full window: nextSeq %d with %d held, want %d with 1", r.nextSeq, r.in.Buffered(), lag+1)

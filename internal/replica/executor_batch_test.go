@@ -16,7 +16,7 @@ func commitBatch(t *testing.T, l *mlog.Log, seq uint64, reqs []*message.Request)
 		Seq:    seq,
 		Digest: message.BatchDigest(reqs),
 	}
-	prop.SetRequests(reqs)
+	prop.Payload = reqs
 	entry := l.Entry(seq)
 	if entry == nil {
 		t.Fatalf("seq %d outside window", seq)

@@ -254,8 +254,7 @@ func (rc *Recovery) NewView(target ids.View, mode ids.Mode, quorum []*message.Me
 			noop := &message.Request{Client: -1}
 			reqs, d, committed = []*message.Request{noop}, noop.Digest(), false
 		}
-		s := message.Signed{Kind: sel.Kind(committed), View: target, Seq: seq, Digest: d}
-		s.SetRequests(reqs)
+		s := message.Signed{Kind: sel.Kind(committed), View: target, Seq: seq, Digest: d, Payload: reqs}
 		rc.eng.SignRecord(&s)
 		if s.Kind == message.KindCommit {
 			nv.Commits = append(nv.Commits, s)

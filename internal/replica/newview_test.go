@@ -21,7 +21,7 @@ func honestNewView() *message.Message {
 	}
 	entry := func(kind message.Kind, seq uint64, payload ...*message.Request) message.Signed {
 		s := message.Signed{Kind: kind, View: 1, Seq: seq, Digest: message.BatchDigest(payload)}
-		s.SetRequests(payload)
+		s.Payload = payload
 		s.From = collector
 		s.Sig = suite.Sign(crypto.ReplicaPrincipal(collector), s.SignedBytes())
 		return s
@@ -54,8 +54,8 @@ func TestNewViewCheck(t *testing.T) {
 			m.Prepares[0].Kind = message.KindCommit
 			m.Prepares[0] = g.sign(1, m.Prepares[0])
 		}},
-		{"a payload not under its digest", func(m *message.Message) { m.Commits[0].SetRequests([]*message.Request{evil}) }},
-		{"no payload", func(m *message.Message) { m.Prepares[1].ClearRequests() }},
+		{"a payload not under its digest", func(m *message.Message) { m.Commits[0].Payload = []*message.Request{evil} }},
+		{"no payload", func(m *message.Message) { m.Prepares[1].Payload = nil }},
 		{"a bad entry signature", func(m *message.Message) { m.Prepares[1].Sig = m.Prepares[0].Sig }},
 	} {
 		m := honestNewView()

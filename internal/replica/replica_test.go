@@ -374,7 +374,7 @@ func commitSlot(t *testing.T, l *mlog.Log, seq uint64, req *message.Request) {
 	}
 	if err := e.SetProposal(&message.Signed{
 		Kind: message.KindPrepare, View: 0, Seq: seq,
-		Digest: req.Digest(), Request: req,
+		Digest: req.Digest(), Payload: []*message.Request{req},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestExecutorNoOp(t *testing.T) {
 	l := mlog.New(64)
 	noop := &message.Request{Client: -1}
 	e := l.Entry(1)
-	e.SetProposal(&message.Signed{Kind: message.KindPrepare, Seq: 1, Digest: noop.Digest(), Request: noop})
+	e.SetProposal(&message.Signed{Kind: message.KindPrepare, Seq: 1, Digest: noop.Digest(), Payload: []*message.Request{noop}})
 	e.MarkCommitted()
 	calls := 0
 	x.ExecuteReady(l, func(uint64, *message.Request, []byte) { calls++ })

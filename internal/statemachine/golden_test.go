@@ -444,8 +444,9 @@ func tryRestore(b []byte) (string, bool) {
 	return stateOf(kv), true
 }
 
-// goldenSnapshots: the data-only (pre-transaction) format, and the
-// decoders' sweeps.
+// goldenSnapshots: snapshots cut short after the data section (the
+// layout no writer has produced since transactions landed, refused),
+// and the decoders' sweeps.
 func goldenSnapshots(t *testing.T, r *goldenRows) {
 	dataOnly := []byte{0, 0, 0, 2, 0, 0, 0, 1, 'k', 0, 0, 0, 1, 'v', 0, 0, 0, 1, 'z', 0, 0, 0, 0}
 	for _, s := range []struct {

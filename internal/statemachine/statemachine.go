@@ -991,28 +991,6 @@ func (kv *KVStore) Restore(snapshot []byte) error {
 	n := r.Count(8) // every pair costs at least its two length prefixes
 	data := make(map[string][]byte, n)
 	readPairs(r, n, func(k, v []byte) { data[string(k)] = append([]byte(nil), v...) })
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("statemachine: snapshot: %w", err)
-	}
-
-	// A snapshot ending after the data section is the pre-transaction
-	// format (or a store that has simply never seen a transaction leg
-	// serialized by an older writer): accept it with empty
-	// transactional state, so durable deployments can restart across
-	// the format change.
-	if r.Len() == 0 {
-		kv.mu.Lock()
-		defer kv.mu.Unlock()
-		kv.data = data
-		kv.locks = make(map[string]TxID)
-		kv.pending = make(map[TxID]pendingTx)
-		kv.decided = make(map[TxID]byte)
-		kv.abortOrder = nil
-		kv.abortHorizon = make(map[ids.ClientID]uint64)
-		kv.place = nil
-		kv.meta = nil
-		return nil
-	}
 
 	// Lock table.
 	nl := r.Count(4 + txIDLen)
@@ -1069,8 +1047,8 @@ func (kv *KVStore) Restore(snapshot []byte) error {
 		abortHorizon[c] = r.U64()
 	}
 
-	// A snapshot ending here predates (or never had) placement state;
-	// anything further is the optional placement section.
+	// A non-elastic store's snapshot ends here; anything further is the
+	// optional placement section.
 	place, meta := restorePlacement(r)
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("statemachine: snapshot: %w", err)

@@ -271,10 +271,11 @@ func TestTxAddUpsertsInTransaction(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRestores: a pre-transaction snapshot (data section
-// only) still restores, with empty transactional state — durable
-// deployments must survive the format change.
-func TestLegacySnapshotRestores(t *testing.T) {
+// TestLegacySnapshotRefused: a snapshot that ends after its data
+// section, the layout written before transactions landed, is refused and
+// leaves the store as it was: Restore accepts exactly what Snapshot
+// writes, the placement section alone being optional.
+func TestLegacySnapshotRefused(t *testing.T) {
 	var legacy []byte
 	legacy = binary.BigEndian.AppendUint32(legacy, 1) // one entry
 	legacy = binary.BigEndian.AppendUint32(legacy, 1)
@@ -283,22 +284,24 @@ func TestLegacySnapshotRestores(t *testing.T) {
 	legacy = append(legacy, 'v')
 
 	kv := NewKVStore()
-	if err := kv.Restore(legacy); err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
+	kv.Apply(EncodePut("k", []byte("old")))
+	if err := kv.Restore(legacy); err == nil {
+		t.Fatal("data-only snapshot accepted")
+	}
+	if v, _ := kv.Get("k"); string(v) != "old" {
+		t.Fatalf("a refused snapshot changed k to %q", v)
+	}
+	// Its data section followed by empty transactional sections, as
+	// Snapshot writes them, restores.
+	full := append(bytes.Clone(legacy), make([]byte, 4*4)...)
+	if err := kv.Restore(full); err != nil {
+		t.Fatal(err)
 	}
 	if v, _ := kv.Get("k"); string(v) != "v" {
 		t.Fatalf("k = %q", v)
 	}
-	// The store is fully functional afterwards, including transactions.
-	id := TxID{Client: 1, Seq: 1}
-	prep(t, kv, id, EncodePut("k", []byte("w")))
-	if st, _ := DecodeResult(kv.Apply(EncodeTxCommit(id))); st != KVOK {
-		t.Fatalf("commit after legacy restore: status %d", st)
-	}
-	// Its own snapshot round-trips in the current format.
-	back := NewKVStore()
-	if err := back.Restore(kv.Snapshot()); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(kv.Snapshot(), full) {
+		t.Fatal("the restored store snapshots to other bytes")
 	}
 }
 
