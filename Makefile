@@ -5,7 +5,7 @@ GO      ?= go
 PKGS    ?= ./...
 COVER   ?= coverage.out
 
-.PHONY: all build test race race-client bench bench-json bench-smoke bench-pairs profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet builder-guard codec-guard lint lint-fix cover clean help
+.PHONY: all build test race race-client bench bench-json bench-smoke bench-pairs profile fuzz sim-explore fmt fmt-check vet doclint seemore-vet builder-guard codec-guard admission-guard lint lint-fix cover clean help
 
 SIM_SEEDS ?= 200
 
@@ -78,7 +78,7 @@ vet: ## stock go vet
 seemore-vet: ## the custom invariant analyzers (clockcheck, simdet, errsticky)
 	$(GO) run ./cmd/seemore-vet $(PKGS)
 
-lint: fmt-check vet doclint seemore-vet builder-guard codec-guard ## the full static-analysis umbrella (CI lint gate)
+lint: fmt-check vet doclint seemore-vet builder-guard codec-guard admission-guard ## the full static-analysis umbrella (CI lint gate)
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck $(PKGS)"; staticcheck $(PKGS); \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
@@ -98,6 +98,12 @@ codec-guard: ## fail if a non-test file under internal/statemachine, internal/pl
 	@hits="$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' internal/statemachine internal/placement internal/replica)"; \
 	if [ -n "$$hits" ]; then \
 		echo "encode and decode through internal/wire, not encoding/binary, in:"; printf '%s\n' "$$hits"; exit 1; \
+	fi
+
+admission-guard: ## fail if a non-test file under internal/core or internal/pbft calls VerifyRequest(, VerifyRequests( or AuthenticForwarded( (client admission and the proposal-member check go through replica.Intake)
+	@hits="$$(grep -rnE --include='*.go' --exclude='*_test.go' '(VerifyRequests?|AuthenticForwarded)\(' internal/core internal/pbft)"; \
+	if [ -n "$$hits" ]; then \
+		echo "admit client requests and check proposal members through replica.Intake, not in:"; printf '%s\n' "$$hits"; exit 1; \
 	fi
 
 lint-fix: fmt ## apply the automatic fixes (gofmt), then re-run the lint gate

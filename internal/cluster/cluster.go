@@ -321,7 +321,6 @@ func (s *Spec) BuildNode(id ids.ReplicaID, env Env) (Node, error) {
 		}
 		cl.Batching = s.Batching
 		cl.Pipelining = s.Pipelining
-		cl.Durability = s.Durability
 		cl.Leases = s.Leases
 		r, err := core.NewReplica(core.Options{
 			ID: id, Cluster: cl, Suite: env.Suite, Network: env.Network,

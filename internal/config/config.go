@@ -461,9 +461,6 @@ type Cluster struct {
 	// Pipelining bounds the primary's in-flight proposal window; the
 	// zero value is a window of DefaultPipelineDepth slots.
 	Pipelining Pipelining
-	// Durability configures the write-ahead log and snapshot store; the
-	// zero value keeps the legacy fully-in-memory replica.
-	Durability Durability
 	// Leases configures leader leases for local linearizable reads at
 	// trusted-mode primaries; the zero value orders every read.
 	Leases Leases

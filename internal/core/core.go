@@ -180,11 +180,6 @@ func NewReplica(opts Options) (*Replica, error) {
 		nvResent:     make(map[ids.ReplicaID]time.Time),
 	}
 	r.jr = replica.NewJournal(opts.Storage)
-	r.in = replica.NewIntake(replica.IntakeConfig{
-		Batching: opts.Cluster.Batching, Pipelining: opts.Cluster.Pipelining,
-		Clock: clk, Pending: r.pending, Exec: r.exec,
-		Open: r.mayPropose, Propose: r.proposeBatch,
-	})
 	r.eng = replica.NewEngine(replica.Config{
 		ID:       opts.ID,
 		Suite:    opts.Suite,
@@ -192,7 +187,7 @@ func NewReplica(opts Options) (*Replica, error) {
 		// Timeout flushes run on ticks, so the tick must not exceed
 		// BatchTimeout or the flush deadline silently degrades to the
 		// tick interval.
-		TickInterval: r.in.TickInterval(opts.TickInterval),
+		TickInterval: replica.TickInterval(opts.Cluster.Batching, opts.TickInterval),
 		Clock:        clk,
 		Journal:      r.jr,
 	})
@@ -200,6 +195,15 @@ func NewReplica(opts Options) (*Replica, error) {
 		Engine: r.eng, Log: r.log, Exec: r.exec, Pending: r.pending,
 		Trust: trust{r}, N: mb.N(), ViewChange: r.timing.ViewChange,
 		JoinQuorum: mb.M() + 1, Mode: r.mode,
+	})
+	r.in = replica.NewIntake(replica.IntakeConfig{
+		Batching: opts.Cluster.Batching, Pipelining: opts.Cluster.Pipelining,
+		Clock: clk, Engine: r.eng, Pending: r.pending, Exec: r.exec,
+		Open: r.mayPropose, Propose: r.proposeBatch,
+		Trusted:      mb.IsTrusted,
+		Primary:      func() ids.ReplicaID { return mb.Primary(r.mode, r.view) },
+		InViewChange: r.rec.InViewChange,
+		Reply:        func(req *message.Request, result []byte) { r.sendReply(r.mode, r.view, req, result) },
 	})
 	r.round = replica.NewRound(replica.RoundConfig{
 		Recovery:  r.rec,
@@ -308,9 +312,6 @@ func (r *Replica) isProxy() bool {
 	return r.mb.IsProxy(r.mode, r.view, r.eng.ID())
 }
 
-// trustedSelf reports whether this replica sits in the private cloud.
-func (r *Replica) trustedSelf() bool { return r.mb.IsTrusted(r.eng.ID()) }
-
 // HandleMessage implements replica.Handler: the single dispatch point.
 func (r *Replica) HandleMessage(m *message.Message) {
 	// Agreement traffic from an older view marks a peer that missed the
@@ -332,7 +333,7 @@ func (r *Replica) HandleMessage(m *message.Message) {
 	}
 	switch m.Kind {
 	case message.KindRequest:
-		r.onRequest(m)
+		r.in.OnRequest(m)
 	case message.KindPrepare:
 		r.onPrepare(m)
 	case message.KindPrePrepare:
@@ -463,116 +464,6 @@ func (r *Replica) sendReply(mode ids.Mode, view ids.View, req *message.Request, 
 		Watermark: r.exec.LastExecuted(),
 	}
 	r.eng.SendClientTagged(req.Client, rep)
-}
-
-// onRequest handles a client REQUEST. One the client sent this replica
-// is checked on the client's tag for it alone: the client's signature
-// inside µ travels on unverified, and the request keeps the client's
-// authenticator, which a Peacock primary forwards to its proxies in the
-// PRE-PREPARE. One a backup relayed (From ≥ 0) is checked on that
-// signature, as the backup checked it before relaying
-// (ARCHITECTURE.md, "Authentication", the third case).
-func (r *Replica) onRequest(m *message.Message) {
-	if len(m.Payload) != 1 || m.Payload[0].Client < 0 {
-		return
-	}
-	req := m.Payload[0]
-	if m.From >= 0 {
-		if r.eng.VerifyRequest(req) {
-			r.orderRequest(req, bySig)
-		}
-		return
-	}
-	if r.eng.AuthenticRequest(req, m.Sig) {
-		req.Auth = m.Sig
-		r.orderRequest(req, byTag)
-	}
-}
-
-// clientAuth is what a replica checked of a client request before it
-// acts on it.
-type clientAuth uint8
-
-const (
-	// byTag: the client's tag for this replica. The signature inside µ
-	// travels on unverified.
-	byTag clientAuth = iota
-	// bySig: the client's signature, on a request a backup relayed.
-	bySig
-	// unsignedRead: the client's tag on a READ, which carries no
-	// signature (ARCHITECTURE.md, "Authentication", the third case).
-	unsignedRead
-)
-
-// signatureHolds reports whether req, checked as how says, carries a
-// good client signature, verifying it only where it was not checked. An
-// unsigned READ has none to verify, so it costs no check and counts as
-// no bad signature.
-func (r *Replica) signatureHolds(req *message.Request, how clientAuth) bool {
-	switch how {
-	case bySig:
-		return true
-	case unsignedRead:
-		return false
-	default:
-		return r.eng.VerifyRequest(req)
-	}
-}
-
-// orderRequest acts on an authentic client request, checked as how
-// says: primaries order it; backups that already executed it re-send the
-// cached reply; otherwise the request is relayed to the primary and a
-// liveness timer starts so a dead primary is eventually suspected
-// (Section 5.1's client-retransmission path). An unsigned READ is
-// ordered only by a trusted primary, which proposes on its own word; a
-// Peacock primary does not admit it and a backup does not relay it, and
-// its client's timer re-sends the op as a signed REQUEST.
-func (r *Replica) orderRequest(req *message.Request, how clientAuth) {
-	// Retransmission of an executed request: re-send the cached reply
-	// regardless of role (the client is asking everyone because it timed
-	// out).
-	if cached, ok := r.exec.CachedReply(req); ok {
-		r.sendReply(r.mode, r.view, req, cached)
-		return
-	}
-	if !r.exec.Fresh(req) {
-		return // older than the client's last executed request
-	}
-	if r.rec.InViewChange() {
-		// What a trusted node parks is admitted only if it proposes in
-		// the view it enters, as a Lion or Dog primary (a Peacock primary
-		// is public), so a parked unsigned READ is ordered on a trusted
-		// primary's word or dropped.
-		if r.trustedSelf() {
-			r.in.Park(req)
-		}
-		return
-	}
-	if r.isPrimary() {
-		// A Peacock primary's proxies verify the client signature of
-		// every member whose forwarded tag is missing or bad at them, so
-		// one bad signature admitted on the primary's tag alone would
-		// poison an honest primary's slot. A trusted primary's proposals
-		// are taken on its word: nobody checks the signature.
-		if r.mode == ids.Peacock && !r.signatureHolds(req, how) {
-			return
-		}
-		r.in.Admit(req)
-		return
-	}
-	// Not the primary: relay and arm the suspicion timer keyed on a
-	// pseudo-slot so a silent primary cannot stall this client forever.
-	// Only a request whose signature verifies is relayed, and the primary
-	// takes the relay on that signature: every replica judges a signature
-	// alike, so a client cannot have backups suspect an honest primary
-	// with tags good at them and bad at the primary, or good tags over a
-	// bad signature. The wrapper carries nothing of this replica's.
-	if !r.signatureHolds(req, how) {
-		return
-	}
-	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Payload: []*message.Request{req}}
-	r.eng.Send(r.mb.Primary(r.mode, r.view), fwd)
-	r.pending.Mark(replica.RelaySentinel)
 }
 
 // mayPropose answers replica.Intake: this replica is the primary of its

@@ -19,12 +19,14 @@
 //
 // # Throughput path
 //
-// What a primary does with a request before it has a sequence number —
-// dedupe, batching, the proposal window, holding requests back while
-// the log window is closed or a view change runs — is replica.Intake's;
-// this package tells it who proposes now (mayPropose), parks a request
-// that arrives mid-view-change only at trusted replicas, and orders a
-// slot from sequence assignment on (proposeBatch). Two knobs shape the
+// What a replica does with a client request before it has a sequence
+// number — the tag check, the relay, dedupe, batching, the proposal
+// window, holding requests back while the log window is closed or a
+// view change runs — is replica.Intake's, the same path PBFT takes;
+// this package tells it who is trusted (the private cloud, which alone
+// parks a request that arrives mid-view-change), who proposes now
+// (mayPropose), and orders a slot from sequence assignment on
+// (proposeBatch). Two knobs shape the
 // intake, stacked on the paper's per-request agreement rounds (at their
 // zero values: one request per slot, under a window of
 // config.DefaultPipelineDepth slots):
@@ -46,11 +48,11 @@
 // overlap, authentication dominates, and auth.go is where its price is
 // set: every replica takes a client's request on the client's tag (a
 // relayed one on the client's signature, at the backup and at the
-// primary alike), a Lion or Dog backup checks the trusted primary's seal
-// and the payload digest, nothing more, while a Peacock primary verifies
-// each client signature before admission and a Peacock proxy verifies
-// the public primary's signature and takes each batched request on its
-// tag in the client authenticator the PRE-PREPARE forwards, verifying a
-// client's signature only where that tag is missing or bad
-// (replica.Engine.AuthenticForwarded).
+// primary alike; replica.Intake.OnRequest), a Lion or Dog backup checks
+// the trusted primary's seal and the payload digest, nothing more, while
+// a Peacock primary verifies each client signature before admission and
+// a Peacock proxy verifies the public primary's signature and takes
+// each batched request on its tag in the client authenticator the
+// PRE-PREPARE forwards, verifying a client's signature only where that
+// tag is missing or bad (replica.Intake.ValidPayload).
 package core

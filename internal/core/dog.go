@@ -38,7 +38,7 @@ func (r *Replica) dogOnPrepare(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.authentic(s) || !r.validProposalPayload(m) {
+	if !r.authentic(s) || !r.in.ValidPayload(m, r.isProxy()) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)

@@ -7,27 +7,6 @@ import (
 	"repro/internal/mlog"
 )
 
-// validProposalPayload checks that an attached payload — one request or
-// a whole batch — matches the proposal digest, and, when the proposer
-// is a public node and the receiver vouches for its proposal (a Peacock
-// proxy), that every member is its client's own request: on this
-// proxy's tag in the client authenticator the primary forwarded, or on
-// the client's signature where that tag is missing or bad. A trusted
-// proposer's word needs no such check: it admitted each client on its
-// tag and does not lie, so a bad signature inside is the client's own
-// doing — the rule onNewView and validEvidenceProposal already apply to
-// what a trusted node signed. A Peacock non-proxy executes the payload
-// only behind m+1 matching INFORMs, so D(µ) = d is all it checks
-// (ARCHITECTURE.md, "Authentication").
-// The caller has authenticated m.From.
-func (r *Replica) validProposalPayload(m *message.Message) bool {
-	reqs := m.Requests()
-	if len(reqs) == 0 || message.BatchDigest(reqs) != m.Digest {
-		return false
-	}
-	return r.mb.IsTrusted(m.From) || !r.isProxy() || r.eng.AuthenticForwarded(reqs)
-}
-
 // ---------------------------------------------------------------------------
 // Lion normal case (Algorithm 1)
 
@@ -78,7 +57,7 @@ func (r *Replica) lionOnPrepare(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.authentic(s) || !r.validProposalPayload(m) {
+	if !r.authentic(s) || !r.in.ValidPayload(m, r.isProxy()) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)
@@ -197,7 +176,7 @@ func (r *Replica) lionOnCommit(m *message.Message) {
 		// this adoption path needs the payload checked — when the
 		// matching PREPARE is already logged, the digest equality above
 		// vouches for the (already checked) payload.
-		if !r.validProposalPayload(m) {
+		if !r.in.ValidPayload(m, r.isProxy()) {
 			return
 		}
 		if err := entry.SetProposal(s); err != nil {

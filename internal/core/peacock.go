@@ -31,11 +31,12 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 	}
 	// A proxy vouches for the pre-prepare with its PREPARE vote and exports
 	// it at the head of its prepared certificate, so it checks σ first-hand
-	// and (in validProposalPayload) each client's request on its tag in the
-	// forwarded authenticator, or on the client's signature. A non-proxy
+	// and (in replica.Intake.ValidPayload) each client's request on its
+	// tag in the forwarded authenticator, or on the client's signature. A
+	// non-proxy
 	// checks D(µ) = d and keeps σ unverified for export: it executes µ
 	// only behind m+1 matching INFORMs (ARCHITECTURE.md, "Authentication").
-	if r.isProxy() && !r.eng.VerifyRecord(s) || !r.validProposalPayload(m) {
+	if r.isProxy() && !r.eng.VerifyRecord(s) || !r.in.ValidPayload(m, r.isProxy()) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)

@@ -28,7 +28,7 @@ package core
 // — is ordered through consensus like a write if this replica is a
 // trusted (Lion or Dog) primary. A READ carries no client signature, so
 // everyone else drops it, and the client's timer orders the op as a
-// signed REQUEST (orderRequest).
+// signed REQUEST (replica.Intake.OrderRead).
 
 import (
 	"time"
@@ -104,7 +104,7 @@ func (r *Replica) leaseValid(now time.Time) bool {
 // view must not extend a lease in the new one). Parked reads are
 // handed to the intake, which admits them on view entry only if this
 // trusted replica is the new view's (Lion or Dog) primary and drops them
-// otherwise, as orderRequest does an unsigned READ; clients retry reads
+// otherwise, as replica.Intake.OrderRead does an unsigned READ; clients retry reads
 // the transition loses.
 func (r *Replica) leaseInvalidate() {
 	r.lease.expiry = time.Time{}
@@ -121,7 +121,7 @@ func (r *Replica) leaseInvalidate() {
 // executed prefix by any replica; leased reads are served locally by a
 // primary holding a valid lease, after the executor reaches every slot
 // proposed so far; everything else falls back to consensus ordering
-// (orderRequest), whose own commit will re-arm an idle-expired lease —
+// (replica.Intake.OrderRead), whose own commit will re-arm an idle-expired lease —
 // at a trusted primary only, since a READ is unsigned: it is checked on
 // the client's tag alone, and whatever signature it carries is ignored.
 func (r *Replica) onRead(m *message.Message) {
@@ -134,7 +134,7 @@ func (r *Replica) onRead(m *message.Message) {
 		r.serveRead(req, message.ConsistencyStale)
 	case message.ConsistencyLeased:
 		if !r.leaseValid(r.clk.Now()) {
-			r.orderRequest(req, unsignedRead)
+			r.in.OrderRead(req)
 			return
 		}
 		if r.leaseSlack > 0 {
@@ -157,7 +157,7 @@ func (r *Replica) onRead(m *message.Message) {
 		}
 		r.parked = append(r.parked, parkedRead{req: req, watermark: watermark})
 	default:
-		r.orderRequest(req, unsignedRead)
+		r.in.OrderRead(req)
 	}
 }
 
@@ -167,7 +167,7 @@ func (r *Replica) onRead(m *message.Message) {
 func (r *Replica) serveRead(req *message.Request, c message.Consistency) {
 	result, ok := r.exec.Query(req.Op)
 	if !ok {
-		r.orderRequest(req, unsignedRead)
+		r.in.OrderRead(req)
 		return
 	}
 	rep := &message.Message{
@@ -202,7 +202,7 @@ func (r *Replica) drainParkedReads() {
 		case r.leaseValid(now):
 			r.serveRead(p.req, message.ConsistencyLeased)
 		default:
-			r.orderRequest(p.req, unsignedRead)
+			r.in.OrderRead(p.req)
 		}
 	}
 	r.parked = keep

@@ -331,7 +331,7 @@ func (r *Replica) onModeChange(m *message.Message) {
 	}
 	// Local directive: become the announcer if we are the driver.
 	if m.View == 0 && m.From == r.eng.ID() {
-		if !r.trustedSelf() {
+		if !r.mb.IsTrusted(r.eng.ID()) {
 			return
 		}
 		target := r.view + 1

@@ -64,25 +64,29 @@ func (h *harness) runBudget() {
 // authBudget is what one committed request costs a cluster of N
 // replicas and quorum Q at batch 1: signatures, signature
 // verifications, tags and tag checks, client included. PBFT
-// authenticates as the engine's authTable says, so:
+// authenticates as the engine's authTable says, and takes client
+// requests on the path SeeMoRe's public primary does
+// (replica.Intake.OnRequest), so:
 //   - signs: the client's request, the primary's PRE-PREPARE and one
 //     PREPARE per backup: 2 + (N-1);
-//   - verifications: the primary's check of the client's signature, and
-//     at each backup the PRE-PREPARE's signature and the client's inside
-//     it: 1 + 2(N-1). Then the PREPARE votes: each replica checks its
+//   - verifications: the primary's check of the client's signature
+//     before admission, and at each backup the PRE-PREPARE's signature:
+//     1 + (N-1). Then the PREPARE votes: each replica checks its
 //     peers' until it sends its COMMIT and skips the rest. The primary
 //     checks Q-1 of them. A backup checks Q-2 when the PRE-PREPARE comes
 //     first, and all N-2 when every vote overtakes it, hence the range;
 //   - tags: the client's authenticator (N), a COMMIT vote to each peer
 //     from every replica (N(N-1)) and a REPLY from every replica (N);
-//   - tag checks: the Q-1 COMMIT votes each replica takes before its
-//     slot commits (later ones meet a committed slot and are dropped
-//     unchecked), and the Byz+1 REPLYs the client waits for.
+//   - tag checks: the primary's own tag in the client's authenticator,
+//     and each backup's in the one the PRE-PREPARE forwards (N); the Q-1
+//     COMMIT votes each replica takes before its slot commits (later
+//     ones meet a committed slot and are dropped unchecked); and the
+//     Byz+1 REPLYs the client waits for: NQ + Byz + 1.
 //
 // PBFT is N=4, Q=3; S-UpRight is N=6, Q=4.
 var authBudget = map[string]struct{ signs, minVerifies, maxVerifies, tags, tagChecks uint64 }{
-	"PBFT":      {5, 12, 15, 20, 10},
-	"S-UpRight": {7, 24, 34, 42, 20},
+	"PBFT":      {5, 9, 12, 20, 14},
+	"S-UpRight": {7, 19, 29, 42, 26},
 }
 
 // TestAuthBudgetPerOp pins PBFT's and S-UpRight's per-request
@@ -96,6 +100,10 @@ func TestAuthBudgetPerOp(t *testing.T) {
 			counted := crypto.Count(crypto.NewEd25519Suite(95, n, 1))
 			h := budgetHarness(t, sh.byz, sh.crash, counted, nil)
 			h.runBudget()
+			// A replica stores its execution cursor before it tags the
+			// REPLY; Stop returns once each loop has exited, after the
+			// drain that executed the last slot sent its REPLY.
+			h.stop()
 			got, want := counted.Totals(), authBudget[sh.name]
 			t.Logf("per request: %.2f signatures, %.2f verifications, %.2f tags, %.2f tag checks",
 				float64(got.Signs)/ops, float64(got.Verifies)/ops, float64(got.Tags)/ops, float64(got.TagVerifies)/ops)

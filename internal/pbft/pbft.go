@@ -151,22 +151,29 @@ func NewReplica(opts Options) (*Replica, error) {
 		r.all[i] = ids.ReplicaID(i)
 	}
 	r.jr = replica.NewJournal(opts.Storage)
-	r.in = replica.NewIntake(replica.IntakeConfig{
-		Batching: opts.Batching, Pipelining: opts.Pipelining,
-		Clock: clk, Pending: r.pending, Exec: r.exec,
-		Open: r.mayPropose, Propose: r.proposeBatch,
-	})
 	r.eng = replica.NewEngine(replica.Config{
 		ID:           opts.ID,
 		Suite:        opts.Suite,
 		Endpoint:     opts.Network.Endpoint(transport.ReplicaAddr(opts.ID)),
-		TickInterval: r.in.TickInterval(opts.TickInterval),
+		TickInterval: replica.TickInterval(opts.Batching, opts.TickInterval),
 		Clock:        clk,
 		Journal:      r.jr,
 	})
 	r.rec = replica.NewRecovery(replica.RecoveryConfig{
 		Engine: r.eng, Log: r.log, Exec: r.exec, Pending: r.pending,
 		Trust: trust{r}, N: r.n, ViewChange: r.timing.ViewChange, JoinQuorum: r.WeakQuorum(),
+	})
+	r.in = replica.NewIntake(replica.IntakeConfig{
+		Batching: opts.Batching, Pipelining: opts.Pipelining,
+		Clock: clk, Engine: r.eng, Pending: r.pending, Exec: r.exec,
+		Open: r.mayPropose, Propose: r.proposeBatch,
+		// PBFT is SeeMoRe with every node public: its primary verifies a
+		// client's signature before admission, and its backups take the
+		// members of a PRE-PREPARE on the forwarded tags.
+		Trusted:      func(ids.ReplicaID) bool { return false },
+		Primary:      func() ids.ReplicaID { return r.Primary(r.view) },
+		InViewChange: r.rec.InViewChange,
+		Reply:        func(req *message.Request, result []byte) { r.sendReply(r.view, req, result) },
 	})
 	r.round = replica.NewRound(replica.RoundConfig{
 		Recovery:  r.rec,
@@ -257,9 +264,7 @@ func (r *Replica) StableCheckpoint() uint64 { return r.log.Low() }
 func (r *Replica) HandleMessage(m *message.Message) {
 	switch m.Kind {
 	case message.KindRequest:
-		if len(m.Payload) == 1 {
-			r.onRequest(m.Payload[0])
-		}
+		r.in.OnRequest(m)
 	case message.KindPrePrepare:
 		r.onPrePrepare(m)
 	case message.KindPrepare:
@@ -347,31 +352,6 @@ func (r *Replica) sendReply(view ids.View, req *message.Request, result []byte) 
 	r.eng.SendClientTagged(req.Client, rep)
 }
 
-func (r *Replica) onRequest(req *message.Request) {
-	if req.Client < 0 || !r.eng.VerifyRequest(req) {
-		return
-	}
-	if cached, ok := r.exec.CachedReply(req); ok {
-		r.sendReply(r.view, req, cached)
-		return
-	}
-	if !r.exec.Fresh(req) {
-		return
-	}
-	if r.rec.InViewChange() {
-		return // the client will retransmit after the view change
-	}
-	if r.isPrimary() {
-		r.in.Admit(req)
-		return
-	}
-	// The relay wrapper carries nothing of this replica's: the primary
-	// checks the client's signature inside.
-	fwd := &message.Message{Kind: message.KindRequest, From: r.eng.ID(), Payload: []*message.Request{req}}
-	r.eng.Send(r.Primary(r.view), fwd)
-	r.pending.Mark(replica.RelaySentinel)
-}
-
 // mayPropose answers replica.Intake: this replica is the primary of its
 // view in normal operation and the next sequence number fits the log
 // window.
@@ -409,15 +389,6 @@ func (r *Replica) proposeBatch(reqs []*message.Request) bool {
 	return true
 }
 
-// validPayload checks the attached payload against the proposal digest and the client signature of every member.
-func (r *Replica) validPayload(m *message.Message) bool {
-	reqs := m.Requests()
-	if len(reqs) == 0 || message.BatchDigest(reqs) != m.Digest {
-		return false
-	}
-	return r.eng.VerifyRequests(reqs)
-}
-
 func (r *Replica) onPrePrepare(m *message.Message) {
 	if r.rec.InViewChange() || m.View != r.view {
 		return
@@ -426,7 +397,9 @@ func (r *Replica) onPrePrepare(m *message.Message) {
 		return
 	}
 	s := m.Record()
-	if !r.authentic(s) || !r.validPayload(m) {
+	// Every backup votes: it takes each member on its forwarded tag,
+	// or on the client's signature.
+	if !r.authentic(s) || !r.in.ValidPayload(m, true) {
 		return
 	}
 	entry := r.log.Entry(m.Seq)

@@ -24,49 +24,58 @@
 //
 // # Intake
 //
-// In every mode of the paper, and in the PBFT baseline, a
-// proposer does one thing with a client request: drop it if it is
-// already being ordered, give it the next sequence number inside the
-// log window, and hold it back while the window is closed. Intake is
-// that path, once. It dedupes against the (client, timestamp) of every
-// request buffered or in an unexecuted slot, packs requests into
-// BatchSize slots with a flush deadline for partial ones, proposes while
-// fewer than config.Pipelining.Depth slots are uncommitted (Pending is
-// the occupancy count, and gives each slot its own liveness timer, so a
-// stalled slot cannot hide behind a fast neighbor committing), and keeps
-// everything else in arrival order.
+// In every mode of the paper, and in the PBFT baseline, a replica does
+// one thing with a client request: take it on the client's tag for this
+// replica (a backup's relay on the client's signature), re-send a
+// cached reply or drop it as stale, relay it to the proposer after
+// verifying the signature, or — as the proposer — verify the signature
+// if the proposer is public, drop it if it is already being ordered,
+// give it the next sequence number inside the log window, and hold it
+// back while the window is closed. Intake is that path, once
+// (OnRequest; OrderRead for an unsigned READ the fast path could not
+// serve), over one trust predicate: SeeMoRe's private cloud for core,
+// nobody for PBFT, its all-public instance. A trusted node parks what
+// arrives during a view change; anyone else drops it. ValidPayload is
+// the matching check at a proposal's receiver: the members match the
+// digest, and a voter takes each member of a public proposer's payload
+// on its tag in the client authenticator the proposal forwards, or on
+// the client's signature where that tag is missing or bad
+// (Engine.AuthenticForwarded). The intake dedupes against the (client,
+// timestamp) of every request buffered or in an unexecuted slot, packs
+// requests into BatchSize slots with a flush deadline for partial ones,
+// proposes while fewer than config.Pipelining.Depth slots are
+// uncommitted (Pending is the occupancy count, and gives each slot its
+// own liveness timer, so a stalled slot cannot hide behind a fast
+// neighbor committing), and keeps everything else in arrival order.
 //
-// The engine calls Admit for a request it receives as the proposer in
-// normal operation, Park — or nothing: that is its policy — for one that
-// arrives during a view change, Pump whenever room may have appeared (a
-// slot committed, a CHECKPOINT stabilized, a tick passed a flush
-// deadline), Executed for every request it applies, EnterView after
-// applying a NEW-VIEW and Resume when a lone suspicion backs off. Both
-// re-admit what was held if the replica now proposes and drop it
-// otherwise; EnterView first forgets the old view's open slots, which
-// the NEW-VIEW re-issued. The engine answers two things: Open — it is
-// the proposer of its view, no view change is in progress and the next
-// sequence number fits the log window — and Propose, the protocol's own
-// half from sequence assignment on (sign, journal, multicast, the
-// proposer's vote, Pending.Mark). Engines never read Intake's tables.
+// The engine calls OnRequest for every client REQUEST, Pump whenever
+// room may have appeared (a slot committed, a CHECKPOINT stabilized, a
+// tick passed a flush deadline), Executed for every request it applies,
+// EnterView after applying a NEW-VIEW and Resume when a lone suspicion
+// backs off. Both re-admit what was held if the replica now proposes and
+// drop it otherwise; EnterView first forgets the old view's open slots,
+// which the NEW-VIEW re-issued. The engine answers who is trusted, who
+// proposes now, whether a view change is in progress, how to re-send a
+// cached reply, Open — it is the proposer of its view, no view change
+// is in progress and the next sequence number fits the log window — and
+// Propose, the protocol's own half from sequence assignment on (sign,
+// journal, multicast, the proposer's vote, Pending.Mark). Engines never
+// read Intake's tables.
 //
 // Commits then arrive out of order; Executor.ExecuteReady walks the
 // message log strictly in sequence order, treating it as the reorder
 // buffer, and stops at the first gap — commit n+2 before n+1 simply
-// waits. The Engine's set helpers (VerifyRequests, VerifyRecords) check
-// a set of independent signatures one by one, stopping at the first bad
-// one: the client signatures in a public proposer's batch (PBFT), and
-// the re-issued slots of a NEW-VIEW or a checkpoint certificate. A
-// Peacock proxy takes each batch member on its tag in the client
-// authenticator the PRE-PREPARE forwards, and verifies the signatures
-// of only the members whose tag is missing or bad (AuthenticForwarded).
-// A trusted
-// proposer's receivers check neither — see Auth.
-// A client's own REQUEST or READ is checked by the tag its receiver
-// holds in the client's authenticator (AuthenticRequest); VerifyRequest,
-// the client's signature, is left to where everyone must judge alike —
-// a Peacock primary before admission, a backup before it relays and the
-// primary receiving the relay — and to PBFT on receipt.
+// waits. The Engine's set helpers (AuthenticForwarded, VerifyRecords)
+// check a set of independent signatures one by one, stopping at the
+// first bad one: the client signatures of the members of a public
+// proposer's batch that no good forwarded tag covers, and the re-issued
+// slots of a NEW-VIEW or a checkpoint certificate. A trusted proposer's
+// receivers check no client's signature — see Auth. A client's own
+// REQUEST or READ is checked by the tag its receiver holds in the
+// client's authenticator (AuthenticRequest); VerifyRequest, the
+// client's signature, is left to where everyone must judge alike — a
+// public primary before admission, a backup before it relays and the
+// primary receiving the relay.
 //
 // # Recovery machinery
 //

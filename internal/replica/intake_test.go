@@ -227,15 +227,14 @@ func TestIntake(t *testing.T) {
 }
 
 func TestIntakeTickInterval(t *testing.T) {
-	unbatched := NewIntake(IntakeConfig{})
-	if got := unbatched.TickInterval(5 * time.Millisecond); got != 5*time.Millisecond {
+	if got := TickInterval(config.Batching{}, 5*time.Millisecond); got != 5*time.Millisecond {
 		t.Errorf("unbatched tick = %v, want the base untouched", got)
 	}
-	batched := NewIntake(IntakeConfig{Batching: config.Batching{BatchSize: 8, BatchTimeout: 2 * time.Millisecond}})
-	if got := batched.TickInterval(5 * time.Millisecond); got != 2*time.Millisecond {
+	batched := config.Batching{BatchSize: 8, BatchTimeout: 2 * time.Millisecond}
+	if got := TickInterval(batched, 5*time.Millisecond); got != 2*time.Millisecond {
 		t.Errorf("batched tick = %v, want it capped at BatchTimeout", got)
 	}
-	if got := batched.TickInterval(time.Millisecond); got != time.Millisecond {
+	if got := TickInterval(batched, time.Millisecond); got != time.Millisecond {
 		t.Errorf("batched tick = %v, want a shorter base untouched", got)
 	}
 }

@@ -341,36 +341,23 @@ func (e *Engine) VerifyRequest(r *message.Request) bool {
 	return e.suite.Verify(crypto.ClientPrincipal(int64(r.Client)), r.SignedBytes(), r.Sig)
 }
 
-// VerifyRequests checks every client signature in a slot payload, one
-// by one, stopping at the first bad one. It is what a PBFT replica owes
-// a proposal from a public node, and what a Peacock proxy owes the
-// members it holds no good forwarded tag for (AuthenticForwarded); a
-// trusted proposer's receivers take its word for the clients it
-// admitted on their tags (AuthenticRequest). No-op requests
-// (Client < 0) carry no signature and are skipped.
-func (e *Engine) VerifyRequests(reqs []*message.Request) bool {
+// AuthenticForwarded checks a public proposer's payload for a voter
+// that vouches for it (Intake.ValidPayload): each member on this
+// replica's tag in the client authenticator the proposer forwarded
+// (Request.Auth), or on the client's signature where that tag is missing
+// or bad, stopping at the first member that passes neither. A relayed
+// member comes with no authenticator, and a no-op (Client < 0) with
+// nothing to check.
+func (e *Engine) AuthenticForwarded(reqs []*message.Request) bool {
 	for _, r := range reqs {
+		if len(r.Auth) > 0 && e.AuthenticRequest(r, r.Auth) {
+			continue
+		}
 		if !e.VerifyRequest(r) {
 			return false
 		}
 	}
 	return true
-}
-
-// AuthenticForwarded checks a public proposer's payload for a voter
-// that vouches for it: each member on this replica's tag in the client
-// authenticator the proposer forwarded (Request.Auth), and, through
-// VerifyRequests, the client's signature of each member whose tag is
-// missing or bad. A relayed member comes with no authenticator, and a
-// no-op with nothing to check.
-func (e *Engine) AuthenticForwarded(reqs []*message.Request) bool {
-	var untagged []*message.Request
-	for _, r := range reqs {
-		if len(r.Auth) == 0 || !e.AuthenticRequest(r, r.Auth) {
-			untagged = append(untagged, r)
-		}
-	}
-	return e.VerifyRequests(untagged)
 }
 
 // VerifyRecords checks a set of Signed evidence records — independent

@@ -30,7 +30,7 @@ func checkRequests(e *Engine, s crypto.Suite, n int, edit func(int, *member)) bo
 		r.Client, r.Sig = ids.ClientID(m.author), m.sig
 		reqs[i] = r
 	}
-	return e.VerifyRequests(reqs)
+	return e.AuthenticForwarded(reqs)
 }
 
 func checkRecords(e *Engine, s crypto.Suite, n int, edit func(int, *member)) bool {
@@ -57,9 +57,10 @@ func signedRecords(s crypto.Suite, n int) []message.Signed {
 	return set
 }
 
-// TestVerifySets pins VerifyRequests and VerifyRecords under every suite
-// kind a replica runs: the verdict, and — under a Counting suite — that
-// the check stops at the first bad signature.
+// TestVerifySets pins VerifyRecords, and AuthenticForwarded on members
+// that forward no authenticator (so each is taken on its signature),
+// under every suite kind a replica runs: the verdict, and — under a
+// Counting suite — that the check stops at the first bad signature.
 func TestVerifySets(t *testing.T) {
 	const n = 5
 	flip := func(m *member) { m.sig = bytes.Clone(m.sig); m.sig[0] ^= 1 }
